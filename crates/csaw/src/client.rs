@@ -1468,7 +1468,7 @@ mod tests {
     }
 
     #[test]
-    fn poison_report_quarantined_not_retried_forever() {
+    fn timestamp_beyond_f64_exact_range_is_delivered_not_quarantined() {
         let w = build_world(profiles::isp_a(), profiles::ISP_A_ASN);
         let server = ServerDb::builder(13).build().unwrap();
         let mut c = client(42);
@@ -1478,21 +1478,30 @@ mod tests {
         c.request(&w, &url, SimTime::from_secs(1));
         let healthy = c.pending_reports();
         assert!(healthy >= 1);
-        // Inject a poison report: its timestamp exceeds the f64-exact
-        // integer range, so it cannot survive the JSON wire round-trip.
+        // A timestamp above 2^53 is not an f64-exact integer. It used
+        // to fail the JSON wire round-trip and was quarantined as
+        // poison; the wire now carries integers digit for digit, so
+        // the report is delivered like any other.
+        let odd = (1 << 53) + 1;
         c.report_queue.push(Report {
-            url: "http://poison.example/".into(),
+            url: "http://late.example/".into(),
             asn: profiles::ISP_A_ASN.0,
-            measured_at_us: (1 << 53) + 1,
+            measured_at_us: odd,
             stages: vec![BlockingType::HttpDrop],
         });
         c.stats.reports_queued += 1;
         let posted = c.post_reports(&server, SimTime::from_secs(2));
-        assert_eq!(posted, healthy, "healthy reports still delivered");
-        assert_eq!(c.stats.reports_quarantined, 1);
-        assert_eq!(c.quarantined_reports().len(), 1);
-        assert_eq!(c.quarantined_reports()[0].url, "http://poison.example/");
-        assert_eq!(c.pending_reports(), 0, "poison does not pin the queue");
+        assert_eq!(posted, healthy + 1, "every report delivered");
+        assert_eq!(c.stats.reports_quarantined, 0);
+        assert_eq!(c.pending_reports(), 0);
+        let stored = server
+            .blocked_for_as(profiles::ISP_A_ASN, &ConfidenceFilter::default())
+            .unwrap();
+        let late = stored
+            .iter()
+            .find(|r| r.url == "http://late.example/")
+            .expect("the report was stored");
+        assert_eq!(late.measured_at.as_micros(), odd);
         accounting_holds(&c);
     }
 

@@ -227,7 +227,7 @@ impl GlobalApi for RemoteDb {
         let resp = self.call(&DbRequest::Post {
             client: batch.client,
             posted_at: batch.posted_at,
-            reports: batch.reports().to_vec(),
+            reports: batch.into_reports(),
         })?;
         match resp {
             DbResponse::Receipt(receipt) => Ok(receipt),

@@ -87,7 +87,7 @@ use csaw::global::{RegistrationError, ServerDb};
 use csaw_store::net::{DbRequest, DbResponse};
 use csaw_store::Batch;
 use csaw_webproto::bytes::BytesMut;
-use csaw_webproto::codec::{decode_frame, Frame};
+use csaw_webproto::codec::{decode_frame, frame_ready, Frame};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -387,7 +387,7 @@ impl Reactor {
                 return false;
             }
             if !c.poisoned {
-                if let Ok(Some(_)) = peek_frame(&c.rbuf) {
+                if let Ok(true) = frame_ready(&c.rbuf) {
                     return false;
                 }
             }
@@ -428,12 +428,12 @@ impl Reactor {
     /// local request list.
     fn read_pass(&mut self, progress: &mut bool) -> Vec<(usize, Frame)> {
         let mut requests = Vec::new();
+        let mut chunk = [0u8; 16 * 1024];
         for (idx, conn) in self.conns.iter_mut().enumerate() {
             if conn.poisoned {
                 continue;
             }
             if !conn.peer_closed {
-                let mut chunk = [0u8; 16 * 1024];
                 loop {
                     match conn.stream.read(&mut chunk) {
                         Ok(0) => {
@@ -637,12 +637,6 @@ impl Reactor {
         }
         any
     }
-}
-
-/// Non-consuming check: is a complete frame sitting in `buf`?
-fn peek_frame(buf: &BytesMut) -> io::Result<Option<()>> {
-    let mut probe = buf.clone();
-    decode_frame(&mut probe).map(|f| f.map(|_| ()))
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@
 //!   proxy;
 //! - [`scope`]: thread-local contexts so concurrent experiments (and
 //!   concurrent tests) keep their telemetry separate;
-//! - [`json`]: the deterministic JSON value/parser the rest of the
-//!   workspace builds wire formats on.
+//! - [`json`]: the deterministic JSON reader, writer and value tree the
+//!   rest of the workspace builds wire formats on.
 //!
 //! Determinism contract: with a [`clock::ManualClock`] driven from
 //! `SimTime` and any sink, two same-seed runs produce byte-identical

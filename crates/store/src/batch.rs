@@ -38,26 +38,19 @@ impl Batch {
     /// the poison entry instead of re-parsing the batch report by
     /// report.
     pub fn from_wire(client: Uuid, wire: &str, posted_at: SimTime) -> Result<Batch, StoreError> {
-        let v = csaw_obs::json::JsonValue::parse(wire)
-            .map_err(|e| StoreError::Wire(crate::record::WireError::Json(e)))?;
-        let arr = v
-            .as_arr()
-            .ok_or(StoreError::Wire(crate::record::WireError::Shape(
-                "batch must be an array",
-            )))?;
-        let mut reports = Vec::with_capacity(arr.len());
-        for (index, item) in arr.iter().enumerate() {
-            reports.push(
-                Report::from_json(item)
-                    .map_err(|reason| StoreError::Malformed { index, reason })?,
-            );
-        }
+        let reports = Report::decode_batch_indexed(wire)?
+            .map_err(|(index, reason)| StoreError::Malformed { index, reason })?;
         Ok(Batch::new(client, reports, posted_at))
     }
 
     /// The carried reports.
     pub fn reports(&self) -> &[Report] {
         &self.reports
+    }
+
+    /// Take the carried reports out of the batch.
+    pub fn into_reports(self) -> Vec<Report> {
+        self.reports
     }
 
     /// Number of reports in the batch.

@@ -8,6 +8,7 @@
 //! and takes no external dependencies.)
 
 use crate::record::WireError;
+use csaw_obs::json::JsonError;
 use std::fmt;
 
 /// Everything that can go wrong inside the measurement store.
@@ -75,6 +76,12 @@ impl std::error::Error for StoreError {
 impl From<WireError> for StoreError {
     fn from(e: WireError) -> StoreError {
         StoreError::Wire(e)
+    }
+}
+
+impl From<JsonError> for StoreError {
+    fn from(e: JsonError) -> StoreError {
+        StoreError::Wire(WireError::Json(e))
     }
 }
 

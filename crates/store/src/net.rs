@@ -8,19 +8,24 @@
 //! [`StoreError::Wire`], never a panic — the server rejects, the
 //! connection survives.
 //!
-//! UUIDs cross the wire as 16-hex-digit strings (the JSON number space
-//! is f64-backed, so raw u64 ids would lose precision — same convention
-//! as the JSONL WAL). Times cross as integer microseconds.
+//! Payloads are written and read straight off
+//! [`csaw_obs::json::JsonWriter`] / [`csaw_obs::json::JsonReader`], with
+//! no intermediate tree: keys go out in sorted order, and come in in any
+//! order, unknown ones skipped, the last duplicate winning.
+//!
+//! UUIDs cross the wire as 16-hex-digit strings (a reader that holds
+//! JSON numbers as f64 would round raw u64 ids — same convention as the
+//! JSONL WAL). Times cross as integer microseconds, digit for digit.
 
 use crate::batch::IngestReceipt;
 use crate::error::StoreError;
 use crate::ledger::ConfidenceFilter;
-use crate::record::{GlobalRecord, Report, Uuid, WireError};
-use csaw_censor::blocking::BlockingType;
-use csaw_obs::json::JsonValue;
+use crate::record::{read_array_of, GlobalRecord, Report, Shaped, Uuid, WireError};
+use csaw_obs::json::{JsonError, JsonReader, JsonWriter};
 use csaw_simnet::time::SimTime;
 use csaw_simnet::topology::Asn;
 use csaw_webproto::codec::Frame;
+use std::borrow::Cow;
 
 /// Frame opcodes. Requests use the low range, responses the high range.
 pub mod op {
@@ -48,93 +53,62 @@ fn shape(msg: &'static str) -> StoreError {
     StoreError::Wire(WireError::Shape(msg))
 }
 
-fn parse_payload(frame: &Frame) -> Result<JsonValue, StoreError> {
+/// Build a frame whose payload is the object `fields` writes (keys in
+/// sorted order, see [`Report::write_json`]).
+fn object_frame(op: u8, fields: impl FnOnce(&mut JsonWriter)) -> Frame {
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    fields(&mut w);
+    w.end_object();
+    Frame::new(op, w.finish().into_bytes())
+}
+
+/// Read a frame's payload as one JSON object, handing each member to
+/// `field`, which must read or skip exactly that member's value. A
+/// payload that is JSON but not an object reads as one with no members.
+/// Only syntax errors come out of here; what the members held is for
+/// the caller to judge once the whole payload is known to be JSON.
+fn read_object<'a>(
+    frame: &'a Frame,
+    mut field: impl FnMut(&str, &mut JsonReader<'a>) -> Result<(), JsonError>,
+) -> Result<(), StoreError> {
     let text = std::str::from_utf8(&frame.payload)
         .map_err(|_| shape("frame payload must be UTF-8 JSON"))?;
-    JsonValue::parse(text).map_err(|e| StoreError::Wire(WireError::Json(e)))
+    let mut r = JsonReader::new(text);
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            field(&key, &mut r)?;
+        }
+    }
+    Ok(r.end()?)
 }
 
-fn uuid_to_json(u: Uuid) -> JsonValue {
-    JsonValue::from(format!("{u}"))
+fn write_indices(ix: &[usize], w: &mut JsonWriter) {
+    w.begin_array();
+    for &i in ix {
+        w.u64(i as u64);
+    }
+    w.end_array();
 }
 
-fn uuid_from_json(v: Option<&JsonValue>) -> Result<Uuid, StoreError> {
-    let s = v
-        .and_then(JsonValue::as_str)
-        .ok_or(shape("uuid must be a hex string"))?;
-    u64::from_str_radix(s, 16)
-        .map(Uuid::from_raw)
-        .map_err(|_| shape("uuid must be a hex string"))
-}
-
-fn indices_to_json(ix: &[usize]) -> JsonValue {
-    JsonValue::Arr(ix.iter().map(|&i| JsonValue::from(i as u64)).collect())
-}
-
-fn indices_from_json(v: Option<&JsonValue>) -> Result<Vec<usize>, StoreError> {
-    v.and_then(JsonValue::as_arr)
-        .ok_or(shape("indices must be an array"))?
-        .iter()
-        .map(|i| {
-            i.as_u64()
-                .map(|n| n as usize)
-                .ok_or(shape("index must be a number"))
-        })
-        .collect()
-}
-
-fn stages_to_json(stages: &[BlockingType]) -> JsonValue {
-    JsonValue::Arr(stages.iter().map(|s| JsonValue::from(s.name())).collect())
-}
-
-fn stages_from_json(v: Option<&JsonValue>) -> Result<Vec<BlockingType>, StoreError> {
-    v.and_then(JsonValue::as_arr)
-        .ok_or(shape("stages must be an array"))?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .and_then(BlockingType::from_name)
-                .ok_or(shape("unknown blocking type"))
-        })
-        .collect()
-}
-
-fn record_to_json(r: &GlobalRecord) -> JsonValue {
-    let mut v = JsonValue::obj();
-    v.set("url", r.url.as_str());
-    v.set("asn", r.asn.0);
-    v.set("measured_at_us", r.measured_at.as_micros());
-    v.set("stages", stages_to_json(&r.stages));
-    v.set("posted_at_us", r.posted_at.as_micros());
-    v.set("reporter", uuid_to_json(r.reporter));
-    v
-}
-
-fn record_from_json(v: &JsonValue) -> Result<GlobalRecord, StoreError> {
-    Ok(GlobalRecord {
-        url: v
-            .get("url")
-            .and_then(JsonValue::as_str)
-            .ok_or(shape("record url must be a string"))?
-            .to_string(),
-        asn: Asn(v
-            .get("asn")
-            .and_then(JsonValue::as_u64)
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or(shape("record asn must be a u32"))?),
-        measured_at: SimTime::from_micros(
-            v.get("measured_at_us")
-                .and_then(JsonValue::as_u64)
-                .ok_or(shape("record measured_at_us must be a u64"))?,
-        ),
-        stages: stages_from_json(v.get("stages"))?,
-        posted_at: SimTime::from_micros(
-            v.get("posted_at_us")
-                .and_then(JsonValue::as_u64)
-                .ok_or(shape("record posted_at_us must be a u64"))?,
-        ),
-        reporter: uuid_from_json(v.get("reporter"))?,
+fn read_indices(r: &mut JsonReader<'_>) -> Shaped<Vec<usize>> {
+    read_array_of(r, "indices must be an array", |r| {
+        Ok(r.u64()?
+            .map(|n| n as usize)
+            .ok_or(WireError::Shape("index must be a number")))
     })
+}
+
+fn read_lines(r: &mut JsonReader<'_>) -> Shaped<Vec<String>> {
+    read_array_of(r, "lines must be an array", |r| {
+        Ok(r.str()?
+            .map(Cow::into_owned)
+            .ok_or(WireError::Shape("WAL line must be a string")))
+    })
+}
+
+fn read_records(r: &mut JsonReader<'_>) -> Shaped<Vec<GlobalRecord>> {
+    read_array_of(r, "records must be an array", GlobalRecord::read_json)
 }
 
 /// A client → server request.
@@ -179,42 +153,42 @@ impl DbRequest {
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
         match self {
-            DbRequest::Register { now, risk } => {
-                let mut v = JsonValue::obj();
-                v.set("now_us", now.as_micros());
-                v.set("risk", *risk);
-                Frame::new(op::REGISTER, v.to_string_compact().into_bytes())
-            }
+            DbRequest::Register { now, risk } => object_frame(op::REGISTER, |w| {
+                w.key("now_us");
+                w.u64(now.as_micros());
+                w.key("risk");
+                w.f64(*risk);
+            }),
             DbRequest::Post {
                 client,
                 posted_at,
                 reports,
-            } => {
-                let mut v = JsonValue::obj();
-                v.set("client", uuid_to_json(*client));
-                v.set("posted_at_us", posted_at.as_micros());
-                v.set(
-                    "reports",
-                    JsonValue::Arr(reports.iter().map(Report::to_json).collect()),
-                );
-                Frame::new(op::POST, v.to_string_compact().into_bytes())
-            }
-            DbRequest::Blocked { asn, filter } => {
-                let mut v = JsonValue::obj();
-                v.set("asn", asn.0);
-                v.set("min_clients", filter.min_clients as u64);
-                v.set("min_avg_vote", filter.min_avg_vote);
-                Frame::new(op::BLOCKED, v.to_string_compact().into_bytes())
-            }
-            DbRequest::Ship { from_seq, lines } => {
-                let mut v = JsonValue::obj();
-                v.set("from_seq", *from_seq);
-                v.set(
-                    "lines",
-                    JsonValue::Arr(lines.iter().map(|l| JsonValue::from(l.as_str())).collect()),
-                );
-                Frame::new(op::SHIP, v.to_string_compact().into_bytes())
-            }
+            } => object_frame(op::POST, |w| {
+                w.key("client");
+                client.write_json(w);
+                w.key("posted_at_us");
+                w.u64(posted_at.as_micros());
+                w.key("reports");
+                Report::write_array(reports, w);
+            }),
+            DbRequest::Blocked { asn, filter } => object_frame(op::BLOCKED, |w| {
+                w.key("asn");
+                w.u64(u64::from(asn.0));
+                w.key("min_avg_vote");
+                w.f64(filter.min_avg_vote);
+                w.key("min_clients");
+                w.u64(filter.min_clients as u64);
+            }),
+            DbRequest::Ship { from_seq, lines } => object_frame(op::SHIP, |w| {
+                w.key("from_seq");
+                w.u64(*from_seq);
+                w.key("lines");
+                w.begin_array();
+                for line in lines {
+                    w.str(line);
+                }
+                w.end_array();
+            }),
         }
     }
 
@@ -222,79 +196,70 @@ impl DbRequest {
     /// [`StoreError::Wire`] (envelope) or [`StoreError::Malformed`]
     /// (a single poison report inside a Post, with its batch index).
     pub fn from_frame(frame: &Frame) -> Result<DbRequest, StoreError> {
-        let v = parse_payload(frame)?;
         match frame.op {
-            op::REGISTER => Ok(DbRequest::Register {
-                now: SimTime::from_micros(
-                    v.get("now_us")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or(shape("now_us must be a u64"))?,
-                ),
-                risk: v
-                    .get("risk")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or(shape("risk must be a number"))?,
-            }),
-            op::POST => {
-                let client = uuid_from_json(v.get("client"))?;
-                let posted_at = SimTime::from_micros(
-                    v.get("posted_at_us")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or(shape("posted_at_us must be a u64"))?,
-                );
-                let arr = v
-                    .get("reports")
-                    .and_then(JsonValue::as_arr)
-                    .ok_or(shape("reports must be an array"))?;
-                let mut reports = Vec::with_capacity(arr.len());
-                for (index, item) in arr.iter().enumerate() {
-                    reports.push(
-                        Report::from_json(item)
-                            .map_err(|reason| StoreError::Malformed { index, reason })?,
-                    );
-                }
-                Ok(DbRequest::Post {
-                    client,
-                    posted_at,
-                    reports,
+            op::REGISTER => {
+                let (mut now, mut risk) = (None, None);
+                read_object(frame, |key, r| match key {
+                    "now_us" => r.u64().map(|v| now = v),
+                    "risk" => r.f64().map(|v| risk = v),
+                    _ => r.skip(),
+                })?;
+                Ok(DbRequest::Register {
+                    now: SimTime::from_micros(now.ok_or(shape("now_us must be a u64"))?),
+                    risk: risk.ok_or(shape("risk must be a number"))?,
                 })
             }
-            op::BLOCKED => Ok(DbRequest::Blocked {
-                asn: Asn(v
-                    .get("asn")
-                    .and_then(JsonValue::as_u64)
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or(shape("asn must be a u32"))?),
-                filter: ConfidenceFilter {
-                    min_clients: v
-                        .get("min_clients")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or(shape("min_clients must be a u64"))?
-                        as usize,
-                    min_avg_vote: v
-                        .get("min_avg_vote")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or(shape("min_avg_vote must be a number"))?,
-                },
-            }),
-            op::SHIP => Ok(DbRequest::Ship {
-                from_seq: v
-                    .get("from_seq")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or(shape("from_seq must be a u64"))?,
-                lines: v
-                    .get("lines")
-                    .and_then(JsonValue::as_arr)
-                    .ok_or(shape("lines must be an array"))?
-                    .iter()
-                    .map(|l| {
-                        l.as_str()
-                            .map(str::to_string)
-                            .ok_or(shape("WAL line must be a string"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            _ => Err(shape("unknown request opcode")),
+            op::POST => {
+                let (mut client, mut posted_at, mut reports) = (None, None, None);
+                read_object(frame, |key, r| match key {
+                    "client" => Uuid::read_json(r).map(|v| client = v),
+                    "posted_at_us" => r.u64().map(|v| posted_at = v),
+                    "reports" => Report::read_array(r).map(|v| reports = v),
+                    _ => r.skip(),
+                })?;
+                Ok(DbRequest::Post {
+                    client: client.ok_or(shape("uuid must be a hex string"))?,
+                    posted_at: SimTime::from_micros(
+                        posted_at.ok_or(shape("posted_at_us must be a u64"))?,
+                    ),
+                    reports: reports
+                        .ok_or(shape("reports must be an array"))?
+                        .map_err(|(index, reason)| StoreError::Malformed { index, reason })?,
+                })
+            }
+            op::BLOCKED => {
+                let (mut asn, mut min_clients, mut min_avg_vote) = (None, None, None);
+                read_object(frame, |key, r| match key {
+                    "asn" => r.u64().map(|v| asn = v.and_then(|n| u32::try_from(n).ok())),
+                    "min_clients" => r.u64().map(|v| min_clients = v),
+                    "min_avg_vote" => r.f64().map(|v| min_avg_vote = v),
+                    _ => r.skip(),
+                })?;
+                Ok(DbRequest::Blocked {
+                    asn: Asn(asn.ok_or(shape("asn must be a u32"))?),
+                    filter: ConfidenceFilter {
+                        min_clients: min_clients.ok_or(shape("min_clients must be a u64"))?
+                            as usize,
+                        min_avg_vote: min_avg_vote.ok_or(shape("min_avg_vote must be a number"))?,
+                    },
+                })
+            }
+            op::SHIP => {
+                let (mut from_seq, mut lines) = (None, None);
+                read_object(frame, |key, r| match key {
+                    "from_seq" => r.u64().map(|v| from_seq = v),
+                    "lines" => read_lines(r).map(|v| lines = Some(v)),
+                    _ => r.skip(),
+                })?;
+                Ok(DbRequest::Ship {
+                    from_seq: from_seq.ok_or(shape("from_seq must be a u64"))?,
+                    lines: lines.ok_or(shape("lines must be an array"))??,
+                })
+            }
+            _ => {
+                read_object(frame, |_, r| r.skip())?;
+                Err(shape("unknown request opcode"))
+            }
         }
     }
 }
@@ -340,96 +305,121 @@ impl DbResponse {
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
         match self {
-            DbResponse::Registered(uuid) => {
-                let mut v = JsonValue::obj();
-                v.set("uuid", uuid_to_json(*uuid));
-                Frame::new(op::REGISTERED, v.to_string_compact().into_bytes())
-            }
-            DbResponse::Receipt(r) => {
-                let mut v = JsonValue::obj();
-                v.set("accepted", r.accepted as u64);
-                v.set("rejected", r.rejected as u64);
-                v.set("rejected_indices", indices_to_json(&r.rejected_indices));
-                v.set("deferred_indices", indices_to_json(&r.deferred_indices));
-                Frame::new(op::RECEIPT, v.to_string_compact().into_bytes())
-            }
-            DbResponse::Records(records) => {
-                let mut v = JsonValue::obj();
-                v.set(
-                    "records",
-                    JsonValue::Arr(records.iter().map(record_to_json).collect()),
-                );
-                Frame::new(op::RECORDS, v.to_string_compact().into_bytes())
-            }
-            DbResponse::ShipAck { applied_seq } => {
-                let mut v = JsonValue::obj();
-                v.set("applied_seq", *applied_seq);
-                Frame::new(op::SHIP_ACK, v.to_string_compact().into_bytes())
-            }
+            DbResponse::Registered(uuid) => object_frame(op::REGISTERED, |w| {
+                w.key("uuid");
+                uuid.write_json(w);
+            }),
+            DbResponse::Receipt(r) => object_frame(op::RECEIPT, |w| {
+                w.key("accepted");
+                w.u64(r.accepted as u64);
+                w.key("deferred_indices");
+                write_indices(&r.deferred_indices, w);
+                w.key("rejected");
+                w.u64(r.rejected as u64);
+                w.key("rejected_indices");
+                write_indices(&r.rejected_indices, w);
+            }),
+            DbResponse::Records(records) => object_frame(op::RECORDS, |w| {
+                w.key("records");
+                w.begin_array();
+                for record in records {
+                    record.write_json(w);
+                }
+                w.end_array();
+            }),
+            DbResponse::ShipAck { applied_seq } => object_frame(op::SHIP_ACK, |w| {
+                w.key("applied_seq");
+                w.u64(*applied_seq);
+            }),
             DbResponse::Error {
                 code,
                 detail,
                 index,
-            } => {
-                let mut v = JsonValue::obj();
-                v.set("code", code.as_str());
-                v.set("detail", detail.as_str());
+            } => object_frame(op::ERROR, |w| {
+                w.key("code");
+                w.str(code);
+                w.key("detail");
+                w.str(detail);
                 if let Some(i) = index {
-                    v.set("index", *i as u64);
+                    w.key("index");
+                    w.u64(*i as u64);
                 }
-                Frame::new(op::ERROR, v.to_string_compact().into_bytes())
-            }
+            }),
         }
     }
 
     /// Decode from a wire frame.
     pub fn from_frame(frame: &Frame) -> Result<DbResponse, StoreError> {
-        let v = parse_payload(frame)?;
         match frame.op {
-            op::REGISTERED => Ok(DbResponse::Registered(uuid_from_json(v.get("uuid"))?)),
-            op::RECEIPT => Ok(DbResponse::Receipt(IngestReceipt {
-                accepted: v
-                    .get("accepted")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or(shape("accepted must be a u64"))? as usize,
-                rejected: v
-                    .get("rejected")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or(shape("rejected must be a u64"))? as usize,
-                rejected_indices: indices_from_json(v.get("rejected_indices"))?,
-                deferred_indices: indices_from_json(v.get("deferred_indices"))?,
-            })),
-            op::RECORDS => Ok(DbResponse::Records(
-                v.get("records")
-                    .and_then(JsonValue::as_arr)
-                    .ok_or(shape("records must be an array"))?
-                    .iter()
-                    .map(record_from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            )),
-            op::SHIP_ACK => Ok(DbResponse::ShipAck {
-                applied_seq: v
-                    .get("applied_seq")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or(shape("applied_seq must be a u64"))?,
-            }),
-            op::ERROR => Ok(DbResponse::Error {
-                code: v
-                    .get("code")
-                    .and_then(JsonValue::as_str)
-                    .ok_or(shape("error code must be a string"))?
-                    .to_string(),
-                detail: v
-                    .get("detail")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                index: v
-                    .get("index")
-                    .and_then(JsonValue::as_u64)
-                    .map(|n| n as usize),
-            }),
-            _ => Err(shape("unknown response opcode")),
+            op::REGISTERED => {
+                let mut uuid = None;
+                read_object(frame, |key, r| match key {
+                    "uuid" => Uuid::read_json(r).map(|v| uuid = v),
+                    _ => r.skip(),
+                })?;
+                Ok(DbResponse::Registered(
+                    uuid.ok_or(shape("uuid must be a hex string"))?,
+                ))
+            }
+            op::RECEIPT => {
+                let (mut accepted, mut rejected) = (None, None);
+                let (mut rejected_indices, mut deferred_indices) = (None, None);
+                read_object(frame, |key, r| match key {
+                    "accepted" => r.u64().map(|v| accepted = v),
+                    "rejected" => r.u64().map(|v| rejected = v),
+                    "rejected_indices" => read_indices(r).map(|v| rejected_indices = Some(v)),
+                    "deferred_indices" => read_indices(r).map(|v| deferred_indices = Some(v)),
+                    _ => r.skip(),
+                })?;
+                Ok(DbResponse::Receipt(IngestReceipt {
+                    accepted: accepted.ok_or(shape("accepted must be a u64"))? as usize,
+                    rejected: rejected.ok_or(shape("rejected must be a u64"))? as usize,
+                    rejected_indices: rejected_indices
+                        .ok_or(shape("indices must be an array"))??,
+                    deferred_indices: deferred_indices
+                        .ok_or(shape("indices must be an array"))??,
+                }))
+            }
+            op::RECORDS => {
+                let mut records = None;
+                read_object(frame, |key, r| match key {
+                    "records" => read_records(r).map(|v| records = Some(v)),
+                    _ => r.skip(),
+                })?;
+                Ok(DbResponse::Records(
+                    records.ok_or(shape("records must be an array"))??,
+                ))
+            }
+            op::SHIP_ACK => {
+                let mut applied_seq = None;
+                read_object(frame, |key, r| match key {
+                    "applied_seq" => r.u64().map(|v| applied_seq = v),
+                    _ => r.skip(),
+                })?;
+                Ok(DbResponse::ShipAck {
+                    applied_seq: applied_seq.ok_or(shape("applied_seq must be a u64"))?,
+                })
+            }
+            op::ERROR => {
+                let (mut code, mut detail, mut index) = (None, None, None);
+                read_object(frame, |key, r| match key {
+                    "code" => r.str().map(|v| code = v),
+                    "detail" => r.str().map(|v| detail = v),
+                    "index" => r.u64().map(|v| index = v),
+                    _ => r.skip(),
+                })?;
+                Ok(DbResponse::Error {
+                    code: code
+                        .ok_or(shape("error code must be a string"))?
+                        .into_owned(),
+                    detail: detail.map_or_else(String::new, Cow::into_owned),
+                    index: index.map(|n| n as usize),
+                })
+            }
+            _ => {
+                read_object(frame, |_, r| r.skip())?;
+                Err(shape("unknown response opcode"))
+            }
         }
     }
 
@@ -472,6 +462,7 @@ impl DbResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csaw_censor::blocking::BlockingType;
 
     fn sample_reports() -> Vec<Report> {
         vec![
@@ -566,6 +557,40 @@ mod tests {
         match DbResponse::from_frame(&resp.to_frame()).unwrap() {
             DbResponse::Registered(u) => assert_eq!(u.raw(), u64::MAX - 1),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn times_above_two_to_the_53_cross_exactly() {
+        // Integers are written and read as digits, never through f64.
+        let big = u64::MAX - 1;
+        let resp = DbResponse::Records(vec![GlobalRecord {
+            url: "http://blocked.example/".into(),
+            asn: Asn(u32::MAX),
+            measured_at: SimTime::from_micros(big),
+            stages: vec![BlockingType::IpRst],
+            posted_at: SimTime::from_micros(big - 1),
+            reporter: Uuid::from_raw(big),
+        }]);
+        let frame = resp.to_frame();
+        let text = std::str::from_utf8(&frame.payload).unwrap();
+        assert!(text.contains("\"measured_at_us\":18446744073709551614,"));
+        assert_eq!(DbResponse::from_frame(&frame).unwrap(), resp);
+        let ship = DbRequest::Ship {
+            from_seq: big,
+            lines: Vec::new(),
+        };
+        assert_eq!(DbRequest::from_frame(&ship.to_frame()).unwrap(), ship);
+        // One past u64::MAX is not a u64, in digits or as a float.
+        for too_big in ["18446744073709551616", "1.8446744073709552e19"] {
+            let f = Frame::new(
+                op::SHIP_ACK,
+                format!("{{\"applied_seq\":{too_big}}}").into_bytes(),
+            );
+            assert_eq!(
+                DbResponse::from_frame(&f).unwrap_err(),
+                shape("applied_seq must be a u64")
+            );
         }
     }
 

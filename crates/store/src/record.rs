@@ -7,9 +7,10 @@
 //! structurally rather than by policy.
 
 use csaw_censor::blocking::BlockingType;
-use csaw_obs::json::{JsonError, JsonValue};
+use csaw_obs::json::{JsonError, JsonReader, JsonWriter};
 use csaw_simnet::time::SimTime;
 use csaw_simnet::topology::Asn;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A server-assigned universal unique identifier. The paper derives it
@@ -85,68 +86,181 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl Report {
-    pub(crate) fn to_json(&self) -> JsonValue {
-        let mut v = JsonValue::obj();
-        v.set("url", self.url.as_str());
-        v.set("asn", self.asn);
-        v.set("measured_at_us", self.measured_at_us);
-        v.set(
-            "stages",
-            self.stages
-                .iter()
-                .map(|s| JsonValue::from(s.name()))
-                .collect::<Vec<_>>(),
-        );
-        v
+impl From<JsonError> for WireError {
+    fn from(e: JsonError) -> WireError {
+        WireError::Json(e)
+    }
+}
+
+/// The outcome of reading one typed value off a [`JsonReader`].
+///
+/// The outer `Err` means the text is not JSON: reading stops. The inner
+/// `Err` means well-formed JSON of the wrong shape: the reader has moved
+/// past the value and reading goes on, so that a syntax error further
+/// along still takes precedence — as it did when documents were parsed
+/// whole before any shape was checked — and so that a later duplicate
+/// of a key can still replace an ill-shaped earlier one.
+pub(crate) type Shaped<T, E = WireError> = Result<Result<T, E>, JsonError>;
+
+/// The index of the first ill-shaped element of an array, and why.
+pub(crate) type Poison = (usize, WireError);
+
+/// Read the elements of an array the reader has just opened, keeping
+/// the index and reason of the first one `read` finds ill-shaped.
+fn read_elements<T>(
+    r: &mut JsonReader<'_>,
+    mut read: impl FnMut(&mut JsonReader<'_>) -> Shaped<T>,
+) -> Shaped<Vec<T>, Poison> {
+    let mut items = Vec::new();
+    let mut first_bad = None;
+    let mut index = 0;
+    while r.element()? {
+        match read(r)? {
+            Ok(item) if first_bad.is_none() => items.push(item),
+            Ok(_) => {}
+            Err(reason) => {
+                first_bad.get_or_insert((index, reason));
+            }
+        }
+        index += 1;
+    }
+    Ok(first_bad.map_or(Ok(items), Err))
+}
+
+/// Read an array of what `read` reads. Ill-shaped with `not_array` if
+/// the value is not an array, else with its first ill-shaped element's
+/// reason.
+pub(crate) fn read_array_of<T>(
+    r: &mut JsonReader<'_>,
+    not_array: &'static str,
+    read: impl FnMut(&mut JsonReader<'_>) -> Shaped<T>,
+) -> Shaped<Vec<T>> {
+    if !r.array()? {
+        return Ok(Err(WireError::Shape(not_array)));
+    }
+    Ok(read_elements(r, read)?.map_err(|(_, reason)| reason))
+}
+
+fn write_stages(stages: &[BlockingType], w: &mut JsonWriter) {
+    w.begin_array();
+    for s in stages {
+        w.str(s.name());
+    }
+    w.end_array();
+}
+
+fn read_stages(r: &mut JsonReader<'_>) -> Shaped<Vec<BlockingType>> {
+    read_array_of(r, "stages must be an array", |r| {
+        Ok(r.str()?
+            .and_then(|s| BlockingType::from_name(&s))
+            .ok_or(WireError::Shape("unknown blocking type")))
+    })
+}
+
+impl Uuid {
+    /// Write as a 16-hex-digit string: ids use all 64 bits, and readers
+    /// that hold JSON numbers as `f64` would round them.
+    pub(crate) fn write_json(self, w: &mut JsonWriter) {
+        w.str(&self.to_string());
     }
 
-    pub(crate) fn from_json(v: &JsonValue) -> Result<Report, WireError> {
+    /// Read a hex-string UUID; `None` if the value is not one.
+    pub(crate) fn read_json(r: &mut JsonReader<'_>) -> Result<Option<Uuid>, JsonError> {
+        Ok(r.str()?
+            .and_then(|s| u64::from_str_radix(&s, 16).ok())
+            .map(Uuid))
+    }
+}
+
+impl Report {
+    // Keys go out sorted, as the `BTreeMap`-backed tree wrote them: the
+    // frames and WAL lines stay byte-for-byte what they were.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("asn");
+        w.u64(u64::from(self.asn));
+        w.key("measured_at_us");
+        w.u64(self.measured_at_us);
+        w.key("stages");
+        write_stages(&self.stages, w);
+        w.key("url");
+        w.str(&self.url);
+        w.end_object();
+    }
+
+    pub(crate) fn read_json(r: &mut JsonReader<'_>) -> Shaped<Report> {
+        let (mut url, mut asn, mut measured_at_us, mut stages) = (None, None, None, None);
+        if r.object()? {
+            while let Some(key) = r.key()? {
+                match &*key {
+                    "url" => url = r.str()?,
+                    "asn" => asn = r.u64()?.and_then(|n| u32::try_from(n).ok()),
+                    "measured_at_us" => measured_at_us = r.u64()?,
+                    "stages" => stages = Some(read_stages(r)?),
+                    _ => r.skip()?,
+                }
+            }
+        }
+        Ok(Report::from_fields(url, asn, measured_at_us, stages))
+    }
+
+    /// Assemble a report from what was read for each key (`None`:
+    /// missing or of the wrong type), checking the fields in a fixed
+    /// order whatever order they arrived in.
+    fn from_fields(
+        url: Option<Cow<'_, str>>,
+        asn: Option<u32>,
+        measured_at_us: Option<u64>,
+        stages: Option<Result<Vec<BlockingType>, WireError>>,
+    ) -> Result<Report, WireError> {
         let shape = WireError::Shape;
-        let url = v
-            .get("url")
-            .and_then(JsonValue::as_str)
-            .ok_or(shape("url must be a string"))?
-            .to_string();
-        let asn = v
-            .get("asn")
-            .and_then(JsonValue::as_u64)
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or(shape("asn must be a u32"))?;
-        let measured_at_us = v
-            .get("measured_at_us")
-            .and_then(JsonValue::as_u64)
-            .ok_or(shape("measured_at_us must be a u64"))?;
-        let stages = v
-            .get("stages")
-            .and_then(JsonValue::as_arr)
-            .ok_or(shape("stages must be an array"))?
-            .iter()
-            .map(|s| s.as_str().and_then(BlockingType::from_name))
-            .collect::<Option<Vec<_>>>()
-            .ok_or(shape("unknown blocking type"))?;
         Ok(Report {
-            url,
-            asn,
-            measured_at_us,
-            stages,
+            url: url.ok_or(shape("url must be a string"))?.into_owned(),
+            asn: asn.ok_or(shape("asn must be a u32"))?,
+            measured_at_us: measured_at_us.ok_or(shape("measured_at_us must be a u64"))?,
+            stages: stages.ok_or(shape("stages must be an array"))??,
         })
+    }
+
+    pub(crate) fn write_array(reports: &[Report], w: &mut JsonWriter) {
+        w.begin_array();
+        for r in reports {
+            r.write_json(w);
+        }
+        w.end_array();
+    }
+
+    /// Read an array of reports; `None` if the value is not an array,
+    /// else the reports or the first undecodable one's index and reason.
+    pub(crate) fn read_array(
+        r: &mut JsonReader<'_>,
+    ) -> Result<Option<Result<Vec<Report>, Poison>>, JsonError> {
+        if !r.array()? {
+            return Ok(None);
+        }
+        read_elements(r, Report::read_json).map(Some)
+    }
+
+    /// Decode a whole batch document. The outer error is a broken
+    /// envelope, the inner one the first poison report.
+    pub(crate) fn decode_batch_indexed(s: &str) -> Result<Result<Vec<Report>, Poison>, WireError> {
+        let mut r = JsonReader::new(s);
+        let reports = Report::read_array(&mut r)?;
+        r.end()?;
+        reports.ok_or(WireError::Shape("batch must be an array"))
     }
 
     /// Serialize a batch of reports to the JSON wire format.
     pub fn encode_batch(reports: &[Report]) -> String {
-        JsonValue::Arr(reports.iter().map(Report::to_json).collect()).to_string_compact()
+        let mut w = JsonWriter::compact();
+        Report::write_array(reports, &mut w);
+        w.finish()
     }
 
     /// Parse a batch from the wire. Malformed input is an error (the
     /// server rejects, not panics).
     pub fn decode_batch(s: &str) -> Result<Vec<Report>, WireError> {
-        let v = JsonValue::parse(s).map_err(WireError::Json)?;
-        v.as_arr()
-            .ok_or(WireError::Shape("batch must be an array"))?
-            .iter()
-            .map(Report::from_json)
-            .collect()
+        Report::decode_batch_indexed(s)?.map_err(|(_, reason)| reason)
     }
 }
 
@@ -166,6 +280,77 @@ pub struct GlobalRecord {
     /// Reporting client's UUID (pseudonymous; allows user-centric
     /// analytics without identity).
     pub reporter: Uuid,
+}
+
+impl GlobalRecord {
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("asn");
+        w.u64(u64::from(self.asn.0));
+        w.key("measured_at_us");
+        w.u64(self.measured_at.as_micros());
+        w.key("posted_at_us");
+        w.u64(self.posted_at.as_micros());
+        w.key("reporter");
+        self.reporter.write_json(w);
+        w.key("stages");
+        write_stages(&self.stages, w);
+        w.key("url");
+        w.str(&self.url);
+        w.end_object();
+    }
+
+    pub(crate) fn read_json(r: &mut JsonReader<'_>) -> Shaped<GlobalRecord> {
+        let (mut url, mut asn, mut measured_at, mut stages) = (None, None, None, None);
+        let (mut posted_at, mut reporter) = (None, None);
+        if r.object()? {
+            while let Some(key) = r.key()? {
+                match &*key {
+                    "url" => url = r.str()?,
+                    "asn" => asn = r.u64()?.and_then(|n| u32::try_from(n).ok()),
+                    "measured_at_us" => measured_at = r.u64()?,
+                    "stages" => stages = Some(read_stages(r)?),
+                    "posted_at_us" => posted_at = r.u64()?,
+                    "reporter" => reporter = Uuid::read_json(r)?,
+                    _ => r.skip()?,
+                }
+            }
+        }
+        Ok(GlobalRecord::from_fields(
+            url,
+            asn,
+            measured_at,
+            stages,
+            posted_at,
+            reporter,
+        ))
+    }
+
+    /// As [`Report::from_fields`].
+    fn from_fields(
+        url: Option<Cow<'_, str>>,
+        asn: Option<u32>,
+        measured_at_us: Option<u64>,
+        stages: Option<Result<Vec<BlockingType>, WireError>>,
+        posted_at_us: Option<u64>,
+        reporter: Option<Uuid>,
+    ) -> Result<GlobalRecord, WireError> {
+        let shape = WireError::Shape;
+        Ok(GlobalRecord {
+            url: url
+                .ok_or(shape("record url must be a string"))?
+                .into_owned(),
+            asn: Asn(asn.ok_or(shape("record asn must be a u32"))?),
+            measured_at: SimTime::from_micros(
+                measured_at_us.ok_or(shape("record measured_at_us must be a u64"))?,
+            ),
+            stages: stages.ok_or(shape("stages must be an array"))??,
+            posted_at: SimTime::from_micros(
+                posted_at_us.ok_or(shape("record posted_at_us must be a u64"))?,
+            ),
+            reporter: reporter.ok_or(shape("uuid must be a hex string"))?,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -9,17 +9,19 @@
 //! never drift apart: a replica replaying shipped lines runs the exact
 //! code `JsonlStore::open` runs on restart.
 //!
-//! Client UUIDs are encoded as 16-hex-digit strings — the in-tree JSON
-//! number space is f64-backed and raw 64-bit ids do not survive the
-//! round-trip. Times are integer microseconds.
+//! Client UUIDs are encoded as 16-hex-digit strings — a reader that
+//! holds JSON numbers as f64 would round raw 64-bit ids. Times are
+//! integer microseconds, written and read digit for digit.
 //!
 //! # Line formats
 //!
+//! Keys are written in sorted order and read in any order:
+//!
 //! ```text
-//! {"op":"ingest","client":"<16hex>","posted_at_us":N,"reports":[...]}
-//! {"op":"revoke","client":"<16hex>"}
-//! {"op":"remove_reporter","client":"<16hex>"}
-//! {"op":"expire","now_us":N,"max_age_us":N}
+//! {"client":"<16hex>","op":"ingest","posted_at_us":N,"reports":[...]}
+//! {"client":"<16hex>","op":"revoke"}
+//! {"client":"<16hex>","op":"remove_reporter"}
+//! {"max_age_us":N,"now_us":N,"op":"expire"}
 //! ```
 //!
 //! # Example
@@ -55,61 +57,108 @@
 use crate::backend::StorageBackend;
 use crate::batch::Batch;
 use crate::error::StoreError;
-use crate::record::{Report, Uuid};
-use csaw_obs::json::JsonValue;
+use crate::record::{Poison, Report, Uuid};
+use csaw_obs::json::{JsonError, JsonReader, JsonWriter};
 use csaw_simnet::time::{SimDuration, SimTime};
+use std::borrow::Cow;
 
-fn uuid_to_json(u: Uuid) -> JsonValue {
-    JsonValue::from(u.to_string())
+/// One line: the object `fields` writes. Keys go out sorted, as the
+/// tree-backed writer emitted them, so the log format did not move.
+fn line(fields: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    fields(&mut w);
+    w.end_object();
+    w.finish()
 }
 
-fn uuid_from_json(v: &JsonValue) -> Result<Uuid, StoreError> {
-    v.as_str()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .map(Uuid::from_raw)
-        .ok_or_else(|| StoreError::Corrupt("client must be a 16-hex-digit string".into()))
+/// A line about one client: `client`, `op`, then whatever `rest` adds.
+fn client_line(op: &str, client: Uuid, rest: impl FnOnce(&mut JsonWriter)) -> String {
+    line(|w| {
+        w.key("client");
+        client.write_json(w);
+        w.key("op");
+        w.str(op);
+        rest(w);
+    })
 }
 
 /// Encode one ingested batch as a WAL line (no trailing newline).
 pub fn ingest_line(batch: &Batch) -> String {
-    let mut v = JsonValue::obj();
-    v.set("op", "ingest");
-    v.set("client", uuid_to_json(batch.client));
-    v.set("posted_at_us", batch.posted_at.as_micros());
-    v.set(
-        "reports",
-        batch
-            .reports()
-            .iter()
-            .map(Report::to_json)
-            .collect::<Vec<_>>(),
-    );
-    v.to_string_compact()
+    client_line("ingest", batch.client, |w| {
+        w.key("posted_at_us");
+        w.u64(batch.posted_at.as_micros());
+        w.key("reports");
+        Report::write_array(batch.reports(), w);
+    })
 }
 
 /// Encode a vote revocation as a WAL line.
 pub fn revoke_line(client: Uuid) -> String {
-    let mut v = JsonValue::obj();
-    v.set("op", "revoke");
-    v.set("client", uuid_to_json(client));
-    v.to_string_compact()
+    client_line("revoke", client, |_| {})
 }
 
 /// Encode a reporter-record removal as a WAL line.
 pub fn remove_reporter_line(client: Uuid) -> String {
-    let mut v = JsonValue::obj();
-    v.set("op", "remove_reporter");
-    v.set("client", uuid_to_json(client));
-    v.to_string_compact()
+    client_line("remove_reporter", client, |_| {})
 }
 
 /// Encode a record-expiry sweep as a WAL line.
 pub fn expire_line(now: SimTime, max_age: SimDuration) -> String {
-    let mut v = JsonValue::obj();
-    v.set("op", "expire");
-    v.set("now_us", now.as_micros());
-    v.set("max_age_us", max_age.as_micros());
-    v.to_string_compact()
+    line(|w| {
+        w.key("max_age_us");
+        w.u64(max_age.as_micros());
+        w.key("now_us");
+        w.u64(now.as_micros());
+        w.key("op");
+        w.str("expire");
+    })
+}
+
+/// What each key of a line held, whatever the line's `op`: keys may
+/// come in any order, so which of them matter is only known at the end.
+/// `None` is a key that was missing or held the wrong type.
+#[derive(Default)]
+struct Fields<'a> {
+    op: Option<Cow<'a, str>>,
+    /// Outer `None`: no `client` key; inner `None`: not a hex string.
+    client: Option<Option<Uuid>>,
+    posted_at_us: Option<u64>,
+    reports: Option<Result<Vec<Report>, Poison>>,
+    now_us: Option<u64>,
+    max_age_us: Option<u64>,
+}
+
+impl<'a> Fields<'a> {
+    fn read(text: &'a str) -> Result<Fields<'a>, JsonError> {
+        let mut f = Fields::default();
+        let mut r = JsonReader::new(text);
+        if r.object()? {
+            while let Some(key) = r.key()? {
+                match &*key {
+                    "op" => f.op = r.str()?,
+                    "client" => f.client = Some(Uuid::read_json(&mut r)?),
+                    "posted_at_us" => f.posted_at_us = r.u64()?,
+                    "reports" => f.reports = Report::read_array(&mut r)?,
+                    "now_us" => f.now_us = r.u64()?,
+                    "max_age_us" => f.max_age_us = r.u64()?,
+                    _ => r.skip()?,
+                }
+            }
+        }
+        r.end()?;
+        Ok(f)
+    }
+
+    fn client(&self) -> Result<Uuid, StoreError> {
+        self.client
+            .ok_or_else(|| corrupt("missing client"))?
+            .ok_or_else(|| corrupt("client must be a 16-hex-digit string"))
+    }
+}
+
+fn corrupt(msg: &str) -> StoreError {
+    StoreError::Corrupt(msg.into())
 }
 
 /// Apply one WAL line to a backend through the normal mutation paths.
@@ -123,55 +172,33 @@ pub fn expire_line(now: SimTime, max_age: SimDuration) -> String {
 /// design — the leader already gated the original post, and a replica
 /// must accept whatever the ordered log says happened.
 pub fn replay_line(backend: &dyn StorageBackend, line: &str) -> Result<(), StoreError> {
-    let v = JsonValue::parse(line).map_err(|e| StoreError::Corrupt(format!("not JSON: {e}")))?;
-    let op = v
-        .get("op")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| StoreError::Corrupt("missing op".into()))?;
-    match op {
+    let f = Fields::read(line).map_err(|e| StoreError::Corrupt(format!("not JSON: {e}")))?;
+    match f.op.as_deref().ok_or_else(|| corrupt("missing op"))? {
         "ingest" => {
-            let client = uuid_from_json(
-                v.get("client")
-                    .ok_or_else(|| StoreError::Corrupt("missing client".into()))?,
-            )?;
-            let posted_at = v
-                .get("posted_at_us")
-                .and_then(JsonValue::as_u64)
+            let client = f.client()?;
+            let posted_at = f
+                .posted_at_us
                 .map(SimTime::from_micros)
-                .ok_or_else(|| StoreError::Corrupt("missing posted_at_us".into()))?;
-            let reports = v
-                .get("reports")
-                .and_then(JsonValue::as_arr)
-                .ok_or_else(|| StoreError::Corrupt("missing reports".into()))?
-                .iter()
-                .map(Report::from_json)
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(StoreError::Wire)?;
+                .ok_or_else(|| corrupt("missing posted_at_us"))?;
+            let reports = f
+                .reports
+                .ok_or_else(|| corrupt("missing reports"))?
+                .map_err(|(_, reason)| StoreError::Wire(reason))?;
             backend.ingest(&Batch::new(client, reports, posted_at))?;
         }
-        "revoke" => {
-            backend.revoke(uuid_from_json(
-                v.get("client")
-                    .ok_or_else(|| StoreError::Corrupt("missing client".into()))?,
-            )?);
-        }
+        "revoke" => backend.revoke(f.client()?),
         "remove_reporter" => {
-            backend.remove_reporter_records(uuid_from_json(
-                v.get("client")
-                    .ok_or_else(|| StoreError::Corrupt("missing client".into()))?,
-            )?);
+            backend.remove_reporter_records(f.client()?);
         }
         "expire" => {
-            let now = v
-                .get("now_us")
-                .and_then(JsonValue::as_u64)
+            let now = f
+                .now_us
                 .map(SimTime::from_micros)
-                .ok_or_else(|| StoreError::Corrupt("missing now_us".into()))?;
-            let max_age = v
-                .get("max_age_us")
-                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| corrupt("missing now_us"))?;
+            let max_age = f
+                .max_age_us
                 .map(SimDuration::from_micros)
-                .ok_or_else(|| StoreError::Corrupt("missing max_age_us".into()))?;
+                .ok_or_else(|| corrupt("missing max_age_us"))?;
             backend.expire_records(now, max_age);
         }
         other => {
@@ -216,6 +243,29 @@ mod tests {
         replay_line(
             &store,
             &expire_line(SimTime::from_secs(100), SimDuration::from_secs(1)),
+        )
+        .unwrap();
+        assert_eq!(store.record_count(), 0);
+    }
+
+    #[test]
+    fn expire_times_above_two_to_the_53_replay_exactly() {
+        // A record posted at `big - 1` µs is 1 µs old at `big` and 2 µs
+        // old at `big + 1`: a 2 µs expiry tells the two apart only if
+        // no number was rounded on the way through the log.
+        let big = u64::MAX - 1;
+        let store = ShardedStore::new(2).unwrap();
+        replay_line(&store, &ingest_line(&batch(1, "http://a.com/", big - 1))).unwrap();
+        let line = expire_line(SimTime::from_micros(big), SimDuration::from_micros(2));
+        assert_eq!(
+            line,
+            "{\"max_age_us\":2,\"now_us\":18446744073709551614,\"op\":\"expire\"}"
+        );
+        replay_line(&store, &line).unwrap();
+        assert_eq!(store.record_count(), 1);
+        replay_line(
+            &store,
+            &expire_line(SimTime::from_micros(big + 1), SimDuration::from_micros(2)),
         )
         .unwrap();
         assert_eq!(store.record_count(), 0);

@@ -155,18 +155,13 @@ impl Frame {
     }
 }
 
-/// Try to decode one frame from the front of `buf`.
-///
-/// Returns `Ok(Some(frame))` and consumes its bytes when a whole frame
-/// is buffered, `Ok(None)` when more bytes are needed, and an
-/// `InvalidData` error when the header is malformed (zero length or a
-/// length over [`MAX_FRAME_BYTES`]). Oversized frames are rejected from
-/// the header alone, before any body bytes arrive.
-pub fn decode_frame(buf: &mut BytesMut) -> io::Result<Option<Frame>> {
-    if buf.len() < FRAME_HEADER_BYTES {
+/// The byte length (header included) of the frame at the front of
+/// `buf`, once all of it is buffered. Looks at the header only.
+fn buffered_frame_len(buf: &[u8]) -> io::Result<Option<usize>> {
+    let Some(header) = buf.first_chunk::<FRAME_HEADER_BYTES>() else {
         return Ok(None);
-    }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+    };
+    let len = u32::from_be_bytes(*header) as usize;
     if len == 0 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -179,10 +174,27 @@ pub fn decode_frame(buf: &mut BytesMut) -> io::Result<Option<Frame>> {
             "frame too large",
         ));
     }
-    if buf.len() < FRAME_HEADER_BYTES + len {
+    Ok(Some(FRAME_HEADER_BYTES + len).filter(|&whole| buf.len() >= whole))
+}
+
+/// Is a whole frame buffered at the front of `buf`? Non-consuming;
+/// `Ok(false)` and errors are as for [`decode_frame`].
+pub fn frame_ready(buf: &[u8]) -> io::Result<bool> {
+    buffered_frame_len(buf).map(|len| len.is_some())
+}
+
+/// Try to decode one frame from the front of `buf`.
+///
+/// Returns `Ok(Some(frame))` and consumes its bytes when a whole frame
+/// is buffered, `Ok(None)` when more bytes are needed, and an
+/// `InvalidData` error when the header is malformed (zero length or a
+/// length over [`MAX_FRAME_BYTES`]). Oversized frames are rejected from
+/// the header alone, before any body bytes arrive.
+pub fn decode_frame(buf: &mut BytesMut) -> io::Result<Option<Frame>> {
+    let Some(len) = buffered_frame_len(buf)? else {
         return Ok(None);
-    }
-    let whole = buf.split_to(FRAME_HEADER_BYTES + len);
+    };
+    let whole = buf.split_to(len);
     let body = &whole[FRAME_HEADER_BYTES..];
     Ok(Some(Frame {
         op: body[0],
@@ -256,6 +268,25 @@ mod tests {
         buf.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_be_bytes());
         assert_eq!(
             decode_frame(&mut buf).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+    }
+
+    #[test]
+    fn frame_ready_reads_only_the_header() {
+        let wire = Frame::new(3, b"body".to_vec()).encode();
+        for cut in 0..wire.len() {
+            assert!(!frame_ready(&wire[..cut]).unwrap(), "cut at {cut}");
+        }
+        assert!(frame_ready(&wire).unwrap());
+        assert_eq!(
+            frame_ready(&[0, 0, 0, 0, 9]).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert_eq!(
+            frame_ready(&(MAX_FRAME_BYTES as u32 + 1).to_be_bytes())
+                .unwrap_err()
+                .kind(),
             io::ErrorKind::InvalidData
         );
     }
