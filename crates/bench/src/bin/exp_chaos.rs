@@ -136,7 +136,11 @@ fn run_split_brain(
     }
     let cfg = SplitBrainConfig {
         clients: numeric(extras, "--clients", SplitBrainConfig::default().clients),
-        urls_per_client: numeric(extras, "--urls", SplitBrainConfig::default().urls_per_client),
+        urls_per_client: numeric(
+            extras,
+            "--urls",
+            SplitBrainConfig::default().urls_per_client,
+        ),
         regions,
         ..SplitBrainConfig::default()
     };

@@ -35,7 +35,7 @@ use csaw_circumvent::world::{SiteSpec, World};
 use csaw_faults::{FaultProfile, FaultyBackend, OutageSchedule};
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::{AccessNetwork, Provider, Region, Site};
-use csaw_store::ShardedStore;
+use csaw_store::{Decorator, ShardedStore};
 use std::sync::Arc;
 
 /// Experiment shape.

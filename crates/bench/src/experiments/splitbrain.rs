@@ -43,7 +43,7 @@ use csaw_obs::json::JsonValue;
 use csaw_obs::slo::{SloKind, SloRule, SloSet};
 use csaw_replica::{ReplicatedStore, StoreState, WalShipper};
 use csaw_simnet::time::{SimDuration, SimTime};
-use csaw_store::ShardedStore;
+use csaw_store::{Decorator, ShardedStore};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -159,7 +159,7 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
     let world = super::chaos::chaos_world();
     let asn = profiles::ISP_A_ASN;
 
-    // Leader: journal-before-apply wrapper over the sharded store,
+    // Leader: the ship-log journalling wrapper over the sharded store,
     // fronted by the full server (registration gate + receipts). The
     // registrar is permissive because the Encore population registers
     // ~10× more identities than the default per-window cap allows.

@@ -69,7 +69,7 @@ use csaw_obs::scope::{self, ObsCtx};
 use csaw_obs::sink::{BufferSink, Sink};
 use csaw_obs::timeseries::Timeline;
 use csaw_obs::Event;
-use csaw_simnet::rng::DetRng;
+use csaw_simnet::rng::{fnv1a, DetRng};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -131,11 +131,7 @@ impl TrialSpec {
 /// SplitMix64 rounds. Labelled forking means adding a trial to one
 /// experiment never perturbs another's draws.
 pub fn fork_seed(exp_seed: u64, experiment: &str, ordinal: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in experiment.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fnv1a(experiment.as_bytes());
     let mut x = exp_seed ^ h.rotate_left(17) ^ ordinal.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let mut out = 0u64;
     for _ in 0..2 {

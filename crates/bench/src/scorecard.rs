@@ -22,6 +22,7 @@
 
 use csaw_obs::json::JsonValue;
 use csaw_obs::metrics::{Counter, Histogram, Registry};
+use csaw_simnet::rng::fnv1a;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -174,12 +175,7 @@ impl Scorecard {
 /// section, so any nondeterminism in any experiment's stdout shows up
 /// as a fingerprint mismatch in CI.
 pub fn digest64(text: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", fnv1a(text.as_bytes()))
 }
 
 /// Totals for one lock family at a point in time (or a delta between

@@ -19,7 +19,10 @@
 
 use crate::circum::Selector;
 use crate::config::{CsawConfig, UserPreference};
-use crate::global::{ConfidenceFilter, GlobalApi, Report, ServerDb, Uuid};
+use crate::global::{
+    Batch, ConfidenceFilter, GlobalApi, IngestReceipt, PostError, Report, SubmitError,
+    SubmitReceipt, Uuid,
+};
 use crate::local::{LocalDb, Status};
 use crate::measure::{
     fetch_with_redundancy, measure_direct, DetectConfig, MeasuredStatus, ServedFrom,
@@ -62,8 +65,8 @@ pub struct ClientStats {
     pub reports_queued: u64,
     /// Reports evicted oldest-first by the queue bound.
     pub reports_dropped: u64,
-    /// Reports quarantined as poison (fail the wire round-trip) or
-    /// permanently rejected by the server.
+    /// Reports quarantined as poison (named undecodable by the post's
+    /// wire decode) or permanently rejected by the server.
     pub reports_quarantined: u64,
     /// Reports re-queued after a partial acceptance (deferred by the
     /// server; they remain pending, so they are *not* part of the
@@ -114,6 +117,33 @@ impl WireFault {
     }
 }
 
+/// What a sink's receipt says about the batch it carried: how many
+/// reports were accepted, which batch indices were permanently
+/// rejected, and which were deferred.
+trait Verdicts {
+    fn verdicts(&self) -> (usize, &[usize], &[usize]);
+}
+
+impl Verdicts for IngestReceipt {
+    fn verdicts(&self) -> (usize, &[usize], &[usize]) {
+        (
+            self.accepted,
+            &self.rejected_indices,
+            &self.deferred_indices,
+        )
+    }
+}
+
+impl Verdicts for SubmitReceipt {
+    fn verdicts(&self) -> (usize, &[usize], &[usize]) {
+        (
+            self.accepted,
+            &self.rejected_indices,
+            &self.deferred_indices,
+        )
+    }
+}
+
 /// What one user request produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestOutcome {
@@ -156,8 +186,9 @@ pub struct CsawClient {
     report_queue: Vec<Report>,
     reported: HashMap<(String, u32), Vec<BlockingType>>,
     /// Reports pulled out of the queue because they can never be
-    /// delivered: they fail the wire round-trip (poison) or the server
-    /// permanently rejected them. Kept for audit rather than dropped.
+    /// delivered: the wire decode named them undecodable (poison) or
+    /// the server permanently rejected them. Kept for audit rather
+    /// than dropped.
     quarantined: Vec<Report>,
     /// Consecutive failed post attempts (resets on success).
     post_failstreak: u32,
@@ -273,7 +304,7 @@ impl CsawClient {
     /// output) and download the blocked list for `asn`.
     ///
     /// Generic over [`GlobalApi`]: `server` may be the in-process
-    /// [`ServerDb`] or a [`crate::global::RemoteDb`] socket pool.
+    /// [`crate::global::ServerDb`] or a [`crate::global::RemoteDb`] socket pool.
     pub fn register<G: GlobalApi + ?Sized>(
         &mut self,
         server: &G,
@@ -888,45 +919,12 @@ impl CsawClient {
         }
     }
 
-    /// Move every report that cannot survive its own wire round-trip
-    /// out of the queue before a post is attempted. One poison report
-    /// would otherwise fail `Batch::from_wire` for the *whole* batch on
-    /// every retry, pinning the queue forever — the original silent-loss
-    /// bug this module is hardened against.
-    fn quarantine_poison(&mut self) {
-        // The whole queue round-trips as *one* batch: when the decode
-        // fails, `Batch::from_wire` names the exact poison index, so
-        // each sweep pass removes one report at the cost of a single
-        // encode+parse — the clean (common) case is one pass, not one
-        // wire round-trip per queued report.
-        while !self.report_queue.is_empty() {
-            let wire = Report::encode_batch(&self.report_queue);
-            let bad = match crate::global::Batch::from_wire(Uuid::from_raw(0), &wire, SimTime::ZERO)
-            {
-                Err(crate::global::PostError::Malformed { index, .. }) => index,
-                Ok(batch) if batch.reports() == &self.report_queue[..] => return,
-                // A batch that decodes to *different* reports (lossy
-                // encoding) or breaks the envelope outright can't be
-                // attributed to an index; fall back to a per-report
-                // round-trip to find the first non-survivor.
-                // If every report survives alone but the batch misbehaves
-                // as a whole, quarantine the head rather than loop forever.
-                _ => self
-                    .report_queue
-                    .iter()
-                    .position(|r| {
-                        let one = Report::encode_batch(std::slice::from_ref(r));
-                        !Report::decode_batch(&one)
-                            .map(|d| d.len() == 1 && d[0] == *r)
-                            .unwrap_or(false)
-                    })
-                    .unwrap_or(0),
-            };
-            let r = self.report_queue.remove(bad);
-            self.stats.reports_quarantined += 1;
-            csaw_obs::event!("report.quarantine", asn = r.asn as u64);
-            self.quarantined.push(r);
-        }
+    /// Pull one report out of the queue for good: it can never be
+    /// delivered. Kept for audit rather than dropped.
+    fn quarantine(&mut self, r: Report) {
+        self.stats.reports_quarantined += 1;
+        csaw_obs::event!("report.quarantine", asn = r.asn as u64);
+        self.quarantined.push(r);
     }
 
     /// Split the drained batch according to the server's per-report
@@ -944,9 +942,7 @@ impl CsawClient {
         let mut posted_now = 0u64;
         for (i, r) in drained.into_iter().enumerate() {
             if rejected_indices.contains(&i) {
-                self.stats.reports_quarantined += 1;
-                csaw_obs::event!("report.quarantine", asn = r.asn as u64);
-                self.quarantined.push(r);
+                self.quarantine(r);
             } else if deferred_indices.contains(&i) {
                 self.stats.reports_requeued += 1;
                 self.report_queue.push(r);
@@ -966,29 +962,19 @@ impl CsawClient {
         }
     }
 
-    /// Close the active report-post trace. Called on **every** exit path
-    /// of a post attempt — a root left dangling turns into a truncated
-    /// causal tree that the trace-report gate flags as a lost report.
-    fn complete_post_trace(&self, now: SimTime, queued: usize, accepted: usize, ok: bool) {
-        csaw_obs::trace::complete_active(
-            "report.post",
-            now.as_micros(),
-            0,
-            &[
-                ("queued", csaw_obs::json::JsonValue::from(queued as u64)),
-                ("accepted", csaw_obs::json::JsonValue::from(accepted as u64)),
-                ("ok", csaw_obs::json::JsonValue::from(ok)),
-            ],
-        );
-    }
-
-    /// Push pending blocked-URL reports to the server (carried over Tor
-    /// in the paper; content is identical either way — no PII on the
-    /// wire by construction).
-    pub fn post_reports<G: GlobalApi + ?Sized>(&mut self, server: &G, now: SimTime) -> usize {
-        let Some(uuid) = self.uuid else { return 0 };
+    /// One post attempt, whatever carries it: the gate, the causal
+    /// trace, the wire round trip, the send, and the queue bookkeeping
+    /// that follows from its receipt. `send` takes the cut batch to
+    /// [`GlobalApi::ingest`] — directly, or with collector fail-over in
+    /// front. `None` means no attempt was made or nothing was sendable.
+    fn post_once<R: Verdicts, E: From<PostError>>(
+        &mut self,
+        now: SimTime,
+        send: impl FnOnce(Batch, &mut DetRng) -> Result<R, E>,
+    ) -> Option<Result<R, E>> {
+        let uuid = self.uuid?;
         if self.report_queue.is_empty() || !self.backoff_clear(now) {
-            return 0;
+            return None;
         }
         // A report post is its own causal tree (REPORT stream, so ids
         // never collide with fetch traces from the same seed): the
@@ -1005,91 +991,120 @@ impl CsawClient {
                 now.as_micros(),
             )
         });
-        // Poison sweep before the batch is cut: a single unencodable
-        // report must not pin the whole queue.
-        self.quarantine_poison();
+        let outcome = self.cut_and_deliver(uuid, now, true, send);
+        // The trace closes on **every** exit path — a root left dangling
+        // turns into a truncated causal tree that the trace-report gate
+        // flags as a lost report.
+        let accepted = match &outcome {
+            Some(Ok(receipt)) => Some(receipt.verdicts().0),
+            _ => None,
+        };
+        csaw_obs::trace::complete_active(
+            "report.post",
+            now.as_micros(),
+            0,
+            &[
+                ("queued", csaw_obs::json::JsonValue::from(queued as u64)),
+                (
+                    "accepted",
+                    csaw_obs::json::JsonValue::from(accepted.unwrap_or(0) as u64),
+                ),
+                ("ok", csaw_obs::json::JsonValue::from(accepted.is_some())),
+            ],
+        );
+        outcome
+    }
+
+    /// Cut the queue into one wire batch and deliver it. An armed
+    /// [`WireFault`] sees the first cut of an attempt only: a re-cut
+    /// after a quarantine is the same attempt, and the fault stream
+    /// draws once per attempt.
+    fn cut_and_deliver<R: Verdicts, E: From<PostError>>(
+        &mut self,
+        uuid: Uuid,
+        now: SimTime,
+        first_cut: bool,
+        send: impl FnOnce(Batch, &mut DetRng) -> Result<R, E>,
+    ) -> Option<Result<R, E>> {
         if self.report_queue.is_empty() {
-            self.complete_post_trace(now, queued, 0, false);
-            return 0;
+            return None;
         }
         // Wire round trip: encode, (Tor carries it), the batch owns the
         // server-side decode. Chaos runs corrupt the wire here.
         let mut wire = Report::encode_batch(&self.report_queue);
-        if let Some(f) = self.wire_fault.as_mut() {
-            if f.corrupt(&mut wire) {
-                csaw_obs::event!("fault.wire.corrupt", queued = queued as u64);
-            }
+        let fault = self.wire_fault.as_mut().filter(|_| first_cut);
+        let corrupted = fault.is_some_and(|f| f.corrupt(&mut wire));
+        if corrupted {
+            csaw_obs::event!(
+                "fault.wire.corrupt",
+                queued = self.report_queue.len() as u64
+            );
         }
-        let batch = match crate::global::Batch::from_wire(uuid, &wire, now) {
-            Ok(b) => b,
-            Err(_) => {
-                // The *wire* failed, not the reports (they survived the
-                // round-trip sweep above): transient, so the queue stays
-                // for the retry and backoff arms.
-                self.bump_backoff(now);
-                self.complete_post_trace(now, queued, 0, false);
-                return 0;
+        self.deliver(uuid, &wire, corrupted, now, send)
+    }
+
+    /// Decode one cut of the queue, send it, and reconcile the queue
+    /// with the receipt. One undeliverable report must never pin the
+    /// queue: when the decode of a wire nothing corrupted names a poison
+    /// index, that report is quarantined and the rest is cut again in
+    /// the same attempt. Any other failure — of a corrupted wire, of the
+    /// send — is transient: every report stays queued and backoff arms.
+    fn deliver<R: Verdicts, E: From<PostError>>(
+        &mut self,
+        uuid: Uuid,
+        wire: &str,
+        corrupted: bool,
+        now: SimTime,
+        send: impl FnOnce(Batch, &mut DetRng) -> Result<R, E>,
+    ) -> Option<Result<R, E>> {
+        let sent = match Batch::from_wire(uuid, wire, now) {
+            Ok(batch) => send(batch, &mut self.rng),
+            Err(PostError::Malformed { index, .. })
+                if !corrupted && index < self.report_queue.len() =>
+            {
+                let poison = self.report_queue.remove(index);
+                self.quarantine(poison);
+                return self.cut_and_deliver(uuid, now, false, send);
             }
+            Err(e) => Err(e.into()),
         };
-        match server.ingest(batch) {
+        match &sent {
             Ok(receipt) => {
-                let drained: Vec<Report> = self.report_queue.drain(..).collect();
-                self.reconcile_receipt(
-                    drained,
-                    &receipt.rejected_indices,
-                    &receipt.deferred_indices,
-                );
+                let (_, rejected, deferred) = receipt.verdicts();
+                let drained = std::mem::take(&mut self.report_queue);
+                self.reconcile_receipt(drained, rejected, deferred);
                 self.reset_backoff();
-                self.complete_post_trace(now, queued, receipt.accepted, true);
-                receipt.accepted
             }
-            Err(_) => {
-                // Server unavailable: every report stays queued; the
-                // trace still closes (a dangling root reads as loss).
-                self.bump_backoff(now);
-                self.complete_post_trace(now, queued, 0, false);
-                0
-            }
+            Err(_) => self.bump_backoff(now),
         }
+        Some(sent)
+    }
+
+    /// Push pending blocked-URL reports to the server (carried over Tor
+    /// in the paper; content is identical either way — no PII on the
+    /// wire by construction). Returns how many the server accepted.
+    pub fn post_reports<G: GlobalApi + ?Sized>(&mut self, server: &G, now: SimTime) -> usize {
+        self.post_once(now, |batch, _| server.ingest(batch))
+            .and_then(Result::ok)
+            .map_or(0, |receipt| receipt.accepted)
     }
 
     /// Post pending reports through the distributed collector tier (§5's
     /// OONI-style hidden-service collectors) instead of a direct server
     /// connection. On total collector blockage the batch stays queued for
-    /// the next attempt.
-    pub fn post_reports_via(
+    /// the next attempt; with nothing to send, or inside the backoff a
+    /// failed attempt armed, the receipt is empty.
+    pub fn post_reports_via<G: GlobalApi + ?Sized>(
         &mut self,
         collectors: &crate::global::CollectorSet,
-        server: &ServerDb,
+        server: &G,
         now: SimTime,
-    ) -> Result<crate::global::SubmitReceipt, crate::global::SubmitError> {
-        let Some(uuid) = self.uuid else {
-            return Err(crate::global::SubmitError::Rejected(
-                crate::global::PostError::UnknownClient,
-            ));
-        };
-        self.quarantine_poison();
-        if self.report_queue.is_empty() {
-            return Ok(crate::global::SubmitReceipt::empty());
+    ) -> Result<SubmitReceipt, SubmitError> {
+        if self.uuid.is_none() {
+            return Err(SubmitError::Rejected(PostError::UnknownClient));
         }
-        match collectors.submit(server, uuid, &self.report_queue, now, &mut self.rng) {
-            Ok(receipt) => {
-                let drained: Vec<Report> = self.report_queue.drain(..).collect();
-                self.reconcile_receipt(
-                    drained,
-                    &receipt.rejected_indices,
-                    &receipt.deferred_indices,
-                );
-                self.reset_backoff();
-                Ok(receipt)
-            }
-            Err(e) => {
-                // Total collector blockage or a server-side refusal: the
-                // batch stays queued for the next attempt, with backoff.
-                self.bump_backoff(now);
-                Err(e)
-            }
-        }
+        self.post_once(now, |batch, rng| collectors.submit(server, batch, rng))
+            .unwrap_or_else(|| Ok(SubmitReceipt::empty()))
     }
 
     /// Anonymity-preferring clients must never leak through non-anonymous
@@ -1124,6 +1139,7 @@ impl CsawClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global::ServerDb;
     use csaw_censor::profiles;
     use csaw_circumvent::world::SiteSpec;
     use csaw_simnet::topology::{AccessNetwork, Provider, Region, Site};
@@ -1721,6 +1737,148 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(c.pending_reports(), before, "batch stays queued");
         assert_eq!(c.stats.post_failures, 1);
+        accounting_holds(&c);
+    }
+
+    #[test]
+    fn via_collectors_honours_backoff_and_traces_every_attempt() {
+        let sink = Arc::new(csaw_obs::sink::RingSink::new(1024));
+        let _g = csaw_obs::scope::install(Arc::new(
+            csaw_obs::scope::ObsCtx::new().with_sink(sink.clone()),
+        ));
+        let w = build_world(profiles::isp_a(), profiles::ISP_A_ASN);
+        let server = ServerDb::builder(31).build().unwrap();
+        let mut collectors = crate::global::CollectorSet::default_set();
+        let ids = [
+            "collector-a.onion",
+            "collector-b.onion",
+            "collector-c.onion",
+        ];
+        for id in ids {
+            collectors.set_reachable(id, false);
+        }
+        let mut c = client(49);
+        c.register(&server, profiles::ISP_A_ASN, SimTime::ZERO, 0.0)
+            .unwrap();
+        let url = Url::parse("http://www.youtube.com/").unwrap();
+        c.request(&w, &url, SimTime::from_secs(1));
+        let pending = c.pending_reports();
+        assert!(pending >= 1);
+        sink.drain();
+        let posts = |sink: &csaw_obs::sink::RingSink| -> Vec<bool> {
+            sink.drain()
+                .iter()
+                .filter(|e| e.name == "report.post")
+                .map(|e| {
+                    let ok = e.fields.iter().find(|(k, _)| *k == "ok");
+                    ok.expect("a closed root says how it ended").1
+                        == csaw_obs::json::JsonValue::from(true)
+                })
+                .collect()
+        };
+
+        // Total blockage: a real attempt. It fails, arms backoff, and
+        // its trace root closes with ok=false.
+        let err = c.post_reports_via(&collectors, &server, SimTime::from_secs(2));
+        assert_eq!(err, Err(SubmitError::AllCollectorsBlocked));
+        assert_eq!((c.report_seq, c.stats.post_failures), (1, 1));
+        let retry_at = c.next_report_at().expect("backoff armed");
+        assert_eq!(posts(&sink), [false]);
+
+        // Inside the backoff, even with the tier back: not an attempt.
+        for id in ids {
+            collectors.set_reachable(id, true);
+        }
+        let before = c.stats;
+        let gated = c.post_reports_via(&collectors, &server, SimTime::from_secs(3));
+        assert_eq!(gated, Ok(SubmitReceipt::empty()));
+        assert_eq!(c.stats, before, "a gated attempt leaves the stats alone");
+        assert_eq!((c.report_seq, c.pending_reports()), (1, pending));
+        assert_eq!(c.next_report_at(), Some(retry_at));
+        assert_eq!(posts(&sink), [] as [bool; 0], "no attempt, no trace root");
+
+        // Past it: the queue drains under a second, closed, ok=true root.
+        let receipt = c.post_reports_via(&collectors, &server, retry_at).unwrap();
+        assert_eq!(receipt.accepted, pending);
+        assert_eq!((c.report_seq, c.pending_reports()), (2, 0));
+        assert_eq!(c.next_report_at(), None);
+        assert_eq!(posts(&sink), [true]);
+        accounting_holds(&c);
+    }
+
+    #[test]
+    fn armed_wire_fault_reaches_the_collector_path() {
+        let w = build_world(profiles::isp_a(), profiles::ISP_A_ASN);
+        let server = ServerDb::builder(37).build().unwrap();
+        let collectors = crate::global::CollectorSet::default_set();
+        let mut c = client(50);
+        c.register(&server, profiles::ISP_A_ASN, SimTime::ZERO, 0.0)
+            .unwrap();
+        c.request(
+            &w,
+            &Url::parse("http://www.youtube.com/").unwrap(),
+            SimTime::from_secs(1),
+        );
+        let pending = c.pending_reports();
+        c.arm_wire_fault(WireFault::new(1.0, 50));
+        let err = c.post_reports_via(&collectors, &server, SimTime::from_secs(2));
+        assert!(
+            matches!(err, Err(SubmitError::Rejected(PostError::Wire(_)))),
+            "{err:?}"
+        );
+        // The wire failed, not the reports: transient.
+        assert_eq!(c.pending_reports(), pending);
+        assert_eq!(c.stats.reports_quarantined, 0);
+        assert_eq!(c.stats.post_failures, 1);
+        accounting_holds(&c);
+    }
+
+    #[test]
+    fn poison_on_an_untouched_wire_is_quarantined_and_the_rest_delivered() {
+        let server = ServerDb::builder(41).build().unwrap();
+        let mut c = client(51);
+        c.uuid = server.register(SimTime::ZERO, 0.0).ok();
+        let mk = |u: &str| Report {
+            url: u.into(),
+            asn: 1,
+            measured_at_us: 1,
+            stages: vec![BlockingType::HttpDrop],
+        };
+        c.report_queue = vec![
+            mk("http://a.example/"),
+            mk("http://b.example/"),
+            mk("http://c.example/"),
+        ];
+        c.stats.reports_queued = 3;
+        // No encoder output fails to decode (`wire_codec.rs` proves it),
+        // so splice the poison in by hand: element 1 loses its stages.
+        let wire = Report::encode_batch(&c.report_queue);
+        let one = Report::encode_batch(&c.report_queue[1..2]);
+        let element = &one[1..one.len() - 1];
+        let spliced = wire.replace(element, "{\"url\":\"http://b.example/\"}");
+        assert_ne!(spliced, wire);
+        let uuid = c.uuid.unwrap();
+        let send = |batch: Batch, _: &mut DetRng| server.ingest(batch);
+        let now = SimTime::from_secs(2);
+
+        // A wire the fault injector corrupted proves nothing about the
+        // reports: transient, everything stays queued.
+        let sent = c.deliver(uuid, &spliced, true, now, send);
+        assert!(matches!(
+            sent,
+            Some(Err(PostError::Malformed { index: 1, .. }))
+        ));
+        assert_eq!((c.pending_reports(), c.stats.reports_quarantined), (3, 0));
+        assert_eq!(c.stats.post_failures, 1);
+
+        // Untouched, the same wire names a poison report: exactly that
+        // one is quarantined and the rest lands in the same call.
+        let sent = c.deliver(uuid, &spliced, false, now, send);
+        assert_eq!(sent.unwrap().unwrap().accepted, 2);
+        assert_eq!(c.quarantined_reports(), [mk("http://b.example/")]);
+        assert_eq!(c.stats.reports_posted, 2);
+        assert_eq!(c.pending_reports(), 0);
+        assert_eq!(server.stats().unique_blocked_urls, 2);
         accounting_holds(&c);
     }
 }

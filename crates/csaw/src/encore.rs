@@ -198,7 +198,9 @@ mod tests {
         let server = permissive_server();
         let mut posted = 0usize;
         for p in 0..s.probe_count() {
-            let uuid = s.register(&server, p, SimTime::from_secs(p as u64)).unwrap();
+            let uuid = s
+                .register(&server, p, SimTime::from_secs(p as u64))
+                .unwrap();
             for round in 0..2 {
                 let receipt = s
                     .post(&server, p, round, uuid, SimTime::from_secs(10 + p as u64))

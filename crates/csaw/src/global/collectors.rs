@@ -11,10 +11,11 @@
 //! routine that fails over deterministically and reports which collector
 //! carried the batch.
 
-use crate::global::record::{Report, Uuid};
-use crate::global::server::{PostError, ServerDb};
+use crate::global::remote::GlobalApi;
+use crate::global::server::PostError;
 use csaw_simnet::rng::DetRng;
-use csaw_simnet::time::{SimDuration, SimTime};
+use csaw_simnet::time::SimDuration;
+use csaw_store::Batch;
 
 /// One collector endpoint (a Tor hidden service in the paper's design).
 #[derive(Debug, Clone, PartialEq)]
@@ -34,6 +35,12 @@ pub enum SubmitError {
     AllCollectorsBlocked,
     /// The server rejected the batch.
     Rejected(PostError),
+}
+
+impl From<PostError> for SubmitError {
+    fn from(e: PostError) -> SubmitError {
+        SubmitError::Rejected(e)
+    }
 }
 
 /// Outcome of a successful submission.
@@ -117,13 +124,15 @@ impl CollectorSet {
     /// Submit a batch: collectors are tried in a random order (clients
     /// spreading load, and not all hammering the same first entry), with
     /// failover past blocked ones. A blocked attempt costs a timeout
-    /// before the client moves on.
-    pub fn submit(
+    /// before the client moves on, so the batch reaches the server
+    /// stamped `posted_at` + the time the attempts took.
+    ///
+    /// Generic over [`GlobalApi`]: the collector relays to the
+    /// in-process server or across a socket alike.
+    pub fn submit<G: GlobalApi + ?Sized>(
         &self,
-        server: &ServerDb,
-        client: Uuid,
-        reports: &[Report],
-        now: SimTime,
+        server: &G,
+        mut batch: Batch,
         rng: &mut DetRng,
     ) -> Result<SubmitReceipt, SubmitError> {
         let mut order: Vec<usize> = (0..self.collectors.len()).collect();
@@ -137,24 +146,17 @@ impl CollectorSet {
                 continue;
             }
             elapsed += c.latency;
-            // Wire round trip (Tor carries it), then the first-class
-            // ingest path so the receipt's per-report indices survive
-            // for client-side reconciliation.
-            let wire = Report::encode_batch(reports);
-            let batch = match crate::global::Batch::from_wire(client, &wire, now + elapsed) {
-                Ok(b) => b,
-                Err(e) => return Err(SubmitError::Rejected(e)),
-            };
-            return match server.ingest(batch) {
-                Ok(receipt) => Ok(SubmitReceipt {
-                    via: c.id.clone(),
-                    accepted: receipt.accepted,
-                    elapsed,
-                    rejected_indices: receipt.rejected_indices,
-                    deferred_indices: receipt.deferred_indices,
-                }),
-                Err(e) => Err(SubmitError::Rejected(e)),
-            };
+            batch.posted_at += elapsed;
+            // The first-class ingest path, so the receipt's per-report
+            // indices survive for client-side reconciliation.
+            let receipt = server.ingest(batch)?;
+            return Ok(SubmitReceipt {
+                via: c.id.clone(),
+                accepted: receipt.accepted,
+                elapsed,
+                rejected_indices: receipt.rejected_indices,
+                deferred_indices: receipt.deferred_indices,
+            });
         }
         Err(SubmitError::AllCollectorsBlocked)
     }
@@ -163,7 +165,10 @@ impl CollectorSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global::record::{Report, Uuid};
+    use crate::global::server::ServerDb;
     use csaw_censor::BlockingType;
+    use csaw_simnet::time::SimTime;
 
     fn report(url: &str) -> Report {
         Report {
@@ -188,9 +193,11 @@ mod tests {
         let r = set
             .submit(
                 &server,
-                client,
-                &[report("http://x.example/")],
-                SimTime::from_secs(5),
+                Batch::new(
+                    client,
+                    vec![report("http://x.example/")],
+                    SimTime::from_secs(5),
+                ),
                 &mut rng,
             )
             .unwrap();
@@ -210,9 +217,11 @@ mod tests {
         let r = set
             .submit(
                 &server,
-                client,
-                &[report("http://x.example/")],
-                SimTime::from_secs(5),
+                Batch::new(
+                    client,
+                    vec![report("http://x.example/")],
+                    SimTime::from_secs(5),
+                ),
                 &mut rng,
             )
             .unwrap();
@@ -236,9 +245,11 @@ mod tests {
         let err = set
             .submit(
                 &server,
-                client,
-                &[report("http://x.example/")],
-                SimTime::from_secs(5),
+                Batch::new(
+                    client,
+                    vec![report("http://x.example/")],
+                    SimTime::from_secs(5),
+                ),
                 &mut rng,
             )
             .unwrap_err();
@@ -254,9 +265,11 @@ mod tests {
         let err = set
             .submit(
                 &server,
-                Uuid::from_raw(0xdead),
-                &[report("http://x.example/")],
-                SimTime::from_secs(5),
+                Batch::new(
+                    Uuid::from_raw(0xdead),
+                    vec![report("http://x.example/")],
+                    SimTime::from_secs(5),
+                ),
                 &mut rng,
             )
             .unwrap_err();
@@ -273,9 +286,11 @@ mod tests {
             let r = set
                 .submit(
                     &server,
-                    client,
-                    &[report(&format!("http://x{i}.example/"))],
-                    SimTime::from_secs(10 + i),
+                    Batch::new(
+                        client,
+                        vec![report(&format!("http://x{i}.example/"))],
+                        SimTime::from_secs(10 + i),
+                    ),
                     &mut rng,
                 )
                 .unwrap();

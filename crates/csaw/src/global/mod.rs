@@ -18,7 +18,6 @@ pub use record::{GlobalRecord, Report, Uuid, WireError};
 pub use remote::{GlobalApi, RemoteDb};
 pub use reputation::{audit, Flag, ReputationConfig};
 pub use server::{
-    BackendChoice, DeploymentStats, PostError, RegistrarConfig, RegistrationError, ServerDb,
-    ServerDbBuilder,
+    DeploymentStats, PostError, RegistrarConfig, RegistrationError, ServerDb, ServerDbBuilder,
 };
 pub use voting::{ConfidenceFilter, Tally, VoteLedger};

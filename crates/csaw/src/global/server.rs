@@ -2,15 +2,17 @@
 //! downloads, voting, and deployment-study analytics (§4.2, §5,
 //! Table 7).
 //!
-//! Storage lives in [`csaw_store`]: a sharded, internally-synchronized
-//! [`StorageBackend`] (in-memory by default, JSONL write-ahead log when
-//! the deployment needs restarts, or anything custom). This type is the
-//! thin front-end over it — registration gating, the client set, and
-//! the legacy `global.*` telemetry — and every method takes `&self`, so
-//! one `ServerDb` can be shared across ingestion threads.
+//! Storage lives in [`csaw_store`]: one internally-synchronized
+//! `Arc<dyn StorageBackend>` (the in-memory sharded store by default;
+//! journalling, replication and fault injection are decorators of the
+//! same trait, stacked by the caller and passed to
+//! [`ServerDbBuilder::backend`]). This type is the thin front-end over
+//! it — registration gating, the client set, and the legacy `global.*`
+//! telemetry — and every method takes `&self`, so one `ServerDb` can be
+//! shared across ingestion threads.
 //!
 //! Construction goes through [`ServerDbBuilder`] (salt, registrar
-//! config, backend choice, shard count) — it is the only way to build a
+//! config, shard count or backend) — it is the only way to build a
 //! server. Ingestion goes through [`ServerDb::ingest`] with a [`Batch`]
 //! (build one with `Batch::new` or `Batch::from_wire`); reads go
 //! through the fallible [`ServerDb::blocked_for_as`].
@@ -21,10 +23,9 @@ use csaw_censor::blocking::{BlockingType, Stage};
 use csaw_obs::metrics::{Counter, Gauge};
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
-use csaw_store::{Batch, IngestReceipt, JsonlStore, ShardedStore, StorageBackend, StoreError};
+use csaw_store::{Batch, IngestReceipt, ShardedStore, StorageBackend, StoreError};
 use csaw_webproto::url::Url;
 use std::collections::HashSet;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -72,22 +73,9 @@ impl Default for RegistrarConfig {
     }
 }
 
-/// Which storage backend a [`ServerDbBuilder`] should construct.
-#[derive(Debug, Clone, Default)]
-pub enum BackendChoice {
-    /// The in-memory sharded store (default).
-    #[default]
-    Memory,
-    /// The in-memory store behind an append-only JSONL write-ahead log
-    /// at this path, replayed on build.
-    JsonlLog(PathBuf),
-    /// A caller-provided backend (shard count and latency options are
-    /// the backend's own business).
-    Custom(Arc<dyn StorageBackend>),
-}
-
-/// Builder for [`ServerDb`]: salt, registration gate, shard count, and
-/// backend choice in one place.
+/// Builder for [`ServerDb`]: salt, registration gate, and either a
+/// shard count for the default in-memory store or a caller-built
+/// backend.
 ///
 /// ```
 /// use csaw::global::{ServerDb, RegistrarConfig};
@@ -104,8 +92,7 @@ pub struct ServerDbBuilder {
     salt: u64,
     registrar: RegistrarConfig,
     shards: usize,
-    backend: BackendChoice,
-    measure_ingest_latency: bool,
+    backend: Option<Arc<dyn StorageBackend>>,
 }
 
 impl ServerDbBuilder {
@@ -116,8 +103,7 @@ impl ServerDbBuilder {
             salt,
             registrar: RegistrarConfig::default(),
             shards: 16,
-            backend: BackendChoice::Memory,
-            measure_ingest_latency: false,
+            backend: None,
         }
     }
 
@@ -133,41 +119,32 @@ impl ServerDbBuilder {
         self
     }
 
-    /// Persist every mutation to a JSONL write-ahead log at `path`,
-    /// replaying any existing log on build.
-    pub fn jsonl_log(mut self, path: impl Into<PathBuf>) -> ServerDbBuilder {
-        self.backend = BackendChoice::JsonlLog(path.into());
-        self
-    }
-
-    /// Use a caller-provided backend.
+    /// Use a caller-provided backend (e.g. a
+    /// [`JsonlStore`](csaw_store::JsonlStore) opened on a log file).
     pub fn backend(mut self, backend: Arc<dyn StorageBackend>) -> ServerDbBuilder {
-        self.backend = BackendChoice::Custom(backend);
+        self.backend = Some(backend);
         self
     }
 
-    /// Record wall-clock per-batch ingest latency (off by default; wall
-    /// clock breaks byte-identical metric snapshots, so only the scale
-    /// harness turns this on).
-    pub fn measure_ingest_latency(mut self, on: bool) -> ServerDbBuilder {
-        self.measure_ingest_latency = on;
-        self
-    }
-
-    /// Build the server. Zero shards or an unreadable/corrupt log are
-    /// errors, not panics.
+    /// Build the server. Zero shards is an error, not a panic.
     pub fn build(self) -> Result<ServerDb, StoreError> {
-        let backend: Arc<dyn StorageBackend> = match self.backend {
-            BackendChoice::Memory => Arc::new(
-                ShardedStore::new(self.shards)?.with_ingest_latency(self.measure_ingest_latency),
-            ),
-            BackendChoice::JsonlLog(path) => Arc::new(
-                JsonlStore::open(&path, self.shards)?
-                    .with_ingest_latency(self.measure_ingest_latency),
-            ),
-            BackendChoice::Custom(b) => b,
+        let backend = match self.backend {
+            Some(b) => b,
+            None => Arc::new(ShardedStore::new(self.shards)?),
         };
-        Ok(ServerDb::from_parts(self.salt, self.registrar, backend))
+        Ok(ServerDb {
+            salt: self.salt,
+            registrar: self.registrar,
+            backend,
+            reg: Mutex::new(RegState {
+                uuid_counter: 0,
+                window_start: SimTime::ZERO,
+                window_count: 0,
+            }),
+            clients: RwLock::new(HashSet::new()),
+            updates_accepted: AtomicU64::new(0),
+            m: ServerMetrics::resolve(),
+        })
     }
 }
 
@@ -240,26 +217,6 @@ impl ServerDb {
     /// Start building a server with the given salt (determinism).
     pub fn builder(salt: u64) -> ServerDbBuilder {
         ServerDbBuilder::new(salt)
-    }
-
-    fn from_parts(
-        salt: u64,
-        registrar: RegistrarConfig,
-        backend: Arc<dyn StorageBackend>,
-    ) -> ServerDb {
-        ServerDb {
-            salt,
-            registrar,
-            backend,
-            reg: Mutex::new(RegState {
-                uuid_counter: 0,
-                window_start: SimTime::ZERO,
-                window_count: 0,
-            }),
-            clients: RwLock::new(HashSet::new()),
-            updates_accepted: AtomicU64::new(0),
-            m: ServerMetrics::resolve(),
-        }
     }
 
     /// The storage backend (shard counts, direct scans, flushing).
@@ -737,9 +694,13 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("csaw-server-wal-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
+        let open = || {
+            let log = csaw_store::JsonlStore::open(&path, 16).unwrap();
+            ServerDb::builder(7).backend(Arc::new(log)).build().unwrap()
+        };
         let c;
         {
-            let s = ServerDb::builder(7).jsonl_log(&path).build().unwrap();
+            let s = open();
             c = s.register(SimTime::ZERO, 0.0).unwrap();
             s.post(
                 c,
@@ -751,7 +712,7 @@ mod tests {
         }
         // Reopening replays the log: records and votes are back. (The
         // client set is front-end state; re-registration is separate.)
-        let s = ServerDb::builder(7).jsonl_log(&path).build().unwrap();
+        let s = open();
         assert_eq!(s.store().record_count(), 1);
         assert_eq!(s.tally("http://x.com/", Asn(1)).n, 1);
         let _ = std::fs::remove_file(&path);

@@ -20,7 +20,7 @@ use csaw_circumvent::world::{SiteSpec, World};
 use csaw_faults::{FaultProfile, FaultyBackend};
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::{AccessNetwork, Provider, Region, Site};
-use csaw_store::ShardedStore;
+use csaw_store::{Decorator, ShardedStore};
 use csaw_webproto::url::Url;
 use std::sync::Arc;
 

@@ -24,8 +24,7 @@ use csaw_simnet::time::SimDuration;
 use csaw_simnet::time::SimTime;
 use csaw_simnet::topology::Asn;
 use csaw_store::{
-    Batch, ConfidenceFilter, GlobalRecord, IngestReceipt, StorageBackend, StoreError, Tally, Uuid,
-    VoteLedger,
+    Batch, ConfidenceFilter, Decorator, GlobalRecord, IngestReceipt, StorageBackend, StoreError,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,18 +156,17 @@ impl FaultyBackend {
         }
     }
 
-    /// The wrapped backend.
-    pub fn inner(&self) -> &dyn StorageBackend {
-        self.inner.as_ref()
-    }
-
     fn now(&self) -> SimTime {
         SimTime::from_micros(self.now_us.load(Ordering::Relaxed))
     }
 }
 
-impl StorageBackend for FaultyBackend {
-    fn ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError> {
+impl Decorator for FaultyBackend {
+    fn inner(&self) -> &dyn StorageBackend {
+        self.inner.as_ref()
+    }
+
+    fn on_ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError> {
         self.set_now(batch.posted_at);
         let in_outage = self
             .profile
@@ -216,7 +214,7 @@ impl StorageBackend for FaultyBackend {
         self.inner.ingest(batch)
     }
 
-    fn blocked_for_as(
+    fn on_blocked_for_as(
         &self,
         asn: Asn,
         filter: &ConfidenceFilter,
@@ -240,41 +238,9 @@ impl StorageBackend for FaultyBackend {
         self.inner.blocked_for_as(asn, filter)
     }
 
-    fn tally(&self, url: &str, asn: Asn) -> Tally {
-        self.inner.tally(url, asn)
-    }
-
-    fn revoke(&self, client: Uuid) {
-        self.inner.revoke(client)
-    }
-
-    fn remove_reporter_records(&self, client: Uuid) -> usize {
-        self.inner.remove_reporter_records(client)
-    }
-
-    fn expire_records(&self, now: SimTime, max_age: SimDuration) -> usize {
+    fn on_expire_records(&self, now: SimTime, max_age: SimDuration) -> usize {
         self.set_now(now);
         self.inner.expire_records(now, max_age)
-    }
-
-    fn record_count(&self) -> usize {
-        self.inner.record_count()
-    }
-
-    fn for_each_record(&self, f: &mut dyn FnMut(&GlobalRecord)) {
-        self.inner.for_each_record(f)
-    }
-
-    fn ledger(&self) -> &VoteLedger {
-        self.inner.ledger()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        self.inner.flush()
     }
 }
 
@@ -282,7 +248,7 @@ impl StorageBackend for FaultyBackend {
 mod tests {
     use super::*;
     use csaw_censor::blocking::BlockingType;
-    use csaw_store::{Report, ShardedStore};
+    use csaw_store::{Report, ShardedStore, Uuid};
 
     fn batch(client: u64, urls: &[&str], t: u64) -> Batch {
         Batch::new(

@@ -13,8 +13,8 @@
 //!   (voters sort before the float sum), so unioning those maps merges
 //!   votes without any coordination.
 //! - **WAL shipping** ([`ship`]): [`ReplicatedStore`] wraps any
-//!   [`StorageBackend`](csaw_store::StorageBackend) and records every
-//!   mutation as a [`csaw_store::wal`] line *before* applying it;
+//!   [`StorageBackend`](csaw_store::StorageBackend) and records, as a
+//!   [`csaw_store::wal`] line, every mutation that backend took;
 //!   [`WalShipper`] streams those lines to per-region read replicas
 //!   over the length-framed `SHIP`/`SHIP_ACK` ops, tracking per-link
 //!   lag and staleness. Replicas apply shipped lines through the exact

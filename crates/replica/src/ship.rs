@@ -1,10 +1,10 @@
 //! WAL shipping: stream a leader's mutation log to per-region read
 //! replicas over the length-framed wire protocol.
 //!
-//! [`ReplicatedStore`] wraps any backend and records every mutation as
-//! a [`csaw_store::wal`] line *before* applying it — the same
-//! append-before-apply discipline `JsonlStore` uses on disk, except the
-//! log lives in memory and feeds the shipper instead of a file.
+//! [`ReplicatedStore`] is `csaw-store`'s journalling decorator with an
+//! in-memory journal: it records, as a [`csaw_store::wal`] line, every
+//! mutation the wrapped backend took — and none it refused, so a
+//! replica never applies a batch the leader does not hold.
 //!
 //! [`WalShipper`] holds one [`SHIP`](csaw_store::net::op::SHIP) link
 //! per replica region. A shipping round walks each reachable link and
@@ -25,127 +25,18 @@
 //! (`replica.lag{region=…}`, `replica.staleness_us{region=…}`) so the
 //! SLO engine can gate on replication health.
 
-use csaw_simnet::time::{SimDuration, SimTime};
-use csaw_simnet::topology::Asn;
-use csaw_store::ledger::{ConfidenceFilter, Tally, VoteLedger};
+use csaw_simnet::time::SimTime;
 use csaw_store::net::{DbRequest, DbResponse};
-use csaw_store::record::{GlobalRecord, Uuid};
-use csaw_store::wal;
-use csaw_store::{Batch, IngestReceipt, StorageBackend, StoreError};
+pub use csaw_store::ReplicatedStore;
 use csaw_webproto::bytes::BytesMut;
 use csaw_webproto::codec::{read_frame, write_frame};
 use std::fmt;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How many WAL lines one `SHIP` frame carries at most.
 const SHIP_CHUNK_LINES: usize = 256;
-
-/// A leader-side backend wrapper that journals every mutation into an
-/// in-memory WAL (append *before* apply) for [`WalShipper`] to stream.
-pub struct ReplicatedStore {
-    inner: Arc<dyn StorageBackend>,
-    wal: Mutex<Vec<String>>,
-}
-
-impl fmt::Debug for ReplicatedStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ReplicatedStore")
-            .field("leader_seq", &self.leader_seq())
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
-impl ReplicatedStore {
-    /// Wrap a backend; the log starts empty at sequence 0.
-    pub fn new(inner: Arc<dyn StorageBackend>) -> ReplicatedStore {
-        ReplicatedStore {
-            inner,
-            wal: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &dyn StorageBackend {
-        &*self.inner
-    }
-
-    /// Total WAL lines written so far (the next line gets this seq).
-    pub fn leader_seq(&self) -> u64 {
-        self.wal.lock().expect("wal lock poisoned").len() as u64
-    }
-
-    /// Up to `max` log lines starting at `from_seq`, in log order.
-    pub fn lines_from(&self, from_seq: u64, max: usize) -> Vec<String> {
-        let wal = self.wal.lock().expect("wal lock poisoned");
-        wal.iter()
-            .skip(from_seq as usize)
-            .take(max)
-            .cloned()
-            .collect()
-    }
-
-    fn journal(&self, line: String) {
-        self.wal.lock().expect("wal lock poisoned").push(line);
-        csaw_obs::inc("replica.wal.appends");
-    }
-}
-
-impl StorageBackend for ReplicatedStore {
-    fn ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError> {
-        self.journal(wal::ingest_line(batch));
-        self.inner.ingest(batch)
-    }
-
-    fn blocked_for_as(
-        &self,
-        asn: Asn,
-        filter: &ConfidenceFilter,
-    ) -> Result<Vec<GlobalRecord>, StoreError> {
-        self.inner.blocked_for_as(asn, filter)
-    }
-
-    fn tally(&self, url: &str, asn: Asn) -> Tally {
-        self.inner.tally(url, asn)
-    }
-
-    fn revoke(&self, client: Uuid) {
-        self.journal(wal::revoke_line(client));
-        self.inner.revoke(client);
-    }
-
-    fn remove_reporter_records(&self, client: Uuid) -> usize {
-        self.journal(wal::remove_reporter_line(client));
-        self.inner.remove_reporter_records(client)
-    }
-
-    fn expire_records(&self, now: SimTime, max_age: SimDuration) -> usize {
-        self.journal(wal::expire_line(now, max_age));
-        self.inner.expire_records(now, max_age)
-    }
-
-    fn record_count(&self) -> usize {
-        self.inner.record_count()
-    }
-
-    fn for_each_record(&self, f: &mut dyn FnMut(&GlobalRecord)) {
-        self.inner.for_each_record(f)
-    }
-
-    fn ledger(&self) -> &VoteLedger {
-        self.inner.ledger()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        self.inner.flush()
-    }
-}
 
 struct ReplicaLink {
     region: String,
@@ -303,60 +194,5 @@ impl WalShipper {
         write_frame(stream, &req.to_frame()).ok()?;
         let frame = read_frame(stream, buf).ok()??;
         DbResponse::from_frame(&frame).ok()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::state::StoreState;
-    use csaw_censor::blocking::BlockingType;
-    use csaw_store::record::Report;
-    use csaw_store::ShardedStore;
-
-    fn batch(client: u64, url: &str, t: u64) -> Batch {
-        Batch::new(
-            Uuid::from_raw(client),
-            vec![Report {
-                url: url.into(),
-                asn: 9,
-                measured_at_us: t,
-                stages: vec![BlockingType::HttpDrop],
-            }],
-            SimTime::from_micros(t),
-        )
-    }
-
-    #[test]
-    fn journal_precedes_apply_and_replays_identically() {
-        let leader = ReplicatedStore::new(Arc::new(ShardedStore::new(4).unwrap()));
-        leader.ingest(&batch(1, "http://a.com/", 10)).unwrap();
-        leader.ingest(&batch(2, "http://b.com/", 20)).unwrap();
-        leader.revoke(Uuid::from_raw(2));
-        leader.expire_records(SimTime::from_secs(100), SimDuration::from_secs(99));
-        assert_eq!(leader.leader_seq(), 4);
-
-        let replica = ShardedStore::new(7).unwrap();
-        for line in leader.lines_from(0, usize::MAX) {
-            wal::replay_line(&replica, &line).unwrap();
-        }
-        assert_eq!(
-            StoreState::capture(leader.inner()),
-            StoreState::capture(&replica)
-        );
-    }
-
-    #[test]
-    fn lines_from_windows_the_log() {
-        let leader = ReplicatedStore::new(Arc::new(ShardedStore::new(2).unwrap()));
-        for c in 0..5u64 {
-            leader
-                .ingest(&batch(c, &format!("http://u{c}.com/"), c + 1))
-                .unwrap();
-        }
-        assert_eq!(leader.lines_from(0, 2).len(), 2);
-        assert_eq!(leader.lines_from(3, 10).len(), 2);
-        assert_eq!(leader.lines_from(5, 10).len(), 0);
-        assert_eq!(leader.lines_from(99, 10).len(), 0);
     }
 }

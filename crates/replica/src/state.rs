@@ -22,6 +22,7 @@
 //! through the ordered WAL (see [`crate::ship`]) and every replica
 //! applies them at the same log position.
 
+use csaw_simnet::rng::fnv1a;
 use csaw_store::StorageBackend;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -132,12 +133,7 @@ impl StoreState {
     /// 16-hex-digit FNV-1a digest of [`StoreState::canonical`]. Two
     /// replicas converged iff their fingerprints are byte-identical.
     pub fn fingerprint(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.canonical().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", fnv1a(self.canonical().as_bytes()))
     }
 
     /// Total vote edges (for reporting; not part of the lattice).

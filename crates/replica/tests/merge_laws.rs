@@ -37,9 +37,7 @@ fn random_state(seed: u64, label: &str) -> StoreState {
             })
             .collect();
         let posted = SimTime::from_micros(1_000_000 + 1_000 * b as u64);
-        store
-            .ingest(&Batch::new(client, reports, posted))
-            .unwrap();
+        store.ingest(&Batch::new(client, reports, posted)).unwrap();
         if rng.chance(0.15) {
             store.revoke(Uuid::from_raw(1 + rng.range_u64(1, 9)));
         }
@@ -109,8 +107,7 @@ fn empty_state_is_the_identity() {
 fn replay_equals_merge() {
     for seed in 1..=10u64 {
         let mut rng = DetRng::new(seed).fork("replay");
-        let leader =
-            csaw_replica::ReplicatedStore::new(Arc::new(ShardedStore::new(4).unwrap()));
+        let leader = csaw_replica::ReplicatedStore::new(Arc::new(ShardedStore::new(4).unwrap()));
         for b in 0..20u64 {
             let client = Uuid::from_raw(1 + rng.range_u64(1, 7));
             let reports = (0..1 + rng.index(3))
@@ -143,7 +140,7 @@ fn replay_equals_merge() {
         for line in leader.lines_from(0, usize::MAX) {
             csaw_store::wal::replay_line(&replica, &line).unwrap();
         }
-        let leader_state = StoreState::capture(leader.inner());
+        let leader_state = StoreState::capture(&leader);
         let replica_state = StoreState::capture(&replica);
         assert_eq!(
             leader_state, replica_state,

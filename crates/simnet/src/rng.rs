@@ -112,14 +112,10 @@ impl DetRng {
     /// drawing from the parent stream, so `fork("a")` and `fork("b")` are
     /// independent and insertion-order-insensitive.
     pub fn fork(&self, label: &str) -> DetRng {
-        // FNV-1a over the label, mixed with a fixed salt. We deliberately
-        // avoid `RandomState`/`DefaultHasher`, which are randomly keyed per
+        // FNV-1a over the label. We deliberately avoid
+        // `RandomState`/`DefaultHasher`, which are randomly keyed per
         // process and would break determinism.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = fnv1a(label.as_bytes());
         // Derive the child from a clone of the parent's current state XORed
         // with the label hash: children of the same parent with different
         // labels diverge, same labels coincide.
@@ -244,6 +240,26 @@ impl DetRng {
             xs.swap(i, j);
         }
     }
+}
+
+/// 64-bit FNV-1a over `bytes`: the workspace's one stable hash. Seed
+/// forks, shard placement, state fingerprints and output digests all
+/// come from it, because the std hashers are randomly keyed per
+/// process and every one of those must repeat across runs.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a hash `h` over more bytes:
+/// `fnv1a_fold(fnv1a(a), b)` is `fnv1a` of `a` followed by `b`.
+#[inline]
+pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 #[cfg(test)]

@@ -1,17 +1,19 @@
-//! The storage backend abstraction and the append-only JSONL backend.
+//! The storage backend trait, its decorators, and the journalling store.
 //!
-//! [`StorageBackend`] is the seam the server front-end programs against:
-//! the in-memory [`ShardedStore`] for
-//! simulation runs, [`JsonlStore`] when the deployment needs the global
-//! DB to survive a restart, or anything custom injected through the
-//! builder.
+//! [`StorageBackend`] is *the* composition point of the global DB:
+//! `ServerDb` is a registration/accounting façade over one
+//! `Arc<dyn StorageBackend>`, the in-memory [`ShardedStore`] is the
+//! leaf, and every other layer — the journalling [`Journaled`] store
+//! here (on disk as [`JsonlStore`], in memory as [`ReplicatedStore`]),
+//! fault injection in `csaw-faults` — is a [`Decorator`] of the same
+//! trait, stacked in whatever order the deployment needs.
 //!
-//! The JSONL backend is a write-ahead log in the literal sense: every
-//! mutating operation is appended as one JSON line *before* it is
-//! applied to the wrapped in-memory store, and `open` rebuilds the
-//! store by replaying the log through the exact same code paths. The
-//! line codec itself lives in [`crate::wal`] so WAL shipping
-//! (`csaw-replica`) and restart replay share one implementation.
+//! The journal is a write-ahead log in the literal sense: every
+//! mutating operation is encoded as one [`crate::wal`] line and handed
+//! to the journal around its application to the wrapped backend, and
+//! [`JsonlStore::open`] rebuilds the store by replaying the log through
+//! the exact same code paths. The line codec lives in [`crate::wal`],
+//! so restart replay and WAL shipping (`csaw-replica`) share it.
 
 use crate::batch::{Batch, IngestReceipt};
 use crate::error::StoreError;
@@ -26,10 +28,18 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 /// What a global measurement store must provide. Object-safe so the
 /// server can hold `Arc<dyn StorageBackend>` and backends can be
 /// swapped without touching the front-end.
+///
+/// This trait is the one place layers compose. A leaf store
+/// ([`ShardedStore`]) implements it directly; a layer that wraps
+/// another backend implements [`Decorator`] instead — naming the
+/// wrapped backend and overriding only the calls it intercepts — and
+/// gets this trait from the blanket impl, so pass-through delegation is
+/// written once, below, not once per wrapper.
 ///
 /// Every method takes `&self`: backends are internally synchronized and
 /// shared across ingestion threads.
@@ -81,28 +91,231 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     }
 }
 
-/// An append-only JSONL write-ahead log wrapped around the in-memory
-/// sharded store. One line per mutating operation; [`JsonlStore::open`]
-/// replays the log through the normal ingest/revoke/expire paths, so a
-/// reopened store is state-identical to the one that wrote the log
-/// (stable FNV shard placement makes replay land every key on the same
-/// shard).
-pub struct JsonlStore {
-    inner: ShardedStore,
+/// A backend layer wrapped around another backend.
+///
+/// Implement this instead of [`StorageBackend`]: name the wrapped
+/// backend and override the `on_*` hook of each call the layer
+/// intercepts. Every hook defaults to passing the call through, and
+/// the calls no layer has a reason to intercept (`tally`,
+/// `record_count`, `for_each_record`, `ledger`, `shard_count`) have no
+/// hook at all.
+pub trait Decorator: Send + Sync + fmt::Debug {
+    /// The wrapped backend.
+    fn inner(&self) -> &dyn StorageBackend;
+
+    /// [`StorageBackend::ingest`] as this layer sees it.
+    fn on_ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError> {
+        self.inner().ingest(batch)
+    }
+
+    /// [`StorageBackend::blocked_for_as`] as this layer sees it.
+    fn on_blocked_for_as(
+        &self,
+        asn: Asn,
+        filter: &ConfidenceFilter,
+    ) -> Result<Vec<GlobalRecord>, StoreError> {
+        self.inner().blocked_for_as(asn, filter)
+    }
+
+    /// [`StorageBackend::revoke`] as this layer sees it.
+    fn on_revoke(&self, client: Uuid) {
+        self.inner().revoke(client)
+    }
+
+    /// [`StorageBackend::remove_reporter_records`] as this layer sees it.
+    fn on_remove_reporter_records(&self, client: Uuid) -> usize {
+        self.inner().remove_reporter_records(client)
+    }
+
+    /// [`StorageBackend::expire_records`] as this layer sees it.
+    fn on_expire_records(&self, now: SimTime, max_age: SimDuration) -> usize {
+        self.inner().expire_records(now, max_age)
+    }
+
+    /// [`StorageBackend::flush`] as this layer sees it.
+    fn on_flush(&self) -> Result<(), StoreError> {
+        self.inner().flush()
+    }
+}
+
+impl<D: Decorator> StorageBackend for D {
+    fn ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError> {
+        self.on_ingest(batch)
+    }
+
+    fn blocked_for_as(
+        &self,
+        asn: Asn,
+        filter: &ConfidenceFilter,
+    ) -> Result<Vec<GlobalRecord>, StoreError> {
+        self.on_blocked_for_as(asn, filter)
+    }
+
+    fn tally(&self, url: &str, asn: Asn) -> Tally {
+        self.inner().tally(url, asn)
+    }
+
+    fn revoke(&self, client: Uuid) {
+        self.on_revoke(client)
+    }
+
+    fn remove_reporter_records(&self, client: Uuid) -> usize {
+        self.on_remove_reporter_records(client)
+    }
+
+    fn expire_records(&self, now: SimTime, max_age: SimDuration) -> usize {
+        self.on_expire_records(now, max_age)
+    }
+
+    fn record_count(&self) -> usize {
+        self.inner().record_count()
+    }
+
+    fn for_each_record(&self, f: &mut dyn FnMut(&GlobalRecord)) {
+        self.inner().for_each_record(f)
+    }
+
+    fn ledger(&self) -> &VoteLedger {
+        self.inner().ledger()
+    }
+
+    fn shard_count(&self) -> usize {
+        self.inner().shard_count()
+    }
+
+    fn flush(&self) -> Result<(), StoreError> {
+        self.on_flush()
+    }
+}
+
+/// Where a [`Journaled`] store's WAL lines go.
+pub trait Journal: Send + Sync + fmt::Debug {
+    /// When an `ingest` is recorded relative to its application.
+    ///
+    /// `true` is a durable log: the line is recorded *before* the batch
+    /// is applied, and a refused record refuses the ingest — the store
+    /// never holds what its log does not. `false` is a ship log: the
+    /// line is recorded only once the wrapped backend took the batch —
+    /// a replica never applies a mutation the leader refused.
+    const WRITE_AHEAD: bool;
+
+    /// Record one WAL line (no trailing newline).
+    fn record(&self, line: String) -> Result<(), StoreError>;
+
+    /// Push buffered lines to their destination.
+    fn flush(&self) -> Result<(), StoreError> {
+        Ok(())
+    }
+}
+
+/// The journalling decorator: every mutation of the wrapped backend is
+/// encoded as one [`crate::wal`] line and recorded in the journal `J`.
+///
+/// Two journals exist. [`JsonlStore`] appends to a file, ahead of every
+/// apply; [`JsonlStore::open`] replays the file through the normal
+/// ingest/revoke/expire paths, so a reopened store is state-identical
+/// to the one that wrote the log (stable FNV shard placement makes
+/// replay land every key on the same shard). [`ReplicatedStore`] keeps
+/// the lines in memory for `csaw-replica`'s `WalShipper` to stream.
+///
+/// `revoke`, `remove_reporter_records` and `expire_records` cannot
+/// refuse, so they are applied even when the journal refuses their
+/// line; every refused line counts into `store.wal.append_failed` and
+/// emits a `store.wal.append_failed` event — a log that silently
+/// diverges from memory is the failure replay cannot see. An `ingest`
+/// that comes back `Ok` with deferred indices (a torn write below) is
+/// journalled whole; the log and the store agree again once the client
+/// resubmits the deferred reports, as its receipt tells it to.
+#[derive(Debug)]
+pub struct Journaled<J> {
+    inner: Arc<dyn StorageBackend>,
+    journal: J,
+}
+
+impl<J: Journal> Journaled<J> {
+    fn record(&self, line: String) -> Result<(), StoreError> {
+        self.journal.record(line).inspect_err(|e| {
+            csaw_obs::inc("store.wal.append_failed");
+            csaw_obs::event!("store.wal.append_failed", error = e.to_string());
+        })
+    }
+}
+
+impl<J: Journal> Decorator for Journaled<J> {
+    fn inner(&self) -> &dyn StorageBackend {
+        &*self.inner
+    }
+
+    fn on_ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError> {
+        if J::WRITE_AHEAD {
+            self.record(wal::ingest_line(batch))?;
+        }
+        // The journal's lock is never held across the apply.
+        let receipt = self.inner.ingest(batch)?;
+        if !J::WRITE_AHEAD {
+            self.record(wal::ingest_line(batch))?;
+        }
+        Ok(receipt)
+    }
+
+    fn on_revoke(&self, client: Uuid) {
+        let _ = self.record(wal::revoke_line(client));
+        self.inner.revoke(client);
+    }
+
+    fn on_remove_reporter_records(&self, client: Uuid) -> usize {
+        let _ = self.record(wal::remove_reporter_line(client));
+        self.inner.remove_reporter_records(client)
+    }
+
+    fn on_expire_records(&self, now: SimTime, max_age: SimDuration) -> usize {
+        let _ = self.record(wal::expire_line(now, max_age));
+        self.inner.expire_records(now, max_age)
+    }
+
+    fn on_flush(&self) -> Result<(), StoreError> {
+        self.journal.flush()?;
+        self.inner.flush()
+    }
+}
+
+/// The on-disk journal: an append-only JSONL file, one line per
+/// mutating operation, buffered until [`StorageBackend::flush`].
+#[derive(Debug)]
+pub struct FileLog {
     path: PathBuf,
     log: TimedMutex<BufWriter<File>>,
 }
 
-impl fmt::Debug for JsonlStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonlStore")
-            .field("path", &self.path)
-            .field("inner", &self.inner)
-            .finish_non_exhaustive()
+impl Journal for FileLog {
+    const WRITE_AHEAD: bool = true;
+
+    fn record(&self, mut line: String) -> Result<(), StoreError> {
+        line.push('\n');
+        let mut log = self.log.lock();
+        log.write_all(line.as_bytes())
+            .map_err(|e| StoreError::io(&self.path, e))?;
+        csaw_obs::inc("store.wal.appends");
+        csaw_obs::add("store.wal.bytes", line.len() as u64);
+        // Windowed WAL lag signal: appends per window on the timeline.
+        let tl = &csaw_obs::current().timeline;
+        if tl.enabled() {
+            tl.counter("store.wal.appends", &[]).inc();
+        }
+        Ok(())
+    }
+
+    fn flush(&self) -> Result<(), StoreError> {
+        let mut log = self.log.lock();
+        log.flush().map_err(|e| StoreError::io(&self.path, e))
     }
 }
 
-impl JsonlStore {
+/// The in-memory sharded store behind an append-only JSONL write-ahead
+/// log on disk.
+pub type JsonlStore = Journaled<FileLog>;
+
+impl Journaled<FileLog> {
     /// Open (or create) a log at `path` over a fresh `shards`-way store,
     /// replaying any existing operations. A truncated or hand-edited
     /// line is [`StoreError::Corrupt`] with its line number.
@@ -124,96 +337,64 @@ impl JsonlStore {
             .append(true)
             .open(path)
             .map_err(|e| StoreError::io(path, e))?;
-        Ok(JsonlStore {
-            inner,
-            path: path.to_path_buf(),
-            log: TimedMutex::new("store.wal.log", BufWriter::new(file)),
+        Ok(Journaled {
+            inner: Arc::new(inner),
+            journal: FileLog {
+                path: path.to_path_buf(),
+                log: TimedMutex::new("store.wal.log", BufWriter::new(file)),
+            },
         })
     }
+}
 
-    /// The log file this store appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
+/// The in-memory journal a leader keeps for WAL shipping: line `n` of
+/// the log is sequence number `n`.
+#[derive(Default)]
+pub struct ShipLog(Mutex<Vec<String>>);
+
+impl fmt::Debug for ShipLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let lines = self.0.lock().expect("wal lock poisoned").len();
+        f.debug_struct("ShipLog").field("lines", &lines).finish()
     }
+}
 
-    /// Record wall-clock per-batch ingest latency in the wrapped
-    /// in-memory store (see
-    /// [`ShardedStore::with_ingest_latency`]).
-    pub fn with_ingest_latency(mut self, on: bool) -> JsonlStore {
-        self.inner = self.inner.with_ingest_latency(on);
-        self
-    }
+impl Journal for ShipLog {
+    const WRITE_AHEAD: bool = false;
 
-    fn append(&self, mut line: String) -> Result<(), StoreError> {
-        line.push('\n');
-        let mut log = self.log.lock();
-        log.write_all(line.as_bytes())
-            .map_err(|e| StoreError::io(&self.path, e))?;
-        csaw_obs::inc("store.wal.appends");
-        csaw_obs::add("store.wal.bytes", line.len() as u64);
-        // Windowed WAL lag signal: appends per window on the timeline.
-        let tl = &csaw_obs::current().timeline;
-        if tl.enabled() {
-            tl.counter("store.wal.appends", &[]).inc();
-        }
+    fn record(&self, line: String) -> Result<(), StoreError> {
+        self.0.lock().expect("wal lock poisoned").push(line);
+        csaw_obs::inc("replica.wal.appends");
         Ok(())
     }
 }
 
-impl StorageBackend for JsonlStore {
-    fn ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError> {
-        self.append(wal::ingest_line(batch))?;
-        self.inner.ingest(batch)
+/// A leader-side wrapper that journals every mutation its backend took
+/// into an in-memory WAL for `csaw-replica`'s `WalShipper` to stream.
+pub type ReplicatedStore = Journaled<ShipLog>;
+
+impl Journaled<ShipLog> {
+    /// Wrap a backend; the log starts empty at sequence 0.
+    pub fn new(inner: Arc<dyn StorageBackend>) -> ReplicatedStore {
+        Journaled {
+            inner,
+            journal: ShipLog::default(),
+        }
     }
 
-    fn blocked_for_as(
-        &self,
-        asn: Asn,
-        filter: &ConfidenceFilter,
-    ) -> Result<Vec<GlobalRecord>, StoreError> {
-        self.inner.blocked_for_as(asn, filter)
+    /// Total WAL lines written so far (the next line gets this seq).
+    pub fn leader_seq(&self) -> u64 {
+        self.journal.0.lock().expect("wal lock poisoned").len() as u64
     }
 
-    fn tally(&self, url: &str, asn: Asn) -> Tally {
-        self.inner.tally(url, asn)
-    }
-
-    fn revoke(&self, client: Uuid) {
-        // Best-effort on the revocation path: the in-memory retraction
-        // must happen even if the log write fails.
-        let _ = self.append(wal::revoke_line(client));
-        self.inner.revoke(client);
-    }
-
-    fn remove_reporter_records(&self, client: Uuid) -> usize {
-        let _ = self.append(wal::remove_reporter_line(client));
-        self.inner.remove_reporter_records(client)
-    }
-
-    fn expire_records(&self, now: SimTime, max_age: SimDuration) -> usize {
-        let _ = self.append(wal::expire_line(now, max_age));
-        self.inner.expire_records(now, max_age)
-    }
-
-    fn record_count(&self) -> usize {
-        self.inner.record_count()
-    }
-
-    fn for_each_record(&self, f: &mut dyn FnMut(&GlobalRecord)) {
-        self.inner.for_each_record(f)
-    }
-
-    fn ledger(&self) -> &VoteLedger {
-        self.inner.ledger()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        let mut log = self.log.lock();
-        log.flush().map_err(|e| StoreError::io(&self.path, e))
+    /// Up to `max` log lines starting at `from_seq`, in log order.
+    pub fn lines_from(&self, from_seq: u64, max: usize) -> Vec<String> {
+        let wal = self.journal.0.lock().expect("wal lock poisoned");
+        wal.iter()
+            .skip(from_seq as usize)
+            .take(max)
+            .cloned()
+            .collect()
     }
 }
 
@@ -334,5 +515,67 @@ mod tests {
         s.for_each_record(&mut |r| urls.push(r.url.clone()));
         assert_eq!(urls, ["http://new.com/"]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn lines_from_windows_the_log() {
+        let leader = ReplicatedStore::new(Arc::new(ShardedStore::new(2).unwrap()));
+        for c in 0..5u64 {
+            leader
+                .ingest(&batch(c, &format!("http://u{c}.com/"), 9, c + 1))
+                .unwrap();
+        }
+        assert_eq!(leader.leader_seq(), 5);
+        assert_eq!(leader.lines_from(0, 2).len(), 2);
+        assert_eq!(leader.lines_from(3, 10).len(), 2);
+        assert_eq!(leader.lines_from(5, 10).len(), 0);
+        assert_eq!(leader.lines_from(99, 10).len(), 0);
+    }
+
+    /// A journal whose destination is gone.
+    #[derive(Debug)]
+    struct Refusing<const WRITE_AHEAD: bool>;
+
+    impl<const WRITE_AHEAD: bool> Journal for Refusing<WRITE_AHEAD> {
+        const WRITE_AHEAD: bool = WRITE_AHEAD;
+
+        fn record(&self, _line: String) -> Result<(), StoreError> {
+            Err(StoreError::Unavailable("journal refused"))
+        }
+    }
+
+    #[test]
+    fn refused_lines_are_counted_and_only_a_write_ahead_ingest_is_refused() {
+        use csaw_obs::scope::{self, ObsCtx};
+        let ctx = Arc::new(ObsCtx::new());
+        let _g = scope::install(ctx.clone());
+        let failed = || ctx.registry.counter("store.wal.append_failed").get();
+
+        let ahead = Journaled {
+            inner: Arc::new(ShardedStore::new(2).unwrap()),
+            journal: Refusing::<true>,
+        };
+        // Never hold what the log does not: the batch is not applied.
+        assert_eq!(
+            ahead.ingest(&batch(1, "http://a.com/", 7, 10)),
+            Err(StoreError::Unavailable("journal refused"))
+        );
+        assert_eq!((ahead.record_count(), failed()), (0, 1));
+
+        // The mutations that cannot refuse are applied regardless — and
+        // the divergence is counted, not silent.
+        let behind = Journaled {
+            inner: Arc::new(ShardedStore::new(2).unwrap()),
+            journal: Refusing::<false>,
+        };
+        behind
+            .inner
+            .ingest(&batch(1, "http://a.com/", 7, 10))
+            .unwrap();
+        behind.revoke(Uuid::from_raw(1));
+        assert_eq!(behind.tally("http://a.com/", Asn(7)).n, 0);
+        assert_eq!(behind.remove_reporter_records(Uuid::from_raw(1)), 1);
+        behind.expire_records(SimTime::from_secs(1), SimDuration::from_secs(1));
+        assert_eq!(failed(), 4);
     }
 }

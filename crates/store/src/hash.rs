@@ -5,29 +5,13 @@
 //! must land every key on the same shard. FNV-1a is stable, cheap, and
 //! mixes short URL strings well.
 
+use csaw_simnet::rng::{fnv1a, fnv1a_fold};
 use csaw_simnet::topology::Asn;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over arbitrary bytes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Stable shard hash of a (URL, AS) key.
+/// Stable shard hash of a (URL, AS) key: FNV-1a over the URL bytes,
+/// then the AS number's little-endian bytes.
 pub fn key_hash(url: &str, asn: Asn) -> u64 {
-    let mut h = fnv1a(url.as_bytes());
-    for b in asn.0.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a_fold(fnv1a(url.as_bytes()), &asn.0.to_le_bytes())
 }
 
 /// Shard index for a (URL, AS) key in an `n`-shard store.

@@ -25,10 +25,12 @@
 //!   deterministic tally — voters sort before the float sum, so the
 //!   result is independent of arrival order, thread count, and shard
 //!   count.
-//! - **Pluggable persistence** ([`backend`]): the [`StorageBackend`]
-//!   trait with two implementations — the in-memory [`ShardedStore`]
-//!   and the append-only [`JsonlStore`] write-ahead log that replays on
-//!   open.
+//! - **One composition point** ([`backend`]): the [`StorageBackend`]
+//!   trait, with the in-memory [`ShardedStore`] as the leaf and every
+//!   other layer a [`Decorator`] of it — among them the journalling
+//!   store, whose lines go to a file that replays on open
+//!   ([`JsonlStore`]) or to a memory log for WAL shipping
+//!   ([`ReplicatedStore`]).
 //! - **One error type** ([`error`]): every fallible path returns
 //!   [`StoreError`] — reads included ([`StorageBackend::blocked_for_as`]
 //!   is `Result`, so transiently-unavailable backends surface as errors
@@ -82,7 +84,7 @@ pub mod shard;
 pub(crate) mod swap;
 pub mod wal;
 
-pub use backend::{JsonlStore, StorageBackend};
+pub use backend::{Decorator, JsonlStore, ReplicatedStore, StorageBackend};
 pub use batch::{Batch, IngestReceipt};
 pub use error::StoreError;
 pub use ledger::{ConfidenceFilter, Tally, VoteLedger};

@@ -94,7 +94,6 @@ struct StoreMetrics {
     cache_misses: Arc<Counter>,
     records: Arc<Gauge>,
     batch_size: Arc<Histogram>,
-    ingest_latency: Arc<Histogram>,
     shard_records: Vec<Arc<Gauge>>,
     /// The windowed timeline of the context that built the store —
     /// captured here (like the metric handles) so worker threads
@@ -113,7 +112,6 @@ impl StoreMetrics {
             cache_misses: reg.counter("store.cache.misses"),
             records: reg.gauge("store.records"),
             batch_size: reg.histogram("store.ingest.batch_size"),
-            ingest_latency: reg.histogram("store.ingest.latency_us"),
             shard_records: (0..shards)
                 .map(|i| reg.gauge(&format!("store.shard.{i:02}.records")))
                 .collect(),
@@ -182,7 +180,6 @@ pub struct ShardedStore {
     /// used to take every shard's read lock and dominated read-side
     /// contention at 8 writers.
     live_records: AtomicI64,
-    measure_latency: bool,
 }
 
 impl ShardedStore {
@@ -200,18 +197,29 @@ impl ShardedStore {
             ledger: VoteLedger::with_shards(shards),
             metrics: StoreMetrics::resolve(shards),
             live_records: AtomicI64::new(0),
-            measure_latency: false,
         })
     }
 
-    /// Record wall-clock per-batch ingest latency into the
-    /// `store.ingest.latency_us` histogram. Off by default: wall-clock
-    /// samples would break the byte-identical-snapshot determinism
-    /// contract of the virtual-time experiments, so only the scale
-    /// harness turns this on.
-    pub fn with_ingest_latency(mut self, on: bool) -> ShardedStore {
-        self.measure_latency = on;
-        self
+    /// Drop every record `keep` turns down, shard by shard; returns how
+    /// many went.
+    fn retain_records(&self, keep: impl Fn(&GlobalRecord) -> bool) -> usize {
+        let mut removed = 0usize;
+        for (i, shard) in self.shards.iter().enumerate() {
+            let before;
+            let after;
+            {
+                let mut recs = shard.records.write();
+                before = recs.len();
+                recs.retain(|_, r| keep(r));
+                after = recs.len();
+            }
+            if before != after {
+                shard.generation.fetch_add(1, Ordering::AcqRel);
+                self.apply_record_delta(i, -((before - after) as i64));
+                removed += before - after;
+            }
+        }
+        removed
     }
 
     fn apply_record_delta(&self, shard_idx: usize, delta: i64) {
@@ -225,7 +233,6 @@ impl ShardedStore {
 
 impl StorageBackend for ShardedStore {
     fn ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError> {
-        let t0 = self.measure_latency.then(std::time::Instant::now);
         debug_assert_eq!(self.shards.len(), self.ledger.key_stripes());
         // Phase 0, lock-free: sanitize, intern, construct and group.
         let plan = BatchPlan::build(batch, self.shards.len());
@@ -292,11 +299,6 @@ impl StorageBackend for ShardedStore {
                     h.observe_us(st);
                 }
             }
-        }
-        if let Some(t0) = t0 {
-            self.metrics
-                .ingest_latency
-                .observe_us(t0.elapsed().as_micros() as u64);
         }
         Ok(IngestReceipt {
             accepted,
@@ -376,43 +378,11 @@ impl StorageBackend for ShardedStore {
     }
 
     fn remove_reporter_records(&self, client: Uuid) -> usize {
-        let mut removed = 0usize;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let before;
-            let after;
-            {
-                let mut recs = shard.records.write();
-                before = recs.len();
-                recs.retain(|_, r| r.reporter != client);
-                after = recs.len();
-            }
-            if before != after {
-                shard.generation.fetch_add(1, Ordering::AcqRel);
-                self.apply_record_delta(i, -((before - after) as i64));
-                removed += before - after;
-            }
-        }
-        removed
+        self.retain_records(|r| r.reporter != client)
     }
 
     fn expire_records(&self, now: SimTime, max_age: SimDuration) -> usize {
-        let mut removed = 0usize;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let before;
-            let after;
-            {
-                let mut recs = shard.records.write();
-                before = recs.len();
-                recs.retain(|_, r| now.duration_since(r.posted_at) < max_age);
-                after = recs.len();
-            }
-            if before != after {
-                shard.generation.fetch_add(1, Ordering::AcqRel);
-                self.apply_record_delta(i, -((before - after) as i64));
-                removed += before - after;
-            }
-        }
-        removed
+        self.retain_records(|r| now.duration_since(r.posted_at) < max_age)
     }
 
     fn record_count(&self) -> usize {

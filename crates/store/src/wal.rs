@@ -1,10 +1,11 @@
 //! The write-ahead-log line codec: one compact JSON object per
 //! mutating store operation.
 //!
-//! [`JsonlStore`](crate::backend::JsonlStore) appends these lines to
-//! disk *before* applying each mutation, and `csaw-replica` ships the
-//! very same lines from a leader to its per-region read replicas (the
-//! `SHIP` op in [`crate::net`]). Keeping the codec public and in one
+//! The journalling store ([`Journaled`](crate::backend::Journaled))
+//! records one of these lines per mutation — to disk ahead of the
+//! apply as a `JsonlStore`, to memory as a `ReplicatedStore` — and
+//! `csaw-replica` ships the very same lines from a leader to its
+//! per-region read replicas (the `SHIP` op in [`crate::net`]). Keeping the codec public and in one
 //! place guarantees the durable log and the replication stream can
 //! never drift apart: a replica replaying shipped lines runs the exact
 //! code `JsonlStore::open` runs on restart.

@@ -445,17 +445,16 @@ fn collector_failover_delivers_reports() {
         measured_at_us: 5,
         stages: vec![csaw_censor::BlockingType::SniDrop],
     }];
+    let batch = |at| csaw::global::Batch::new(client, reports.clone(), SimTime::from_secs(at));
     let receipt = set
-        .submit(&server, client, &reports, SimTime::from_secs(10), &mut rng)
+        .submit(&server, batch(10), &mut rng)
         .expect("one collector still reachable");
     assert_eq!(receipt.via, "collector-b.onion");
     assert_eq!(server.stats().unique_blocked_urls, 1);
     // Censor completes the sweep: now submission fails loudly (the
     // client keeps the batch queued for later).
     set.set_reachable("collector-b.onion", false);
-    let err = set
-        .submit(&server, client, &reports, SimTime::from_secs(20), &mut rng)
-        .unwrap_err();
+    let err = set.submit(&server, batch(20), &mut rng).unwrap_err();
     assert_eq!(err, SubmitError::AllCollectorsBlocked);
 }
 
@@ -536,18 +535,19 @@ fn client_posts_reports_via_collectors() {
     assert_eq!(err, SubmitError::AllCollectorsBlocked);
     assert_eq!(server.stats().unique_blocked_urls, 0);
 
-    // One collector recovers: the same queue drains.
+    // One collector recovers: once the backoff the failure armed has
+    // run out, the same queue drains.
     set.set_reachable("collector-b.onion", true);
-    let receipt = client
-        .post_reports_via(&set, &server, SimTime::from_secs(20))
-        .unwrap();
+    let retry_at = client.next_report_at().expect("the failure armed backoff");
+    assert!(retry_at > SimTime::from_secs(20));
+    let receipt = client.post_reports_via(&set, &server, retry_at).unwrap();
     assert!(receipt.accepted >= 1);
     assert_eq!(receipt.via, "collector-b.onion");
     assert!(server.stats().unique_blocked_urls >= 1);
 
     // Queue drained: a second post is a no-op.
     let receipt = client
-        .post_reports_via(&set, &server, SimTime::from_secs(30))
+        .post_reports_via(&set, &server, retry_at + SimDuration::from_secs(10))
         .unwrap();
     assert_eq!(receipt.accepted, 0);
 }
