@@ -1,11 +1,17 @@
-//! Shared command-line plumbing for the `exp_*` binaries.
+//! Shared command-line plumbing for the `exp` and `report` binaries.
 //!
-//! Every experiment binary accepts the same flags (`--seed`, `--jobs`,
-//! `--metrics-out`, `--trace-out`, `-v`); the single source of truth for
-//! their help text is [`COMMON_HELP`], which every binary's `--help`
-//! prints verbatim — fix wording there, never in a binary.
+//! Three things live here and nowhere else:
 //!
-//! [`ExpCli::parse`] installs a process-wide [`csaw_obs`] context — a
+//! - the **flag loop** ([`parse_args`]): every command of both binaries
+//!   walks its arguments through it, so `--help`, a missing value and an
+//!   unknown flag behave the same everywhere;
+//! - the **exit-code table** ([`exit`]): one meaning per number across
+//!   both binaries, printed by every `--help`;
+//! - the flags every experiment accepts (`--seed`, `--jobs`,
+//!   `--metrics-out`, `--trace-out`, `-v`, …), documented once in
+//!   [`COMMON_HELP`] — fix wording there, never in a command.
+//!
+//! [`ExpCli::from_args`] installs a process-wide [`csaw_obs`] context — a
 //! fresh registry, a [`ManualClock`] driven by the simnet virtual clock,
 //! and a sink chosen by the flags (null by default, so the hot paths pay
 //! nothing). [`ExpCli::finish`] dumps the snapshot. The snapshot is a
@@ -13,6 +19,8 @@
 //! byte-identical JSON, *regardless of `--jobs`* — the parallel runner
 //! merges per-trial telemetry in trial order behind a barrier.
 
+use crate::healthreport::{self, HealthInput};
+use crate::scorecard::Scorecard;
 use csaw_obs::chrome::ChromeTraceSink;
 use csaw_obs::clock::ManualClock;
 use csaw_obs::contention::PerfMode;
@@ -21,13 +29,55 @@ use csaw_obs::sink::{FilterSink, JsonlSink, NullSink, Sink, StderrSink, TeeSink}
 use csaw_obs::slo::{SloSet, VIOLATION_EVENT};
 use csaw_obs::timeseries::{WindowCfg, FRAME_EVENT};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::Arc;
 
-/// Help text for the flags shared by every `exp_*` binary — the single
-/// source of truth; `usage()` splices it into every binary's `--help`.
-pub const COMMON_HELP: &str = "\
-  --seed N            experiment seed (default 1, the EXPERIMENTS.md seed)
+/// Process exit codes of `exp` and `report` — one table, so a CI step
+/// can tell *why* a command failed without knowing which one it ran.
+pub mod exit {
+    /// The input is not usable evidence: a trace whose fetch trees do
+    /// not sum (or that has none), a frames file with no frames under
+    /// `--gate`.
+    pub const NO_EVIDENCE: i32 = 1;
+    /// Usage, I/O or parse error.
+    pub const USAGE: i32 = 2;
+    /// A gate on measured values failed: trace PLT regression,
+    /// scorecard timing regression or `--gate-health` floor, SLO
+    /// violation under `--gate`.
+    pub const GATE: i32 = 3;
+    /// Correctness: deterministic-field mismatch, silent report loss.
+    pub const CORRECTNESS: i32 = 4;
+    /// Delivery ratio fell below `--min-delivery`.
+    pub const DELIVERY: i32 = 5;
+    /// A replica missed the leader's fingerprint after heal.
+    pub const NOT_CONVERGED: i32 = 6;
+    /// An `--expect`ed SLO rule never fired.
+    pub const ALERT_MISSING: i32 = 7;
+
+    /// The table as every `--help` prints it.
+    pub const HELP: &str = "\
+exit codes:
+  0  ok
+  1  input is not usable evidence (trace trees do not sum, no fetch
+     trees, no frames under --gate)
+  2  usage, I/O or parse error
+  3  a gate on measured values failed (trace PLT regression, scorecard
+     timing regression or --gate-health floor, SLO violation under --gate)
+  4  correctness: deterministic-field mismatch, silent report loss
+  5  delivery ratio below --min-delivery
+  6  replica not converged after heal
+  7  an --expect'ed SLO rule never fired";
+}
+
+/// The outcome of a gate: `Err` carries the [`exit`] code and the reason
+/// for stderr.
+pub type Verdict = Result<(), (i32, String)>;
+
+/// Help text for the flags shared by every experiment — the single
+/// source of truth; `usage()` splices it into every `exp <name> --help`.
+pub const COMMON_HELP: &str =
+    "  --seed N            experiment seed (default 1, the EXPERIMENTS.md seed)
   --jobs N            worker threads for independent trials (default 1;
                       0 = all available cores); output is byte-identical
                       for every N
@@ -36,14 +86,97 @@ pub const COMMON_HELP: &str = "\
                       format (chrome://tracing, Perfetto), anything else
                       streams raw JSONL events
   --perf MODE         perf-attribution telemetry: off | virtual | wall
-                      (off unless the binary documents another default;
-                      wall records real lock wait/hold time and so makes
-                      snapshots machine-dependent)
+                      (off unless the experiment documents another
+                      default; wall records real lock wait/hold time and
+                      so makes snapshots machine-dependent)
   --window SECS       telemetry window length, virtual seconds (0 = off);
-                      overrides the binary's documented default
+                      overrides the experiment's documented default
   --frames-out PATH   write `ts.frame`/`slo.violation` events as JSONL,
-                      the input format of the health-report binary
+                      the input format of `report health`
   -v, --verbose       progress events to stderr (stdout stays parseable)";
+
+/// Print `cmd: msg` and the usage text, then exit [`exit::USAGE`].
+pub fn die(cmd: &str, usage: &str, msg: &str) -> ! {
+    eprintln!("{cmd}: {msg}\n{usage}");
+    std::process::exit(exit::USAGE);
+}
+
+/// Parse one flag value, or die naming the flag.
+pub fn parse_value<T: FromStr>(cmd: &str, usage: &str, flag: &str, v: &str) -> T {
+    v.trim()
+        .parse()
+        .unwrap_or_else(|_| die(cmd, usage, &format!("bad {flag} {v:?}")))
+}
+
+/// The one flag loop. Walks `args`, handing each to `on(arg, value)`;
+/// `value()` pulls the next argument as the flag's value (a missing
+/// value is a usage error) and `on` returns `false` for an argument it
+/// does not know, which is a usage error too. `-h`/`--help` prints
+/// `usage` and the [`exit::HELP`] table and exits 0.
+pub fn parse_args(
+    cmd: &str,
+    usage: &str,
+    args: &[String],
+    mut on: impl FnMut(&str, &mut dyn FnMut() -> String) -> bool,
+) {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == "-h" || a == "--help" {
+            println!("{usage}\n\n{}", exit::HELP);
+            std::process::exit(0);
+        }
+        let mut value = || {
+            it.next()
+                .cloned()
+                .unwrap_or_else(|| die(cmd, usage, &format!("{a} needs a value")))
+        };
+        if !on(a, &mut value) {
+            let kind = if a.starts_with('-') {
+                "unknown flag"
+            } else {
+                "unexpected argument"
+            };
+            die(cmd, usage, &format!("{kind} {a:?}"));
+        }
+    }
+}
+
+/// The experiment-specific value flags one command line carried, keyed
+/// by flag name; a flag given twice keeps the last value.
+pub struct Flags {
+    cmd: String,
+    usage: String,
+    values: HashMap<String, String>,
+}
+
+impl Flags {
+    /// Reject the command line: print `msg` and the usage text, exit
+    /// [`exit::USAGE`].
+    pub fn die(&self, msg: &str) -> ! {
+        die(&self.cmd, &self.usage, msg)
+    }
+
+    /// The raw value of `flag`, if it was given.
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        self.values.get(flag).map(String::as_str)
+    }
+
+    /// `flag` parsed as a number, `default` when absent; a value that
+    /// does not parse is a usage error, never a silent fallback.
+    pub fn numeric<T: FromStr>(&self, flag: &str, default: T) -> T {
+        self.get(flag)
+            .map_or(default, |v| parse_value(&self.cmd, &self.usage, flag, v))
+    }
+
+    /// `flag` parsed as a comma-separated list, `None` when absent.
+    pub fn list<T: FromStr>(&self, flag: &str) -> Option<Vec<T>> {
+        self.get(flag).map(|v| {
+            v.split(',')
+                .map(|item| parse_value(&self.cmd, &self.usage, flag, item))
+                .collect()
+        })
+    }
+}
 
 /// Parsed telemetry flags plus the installed observability scope.
 pub struct ExpCli {
@@ -53,24 +186,24 @@ pub struct ExpCli {
     /// `--jobs 0` resolves to the number of available cores).
     pub jobs: usize,
     /// Perf-attribution mode from `--perf`, `None` when the flag was
-    /// absent (so a binary can apply its own default via
+    /// absent (so an experiment can apply its own default via
     /// [`ExpCli::default_perf`]).
     pub perf: Option<PerfMode>,
     /// Telemetry window length in virtual seconds from `--window`,
-    /// `None` when absent (the binary's [`ExpCli::default_window`]
+    /// `None` when absent (the experiment's [`ExpCli::default_window`]
     /// applies then). `Some(0.0)` explicitly disables windowing.
     pub window: Option<f64>,
     metrics_out: Option<PathBuf>,
     frames_out: Option<PathBuf>,
     ctx: Arc<ObsCtx>,
-    // Keeps the thread-local scope alive for the binary's lifetime.
+    // Keeps the thread-local scope alive for the process's lifetime.
     _guard: ScopeGuard,
 }
 
-/// Full `--help`/usage text: the [`COMMON_HELP`] flags plus one line per
+/// Usage text for `cmd`: the [`COMMON_HELP`] flags plus one line per
 /// experiment-specific `(flag, help)` pair.
-fn usage(bin: &str, extra_flags: &[(&str, &str)]) -> String {
-    let mut u = format!("usage: {bin} [flags]\n\ncommon flags:\n{COMMON_HELP}");
+fn usage(cmd: &str, extra_flags: &[(&str, &str)]) -> String {
+    let mut u = format!("usage: {cmd} [flags]\n\ncommon flags:\n{COMMON_HELP}");
     if !extra_flags.is_empty() {
         u.push_str("\n\nexperiment flags:");
         for (flag, help) in extra_flags {
@@ -81,38 +214,16 @@ fn usage(bin: &str, extra_flags: &[(&str, &str)]) -> String {
 }
 
 impl ExpCli {
-    /// Parse `std::env::args`, install the observability scope, and
-    /// return the handle. Exits the process on `--help` or bad flags.
-    pub fn parse() -> ExpCli {
-        let args: Vec<String> = std::env::args().collect();
-        Self::from_args(&args)
-    }
-
-    /// Like [`ExpCli::parse`], but also accepts the experiment-specific
-    /// value flags listed in `extra_flags` as `(flag, help)` pairs (e.g.
-    /// `&[("--clients", "worker clients to simulate")]`); the help text
-    /// lands in `--help` under "experiment flags". The collected values
-    /// come back keyed by flag name; a flag given twice keeps the last
-    /// value.
-    pub fn parse_with_extras(extra_flags: &[(&str, &str)]) -> (ExpCli, HashMap<String, String>) {
-        let args: Vec<String> = std::env::args().collect();
-        Self::from_args_with_extras(&args, extra_flags)
-    }
-
-    /// Testable parser over an explicit argv (`args[0]` is the binary).
-    pub fn from_args(args: &[String]) -> ExpCli {
-        Self::from_args_with_extras(args, &[]).0
-    }
-
-    /// Testable variant of [`ExpCli::parse_with_extras`].
-    pub fn from_args_with_extras(
-        args: &[String],
-        extra_flags: &[(&str, &str)],
-    ) -> (ExpCli, HashMap<String, String>) {
-        let bin = args
-            .first()
-            .map(|s| s.rsplit('/').next().unwrap_or(s).to_string())
-            .unwrap_or_else(|| "exp".into());
+    /// Parse `args` (the arguments after the command name `cmd`, which
+    /// only labels messages), install the observability scope, and
+    /// return the handle. Besides the common flags, accepts the
+    /// experiment-specific value flags listed in `extra_flags` as
+    /// `(flag, help)` pairs (e.g. `&[("--clients", "worker clients to
+    /// simulate")]`); their help lands in `--help` under "experiment
+    /// flags" and their values come back in the [`Flags`]. Exits the
+    /// process on `--help` or bad flags.
+    pub fn from_args(cmd: &str, args: &[String], extra_flags: &[(&str, &str)]) -> (ExpCli, Flags) {
+        let usage = usage(cmd, extra_flags);
         let mut seed = 1u64;
         let mut jobs = 1usize;
         let mut perf: Option<PerfMode> = None;
@@ -121,29 +232,12 @@ impl ExpCli {
         let mut trace_out: Option<PathBuf> = None;
         let mut frames_out: Option<PathBuf> = None;
         let mut verbosity = 0u8;
-        let mut extras = HashMap::new();
-        let mut it = args.iter().skip(1);
-        while let Some(a) = it.next() {
-            let mut value = |flag: &str| {
-                it.next().map(String::to_string).unwrap_or_else(|| {
-                    eprintln!("{bin}: {flag} needs a value\n{}", usage(&bin, extra_flags));
-                    std::process::exit(2);
-                })
-            };
-            match a.as_str() {
-                "--seed" => {
-                    let v = value("--seed");
-                    seed = v.parse().unwrap_or_else(|_| {
-                        eprintln!("{bin}: bad --seed {v:?}\n{}", usage(&bin, extra_flags));
-                        std::process::exit(2);
-                    });
-                }
+        let mut values = HashMap::new();
+        parse_args(cmd, &usage, args, |a, value| {
+            match a {
+                "--seed" => seed = parse_value(cmd, &usage, a, &value()),
                 "--jobs" => {
-                    let v = value("--jobs");
-                    jobs = v.parse().unwrap_or_else(|_| {
-                        eprintln!("{bin}: bad --jobs {v:?}\n{}", usage(&bin, extra_flags));
-                        std::process::exit(2);
-                    });
+                    jobs = parse_value(cmd, &usage, a, &value());
                     if jobs == 0 {
                         jobs = std::thread::available_parallelism()
                             .map(|n| n.get())
@@ -151,56 +245,47 @@ impl ExpCli {
                     }
                 }
                 "--perf" => {
-                    let v = value("--perf");
+                    let v = value();
                     perf = Some(PerfMode::parse(&v).unwrap_or_else(|| {
-                        eprintln!("{bin}: bad --perf {v:?} (off | virtual | wall)");
-                        std::process::exit(2);
+                        die(
+                            cmd,
+                            &usage,
+                            &format!("bad --perf {v:?} (off | virtual | wall)"),
+                        )
                     }));
                 }
                 "--window" => {
-                    let v = value("--window");
-                    window = Some(v.parse::<f64>().ok().filter(|w| *w >= 0.0).unwrap_or_else(
-                        || {
-                            eprintln!("{bin}: bad --window {v:?}\n{}", usage(&bin, extra_flags));
-                            std::process::exit(2);
-                        },
-                    ));
+                    let v = value();
+                    let secs: f64 = parse_value(cmd, &usage, a, &v);
+                    if secs.is_nan() || secs < 0.0 {
+                        die(cmd, &usage, &format!("bad --window {v:?}"));
+                    }
+                    window = Some(secs);
                 }
-                "--metrics-out" => metrics_out = Some(PathBuf::from(value("--metrics-out"))),
-                "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out"))),
-                "--frames-out" => frames_out = Some(PathBuf::from(value("--frames-out"))),
+                "--metrics-out" => metrics_out = Some(PathBuf::from(value())),
+                "--trace-out" => trace_out = Some(PathBuf::from(value())),
+                "--frames-out" => frames_out = Some(PathBuf::from(value())),
                 "-v" | "--verbose" => verbosity += 1,
-                "-h" | "--help" => {
-                    println!("{}", usage(&bin, extra_flags));
-                    std::process::exit(0);
-                }
                 other if extra_flags.iter().any(|(f, _)| *f == other) => {
-                    let v = value(other);
-                    extras.insert(other.to_string(), v);
+                    values.insert(other.to_string(), value());
                 }
-                other => {
-                    eprintln!(
-                        "{bin}: unknown flag {other:?}\n{}",
-                        usage(&bin, extra_flags)
-                    );
-                    std::process::exit(2);
-                }
+                _ => return false,
             }
-        }
+            true
+        });
+        let open_failed = |path: &Path, e: std::io::Error| -> ! {
+            die(cmd, &usage, &format!("cannot open {}: {e}", path.display()))
+        };
         let sink: Arc<dyn Sink> = match &trace_out {
             // `.json` means a self-contained Chrome-trace file (open it in
             // chrome://tracing or Perfetto); any other extension streams
             // raw JSONL events, one per line, as they happen.
             Some(path) if path.extension().and_then(|e| e.to_str()) == Some("json") => {
-                Arc::new(ChromeTraceSink::create(path).unwrap_or_else(|e| {
-                    eprintln!("{bin}: cannot open {}: {e}", path.display());
-                    std::process::exit(2);
-                }))
+                Arc::new(ChromeTraceSink::create(path).unwrap_or_else(|e| open_failed(path, e)))
             }
-            Some(path) => Arc::new(JsonlSink::create(path).unwrap_or_else(|e| {
-                eprintln!("{bin}: cannot open {}: {e}", path.display());
-                std::process::exit(2);
-            })),
+            Some(path) => {
+                Arc::new(JsonlSink::create(path).unwrap_or_else(|e| open_failed(path, e)))
+            }
             None if verbosity >= 2 => Arc::new(StderrSink),
             None => Arc::new(NullSink),
         };
@@ -209,10 +294,7 @@ impl ExpCli {
         // null sink: the tee's enabled() gate turns event emission on).
         let sink: Arc<dyn Sink> = match &frames_out {
             Some(path) => {
-                let frames = JsonlSink::create(path).unwrap_or_else(|e| {
-                    eprintln!("{bin}: cannot open {}: {e}", path.display());
-                    std::process::exit(2);
-                });
+                let frames = JsonlSink::create(path).unwrap_or_else(|e| open_failed(path, e));
                 Arc::new(TeeSink::new(vec![
                     sink,
                     Arc::new(FilterSink::new(
@@ -246,11 +328,16 @@ impl ExpCli {
             ctx,
             _guard: guard,
         };
-        (cli, extras)
+        let flags = Flags {
+            cmd: cmd.to_string(),
+            usage,
+            values,
+        };
+        (cli, flags)
     }
 
-    /// Apply a binary-specific default perf mode when `--perf` was not
-    /// given (exp_scale defaults to `wall` so every run yields an
+    /// Apply an experiment-specific default perf mode when `--perf` was
+    /// not given (`exp scale` defaults to `wall` so every run yields an
     /// attributable scorecard; everything else stays `off`).
     pub fn default_perf(&self, mode: PerfMode) {
         if self.perf.is_none() {
@@ -259,8 +346,8 @@ impl ExpCli {
     }
 
     /// Configure windowed telemetry: `--window` when given, else the
-    /// binary's `default_secs`; zero (from either source) leaves the
-    /// timeline disabled. `slos` is the binary's rule set, evaluated at
+    /// experiment's `default_secs`; zero (from either source) leaves the
+    /// timeline disabled. `slos` is the experiment's rule set, evaluated at
     /// every window close. Call once, before running the experiment.
     pub fn default_window(&self, default_secs: f64, slos: Arc<SloSet>) {
         let secs = self.window.unwrap_or(default_secs);
@@ -274,6 +361,28 @@ impl ExpCli {
     /// The installed observability context.
     pub fn ctx(&self) -> &Arc<ObsCtx> {
         &self.ctx
+    }
+
+    /// Write `card` to `path` with the run's windowed-health summary
+    /// (window count, SLO rules violated) attached; exits
+    /// [`exit::USAGE`] when the file cannot be written.
+    pub fn write_card(&self, mut card: Scorecard, path: &Path) {
+        // Close the open telemetry window so the health section sees
+        // the run's series (finish() flushes again; the extra idle tail
+        // frame is skipped by the coverage rule).
+        self.ctx.flush_timeline();
+        let timeline = &self.ctx.timeline;
+        if timeline.enabled() {
+            card.health = healthreport::health_json(&HealthInput {
+                frames: timeline.recent_frames(),
+                violations: timeline.violations(),
+            });
+        }
+        if let Err(e) = card.write(path) {
+            eprintln!("cannot write {}: {e}", path.display());
+            std::process::exit(exit::USAGE);
+        }
+        eprintln!("scorecard -> {}", path.display());
     }
 
     /// Deterministic JSON snapshot of the metrics registry.
@@ -299,7 +408,7 @@ impl ExpCli {
             let json = self.snapshot_json();
             if let Err(e) = std::fs::write(path, json + "\n") {
                 eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
+                std::process::exit(exit::USAGE);
             }
             csaw_obs::event::progress(&format!("metrics snapshot -> {}", path.display()));
         }
@@ -313,16 +422,18 @@ impl ExpCli {
 mod tests {
     use super::*;
 
-    fn argv(rest: &[&str]) -> Vec<String> {
-        std::iter::once("exp_test")
-            .chain(rest.iter().copied())
-            .map(String::from)
-            .collect()
+    fn parse(args: &[&str]) -> ExpCli {
+        parse_with(args, &[]).0
+    }
+
+    fn parse_with(args: &[&str], extra_flags: &[(&str, &str)]) -> (ExpCli, Flags) {
+        let args: Vec<String> = args.iter().copied().map(String::from).collect();
+        ExpCli::from_args("exp test", &args, extra_flags)
     }
 
     #[test]
     fn defaults() {
-        let cli = ExpCli::from_args(&argv(&[]));
+        let cli = parse(&[]);
         assert_eq!(cli.seed, 1);
         assert_eq!(cli.jobs, 1, "serial by default");
         assert!(cli.metrics_out.is_none());
@@ -331,15 +442,15 @@ mod tests {
 
     #[test]
     fn jobs_parses_and_zero_means_all_cores() {
-        let cli = ExpCli::from_args(&argv(&["--jobs", "8"]));
+        let cli = parse(&["--jobs", "8"]);
         assert_eq!(cli.jobs, 8);
-        let cli = ExpCli::from_args(&argv(&["--jobs", "0"]));
+        let cli = parse(&["--jobs", "0"]);
         assert!(cli.jobs >= 1, "0 resolves to available cores");
     }
 
     #[test]
     fn usage_lists_common_and_extra_flags() {
-        let u = usage("exp_x", &[("--clients", "worker clients")]);
+        let u = usage("exp x", &[("--clients", "worker clients")]);
         assert!(u.contains(COMMON_HELP), "common help embedded verbatim");
         assert!(u.contains("--jobs N"), "jobs documented");
         assert!(u.contains("--clients VALUE"));
@@ -348,13 +459,13 @@ mod tests {
 
     #[test]
     fn perf_flag_sets_scope_mode_and_default_perf_defers_to_it() {
-        let cli = ExpCli::from_args(&argv(&[]));
+        let cli = parse(&[]);
         assert_eq!(cli.perf, None);
         assert_eq!(cli.ctx.perf_mode(), PerfMode::Off);
         cli.default_perf(PerfMode::Monotonic);
         assert_eq!(cli.ctx.perf_mode(), PerfMode::Monotonic, "binary default");
 
-        let cli = ExpCli::from_args(&argv(&["--perf", "virtual"]));
+        let cli = parse(&["--perf", "virtual"]);
         assert_eq!(cli.perf, Some(PerfMode::Virtual));
         assert_eq!(cli.ctx.perf_mode(), PerfMode::Virtual);
         cli.default_perf(PerfMode::Monotonic);
@@ -363,13 +474,13 @@ mod tests {
             PerfMode::Virtual,
             "explicit flag wins over the binary default"
         );
-        let cli = ExpCli::from_args(&argv(&["--perf", "wall"]));
+        let cli = parse(&["--perf", "wall"]);
         assert_eq!(cli.perf, Some(PerfMode::Monotonic));
     }
 
     #[test]
     fn seed_and_paths_parse() {
-        let cli = ExpCli::from_args(&argv(&["--seed", "42", "--metrics-out", "/tmp/m.json"]));
+        let cli = parse(&["--seed", "42", "--metrics-out", "/tmp/m.json"]);
         assert_eq!(cli.seed, 42);
         assert_eq!(
             cli.metrics_out.as_deref(),
@@ -379,19 +490,22 @@ mod tests {
 
     #[test]
     fn extras_collected_alongside_common_flags() {
-        let (cli, extras) = ExpCli::from_args_with_extras(
-            &argv(&["--clients", "500", "--seed", "3", "--threads", "1,2"]),
+        let (cli, flags) = parse_with(
+            &["--clients", "500", "--seed", "3", "--threads", "1,2"],
             &[("--clients", "clients"), ("--threads", "thread counts")],
         );
         assert_eq!(cli.seed, 3);
-        assert_eq!(extras.get("--clients").map(String::as_str), Some("500"));
-        assert_eq!(extras.get("--threads").map(String::as_str), Some("1,2"));
+        assert_eq!(flags.get("--clients"), Some("500"));
+        assert_eq!(flags.numeric("--clients", 6usize), 500);
+        assert_eq!(flags.numeric("--shards", 16usize), 16, "absent = default");
+        assert_eq!(flags.list::<usize>("--threads"), Some(vec![1, 2]));
+        assert_eq!(flags.list::<f64>("--fault-rates"), None);
     }
 
     #[test]
     fn trace_out_json_extension_selects_chrome_format() {
         let path = std::env::temp_dir().join("csaw_cli_chrome_test.json");
-        let cli = ExpCli::from_args(&argv(&["--trace-out", path.to_str().unwrap()]));
+        let cli = parse(&["--trace-out", path.to_str().unwrap()]);
         assert!(cli.ctx.sink.enabled());
         csaw_obs::event!("cli.format_test");
         cli.finish();
@@ -404,7 +518,7 @@ mod tests {
     #[test]
     fn trace_out_other_extension_streams_jsonl() {
         let path = std::env::temp_dir().join("csaw_cli_jsonl_test.jsonl");
-        let cli = ExpCli::from_args(&argv(&["--trace-out", path.to_str().unwrap()]));
+        let cli = parse(&["--trace-out", path.to_str().unwrap()]);
         csaw_obs::event!("cli.format_test");
         cli.finish();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -419,7 +533,7 @@ mod tests {
 
     #[test]
     fn window_flag_overrides_binary_default() {
-        let cli = ExpCli::from_args(&argv(&["--window", "60"]));
+        let cli = parse(&["--window", "60"]);
         assert_eq!(cli.window, Some(60.0));
         cli.default_window(3_600.0, Arc::new(SloSet::empty()));
         assert_eq!(
@@ -428,7 +542,7 @@ mod tests {
             "explicit --window wins over the binary default"
         );
 
-        let cli = ExpCli::from_args(&argv(&[]));
+        let cli = parse(&[]);
         assert_eq!(cli.window, None);
         cli.default_window(3_600.0, Arc::new(SloSet::empty()));
         assert_eq!(
@@ -436,7 +550,7 @@ mod tests {
             Some(3_600_000_000)
         );
 
-        let cli = ExpCli::from_args(&argv(&["--window", "0"]));
+        let cli = parse(&["--window", "0"]);
         cli.default_window(3_600.0, Arc::new(SloSet::empty()));
         assert!(!cli.ctx.timeline.enabled(), "--window 0 disables windowing");
     }
@@ -444,7 +558,7 @@ mod tests {
     #[test]
     fn frames_out_captures_only_frame_and_violation_events() {
         let path = std::env::temp_dir().join("csaw_cli_frames_test.jsonl");
-        let cli = ExpCli::from_args(&argv(&["--frames-out", path.to_str().unwrap()]));
+        let cli = parse(&["--frames-out", path.to_str().unwrap()]);
         assert!(
             cli.ctx.sink.enabled(),
             "frames tee must turn event emission on"
@@ -462,7 +576,7 @@ mod tests {
 
     #[test]
     fn snapshot_includes_seed_and_metrics() {
-        let cli = ExpCli::from_args(&argv(&["--seed", "7"]));
+        let cli = parse(&["--seed", "7"]);
         cli.ctx.registry.counter("x").inc();
         let json = cli.snapshot_json();
         let v = csaw_obs::json::JsonValue::parse(&json).unwrap();

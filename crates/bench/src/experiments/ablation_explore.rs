@@ -152,12 +152,7 @@ fn run_policy(explore_every: u32, seed: u64) -> PolicyOutcome {
 const POLICIES: [(u32, &str); 2] = [(5, "explore n=5"), (u32::MAX, "never explore")];
 
 /// Run the ablation.
-pub fn run(seed: u64) -> ExploreAblation {
-    run_jobs(seed, 1)
-}
-
-/// The ablation with one runner trial per policy.
-pub fn run_jobs(seed: u64, jobs: usize) -> ExploreAblation {
+pub fn run(seed: u64, jobs: usize) -> ExploreAblation {
     runner::run(&ExploreExp { seed }, jobs)
 }
 
@@ -217,7 +212,7 @@ mod tests {
 
     #[test]
     fn exploration_rediscovers_improved_relay() {
-        let a = run(81);
+        let a = run(81, 1);
         assert!(
             a.with.recovered_relay_uses > a.without.recovered_relay_uses,
             "with {} vs without {}",
@@ -234,7 +229,7 @@ mod tests {
 
     #[test]
     fn without_exploration_sticks_to_first_impression() {
-        let a = run(82);
+        let a = run(82, 1);
         // The never-explore client found nearby-relay congested early and
         // should essentially never return to it.
         assert!(

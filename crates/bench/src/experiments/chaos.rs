@@ -1,4 +1,4 @@
-//! `exp_chaos`: upload-pipeline delivery under injected faults.
+//! `exp chaos`: upload-pipeline delivery under injected faults.
 //!
 //! The paper's measurement value chain is only as good as the reports
 //! that actually reach the global DB. This experiment arms the
@@ -14,10 +14,10 @@
 //! `--window` that drives the windowed telemetry timeline: per-window
 //! delivery, staleness, and backoff series with `run=rate=<r>` labels,
 //! plus `slo.violation` events from the `SloSet::csaw_default` rules —
-//! the input `health-report` renders and gates on.
+//! the input `report health` renders and gates on.
 //!
-//! Two invariants are machine-checked (the `exp_chaos` binary exits
-//! non-zero when either breaks, which is what the CI chaos job runs):
+//! Two invariants are machine-checked ([`harness`] fails its verdict
+//! when either breaks, which is what the CI chaos job runs):
 //!
 //! - **zero silent loss**: `queued == posted + dropped + quarantined +
 //!   pending` on every client, and the store holds exactly one record
@@ -25,6 +25,7 @@
 //! - **determinism**: the rendered output is a pure function of the
 //!   seed — the CI job diffs two same-seed runs byte-for-byte.
 
+use crate::cli::{exit, ExpCli, Flags, Verdict};
 use crate::runner::{self, Experiment, TrialSpec};
 use csaw::client::CsawClient;
 use csaw::client::WireFault;
@@ -33,6 +34,7 @@ use csaw::global::{ConfidenceFilter, ServerDb};
 use csaw_censor::{profiles, Category};
 use csaw_circumvent::world::{SiteSpec, World};
 use csaw_faults::{FaultProfile, FaultyBackend, OutageSchedule};
+use csaw_obs::slo::SloSet;
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::{AccessNetwork, Provider, Region, Site};
 use csaw_store::{Decorator, ShardedStore};
@@ -124,7 +126,7 @@ pub(crate) fn chaos_world() -> World {
 
 fn run_rate(seed: u64, cfg: &ChaosConfig, rate: f64) -> ChaosRow {
     // Frames closed during this trial carry the swept rate as their run
-    // label, so health-report can attribute verdicts to config points.
+    // label, so `report health` can attribute verdicts to config points.
     csaw_obs::current()
         .timeline
         .set_run(&format!("rate={rate}"));
@@ -284,20 +286,70 @@ fn run_rate(seed: u64, cfg: &ChaosConfig, rate: f64) -> ChaosRow {
     }
 }
 
-/// Run the sweep.
-pub fn run(seed: u64, cfg: &ChaosConfig) -> Chaos {
-    run_jobs(seed, cfg, 1)
+/// Run the sweep, one runner trial per fault rate.
+pub fn run(seed: u64, cfg: &ChaosConfig, jobs: usize) -> Chaos {
+    let cfg = cfg.clone();
+    runner::run(&ChaosExp { seed, cfg }, jobs)
 }
 
-/// The sweep with one runner trial per fault rate.
-pub fn run_jobs(seed: u64, cfg: &ChaosConfig, jobs: usize) -> Chaos {
-    runner::run(
-        &ChaosExp {
-            seed,
-            cfg: cfg.clone(),
-        },
-        jobs,
-    )
+/// The value flags `exp chaos` reads.
+pub const FLAGS: &[(&str, &str)] = &[
+    ("--clients", "clients per fault rate (default 6)"),
+    ("--urls", "unique blocked URLs per client (default 8)"),
+    ("--rounds", "post opportunities per client (default 24)"),
+    (
+        "--fault-rates",
+        "comma list of rates (default 0.0,0.1,0.3,0.5)",
+    ),
+    (
+        "--min-delivery",
+        "fail below this delivery ratio (default 1.0)",
+    ),
+];
+
+/// `exp chaos`: sweep the fault rates and gate on the two invariants —
+/// silent loss (a client's accounting identity broke, a receipt failed
+/// to reconcile, or the store's record count disagrees with the posted
+/// counters) is a correctness failure; a delivery ratio below
+/// `--min-delivery` (default 1.0: with the default drain horizon every
+/// report must land) is a delivery failure.
+pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
+    let defaults = ChaosConfig::default();
+    let cfg = ChaosConfig {
+        clients: flags.numeric("--clients", defaults.clients),
+        urls_per_client: flags.numeric("--urls", defaults.urls_per_client),
+        fault_rates: flags.list("--fault-rates").unwrap_or(defaults.fault_rates),
+        drain_rounds: flags.numeric("--rounds", defaults.drain_rounds),
+    };
+    let min_delivery: f64 = flags.numeric("--min-delivery", 1.0);
+
+    // Virtual-hour health windows with the full C-Saw SLO set: the
+    // chaos sweep advances the shared clock, so delivery-ratio and
+    // staleness timelines come out per virtual hour of the run.
+    cli.default_window(3_600.0, Arc::new(SloSet::csaw_default()));
+
+    let result = run(cli.seed, &cfg, cli.jobs);
+    let verdict = if result.silent_loss() {
+        Err((
+            exit::CORRECTNESS,
+            "SILENT LOSS detected — accounting identity broken".to_string(),
+        ))
+    } else if let Some(row) = result
+        .rows
+        .iter()
+        .find(|r| r.delivery_ratio < min_delivery - 1e-9)
+    {
+        Err((
+            exit::DELIVERY,
+            format!(
+                "delivery ratio {:.3} at fault rate {:.2} below bound {:.3}",
+                row.delivery_ratio, row.fault_rate, min_delivery
+            ),
+        ))
+    } else {
+        Ok(())
+    };
+    (result.render(), verdict)
 }
 
 /// The sweep decomposed: one trial per fault rate. `run_rate` already
@@ -387,7 +439,7 @@ mod tests {
 
     #[test]
     fn no_silent_loss_at_thirty_percent() {
-        let c = run(1, &quick_cfg());
+        let c = run(1, &quick_cfg(), 1);
         assert!(!c.silent_loss(), "{}", c.render());
         // With enough drain rounds every report lands.
         for row in &c.rows {
@@ -401,13 +453,13 @@ mod tests {
 
     #[test]
     fn same_seed_same_render() {
-        let a = run(7, &quick_cfg()).render();
-        let b = run(7, &quick_cfg()).render();
+        let a = run(7, &quick_cfg(), 1).render();
+        let b = run(7, &quick_cfg(), 1).render();
         assert_eq!(a, b);
     }
 
     /// Run the sweep under hour windows + the full C-Saw SLO set (the
-    /// exp_chaos binary's configuration) and return the frame JSONL and
+    /// `exp chaos` configuration) and return the frame JSONL and
     /// violation JSONL streams the sink saw.
     fn windowed_run(seed: u64, cfg: &ChaosConfig, jobs: usize) -> (String, Vec<String>) {
         use csaw_obs::slo::VIOLATION_EVENT;
@@ -425,7 +477,7 @@ mod tests {
             Arc::new(SloSet::csaw_default()),
         ));
         let _guard = csaw_obs::install(ctx.clone());
-        let _ = run_jobs(seed, cfg, jobs);
+        let _ = run(seed, cfg, jobs);
         ctx.flush_timeline();
         let mut frames = Vec::new();
         let mut viols = Vec::new();

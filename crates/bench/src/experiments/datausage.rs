@@ -144,12 +144,7 @@ fn configs() -> [(&'static str, RedundancyMode, f64); 5] {
 }
 
 /// Run the ablation across redundancy modes and p values.
-pub fn run(seed: u64) -> DataUsage {
-    run_jobs(seed, 1)
-}
-
-/// The ablation with one runner trial per configuration.
-pub fn run_jobs(seed: u64, jobs: usize) -> DataUsage {
+pub fn run(seed: u64, jobs: usize) -> DataUsage {
     runner::run(&DataUsageExp { seed }, jobs)
 }
 
@@ -229,7 +224,7 @@ mod tests {
 
     #[test]
     fn overhead_grows_with_p() {
-        let d = run(71);
+        let d = run(71, 1);
         let p00 = d.row("parallel, p=0.00").overhead_pct();
         let p25 = d.row("parallel, p=0.25").overhead_pct();
         let p75 = d.row("parallel, p=0.75").overhead_pct();
@@ -238,7 +233,7 @@ mod tests {
 
     #[test]
     fn selective_redundancy_keeps_overhead_modest() {
-        let d = run(72);
+        let d = run(72, 1);
         // 6 distinct hosts in 60 requests: only ~10% of requests are
         // first contacts, so even parallel mode with p=0.25 stays well
         // under a blanket-duplication 100%.
@@ -249,7 +244,7 @@ mod tests {
 
     #[test]
     fn serial_and_staggered_cheaper_or_equal_to_parallel() {
-        let d = run(73);
+        let d = run(73, 1);
         let par = d.row("parallel, p=0.25").total_bytes;
         let ser = d.row("serial, p=0.25").total_bytes;
         // Serial only fetches the copy when blocking was detected — in a

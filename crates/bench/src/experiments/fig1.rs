@@ -123,30 +123,6 @@ pub struct Fig1Exp {
 }
 
 impl Fig1Exp {
-    /// Panel (a).
-    pub fn a(seed: u64) -> Fig1Exp {
-        Fig1Exp {
-            which: PanelExp::A,
-            seed,
-        }
-    }
-
-    /// Panel (b).
-    pub fn b(seed: u64) -> Fig1Exp {
-        Fig1Exp {
-            which: PanelExp::B,
-            seed,
-        }
-    }
-
-    /// Panel (c).
-    pub fn c(seed: u64) -> Fig1Exp {
-        Fig1Exp {
-            which: PanelExp::C,
-            seed,
-        }
-    }
-
     fn world(&self) -> World {
         match self.which {
             PanelExp::A => single_isp_world(csaw_censor::ISP_B_ASN, "ISP-B", csaw_censor::isp_b()),
@@ -269,33 +245,21 @@ impl Experiment for Fig1Exp {
 }
 
 /// Figure 1a: HTTPS/DF vs static proxies on ISP-B.
-pub fn run_1a(seed: u64) -> Panel {
-    run_1a_jobs(seed, 1)
-}
-
-/// Fig. 1a across `jobs` workers.
-pub fn run_1a_jobs(seed: u64, jobs: usize) -> Panel {
-    runner::run(&Fig1Exp::a(seed), jobs)
+pub fn run_1a(seed: u64, jobs: usize) -> Panel {
+    let which = PanelExp::A;
+    runner::run(&Fig1Exp { which, seed }, jobs)
 }
 
 /// Figure 1b: direct HTTPS vs Tor, grouped by exit region.
-pub fn run_1b(seed: u64) -> Panel {
-    run_1b_jobs(seed, 1)
-}
-
-/// Fig. 1b across `jobs` workers.
-pub fn run_1b_jobs(seed: u64, jobs: usize) -> Panel {
-    runner::run(&Fig1Exp::b(seed), jobs)
+pub fn run_1b(seed: u64, jobs: usize) -> Panel {
+    let which = PanelExp::B;
+    runner::run(&Fig1Exp { which, seed }, jobs)
 }
 
 /// Figure 1c: Lantern vs "IP as hostname" on a keyword filter.
-pub fn run_1c(seed: u64) -> Panel {
-    run_1c_jobs(seed, 1)
-}
-
-/// Fig. 1c across `jobs` workers.
-pub fn run_1c_jobs(seed: u64, jobs: usize) -> Panel {
-    runner::run(&Fig1Exp::c(seed), jobs)
+pub fn run_1c(seed: u64, jobs: usize) -> Panel {
+    let which = PanelExp::C;
+    runner::run(&Fig1Exp { which, seed }, jobs)
 }
 
 #[cfg(test)]
@@ -304,7 +268,7 @@ mod tests {
 
     #[test]
     fn fig1a_df_beats_every_proxy_median() {
-        let p = run_1a(1);
+        let p = run_1a(1, 1);
         let df = p.series("HTTPS/DF").median();
         for s in &p.series {
             if s.label == "HTTPS/DF" {
@@ -327,7 +291,7 @@ mod tests {
 
     #[test]
     fn fig1b_https_beats_every_tor_exit() {
-        let p = run_1b(2);
+        let p = run_1b(2, 1);
         let https = p.series("HTTPS").median();
         let tor_series: Vec<&Cdf> = p
             .series
@@ -351,7 +315,7 @@ mod tests {
 
     #[test]
     fn fig1c_lantern_about_1_5x_slower() {
-        let p = run_1c(3);
+        let p = run_1c(3, 1);
         let iph = p.series("IP as hostname").median();
         let lantern = p.series("Lantern").median();
         let ratio = lantern / iph;
@@ -363,7 +327,7 @@ mod tests {
 
     #[test]
     fn panels_render() {
-        let p = run_1c(4);
+        let p = run_1c(4, 1);
         let s = p.render();
         assert!(s.contains("Lantern") && s.contains("IP as hostname"));
     }

@@ -81,12 +81,7 @@ fn world_for(mix: &AsMixture, domains: &[String]) -> World {
 }
 
 /// Run the Figure 2 sweep: 100 censored domains per AS.
-pub fn run(seed: u64) -> Fig2 {
-    run_jobs(seed, 1)
-}
-
-/// Fig. 2 with one trial per AS mixture fanned across `jobs` workers.
-pub fn run_jobs(seed: u64, jobs: usize) -> Fig2 {
+pub fn run(seed: u64, jobs: usize) -> Fig2 {
     runner::run(&Fig2Exp { seed }, jobs)
 }
 
@@ -197,7 +192,7 @@ mod tests {
 
     #[test]
     fn recovered_matches_configured_within_tolerance() {
-        let f = run(11);
+        let f = run(11, 1);
         assert_eq!(f.bars.len(), 8);
         for b in &f.bars {
             for i in 0..5 {
@@ -217,7 +212,7 @@ mod tests {
 
     #[test]
     fn country_stories_hold() {
-        let f = run(12);
+        let f = run(12, 1);
         // Yemen (AS30873): NoHttpResp dominates.
         let yemen = f.bars.iter().find(|b| b.asn == 30873).unwrap();
         let no_http_idx = 2;

@@ -194,14 +194,9 @@ impl Experiment for Fig5aExp {
     }
 }
 
-/// Run Fig. 5a serially: 30 runs per (type, mode). Page sizes per
+/// Run Fig. 5a: 30 runs per (type, mode). Page sizes per
 /// blocking type follow the figure's annotations.
-pub fn run_5a(seed: u64) -> Fig5a {
-    run_5a_jobs(seed, 1)
-}
-
-/// Run Fig. 5a with its eight trials fanned across `jobs` workers.
-pub fn run_5a_jobs(seed: u64, jobs: usize) -> Fig5a {
+pub fn run_5a(seed: u64, jobs: usize) -> Fig5a {
     runner::run(&Fig5aExp { seed }, jobs)
 }
 
@@ -238,13 +233,7 @@ pub struct Fig5bc {
 /// on an unblocked page the user always takes the direct copy, so the
 /// redundant copy contributes only *load*: full overlap for "2 copies",
 /// partial overlap (after the 2 s stagger) for "2 copies (with delay)".
-pub fn run_5bc(page_host: &str, title: &str, seed: u64) -> Fig5bc {
-    run_5bc_jobs(page_host, title, seed, 1)
-}
-
-/// [`run_5bc`] with the three redundancy-shape series as parallel
-/// trials.
-pub fn run_5bc_jobs(page_host: &str, title: &str, seed: u64, jobs: usize) -> Fig5bc {
+fn run_5bc(page_host: &str, title: &str, seed: u64, jobs: usize) -> Fig5bc {
     runner::run(
         &Fig5bcExp {
             page_host: page_host.to_string(),
@@ -359,13 +348,8 @@ impl Experiment for Fig5bcExp {
 }
 
 /// Fig. 5b: the small (95 KB) page.
-pub fn run_5b(seed: u64) -> Fig5bc {
-    run_5b_jobs(seed, 1)
-}
-
-/// Fig. 5b across `jobs` workers.
-pub fn run_5b_jobs(seed: u64, jobs: usize) -> Fig5bc {
-    run_5bc_jobs(
+pub fn run_5b(seed: u64, jobs: usize) -> Fig5bc {
+    run_5bc(
         SMALL_PAGE,
         "Figure 5b: small unblocked page (95KB)",
         seed,
@@ -374,13 +358,8 @@ pub fn run_5b_jobs(seed: u64, jobs: usize) -> Fig5bc {
 }
 
 /// Fig. 5c: the larger (316 KB) page.
-pub fn run_5c(seed: u64) -> Fig5bc {
-    run_5c_jobs(seed, 1)
-}
-
-/// Fig. 5c across `jobs` workers.
-pub fn run_5c_jobs(seed: u64, jobs: usize) -> Fig5bc {
-    run_5bc_jobs(
+pub fn run_5c(seed: u64, jobs: usize) -> Fig5bc {
+    run_5bc(
         LARGE_PAGE,
         "Figure 5c: larger unblocked page (316KB)",
         seed,
@@ -409,7 +388,7 @@ mod tests {
 
     #[test]
     fn fig5a_parallel_cuts_plt_forty_to_ninety_pct() {
-        let f = run_5a(21);
+        let f = run_5a(21, 1);
         assert_eq!(f.bars.len(), 4);
         for b in &f.bars {
             assert!(
@@ -441,7 +420,7 @@ mod tests {
 
     #[test]
     fn fig5b_staggered_matches_single_copy_median() {
-        let f = run_5b(22);
+        let f = run_5b(22, 1);
         let one = f.series("1 copy").median();
         let two = f.series("2 copies").median();
         let staggered = f.series("2 copies (with delay)").median();
@@ -457,7 +436,7 @@ mod tests {
 
     #[test]
     fn fig5c_staggering_beats_blind_duplication() {
-        let f = run_5c(23);
+        let f = run_5c(23, 1);
         let two = f.series("2 copies").median();
         let staggered = f.series("2 copies (with delay)").median();
         assert!(

@@ -36,13 +36,7 @@ pub struct Fig6a {
 /// the client (they are slow, bandwidth-light flows); a third saturates
 /// it — the calibration behind the paper's finding that the second copy
 /// buys ~30% at the median while the third only fattens the p95 (+17%).
-pub fn run_6a(seed: u64) -> Fig6a {
-    run_6a_jobs(seed, 1)
-}
-
-/// Fig. 6a with its three redundancy levels (k = 1..3) as parallel
-/// trials.
-pub fn run_6a_jobs(seed: u64, jobs: usize) -> Fig6a {
+pub fn run_6a(seed: u64, jobs: usize) -> Fig6a {
     runner::run(&Fig6aExp { seed }, jobs)
 }
 
@@ -221,7 +215,7 @@ mod tests {
 
     #[test]
     fn fig6a_two_copies_help_three_hurt_the_tail() {
-        let f = run_6a(31);
+        let f = run_6a(31, 1);
         let one = f.series("1 RReq.");
         let two = f.series("2 RReqs.");
         let three = f.series("3 RReqs.");

@@ -180,12 +180,7 @@ impl Experiment for Fig7PanelExp {
 }
 
 /// Fig. 7a: DNS-blocked page.
-pub fn run_7a(seed: u64) -> Panel {
-    run_7a_jobs(seed, 1)
-}
-
-/// Fig. 7a across `jobs` workers.
-pub fn run_7a_jobs(seed: u64, jobs: usize) -> Panel {
+pub fn run_7a(seed: u64, jobs: usize) -> Panel {
     runner::run(
         &Fig7PanelExp {
             kind: PanelKind::Dns,
@@ -196,12 +191,7 @@ pub fn run_7a_jobs(seed: u64, jobs: usize) -> Panel {
 }
 
 /// Fig. 7b: unblocked page.
-pub fn run_7b(seed: u64) -> Panel {
-    run_7b_jobs(seed, 1)
-}
-
-/// Fig. 7b across `jobs` workers.
-pub fn run_7b_jobs(seed: u64, jobs: usize) -> Panel {
+pub fn run_7b(seed: u64, jobs: usize) -> Panel {
     runner::run(
         &Fig7PanelExp {
             kind: PanelKind::Clean,
@@ -268,12 +258,7 @@ impl Experiment for Fig7cExp {
 
 /// Fig. 7c: multi-stage blocking; C-Saw's relay restricted to Lantern vs
 /// to Tor.
-pub fn run_7c(seed: u64) -> Panel {
-    run_7c_jobs(seed, 1)
-}
-
-/// Fig. 7c across `jobs` workers.
-pub fn run_7c_jobs(seed: u64, jobs: usize) -> Panel {
+pub fn run_7c(seed: u64, jobs: usize) -> Panel {
     runner::run(&Fig7cExp { seed }, jobs)
 }
 
@@ -283,7 +268,7 @@ mod tests {
 
     #[test]
     fn fig7a_csaw_beats_lantern_beats_tor() {
-        let p = run_7a(71);
+        let p = run_7a(71, 1);
         let csaw = p.series("C-Saw").median();
         let lantern = p.series("Lantern").median();
         let tor = p.series("Tor").median();
@@ -299,7 +284,7 @@ mod tests {
 
     #[test]
     fn fig7b_direct_wins_unblocked() {
-        let p = run_7b(72);
+        let p = run_7b(72, 1);
         let csaw = p.series("C-Saw").median();
         let lantern = p.series("Lantern").median();
         let tor = p.series("Tor").median();
@@ -308,7 +293,7 @@ mod tests {
 
     #[test]
     fn fig7c_lantern_relay_beats_tor_relay() {
-        let p = run_7c(73);
+        let p = run_7c(73, 1);
         let l = p.series("C-Saw (w/ Lantern)").median();
         let t = p.series("C-Saw (w/ Tor)").median();
         assert!(l < t, "lantern-relay {l:.2} vs tor-relay {t:.2}");

@@ -175,12 +175,7 @@ fn browse_urls(seed: u64) -> Vec<Url> {
 /// Run the sweep: 40 plain browsers vs 40 C-Saw clients per mode, each
 /// browsing 30 URLs from a 12-site universe (so later visits hit warm
 /// local DBs).
-pub fn run(seed: u64) -> Fingerprint {
-    run_jobs(seed, 1)
-}
-
-/// The sweep with one runner trial per redundancy mode.
-pub fn run_jobs(seed: u64, jobs: usize) -> Fingerprint {
+pub fn run(seed: u64, jobs: usize) -> Fingerprint {
     runner::run(&FingerprintExp { seed }, jobs)
 }
 
@@ -328,7 +323,7 @@ mod tests {
 
     #[test]
     fn parallel_most_visible_serial_least() {
-        let f = run(55);
+        let f = run(55, 1);
         let par = f.mode("parallel").csaw_mean;
         let stag = f.mode("staggered-2s").csaw_mean;
         let ser = f.mode("serial").csaw_mean;
@@ -341,7 +336,7 @@ mod tests {
 
     #[test]
     fn serial_mode_hides_in_plain_traffic() {
-        let f = run(56);
+        let f = run(56, 1);
         let m = f.mode("serial");
         // Indistinguishable means no threshold separates the groups
         // cleanly: at every zero-FPR threshold the TPR stays low.
@@ -354,7 +349,7 @@ mod tests {
 
     #[test]
     fn roc_is_monotone_in_threshold() {
-        let f = run(57);
+        let f = run(57, 1);
         for m in &f.modes {
             for w in m.roc.windows(2) {
                 assert!(w[1].tpr <= w[0].tpr + 1e-9, "{}: {:?}", m.mode, w);

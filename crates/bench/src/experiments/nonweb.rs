@@ -60,12 +60,7 @@ const CASES: [(Asn, UdpAction, &str); 3] = [
 
 /// Run the sweep: three ASes — one dropping the app's UDP, one throttling
 /// it, one clean.
-pub fn run(seed: u64) -> Nonweb {
-    run_jobs(seed, 1)
-}
-
-/// The non-web sweep with one runner trial per AS.
-pub fn run_jobs(seed: u64, jobs: usize) -> Nonweb {
+pub fn run(seed: u64, jobs: usize) -> Nonweb {
     runner::run(&NonwebExp { seed }, jobs)
 }
 
@@ -158,7 +153,7 @@ mod tests {
 
     #[test]
     fn all_three_mechanisms_classified_correctly() {
-        let n = run(91);
+        let n = run(91, 1);
         assert_eq!(n.rows.len(), 3);
         let by_asn = |a: u32| n.rows.iter().find(|r| r.asn == a).unwrap();
         assert!(

@@ -1,4 +1,4 @@
-//! `exp_scale` — the million-client ingestion harness for the sharded
+//! `exp scale` — the million-client ingestion harness for the sharded
 //! global store.
 //!
 //! The paper's server must absorb crowdsourced updates from an open
@@ -20,7 +20,7 @@
 //! client's batch is derived from its own forked RNG, so the final
 //! store state is identical no matter how clients are partitioned
 //! across threads — the concurrency tests in `crates/store` assert
-//! exactly this, and [`run`] re-checks it via `record_count` across
+//! exactly this, and [`run_with`] re-checks it via `record_count` across
 //! thread counts. Every 16th client salts one garbage-URL report into
 //! its batch to keep the sanitization/reject path on the hot loop.
 //!
@@ -30,17 +30,20 @@
 //! lookup result sizes) is deterministic in the seed.
 
 use crate::alloc_track::{self, AllocSnapshot};
-use crate::scorecard::{LockProbe, LockTotals, Scorecard};
+use crate::cli::{ExpCli, Flags, Verdict};
+use crate::scorecard::{self, LockProbe, LockTotals, Scorecard};
 use csaw::global::{
     Batch, ConfidenceFilter, GlobalApi, RegistrarConfig, RemoteDb, Report, ServerDb, Uuid,
 };
 use csaw_censor::blocking::BlockingType;
 use csaw_dbserver::{spawn_dbserver, DbServerConfig};
 use csaw_obs::json::JsonValue;
+use csaw_obs::slo::SloSet;
 use csaw_obs::PerfMode;
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -62,7 +65,7 @@ pub const LOCK_FAMILIES: &[&str] = &[
     "store.wal.log",
 ];
 
-/// Harness knobs (all settable from the `exp_scale` command line).
+/// Harness knobs (see [`FLAGS`] for the ones `exp scale` exposes).
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
     /// Synthetic client population; each posts one batch.
@@ -519,9 +522,66 @@ fn run_one(seed: u64, cfg: &ScaleConfig, threads: usize) -> ScaleRow {
     }
 }
 
-/// Run with defaults sized down only by the caller's flags.
-pub fn run(seed: u64) -> Scale {
-    run_with(seed, ScaleConfig::default())
+/// The value flags `exp scale` reads.
+pub const FLAGS: &[(&str, &str)] = &[
+    ("--clients", "reporting clients to ingest (default 1000000)"),
+    (
+        "--threads",
+        "comma list of writer-thread counts (default 1,2,4,8)",
+    ),
+    ("--shards", "store shard count (default 16)"),
+    ("--lookups", "read-path lookups to time (default 10000)"),
+    (
+        "--bench-out",
+        "scorecard path (default BENCH_seed<seed>.json; 'none' disables)",
+    ),
+    (
+        "--transport",
+        "also run the socketed phase: 'in-process' (default) or 'tcp'",
+    ),
+];
+
+/// `exp scale`: the ingest sweep, plus the socketed phase under
+/// `--transport tcp`. Every run writes the scorecard (feed it to
+/// `report perf`), and perf telemetry defaults to `--perf wall` so the
+/// card carries real lock wait/hold attribution. There is no verdict to
+/// gate on: the socketed phase panics on any reconciliation failure
+/// (silent loss), which exits nonzero — that is the CI gate.
+pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
+    cli.default_perf(PerfMode::Monotonic);
+    // This harness runs on wall clock (the virtual clock never moves),
+    // so windows are off unless --window is given; when on, the ingest
+    // coverage rule still applies to the single close-of-run window.
+    cli.default_window(0.0, Arc::new(SloSet::ingest_default()));
+    let defaults = ScaleConfig::default();
+    let cfg = ScaleConfig {
+        clients: flags.numeric("--clients", defaults.clients),
+        threads: flags.list("--threads").unwrap_or(defaults.threads),
+        shards: flags.numeric("--shards", defaults.shards),
+        lookups: flags.numeric("--lookups", defaults.lookups),
+        ..defaults
+    };
+    let transport = flags.get("--transport").unwrap_or("in-process");
+    if !matches!(transport, "in-process" | "tcp") {
+        flags.die(&format!(
+            "--transport must be 'in-process' or 'tcp', got {transport:?}"
+        ));
+    }
+    let mut result = run_with(cli.seed, cfg.clone());
+    if transport == "tcp" {
+        let threads = cfg.threads.iter().copied().max().unwrap_or(1);
+        let server = DbServerConfig::default();
+        result.socket = Some(run_socketed(cli.seed, &cfg, threads, server));
+    }
+    let default_path = scorecard::default_path(cli.seed);
+    match flags.get("--bench-out") {
+        Some("none") => {}
+        path => cli.write_card(
+            result.scorecard(cli.seed),
+            path.map_or(default_path.as_path(), Path::new),
+        ),
+    }
+    (result.render(), Ok(()))
 }
 
 impl Scale {

@@ -1,4 +1,4 @@
-//! `exp_chaos --split-brain`: replica convergence through a partition.
+//! `exp splitbrain`: replica convergence through a partition.
 //!
 //! The replicated global DB (`csaw-replica`) claims that a leader and
 //! its per-region read replicas converge to byte-identical states no
@@ -29,6 +29,7 @@
 //! reconciling to one accepted report, and the leader's record count
 //! equalling the number of distinct `(url, asn)` keys ever posted.
 
+use crate::cli::{exit, ExpCli, Flags, Verdict};
 use crate::runner::{self, Experiment, TrialSpec};
 use crate::scorecard::Scorecard;
 use csaw::client::CsawClient;
@@ -45,6 +46,7 @@ use csaw_replica::{ReplicatedStore, StoreState, WalShipper};
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_store::{Decorator, ShardedStore};
 use std::collections::BTreeSet;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Experiment shape.
@@ -398,22 +400,64 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
     }
 }
 
-/// Run both scenarios serially.
-pub fn run(seed: u64, cfg: &SplitBrainConfig) -> SplitBrain {
-    run_jobs(seed, cfg, 1)
-}
-
 /// Run both scenarios with one runner trial each. Both trials use the
 /// raw experiment seed so they ingest the identical workload — the
 /// partitioned scenario must converge to the baseline's fingerprint.
-pub fn run_jobs(seed: u64, cfg: &SplitBrainConfig, jobs: usize) -> SplitBrain {
-    runner::run(
-        &SplitBrainExp {
-            seed,
-            cfg: cfg.clone(),
-        },
-        jobs,
-    )
+pub fn run(seed: u64, cfg: &SplitBrainConfig, jobs: usize) -> SplitBrain {
+    let cfg = cfg.clone();
+    runner::run(&SplitBrainExp { seed, cfg }, jobs)
+}
+
+/// The value flags `exp splitbrain` reads.
+pub const FLAGS: &[(&str, &str)] = &[
+    ("--regions", "per-region dbserver replicas (default 2)"),
+    ("--clients", "full C-Saw clients (default 4)"),
+    ("--urls", "unique blocked URLs per client (default 5)"),
+    (
+        "--bench-out",
+        "scorecard path ('none' disables; default none)",
+    ),
+];
+
+/// `exp splitbrain`: run the baseline and partitioned scenarios and
+/// gate on silent loss (correctness) and on every replica reaching the
+/// leader's fingerprint after the partition heals.
+pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
+    let defaults = SplitBrainConfig::default();
+    let cfg = SplitBrainConfig {
+        clients: flags.numeric("--clients", defaults.clients),
+        urls_per_client: flags.numeric("--urls", defaults.urls_per_client),
+        regions: flags.numeric("--regions", defaults.regions),
+        ..defaults
+    };
+    if cfg.regions == 0 {
+        flags.die("--regions needs at least one region");
+    }
+
+    // Virtual-hour windows like the chaos sweep's, with the
+    // replica-staleness rule on top: the partitioned scenario must trip
+    // it.
+    cli.default_window(3_600.0, Arc::new(slo_set()));
+
+    let result = run(cli.seed, &cfg, cli.jobs);
+    match flags.get("--bench-out") {
+        None | Some("none") => {}
+        Some(path) => cli.write_card(result.scorecard(&cfg, cli.seed), Path::new(path)),
+    }
+    let verdict = if result.silent_loss() {
+        Err((
+            exit::CORRECTNESS,
+            "SILENT LOSS detected — a report vanished en route".to_string(),
+        ))
+    } else if result.not_converged() {
+        Err((
+            exit::NOT_CONVERGED,
+            "replicas did NOT converge after the partition healed".to_string(),
+        ))
+    } else {
+        Ok(())
+    };
+    (result.render(), verdict)
 }
 
 /// The experiment decomposed: one trial per scenario.
@@ -555,7 +599,7 @@ mod tests {
 
     #[test]
     fn both_scenarios_converge_to_the_same_fingerprint() {
-        let result = run(1, &quick_cfg());
+        let result = run(1, &quick_cfg(), 1);
         assert!(!result.silent_loss(), "{}", result.render());
         assert!(!result.not_converged(), "{}", result.render());
         let [baseline, split] = &result.rows[..] else {
@@ -572,8 +616,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_render() {
-        let a = run(7, &quick_cfg()).render();
-        let b = run(7, &quick_cfg()).render();
+        let a = run(7, &quick_cfg(), 1).render();
+        let b = run(7, &quick_cfg(), 1).render();
         assert_eq!(a, b);
     }
 
@@ -592,7 +636,7 @@ mod tests {
         ctx.timeline
             .configure(WindowCfg::from_secs(3_600.0, Arc::new(slo_set())));
         let _guard = csaw_obs::install(ctx.clone());
-        let _ = run_jobs(seed, cfg, jobs);
+        let _ = run(seed, cfg, jobs);
         ctx.flush_timeline();
         let mut frames = Vec::new();
         let mut viols = Vec::new();

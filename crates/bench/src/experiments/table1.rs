@@ -48,12 +48,7 @@ fn targets() -> [(&'static str, String); 2] {
 /// Run the Table 1 measurement: several trials per (ISP, target), union
 /// of observed mechanisms (ISP-B's DNS stage engages probabilistically,
 /// so one trial may see only part of the multi-stage setup).
-pub fn run(seed: u64) -> Table1 {
-    run_jobs(seed, 1)
-}
-
-/// Table 1 with one runner trial per (ISP, target) cell.
-pub fn run_jobs(seed: u64, jobs: usize) -> Table1 {
+pub fn run(seed: u64, jobs: usize) -> Table1 {
     runner::run(&Table1Exp { seed }, jobs)
 }
 
@@ -187,7 +182,7 @@ mod tests {
 
     #[test]
     fn recovers_the_paper_matrix() {
-        let t = run(1);
+        let t = run(1, 1);
         // ISP-A, YouTube: HTTP blocking -> block page, no DNS/TLS stages.
         let c = t.cell("ISP-A", "YouTube");
         assert!(c.mechanisms.contains(&BlockingType::HttpBlockPageRedirect));
@@ -223,7 +218,7 @@ mod tests {
 
     #[test]
     fn render_mentions_both_isps() {
-        let t = run(2);
+        let t = run(2, 1);
         let s = t.render();
         assert!(s.contains("ISP-A") && s.contains("ISP-B"));
     }

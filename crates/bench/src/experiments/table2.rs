@@ -45,12 +45,7 @@ fn paper_value(label: &str) -> Option<u64> {
 /// Run the ping sweep: 50 echo samples per destination, WAN component
 /// only (the paper pings from the measurement host, we exclude the local
 /// access hop jitter by averaging).
-pub fn run(seed: u64) -> Table2 {
-    run_jobs(seed, 1)
-}
-
-/// Table 2 with one runner trial per ping destination.
-pub fn run_jobs(seed: u64, jobs: usize) -> Table2 {
+pub fn run(seed: u64, jobs: usize) -> Table2 {
     runner::run(&Table2Exp { seed }, jobs)
 }
 
@@ -146,7 +141,7 @@ mod tests {
 
     #[test]
     fn measured_rtts_match_paper_within_10pct() {
-        let t = run(7);
+        let t = run(7, 1);
         for r in &t.rows {
             if r.paper_ms == 0 {
                 continue;
@@ -165,7 +160,7 @@ mod tests {
 
     #[test]
     fn includes_youtube_baseline() {
-        let t = run(8);
+        let t = run(8, 1);
         assert!(t
             .rows
             .iter()

@@ -81,12 +81,7 @@ fn cases() -> Vec<(&'static str, f64, DnsTamper, IpAction, HttpAction)> {
 }
 
 /// Run 50 detection trials per mechanism.
-pub fn run(seed: u64) -> Table5 {
-    run_jobs(seed, 1)
-}
-
-/// Table 5 with one runner trial per mechanism row.
-pub fn run_jobs(seed: u64, jobs: usize) -> Table5 {
+pub fn run(seed: u64, jobs: usize) -> Table5 {
     runner::run(&Table5Exp { seed }, jobs)
 }
 
@@ -188,7 +183,7 @@ mod tests {
 
     #[test]
     fn detection_times_match_paper_shape() {
-        let t = run(42);
+        let t = run(42, 1);
         // Within 15% of each paper row (generous: jitter + our redirect
         // model), and most importantly the *ordering* holds.
         let tcp = t.row("TCP/IP").measured_s;
@@ -207,7 +202,7 @@ mod tests {
 
     #[test]
     fn all_runs_detected() {
-        let t = run(43);
+        let t = run(43, 1);
         for r in &t.rows {
             assert_eq!(r.runs, 50, "{}", r.label);
         }

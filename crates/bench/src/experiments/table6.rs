@@ -38,16 +38,7 @@ pub struct Table6 {
 /// Run the sweep: a TCP/IP-blocked URL served via Tor, 200 accesses
 /// 10 s apart; with probability `p` an access also launches a direct
 /// probe that stays in flight for its full detection time.
-///
-/// The *same* sequence of Tor fetches underlies every `p` row (a paired
-/// design): only the probe schedule varies, so the sweep isolates the
-/// cost of revalidation rather than circuit luck.
-pub fn run(seed: u64) -> Table6 {
-    run_jobs(seed, 1)
-}
-
-/// Table 6 with one runner trial per revalidation probability.
-pub fn run_jobs(seed: u64, jobs: usize) -> Table6 {
+pub fn run(seed: u64, jobs: usize) -> Table6 {
     runner::run(&Table6Exp { seed }, jobs)
 }
 
@@ -186,7 +177,7 @@ mod tests {
 
     #[test]
     fn median_plt_monotone_in_p() {
-        let t = run(61);
+        let t = run(61, 1);
         assert_eq!(t.rows.len(), 4);
         for w in t.rows.windows(2) {
             assert!(
@@ -208,7 +199,7 @@ mod tests {
 
     #[test]
     fn p_quarter_cost_is_moderate() {
-        let t = run(62);
+        let t = run(62, 1);
         let ratio = t.row(0.25).median_s / t.row(0.0).median_s;
         // The paper recommends p ≤ 0.25 as the sweet spot: some cost,
         // far from the p = 0.75 penalty.

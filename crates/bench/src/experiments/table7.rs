@@ -215,7 +215,7 @@ mod tests {
     use super::*;
 
     /// A scaled-down pilot (24 users) exercising the full pipeline; the
-    /// 123-user run happens in `exp_table7` / integration tests.
+    /// 123-user run happens in `exp table7` / integration tests.
     #[test]
     fn mini_pilot_recovers_structure() {
         let t = run(77, 24);

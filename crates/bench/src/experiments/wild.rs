@@ -89,12 +89,7 @@ fn event_ases() -> Vec<Asn> {
 
 /// Replay the event. Clients poll both services every `poll_s` seconds;
 /// the censors switch on at `event_at_s`.
-pub fn run(seed: u64) -> Wild {
-    run_jobs(seed, 1)
-}
-
-/// The wild replay with one runner trial per AS.
-pub fn run_jobs(seed: u64, jobs: usize) -> Wild {
+pub fn run(seed: u64, jobs: usize) -> Wild {
     runner::run(&WildExp { seed }, jobs)
 }
 
@@ -214,7 +209,7 @@ mod tests {
 
     #[test]
     fn event_matrix_recovered_per_as() {
-        let w = run(99);
+        let w = run(99, 1);
         // Twitter: HTTP GET timeout on AS 38193, block page on AS 17557.
         let d = w.detection(38193, "twitter.com").expect("detected");
         assert_eq!(d.response, "HTTP_GET_TIMEOUT");
@@ -237,7 +232,7 @@ mod tests {
 
     #[test]
     fn no_cross_service_false_positives() {
-        let w = run(100);
+        let w = run(100, 1);
         // AS 17557 blocks only Twitter; Instagram must stay clean there.
         assert!(w.detection(17557, "instagram.com").is_none());
         // AS 59257 and 45773 block only Instagram.
@@ -247,7 +242,7 @@ mod tests {
 
     #[test]
     fn render_matches_paper_phrasing() {
-        let w = run(101);
+        let w = run(101, 1);
         let s = w.render();
         assert!(s.contains("was found blocked at"));
         assert!(s.contains("Response:"));

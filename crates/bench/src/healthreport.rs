@@ -1,4 +1,4 @@
-//! Offline health-timeline analysis behind the `health-report` binary.
+//! Offline health-timeline analysis behind `report health`.
 //!
 //! Consumes the JSONL stream `--frames-out` writes (`ts.frame` and
 //! `slo.violation` events — a full `--trace-out` JSONL stream also
@@ -20,6 +20,7 @@
 //! fault rate that does *not* fire the delivery SLO is a bug in the
 //! alerting, not a healthy run).
 
+use crate::cli::{exit, Verdict};
 use csaw_obs::json::JsonValue;
 use csaw_obs::slo::Violation;
 use csaw_obs::timeseries::{key_in_family, Frame};
@@ -263,6 +264,22 @@ pub fn verdict(input: &HealthInput) -> String {
     }
 }
 
+/// The `--gate` verdict. A run passes only on evidence: no frames at
+/// all (an empty file, a trace of a run that never opened a telemetry
+/// window) is unusable input, not a healthy run.
+pub fn gate(input: &HealthInput) -> Verdict {
+    if input.frames.is_empty() {
+        Err((
+            exit::NO_EVIDENCE,
+            "no telemetry frames found (was the run windowed?)".to_string(),
+        ))
+    } else if !input.violations.is_empty() {
+        Err((exit::GATE, "SLO violation(s) present".to_string()))
+    } else {
+        Ok(())
+    }
+}
+
 /// The scorecard `health` section: window count, violation count, and
 /// the distinct rules that fired. Excluded from the determinism
 /// fingerprint (it is advisory context, not a gated count), though for
@@ -389,6 +406,23 @@ mod tests {
         input.violations.clear();
         assert!(verdict(&input).starts_with("health: OK"));
         assert!(render(&input).contains("SLO violations: none"));
+    }
+
+    #[test]
+    fn gate_needs_frames_before_it_can_pass() {
+        let mut input = parse_jsonl(&sample_lines()).unwrap();
+        assert_eq!(gate(&input).unwrap_err().0, exit::GATE);
+        input.violations.clear();
+        assert_eq!(gate(&input), Ok(()));
+        // An empty file, or a trace stream with no `ts.frame` line.
+        for text in ["", r#"{"event":"progress","ts_us":1,"fields":{"msg":"x"}}"#] {
+            let empty = parse_jsonl(text).unwrap();
+            assert_eq!(gate(&empty).unwrap_err().0, exit::NO_EVIDENCE, "{text:?}");
+            assert!(
+                render(&empty).contains("0 window(s)"),
+                "rendering stays fine"
+            );
+        }
     }
 
     #[test]

@@ -5,17 +5,20 @@
 //! (bit-reproducible) returning a typed result with a `render()` method
 //! that prints the same rows/series the paper reports.
 //!
-//! Binaries: one `exp_*` per artifact plus `exp_all` (which writes the
-//! full report consumed by `EXPERIMENTS.md`). Criterion micro-benchmarks
-//! for the hot paths live under `benches/`.
+//! Two binaries: `exp` runs the entries of [`experiments::CATALOGUE`]
+//! (`exp <name>`, `exp all` for the full report consumed by
+//! `EXPERIMENTS.md`, `exp list`), and `report trace|perf|health`
+//! analyses and gates on what they write. Both parse flags through
+//! [`cli`] and share its exit-code table. Micro-benchmarks for the hot
+//! paths live under `benches/`.
 //!
 //! Perf attribution rides on `csaw_obs::contention` plus three local
 //! pieces: [`alloc_track`] (allocs/report via the optional counting
 //! allocator), [`scorecard`] (the machine-readable `BENCH_<seed>.json`
 //! every scale run writes), and [`perfreport`] (the attribution table
-//! and the CI tolerance gate behind the `perf-report` binary).
-//! Windowed health telemetry (`--frames-out` JSONL) is analyzed by
-//! [`healthreport`] behind the `health-report` binary.
+//! and the CI tolerance gate behind `report perf`). Traces
+//! (`--trace-out`) are analysed by [`tracereport`], windowed health
+//! telemetry (`--frames-out` JSONL) by [`healthreport`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

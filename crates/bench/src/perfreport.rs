@@ -1,5 +1,5 @@
 //! Attribution and regression-gating over benchmark scorecards — the
-//! logic behind the `perf-report` binary (sibling of [`crate::tracereport`]).
+//! logic behind `report perf` (sibling of [`crate::tracereport`]).
 //!
 //! Two jobs:
 //!

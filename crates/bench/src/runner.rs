@@ -1,4 +1,4 @@
-//! The deterministic parallel trial executor every `exp_*` sweep runs
+//! The deterministic parallel trial executor every `exp` sweep runs
 //! on.
 //!
 //! An experiment is a set of **independent trials** (seed × config
@@ -158,7 +158,7 @@ pub trait Experiment: Sync {
     type Output;
 
     /// Stable name (`"fig5a"`), used for seed forking, progress lines,
-    /// and the `exp_all` manifest/artifact tree.
+    /// and the `exp all` artifact tree.
     fn name(&self) -> &'static str;
 
     /// The full trial list. Order defines the serial execution order;
@@ -173,80 +173,13 @@ pub trait Experiment: Sync {
     fn reduce(&self, trials: Vec<Self::Trial>) -> Self::Output;
 }
 
-/// A monolithic `run(seed)` experiment wrapped as a one-trial
-/// [`Experiment`], so coupled sweeps (shared evolving state across
-/// their inner loop) still ride the same executor, arena, and
-/// `exp_all` manifest path as decomposed ones.
-pub struct SingleTrial<T, F> {
-    name: &'static str,
-    seed: u64,
-    run: F,
-    _out: std::marker::PhantomData<fn() -> T>,
-}
-
-/// Wrap `run` as a single-trial experiment named `name`.
-pub fn single_trial<T, F>(name: &'static str, seed: u64, run: F) -> SingleTrial<T, F>
-where
-    T: Send + 'static,
-    F: Fn(u64) -> T + Sync,
-{
-    SingleTrial {
-        name,
-        seed,
-        run,
-        _out: std::marker::PhantomData,
-    }
-}
-
-impl<T, F> Experiment for SingleTrial<T, F>
-where
-    T: Send + 'static,
-    F: Fn(u64) -> T + Sync,
-{
-    type Trial = T;
-    type Output = T;
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        vec![TrialSpec::salted(self.seed, 0, self.name)]
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> T {
-        (self.run)(spec.seed)
-    }
-
-    fn reduce(&self, mut trials: Vec<T>) -> T {
-        trials.pop().expect("exactly one trial")
-    }
-}
-
-/// Wall-clock cost of one trial, for the `exp_all` summary artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialTiming {
-    /// The trial's merge ordinal.
-    pub ordinal: u64,
-    /// The trial's label.
-    pub label: String,
-    /// Wall-clock seconds the trial took on its worker.
-    pub wall_s: f64,
-}
-
 /// Run an experiment across `jobs` workers and reduce. `jobs ≤ 1` runs
 /// serially on the calling thread — through the *same* per-trial arena
 /// path, which is what makes the byte-equality guarantee structural
 /// rather than aspirational.
 pub fn run<E: Experiment>(exp: &E, jobs: usize) -> E::Output {
-    run_timed(exp, jobs).0
-}
-
-/// Like [`run`], but also returns per-trial wall-clock timings.
-pub fn run_timed<E: Experiment>(exp: &E, jobs: usize) -> (E::Output, Vec<TrialTiming>) {
     let specs = exp.trials();
-    let (trials, timings) = run_trials(&specs, jobs, |s| exp.run_trial(s));
-    (exp.reduce(trials), timings)
+    exp.reduce(run_trials(&specs, jobs, |s| exp.run_trial(s)))
 }
 
 /// Pre-resolved handles for the runner's own scheduling telemetry
@@ -264,7 +197,6 @@ struct TrialResult<T> {
     events: Vec<Event>,
     registry: Arc<Registry>,
     clock_us: u64,
-    wall_s: f64,
 }
 
 fn run_one<T, F>(
@@ -292,7 +224,6 @@ where
             // they replay in ordinal order like every other event.
             .with_timeline(Arc::new(parent_timeline.child())),
     );
-    let started = Instant::now();
     let value = {
         let _guard = scope::install(ctx.clone());
         run(spec)
@@ -306,15 +237,13 @@ where
         events: sink.take(),
         registry: ctx.registry.clone(),
         clock_us: ctx.clock.now_us(),
-        wall_s: started.elapsed().as_secs_f64(),
     }
 }
 
 /// The generic executor under [`run`]: fan `specs` across `jobs`
 /// workers, then fold the per-trial arenas into the calling scope in
-/// ordinal order. Exposed so `exp_all` can pool trials from *many*
-/// experiments through one work queue.
-pub fn run_trials<T, F>(specs: &[TrialSpec], jobs: usize, run: F) -> (Vec<T>, Vec<TrialTiming>)
+/// ordinal order and return the trial values in that order.
+fn run_trials<T, F>(specs: &[TrialSpec], jobs: usize, run: F) -> Vec<T>
 where
     T: Send,
     F: Fn(&TrialSpec) -> T + Sync,
@@ -391,7 +320,6 @@ where
     let mut order: Vec<usize> = (0..specs.len()).collect();
     order.sort_by_key(|&i| specs[i].ordinal);
     let mut values = Vec::with_capacity(specs.len());
-    let mut timings = Vec::with_capacity(specs.len());
     for i in order {
         let r = slots[i]
             .take()
@@ -413,13 +341,8 @@ where
             clock.set_us(r.clock_us);
         }
         values.push(r.value);
-        timings.push(TrialTiming {
-            ordinal: specs[i].ordinal,
-            label: specs[i].label.clone(),
-            wall_s: r.wall_s,
-        });
     }
-    (values, timings)
+    values
 }
 
 #[cfg(test)]
@@ -572,16 +495,6 @@ mod tests {
             }
         }
         assert_eq!(run(&Reversed, 4), vec![0, 10, 20, 30, 40, 50]);
-    }
-
-    #[test]
-    fn timings_cover_every_trial_in_ordinal_order() {
-        let (_, timings) = run_timed(&Synthetic { seed: 2, trials: 7 }, 4);
-        assert_eq!(timings.len(), 7);
-        for (i, t) in timings.iter().enumerate() {
-            assert_eq!(t.ordinal, i as u64);
-            assert!(t.wall_s >= 0.0);
-        }
     }
 
     #[test]

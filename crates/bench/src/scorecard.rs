@@ -7,12 +7,12 @@
 //! - `"deterministic"` — counts that are a pure function of the seed
 //!   and config (accepted/rejected/record totals, per-family lock
 //!   acquisition counts, allocs per report). Two same-seed runs of the
-//!   same build must produce **byte-identical** bytes here; `perf-report
+//!   same build must produce **byte-identical** bytes here; `report perf
 //!   --fingerprint` prints exactly this section for the CI determinism
 //!   check.
 //! - `"timing"` — wall-clock measurements (throughput, p50/p99,
 //!   wait/hold sums, micro-bench ns/iter). Run-to-run variance is
-//!   expected; `perf-report --baseline` compares these within tolerance
+//!   expected; `report perf --baseline` compares these within tolerance
 //!   bands instead of byte-for-byte.
 //!
 //! [`LockProbe`] is the bridge from the contention layer: it resolves
@@ -39,7 +39,8 @@ pub fn default_path(seed: u64) -> PathBuf {
 /// One benchmark scorecard: identity plus the two sections.
 #[derive(Debug, Clone)]
 pub struct Scorecard {
-    /// Which harness produced it (`"exp_scale"`, `"exp_all"`).
+    /// Which harness produced it (`"exp_scale"`, `"exp_all"`): a data
+    /// identifier compared against checked-in cards, not a program name.
     pub experiment: String,
     /// The run seed.
     pub seed: u64,
@@ -170,7 +171,7 @@ impl Scorecard {
 }
 
 /// 64-bit FNV-1a digest of `text`, hex-encoded — a compact,
-/// deterministic identity for a rendered experiment block. `exp_all`
+/// deterministic identity for a rendered experiment block. `exp all`
 /// stamps one per experiment into its scorecard's deterministic
 /// section, so any nondeterminism in any experiment's stdout shows up
 /// as a fingerprint mismatch in CI.

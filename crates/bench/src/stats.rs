@@ -1,13 +1,12 @@
 //! Distribution summaries and CDFs for experiment reporting.
 //!
-//! Percentiles here are **exact** (sort + linear interpolation over the
-//! raw sample) because the figure/table renderers reproduce the paper's
-//! numbers and must not carry sketch error. Telemetry paths that can
-//! tolerate bucket resolution — trace-leg stats, scale-lookup rows, and
-//! every windowed timeline digest — use the log-bucketed
-//! `csaw_obs::metrics::Histogram` quantiles instead (exact below 64 µs,
-//! ≤ ~1.6 % above); that split is deliberate, so don't fold one into
-//! the other.
+//! Two quantile paths are kept on purpose: [`percentile`] is **exact**
+//! (sort + linear interpolation over the raw sample) because the
+//! figure/table renderers reproduce the paper's numbers and must carry
+//! no sketch error, while `csaw_obs::metrics::Histogram::quantile_us`
+//! is log-bucketed (exact below 64 µs, ≤ ~1.6 % above) because
+//! streaming telemetry — trace-leg stats, scale-lookup rows, every
+//! windowed timeline digest — cannot keep raw samples.
 
 use csaw_simnet::time::SimDuration;
 

@@ -1,4 +1,4 @@
-//! Trace analysis behind the `trace-report` binary.
+//! Trace analysis behind `report trace`.
 //!
 //! Consumes the files `--trace-out` writes — either a Chrome trace
 //! (`.json`) or raw JSONL events — and reconstructs the per-fetch span

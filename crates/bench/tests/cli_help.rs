@@ -1,75 +1,126 @@
-//! Every `exp_*` binary must answer `--help` with the shared flag docs
-//! and exit 0 — the gate that keeps help text from drifting per binary.
+//! The help/usage gate for both binaries, driven by the catalogue: every
+//! `exp <name>` answers `--help` with the shared flag docs and exactly
+//! its own extra flags, every `report <kind>` answers `--help`, and bad
+//! command lines exit 2 with usage instead of being swallowed.
 
-use std::process::Command;
+use csaw_bench::cli::{exit, COMMON_HELP};
+use csaw_bench::experiments::CATALOGUE;
+use std::process::{Command, Output};
 
-/// Every experiment binary in the crate. Compile-time resolved via
-/// `CARGO_BIN_EXE_*`, so adding a binary without listing it here is
-/// caught the moment someone greps for this list — and removing one
-/// breaks the build.
-const BINARIES: &[(&str, &str)] = &[
-    ("exp_all", env!("CARGO_BIN_EXE_exp_all")),
-    ("exp_chaos", env!("CARGO_BIN_EXE_exp_chaos")),
-    ("exp_extensions", env!("CARGO_BIN_EXE_exp_extensions")),
-    ("exp_fig1a", env!("CARGO_BIN_EXE_exp_fig1a")),
-    ("exp_fig1b", env!("CARGO_BIN_EXE_exp_fig1b")),
-    ("exp_fig1c", env!("CARGO_BIN_EXE_exp_fig1c")),
-    ("exp_fig2", env!("CARGO_BIN_EXE_exp_fig2")),
-    ("exp_fig5a", env!("CARGO_BIN_EXE_exp_fig5a")),
-    ("exp_fig5b", env!("CARGO_BIN_EXE_exp_fig5b")),
-    ("exp_fig5c", env!("CARGO_BIN_EXE_exp_fig5c")),
-    ("exp_fig6a", env!("CARGO_BIN_EXE_exp_fig6a")),
-    ("exp_fig6b", env!("CARGO_BIN_EXE_exp_fig6b")),
-    ("exp_fig7a", env!("CARGO_BIN_EXE_exp_fig7a")),
-    ("exp_fig7b", env!("CARGO_BIN_EXE_exp_fig7b")),
-    ("exp_fig7c", env!("CARGO_BIN_EXE_exp_fig7c")),
-    ("exp_scale", env!("CARGO_BIN_EXE_exp_scale")),
-    ("exp_table1", env!("CARGO_BIN_EXE_exp_table1")),
-    ("exp_table2", env!("CARGO_BIN_EXE_exp_table2")),
-    ("exp_table5", env!("CARGO_BIN_EXE_exp_table5")),
-    ("exp_table6", env!("CARGO_BIN_EXE_exp_table6")),
-    ("exp_table7", env!("CARGO_BIN_EXE_exp_table7")),
-    ("exp_wild", env!("CARGO_BIN_EXE_exp_wild")),
-    ("trace-report", env!("CARGO_BIN_EXE_trace-report")),
-];
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("{bin} {args:?}: failed to spawn: {e}"))
+}
+
+fn exp(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_exp"), args)
+}
+
+fn report(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_report"), args)
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+fn assert_usage_error(out: &Output, what: &str) {
+    assert_eq!(out.status.code(), Some(exit::USAGE), "{what} must exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("usage:"), "{what}: stderr lacks usage: {err}");
+}
 
 #[test]
-fn every_binary_answers_help_with_the_shared_flag_docs() {
-    for (name, path) in BINARIES {
-        let out = Command::new(path)
-            .arg("--help")
-            .output()
-            .unwrap_or_else(|e| panic!("{name}: failed to spawn: {e}"));
+fn every_catalogue_entry_answers_help_with_shared_docs_and_its_own_flags() {
+    for e in CATALOGUE {
+        let out = exp(&[e.name, "--help"]);
+        let text = stdout(&out);
+        assert!(out.status.success(), "exp {} --help: {:?}", e.name, out);
         assert!(
-            out.status.success(),
-            "{name} --help exited {:?}\nstderr: {}",
-            out.status.code(),
-            String::from_utf8_lossy(&out.stderr)
+            text.contains(COMMON_HELP),
+            "exp {} --help does not embed cli::COMMON_HELP verbatim:\n{text}",
+            e.name
         );
-        let text = format!(
-            "{}{}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        // trace_report has its own CLI surface; every exp_* binary must
-        // print the shared help verbatim (the anti-drift gate).
-        if name.starts_with("exp_") {
-            assert!(
-                text.contains(csaw_bench::cli::COMMON_HELP),
-                "{name} --help does not embed cli::COMMON_HELP verbatim:\n{text}"
-            );
-        }
-        assert!(!text.trim().is_empty(), "{name} --help printed nothing");
+        assert!(text.contains(exit::HELP), "exp {} --help: {text}", e.name);
+        // Exactly the entry's extra flags, in order, under their heading.
+        let listed: Vec<&str> = text
+            .split("experiment flags:")
+            .nth(1)
+            .unwrap_or("")
+            .lines()
+            .take_while(|l| !l.starts_with("exit codes"))
+            .filter_map(|l| l.split_whitespace().next())
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        let expected: Vec<&str> = e.flags.iter().map(|(flag, _)| *flag).collect();
+        assert_eq!(listed, expected, "exp {} --help:\n{text}", e.name);
     }
 }
 
 #[test]
-fn unknown_flag_is_rejected_with_usage() {
-    let out = Command::new(env!("CARGO_BIN_EXE_exp_fig5a"))
-        .arg("--no-such-flag")
-        .output()
-        .expect("spawn exp_fig5a");
-    assert_eq!(out.status.code(), Some(2), "unknown flag must exit 2");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("usage:"), "stderr lacks usage: {err}");
+fn exp_list_prints_every_catalogue_name_once_in_order() {
+    let out = exp(&["list"]);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    let listed: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let expected: Vec<&str> = CATALOGUE.iter().map(|e| e.name).collect();
+    assert_eq!(listed, expected);
+}
+
+#[test]
+fn report_kinds_answer_help_with_the_shared_exit_table() {
+    for kind in ["trace", "perf", "health"] {
+        let out = report(&[kind, "--help"]);
+        let text = stdout(&out);
+        assert!(out.status.success(), "report {kind} --help: {out:?}");
+        assert!(text.contains(&format!("usage: report {kind}")), "{text}");
+        assert!(text.contains(exit::HELP), "report {kind} --help: {text}");
+    }
+    for args in [
+        &["--help"][..],
+        &["all", "--help"],
+        &["extensions", "--help"],
+    ] {
+        let out = exp(args);
+        assert!(out.status.success(), "exp {args:?}: {out:?}");
+        assert!(stdout(&out).contains(exit::HELP), "exp {args:?}");
+    }
+}
+
+#[test]
+fn bad_command_lines_exit_2_with_usage() {
+    assert_usage_error(&exp(&[]), "bare exp");
+    assert_usage_error(&exp(&["nosuch"]), "exp nosuch");
+    assert_usage_error(&exp(&["fig5a", "--no-such-flag"]), "unknown flag");
+    assert_usage_error(&exp(&["fig5a", "--seed"]), "missing value");
+    assert_usage_error(&exp(&["fig5a", "--seed", "x"]), "bad value");
+    // A harness accepts exactly the flags it reads: the chaos sweep's
+    // rates mean nothing to the split-brain run, and vice versa.
+    assert_usage_error(
+        &exp(&["splitbrain", "--fault-rates", "0.3"]),
+        "exp splitbrain --fault-rates",
+    );
+    assert_usage_error(&exp(&["chaos", "--regions", "2"]), "exp chaos --regions");
+    assert_usage_error(&report(&[]), "bare report");
+    assert_usage_error(&report(&["nosuch"]), "report nosuch");
+    assert_usage_error(&report(&["health"]), "report health without a file");
+    assert_usage_error(&report(&["trace", "x", "--nope"]), "report trace --nope");
+}
+
+#[test]
+fn health_gate_does_not_pass_on_no_evidence() {
+    let path = std::env::temp_dir().join(format!("csaw_cli_empty_{}.jsonl", std::process::id()));
+    std::fs::write(&path, "").expect("write empty frames file");
+    let file = path.to_str().expect("utf-8 temp path");
+    let gated = report(&["health", file, "--gate"]);
+    assert_eq!(gated.status.code(), Some(exit::NO_EVIDENCE), "{gated:?}");
+    let rendered = report(&["health", file]);
+    assert_eq!(rendered.status.code(), Some(0), "rendering stays exit 0");
+    assert!(stdout(&rendered).contains("0 window(s)"));
+    let _ = std::fs::remove_file(&path);
 }

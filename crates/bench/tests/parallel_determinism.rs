@@ -1,9 +1,10 @@
-//! The acceptance gate for the parallel runner: a binary's stdout and
-//! metrics snapshot are byte-identical regardless of `--jobs`.
+//! The acceptance gate for the parallel runner: an experiment's stdout
+//! and metrics snapshot are byte-identical regardless of `--jobs`.
 
 use std::process::Command;
 
-fn run(bin: &str, args: &[&str]) -> (Vec<u8>, String) {
+fn run(args: &[&str]) -> (Vec<u8>, String) {
+    let bin = env!("CARGO_BIN_EXE_exp");
     let metrics = std::env::temp_dir().join(format!(
         "csaw_pdet_{}_{}.json",
         std::process::id(),
@@ -27,10 +28,9 @@ fn run(bin: &str, args: &[&str]) -> (Vec<u8>, String) {
 
 #[test]
 fn fig5a_output_is_byte_identical_across_job_counts() {
-    let bin = env!("CARGO_BIN_EXE_exp_fig5a");
-    let (serial_out, serial_snap) = run(bin, &["--seed", "1", "--jobs", "1"]);
+    let (serial_out, serial_snap) = run(&["fig5a", "--seed", "1", "--jobs", "1"]);
     for jobs in ["4", "8"] {
-        let (par_out, par_snap) = run(bin, &["--seed", "1", "--jobs", jobs]);
+        let (par_out, par_snap) = run(&["fig5a", "--seed", "1", "--jobs", jobs]);
         assert_eq!(
             serial_out, par_out,
             "stdout differs between --jobs 1 and --jobs {jobs}"
@@ -44,9 +44,8 @@ fn fig5a_output_is_byte_identical_across_job_counts() {
 
 #[test]
 fn table5_output_is_byte_identical_across_job_counts() {
-    let bin = env!("CARGO_BIN_EXE_exp_table5");
-    let (serial_out, serial_snap) = run(bin, &["--seed", "1", "--jobs", "1"]);
-    let (par_out, par_snap) = run(bin, &["--seed", "1", "--jobs", "16"]);
+    let (serial_out, serial_snap) = run(&["table5", "--seed", "1", "--jobs", "1"]);
+    let (par_out, par_snap) = run(&["table5", "--seed", "1", "--jobs", "16"]);
     assert_eq!(serial_out, par_out, "stdout differs at --jobs 16");
     assert_eq!(serial_snap, par_snap, "snapshot differs at --jobs 16");
 }

@@ -98,7 +98,7 @@ fn fig5a_traced_run_yields_one_tree_per_fetch() {
             .with_sink(sink.clone()),
     );
     let _guard = scope::install(ctx);
-    let _ = csaw_bench::experiments::fig5::run_5a(1);
+    let _ = csaw_bench::experiments::fig5::run_5a(1, 1);
     let recs = records(&sink.render());
     // 4 blocking types x {serial, parallel} x 30 iterations.
     assert_eq!(recs.len(), 240, "one root span tree per fetch");

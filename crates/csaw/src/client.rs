@@ -993,7 +993,7 @@ impl CsawClient {
         });
         let outcome = self.cut_and_deliver(uuid, now, true, send);
         // The trace closes on **every** exit path — a root left dangling
-        // turns into a truncated causal tree that the trace-report gate
+        // turns into a truncated causal tree that the `report trace` gate
         // flags as a lost report.
         let accepted = match &outcome {
             Some(Ok(receipt)) => Some(receipt.verdicts().0),

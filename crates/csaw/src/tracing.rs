@@ -17,7 +17,7 @@
 //! The three children are laid out back-to-back from the fetch's start
 //! and the transfer leg is always computed as a remainder, so the
 //! children sum to the root duration *exactly* — the invariant the
-//! `trace-report` tool checks. All three are always emitted (zero-width
+//! `report trace` checks. All three are always emitted (zero-width
 //! legs included): consumers never need to special-case missing legs.
 //!
 //! Emission is gated on an active trace frame *and* an enabled sink, so

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Default buffered-event capacity (~a few hundred MB worst case is
-/// far above any exp_* run; exp_scale runs use `--trace-out` sparingly).
+/// far above any `exp` run; `exp scale` runs use `--trace-out` sparingly).
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
 /// A sink that renders the buffered events as one Chrome trace JSON

@@ -1,6 +1,6 @@
 //! Lock contention attribution: timed `Mutex`/`RwLock` wrappers.
 //!
-//! The scaling question this answers: when `exp_scale` goes flat from
+//! The scaling question this answers: when `exp scale` goes flat from
 //! 1→8 threads, is the store lock-bound or compute-bound? Nothing in a
 //! metrics snapshot could say, because wait time inside
 //! `std::sync::Mutex::lock` is invisible. [`TimedMutex`] and
@@ -34,7 +34,7 @@
 //!   useful because acquisition *counts* are still exact, and the whole
 //!   snapshot stays byte-identical across `--jobs 1` vs `--jobs 8`.
 //! - [`PerfMode::Monotonic`] reads `Instant`, giving real wait/hold
-//!   microseconds for wall-clock experiments like `exp_scale`.
+//!   microseconds for wall-clock experiments like `exp scale`.
 //!
 //! Poisoning panics, matching the `lock().unwrap()` discipline the
 //! callers already had; writers that must survive panics should keep

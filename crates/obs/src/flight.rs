@@ -123,7 +123,7 @@ impl FlightRecorder {
     }
 
     /// Write every retained failed tree as JSONL (same shape the
-    /// [`crate::sink::JsonlSink`] writes, so `trace-report` reads it).
+    /// [`crate::sink::JsonlSink`] writes, so `report trace` reads it).
     /// Each tree is preceded by the window frames it snapshotted, so a
     /// postmortem line stream reads "system state, then the failure".
     pub fn dump_failed_jsonl(&self, w: &mut dyn Write) -> std::io::Result<()> {

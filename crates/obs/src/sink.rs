@@ -60,7 +60,7 @@ impl Sink for NullSink {
 /// Keeps the last `cap` events in memory — the in-process memory sink
 /// tests and experiment consumers use. Bounded: when full, the oldest
 /// event is dropped and [`RingSink::dropped_events`] counts it, so a
-/// long `exp_scale` run cannot OOM through its sink.
+/// long `exp scale` run cannot OOM through its sink.
 #[derive(Debug)]
 pub struct RingSink {
     cap: usize,

@@ -3,7 +3,7 @@
 //! Rules are evaluated by the [`Timeline`](crate::timeseries::Timeline)
 //! at every window close, against the retained frame history (oldest
 //! first, the just-closed frame last). Evaluation is a pure function of
-//! the frames, so an offline consumer (`health-report`) re-running the
+//! the frames, so an offline consumer (`report health`) re-running the
 //! same rules over exported frames reaches byte-identical verdicts.
 //!
 //! Rule kinds cover the health properties the C-Saw pipeline cares
@@ -75,7 +75,7 @@ pub enum SloKind {
 /// A named rule: a kind plus the number of windows it looks at.
 #[derive(Debug, Clone)]
 pub struct SloRule {
-    /// Stable rule name (what `health-report --expect` matches).
+    /// Stable rule name (what `report health --expect` matches).
     pub name: String,
     /// Windows of history the rule needs before it can fire. For
     /// [`SloKind::GaugeLastMax`] this is the consecutive-breach length;
@@ -229,7 +229,7 @@ impl SloSet {
         }
     }
 
-    /// The ingest-harness rule set (`exp_scale`): no client-side series
+    /// The ingest-harness rule set (`exp scale`): no client-side series
     /// exist there, so only store-side coverage is checked.
     pub fn ingest_default() -> SloSet {
         SloSet {

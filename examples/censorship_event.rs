@@ -8,7 +8,7 @@
 //! ```
 
 fn main() {
-    let w = csaw_bench::experiments::wild::run(2026);
+    let w = csaw_bench::experiments::wild::run(2026, 1);
     println!("{}", w.render());
     println!("Compare with the paper's snapshot:");
     println!("  * Twitter blocked from AS 38193 (Response: HTTP_GET_TIMEOUT)");
