@@ -6,7 +6,9 @@
 //!
 //! Hand-rolled harness (`harness = false`): each benchmark is calibrated
 //! to a target wall time, then timed over a fixed iteration count and
-//! reported as ns/iter with a best-of-runs summary.
+//! reported as ns/iter with a best-of-runs summary. Numbers print to
+//! stdout only; the tracked per-layer figures for the same hot paths are
+//! `BENCHMARK.json`'s `per_layer` rows.
 //!
 //! ```sh
 //! cargo bench -p csaw-bench
@@ -37,12 +39,7 @@ use std::time::{Duration, Instant};
 /// average folds that interference into the result. The fastest batch
 /// is still a full-batch average — never a single-iteration time — so
 /// it estimates steady-state cost, not a lucky cache hit.
-fn bench<R>(
-    name: &str,
-    filter: Option<&str>,
-    out: &mut Vec<(String, u64)>,
-    mut f: impl FnMut() -> R,
-) {
+fn bench<R>(name: &str, filter: Option<&str>, mut f: impl FnMut() -> R) {
     if let Some(pat) = filter {
         if !name.contains(pat) {
             return;
@@ -73,11 +70,10 @@ fn bench<R>(
         best = best.min(t0.elapsed().as_nanos() / iters as u128);
     }
     println!("{name:<32} {best:>12} ns/iter  ({iters} iters/batch)");
-    out.push((name.to_string(), best as u64));
 }
 
-fn bench_url_parse(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
-    bench("url_parse", filter, out, || {
+fn bench_url_parse(filter: Option<&str>) {
+    bench("url_parse", filter, || {
         Url::parse(black_box(
             "https://video.cdn.example.com:8443/watch/v/abc123?t=42&list=x",
         ))
@@ -85,7 +81,7 @@ fn bench_url_parse(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
     });
 }
 
-fn bench_local_db_lpm(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
+fn bench_local_db_lpm(filter: Option<&str>) {
     let mut db = LocalDb::new(SimDuration::from_secs(3600));
     for i in 0..500 {
         let url = Url::parse(&format!(
@@ -108,24 +104,24 @@ fn bench_local_db_lpm(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
         db.record_measurement(&url, Asn(1), SimTime::ZERO, status, stages);
     }
     let probe = Url::parse("http://site7.example/sec3/page17/deeper/path").unwrap();
-    bench("local_db_lookup_lpm", filter, out, || {
+    bench("local_db_lookup_lpm", filter, || {
         db.lookup(black_box(&probe), SimTime::ZERO)
     });
 }
 
-fn bench_phase1(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
+fn bench_phase1(filter: Option<&str>) {
     let cfg = Phase1Config::default();
     let block_page = &csaw_blockpage::corpus_47()[0].html;
     let real_page = csaw_webproto::synth_html("News", 95_000);
-    bench("phase1_block_page", filter, out, || {
+    bench("phase1_block_page", filter, || {
         phase1_html(black_box(block_page), &cfg)
     });
-    bench("phase1_real_95kb", filter, out, || {
+    bench("phase1_real_95kb", filter, || {
         phase1_html(black_box(&real_page), &cfg)
     });
 }
 
-fn bench_vote_tally(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
+fn bench_vote_tally(filter: Option<&str>) {
     let ledger = VoteLedger::new();
     for client in 0..200u64 {
         let urls: Vec<(String, Asn)> = (0..20)
@@ -138,18 +134,18 @@ fn bench_vote_tally(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
             .collect();
         ledger.set_client_report(Uuid::from_raw(client), urls);
     }
-    bench("vote_tally", filter, out, || {
+    bench("vote_tally", filter, || {
         ledger.tally(black_box("http://blocked42.example/"), Asn(1))
     });
 }
 
-fn bench_detector(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
+fn bench_detector(filter: Option<&str>) {
     let world =
         csaw_bench::worlds::single_isp_world(csaw_censor::ISP_A_ASN, "ISP-A", csaw_censor::isp_a());
     let provider = world.access.providers()[0].clone();
     let url = Url::parse("http://www.youtube.com/").unwrap();
     let mut rng = DetRng::new(1);
-    bench("detector_blocked_page", filter, out, || {
+    bench("detector_blocked_page", filter, || {
         measure_direct(
             black_box(&world),
             &provider,
@@ -161,9 +157,9 @@ fn bench_detector(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
     });
 }
 
-fn bench_transfer_model(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
+fn bench_transfer_model(filter: Option<&str>) {
     let cfg = TcpConfig::default();
-    bench("transfer_time_360kb", filter, out, || {
+    bench("transfer_time_360kb", filter, || {
         transfer_time(
             black_box(360_000),
             SimDuration::from_millis(186),
@@ -173,13 +169,13 @@ fn bench_transfer_model(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
     });
 }
 
-fn bench_local_db_insert(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
+fn bench_local_db_insert(filter: Option<&str>) {
     let mut db = LocalDb::new(SimDuration::from_secs(3600));
     let urls: Vec<Url> = (0..64)
         .map(|i| Url::parse(&format!("http://s{}.example/p/{i}", i % 8)).unwrap())
         .collect();
     let mut i = 0usize;
-    bench("local_db_record_aggregated", filter, out, || {
+    bench("local_db_record_aggregated", filter, || {
         let u = &urls[i % urls.len()];
         i += 1;
         let blocked = i.is_multiple_of(3);
@@ -192,7 +188,7 @@ fn bench_local_db_insert(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
     });
 }
 
-fn bench_redundancy_parallel(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
+fn bench_redundancy_parallel(filter: Option<&str>) {
     use csaw::config::RedundancyMode;
     use csaw::measure::fetch_with_redundancy;
     use csaw_circumvent::transports::FetchCtx;
@@ -206,7 +202,7 @@ fn bench_redundancy_parallel(filter: Option<&str>, out: &mut Vec<(String, u64)>)
         now: SimTime::ZERO,
         provider: provider.clone(),
     };
-    bench("redundant_fetch_parallel", filter, out, || {
+    bench("redundant_fetch_parallel", filter, || {
         fetch_with_redundancy(
             black_box(&world),
             &ctx,
@@ -224,8 +220,8 @@ fn bench_redundancy_parallel(filter: Option<&str>, out: &mut Vec<(String, u64)>)
 /// context: 10k events dispatched through `run_until`, including a
 /// re-schedule per event. This is the workload behind the csaw-obs
 /// "≤ 5% overhead with the null sink" acceptance criterion.
-fn bench_event_loop(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
-    bench("simnet_event_loop_10k", filter, out, || {
+fn bench_event_loop(filter: Option<&str>) {
+    bench("simnet_event_loop_10k", filter, || {
         let mut s: Scheduler<u64> = Scheduler::new();
         let mut rng = DetRng::new(42);
         for i in 0..10_000u64 {
@@ -243,46 +239,25 @@ fn bench_event_loop(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    // cargo bench passes --bench; any bare argument is a name filter;
-    // `--json PATH` merges the results into a scorecard's timing.micro
-    // section (creating the file if needed) for the CI perf gate.
-    let mut json_out: Option<std::path::PathBuf> = None;
-    let mut filter: Option<String> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => match it.next() {
-                Some(path) => json_out = Some(std::path::PathBuf::from(path)),
-                None => {
-                    eprintln!("microbench: --json needs a path");
-                    std::process::exit(2);
-                }
-            },
-            a if a.starts_with('-') => {} // cargo's own bench plumbing
-            a => filter = Some(a.to_string()),
-        }
+    // cargo bench passes `--bench`; a bare argument is the name filter;
+    // there are no flags.
+    let args: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| a != "--bench")
+        .collect();
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        eprintln!("microbench: unknown flag {flag:?} (a bare argument is the name filter)");
+        std::process::exit(2);
     }
-    let filter = filter.as_deref();
-    let mut results: Vec<(String, u64)> = Vec::new();
-    let out = &mut results;
+    let filter = args.first().map(String::as_str);
     println!("{:<32} {:>12}", "benchmark", "time");
-    bench_url_parse(filter, out);
-    bench_local_db_lpm(filter, out);
-    bench_phase1(filter, out);
-    bench_vote_tally(filter, out);
-    bench_detector(filter, out);
-    bench_transfer_model(filter, out);
-    bench_local_db_insert(filter, out);
-    bench_redundancy_parallel(filter, out);
-    bench_event_loop(filter, out);
-    if let Some(path) = json_out {
-        if let Err(e) =
-            csaw_bench::scorecard::Scorecard::merge_micro_file(&path, "microbench", 1, &results)
-        {
-            eprintln!("microbench: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("microbench: micro results merged -> {}", path.display());
-    }
+    bench_url_parse(filter);
+    bench_local_db_lpm(filter);
+    bench_phase1(filter);
+    bench_vote_tally(filter);
+    bench_detector(filter);
+    bench_transfer_model(filter);
+    bench_local_db_insert(filter);
+    bench_redundancy_parallel(filter);
+    bench_event_loop(filter);
 }

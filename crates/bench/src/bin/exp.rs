@@ -23,8 +23,8 @@
 //!   process-wide `--metrics-out` snapshot only shows totals);
 //! - `BENCH_seed<seed>.json` — the scorecard: a deterministic FNV-1a
 //!   digest of every experiment's stdout block (`report perf
-//!   --fingerprint` of it is what `GOLDEN_seed1.json` pins) plus the
-//!   wall timings as tolerance-banded timing fields for `report perf`.
+//!   --fingerprint` of it is what `GOLDEN_seed1.json` pins). The wall
+//!   timings are not repeated in it.
 //!
 //! Exit codes are [`csaw_bench::cli::exit`], shared with `report`.
 
@@ -207,16 +207,9 @@ fn run_all(args: &[String]) {
     let text = metrics.to_string_pretty() + "\n";
     or_die(&metrics_path, std::fs::write(&metrics_path, text));
 
-    // The scorecard: stdout digests are the deterministic section, wall
-    // timings the timing section.
+    // The scorecard: stdout digests are the deterministic section.
     let digests = runs.iter().map(|r| (r.name, r.digest.as_str()));
-    let mut card = experiments::sweep_card(seed, digests);
-    let mut walls = JsonValue::obj();
-    for r in &runs {
-        walls.set(r.name, r.wall_s);
-    }
-    card.timing.set("experiment_wall_s", walls);
-    card.timing.set("total_wall_s", total_s);
+    let card = experiments::sweep_card(seed, digests);
     let card_path = dir.join(format!("BENCH_seed{seed}.json"));
     or_die(&card_path, card.write(&card_path));
 

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! report trace  TRACE  [--baseline TRACE] [--max-regress-pct P] [--waterfall N]
-//! report perf   CARD   [--baseline CARD] [--tolerance F] [--fingerprint]
-//!                      [--gate-health] [--trace TRACE]
+//! report perf   CARD   [--baseline CARD] [--fingerprint]
 //! report health FRAMES [--gate] [--expect RULES]
 //! ```
 //!
@@ -12,9 +11,9 @@
 //!   do not sum to its root PLT within 1 µs makes the trace unusable.
 //! - `perf` reads a `BENCH_<seed>.json` scorecard: the attribution
 //!   table, the deterministic fingerprint CI diffs across same-seed
-//!   runs, and the tolerance-banded comparison against a baseline (a
-//!   deterministic mismatch is a correctness bug and outranks a timing
-//!   regression when both occur).
+//!   runs, and the exact diff of the deterministic section against a
+//!   baseline card. It gates on no timing field — timing regressions
+//!   are the repo benchmark's job (`benchmark/`, `BENCH_history.jsonl`).
 //! - `health` reads a `--frames-out` JSONL file (only `ts.frame` /
 //!   `slo.violation` events matter; a full `--trace-out` JSONL stream
 //!   also works). `--gate` is the CI "run must be healthy" check;
@@ -28,7 +27,6 @@ use csaw_bench::cli::{self, exit};
 use csaw_bench::scorecard::Scorecard;
 use csaw_bench::tracereport::{self, RawEvent};
 use csaw_bench::{healthreport, perfreport};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "\
@@ -46,18 +44,11 @@ usage: report trace TRACE [flags]
 const PERF_USAGE: &str = "\
 usage: report perf CARD.json [flags]
 
-  --baseline FILE   compare against a baseline scorecard; exit 3 on a
-                    timing regression, 4 on a deterministic mismatch
-  --tolerance F     relative timing band for --baseline (default 0.25)
+  --baseline FILE   diff the deterministic section against a baseline
+                    scorecard; exit 4 on a mismatch (timing fields are
+                    rendered, never compared)
   --fingerprint     print only the deterministic fingerprint and exit
-                    (two same-seed runs must print identical bytes)
-  --gate-health     absolute fitness gate on the card itself: exit 3
-                    when the widest row's lock-wait fraction exceeds
-                    20% of attributed thread-seconds or 1→8-thread
-                    scaling is below 3× (skipped on hosts too narrow
-                    to express it)
-  --trace FILE      also aggregate a trace file (Chrome-trace or JSONL)
-                    into per-span totals alongside the attribution";
+                    (two same-seed runs must print identical bytes)";
 
 const HEALTH_USAGE: &str = "\
 usage: report health FRAMES.jsonl [flags]
@@ -169,23 +160,11 @@ fn perf(args: &[String]) -> i32 {
     let (cmd, usage) = ("report perf", PERF_USAGE);
     let mut card_path: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
-    let mut trace: Option<PathBuf> = None;
-    let mut tolerance = 0.25f64;
     let mut fingerprint = false;
-    let mut gate_health = false;
     cli::parse_args(cmd, usage, args, |a, value| {
         match a {
             "--baseline" => baseline = Some(PathBuf::from(value())),
-            "--trace" => trace = Some(PathBuf::from(value())),
-            "--tolerance" => {
-                let v = value();
-                tolerance = cli::parse_value(cmd, usage, a, &v);
-                if !tolerance.is_finite() || tolerance < 0.0 {
-                    cli::die(cmd, usage, &format!("bad --tolerance {v:?}"));
-                }
-            }
             "--fingerprint" => fingerprint = true,
-            "--gate-health" => gate_health = true,
             other => return positional(&mut card_path, other),
         }
         true
@@ -203,48 +182,11 @@ fn perf(args: &[String]) -> i32 {
 
     print!("{}", perfreport::attribution(&card));
 
-    if let Some(trace_path) = &trace {
-        let events = events(cmd, usage, trace_path);
-        // Spans aggregate by duration; instant events still show up
-        // with a count so a span-less trace is not rendered as empty.
-        let mut by_name: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-        for ev in &events {
-            let e = by_name.entry(ev.name.as_str()).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += ev.dur_us.unwrap_or(0);
-        }
-        let mut spans: Vec<_> = by_name.into_iter().collect();
-        spans.sort_by(|a, b| {
-            b.1 .1
-                .cmp(&a.1 .1)
-                .then(b.1 .0.cmp(&a.1 .0))
-                .then(a.0.cmp(b.0))
-        });
-        println!(
-            "\ntrace events by total span time ({}):",
-            trace_path.display()
-        );
-        for (name, (count, total_us)) in spans.iter().take(15) {
-            println!("  {name:<32} {total_us:>10}µs  ({count} events)");
-        }
-    }
-
     if let Some(base_path) = &baseline {
-        let cmp = perfreport::compare(&card, &load(base_path), tolerance);
+        let cmp = perfreport::compare(&card, &load(base_path));
         print!("\n{}", cmp.render());
-        if !cmp.deterministic_mismatches.is_empty() {
+        if !cmp.ok() {
             return exit::CORRECTNESS;
-        }
-        if !cmp.timing_regressions.is_empty() {
-            return exit::GATE;
-        }
-    }
-
-    if gate_health {
-        let h = perfreport::health(&card);
-        print!("\n{}", h.render());
-        if !h.ok() {
-            return exit::GATE;
         }
     }
     0

@@ -19,7 +19,6 @@
 //! byte-identical JSON, *regardless of `--jobs`* — the parallel runner
 //! merges per-trial telemetry in trial order behind a barrier.
 
-use crate::healthreport::{self, HealthInput};
 use crate::scorecard::Scorecard;
 use csaw_obs::chrome::ChromeTraceSink;
 use csaw_obs::clock::ManualClock;
@@ -42,8 +41,7 @@ pub mod exit {
     pub const NO_EVIDENCE: i32 = 1;
     /// Usage, I/O or parse error.
     pub const USAGE: i32 = 2;
-    /// A gate on measured values failed: trace PLT regression,
-    /// scorecard timing regression or `--gate-health` floor, SLO
+    /// A gate on measured values failed: trace PLT regression, SLO
     /// violation under `--gate`.
     pub const GATE: i32 = 3;
     /// Correctness: deterministic-field mismatch, silent report loss.
@@ -62,8 +60,8 @@ exit codes:
   1  input is not usable evidence (trace trees do not sum, no fetch
      trees, no frames under --gate)
   2  usage, I/O or parse error
-  3  a gate on measured values failed (trace PLT regression, scorecard
-     timing regression or --gate-health floor, SLO violation under --gate)
+  3  a gate on measured values failed (trace PLT regression, SLO
+     violation under --gate)
   4  correctness: deterministic-field mismatch, silent report loss
   5  delivery ratio below --min-delivery
   6  replica not converged after heal
@@ -363,21 +361,14 @@ impl ExpCli {
         &self.ctx
     }
 
-    /// Write `card` to `path` with the run's windowed-health summary
-    /// (window count, SLO rules violated) attached; exits
-    /// [`exit::USAGE`] when the file cannot be written.
-    pub fn write_card(&self, mut card: Scorecard, path: &Path) {
-        // Close the open telemetry window so the health section sees
-        // the run's series (finish() flushes again; the extra idle tail
-        // frame is skipped by the coverage rule).
+    /// Write `card` to `path`; exits [`exit::USAGE`] when the file
+    /// cannot be written.
+    pub fn write_card(&self, card: Scorecard, path: &Path) {
+        // Close the open telemetry window here: finish() flushes once
+        // more and that second flush emits the idle tail frame, which
+        // the byte-pinned `--frames-out` streams of card-writing runs
+        // contain.
         self.ctx.flush_timeline();
-        let timeline = &self.ctx.timeline;
-        if timeline.enabled() {
-            card.health = healthreport::health_json(&HealthInput {
-                frames: timeline.recent_frames(),
-                violations: timeline.violations(),
-            });
-        }
         if let Err(e) = card.write(path) {
             eprintln!("cannot write {}: {e}", path.display());
             std::process::exit(exit::USAGE);

@@ -561,6 +561,18 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
         lookups: flags.numeric("--lookups", defaults.lookups),
         ..defaults
     };
+    // Zero of any of these leaves a phase with nothing to do, which the
+    // library asserts against; reject it as a usage error here.
+    for (flag, value) in [
+        ("--clients", cfg.clients),
+        ("--shards", cfg.shards),
+        ("--lookups", cfg.lookups),
+        ("--threads", cfg.threads.iter().copied().min().unwrap_or(0)),
+    ] {
+        if value == 0 {
+            flags.die(&format!("{flag} must be at least 1"));
+        }
+    }
     let transport = flags.get("--transport").unwrap_or("in-process");
     if !matches!(transport, "in-process" | "tcp") {
         flags.die(&format!(
@@ -734,10 +746,10 @@ impl Scale {
             t.set("coalesce_max", sck.coalesce_max);
             card.timing.set("socket", t);
         }
-        // Machine identity for the health gate: parallel-scaling checks
-        // are only meaningful when the host had the cores to express
-        // them, so the card records how many it saw. Timing section —
-        // it describes the machine, not the seed.
+        // Machine identity for the attribution table: rows wider than
+        // the host's cores measure time-slicing, not the store, so the
+        // card records how many it saw. Timing section — it describes
+        // the machine, not the seed.
         card.timing.set(
             "host_threads",
             std::thread::available_parallelism().map_or(1, |n| n.get()),

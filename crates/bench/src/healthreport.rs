@@ -21,7 +21,7 @@
 //! alerting, not a healthy run).
 
 use crate::cli::{exit, Verdict};
-use csaw_obs::json::JsonValue;
+use crate::tracereport::jsonl_values;
 use csaw_obs::slo::Violation;
 use csaw_obs::timeseries::{key_in_family, Frame};
 use std::collections::BTreeSet;
@@ -75,11 +75,8 @@ impl HealthInput {
 /// `--trace-out` stream is accepted too; malformed JSON is an error.
 pub fn parse_jsonl(text: &str) -> Result<HealthInput, String> {
     let mut input = HealthInput::default();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = JsonValue::parse(line).map_err(|e| format!("line {}: {e:?}", lineno + 1))?;
+    for item in jsonl_values(text) {
+        let (_, v) = item?;
         if let Some(f) = Frame::parse(&v) {
             input.frames.push(f);
         } else if let Some(viol) = Violation::parse(&v) {
@@ -280,27 +277,6 @@ pub fn gate(input: &HealthInput) -> Verdict {
     }
 }
 
-/// The scorecard `health` section: window count, violation count, and
-/// the distinct rules that fired. Excluded from the determinism
-/// fingerprint (it is advisory context, not a gated count), though for
-/// virtual-time experiments it is in fact seed-pure.
-pub fn health_json(input: &HealthInput) -> JsonValue {
-    let mut v = JsonValue::obj();
-    v.set("windows", input.frames.len());
-    v.set("violations", input.violations.len());
-    v.set(
-        "rules_violated",
-        JsonValue::Arr(
-            input
-                .rules_violated()
-                .into_iter()
-                .map(JsonValue::from)
-                .collect(),
-        ),
-    );
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,15 +411,6 @@ mod tests {
             input.missing_expected(&["client.coverage".into()]),
             vec!["client.coverage".to_string()]
         );
-    }
-
-    #[test]
-    fn health_json_summarizes() {
-        let input = parse_jsonl(&sample_lines()).unwrap();
-        let h = health_json(&input);
-        assert_eq!(h.get("windows").and_then(JsonValue::as_u64), Some(2));
-        assert_eq!(h.get("violations").and_then(JsonValue::as_u64), Some(1));
-        assert!(h.to_string_compact().contains("report.delivery.fast"));
     }
 
     #[test]

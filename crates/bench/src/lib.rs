@@ -16,7 +16,7 @@
 //! pieces: [`alloc_track`] (allocs/report via the optional counting
 //! allocator), [`scorecard`] (the machine-readable `BENCH_<seed>.json`
 //! every scale run writes), and [`perfreport`] (the attribution table
-//! and the CI tolerance gate behind `report perf`). Traces
+//! and the determinism diff behind `report perf`). Traces
 //! (`--trace-out`) are analysed by [`tracereport`], windowed health
 //! telemetry (`--frames-out` JSONL) by [`healthreport`].
 

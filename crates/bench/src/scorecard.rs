@@ -1,7 +1,6 @@
 //! The machine-readable benchmark scorecard (`BENCH_<seed>.json`).
 //!
-//! One JSON document per benchmarked run, replacing the free-text
-//! `bench_output.txt` as the repo's perf source of truth. The schema is
+//! One JSON document per benchmarked run: identity plus two sections,
 //! split on the axis that matters for gating:
 //!
 //! - `"deterministic"` — counts that are a pure function of the seed
@@ -9,11 +8,15 @@
 //!   acquisition counts, allocs per report). Two same-seed runs of the
 //!   same build must produce **byte-identical** bytes here; `report perf
 //!   --fingerprint` prints exactly this section for the CI determinism
-//!   check.
-//! - `"timing"` — wall-clock measurements (throughput, p50/p99,
-//!   wait/hold sums, micro-bench ns/iter). Run-to-run variance is
-//!   expected; `report perf --baseline` compares these within tolerance
-//!   bands instead of byte-for-byte.
+//!   check, and `report perf --baseline` diffs it against another card.
+//! - `"timing"` — wall-clock measurements (`rows`: throughput, p50/p99,
+//!   per-lock-family wait/hold sums; `socket`; `host_threads`). `report
+//!   perf` renders them as the attribution table and nothing gates on
+//!   them: the repo's timing trajectory is `benchmark/` +
+//!   `BENCH_history.jsonl`.
+//!
+//! Older cards also carry a top-level `health` object and a
+//! `timing.micro` object; nothing reads either, and both still parse.
 //!
 //! [`LockProbe`] is the bridge from the contention layer: it resolves
 //! one `lock.<family>.*` set of handles from a registry and reads
@@ -46,14 +49,8 @@ pub struct Scorecard {
     pub seed: u64,
     /// Seed-determined counts; byte-identical across same-seed runs.
     pub deterministic: JsonValue,
-    /// Wall-clock measurements; compared with tolerance bands.
+    /// Wall-clock measurements; rendered, never compared.
     pub timing: JsonValue,
-    /// Windowed-health summary (window count, SLO rules violated) from
-    /// the run's telemetry timeline. Advisory context for humans and
-    /// dashboards — deliberately excluded from
-    /// [`Scorecard::fingerprint`], and omitted from the document when
-    /// empty, so pre-existing cards and health-less runs are unchanged.
-    pub health: JsonValue,
 }
 
 impl Scorecard {
@@ -64,7 +61,6 @@ impl Scorecard {
             seed,
             deterministic: JsonValue::obj(),
             timing: JsonValue::obj(),
-            health: JsonValue::obj(),
         }
     }
 
@@ -76,9 +72,6 @@ impl Scorecard {
         v.set("seed", self.seed);
         v.set("deterministic", self.deterministic.clone());
         v.set("timing", self.timing.clone());
-        if matches!(&self.health, JsonValue::Obj(m) if !m.is_empty()) {
-            v.set("health", self.health.clone());
-        }
         v
     }
 
@@ -119,7 +112,6 @@ impl Scorecard {
                 .cloned()
                 .unwrap_or_else(JsonValue::obj),
             timing: v.get("timing").cloned().unwrap_or_else(JsonValue::obj),
-            health: v.get("health").cloned().unwrap_or_else(JsonValue::obj),
         })
     }
 
@@ -132,41 +124,6 @@ impl Scorecard {
     /// Write (pretty, trailing newline) to a file.
     pub fn write(&self, path: &Path) -> io::Result<()> {
         std::fs::write(path, self.to_json().to_string_pretty() + "\n")
-    }
-
-    /// Merge micro-bench results (`name → ns/iter`) into
-    /// `timing.micro`, preserving entries for benches not in `results`
-    /// (so a filtered `--bench` run updates only what it measured).
-    pub fn set_micro(&mut self, results: &[(String, u64)]) {
-        let mut micro = self
-            .timing
-            .get("micro")
-            .cloned()
-            .unwrap_or_else(JsonValue::obj);
-        for (name, ns) in results {
-            micro.set(name, *ns);
-        }
-        self.timing.set("micro", micro);
-    }
-
-    /// Load `path` if it exists (any experiment), else start a fresh
-    /// `experiment` card, merge `results` into `timing.micro`, write
-    /// back. This is how the microbench harness contributes to the same
-    /// `BENCH_<seed>.json` the scale run writes.
-    pub fn merge_micro_file(
-        path: &Path,
-        experiment: &str,
-        seed: u64,
-        results: &[(String, u64)],
-    ) -> Result<(), String> {
-        let mut card = if path.exists() {
-            Scorecard::load(path)?
-        } else {
-            Scorecard::new(experiment, seed)
-        };
-        card.set_micro(results);
-        card.write(path)
-            .map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 
@@ -267,25 +224,20 @@ mod tests {
     }
 
     #[test]
-    fn health_roundtrips_but_stays_out_of_fingerprint() {
+    fn legacy_health_and_micro_keys_still_parse_and_fingerprint_the_same() {
         let mut card = Scorecard::new("exp_scale", 1);
         card.deterministic.set("accepted", 100u64);
-        assert!(
-            !card.to_json().to_string_pretty().contains("health"),
-            "empty health must be omitted from the document"
-        );
-        let clean_fp = card.fingerprint();
-        card.health.set("violations", 2u64);
-        assert_eq!(
-            card.fingerprint(),
-            clean_fp,
-            "health must stay out of the fingerprint"
-        );
-        let back = Scorecard::parse(&card.to_json().to_string_pretty()).expect("roundtrip");
-        assert_eq!(
-            back.health.get("violations").and_then(JsonValue::as_u64),
-            Some(2)
-        );
+        let mut legacy = card.to_json();
+        let mut health = JsonValue::obj();
+        health.set("violations", 2u64);
+        legacy.set("health", health);
+        let mut micro = JsonValue::obj();
+        micro.set("url_parse", 263u64);
+        let mut timing = JsonValue::obj();
+        timing.set("micro", micro);
+        legacy.set("timing", timing);
+        let back = Scorecard::parse(&legacy.to_string_pretty()).expect("schema 1 still parses");
+        assert_eq!(back.fingerprint(), card.fingerprint());
     }
 
     #[test]
@@ -295,22 +247,6 @@ mod tests {
         assert!(
             Scorecard::parse("{\"schema\":1}").is_err(),
             "missing identity"
-        );
-    }
-
-    #[test]
-    fn micro_merge_preserves_unmeasured_entries() {
-        let mut card = Scorecard::new("exp_scale", 1);
-        card.set_micro(&[("url_parse".into(), 200), ("vote_tally".into(), 900)]);
-        card.set_micro(&[("url_parse".into(), 210)]);
-        let micro = card.timing.get("micro").expect("micro section");
-        assert_eq!(
-            micro.get("url_parse").and_then(JsonValue::as_u64),
-            Some(210)
-        );
-        assert_eq!(
-            micro.get("vote_tally").and_then(JsonValue::as_u64),
-            Some(900)
         );
     }
 

@@ -62,21 +62,30 @@ fn str_field(v: &JsonValue, key: &str) -> Option<String> {
     v.get(key).and_then(|s| s.as_str()).map(str::to_string)
 }
 
+/// The one JSONL line reader under `report`: each non-blank line of
+/// `text` parsed as JSON, paired with its 1-based line number; a
+/// malformed line is `Err("line N: …")`.
+pub fn jsonl_values(text: &str) -> impl Iterator<Item = Result<(usize, JsonValue), String>> + '_ {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| match JsonValue::parse(line) {
+            Ok(v) => Ok((i + 1, v)),
+            Err(e) => Err(format!("line {}: {e:?}", i + 1)),
+        })
+}
+
 /// Parse the JSONL stream `JsonlSink` writes (`Event::to_json`, one
 /// compact object per line).
 pub fn parse_jsonl(text: &str) -> Result<Vec<RawEvent>, String> {
     let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = JsonValue::parse(line).map_err(|e| format!("line {}: {e:?}", lineno + 1))?;
-        let name =
-            str_field(&v, "event").ok_or_else(|| format!("line {}: no event", lineno + 1))?;
+    for item in jsonl_values(text) {
+        let (lineno, v) = item?;
+        let name = str_field(&v, "event").ok_or_else(|| format!("line {lineno}: no event"))?;
         let ts_us = v
             .get("ts_us")
             .and_then(|t| t.as_u64())
-            .ok_or_else(|| format!("line {}: no ts_us", lineno + 1))?;
+            .ok_or_else(|| format!("line {lineno}: no ts_us"))?;
         let mut fields = BTreeMap::new();
         if let Some(f) = v.get("fields").and_then(|f| f.as_obj()) {
             for (k, val) in f {

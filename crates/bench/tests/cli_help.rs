@@ -80,6 +80,14 @@ fn report_kinds_answer_help_with_the_shared_exit_table() {
         assert!(out.status.success(), "report {kind} --help: {out:?}");
         assert!(text.contains(&format!("usage: report {kind}")), "{text}");
         assert!(text.contains(exit::HELP), "report {kind} --help: {text}");
+        if kind == "perf" {
+            let flags: Vec<&str> = text
+                .lines()
+                .filter_map(|l| l.split_whitespace().next())
+                .filter(|w| w.starts_with("--"))
+                .collect();
+            assert_eq!(flags, ["--baseline", "--fingerprint"], "{text}");
+        }
     }
     for args in [
         &["--help"][..],
@@ -110,6 +118,60 @@ fn bad_command_lines_exit_2_with_usage() {
     assert_usage_error(&report(&["nosuch"]), "report nosuch");
     assert_usage_error(&report(&["health"]), "report health without a file");
     assert_usage_error(&report(&["trace", "x", "--nope"]), "report trace --nope");
+    // The timing gate, the health gate and the trace aggregator are
+    // gone from `report perf`, not aliased.
+    for removed in [
+        &["--tolerance", "0.5"][..],
+        &["--gate-health"],
+        &["--trace", "x"],
+    ] {
+        let args = [&["perf", "card.json"], removed].concat();
+        assert_usage_error(&report(&args), &format!("report perf {removed:?}"));
+    }
+    // `exp scale` rejects sizes it cannot run instead of panicking.
+    for zero in ["--threads", "--clients", "--lookups", "--shards"] {
+        let args = [
+            &["scale", "--clients", "100", "--lookups", "10"],
+            &["--bench-out", "none", zero, "0"][..],
+        ]
+        .concat();
+        assert_usage_error(&exp(&args), &format!("exp scale {zero} 0"));
+    }
+}
+
+#[test]
+fn perf_baseline_diff_ignores_timing_and_flags_a_changed_count() {
+    let card = |name: &str, accepted: u64, reports_per_sec: f64| {
+        let path =
+            std::env::temp_dir().join(format!("csaw_cli_{name}_{}.json", std::process::id()));
+        let text = format!(
+            r#"{{"schema":1,"experiment":"exp_scale","seed":1,
+                "deterministic":{{"rows":[{{"threads":1,"accepted":{accepted}}}]}},
+                "timing":{{"rows":[{{"threads":1,"reports_per_sec":{reports_per_sec}}}]}}}}"#
+        );
+        std::fs::write(&path, text).expect("write card");
+        path
+    };
+    let base = card("base", 400, 1000.0);
+    let slow = card("slow", 400, 100.0);
+    let drift = card("drift", 401, 1000.0);
+    let diff = |cur: &std::path::Path| {
+        report(&[
+            "perf",
+            cur.to_str().expect("utf-8 temp path"),
+            "--baseline",
+            base.to_str().expect("utf-8 temp path"),
+        ])
+    };
+    let out = diff(&slow);
+    assert_eq!(out.status.code(), Some(0), "timing-only: {out:?}");
+    assert!(!stdout(&out).contains("REGRESSION"), "{}", stdout(&out));
+    let out = diff(&drift);
+    assert_eq!(out.status.code(), Some(exit::CORRECTNESS), "{out:?}");
+    assert!(stdout(&out).contains("DETERMINISM MISMATCH"));
+    for p in [base, slow, drift] {
+        let _ = std::fs::remove_file(p);
+    }
 }
 
 #[test]
