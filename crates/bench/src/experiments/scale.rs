@@ -157,7 +157,7 @@ pub struct Scale {
 /// a report, they never change whether it is ultimately accepted) and
 /// land in the scorecard's `deterministic` section; everything
 /// wall-clock or scheduling-dependent (throughput, request latency,
-/// deferral retries, reactor coalescing) is `timing`.
+/// deferral retries) is `timing`.
 #[derive(Debug, Clone)]
 pub struct SocketScale {
     /// Posting threads sharing the connection pool.
@@ -182,13 +182,9 @@ pub struct SocketScale {
     pub req_p50_us: u64,
     /// 99th-percentile request round-trip latency, µs.
     pub req_p99_us: u64,
-    /// Batches the reactor handed to `ingest` (posts + deferral
+    /// Batches the server handed to `ingest` (posts + deferral
     /// retries). Timing-dependent via the retry count.
     pub batches_ingested: u64,
-    /// Mean requests decoded per busy reactor pass (batch coalescing).
-    pub coalesce_mean: f64,
-    /// Peak requests decoded in one reactor pass.
-    pub coalesce_max: u64,
 }
 
 /// The batch client `idx` posts — a pure function of `(seed, idx)`, so
@@ -387,8 +383,6 @@ pub fn run_socketed(
         req_p50_us: lat.p50_us().unwrap_or(0),
         req_p99_us: lat.p99_us().unwrap_or(0),
         batches_ingested: stats.batches_ingested,
-        coalesce_mean: stats.mean_requests_per_busy_pass(),
-        coalesce_max: stats.max_requests_per_pass,
     }
 }
 
@@ -651,7 +645,7 @@ impl Scale {
             out.push_str(&format!(
                 "socketed (tcp loopback, {} threads): {:.0} reports/s, \
                  req p50 {}µs p99 {}µs, {} accepted + {} rejected = {} posted, \
-                 {} deferral retries, coalescing mean {:.2} / max {}\n",
+                 {} deferral retries\n",
                 sck.threads,
                 sck.reports_per_sec,
                 sck.req_p50_us,
@@ -660,8 +654,6 @@ impl Scale {
                 sck.rejected,
                 sck.posted_reports,
                 sck.deferred_retries,
-                sck.coalesce_mean,
-                sck.coalesce_max,
             ));
         }
         out
@@ -726,8 +718,8 @@ impl Scale {
         card.deterministic.set("rows", det_rows);
         if let Some(sck) = &self.socket {
             // Socketed section, split on the same rule: receipt totals
-            // and store state are seed-pure; latency, throughput,
-            // deferrals, and coalescing depend on real scheduling.
+            // and store state are seed-pure; latency, throughput and
+            // deferrals depend on real scheduling.
             let mut d = JsonValue::obj();
             d.set("threads", sck.threads);
             d.set("posted_reports", sck.posted_reports);
@@ -742,8 +734,6 @@ impl Scale {
             t.set("req_p99_us", sck.req_p99_us);
             t.set("deferred_retries", sck.deferred_retries);
             t.set("batches_ingested", sck.batches_ingested);
-            t.set("coalesce_mean", sck.coalesce_mean);
-            t.set("coalesce_max", sck.coalesce_max);
             card.timing.set("socket", t);
         }
         // Machine identity for the attribution table: rows wider than
@@ -839,8 +829,8 @@ mod tests {
 
     #[test]
     fn socketed_phase_reconciles_and_is_seed_pure() {
-        // max_batches_per_pass: 1 forces the backpressure path under
-        // concurrent posters — deferrals must resubmit, never lose.
+        // max_posts_in_flight: 1 makes concurrent posters hit the
+        // backpressure path — deferrals must resubmit, never lose.
         let run = || {
             let cfg = tiny();
             let sck = run_socketed(
@@ -848,8 +838,7 @@ mod tests {
                 &cfg,
                 4,
                 DbServerConfig {
-                    max_batches_per_pass: 1,
-                    ..DbServerConfig::default()
+                    max_posts_in_flight: 1,
                 },
             );
             assert_eq!(

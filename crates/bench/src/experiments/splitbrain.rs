@@ -11,8 +11,8 @@
 //!   cross-origin probe population (~10× the client count, single
 //!   reachability reports) posting through the *same*
 //!   `GlobalApi::ingest` path;
-//! - N per-region replicas, each a real `csaw-dbserver` reactor over
-//!   its own `ShardedStore` (deliberately different shard counts),
+//! - N per-region replicas, each a real `csaw-dbserver` over its own
+//!   `ShardedStore` (deliberately different shard counts),
 //!   receive the leader's WAL over SHIP/ACK frames every
 //!   `ship_every_s` virtual seconds;
 //! - in the `split` scenario an [`OutageSchedule`] partitions the

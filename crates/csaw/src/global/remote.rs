@@ -125,7 +125,8 @@ pub struct RemoteDb {
     addr: SocketAddr,
     idle: Mutex<Vec<PooledConn>>,
     max_idle: usize,
-    read_timeout: Duration,
+    /// Applied to reads and writes alike.
+    timeout: Duration,
 }
 
 impl RemoteDb {
@@ -135,7 +136,7 @@ impl RemoteDb {
             addr,
             idle: Mutex::new(Vec::new()),
             max_idle: 16,
-            read_timeout: Duration::from_secs(10),
+            timeout: Duration::from_secs(10),
         }
     }
 
@@ -145,10 +146,11 @@ impl RemoteDb {
         self
     }
 
-    /// Per-request read timeout (a hung server surfaces as
-    /// [`StoreError::Unavailable`], not a deadlock).
+    /// Per-request timeout, applied to reads and to writes alike: a
+    /// server that stops answering *or* stops reading surfaces as
+    /// [`StoreError::Unavailable`], not a deadlock.
     pub fn with_read_timeout(mut self, t: Duration) -> RemoteDb {
-        self.read_timeout = t;
+        self.timeout = t;
         self
     }
 
@@ -168,7 +170,8 @@ impl RemoteDb {
         }
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.read_timeout))?;
+        stream.set_read_timeout(Some(self.timeout))?;
+        stream.set_write_timeout(Some(self.timeout))?;
         Ok(PooledConn {
             stream,
             buf: BytesMut::new(),

@@ -6,51 +6,62 @@
 //! length-framed wire protocol from [`csaw_store::net`], carried by the
 //! shared incremental codec in [`csaw_webproto::codec`].
 //!
-//! ## The reactor
+//! ## Threads, not polling
 //!
-//! The workspace is hermetic (no `mio`, no `libc`), so the event loop
-//! is a hand-rolled readiness loop over `std::net` sockets set
-//! non-blocking — the same shape as an epoll reactor, with `WouldBlock`
-//! standing in for "not ready":
+//! The workspace is hermetic (no `mio`, no `libc`), and the one thing
+//! `std::net` does without polling is block. So nothing here sleeps or
+//! spins while idle:
 //!
-//! 1. **Accept** every pending connection (unless draining).
-//! 2. **Read** whatever bytes each connection has, into its per-
-//!    connection [`BytesMut`], and decode complete frames.
-//! 3. **Execute** the pass's decoded requests. Concurrent `Post`
-//!    requests are batched into consecutive `ingest(Batch)` calls;
-//!    requests beyond the per-pass backpressure bound are answered with
-//!    an all-`deferred_indices` receipt instead of being dropped — the
-//!    client-side reconciliation (PR 4's contract) re-queues exactly
-//!    those reports.
-//! 4. **Write** each connection's pending response bytes until the
-//!    socket pushes back.
-//! 5. Park briefly when a full pass made no progress.
+//! 1. One **acceptor** thread (named `csaw-dbserver`) blocks in
+//!    `accept` and spawns one thread per connection.
+//! 2. Each **connection** thread blocks in `read`, decodes every
+//!    complete frame the bytes finish, executes each through the shared
+//!    `Service`, and answers them in order with one `write_all`.
+//!    Having answered, it looks for the peer's next request for a few
+//!    tens of microseconds without sleeping before it blocks again: a
+//!    closed-loop client's next request is usually already on its way,
+//!    and finding it spares both sides a futex wake-up.
+//! 3. **Execution** is transport-free: `Service::handle` maps one
+//!    request frame to one response and touches no socket, so any
+//!    number of connection threads run it at once over the lock-striped
+//!    [`ServerDb`]. `Post` requests beyond the in-flight bound are
+//!    answered with an all-`deferred_indices` receipt instead of being
+//!    dropped — the client-side reconciliation (PR 4's contract)
+//!    re-queues exactly those reports.
 //!
 //! ## Graceful drain
 //!
-//! [`DbServerHandle::drain`] stops accepting, keeps serving until the
-//! open sockets go quiet (every in-flight batch gets its receipt),
-//! flushes all response buffers, then closes. A batch whose receipt was
-//! sent is never lost;
-//! a client whose request had not fully arrived sees a closed
-//! connection — an explicit error on its side, never a silent drop.
-//! The accept path checks the stop/drain flags *before* blocking on
-//! `accept` (the non-blocking listener makes the check race-free),
-//! which is the corrected version of the proxy's historical shutdown
-//! race.
+//! [`DbServerHandle::drain`] stops accepting, shuts down the read half
+//! of every open connection — bytes the server had already received
+//! are still served and their responses written, then the connection
+//! thread sees end-of-stream — and joins every thread. A batch whose
+//! receipt was sent is never lost; a client whose request had not fully
+//! arrived sees a closed connection — an explicit error on its side,
+//! never a silent drop. A peer that stops reading cannot hold a drain
+//! up: accepted sockets carry a write timeout, and a write that times
+//! out closes the connection.
+//!
+//! Stop and drain set their flag *first* and then wake the blocked
+//! acceptor with a loopback connect; the acceptor re-checks the flag
+//! after *every* `accept`. So it does not matter whose connection wakes
+//! it: if a client's connect is accepted in place of the wake-up, the
+//! acceptor still sees the flag and leaves, and the unaccepted wake-up
+//! is reset with the listener. (The proxy's historical shutdown race
+//! checked the flag only before blocking.)
 //!
 //! ## Replication (`SHIP`/`SHIP_ACK`)
 //!
 //! A dbserver can also act as a **read replica**: a leader streams its
-//! WAL over [`csaw_store::net::op::SHIP`] frames, and the reactor
+//! WAL over [`csaw_store::net::op::SHIP`] frames, and the server
 //! applies each line through [`csaw_store::wal::replay_line`] — the
-//! same code path `JsonlStore::open` replays on restart. The reactor
-//! tracks how many lines it has applied (`wal_applied_seq`) and acks
-//! that position after every shipment, which makes the protocol
-//! idempotent: a re-shipped overlap is skipped, and a shipment that
-//! starts *beyond* the applied position is refused by acking the true
-//! position so the leader rewinds. Replayed ingests bypass the
-//! registrar by design — the leader already gated the original post.
+//! same code path `JsonlStore::open` replays on restart. The server
+//! tracks how many lines it has applied (`wal_applied_seq`, one
+//! shipment at a time under a lock) and acks that position after every
+//! shipment, which makes the protocol idempotent: a re-shipped overlap
+//! is skipped, and a shipment that starts *beyond* the applied position
+//! is refused by acking the true position so the leader rewinds.
+//! Replayed ingests bypass the registrar by design — the leader already
+//! gated the original post.
 //!
 //! ## Example
 //!
@@ -87,36 +98,52 @@ use csaw::global::{RegistrationError, ServerDb};
 use csaw_store::net::{DbRequest, DbResponse};
 use csaw_store::Batch;
 use csaw_webproto::bytes::BytesMut;
-use csaw_webproto::codec::{decode_frame, frame_ready, Frame};
+use csaw_webproto::codec::{decode_frame, Frame};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Tuning knobs for the reactor.
+/// How long a response write may make no progress before the
+/// connection is given up on — the same 10 s `RemoteDb` waits on its
+/// side. Without it a peer that stops reading would pin its thread in
+/// `write_all`, and [`DbServerHandle::drain`] with it, forever. (This
+/// crate's unit tests wait it out, so they get a short one.)
+const WRITE_TIMEOUT: Duration = Duration::from_millis(if cfg!(test) { 300 } else { 10_000 });
+
+/// How long a connection thread looks for the peer's next request
+/// (non-blocking `read` + `yield_now`) after answering one, before it
+/// falls back to the blocking `read`. A constant, not a setting: it
+/// only has to cover a loopback client's turnaround (≈15–30 µs), and a
+/// miss costs one futex wake-up, not correctness. Measured on
+/// `wire_mixed` (2 cores, pinned apart, ten 20 s runs): without the
+/// look `write_reports_per_s` is 65.4k and `post_rtt_us.p50` 46 µs;
+/// with it 94.7k (+45%) and 35 µs (`BENCH_history.jsonl`,
+/// `466f88f+PR20-no-look` against `466f88f+PR20`).
+const LOOK_BEFORE_BLOCK: Duration = Duration::from_micros(50);
+
+/// The server's one setting.
 #[derive(Debug, Clone)]
 pub struct DbServerConfig {
-    /// Maximum `Post` requests ingested per reactor pass. Requests
-    /// beyond this bound in a single pass receive an all-deferred
-    /// receipt (bounded backpressure, never a silent drop).
-    pub max_batches_per_pass: usize,
-    /// How long to park when a full pass made no progress.
-    pub idle_park: Duration,
+    /// Maximum `Post` requests executing at once, over all
+    /// connections. A post that arrives while this many are inside
+    /// `ingest` receives an all-deferred receipt (bounded backpressure,
+    /// never a silent drop).
+    pub max_posts_in_flight: usize,
 }
 
 impl Default for DbServerConfig {
     fn default() -> Self {
         DbServerConfig {
-            max_batches_per_pass: 1024,
-            idle_park: Duration::from_micros(100),
+            max_posts_in_flight: 1024,
         }
     }
 }
 
-/// Monotone counters published by the reactor thread. Snapshot with
-/// [`DbServerHandle::stats`].
+/// Monotone counters published by the connection threads. Snapshot
+/// with [`DbServerHandle::stats`].
 #[derive(Debug, Default)]
 struct AtomicStats {
     connections_accepted: AtomicU64,
@@ -136,14 +163,9 @@ struct AtomicStats {
     protocol_errors: AtomicU64,
     passes: AtomicU64,
     passes_with_requests: AtomicU64,
-    max_requests_per_pass: AtomicU64,
 }
 
 /// A point-in-time copy of the server's counters.
-///
-/// `requests_per_pass` ratios are the batch-coalescing signal: how many
-/// concurrent client requests one reactor pass turned into consecutive
-/// `ingest` calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbServerStats {
     /// Connections accepted over the server's lifetime.
@@ -176,23 +198,11 @@ pub struct DbServerStats {
     pub reports_deferred: u64,
     /// Frames or payloads that failed to decode.
     pub protocol_errors: u64,
-    /// Reactor passes run.
+    /// Socket reads that returned bytes, over all connections. An idle
+    /// server adds none.
     pub passes: u64,
-    /// Passes that decoded at least one request.
+    /// Those reads whose bytes completed at least one request frame.
     pub passes_with_requests: u64,
-    /// Most requests decoded in a single pass (peak coalescing).
-    pub max_requests_per_pass: u64,
-}
-
-impl DbServerStats {
-    /// Mean requests per pass that had any — the coalescing factor.
-    pub fn mean_requests_per_busy_pass(&self) -> f64 {
-        if self.passes_with_requests == 0 {
-            0.0
-        } else {
-            (self.frames_in as f64) / (self.passes_with_requests as f64)
-        }
-    }
 }
 
 impl AtomicStats {
@@ -216,20 +226,23 @@ impl AtomicStats {
             protocol_errors: get(&self.protocol_errors),
             passes: get(&self.passes),
             passes_with_requests: get(&self.passes_with_requests),
-            max_requests_per_pass: get(&self.max_requests_per_pass),
         }
     }
 }
 
-/// Handle to a running [`spawn_dbserver`] reactor. Dropping it stops
+/// What the handle has asked of the acceptor.
+const RUNNING: u8 = 0;
+const DRAINING: u8 = 1;
+const STOPPING: u8 = 2;
+
+/// Handle to a running [`spawn_dbserver`] server. Dropping it stops
 /// the server immediately; call [`DbServerHandle::drain`] first for a
 /// graceful shutdown.
 #[derive(Debug)]
 pub struct DbServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
-    stats: Arc<AtomicStats>,
+    service: Arc<Service>,
+    asked: Arc<AtomicU8>,
     join: Option<JoinHandle<()>>,
 }
 
@@ -239,328 +252,317 @@ impl DbServerHandle {
         self.addr
     }
 
-    /// Snapshot the reactor's counters.
+    /// Snapshot the server's counters.
     pub fn stats(&self) -> DbServerStats {
-        self.stats.snapshot()
+        self.service.stats.snapshot()
     }
 
     /// Graceful drain: stop accepting, serve every fully-received
-    /// request, flush all responses, close, and join the reactor.
+    /// request, write all responses, close, and join every thread.
     pub fn drain(mut self) -> DbServerStats {
-        self.draining.store(true, Ordering::SeqCst);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-        self.stats.snapshot()
+        self.shut_down(DRAINING);
+        self.service.stats.snapshot()
+    }
+
+    /// Flag first, then wake: the acceptor is blocked in `accept` and
+    /// re-checks the flag after every connection, whoever sent it.
+    fn shut_down(&mut self, how: u8) {
+        let Some(join) = self.join.take() else {
+            return;
+        };
+        self.asked.store(how, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+        let _ = join.join();
     }
 }
 
 impl Drop for DbServerHandle {
     fn drop(&mut self) {
-        // Hard stop: the flag is checked every pass, and accept never
-        // blocks, so no wake-up connection is needed (and none can be
-        // stolen by a concurrent client — the proxy's historical race).
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
+        self.shut_down(STOPPING);
     }
 }
 
-/// Per-connection state: the non-blocking stream plus its incremental
-/// read buffer and pending write bytes.
-struct Conn {
-    stream: TcpStream,
-    rbuf: BytesMut,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// Peer closed its write side (or errored); drop once flushed.
-    peer_closed: bool,
-    /// Unrecoverable framing/socket error; drop once flushed.
-    poisoned: bool,
-}
-
-impl Conn {
-    fn pending_write(&self) -> bool {
-        self.wpos < self.wbuf.len()
-    }
-}
-
-/// Bind a loopback listener and run the reactor on a background
-/// thread, serving `server` over the wire protocol.
+/// Bind a loopback listener and serve `server` over the wire protocol
+/// from background threads.
 pub fn spawn_dbserver(server: Arc<ServerDb>, cfg: DbServerConfig) -> io::Result<DbServerHandle> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let draining = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(AtomicStats::default());
-    let reactor = Reactor {
+    let asked = Arc::new(AtomicU8::new(RUNNING));
+    let service = Arc::new(Service {
         server,
         cfg,
-        listener,
-        stop: Arc::clone(&stop),
-        draining: Arc::clone(&draining),
-        stats: Arc::clone(&stats),
-        conns: Vec::new(),
-        wal_seq: 0,
-    };
+        stats: AtomicStats::default(),
+        wal_seq: Mutex::new(0),
+        posts_in_flight: AtomicUsize::new(0),
+    });
     // Inherit the spawner's observability scope: metrics the server
     // emits (store ingest, WAL replays) land in the same context as the
     // experiment trial that spawned it, not the process-global one.
     let ctx = csaw_obs::current();
     let join = std::thread::Builder::new()
         .name("csaw-dbserver".into())
-        .spawn(move || {
-            let _scope = csaw_obs::install(ctx);
-            reactor.run()
+        .spawn({
+            let (service, asked) = (Arc::clone(&service), Arc::clone(&asked));
+            move || {
+                let _scope = csaw_obs::install(ctx);
+                accept_loop(listener, service, &asked)
+            }
         })?;
     Ok(DbServerHandle {
         addr,
-        stop,
-        draining,
-        stats,
+        service,
+        asked,
         join: Some(join),
     })
 }
 
-struct Reactor {
-    server: Arc<ServerDb>,
-    cfg: DbServerConfig,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
-    stats: Arc<AtomicStats>,
-    conns: Vec<Conn>,
-    /// WAL lines applied via `Ship` so far — the replica's position.
-    /// Plain (non-atomic) because only the reactor thread touches it;
-    /// `stats.wal_applied_seq` mirrors it for observers.
-    wal_seq: u64,
+/// Accept until asked to leave, one thread per connection; then close
+/// the listener, end every connection and join its thread.
+fn accept_loop(listener: TcpListener, service: Arc<Service>, asked: &AtomicU8) {
+    // The acceptor's half of each live connection (to shut it down
+    // from here) and the thread serving the other half.
+    let mut conns: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    let how = loop {
+        let accepted = listener.accept();
+        let how = asked.load(Ordering::SeqCst);
+        if how != RUNNING {
+            break how;
+        }
+        conns.retain(|(_, thread)| !thread.is_finished());
+        let Ok((mut stream, _)) = accepted else {
+            // Out of descriptors, most likely: closing connections
+            // frees some, spinning on the error does not.
+            std::thread::sleep(Duration::from_millis(1));
+            continue;
+        };
+        let _ = stream.set_nodelay(true);
+        let (Ok(()), Ok(ours)) = (
+            stream.set_write_timeout(Some(WRITE_TIMEOUT)),
+            stream.try_clone(),
+        ) else {
+            continue;
+        };
+        service
+            .stats
+            .connections_accepted
+            .fetch_add(1, Ordering::Relaxed);
+        // Spawned from this thread so that connection threads inherit
+        // its CPU mask as well as its observability scope.
+        let spawned = std::thread::Builder::new()
+            .name("csaw-dbserver-conn".into())
+            .spawn({
+                let (service, ctx) = (Arc::clone(&service), csaw_obs::current());
+                move || {
+                    let _scope = csaw_obs::install(ctx);
+                    service.serve(&mut stream);
+                    // The acceptor holds the other handle to this
+                    // socket, so dropping ours would not close it.
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+            });
+        if let Ok(thread) = spawned {
+            conns.push((ours, thread));
+        }
+    };
+    drop(listener);
+    // Drain closes only the read half: bytes already received are
+    // still served and answered, then the thread reads end-of-stream.
+    // Partial frames belong to requests that never fully arrived;
+    // their senders observe the close as an explicit error.
+    let half = if how == DRAINING {
+        Shutdown::Read
+    } else {
+        Shutdown::Both
+    };
+    for (ours, _) in &conns {
+        let _ = ours.shutdown(half);
+    }
+    for (_, thread) in conns {
+        let _ = thread.join();
+    }
 }
 
-impl Reactor {
-    fn run(mut self) {
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let draining = self.draining.load(Ordering::SeqCst);
-            self.stats.passes.fetch_add(1, Ordering::Relaxed);
-
-            let mut progress = false;
-            if !draining {
-                progress |= self.accept_pass();
-            }
-            let requests = self.read_pass(&mut progress);
-            if !requests.is_empty() {
-                self.stats
-                    .passes_with_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .max_requests_per_pass
-                    .fetch_max(requests.len() as u64, Ordering::Relaxed);
-                self.execute_pass(requests);
-                progress = true;
-            }
-            progress |= self.write_pass();
-            self.conns
-                .retain(|c| !((c.peer_closed || c.poisoned) && !c.pending_write()));
-
-            // Drain completes when a whole pass went quiet: nothing was
-            // read, every response is flushed, and no fully-received
-            // request is still undecoded. Partial frames in a read
-            // buffer belong to requests that never fully arrived; their
-            // senders observe the close as an explicit error.
-            if draining && !progress && self.drained() {
-                return;
-            }
-            if !progress {
-                std::thread::sleep(self.cfg.idle_park);
-            }
-        }
-    }
-
-    /// All responses flushed and no complete request frame buffered.
-    fn drained(&mut self) -> bool {
-        for c in &mut self.conns {
-            if c.pending_write() {
-                return false;
-            }
-            if !c.poisoned {
-                if let Ok(true) = frame_ready(&c.rbuf) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    fn accept_pass(&mut self) -> bool {
-        let mut any = false;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+/// The peer's next bytes. With `look`, poll for them for
+/// [`LOOK_BEFORE_BLOCK`] before blocking.
+fn read_next(stream: &mut TcpStream, chunk: &mut [u8], look: bool) -> io::Result<usize> {
+    if look && stream.set_nonblocking(true).is_ok() {
+        let deadline = Instant::now() + LOOK_BEFORE_BLOCK;
+        let found = loop {
+            match stream.read(chunk) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if Instant::now() >= deadline {
+                        break None;
                     }
-                    let _ = stream.set_nodelay(true);
-                    self.stats
-                        .connections_accepted
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.conns.push(Conn {
-                        stream,
-                        rbuf: BytesMut::new(),
-                        wbuf: Vec::new(),
-                        wpos: 0,
-                        peer_closed: false,
-                        poisoned: false,
-                    });
-                    any = true;
+                    std::thread::yield_now();
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return any,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return any,
+                found => break Some(found),
             }
+        };
+        stream.set_nonblocking(false)?;
+        if let Some(found) = found {
+            return found;
         }
     }
+    loop {
+        match stream.read(chunk) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            read => return read,
+        }
+    }
+}
 
-    /// Read available bytes and decode complete frames into a pass-
-    /// local request list.
-    fn read_pass(&mut self, progress: &mut bool) -> Vec<(usize, Frame)> {
-        let mut requests = Vec::new();
+/// Everything a request needs and no socket: shared by every
+/// connection thread, and drivable without one.
+#[derive(Debug)]
+struct Service {
+    server: Arc<ServerDb>,
+    cfg: DbServerConfig,
+    stats: AtomicStats,
+    /// WAL lines applied via `Ship` so far — the replica's position.
+    /// Held for a whole shipment, so connections shipping overlapping
+    /// ranges apply each line once; `stats.wal_applied_seq` mirrors it
+    /// for observers.
+    wal_seq: Mutex<u64>,
+    /// `Post` requests inside `ingest` right now.
+    posts_in_flight: AtomicUsize,
+}
+
+impl Service {
+    /// One connection, until the peer closes, the server shuts the
+    /// socket down, framing is lost or a write fails.
+    fn serve(&self, stream: &mut TcpStream) {
+        let mut rbuf = BytesMut::new();
         let mut chunk = [0u8; 16 * 1024];
-        for (idx, conn) in self.conns.iter_mut().enumerate() {
-            if conn.poisoned {
-                continue;
-            }
-            if !conn.peer_closed {
-                loop {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            conn.peer_closed = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.rbuf.extend_from_slice(&chunk[..n]);
-                            *progress = true;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            conn.peer_closed = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            loop {
-                match decode_frame(&mut conn.rbuf) {
+        let mut out = Vec::new();
+        let mut answered = false;
+        loop {
+            let n = match read_next(stream, &mut chunk, answered) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => n,
+            };
+            rbuf.extend_from_slice(&chunk[..n]);
+            self.stats.passes.fetch_add(1, Ordering::Relaxed);
+            let (mut requests, mut framing_lost) = (false, false);
+            while !framing_lost {
+                let resp = match decode_frame(&mut rbuf) {
                     Ok(Some(frame)) => {
                         self.stats.frames_in.fetch_add(1, Ordering::Relaxed);
-                        requests.push((idx, frame));
+                        requests = true;
+                        self.handle(&frame)
                     }
                     Ok(None) => break,
                     Err(_) => {
-                        // Framing is lost: answer with a protocol error
-                        // and close after the flush.
+                        // Answer with a protocol error, then close.
                         self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        let resp = DbResponse::Error {
+                        framing_lost = true;
+                        DbResponse::Error {
                             code: "frame".into(),
                             detail: "unframeable bytes; closing".into(),
                             index: None,
-                        };
-                        conn.wbuf.extend_from_slice(&resp.to_frame().encode());
-                        self.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                        conn.poisoned = true;
-                        break;
-                    }
-                }
-            }
-        }
-        requests
-    }
-
-    /// Serve the pass's requests in arrival order. `Post` requests
-    /// beyond the backpressure bound get an all-deferred receipt.
-    fn execute_pass(&mut self, requests: Vec<(usize, Frame)>) {
-        let mut posts_this_pass = 0usize;
-        for (idx, frame) in requests {
-            let resp = match DbRequest::from_frame(&frame) {
-                Ok(DbRequest::Register { now, risk }) => {
-                    self.stats.registers.fetch_add(1, Ordering::Relaxed);
-                    match self.server.register(now, risk) {
-                        Ok(uuid) => DbResponse::Registered(uuid),
-                        Err(e) => DbResponse::Error {
-                            code: match e {
-                                RegistrationError::RiskRejected => "risk_rejected".into(),
-                                RegistrationError::RateLimited => "rate_limited".into(),
-                                RegistrationError::Unavailable => "unavailable".into(),
-                            },
-                            detail: "registration gate".into(),
-                            index: None,
-                        },
-                    }
-                }
-                Ok(DbRequest::Post {
-                    client,
-                    posted_at,
-                    reports,
-                }) => {
-                    self.stats.posts.fetch_add(1, Ordering::Relaxed);
-                    if posts_this_pass >= self.cfg.max_batches_per_pass {
-                        // Bounded backpressure: refuse explicitly. The
-                        // receipt names every index as deferred, so the
-                        // client re-queues exactly these reports.
-                        self.stats.batches_deferred.fetch_add(1, Ordering::Relaxed);
-                        self.stats
-                            .reports_deferred
-                            .fetch_add(reports.len() as u64, Ordering::Relaxed);
-                        DbResponse::Receipt(csaw_store::IngestReceipt {
-                            accepted: 0,
-                            rejected: 0,
-                            rejected_indices: Vec::new(),
-                            deferred_indices: (0..reports.len()).collect(),
-                        })
-                    } else {
-                        posts_this_pass += 1;
-                        let batch = Batch::new(client, reports, posted_at);
-                        match self.server.ingest(batch) {
-                            Ok(receipt) => {
-                                self.stats.batches_ingested.fetch_add(1, Ordering::Relaxed);
-                                self.stats
-                                    .reports_accepted
-                                    .fetch_add(receipt.accepted as u64, Ordering::Relaxed);
-                                self.stats
-                                    .reports_rejected
-                                    .fetch_add(receipt.rejected as u64, Ordering::Relaxed);
-                                self.stats
-                                    .reports_deferred
-                                    .fetch_add(receipt.deferred() as u64, Ordering::Relaxed);
-                                DbResponse::Receipt(receipt)
-                            }
-                            Err(e) => DbResponse::from_store_error(&e),
                         }
                     }
+                };
+                out.extend_from_slice(&resp.to_frame().encode());
+                self.stats.frames_out.fetch_add(1, Ordering::Relaxed);
+            }
+            if requests {
+                self.stats
+                    .passes_with_requests
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            answered = !out.is_empty();
+            if answered {
+                // A write that times out (the peer stopped reading)
+                // fails here like any other: the connection is done.
+                if stream.write_all(&out).is_err() {
+                    return;
                 }
-                Ok(DbRequest::Blocked { asn, filter }) => {
-                    self.stats.blocked_queries.fetch_add(1, Ordering::Relaxed);
-                    match self.server.blocked_for_as(asn, &filter) {
-                        Ok(records) => DbResponse::Records(records),
+                out.clear();
+            }
+            if framing_lost {
+                return;
+            }
+        }
+    }
+
+    /// Serve one request frame. `Post` requests beyond the in-flight
+    /// bound get an all-deferred receipt.
+    fn handle(&self, frame: &Frame) -> DbResponse {
+        match DbRequest::from_frame(frame) {
+            Ok(DbRequest::Register { now, risk }) => {
+                self.stats.registers.fetch_add(1, Ordering::Relaxed);
+                match self.server.register(now, risk) {
+                    Ok(uuid) => DbResponse::Registered(uuid),
+                    Err(e) => DbResponse::Error {
+                        code: match e {
+                            RegistrationError::RiskRejected => "risk_rejected".into(),
+                            RegistrationError::RateLimited => "rate_limited".into(),
+                            RegistrationError::Unavailable => "unavailable".into(),
+                        },
+                        detail: "registration gate".into(),
+                        index: None,
+                    },
+                }
+            }
+            Ok(DbRequest::Post {
+                client,
+                posted_at,
+                reports,
+            }) => {
+                self.stats.posts.fetch_add(1, Ordering::Relaxed);
+                let ahead = self.posts_in_flight.fetch_add(1, Ordering::SeqCst);
+                let resp = if ahead >= self.cfg.max_posts_in_flight {
+                    // Bounded backpressure: refuse explicitly. The
+                    // receipt names every index as deferred, so the
+                    // client re-queues exactly these reports.
+                    self.stats.batches_deferred.fetch_add(1, Ordering::Relaxed);
+                    self.stats
+                        .reports_deferred
+                        .fetch_add(reports.len() as u64, Ordering::Relaxed);
+                    DbResponse::Receipt(csaw_store::IngestReceipt {
+                        accepted: 0,
+                        rejected: 0,
+                        rejected_indices: Vec::new(),
+                        deferred_indices: (0..reports.len()).collect(),
+                    })
+                } else {
+                    let batch = Batch::new(client, reports, posted_at);
+                    match self.server.ingest(batch) {
+                        Ok(receipt) => {
+                            self.stats.batches_ingested.fetch_add(1, Ordering::Relaxed);
+                            self.stats
+                                .reports_accepted
+                                .fetch_add(receipt.accepted as u64, Ordering::Relaxed);
+                            self.stats
+                                .reports_rejected
+                                .fetch_add(receipt.rejected as u64, Ordering::Relaxed);
+                            self.stats
+                                .reports_deferred
+                                .fetch_add(receipt.deferred() as u64, Ordering::Relaxed);
+                            DbResponse::Receipt(receipt)
+                        }
                         Err(e) => DbResponse::from_store_error(&e),
                     }
+                };
+                self.posts_in_flight.fetch_sub(1, Ordering::SeqCst);
+                resp
+            }
+            Ok(DbRequest::Blocked { asn, filter }) => {
+                self.stats.blocked_queries.fetch_add(1, Ordering::Relaxed);
+                match self.server.blocked_for_as(asn, &filter) {
+                    Ok(records) => DbResponse::Records(records),
+                    Err(e) => DbResponse::from_store_error(&e),
                 }
-                Ok(DbRequest::Ship { from_seq, lines }) => {
-                    self.stats.ship_requests.fetch_add(1, Ordering::Relaxed);
-                    self.apply_shipment(from_seq, &lines)
-                }
-                Err(e) => {
-                    self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    DbResponse::from_store_error(&e)
-                }
-            };
-            let conn = &mut self.conns[idx];
-            conn.wbuf.extend_from_slice(&resp.to_frame().encode());
-            self.stats.frames_out.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(DbRequest::Ship { from_seq, lines }) => {
+                self.stats.ship_requests.fetch_add(1, Ordering::Relaxed);
+                self.apply_shipment(from_seq, &lines)
+            }
+            Err(e) => {
+                self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                DbResponse::from_store_error(&e)
+            }
         }
     }
 
@@ -575,18 +577,22 @@ impl Reactor {
     /// A line that fails to replay stops the shipment at that point and
     /// reports the error; the applied prefix stays applied, and the
     /// next shipment resumes after it.
-    fn apply_shipment(&mut self, from_seq: u64, lines: &[String]) -> DbResponse {
-        if from_seq > self.wal_seq {
+    fn apply_shipment(&self, from_seq: u64, lines: &[String]) -> DbResponse {
+        let mut wal_seq = self
+            .wal_seq
+            .lock()
+            .expect("a shipment panicked mid-apply; the position is unknown");
+        if from_seq > *wal_seq {
             return DbResponse::ShipAck {
-                applied_seq: self.wal_seq,
+                applied_seq: *wal_seq,
             };
         }
-        let skip = (self.wal_seq - from_seq) as usize;
+        let skip = (*wal_seq - from_seq) as usize;
         let mut failure = None;
         for line in lines.iter().skip(skip) {
             match csaw_store::wal::replay_line(self.server.store(), line) {
                 Ok(()) => {
-                    self.wal_seq += 1;
+                    *wal_seq += 1;
                     self.stats.wal_lines_applied.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(e) => {
@@ -597,45 +603,16 @@ impl Reactor {
         }
         self.stats
             .wal_applied_seq
-            .store(self.wal_seq, Ordering::Relaxed);
+            .store(*wal_seq, Ordering::Relaxed);
         match failure {
             None => DbResponse::ShipAck {
-                applied_seq: self.wal_seq,
+                applied_seq: *wal_seq,
             },
             Some(e) => {
                 self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 DbResponse::from_store_error(&e)
             }
         }
-    }
-
-    fn write_pass(&mut self) -> bool {
-        let mut any = false;
-        for conn in &mut self.conns {
-            while conn.pending_write() {
-                match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                    Ok(0) => {
-                        conn.poisoned = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.wpos += n;
-                        any = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn.poisoned = true;
-                        break;
-                    }
-                }
-            }
-            if !conn.pending_write() && !conn.wbuf.is_empty() {
-                conn.wbuf.clear();
-                conn.wpos = 0;
-            }
-        }
-        any
     }
 }
 
@@ -761,8 +738,7 @@ mod tests {
         let handle = spawn_dbserver(
             Arc::clone(&server),
             DbServerConfig {
-                max_batches_per_pass: 0,
-                ..DbServerConfig::default()
+                max_posts_in_flight: 0,
             },
         )
         .unwrap();
@@ -1020,9 +996,10 @@ mod tests {
         let handle = spawn_dbserver(permissive_server(), DbServerConfig::default()).unwrap();
         let addr = handle.addr();
         let _idle = TcpStream::connect(addr).unwrap();
-        drop(handle); // must join promptly, no wake-up connect needed
-                      // The listener is gone: a fresh connect must fail or be reset
-                      // on first use.
+        // Must join promptly: the idle peer's connection is shut down,
+        // not waited on. The listener is gone: a fresh connect must fail
+        // or be reset on first use.
+        drop(handle);
         match TcpStream::connect(addr) {
             Err(_) => {}
             Ok(mut s) => {
@@ -1030,5 +1007,269 @@ mod tests {
                 assert!(matches!(read_frame(&mut s, &mut buf), Err(_) | Ok(None)));
             }
         }
+    }
+
+    #[test]
+    fn idle_server_does_no_work() {
+        let handle = spawn_dbserver(permissive_server(), DbServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut buf = BytesMut::new();
+        // One round trip, so the connection's thread exists and is back
+        // waiting for the next request.
+        call(
+            &mut stream,
+            &mut buf,
+            &DbRequest::Blocked {
+                asn: Asn(1),
+                filter: ConfidenceFilter::default(),
+            },
+        );
+        let before = handle.stats();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(handle.stats(), before, "nothing arrived, nothing ran");
+        assert_eq!(before.passes, 1);
+        assert_eq!(before.passes_with_requests, 1);
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let server = permissive_server();
+        let uuid = server.register(SimTime::ZERO, 0.0).unwrap();
+        let handle = spawn_dbserver(Arc::clone(&server), DbServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let blocked = DbRequest::Blocked {
+            asn: Asn(17557),
+            filter: ConfidenceFilter::default(),
+        };
+        // The download before the post must not see it, the one after
+        // must: three frames in one write, executed in arrival order.
+        let mut wire = blocked.to_frame().encode();
+        wire.extend(
+            DbRequest::Post {
+                client: uuid,
+                posted_at: SimTime::from_secs(1),
+                reports: vec![report("http://pipelined.example/")],
+            }
+            .to_frame()
+            .encode(),
+        );
+        wire.extend(blocked.to_frame().encode());
+        stream.write_all(&wire).unwrap();
+
+        let mut buf = BytesMut::new();
+        let mut next = || {
+            let frame = read_frame(&mut stream, &mut buf).unwrap().unwrap();
+            DbResponse::from_frame(&frame).unwrap()
+        };
+        assert!(matches!(next(), DbResponse::Records(r) if r.is_empty()));
+        assert!(matches!(next(), DbResponse::Receipt(r) if r.accepted == 1));
+        assert!(matches!(next(), DbResponse::Records(r) if r.len() == 1));
+        let stats = handle.drain();
+        assert_eq!((stats.frames_in, stats.frames_out), (3, 3));
+    }
+
+    #[test]
+    fn concurrent_posts_and_overlapping_shipments_apply_exactly_once() {
+        const POSTERS: usize = 8;
+        const BATCHES: usize = 25;
+        const WAL_LINES: usize = 60;
+
+        let server = permissive_server();
+        let reference = permissive_server();
+        let uuids: Vec<Uuid> = (0..POSTERS)
+            .map(|p| {
+                let now = SimTime::from_secs(p as u64);
+                let uuid = server.register(now, 0.0).unwrap();
+                assert_eq!(reference.register(now, 0.0).unwrap(), uuid);
+                uuid
+            })
+            .collect();
+        let batch = |p: usize, b: usize| {
+            let mut reports = vec![report(&format!("http://posted.example/p{p}/b{b}"))];
+            if b.is_multiple_of(5) {
+                reports.push(report("garbage url"));
+            }
+            Batch::new(uuids[p], reports, SimTime::from_secs(100))
+        };
+        let lines: Vec<String> = (0..WAL_LINES)
+            .map(|i| wal_line(1000 + i as u64, &format!("http://shipped.example/{i}"), 10))
+            .collect();
+
+        // The serial reference: the same posts and the same log, one
+        // at a time, in process.
+        let mut expected = (0, 0);
+        for p in 0..POSTERS {
+            for b in 0..BATCHES {
+                let receipt = reference.ingest(batch(p, b)).unwrap();
+                expected = (expected.0 + receipt.accepted, expected.1 + receipt.rejected);
+            }
+        }
+        for line in &lines {
+            csaw_store::wal::replay_line(reference.store(), line).unwrap();
+        }
+
+        let handle = spawn_dbserver(Arc::clone(&server), DbServerConfig::default()).unwrap();
+        let addr = handle.addr();
+        // Every connection is open before any request is sent.
+        let start = std::sync::Barrier::new(POSTERS + 2);
+        let got = std::thread::scope(|s| {
+            let posters: Vec<_> = (0..POSTERS)
+                .map(|p| {
+                    let (start, batch) = (&start, &batch);
+                    s.spawn(move || {
+                        let mut stream = TcpStream::connect(addr).unwrap();
+                        let mut buf = BytesMut::new();
+                        start.wait();
+                        let mut got = (0, 0);
+                        for b in 0..BATCHES {
+                            let sent = batch(p, b);
+                            let req = DbRequest::Post {
+                                client: sent.client,
+                                posted_at: sent.posted_at,
+                                reports: sent.reports().to_vec(),
+                            };
+                            match call(&mut stream, &mut buf, &req) {
+                                DbResponse::Receipt(r) => {
+                                    assert_eq!(
+                                        r.accepted + r.rejected + r.deferred(),
+                                        sent.reports().len(),
+                                        "receipt must cover every index"
+                                    );
+                                    assert_eq!(r.deferred(), 0);
+                                    got = (got.0 + r.accepted, got.1 + r.rejected);
+                                }
+                                other => panic!("expected Receipt, got {other:?}"),
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            // Two leaders' worth of shippers, each walking the whole
+            // log from 0 in its own chunk size: every line is offered
+            // at least twice, in overlapping ranges.
+            let shippers: Vec<_> = [7usize, 5]
+                .into_iter()
+                .map(|chunk| {
+                    let (start, lines) = (&start, &lines);
+                    s.spawn(move || {
+                        let mut stream = TcpStream::connect(addr).unwrap();
+                        let mut buf = BytesMut::new();
+                        start.wait();
+                        let mut pos = 0usize;
+                        while pos < WAL_LINES {
+                            let req = DbRequest::Ship {
+                                from_seq: pos as u64,
+                                lines: lines[pos..(pos + chunk).min(WAL_LINES)].to_vec(),
+                            };
+                            match call(&mut stream, &mut buf, &req) {
+                                DbResponse::ShipAck { applied_seq } => {
+                                    assert!(applied_seq as usize >= pos, "position went back");
+                                    pos = applied_seq as usize;
+                                }
+                                other => panic!("expected ShipAck, got {other:?}"),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for shipper in shippers {
+                shipper.join().unwrap();
+            }
+            posters
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+        });
+
+        let stats = handle.drain();
+        assert_eq!(got, expected, "receipts match the serial run");
+        assert_eq!(stats.reports_accepted, expected.0 as u64);
+        assert_eq!(stats.reports_rejected, expected.1 as u64);
+        assert_eq!(stats.wal_lines_applied, WAL_LINES as u64, "once each");
+        assert_eq!(stats.wal_applied_seq, WAL_LINES as u64);
+        assert_eq!(stats.protocol_errors, 0);
+        assert_eq!(
+            csaw_replica::fingerprint_of(server.store()),
+            csaw_replica::fingerprint_of(reference.store()),
+            "any interleaving leaves the serial run's store"
+        );
+    }
+
+    #[test]
+    fn drain_returns_when_a_peer_never_reads() {
+        let server = permissive_server();
+        let uuid = server.register(SimTime::ZERO, 0.0).unwrap();
+        let reports: Vec<Report> = (0..8000)
+            .map(|i| report(&format!("http://listed.example/{i}")))
+            .collect();
+        server
+            .ingest(Batch::new(uuid, reports, SimTime::from_secs(1)))
+            .unwrap();
+        let blocked = DbRequest::Blocked {
+            asn: Asn(17557),
+            filter: ConfidenceFilter::default(),
+        };
+        let list_bytes = DbResponse::Records(
+            server
+                .blocked_for_as(Asn(17557), &ConfidenceFilter::default())
+                .unwrap(),
+        )
+        .to_frame()
+        .encode()
+        .len();
+        // Loopback buffers hold ≈4 MB for a peer that never reads; ask
+        // for three times that.
+        let asks = (12 << 20) / list_bytes + 1;
+
+        let handle = spawn_dbserver(Arc::clone(&server), DbServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        // Round-trip once so the connection is accepted before drain.
+        let empty = DbRequest::Blocked {
+            asn: Asn(1),
+            filter: ConfidenceFilter::default(),
+        };
+        call(&mut stream, &mut BytesMut::new(), &empty);
+        let wire = blocked.to_frame().encode().repeat(asks);
+        stream.write_all(&wire).unwrap();
+
+        let stats = handle.drain();
+        assert_eq!(stats.blocked_queries, 1 + asks as u64);
+        // Only now does the peer read: what the server got out before
+        // it gave up, and not the whole answer.
+        let (mut received, mut chunk) = (0usize, [0u8; 64 * 1024]);
+        while let Ok(n @ 1..) = stream.read(&mut chunk) {
+            received += n;
+        }
+        assert!(received < asks * list_bytes, "nothing was ever stuck");
+    }
+
+    #[test]
+    fn service_answers_frames_without_a_socket() {
+        let server = permissive_server();
+        let uuid = server.register(SimTime::ZERO, 0.0).unwrap();
+        let service = Service {
+            server,
+            cfg: DbServerConfig::default(),
+            stats: AtomicStats::default(),
+            wal_seq: Mutex::new(0),
+            posts_in_flight: AtomicUsize::new(0),
+        };
+        let post = DbRequest::Post {
+            client: uuid,
+            posted_at: SimTime::from_secs(1),
+            reports: vec![report("http://direct.example/")],
+        };
+        match service.handle(&post.to_frame()) {
+            DbResponse::Receipt(r) => assert_eq!(r.accepted, 1),
+            other => panic!("expected Receipt, got {other:?}"),
+        }
+        match service.handle(&Frame::new(0xEE, b"{}".to_vec())) {
+            DbResponse::Error { .. } => {}
+            other => panic!("expected Error, got {other:?}"),
+        }
+        let stats = service.stats.snapshot();
+        assert_eq!((stats.posts, stats.protocol_errors), (1, 1));
+        assert_eq!(service.posts_in_flight.load(Ordering::SeqCst), 0);
     }
 }

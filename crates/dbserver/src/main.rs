@@ -30,7 +30,7 @@ fn main() {
     let mut salt: u64 = 7;
     let mut shards: usize = 16;
     let mut max_risk: f64 = 1.0;
-    let mut max_pending: usize = DbServerConfig::default().max_batches_per_pass;
+    let mut max_pending: usize = DbServerConfig::default().max_posts_in_flight;
     let mut args = std::env::args();
     let _ = args.next();
     while let Some(arg) = args.next() {
@@ -64,12 +64,12 @@ fn main() {
             eprintln!("server build failed: {e}");
             std::process::exit(1);
         });
-    let handle = spawn_dbserver(Arc::new(server), {
+    let handle = spawn_dbserver(
+        Arc::new(server),
         DbServerConfig {
-            max_batches_per_pass: max_pending,
-            ..DbServerConfig::default()
-        }
-    })
+            max_posts_in_flight: max_pending,
+        },
+    )
     .unwrap_or_else(|e| {
         eprintln!("bind failed: {e}");
         std::process::exit(1);

@@ -14,9 +14,10 @@ use csaw_circumvent::world::{SiteSpec, World};
 use csaw_dbserver::{spawn_dbserver, DbServerConfig};
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::{AccessNetwork, Provider, Region, Site};
-use csaw_store::{Batch, ConfidenceFilter, Report, StoreError};
+use csaw_store::{Batch, ConfidenceFilter, Report, StoreError, Uuid};
 use csaw_webproto::url::Url;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn permissive_server() -> Arc<ServerDb> {
     Arc::new(
@@ -127,6 +128,34 @@ fn dead_server_surfaces_unavailable() {
         other => panic!("expected Unavailable, got {other:?}"),
     }
     assert_eq!(remote.idle_connections(), 0, "failed conns are not pooled");
+}
+
+/// A server that accepts and then never reads fills the socket's
+/// buffers; the post must give up after the timeout, not block in
+/// `write` for ever.
+#[test]
+fn server_that_never_reads_surfaces_unavailable() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let deaf = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
+        let _ = held.recv(); // keep the socket open and unread
+        drop(conn);
+    });
+
+    let remote = RemoteDb::new(addr).with_read_timeout(Duration::from_millis(200));
+    // ~16 MB on the wire: more than loopback send and receive buffers
+    // hold between them (4 MB + an unread receive window).
+    let long_url = format!("http://blocked.example/{}", "x".repeat(4096));
+    let reports = vec![report(&long_url); 4000];
+    match remote.ingest(Batch::new(Uuid::from_raw(1), reports, SimTime::ZERO)) {
+        Err(StoreError::Unavailable(_)) => {}
+        other => panic!("expected Unavailable, got {other:?}"),
+    }
+    assert_eq!(remote.idle_connections(), 0, "failed conns are not pooled");
+    drop(release);
+    deaf.join().unwrap();
 }
 
 /// Concurrent posters share the pool: every batch gets a receipt and
