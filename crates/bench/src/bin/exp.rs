@@ -22,9 +22,9 @@
 //!   child observability scope installed around each experiment (the
 //!   process-wide `--metrics-out` snapshot only shows totals);
 //! - `BENCH_seed<seed>.json` — the scorecard: a deterministic FNV-1a
-//!   digest of every experiment's stdout block (`report perf
-//!   --fingerprint` of it is what `GOLDEN_seed1.json` pins). The wall
-//!   timings are not repeated in it.
+//!   digest of every experiment's stdout block (the `stdout_digests`
+//!   rows of the golden manifest `GOLDEN_seed1.json`, which also pins
+//!   `metrics.json`). The wall timings are not repeated in it.
 //!
 //! Exit codes are [`csaw_bench::cli::exit`], shared with `report`.
 

@@ -10,8 +10,8 @@
 //!   per-fetch PLT decomposition and waterfalls; a fetch whose children
 //!   do not sum to its root PLT within 1 µs makes the trace unusable.
 //! - `perf` reads a `BENCH_<seed>.json` scorecard: the attribution
-//!   table, the deterministic fingerprint CI diffs across same-seed
-//!   runs, and the exact diff of the deterministic section against a
+//!   table, the deterministic fingerprint (byte-identical across
+//!   same-seed runs), and the exact diff of the deterministic section against a
 //!   baseline card. It gates on no timing field — timing regressions
 //!   are the repo benchmark's job (`benchmark/`, `BENCH_history.jsonl`).
 //! - `health` reads a `--frames-out` JSONL file (only `ts.frame` /
@@ -175,7 +175,7 @@ fn perf(args: &[String]) -> i32 {
     let card = load(&card_path);
 
     if fingerprint {
-        // Bytes only: CI diffs this output across two same-seed runs.
+        // Bytes only: this output is compared across same-seed runs.
         print!("{}", card.fingerprint());
         return 0;
     }

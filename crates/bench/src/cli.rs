@@ -204,8 +204,11 @@ fn usage(cmd: &str, extra_flags: &[(&str, &str)]) -> String {
     let mut u = format!("usage: {cmd} [flags]\n\ncommon flags:\n{COMMON_HELP}");
     if !extra_flags.is_empty() {
         u.push_str("\n\nexperiment flags:");
+        // Help starts in COMMON_HELP's column unless a flag is too long.
+        let longest = extra_flags.iter().map(|(f, _)| f.len()).max().unwrap_or(0);
+        let width = (longest + " VALUE ".len()).max(20);
         for (flag, help) in extra_flags {
-            u.push_str(&format!("\n  {:<20}{help}", format!("{flag} VALUE")));
+            u.push_str(&format!("\n  {:<width$}{help}", format!("{flag} VALUE")));
         }
     }
     u

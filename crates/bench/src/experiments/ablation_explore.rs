@@ -10,7 +10,7 @@
 //! the exploring client rediscovers the recovered relay and its
 //! steady-state PLT drops.
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use csaw::circum::selector::{BlockedFetch, Selector};
 use csaw::config::UserPreference;
 use csaw_censor::blocking::BlockingType;
@@ -151,45 +151,20 @@ fn run_policy(explore_every: u32, seed: u64) -> PolicyOutcome {
 /// The two compared policies: (n, label).
 const POLICIES: [(u32, &str); 2] = [(5, "explore n=5"), (u32::MAX, "never explore")];
 
-/// Run the ablation.
-pub fn run(seed: u64, jobs: usize) -> ExploreAblation {
-    runner::run(&ExploreExp { seed }, jobs)
-}
-
-/// The ablation decomposed: one trial per policy, both on the same seed
+/// Run the ablation: one runner trial per policy, both on the same seed
 /// (the serial sweep ran both policies over identical draws).
-pub struct ExploreExp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for ExploreExp {
-    type Trial = PolicyOutcome;
-    type Output = ExploreAblation;
-
-    fn name(&self) -> &'static str {
-        "ablation_explore"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        POLICIES
-            .iter()
-            .enumerate()
-            .map(|(i, (_, label))| TrialSpec::salted(self.seed, i as u64, *label))
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> PolicyOutcome {
-        let (explore_every, _) = POLICIES[spec.ordinal as usize];
-        run_policy(explore_every, spec.seed)
-    }
-
-    fn reduce(&self, trials: Vec<PolicyOutcome>) -> ExploreAblation {
-        let mut it = trials.into_iter();
-        ExploreAblation {
-            with: it.next().expect("explore trial"),
-            without: it.next().expect("never-explore trial"),
-        }
+pub fn run(seed: u64, jobs: usize) -> ExploreAblation {
+    let specs: Vec<TrialSpec> = POLICIES
+        .iter()
+        .enumerate()
+        .map(|(i, (_, label))| TrialSpec::salted(seed, i as u64, *label))
+        .collect();
+    let outcomes = runner::map(&specs, jobs, |spec| {
+        run_policy(POLICIES[spec.ordinal as usize].0, spec.seed)
+    });
+    ExploreAblation {
+        with: outcomes[0],
+        without: outcomes[1],
     }
 }
 

@@ -22,21 +22,19 @@
 //! - **zero silent loss**: `queued == posted + dropped + quarantined +
 //!   pending` on every client, and the store holds exactly one record
 //!   per report marked posted (URLs are unique per client);
-//! - **determinism**: the rendered output is a pure function of the
-//!   seed — the CI job diffs two same-seed runs byte-for-byte.
+//! - **determinism**: the rendered output and the full event stream are
+//!   a pure function of the seed — `GOLDEN_seed1.json` pins both.
 
 use crate::cli::{exit, ExpCli, Flags, Verdict};
-use crate::runner::{self, Experiment, TrialSpec};
-use csaw::client::CsawClient;
+use crate::fleet::{self, Fleet};
+use crate::runner::{self, TrialSpec};
 use csaw::client::WireFault;
 use csaw::config::CsawConfig;
 use csaw::global::{ConfidenceFilter, ServerDb};
-use csaw_censor::{profiles, Category};
-use csaw_circumvent::world::{SiteSpec, World};
+use csaw_censor::profiles;
 use csaw_faults::{FaultProfile, FaultyBackend, OutageSchedule};
 use csaw_obs::slo::SloSet;
-use csaw_simnet::time::{SimDuration, SimTime};
-use csaw_simnet::topology::{AccessNetwork, Provider, Region, Site};
+use csaw_simnet::time::SimDuration;
 use csaw_store::{Decorator, ShardedStore};
 use std::sync::Arc;
 
@@ -103,34 +101,13 @@ pub struct Chaos {
     pub rows: Vec<ChaosRow>,
 }
 
-/// The censored single-ISP world the chaos and split-brain trials
-/// browse (shared so both sweeps queue identical report workloads).
-pub(crate) fn chaos_world() -> World {
-    let provider = Provider::new(profiles::ISP_A_ASN, "isp");
-    let access = AccessNetwork::single(provider);
-    World::builder(access)
-        .site(
-            SiteSpec::new("www.youtube.com", Site::at_vantage_rtt(Region::UsEast, 186))
-                .category(Category::Video)
-                .frontable(true)
-                .serves_by_ip(true)
-                .default_page(360_000, 20),
-        )
-        .site(SiteSpec::new(
-            "cdn-front.example",
-            Site::in_region(Region::Singapore),
-        ))
-        .censor(profiles::ISP_A_ASN, profiles::isp_a())
-        .build()
-}
-
 fn run_rate(seed: u64, cfg: &ChaosConfig, rate: f64) -> ChaosRow {
     // Frames closed during this trial carry the swept rate as their run
     // label, so `report health` can attribute verdicts to config points.
     csaw_obs::current()
         .timeline
         .set_run(&format!("rate={rate}"));
-    let world = chaos_world();
+    let world = fleet::world();
     let inner = Arc::new(ShardedStore::new(8).expect("shard count"));
     // The store also suffers hour-scale ingest outages so backoff gets
     // exercised on top of per-batch coin flips.
@@ -159,99 +136,42 @@ fn run_rate(seed: u64, cfg: &ChaosConfig, rate: f64) -> ChaosRow {
     // windowed series see queueing, failures, and recovery in the order
     // a wall-clock deployment would, not client-by-client.
 
-    // Phase 1: registrations, one client per virtual second.
-    let mut clients: Vec<CsawClient> = (0..cfg.clients)
-        .map(|idx| {
-            let mut c = CsawClient::new(
-                CsawConfig::default().with_report_backoff(
-                    SimDuration::from_secs(60),
-                    SimDuration::from_secs(1_800),
-                    0.1,
-                ),
-                Some("cdn-front.example"),
-                seed ^ ((idx as u64 + 1) << 8),
-            );
-            // A slice of posts is corrupted on the wire too (transient:
-            // the reports themselves are fine, so retries recover them).
-            c.arm_wire_fault(WireFault::new(rate / 4.0, seed ^ (idx as u64) << 3));
-            let t = SimTime::from_secs(idx as u64);
-            csaw_obs::advance_clock_us(t.as_micros());
-            c.register(&server, profiles::ISP_A_ASN, t, 0.0)
-                .expect("registration");
-            c
-        })
-        .collect();
+    // Phase 1: registrations, one client per virtual second. A slice of
+    // posts is corrupted on the wire too (transient: the reports
+    // themselves are fine, so retries recover them).
+    let backoff = CsawConfig::default().with_report_backoff(
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(1_800),
+        0.1,
+    );
+    let mut fleet = Fleet::register(&server, seed, cfg.clients, backoff);
+    for (idx, c) in fleet.clients.iter_mut().enumerate() {
+        c.arm_wire_fault(WireFault::new(rate / 4.0, seed ^ (idx as u64) << 3));
+    }
 
-    // Phase 2: browse sessions, interleaved across clients in firing
-    // order. Client idx starts at 100 + 7·idx and revisits every 30 s,
-    // exactly the per-client cadence the sweep always used — only the
-    // processing order changed, to be globally time-sorted.
-    let mut browse: Vec<(u64, usize, usize)> = Vec::new();
-    for idx in 0..cfg.clients {
-        for u in 0..cfg.urls_per_client {
-            browse.push((100 + 7 * idx as u64 + 30 * u as u64, idx, u));
-        }
-    }
-    browse.sort_unstable();
-    let mut browse_end = SimTime::ZERO;
-    for (t_secs, idx, u) in browse {
-        let now = SimTime::from_secs(t_secs);
-        browse_end = browse_end.max(now);
-        csaw_obs::advance_clock_us(now.as_micros());
-        faulty.set_now(now);
-        let url = csaw_webproto::url::Url::parse(&format!("http://www.youtube.com/c{idx}/u{u}"))
-            .expect("static url");
-        clients[idx].request(&world, &url, now);
-    }
+    // Phase 2: browse sessions, globally time-sorted.
+    let browse_end = fleet.browse(&world, cfg.urls_per_client, |now, _| faulty.set_now(now));
 
     // Phase 3: drain rounds, round-robin — every client still pending
     // gets one post opportunity per round, 2 000 s apart (longer than
     // the 1 800 s backoff cap, so no round is wasted on a cooldown).
     for r in 0..cfg.drain_rounds {
-        if clients.iter().all(|c| c.pending_reports() == 0) {
+        if fleet.clients.iter().all(|c| c.pending_reports() == 0) {
             break;
         }
         let now = browse_end + SimDuration::from_secs(2_000 * (r as u64 + 1));
         csaw_obs::advance_clock_us(now.as_micros());
         faulty.set_now(now);
-        for c in clients.iter_mut() {
-            if c.pending_reports() == 0 {
-                continue;
-            }
-            c.post_reports(&server, now);
-        }
+        fleet.post_pending(&server, now);
     }
-
-    let mut queued = 0u64;
-    let mut posted = 0u64;
-    let mut dropped = 0u64;
-    let mut quarantined = 0u64;
-    let mut requeued = 0u64;
-    let mut pending = 0u64;
-    let mut post_failures = 0u64;
-    let mut accounted = true;
-    for c in &clients {
-        queued += c.stats.reports_queued;
-        posted += c.stats.reports_posted;
-        dropped += c.stats.reports_dropped;
-        quarantined += c.stats.reports_quarantined;
-        requeued += c.stats.reports_requeued;
-        pending += c.pending_reports() as u64;
-        post_failures += c.stats.post_failures;
-        let identity = c.stats.reports_queued
-            == c.stats.reports_posted
-                + c.stats.reports_dropped
-                + c.stats.reports_quarantined
-                + c.pending_reports() as u64;
-        accounted &= identity;
-    }
+    let acct = fleet.accounting();
 
     // Staleness over everything that landed. URLs are unique per
     // client, so the record count must equal the posted count — a
     // record marked posted but missing (loss) or present twice
     // (duplicate) both break the equality.
     let store_records = faulty.inner().record_count();
-    accounted &= store_records as u64 == posted;
+    let accounted = acct.balanced && store_records as u64 == acct.posted;
     let recs = faulty
         .inner()
         .blocked_for_as(profiles::ISP_A_ASN, &ConfidenceFilter::default())
@@ -268,17 +188,17 @@ fn run_rate(seed: u64, cfg: &ChaosConfig, rate: f64) -> ChaosRow {
 
     ChaosRow {
         fault_rate: rate,
-        queued,
-        posted,
-        dropped,
-        quarantined,
-        requeued,
-        pending,
-        post_failures,
-        delivery_ratio: if queued == 0 {
+        queued: acct.queued,
+        posted: acct.posted,
+        dropped: acct.dropped,
+        quarantined: acct.quarantined,
+        requeued: acct.requeued,
+        pending: acct.pending,
+        post_failures: acct.post_failures,
+        delivery_ratio: if acct.queued == 0 {
             1.0
         } else {
-            posted as f64 / queued as f64
+            acct.posted as f64 / acct.queued as f64
         },
         mean_staleness_s,
         store_records,
@@ -286,10 +206,20 @@ fn run_rate(seed: u64, cfg: &ChaosConfig, rate: f64) -> ChaosRow {
     }
 }
 
-/// Run the sweep, one runner trial per fault rate.
+/// Run the sweep, one runner trial per fault rate. `run_rate` already
+/// salts every internal stream with the rate, so each trial carries the
+/// raw experiment seed.
 pub fn run(seed: u64, cfg: &ChaosConfig, jobs: usize) -> Chaos {
-    let cfg = cfg.clone();
-    runner::run(&ChaosExp { seed, cfg }, jobs)
+    let specs: Vec<TrialSpec> = cfg
+        .fault_rates
+        .iter()
+        .enumerate()
+        .map(|(i, rate)| TrialSpec::salted(seed, i as u64, format!("rate={rate}")))
+        .collect();
+    let rows = runner::map(&specs, jobs, |spec| {
+        run_rate(spec.seed, cfg, cfg.fault_rates[spec.ordinal as usize])
+    });
+    Chaos { rows }
 }
 
 /// The value flags `exp chaos` reads.
@@ -321,6 +251,11 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
         fault_rates: flags.list("--fault-rates").unwrap_or(defaults.fault_rates),
         drain_rounds: flags.numeric("--rounds", defaults.drain_rounds),
     };
+    if let Some(bad) = cfg.fault_rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
+        flags.die(&format!(
+            "--fault-rates are probabilities in [0, 1], got {bad}"
+        ));
+    }
     let min_delivery: f64 = flags.numeric("--min-delivery", 1.0);
 
     // Virtual-hour health windows with the full C-Saw SLO set: the
@@ -350,43 +285,6 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
         Ok(())
     };
     (result.render(), verdict)
-}
-
-/// The sweep decomposed: one trial per fault rate. `run_rate` already
-/// salts every internal stream with the rate, so each trial carries the
-/// raw experiment seed.
-pub struct ChaosExp {
-    /// Experiment seed.
-    pub seed: u64,
-    /// Experiment shape.
-    pub cfg: ChaosConfig,
-}
-
-impl Experiment for ChaosExp {
-    type Trial = ChaosRow;
-    type Output = Chaos;
-
-    fn name(&self) -> &'static str {
-        "chaos"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        self.cfg
-            .fault_rates
-            .iter()
-            .enumerate()
-            .map(|(i, rate)| TrialSpec::salted(self.seed, i as u64, format!("rate={rate}")))
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> ChaosRow {
-        let rate = self.cfg.fault_rates[spec.ordinal as usize];
-        run_rate(spec.seed, &self.cfg, rate)
-    }
-
-    fn reduce(&self, trials: Vec<ChaosRow>) -> Chaos {
-        Chaos { rows: trials }
-    }
 }
 
 impl Chaos {
@@ -451,45 +349,11 @@ mod tests {
         assert!(c.rows[1].mean_staleness_s >= c.rows[0].mean_staleness_s);
     }
 
-    #[test]
-    fn same_seed_same_render() {
-        let a = run(7, &quick_cfg(), 1).render();
-        let b = run(7, &quick_cfg(), 1).render();
-        assert_eq!(a, b);
-    }
-
-    /// Run the sweep under hour windows + the full C-Saw SLO set (the
-    /// `exp chaos` configuration) and return the frame JSONL and
-    /// violation JSONL streams the sink saw.
+    /// The sweep under `exp chaos`'s hour windows and SLO set.
     fn windowed_run(seed: u64, cfg: &ChaosConfig, jobs: usize) -> (String, Vec<String>) {
-        use csaw_obs::slo::VIOLATION_EVENT;
-        use csaw_obs::{ManualClock, ObsCtx, RingSink, SloSet, WindowCfg, FRAME_EVENT};
-        use std::sync::Arc;
-
-        let ring = Arc::new(RingSink::new(1 << 16));
-        let ctx = Arc::new(
-            ObsCtx::new()
-                .with_clock(Arc::new(ManualClock::new()))
-                .with_sink(ring.clone()),
-        );
-        ctx.timeline.configure(WindowCfg::from_secs(
-            3_600.0,
-            Arc::new(SloSet::csaw_default()),
-        ));
-        let _guard = csaw_obs::install(ctx.clone());
-        let _ = run(seed, cfg, jobs);
-        ctx.flush_timeline();
-        let mut frames = Vec::new();
-        let mut viols = Vec::new();
-        for e in ring.drain() {
-            let line = e.to_json().to_string_compact();
-            if e.name == FRAME_EVENT {
-                frames.push(line);
-            } else if e.name == VIOLATION_EVENT {
-                viols.push(line);
-            }
-        }
-        (frames.join("\n"), viols)
+        crate::fleet::tests::windowed_run(SloSet::csaw_default(), || {
+            run(seed, cfg, jobs);
+        })
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! redundancy keeps the common case cheap and that `p` can be lowered in
 //! developing regions.
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use csaw::config::RedundancyMode;
 use csaw::measure::{fetch_with_redundancy, measure_direct, DetectConfig};
 use csaw_circumvent::tor::TorClient;
@@ -143,38 +143,19 @@ fn configs() -> [(&'static str, RedundancyMode, f64); 5] {
     ]
 }
 
-/// Run the ablation across redundancy modes and p values.
+/// Run the ablation across redundancy modes and p values: one runner
+/// trial per configuration. Every trial carries the *same* seed —
+/// `session_bytes` derives its URL and probe-schedule streams from fixed
+/// salts of it, which is exactly the paired design the serial sweep used.
 pub fn run(seed: u64, jobs: usize) -> DataUsage {
-    runner::run(&DataUsageExp { seed }, jobs)
-}
-
-/// The ablation decomposed: one trial per configuration. Every trial
-/// carries the *same* seed — `session_bytes` derives its URL and
-/// probe-schedule streams from fixed salts of it, which is exactly the
-/// paired design the serial sweep used.
-pub struct DataUsageExp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for DataUsageExp {
-    type Trial = UsageRow;
-    type Output = DataUsage;
-
-    fn name(&self) -> &'static str {
-        "datausage"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        configs()
-            .into_iter()
-            .enumerate()
-            .map(|(i, (label, ..))| TrialSpec::salted(self.seed, i as u64, label))
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> UsageRow {
-        let (label, mode, p) = configs()[spec.ordinal as usize];
+    let configs = configs();
+    let specs: Vec<TrialSpec> = configs
+        .iter()
+        .enumerate()
+        .map(|(i, (label, ..))| TrialSpec::salted(seed, i as u64, *label))
+        .collect();
+    let rows = runner::map(&specs, jobs, |spec| {
+        let (label, mode, p) = configs[spec.ordinal as usize];
         let world = crate::worlds::clean_world();
         let (baseline, total) = session_bytes(&world, mode, p, spec.seed);
         UsageRow {
@@ -182,11 +163,8 @@ impl Experiment for DataUsageExp {
             baseline_bytes: baseline,
             total_bytes: total,
         }
-    }
-
-    fn reduce(&self, trials: Vec<UsageRow>) -> DataUsage {
-        DataUsage { rows: trials }
-    }
+    });
+    DataUsage { rows }
 }
 
 impl DataUsage {

@@ -8,7 +8,7 @@
 //! - **(c)** Lantern vs "IP as hostname" for a keyword-filtered porn page
 //!   (~50 KB) — Lantern ≈1.5× slower.
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use crate::stats::Cdf;
 use crate::worlds::{single_isp_world, static_proxies, FRONT, PORN_PAGE, YOUTUBE};
 use csaw_circumvent::lantern::LanternClient;
@@ -57,209 +57,141 @@ fn ctx(world: &World) -> FetchCtx {
     }
 }
 
-fn sample_plts(
-    world: &World,
+/// One tool's series: [`RUNS`] back-to-back fetches of `url` through
+/// `transport`, as the single-CDF list a panel trial returns.
+fn series(
+    label: &str,
     transport: &mut dyn Transport,
+    world: &World,
     url: &Url,
-    runs: usize,
     rng: &mut DetRng,
-    advance_clock: bool,
-) -> Vec<SimDuration> {
-    let mut out = Vec::with_capacity(runs);
-    let mut c = ctx(world);
-    for i in 0..runs {
-        if advance_clock {
-            // Back-to-back runs over ~2 hours: Tor rotates circuits.
-            c.now = SimTime::from_secs((i as u64) * 35);
-        }
-        let r = transport.fetch(world, &c, url, rng);
-        if let Some(plt) = r.fetch().genuine_plt() {
-            out.push(plt);
-        }
-    }
-    out
+) -> Vec<Cdf> {
+    let c = ctx(world);
+    let plts: Vec<SimDuration> = (0..RUNS)
+        .filter_map(|_| transport.fetch(world, &c, url, rng).fetch().genuine_plt())
+        .collect();
+    vec![Cdf::of(label, &plts)]
 }
 
-/// The three case-study panels, each decomposed into one trial per
-/// tool/proxy series with runner-forked RNG streams. A trial returns a
-/// *list* of CDFs because the Tor series of panel (b) splits by exit
-/// region only after its runs complete.
-enum PanelExp {
-    /// (a): HTTPS/DF vs static proxies on ISP-B.
-    A,
-    /// (b): direct HTTPS vs Tor by exit region on ISP-A.
-    B,
-    /// (c): Lantern vs "IP as hostname" on a keyword filter.
-    C,
-}
-
-impl PanelExp {
-    fn name(&self) -> &'static str {
-        match self {
-            PanelExp::A => "fig1a",
-            PanelExp::B => "fig1b",
-            PanelExp::C => "fig1c",
-        }
-    }
-
-    fn series_labels(&self) -> Vec<String> {
-        match self {
-            PanelExp::A => {
-                let mut labels = vec!["HTTPS/DF".to_string()];
-                labels.extend(static_proxies().into_iter().map(|p| p.label));
-                labels
-            }
-            PanelExp::B => vec!["HTTPS".to_string(), "Tor".to_string()],
-            PanelExp::C => vec!["IP as hostname".to_string(), "Lantern".to_string()],
-        }
-    }
-}
-
-/// One Fig. 1 panel as a runner experiment: `which` picks the panel,
-/// and each series runs as its own trial.
-pub struct Fig1Exp {
-    which: PanelExp,
+/// One case-study panel's series: one runner trial per tool/proxy, on
+/// streams forked from `(name, seed, ordinal)`. Each trial builds its own
+/// `world`, and `run_series(world, url, ordinal, rng)` returns a *list*
+/// of CDFs because the Tor series of panel (b) splits by exit region
+/// only after its runs complete.
+fn panel_series(
+    name: &str,
     seed: u64,
-}
-
-impl Fig1Exp {
-    fn world(&self) -> World {
-        match self.which {
-            PanelExp::A => single_isp_world(csaw_censor::ISP_B_ASN, "ISP-B", csaw_censor::isp_b()),
-            PanelExp::B => single_isp_world(csaw_censor::ISP_A_ASN, "ISP-A", csaw_censor::isp_a()),
-            PanelExp::C => {
-                single_isp_world(Asn(6500), "ISP-KW", csaw_censor::keyword_filter(&["adult"]))
-            }
-        }
-    }
-
-    fn url(&self) -> Url {
-        let raw = match self.which {
-            PanelExp::A => format!("https://{YOUTUBE}/"),
-            PanelExp::B => format!("http://{YOUTUBE}/"),
-            PanelExp::C => format!("http://{PORN_PAGE}/"),
-        };
-        Url::parse(&raw).expect("static URL")
-    }
-}
-
-impl Experiment for Fig1Exp {
-    type Trial = Vec<Cdf>;
-    type Output = Panel;
-
-    fn name(&self) -> &'static str {
-        self.which.name()
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        self.which
-            .series_labels()
-            .into_iter()
-            .enumerate()
-            .map(|(i, label)| TrialSpec::forked(self.name(), self.seed, i as u64, label))
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> Vec<Cdf> {
-        let world = self.world();
-        let url = self.url();
-        let mut rng = DetRng::new(spec.seed);
-        match (&self.which, spec.ordinal) {
-            (PanelExp::A, 0) => {
-                let mut df = DomainFronting::via(FRONT);
-                vec![Cdf::of(
-                    "HTTPS/DF",
-                    &sample_plts(&world, &mut df, &url, RUNS, &mut rng, false),
-                )]
-            }
-            (PanelExp::A, i) => {
-                let mut proxy = static_proxies()
-                    .into_iter()
-                    .nth(i as usize - 1)
-                    .expect("proxy index in range");
-                let label = proxy.label.clone();
-                vec![Cdf::of(
-                    &label,
-                    &sample_plts(&world, &mut proxy, &url, RUNS, &mut rng, false),
-                )]
-            }
-            (PanelExp::B, 0) => {
-                let mut https = HttpsUpgrade::default();
-                vec![Cdf::of(
-                    "HTTPS",
-                    &sample_plts(&world, &mut https, &url, RUNS, &mut rng, false),
-                )]
-            }
-            (PanelExp::B, _) => {
-                // Tor, isolating runs per unique circuit's exit location.
-                let mut tor = TorClient::new();
-                let mut by_exit: HashMap<Region, Vec<SimDuration>> = HashMap::new();
-                let c0 = ctx(&world);
-                for i in 0..RUNS {
-                    let c = FetchCtx {
-                        now: SimTime::from_secs((i as u64) * 35),
-                        provider: c0.provider.clone(),
-                    };
-                    let r = tor.fetch(&world, &c, &url, &mut rng);
-                    let exit = tor.exit_region().expect("circuit open after fetch");
-                    if let Some(plt) = r.fetch().genuine_plt() {
-                        by_exit.entry(exit).or_default().push(plt);
-                    }
-                }
-                let mut exits: Vec<(Region, Vec<SimDuration>)> = by_exit.into_iter().collect();
-                exits.sort_by_key(|(r, _)| format!("{r:?}"));
-                exits
-                    .into_iter()
-                    .filter(|(_, plts)| plts.len() >= 5)
-                    .map(|(region, plts)| Cdf::of(&format!("Tor exit {region:?}"), &plts))
-                    .collect()
-            }
-            (PanelExp::C, 0) => {
-                let mut iph = IpAsHostname::default();
-                vec![Cdf::of(
-                    "IP as hostname",
-                    &sample_plts(&world, &mut iph, &url, RUNS, &mut rng, false),
-                )]
-            }
-            (PanelExp::C, _) => {
-                let mut lantern = LanternClient::new();
-                vec![Cdf::of(
-                    "Lantern",
-                    &sample_plts(&world, &mut lantern, &url, RUNS, &mut rng, false),
-                )]
-            }
-        }
-    }
-
-    fn reduce(&self, trials: Vec<Vec<Cdf>>) -> Panel {
-        let title = match self.which {
-            PanelExp::A => "Figure 1a: HTTPS/DF vs static proxies (YouTube ~360KB, ISP-B)",
-            PanelExp::B => "Figure 1b: HTTPS vs Tor by exit location (YouTube, ISP-A)",
-            PanelExp::C => "Figure 1c: Lantern vs IP-as-hostname (porn page ~50KB, keyword filter)",
-        };
-        Panel {
-            title: title.into(),
-            series: trials.into_iter().flatten().collect(),
-        }
-    }
+    jobs: usize,
+    labels: &[&str],
+    world: impl Fn() -> World + Sync,
+    url: String,
+    run_series: impl Fn(&World, &Url, u64, &mut DetRng) -> Vec<Cdf> + Sync,
+) -> Vec<Cdf> {
+    let specs: Vec<TrialSpec> = labels
+        .iter()
+        .enumerate()
+        .map(|(i, label)| TrialSpec::forked(name, seed, i as u64, *label))
+        .collect();
+    let url = Url::parse(&url).expect("static URL");
+    let series = runner::map(&specs, jobs, |spec| {
+        run_series(&world(), &url, spec.ordinal, &mut DetRng::new(spec.seed))
+    });
+    series.into_iter().flatten().collect()
 }
 
 /// Figure 1a: HTTPS/DF vs static proxies on ISP-B.
 pub fn run_1a(seed: u64, jobs: usize) -> Panel {
-    let which = PanelExp::A;
-    runner::run(&Fig1Exp { which, seed }, jobs)
+    let proxies = static_proxies();
+    let mut labels = vec!["HTTPS/DF"];
+    labels.extend(proxies.iter().map(|p| p.label.as_str()));
+    let series = panel_series(
+        "fig1a",
+        seed,
+        jobs,
+        &labels,
+        || single_isp_world(csaw_censor::ISP_B_ASN, "ISP-B", csaw_censor::isp_b()),
+        format!("https://{YOUTUBE}/"),
+        |world, url, i, rng| match i {
+            0 => series("HTTPS/DF", &mut DomainFronting::via(FRONT), world, url, rng),
+            i => {
+                let mut proxy = proxies[i as usize - 1].clone();
+                series(&proxy.label.clone(), &mut proxy, world, url, rng)
+            }
+        },
+    );
+    Panel {
+        title: "Figure 1a: HTTPS/DF vs static proxies (YouTube ~360KB, ISP-B)".into(),
+        series,
+    }
 }
 
 /// Figure 1b: direct HTTPS vs Tor, grouped by exit region.
 pub fn run_1b(seed: u64, jobs: usize) -> Panel {
-    let which = PanelExp::B;
-    runner::run(&Fig1Exp { which, seed }, jobs)
+    let series = panel_series(
+        "fig1b",
+        seed,
+        jobs,
+        &["HTTPS", "Tor"],
+        || single_isp_world(csaw_censor::ISP_A_ASN, "ISP-A", csaw_censor::isp_a()),
+        format!("http://{YOUTUBE}/"),
+        |world, url, i, rng| {
+            if i == 0 {
+                return series("HTTPS", &mut HttpsUpgrade::default(), world, url, rng);
+            }
+            // Tor, isolating runs per unique circuit's exit location.
+            let mut tor = TorClient::new();
+            let mut by_exit: HashMap<Region, Vec<SimDuration>> = HashMap::new();
+            let c0 = ctx(world);
+            for i in 0..RUNS {
+                let c = FetchCtx {
+                    now: SimTime::from_secs((i as u64) * 35),
+                    provider: c0.provider.clone(),
+                };
+                let r = tor.fetch(world, &c, url, rng);
+                let exit = tor.exit_region().expect("circuit open after fetch");
+                if let Some(plt) = r.fetch().genuine_plt() {
+                    by_exit.entry(exit).or_default().push(plt);
+                }
+            }
+            let mut exits: Vec<(Region, Vec<SimDuration>)> = by_exit.into_iter().collect();
+            exits.sort_by_key(|(r, _)| format!("{r:?}"));
+            exits
+                .into_iter()
+                .filter(|(_, plts)| plts.len() >= 5)
+                .map(|(region, plts)| Cdf::of(&format!("Tor exit {region:?}"), &plts))
+                .collect()
+        },
+    );
+    Panel {
+        title: "Figure 1b: HTTPS vs Tor by exit location (YouTube, ISP-A)".into(),
+        series,
+    }
 }
 
 /// Figure 1c: Lantern vs "IP as hostname" on a keyword filter.
 pub fn run_1c(seed: u64, jobs: usize) -> Panel {
-    let which = PanelExp::C;
-    runner::run(&Fig1Exp { which, seed }, jobs)
+    let series = panel_series(
+        "fig1c",
+        seed,
+        jobs,
+        &["IP as hostname", "Lantern"],
+        || single_isp_world(Asn(6500), "ISP-KW", csaw_censor::keyword_filter(&["adult"])),
+        format!("http://{PORN_PAGE}/"),
+        |world, url, i, rng| match i {
+            0 => series(
+                "IP as hostname",
+                &mut IpAsHostname::default(),
+                world,
+                url,
+                rng,
+            ),
+            _ => series("Lantern", &mut LanternClient::new(), world, url, rng),
+        },
+    );
+    Panel {
+        title: "Figure 1c: Lantern vs IP-as-hostname (porn page ~50KB, keyword filter)".into(),
+        series,
+    }
 }
 
 #[cfg(test)]

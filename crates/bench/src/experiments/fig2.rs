@@ -5,7 +5,7 @@
 //! closing the loop between censor configuration and client-side
 //! classification.
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use csaw::measure::{measure_direct, DetectConfig, MeasuredStatus};
 use csaw_censor::blocking::BlockingType;
 use csaw_censor::oni::{figure2_mixtures, policy_from_mixture, AsMixture, OniCategory};
@@ -80,49 +80,27 @@ fn world_for(mix: &AsMixture, domains: &[String]) -> World {
         .build()
 }
 
-/// Run the Figure 2 sweep: 100 censored domains per AS.
+/// Run the Figure 2 sweep: 100 censored domains per AS, one runner
+/// trial per AS mixture on its historical `seed ^ asn` stream.
 pub fn run(seed: u64, jobs: usize) -> Fig2 {
-    runner::run(&Fig2Exp { seed }, jobs)
-}
-
-/// Fig. 2 decomposed: one trial per AS mixture, each with its
-/// historical `seed ^ asn` stream.
-pub struct Fig2Exp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for Fig2Exp {
-    type Trial = AsBar;
-    type Output = Fig2;
-
-    fn name(&self) -> &'static str {
-        "fig2"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        figure2_mixtures()
-            .into_iter()
-            .enumerate()
-            .map(|(i, mix)| {
-                TrialSpec::salted(
-                    self.seed ^ mix.asn.0 as u64,
-                    i as u64,
-                    format!("{} AS{}", mix.country, mix.asn.0),
-                )
-            })
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> AsBar {
-        let mix = figure2_mixtures()
-            .into_iter()
-            .nth(spec.ordinal as usize)
-            .expect("mixture index in range");
+    let mixtures = figure2_mixtures();
+    let specs: Vec<TrialSpec> = mixtures
+        .iter()
+        .enumerate()
+        .map(|(i, mix)| {
+            TrialSpec::salted(
+                seed ^ mix.asn.0 as u64,
+                i as u64,
+                format!("{} AS{}", mix.country, mix.asn.0),
+            )
+        })
+        .collect();
+    let bars = runner::map(&specs, jobs, |spec| {
+        let mix = &mixtures[spec.ordinal as usize];
         let domains: Vec<String> = (0..100)
             .map(|i| format!("censored-{i:03}.{}", mix.country.to_ascii_lowercase()))
             .collect();
-        let world = world_for(&mix, &domains);
+        let world = world_for(mix, &domains);
         let provider = world.access.providers()[0].clone();
         let mut rng = DetRng::new(spec.seed);
         let mut counts = [0usize; 5];
@@ -155,11 +133,8 @@ impl Experiment for Fig2Exp {
             configured: mix.fractions,
             recovered,
         }
-    }
-
-    fn reduce(&self, trials: Vec<AsBar>) -> Fig2 {
-        Fig2 { bars: trials }
-    }
+    });
+    Fig2 { bars }
 }
 
 impl Fig2 {

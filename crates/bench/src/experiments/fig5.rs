@@ -8,7 +8,7 @@
 //! - **(c)** the same on a larger page (316 KB), where staggering clearly
 //!   beats blind duplication.
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use crate::stats::{reduction_pct, Cdf, Summary};
 use crate::workload::uniform_arrivals;
 use crate::worlds::{single_isp_world, LARGE_PAGE, SMALL_PAGE};
@@ -47,7 +47,7 @@ pub struct Fig5a {
 
 /// The figure's four blocking types with their annotated page sizes
 /// (1469 KB, 340 KB, 1342 KB, 85 KB).
-fn cases_5a() -> Vec<(&'static str, u64, DnsTamper, IpAction, HttpAction)> {
+fn cases_5a() -> Vec<Case5a> {
     vec![
         (
             "TCP/IP",
@@ -80,15 +80,19 @@ fn cases_5a() -> Vec<(&'static str, u64, DnsTamper, IpAction, HttpAction)> {
     ]
 }
 
+/// One blocking type of Fig. 5a: label, page size, mechanism.
+type Case5a = (&'static str, u64, DnsTamper, IpAction, HttpAction);
+
 /// One (blocking type × redundancy mode) trial: the mean PLT over 30
 /// independent fetches. `trial_seed` is the historical `seed ^ salt`
 /// stream (salt 1 = serial, 2 = parallel), carried in the
 /// [`TrialSpec`].
-fn run_5a_trial(trial_seed: u64, case_idx: usize, mode: RedundancyMode) -> f64 {
-    let (label, page_bytes, dns, ip, http) = cases_5a()
-        .into_iter()
-        .nth(case_idx)
-        .expect("case index in range");
+fn run_5a_trial(
+    trial_seed: u64,
+    case_idx: usize,
+    (label, page_bytes, dns, ip, http): Case5a,
+    mode: RedundancyMode,
+) -> f64 {
     let target = "target.example";
     let url = Url::parse(&format!("http://{target}/")).expect("static URL");
     let tracing = csaw_obs::scope::current().sink.enabled();
@@ -134,70 +138,40 @@ fn run_5a_trial(trial_seed: u64, case_idx: usize, mode: RedundancyMode) -> f64 {
     Summary::of(&plts).mean_s
 }
 
-/// Fig. 5a decomposed for the parallel runner: one trial per
-/// (blocking type × redundancy mode), eight in total.
-pub struct Fig5aExp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for Fig5aExp {
-    type Trial = f64;
-    type Output = Fig5a;
-
-    fn name(&self) -> &'static str {
-        "fig5a"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        let mut specs = Vec::new();
-        for (case_idx, (label, ..)) in cases_5a().into_iter().enumerate() {
-            for (mode_idx, (mode, salt)) in
-                [("serial", 1u64), ("parallel", 2)].into_iter().enumerate()
-            {
-                specs.push(TrialSpec::salted(
-                    self.seed ^ salt,
-                    (case_idx * 2 + mode_idx) as u64,
-                    format!("{label} × {mode}"),
-                ));
-            }
-        }
-        specs
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> f64 {
-        let case_idx = (spec.ordinal / 2) as usize;
-        let mode = if spec.ordinal.is_multiple_of(2) {
-            RedundancyMode::Serial
-        } else {
-            RedundancyMode::Parallel
-        };
-        run_5a_trial(spec.seed, case_idx, mode)
-    }
-
-    fn reduce(&self, trials: Vec<f64>) -> Fig5a {
-        let bars = cases_5a()
-            .into_iter()
-            .enumerate()
-            .map(|(case_idx, (label, ..))| {
-                let serial_s = trials[case_idx * 2];
-                let parallel_s = trials[case_idx * 2 + 1];
-                BlockedBar {
-                    label: label.to_string(),
-                    serial_s,
-                    parallel_s,
-                    reduction_pct: reduction_pct(serial_s, parallel_s),
-                }
-            })
-            .collect();
-        Fig5a { bars }
-    }
-}
-
-/// Run Fig. 5a: 30 runs per (type, mode). Page sizes per
-/// blocking type follow the figure's annotations.
+/// Run Fig. 5a: 30 runs per (type, mode), one runner trial per pair —
+/// eight in total. Page sizes per blocking type follow the figure's
+/// annotations.
 pub fn run_5a(seed: u64, jobs: usize) -> Fig5a {
-    runner::run(&Fig5aExp { seed }, jobs)
+    let cases = cases_5a();
+    let modes = [
+        ("serial", 1u64, RedundancyMode::Serial),
+        ("parallel", 2, RedundancyMode::Parallel),
+    ];
+    let mut specs = Vec::new();
+    for (case_idx, (label, ..)) in cases.iter().enumerate() {
+        for (mode_idx, (mode, salt, _)) in modes.iter().enumerate() {
+            specs.push(TrialSpec::salted(
+                seed ^ salt,
+                (case_idx * 2 + mode_idx) as u64,
+                format!("{label} × {mode}"),
+            ));
+        }
+    }
+    let means = runner::map(&specs, jobs, |spec| {
+        let (case_idx, mode_idx) = (spec.ordinal as usize / 2, spec.ordinal as usize % 2);
+        run_5a_trial(spec.seed, case_idx, cases[case_idx], modes[mode_idx].2)
+    });
+    let bars = cases
+        .iter()
+        .zip(means.chunks(2))
+        .map(|((label, ..), pair)| BlockedBar {
+            label: label.to_string(),
+            serial_s: pair[0],
+            parallel_s: pair[1],
+            reduction_pct: reduction_pct(pair[0], pair[1]),
+        })
+        .collect();
+    Fig5a { bars }
 }
 
 impl Fig5a {
@@ -234,60 +208,28 @@ pub struct Fig5bc {
 /// redundant copy contributes only *load*: full overlap for "2 copies",
 /// partial overlap (after the 2 s stagger) for "2 copies (with delay)".
 fn run_5bc(page_host: &str, title: &str, seed: u64, jobs: usize) -> Fig5bc {
-    runner::run(
-        &Fig5bcExp {
-            page_host: page_host.to_string(),
-            title: title.to_string(),
-            seed,
-        },
-        jobs,
-    )
-}
-
-const SHAPES_5BC: [(&str, usize, bool); 3] = [
-    ("1 copy", 1usize, false),
-    ("2 copies", 2, false),
-    ("2 copies (with delay)", 2, true),
-];
-
-/// Fig. 5b/c decomposed: one trial per redundancy shape
-/// (1 copy / 2 copies / 2 copies staggered), each with its historical
-/// per-series RNG stream.
-pub struct Fig5bcExp {
-    /// The page to fetch.
-    pub page_host: String,
-    /// Panel title for the rendered output.
-    pub title: String,
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for Fig5bcExp {
-    type Trial = Cdf;
-    type Output = Fig5bc;
-
-    fn name(&self) -> &'static str {
-        "fig5bc"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        SHAPES_5BC
-            .iter()
-            .enumerate()
-            .map(|(i, (label, copies, staggered))| {
-                TrialSpec::salted(
-                    self.seed ^ *copies as u64 ^ (*staggered as u64) << 7,
-                    i as u64,
-                    *label,
-                )
-            })
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> Cdf {
-        let (label, copies, staggered) = SHAPES_5BC[spec.ordinal as usize];
+    // One trial per redundancy shape, each with its historical
+    // per-series RNG stream.
+    let shapes = [
+        ("1 copy", 1usize, false),
+        ("2 copies", 2, false),
+        ("2 copies (with delay)", 2, true),
+    ];
+    let specs: Vec<TrialSpec> = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, (label, copies, staggered))| {
+            TrialSpec::salted(
+                seed ^ *copies as u64 ^ (*staggered as u64) << 7,
+                i as u64,
+                *label,
+            )
+        })
+        .collect();
+    let series = runner::map(&specs, jobs, |spec| {
+        let (label, copies, staggered) = shapes[spec.ordinal as usize];
         let world = single_isp_world(Asn(5200), "F5BC-ISP", csaw_censor::clean());
-        let url = Url::parse(&format!("http://{}/", self.page_host)).expect("static URL");
+        let url = Url::parse(&format!("http://{page_host}/")).expect("static URL");
         let provider = world.access.providers()[0].clone();
         let load = LoadModel::default();
         let delay = SimDuration::from_secs(2);
@@ -337,13 +279,10 @@ impl Experiment for Fig5bcExp {
             plts.push(plt);
         }
         Cdf::of(label, &plts)
-    }
-
-    fn reduce(&self, trials: Vec<Cdf>) -> Fig5bc {
-        Fig5bc {
-            title: self.title.clone(),
-            series: trials,
-        }
+    });
+    Fig5bc {
+        title: title.to_string(),
+        series,
     }
 }
 

@@ -9,7 +9,7 @@
 //! **(b)** an Alexa-top-15 browse session with and without aggregation;
 //! the paper measured ~55% fewer local-DB records.
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use crate::stats::Cdf;
 use crate::workload::alexa15_session;
 use csaw::local::{LocalDb, Status};
@@ -36,39 +36,21 @@ pub struct Fig6a {
 /// the client (they are slow, bandwidth-light flows); a third saturates
 /// it — the calibration behind the paper's finding that the second copy
 /// buys ~30% at the median while the third only fattens the p95 (+17%).
+///
+/// One runner trial per redundancy level, each with its historical
+/// `seed ^ (k << 9)` stream.
 pub fn run_6a(seed: u64, jobs: usize) -> Fig6a {
-    runner::run(&Fig6aExp { seed }, jobs)
-}
-
-/// Fig. 6a decomposed: one trial per redundancy level, each with its
-/// historical `seed ^ (k << 9)` stream.
-pub struct Fig6aExp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for Fig6aExp {
-    type Trial = Cdf;
-    type Output = Fig6a;
-
-    fn name(&self) -> &'static str {
-        "fig6a"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        (1usize..=3)
-            .map(|k| {
-                let label = if k == 1 {
-                    "1 RReq.".to_string()
-                } else {
-                    format!("{k} RReqs.")
-                };
-                TrialSpec::salted(self.seed ^ (k as u64) << 9, k as u64 - 1, label)
-            })
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> Cdf {
+    let specs: Vec<TrialSpec> = (1usize..=3)
+        .map(|k| {
+            let label = if k == 1 {
+                "1 RReq.".to_string()
+            } else {
+                format!("{k} RReqs.")
+            };
+            TrialSpec::salted(seed ^ (k as u64) << 9, k as u64 - 1, label)
+        })
+        .collect();
+    let series = runner::map(&specs, jobs, |spec| {
         let k = spec.ordinal as usize + 1;
         let world = crate::worlds::clean_world();
         let url = Url::parse(&format!("http://{}/", crate::worlds::YOUTUBE)).expect("static URL");
@@ -103,11 +85,8 @@ impl Experiment for Fig6aExp {
             }
         }
         Cdf::of(&spec.label, &plts)
-    }
-
-    fn reduce(&self, trials: Vec<Cdf>) -> Fig6a {
-        Fig6a { series: trials }
-    }
+    });
+    Fig6a { series }
 }
 
 impl Fig6a {

@@ -8,7 +8,7 @@
 //!   "C-Saw (w/ Lantern)" vs "C-Saw (w/ Tor)" isolates the relay choice —
 //!   Lantern's single hop beats Tor's three.
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use crate::stats::Cdf;
 use crate::worlds::{single_isp_world, YOUTUBE};
 use csaw::client::CsawClient;
@@ -86,73 +86,23 @@ fn csaw_plts(world: &World, client: &mut CsawClient, url: &Url) -> Vec<SimDurati
     out
 }
 
-/// Which Fig. 7 comparison panel to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PanelKind {
-    /// 7a: DNS-blocked page.
-    Dns,
-    /// 7b: unblocked page.
-    Clean,
-}
-
-impl PanelKind {
-    fn world(self) -> World {
-        match self {
-            PanelKind::Dns => {
-                let policy = csaw_censor::single_mechanism(
-                    "F7A",
-                    YOUTUBE,
-                    DnsTamper::Nxdomain,
-                    IpAction::None,
-                    HttpAction::None,
-                    TlsAction::None,
-                );
-                single_isp_world(Asn(5500), "F7A-ISP", policy)
-            }
-            PanelKind::Clean => crate::worlds::clean_world(),
-        }
-    }
-
-    fn title(self) -> &'static str {
-        match self {
-            PanelKind::Dns => "Figure 7a: blocked page (DNS blocking)",
-            PanelKind::Clean => "Figure 7b: unblocked page",
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            PanelKind::Dns => "fig7a",
-            PanelKind::Clean => "fig7b",
-        }
-    }
-}
-
-/// Fig. 7a/7b decomposed: one trial per tool series (C-Saw, Lantern,
-/// Tor), each with a runner-forked RNG stream.
-struct Fig7PanelExp {
-    kind: PanelKind,
+/// A Fig. 7a/7b comparison panel: one runner trial per tool series
+/// (C-Saw, Lantern, Tor) on a stream forked from `(name, seed, ordinal)`,
+/// each fetching YouTube in its own `world()`.
+fn comparison_panel(
+    name: &str,
+    title: &str,
     seed: u64,
-}
-
-impl Experiment for Fig7PanelExp {
-    type Trial = Cdf;
-    type Output = Panel;
-
-    fn name(&self) -> &'static str {
-        self.kind.name()
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        ["C-Saw", "Lantern", "Tor"]
-            .into_iter()
-            .enumerate()
-            .map(|(i, label)| TrialSpec::forked(self.name(), self.seed, i as u64, label))
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> Cdf {
-        let world = self.kind.world();
+    jobs: usize,
+    world: impl Fn() -> World + Sync,
+) -> Panel {
+    let specs: Vec<TrialSpec> = ["C-Saw", "Lantern", "Tor"]
+        .into_iter()
+        .enumerate()
+        .map(|(i, label)| TrialSpec::forked(name, seed, i as u64, label))
+        .collect();
+    let series = runner::map(&specs, jobs, |spec| {
+        let world = world();
         let url = Url::parse(&format!("http://{YOUTUBE}/")).expect("static URL");
         let plts = match spec.ordinal {
             0 => {
@@ -169,61 +119,44 @@ impl Experiment for Fig7PanelExp {
             }
         };
         Cdf::of(&spec.label, &plts)
-    }
-
-    fn reduce(&self, trials: Vec<Cdf>) -> Panel {
-        Panel {
-            title: self.kind.title().into(),
-            series: trials,
-        }
+    });
+    Panel {
+        title: title.into(),
+        series,
     }
 }
 
 /// Fig. 7a: DNS-blocked page.
 pub fn run_7a(seed: u64, jobs: usize) -> Panel {
-    runner::run(
-        &Fig7PanelExp {
-            kind: PanelKind::Dns,
-            seed,
-        },
-        jobs,
-    )
+    let title = "Figure 7a: blocked page (DNS blocking)";
+    comparison_panel("fig7a", title, seed, jobs, || {
+        let policy = csaw_censor::single_mechanism(
+            "F7A",
+            YOUTUBE,
+            DnsTamper::Nxdomain,
+            IpAction::None,
+            HttpAction::None,
+            TlsAction::None,
+        );
+        single_isp_world(Asn(5500), "F7A-ISP", policy)
+    })
 }
 
 /// Fig. 7b: unblocked page.
 pub fn run_7b(seed: u64, jobs: usize) -> Panel {
-    runner::run(
-        &Fig7PanelExp {
-            kind: PanelKind::Clean,
-            seed,
-        },
-        jobs,
-    )
+    let title = "Figure 7b: unblocked page";
+    comparison_panel("fig7b", title, seed, jobs, crate::worlds::clean_world)
 }
 
-/// Fig. 7c decomposed: one trial per relay restriction, with the
-/// historical `seed ^ 1` / `seed ^ 2` client seeds.
-pub struct Fig7cExp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for Fig7cExp {
-    type Trial = Cdf;
-    type Output = Panel;
-
-    fn name(&self) -> &'static str {
-        "fig7c"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        vec![
-            TrialSpec::salted(self.seed ^ 1, 0, "C-Saw (w/ Lantern)"),
-            TrialSpec::salted(self.seed ^ 2, 1, "C-Saw (w/ Tor)"),
-        ]
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> Cdf {
+/// Fig. 7c: multi-stage blocking; C-Saw's relay restricted to Lantern vs
+/// to Tor — one runner trial per relay restriction, with the historical
+/// `seed ^ 1` / `seed ^ 2` client seeds.
+pub fn run_7c(seed: u64, jobs: usize) -> Panel {
+    let specs = [
+        TrialSpec::salted(seed ^ 1, 0, "C-Saw (w/ Lantern)"),
+        TrialSpec::salted(seed ^ 2, 1, "C-Saw (w/ Tor)"),
+    ];
+    let series = runner::map(&specs, jobs, |spec| {
         let policy = csaw_censor::single_mechanism(
             "F7C",
             YOUTUBE,
@@ -246,20 +179,11 @@ impl Experiment for Fig7cExp {
                 relay,
             ]);
         Cdf::of(&spec.label, &csaw_plts(&world, &mut client, &url))
+    });
+    Panel {
+        title: "Figure 7c: multi-stage blocking (IP + DNS), relay choice".into(),
+        series,
     }
-
-    fn reduce(&self, trials: Vec<Cdf>) -> Panel {
-        Panel {
-            title: "Figure 7c: multi-stage blocking (IP + DNS), relay choice".into(),
-            series: trials,
-        }
-    }
-}
-
-/// Fig. 7c: multi-stage blocking; C-Saw's relay restricted to Lantern vs
-/// to Tor.
-pub fn run_7c(seed: u64, jobs: usize) -> Panel {
-    runner::run(&Fig7cExp { seed }, jobs)
 }
 
 #[cfg(test)]

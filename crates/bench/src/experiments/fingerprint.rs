@@ -15,7 +15,7 @@
 //! the numbers: the paired-flow rate of a C-Saw client decays as its
 //! local DB warms up, and serial mode leaves almost no pairs at all.
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use csaw::config::RedundancyMode;
 use csaw::measure::{fetch_with_redundancy, DetectConfig, ServedFrom};
 use csaw_circumvent::tor::TorClient;
@@ -175,42 +175,21 @@ fn browse_urls(seed: u64) -> Vec<Url> {
 /// Run the sweep: 40 plain browsers vs 40 C-Saw clients per mode, each
 /// browsing 30 URLs from a 12-site universe (so later visits hit warm
 /// local DBs).
+///
+/// One runner trial per mode. Every trial carries the experiment seed —
+/// the browse session and the per-client seeds are fixed salts of it,
+/// preserving the paired population across modes.
 pub fn run(seed: u64, jobs: usize) -> Fingerprint {
-    runner::run(&FingerprintExp { seed }, jobs)
-}
-
-/// The sweep decomposed: one trial per mode. Every trial carries the
-/// experiment seed — the browse session and the per-client seeds are
-/// fixed salts of it, preserving the paired population across modes.
-pub struct FingerprintExp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for FingerprintExp {
-    type Trial = ModeResult;
-    type Output = Fingerprint;
-
-    fn name(&self) -> &'static str {
-        "fingerprint"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        modes()
-            .into_iter()
-            .enumerate()
-            .map(|(i, (label, _))| TrialSpec::salted(self.seed, i as u64, label))
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> ModeResult {
-        let (label, mode) = modes()
-            .into_iter()
-            .nth(spec.ordinal as usize)
-            .expect("mode index in range");
+    let modes = modes();
+    let specs: Vec<TrialSpec> = modes
+        .iter()
+        .enumerate()
+        .map(|(i, (label, _))| TrialSpec::salted(seed, i as u64, label.as_str()))
+        .collect();
+    let modes = runner::map(&specs, jobs, |spec| {
+        let (label, mode) = modes[spec.ordinal as usize].clone();
         let world = crate::worlds::clean_world();
-        let urls = browse_urls(spec.seed);
-        let seed = spec.seed;
+        let urls = browse_urls(seed);
         let mut traces = Vec::new();
         for c in 0..40u64 {
             traces.push(simulate_client(&world, None, &urls, seed ^ (c << 3)));
@@ -258,11 +237,8 @@ impl Experiment for FingerprintExp {
             plain_mean,
             roc,
         }
-    }
-
-    fn reduce(&self, trials: Vec<ModeResult>) -> Fingerprint {
-        Fingerprint { modes: trials }
-    }
+    });
+    Fingerprint { modes }
 }
 
 fn mean(xs: impl Iterator<Item = f64>) -> f64 {

@@ -3,11 +3,20 @@
 //!
 //! The catalogue is the only place that says which experiments exist
 //! and how each is run. `exp <name>`, `exp all`, `exp extensions` and
-//! `exp list`, the CLI help gate and the golden-digest test
+//! `exp list`, the CLI help gate and the golden-manifest test
 //! (`GOLDEN_seed1.json`) are all loops over it, so adding an experiment
 //! is one entry here plus its module. An entry's `name` is a stable
 //! identifier: it keys the golden digests and the `runs/<seed>/`
 //! artifacts.
+//!
+//! A module's public seam is `run(seed, jobs) -> <result struct>` (the
+//! struct carries `render()`). Inside, a sweep is a case list, one
+//! [`crate::runner::TrialSpec`] per case built beside it, and a closure
+//! over that list handed to [`crate::runner::map`]; the result struct is
+//! built directly from the ordinal-ordered values `map` returns. Every
+//! `TrialSpec::salted` seed expression and `TrialSpec::forked` name
+//! literal is part of the module's output: changing one moves its golden
+//! digest.
 //!
 //! Three sections ([`Run`]): **Paper** entries regenerate a table or
 //! figure of the evaluation, in paper order; **Extension** entries
@@ -206,9 +215,9 @@ pub fn find(name: &str) -> Option<&'static Entry> {
     CATALOGUE.iter().find(|e| e.name == name)
 }
 
-/// The sweep scorecard `exp all` writes and `GOLDEN_seed1.json` pins:
-/// one stdout digest per `(name, digest)` pair in the deterministic
-/// section. The card's `experiment` field is the data identifier
+/// The sweep scorecard `exp all` writes, whose `stdout_digests` the
+/// golden manifest `GOLDEN_seed1.json` pins: one stdout digest per
+/// `(name, digest)` pair in the deterministic section. The card's `experiment` field is the data identifier
 /// `exp_all`, compared against checked-in cards — not a program name.
 pub fn sweep_card<'a>(seed: u64, digests: impl Iterator<Item = (&'a str, &'a str)>) -> Scorecard {
     let mut card = Scorecard::new("exp_all", seed);

@@ -2,7 +2,7 @@
 //! app blocked with different UDP mechanisms across ASes, detected by the
 //! paired direct/tunnel probe and circumvented through a VPN relay.
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use csaw::measure::nonweb::measure_udp_service;
 use csaw::measure::MeasuredStatus;
 use csaw_censor::blocking::UdpAction;
@@ -59,41 +59,21 @@ const CASES: [(Asn, UdpAction, &str); 3] = [
 ];
 
 /// Run the sweep: three ASes — one dropping the app's UDP, one throttling
-/// it, one clean.
-pub fn run(seed: u64, jobs: usize) -> Nonweb {
-    runner::run(&NonwebExp { seed }, jobs)
-}
-
-/// The sweep decomposed: one trial per AS, with the historical
+/// it, one clean — one runner trial each, with the historical
 /// `seed ^ asn` streams.
-pub struct NonwebExp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for NonwebExp {
-    type Trial = NonwebRow;
-    type Output = Nonweb;
-
-    fn name(&self) -> &'static str {
-        "nonweb"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        CASES
-            .iter()
-            .enumerate()
-            .map(|(i, (asn, _, label))| {
-                TrialSpec::salted(
-                    self.seed ^ asn.0 as u64,
-                    i as u64,
-                    format!("AS{} ({label})", asn.0),
-                )
-            })
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> NonwebRow {
+pub fn run(seed: u64, jobs: usize) -> Nonweb {
+    let specs: Vec<TrialSpec> = CASES
+        .iter()
+        .enumerate()
+        .map(|(i, (asn, _, label))| {
+            TrialSpec::salted(
+                seed ^ asn.0 as u64,
+                i as u64,
+                format!("AS{} ({label})", asn.0),
+            )
+        })
+        .collect();
+    let rows = runner::map(&specs, jobs, |spec| {
         let (asn, action, label) = CASES[spec.ordinal as usize];
         let relay = Site::in_region(Region::Germany);
         let world = world_for(asn, action);
@@ -112,11 +92,8 @@ impl Experiment for NonwebExp {
             direct_rtt_ms: m.direct_rtt.map(|d| d.as_millis()),
             tunnel_rtt_ms: m.tunnel_rtt.map(|d| d.as_millis()),
         }
-    }
-
-    fn reduce(&self, trials: Vec<NonwebRow>) -> Nonweb {
-        Nonweb { rows: trials }
-    }
+    });
+    Nonweb { rows }
 }
 
 impl Nonweb {

@@ -31,10 +31,9 @@
 
 use crate::alloc_track::{self, AllocSnapshot};
 use crate::cli::{ExpCli, Flags, Verdict};
+use crate::fleet;
 use crate::scorecard::{self, LockProbe, LockTotals, Scorecard};
-use csaw::global::{
-    Batch, ConfidenceFilter, GlobalApi, RegistrarConfig, RemoteDb, Report, ServerDb, Uuid,
-};
+use csaw::global::{Batch, ConfidenceFilter, GlobalApi, RemoteDb, Report, ServerDb, Uuid};
 use csaw_censor::blocking::BlockingType;
 use csaw_dbserver::{spawn_dbserver, DbServerConfig};
 use csaw_obs::json::JsonValue;
@@ -217,6 +216,28 @@ fn batch_for(seed: u64, idx: usize, uuid: Uuid, cfg: &ScaleConfig) -> Batch {
     Batch::new(uuid, reports, SimTime::from_secs(1_000 + idx as u64))
 }
 
+/// A fresh store under test behind an open registrar.
+fn fresh_server(seed: u64, cfg: &ScaleConfig) -> ServerDb {
+    ServerDb::builder(seed)
+        .shards(cfg.shards)
+        .registrar(fleet::open_registrar(SimDuration::from_secs(60)))
+        .build()
+        .expect("scale harness store config is valid")
+}
+
+/// Register the whole population in index order. Registration stays
+/// sequential (and untimed): UUID assignment is order-dependent, and
+/// identical ordering keeps the socketed store state byte-comparable
+/// with the in-process phase's.
+fn register_all(api: &impl GlobalApi, cfg: &ScaleConfig) -> Vec<Uuid> {
+    (0..cfg.clients)
+        .map(|i| {
+            api.register(SimTime::from_secs(i as u64), 0.0)
+                .expect("open registrar accepts the population")
+        })
+        .collect()
+}
+
 /// Run the sweep. `seed` fixes the workload; `cfg` sizes it.
 pub fn run_with(seed: u64, cfg: ScaleConfig) -> Scale {
     let mut rows = Vec::with_capacity(cfg.threads.len());
@@ -259,91 +280,55 @@ pub fn run_socketed(
     threads: usize,
     server_cfg: DbServerConfig,
 ) -> SocketScale {
-    let server = Arc::new(
-        ServerDb::builder(seed)
-            .shards(cfg.shards)
-            .registrar(RegistrarConfig {
-                max_risk: 1.0,
-                max_per_window: usize::MAX,
-                window: SimDuration::from_secs(60),
-            })
-            .build()
-            .expect("scale harness store config is valid"),
-    );
+    let server = Arc::new(fresh_server(seed, cfg));
     let handle = spawn_dbserver(Arc::clone(&server), server_cfg).expect("loopback bind");
     let remote = RemoteDb::new(handle.addr());
 
-    // Registration stays sequential (and untimed): UUID assignment is
-    // order-dependent, and identical ordering keeps the socketed store
-    // state byte-comparable with the in-process phase's.
     csaw_obs::event::progress(&format!(
         "exp_scale: registering {} clients over tcp",
         cfg.clients
     ));
-    let uuids: Vec<Uuid> = (0..cfg.clients)
-        .map(|i| {
-            remote
-                .register(SimTime::from_secs(i as u64), 0.0)
-                .expect("open registrar accepts the population")
-        })
-        .collect();
+    let uuids = register_all(&remote, cfg);
 
     csaw_obs::event::progress(&format!(
         "exp_scale: posting over tcp on {threads} thread(s)"
     ));
     let lat = csaw_obs::metrics::Histogram::default();
-    let chunk = cfg.clients.div_ceil(threads.max(1));
     let started = Instant::now();
-    let (accepted, rejected, retries) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let remote = &remote;
-                let uuids = &uuids;
-                let lat = &lat;
-                s.spawn(move || {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(cfg.clients);
-                    let (mut acc, mut rej, mut retries) = (0u64, 0u64, 0u64);
-                    for (idx, &uuid) in uuids.iter().enumerate().take(hi).skip(lo) {
-                        let template = batch_for(seed, idx, uuid, cfg);
-                        let posted_at = template.posted_at;
-                        let mut reports = template.reports().to_vec();
-                        loop {
-                            let t0 = Instant::now();
-                            let receipt = remote
-                                .ingest(Batch::new(uuid, reports.clone(), posted_at))
-                                .expect("socketed post");
-                            lat.observe_us(t0.elapsed().as_micros() as u64);
-                            assert_eq!(
-                                receipt.accepted + receipt.rejected + receipt.deferred(),
-                                reports.len(),
-                                "receipt must cover every index"
-                            );
-                            acc += receipt.accepted as u64;
-                            rej += receipt.rejected as u64;
-                            if receipt.deferred_indices.is_empty() {
-                                break;
-                            }
-                            // Resubmit exactly the deferred reports —
-                            // accepted/rejected ones must not repeat.
-                            retries += 1;
-                            reports = receipt
-                                .deferred_indices
-                                .iter()
-                                .map(|&i| reports[i].clone())
-                                .collect();
-                        }
-                    }
-                    (acc, rej, retries)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("posting thread panicked"))
-            .fold((0u64, 0u64, 0u64), |(a, r, d), (da, dr, dd)| {
-                (a + da, r + dr, d + dd)
-            })
+    let [accepted, rejected, retries] = fleet::fan_out(cfg.clients, threads, |chunk| {
+        let (mut acc, mut rej, mut retries) = (0u64, 0u64, 0u64);
+        for idx in chunk {
+            let uuid = uuids[idx];
+            let template = batch_for(seed, idx, uuid, cfg);
+            let posted_at = template.posted_at;
+            let mut reports = template.reports().to_vec();
+            loop {
+                let t0 = Instant::now();
+                let receipt = remote
+                    .ingest(Batch::new(uuid, reports.clone(), posted_at))
+                    .expect("socketed post");
+                lat.observe_us(t0.elapsed().as_micros() as u64);
+                assert_eq!(
+                    receipt.accepted + receipt.rejected + receipt.deferred(),
+                    reports.len(),
+                    "receipt must cover every index"
+                );
+                acc += receipt.accepted as u64;
+                rej += receipt.rejected as u64;
+                if receipt.deferred_indices.is_empty() {
+                    break;
+                }
+                // Resubmit exactly the deferred reports —
+                // accepted/rejected ones must not repeat.
+                retries += 1;
+                reports = receipt
+                    .deferred_indices
+                    .iter()
+                    .map(|&i| reports[i].clone())
+                    .collect();
+            }
+        }
+        [acc, rej, retries]
     });
     let ingest_secs = started.elapsed().as_secs_f64();
     csaw_obs::observe_secs("exp.scale.socket_ingest", ingest_secs);
@@ -388,24 +373,8 @@ pub fn run_socketed(
 
 /// One sweep point: a fresh store, `threads` concurrent writers.
 fn run_one(seed: u64, cfg: &ScaleConfig, threads: usize) -> ScaleRow {
-    let server = ServerDb::builder(seed)
-        .shards(cfg.shards)
-        .registrar(RegistrarConfig {
-            max_risk: 1.0,
-            max_per_window: usize::MAX,
-            window: SimDuration::from_secs(60),
-        })
-        .build()
-        .expect("scale harness store config is valid");
-
-    // Registration is untimed setup: the harness measures ingest.
-    let uuids: Vec<Uuid> = (0..cfg.clients)
-        .map(|i| {
-            server
-                .register(SimTime::from_secs(i as u64), 0.0)
-                .expect("open registrar accepts the population")
-        })
-        .collect();
+    let server = fresh_server(seed, cfg);
+    let uuids = register_all(&server, cfg);
 
     // Perf attribution (only under `--perf wall`): bracket the ingest
     // phase with lock-family and allocator readings, and have each
@@ -425,46 +394,23 @@ fn run_one(seed: u64, cfg: &ScaleConfig, threads: usize) -> ScaleRow {
     let lock_before: Vec<LockTotals> = probes.iter().map(LockProbe::totals).collect();
     let alloc_before = alloc_track::snapshot();
 
-    let chunk = cfg.clients.div_ceil(threads.max(1));
     let started = Instant::now();
-    let (accepted, rejected, build_ns, call_ns) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let server = &server;
-                let uuids = &uuids;
-                s.spawn(move || {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(cfg.clients);
-                    let (mut acc, mut rej) = (0u64, 0u64);
-                    let (mut build, mut call) = (0u64, 0u64);
-                    for (idx, &uuid) in uuids.iter().enumerate().take(hi).skip(lo) {
-                        if perf {
-                            let t0 = Instant::now();
-                            let batch = batch_for(seed, idx, uuid, cfg);
-                            let t1 = Instant::now();
-                            let receipt = server.ingest(batch).expect("registered client");
-                            call += t1.elapsed().as_nanos() as u64;
-                            build += (t1 - t0).as_nanos() as u64;
-                            acc += receipt.accepted as u64;
-                            rej += receipt.rejected as u64;
-                        } else {
-                            let batch = batch_for(seed, idx, uuid, cfg);
-                            let receipt = server.ingest(batch).expect("registered client");
-                            acc += receipt.accepted as u64;
-                            rej += receipt.rejected as u64;
-                        }
-                    }
-                    (acc, rej, build, call)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("writer thread panicked"))
-            .fold(
-                (0u64, 0u64, 0u64, 0u64),
-                |(a, r, b, c), (da, dr, db, dc)| (a + da, r + dr, b + db, c + dc),
-            )
+    let [accepted, rejected, build_ns, call_ns] = fleet::fan_out(cfg.clients, threads, |chunk| {
+        let (mut acc, mut rej, mut build, mut call) = (0u64, 0u64, 0u64, 0u64);
+        for idx in chunk {
+            // The clock is read only under perf attribution.
+            let t0 = perf.then(Instant::now);
+            let batch = batch_for(seed, idx, uuids[idx], cfg);
+            let t1 = perf.then(Instant::now);
+            let receipt = server.ingest(batch).expect("registered client");
+            if let (Some(t0), Some(t1)) = (t0, t1) {
+                call += t1.elapsed().as_nanos() as u64;
+                build += (t1 - t0).as_nanos() as u64;
+            }
+            acc += receipt.accepted as u64;
+            rej += receipt.rejected as u64;
+        }
+        [acc, rej, build, call]
     });
     let ingest_secs = started.elapsed().as_secs_f64();
     let row_perf = perf.then(|| RowPerf {
@@ -490,18 +436,17 @@ fn run_one(seed: u64, cfg: &ScaleConfig, threads: usize) -> ScaleRow {
     // accumulating across sweep rows): the shared log-bucketed quantile
     // sketch replaces the old hand-rolled nearest-rank percentile.
     let lat = csaw_obs::metrics::Histogram::default();
-    let mut served = 0usize;
     for i in 0..cfg.lookups {
         let asn = Asn((i as u32) % cfg.asns);
         let f = if i % 8 == 0 { &strict } else { &filter };
         let t0 = Instant::now();
-        let records = server.blocked_for_as_infallible(asn, f);
+        // A small population may report from none of the ASes walked,
+        // so serving nothing is an answer, not an error.
+        std::hint::black_box(server.blocked_for_as_infallible(asn, f));
         let us = t0.elapsed().as_micros() as u64;
         lat.observe_us(us);
         csaw_obs::observe_us("exp.scale.lookup", us);
-        served += records.len();
     }
-    assert!(served > 0, "lookup phase must return records");
 
     ScaleRow {
         threads,

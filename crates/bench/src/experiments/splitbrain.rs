@@ -30,12 +30,11 @@
 //! equalling the number of distinct `(url, asn)` keys ever posted.
 
 use crate::cli::{exit, ExpCli, Flags, Verdict};
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::fleet::{self, Fleet};
+use crate::runner::{self, TrialSpec};
 use crate::scorecard::Scorecard;
-use csaw::client::CsawClient;
 use csaw::config::CsawConfig;
 use csaw::encore::{EncoreConfig, EncoreSource};
-use csaw::global::server::RegistrarConfig;
 use csaw::global::{ConfidenceFilter, GlobalApi, RemoteDb, ServerDb};
 use csaw_censor::profiles;
 use csaw_dbserver::{spawn_dbserver, DbServerConfig, DbServerHandle};
@@ -158,7 +157,7 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
     csaw_obs::current()
         .timeline
         .set_run(&format!("scenario={scenario}"));
-    let world = super::chaos::chaos_world();
+    let world = fleet::world();
     let asn = profiles::ISP_A_ASN;
 
     // Leader: the ship-log journalling wrapper over the sharded store,
@@ -170,11 +169,7 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
     )));
     let server = ServerDb::builder(seed)
         .backend(leader.clone())
-        .registrar(RegistrarConfig {
-            max_risk: 1.0,
-            max_per_window: usize::MAX,
-            window: SimDuration::from_secs(3_600),
-        })
+        .registrar(fleet::open_registrar(SimDuration::from_secs(3_600)))
         .build()
         .expect("store config");
 
@@ -213,26 +208,14 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
 
     // Phase 1: registrations — full clients one per virtual second,
     // then the Encore probe population right after.
-    let mut clients: Vec<CsawClient> = (0..cfg.clients)
-        .map(|idx| {
-            let mut c = CsawClient::new(
-                CsawConfig::default(),
-                Some("cdn-front.example"),
-                seed ^ ((idx as u64 + 1) << 8),
-            );
-            let t = SimTime::from_secs(idx as u64);
-            csaw_obs::advance_clock_us(t.as_micros());
-            c.register(&server, asn, t, 0.0).expect("registration");
-            c
-        })
-        .collect();
+    let mut fleet = Fleet::register(&server, seed, cfg.clients, CsawConfig::default());
 
     // Encore targets overlap the full-client URL space (probe votes
     // corroborate and overwrite client records) plus probe-only URLs.
     let mut targets: Vec<String> = Vec::new();
     for idx in 0..cfg.clients.min(2) {
         for u in 0..cfg.urls_per_client.min(2) {
-            targets.push(format!("http://www.youtube.com/c{idx}/u{u}"));
+            targets.push(fleet::browse_url(idx, u));
         }
     }
     for e in 0..4 {
@@ -255,26 +238,11 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
         })
         .collect();
 
-    // Phase 2: browse sessions in global virtual-time order (the chaos
-    // sweep's cadence: client idx starts at 100 + 7·idx, revisits every
-    // 30 s). Every URL is censored, so each browse queues one report.
-    let mut browse: Vec<(u64, usize, usize)> = Vec::new();
-    for idx in 0..cfg.clients {
-        for u in 0..cfg.urls_per_client {
-            browse.push((100 + 7 * idx as u64 + 30 * u as u64, idx, u));
-        }
-    }
-    browse.sort_unstable();
-    let mut browse_end = SimTime::ZERO;
-    for (t_secs, idx, u) in browse {
-        let now = SimTime::from_secs(t_secs);
-        browse_end = browse_end.max(now);
-        csaw_obs::advance_clock_us(now.as_micros());
-        let url = csaw_webproto::url::Url::parse(&format!("http://www.youtube.com/c{idx}/u{u}"))
-            .expect("static url");
-        clients[idx].request(&world, &url, now);
-        expected.insert((format!("http://www.youtube.com/c{idx}/u{u}"), asn.0));
-    }
+    // Phase 2: browse sessions in global virtual-time order. Every URL
+    // is censored, so each visit queues one report.
+    let browse_end = fleet.browse(&world, cfg.urls_per_client, |_, url| {
+        expected.insert((url.to_string(), asn.0));
+    });
 
     // Phase 3: the ingest horizon. Every `ship_every_s` step drains
     // full-client queues, posts the step's slice of Encore probes, and
@@ -292,11 +260,7 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
     for step in 1..=steps {
         let now = browse_end + SimDuration::from_secs(cfg.ship_every_s * step);
         csaw_obs::advance_clock_us(now.as_micros());
-        for c in clients.iter_mut() {
-            if c.pending_reports() > 0 {
-                c.post_reports(&server, now);
-            }
-        }
+        fleet.post_pending(&server, now);
         for (p, &probe_uuid) in probe_uuids.iter().enumerate() {
             for round in 0..cfg.encore_rounds {
                 if 1 + ((p + round * encore.probe_count()) as u64) % steps != step {
@@ -331,18 +295,9 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
 
     // Accounting: the chaos invariants, extended with the Encore
     // receipts (already folded in above) and the distinct-key count.
-    let mut queued = 0u64;
-    let mut posted = 0u64;
-    for c in &clients {
-        queued += c.stats.reports_queued;
-        posted += c.stats.reports_posted;
-        accounted &= c.stats.reports_queued
-            == c.stats.reports_posted
-                + c.stats.reports_dropped
-                + c.stats.reports_quarantined
-                + c.pending_reports() as u64;
-        accounted &= c.pending_reports() == 0;
-    }
+    let acct = fleet.accounting();
+    let (queued, posted) = (acct.queued, acct.posted);
+    accounted &= acct.balanced && acct.pending == 0;
     accounted &= queued == (cfg.clients * cfg.urls_per_client) as u64;
     accounted &= posted == queued;
     accounted &= encore_posted == encore.total_reports() as u64;
@@ -404,8 +359,15 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
 /// raw experiment seed so they ingest the identical workload — the
 /// partitioned scenario must converge to the baseline's fingerprint.
 pub fn run(seed: u64, cfg: &SplitBrainConfig, jobs: usize) -> SplitBrain {
-    let cfg = cfg.clone();
-    runner::run(&SplitBrainExp { seed, cfg }, jobs)
+    let specs: Vec<TrialSpec> = ["baseline", "split"]
+        .iter()
+        .enumerate()
+        .map(|(i, s)| TrialSpec::salted(seed, i as u64, format!("scenario={s}")))
+        .collect();
+    let rows = runner::map(&specs, jobs, |spec| {
+        run_scenario(seed, cfg, spec.ordinal == 1)
+    });
+    SplitBrain { rows }
 }
 
 /// The value flags `exp splitbrain` reads.
@@ -458,39 +420,6 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
         Ok(())
     };
     (result.render(), verdict)
-}
-
-/// The experiment decomposed: one trial per scenario.
-pub struct SplitBrainExp {
-    /// Experiment seed (shared by both scenarios on purpose).
-    pub seed: u64,
-    /// Experiment shape.
-    pub cfg: SplitBrainConfig,
-}
-
-impl Experiment for SplitBrainExp {
-    type Trial = SplitBrainRow;
-    type Output = SplitBrain;
-
-    fn name(&self) -> &'static str {
-        "chaos-splitbrain"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        ["baseline", "split"]
-            .iter()
-            .enumerate()
-            .map(|(i, s)| TrialSpec::salted(self.seed, i as u64, format!("scenario={s}")))
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> SplitBrainRow {
-        run_scenario(self.seed, &self.cfg, spec.ordinal == 1)
-    }
-
-    fn reduce(&self, trials: Vec<SplitBrainRow>) -> SplitBrain {
-        SplitBrain { rows: trials }
-    }
 }
 
 impl SplitBrain {
@@ -614,41 +543,11 @@ mod tests {
         assert!(split.peak_staleness_s > 4 * 3_600);
     }
 
-    #[test]
-    fn same_seed_same_render() {
-        let a = run(7, &quick_cfg(), 1).render();
-        let b = run(7, &quick_cfg(), 1).render();
-        assert_eq!(a, b);
-    }
-
-    /// Run under hour windows + the split-brain SLO set (the binary's
-    /// configuration) and return the frame and violation JSONL streams.
+    /// Both scenarios under `exp splitbrain`'s hour windows and SLO set.
     fn windowed_run(seed: u64, cfg: &SplitBrainConfig, jobs: usize) -> (String, Vec<String>) {
-        use csaw_obs::slo::VIOLATION_EVENT;
-        use csaw_obs::{ManualClock, ObsCtx, RingSink, WindowCfg, FRAME_EVENT};
-
-        let ring = Arc::new(RingSink::new(1 << 16));
-        let ctx = Arc::new(
-            ObsCtx::new()
-                .with_clock(Arc::new(ManualClock::new()))
-                .with_sink(ring.clone()),
-        );
-        ctx.timeline
-            .configure(WindowCfg::from_secs(3_600.0, Arc::new(slo_set())));
-        let _guard = csaw_obs::install(ctx.clone());
-        let _ = run(seed, cfg, jobs);
-        ctx.flush_timeline();
-        let mut frames = Vec::new();
-        let mut viols = Vec::new();
-        for e in ring.drain() {
-            let line = e.to_json().to_string_compact();
-            if e.name == FRAME_EVENT {
-                frames.push(line);
-            } else if e.name == VIOLATION_EVENT {
-                viols.push(line);
-            }
-        }
-        (frames.join("\n"), viols)
+        crate::fleet::tests::windowed_run(slo_set(), || {
+            run(seed, cfg, jobs);
+        })
     }
 
     #[test]

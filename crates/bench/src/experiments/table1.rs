@@ -2,7 +2,7 @@
 //! C-Saw detector (the paper presents the censor-side truth; we recover
 //! it from client-side observations, which is the stronger statement).
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use crate::worlds::{single_isp_world, PORN_PAGE, YOUTUBE};
 use csaw::measure::{measure_direct, DetectConfig, MeasuredStatus};
 use csaw_censor::blocking::{BlockingType, Stage};
@@ -47,51 +47,25 @@ fn targets() -> [(&'static str, String); 2] {
 
 /// Run the Table 1 measurement: several trials per (ISP, target), union
 /// of observed mechanisms (ISP-B's DNS stage engages probabilistically,
-/// so one trial may see only part of the multi-stage setup).
+/// so one trial may see only part of the multi-stage setup). One runner
+/// trial per cell, each on the historical per-ISP `seed ^ asn` stream.
 pub fn run(seed: u64, jobs: usize) -> Table1 {
-    runner::run(&Table1Exp { seed }, jobs)
-}
-
-/// Table 1 decomposed: one trial per (ISP, target) cell, each with the
-/// historical per-ISP `seed ^ asn` stream.
-pub struct Table1Exp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for Table1Exp {
-    type Trial = Cell;
-    type Output = Table1;
-
-    fn name(&self) -> &'static str {
-        "table1"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        let mut specs = Vec::new();
-        for (i, (isp, asn, _)) in configs().into_iter().enumerate() {
-            for (j, (target, _)) in targets().into_iter().enumerate() {
-                specs.push(TrialSpec::salted(
-                    self.seed ^ asn.0 as u64,
-                    (i * 2 + j) as u64,
-                    format!("{isp} × {target}"),
-                ));
-            }
+    let (configs, targets) = (configs(), targets());
+    let mut specs = Vec::new();
+    for (i, (isp, asn, _)) in configs.iter().enumerate() {
+        for (j, (target, _)) in targets.iter().enumerate() {
+            specs.push(TrialSpec::salted(
+                seed ^ asn.0 as u64,
+                (i * 2 + j) as u64,
+                format!("{isp} × {target}"),
+            ));
         }
-        specs
     }
-
-    fn run_trial(&self, spec: &TrialSpec) -> Cell {
-        let (isp, asn, policy) = configs()
-            .into_iter()
-            .nth(spec.ordinal as usize / 2)
-            .expect("config index in range");
-        let (target, url_s) = targets()
-            .into_iter()
-            .nth(spec.ordinal as usize % 2)
-            .expect("target index in range");
-        let world = single_isp_world(asn, isp, policy);
-        let url = Url::parse(&url_s).expect("static URL");
+    let cells = runner::map(&specs, jobs, |spec| {
+        let (isp, asn, policy) = &configs[spec.ordinal as usize / 2];
+        let (target, url_s) = &targets[spec.ordinal as usize % 2];
+        let world = single_isp_world(*asn, isp, policy.clone());
+        let url = Url::parse(url_s).expect("static URL");
         let mut mechanisms: Vec<BlockingType> = Vec::new();
         let mut rng = DetRng::new(spec.seed);
         for _ in 0..20 {
@@ -139,11 +113,8 @@ impl Experiment for Table1Exp {
             target: target.to_string(),
             mechanisms,
         }
-    }
-
-    fn reduce(&self, trials: Vec<Cell>) -> Table1 {
-        Table1 { cells: trials }
-    }
+    });
+    Table1 { cells }
 }
 
 impl Table1 {

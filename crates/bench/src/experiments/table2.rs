@@ -3,7 +3,7 @@
 //! experiment *measures* them over the simulated paths and checks the
 //! round trip matches the paper's numbers.
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use crate::worlds::{clean_world, static_proxies};
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::time::SimDuration;
@@ -44,53 +44,29 @@ fn paper_value(label: &str) -> Option<u64> {
 
 /// Run the ping sweep: 50 echo samples per destination, WAN component
 /// only (the paper pings from the measurement host, we exclude the local
-/// access hop jitter by averaging).
+/// access hop jitter by averaging). One runner trial per destination
+/// (the ten proxies plus the YouTube baseline), each drawing its RTT
+/// samples from a runner-forked stream.
 pub fn run(seed: u64, jobs: usize) -> Table2 {
-    runner::run(&Table2Exp { seed }, jobs)
-}
-
-/// Table 2 decomposed: one trial per destination (the ten proxies plus
-/// the YouTube baseline), each drawing its RTT samples from a
-/// runner-forked stream.
-pub struct Table2Exp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for Table2Exp {
-    type Trial = PingRow;
-    type Output = Table2;
-
-    fn name(&self) -> &'static str {
-        "table2"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        let mut labels: Vec<String> = static_proxies().into_iter().map(|p| p.label).collect();
-        labels.push("YouTube".to_string());
-        labels
-            .into_iter()
-            .enumerate()
-            .map(|(i, label)| TrialSpec::forked(self.name(), self.seed, i as u64, label))
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> PingRow {
+    let proxies = static_proxies();
+    let specs: Vec<TrialSpec> = proxies
+        .iter()
+        .map(|p| p.label.as_str())
+        .chain(["YouTube"])
+        .enumerate()
+        .map(|(i, label)| TrialSpec::forked("table2", seed, i as u64, label))
+        .collect();
+    let rows = runner::map(&specs, jobs, |spec| {
         let world = clean_world();
         let provider = world.access.providers()[0].clone();
         let mut rng = DetRng::new(spec.seed);
-        let proxies = static_proxies();
-        let (label, site, paper_ms) = if (spec.ordinal as usize) < proxies.len() {
-            let p = proxies
-                .into_iter()
-                .nth(spec.ordinal as usize)
-                .expect("proxy index in range");
-            let paper = paper_value(&p.label).unwrap_or(0);
-            (p.label, p.site, paper)
-        } else {
-            // YouTube baseline (paper: 186 ms).
-            let yt = world.site(crate::worlds::YOUTUBE).expect("youtube exists");
-            ("YouTube".to_string(), yt.location, 186)
+        let (label, site, paper_ms) = match proxies.get(spec.ordinal as usize) {
+            Some(p) => (p.label.clone(), p.site, paper_value(&p.label).unwrap_or(0)),
+            None => {
+                // YouTube baseline (paper: 186 ms).
+                let yt = world.site(crate::worlds::YOUTUBE).expect("youtube exists");
+                ("YouTube".to_string(), yt.location, 186)
+            }
         };
         let path = world.path_to_site(&provider, site);
         let n = 50;
@@ -104,11 +80,8 @@ impl Experiment for Table2Exp {
             paper_ms,
             measured_ms: avg.as_millis(),
         }
-    }
-
-    fn reduce(&self, trials: Vec<PingRow>) -> Table2 {
-        Table2 { rows: trials }
-    }
+    });
+    Table2 { rows }
 }
 
 impl Table2 {

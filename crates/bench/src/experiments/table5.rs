@@ -10,7 +10,7 @@
 //! | HTTP (block page)                  | 1.8            |
 //! | TCP/IP + DNS (multi-stage)         | 32.7           |
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use crate::worlds::YOUTUBE;
 use csaw::measure::{measure_direct, DetectConfig, MeasuredStatus};
 use csaw_censor::blocking::{DnsTamper, HttpAction, IpAction, TlsAction};
@@ -80,41 +80,19 @@ fn cases() -> Vec<(&'static str, f64, DnsTamper, IpAction, HttpAction)> {
     ]
 }
 
-/// Run 50 detection trials per mechanism.
+/// Run 50 detection trials per mechanism: one runner trial each, on
+/// its historical `seed ^ paper_s.to_bits()` stream.
 pub fn run(seed: u64, jobs: usize) -> Table5 {
-    runner::run(&Table5Exp { seed }, jobs)
-}
-
-/// Table 5 decomposed: one trial per mechanism, each with its
-/// historical `seed ^ paper_s.to_bits()` stream.
-pub struct Table5Exp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for Table5Exp {
-    type Trial = DetectRow;
-    type Output = Table5;
-
-    fn name(&self) -> &'static str {
-        "table5"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        cases()
-            .into_iter()
-            .enumerate()
-            .map(|(i, (label, paper_s, ..))| {
-                TrialSpec::salted(self.seed ^ paper_s.to_bits(), i as u64, label)
-            })
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> DetectRow {
-        let (label, paper_s, dns, ip, http) = cases()
-            .into_iter()
-            .nth(spec.ordinal as usize)
-            .expect("case index in range");
+    let cases = cases();
+    let specs: Vec<TrialSpec> = cases
+        .iter()
+        .enumerate()
+        .map(|(i, (label, paper_s, ..))| {
+            TrialSpec::salted(seed ^ paper_s.to_bits(), i as u64, *label)
+        })
+        .collect();
+    let rows = runner::map(&specs, jobs, |spec| {
+        let (label, paper_s, dns, ip, http) = cases[spec.ordinal as usize];
         let url = Url::parse(&format!("http://{YOUTUBE}/")).expect("static URL");
         let policy = csaw_censor::single_mechanism(label, YOUTUBE, dns, ip, http, TlsAction::None);
         let world = crate::worlds::single_isp_world(Asn(5000), "T5-ISP", policy);
@@ -144,11 +122,8 @@ impl Experiment for Table5Exp {
             measured_s: total.as_secs_f64() / detected as f64,
             runs: detected,
         }
-    }
-
-    fn reduce(&self, trials: Vec<DetectRow>) -> Table5 {
-        Table5 { rows: trials }
-    }
+    });
+    Table5 { rows }
 }
 
 impl Table5 {

@@ -6,7 +6,7 @@
 //! the user's fetch — and a probe against, e.g., TCP/IP blocking lingers
 //! for its whole 21 s detection window, taxing later requests too.
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use crate::stats::percentile;
 use crate::worlds::{single_isp_world, YOUTUBE};
 use csaw::measure::{measure_direct, DetectConfig};
@@ -15,7 +15,7 @@ use csaw_circumvent::tor::TorClient;
 use csaw_circumvent::transports::{FetchCtx, Transport};
 use csaw_simnet::load::{InFlightTracker, LoadModel};
 use csaw_simnet::rng::DetRng;
-use csaw_simnet::time::SimTime;
+use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
 use csaw_webproto::url::Url;
 
@@ -35,96 +35,70 @@ pub struct Table6 {
     pub rows: Vec<PRow>,
 }
 
-/// Run the sweep: a TCP/IP-blocked URL served via Tor, 200 accesses
-/// 10 s apart; with probability `p` an access also launches a direct
-/// probe that stays in flight for its full detection time.
-pub fn run(seed: u64, jobs: usize) -> Table6 {
-    runner::run(&Table6Exp { seed }, jobs)
-}
-
 /// The swept revalidation probabilities.
 const PROBS: [f64; 4] = [0.0, 0.25, 0.5, 0.75];
 
-/// Table 6 decomposed: one trial per `p`. Each trial deterministically
-/// *recomputes* the shared Tor base series from `seed` (and the probe
-/// cost from `seed ^ 0xbeef`), so the paired design — every row built
-/// on the identical fetch sequence — survives parallel execution
-/// without any cross-trial state.
-pub struct Table6Exp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Table6Exp {
-    /// The 200-slot Tor base series and the probe detection time, both
-    /// pure functions of the experiment seed.
-    fn shared_inputs(
-        &self,
-    ) -> (
-        csaw_circumvent::world::World,
-        Vec<Option<csaw_simnet::time::SimDuration>>,
-        csaw_simnet::time::SimDuration,
-    ) {
-        let policy = csaw_censor::single_mechanism(
-            "T6",
-            YOUTUBE,
-            DnsTamper::None,
-            IpAction::Drop,
-            HttpAction::None,
-            TlsAction::None,
-        );
-        let world = single_isp_world(Asn(5400), "T6-ISP", policy);
-        let url = Url::parse(&format!("http://{YOUTUBE}/")).expect("static URL");
-        let provider = world.access.providers()[0].clone();
-        // Shared base series: 200 Tor fetches, one per access slot.
-        let mut base_rng = DetRng::new(self.seed);
-        let mut tor = TorClient::new();
-        let mut bases = Vec::with_capacity(200);
-        for i in 0..200u64 {
-            let ctx = FetchCtx {
-                now: SimTime::from_secs(i * 10),
-                provider: provider.clone(),
-            };
-            let r = tor.fetch(&world, &ctx, &url, &mut base_rng);
-            bases.push(r.fetch().genuine_plt());
-        }
-        // Probe cost is deterministic for IP blocking: the full 21 s
-        // ladder (plus DNS); measure it once.
-        let probe_time = {
-            let mut rng = DetRng::new(self.seed ^ 0xbeef);
-            measure_direct(
-                &world,
-                &provider,
-                &url,
-                Some(360_000),
-                &DetectConfig::default(),
-                &mut rng,
-            )
-            .detection_time
+/// The 200-slot Tor base series and the probe detection time, both pure
+/// functions of the experiment seed.
+fn shared_inputs(seed: u64) -> (Vec<Option<SimDuration>>, SimDuration) {
+    let policy = csaw_censor::single_mechanism(
+        "T6",
+        YOUTUBE,
+        DnsTamper::None,
+        IpAction::Drop,
+        HttpAction::None,
+        TlsAction::None,
+    );
+    let world = single_isp_world(Asn(5400), "T6-ISP", policy);
+    let url = Url::parse(&format!("http://{YOUTUBE}/")).expect("static URL");
+    let provider = world.access.providers()[0].clone();
+    // Shared base series: 200 Tor fetches, one per access slot.
+    let mut base_rng = DetRng::new(seed);
+    let mut tor = TorClient::new();
+    let mut bases = Vec::with_capacity(200);
+    for i in 0..200u64 {
+        let ctx = FetchCtx {
+            now: SimTime::from_secs(i * 10),
+            provider: provider.clone(),
         };
-        (world, bases, probe_time)
+        let r = tor.fetch(&world, &ctx, &url, &mut base_rng);
+        bases.push(r.fetch().genuine_plt());
     }
+    // Probe cost is deterministic for IP blocking: the full 21 s
+    // ladder (plus DNS); measure it once.
+    let probe_time = {
+        let mut rng = DetRng::new(seed ^ 0xbeef);
+        measure_direct(
+            &world,
+            &provider,
+            &url,
+            Some(360_000),
+            &DetectConfig::default(),
+            &mut rng,
+        )
+        .detection_time
+    };
+    (bases, probe_time)
 }
 
-impl Experiment for Table6Exp {
-    type Trial = PRow;
-    type Output = Table6;
-
-    fn name(&self) -> &'static str {
-        "table6"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        PROBS
-            .iter()
-            .enumerate()
-            .map(|(i, p)| TrialSpec::salted(self.seed ^ p.to_bits(), i as u64, format!("p={p}")))
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> PRow {
+/// Run the sweep: a TCP/IP-blocked URL served via Tor, 200 accesses
+/// 10 s apart; with probability `p` an access also launches a direct
+/// probe that stays in flight for its full detection time.
+///
+/// One runner trial per `p`. Each trial deterministically *recomputes*
+/// the shared Tor base series from `seed` (and the probe cost from
+/// `seed ^ 0xbeef`), so the paired design — every row built on the
+/// identical fetch sequence — survives parallel execution without any
+/// cross-trial state.
+pub fn run(seed: u64, jobs: usize) -> Table6 {
+    let specs: Vec<TrialSpec> = PROBS
+        .iter()
+        .enumerate()
+        .map(|(i, p)| TrialSpec::salted(seed ^ p.to_bits(), i as u64, format!("p={p}")))
+        .collect();
+    let rows = runner::map(&specs, jobs, |spec| {
         let p = PROBS[spec.ordinal as usize];
-        let (_world, bases, probe_time) = self.shared_inputs();
+        let (bases, probe_time) = shared_inputs(seed);
         let load = LoadModel::default();
         let mut rng = DetRng::new(spec.seed);
         let mut probes = InFlightTracker::new();
@@ -143,11 +117,8 @@ impl Experiment for Table6Exp {
             p,
             median_s: percentile(&plts, 50.0).as_secs_f64(),
         }
-    }
-
-    fn reduce(&self, trials: Vec<PRow>) -> Table6 {
-        Table6 { rows: trials }
-    }
+    });
+    Table6 { rows }
 }
 
 impl Table6 {

@@ -8,7 +8,7 @@
 //! experiment logs the first detection per (AS, service) with its
 //! failure signature.
 
-use crate::runner::{self, Experiment, TrialSpec};
+use crate::runner::{self, TrialSpec};
 use csaw::client::CsawClient;
 use csaw::config::{CsawConfig, RedundancyMode};
 use csaw::local::Status;
@@ -89,39 +89,20 @@ fn event_ases() -> Vec<Asn> {
 
 /// Replay the event. Clients poll both services every `poll_s` seconds;
 /// the censors switch on at `event_at_s`.
+///
+/// One runner trial per AS (each AS's client and censor are fully
+/// independent), with the historical `seed ^ asn` client seeds. The
+/// detections are re-sorted by (time, AS), so the merged log matches the
+/// serial one exactly.
 pub fn run(seed: u64, jobs: usize) -> Wild {
-    runner::run(&WildExp { seed }, jobs)
-}
-
-/// The event replay decomposed: one trial per AS (each AS's client and
-/// censor are fully independent), with the historical `seed ^ asn`
-/// client seeds. The reduction re-sorts detections by (time, AS), so
-/// the merged log matches the serial one exactly.
-pub struct WildExp {
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Experiment for WildExp {
-    type Trial = Vec<Detection>;
-    type Output = Wild;
-
-    fn name(&self) -> &'static str {
-        "wild"
-    }
-
-    fn trials(&self) -> Vec<TrialSpec> {
-        event_ases()
-            .into_iter()
-            .enumerate()
-            .map(|(i, asn)| {
-                TrialSpec::salted(self.seed ^ asn.0 as u64, i as u64, format!("AS{}", asn.0))
-            })
-            .collect()
-    }
-
-    fn run_trial(&self, spec: &TrialSpec) -> Vec<Detection> {
-        let asn = event_ases()[spec.ordinal as usize];
+    let ases = event_ases();
+    let specs: Vec<TrialSpec> = ases
+        .iter()
+        .enumerate()
+        .map(|(i, asn)| TrialSpec::salted(seed ^ asn.0 as u64, i as u64, format!("AS{}", asn.0)))
+        .collect();
+    let per_as = runner::map(&specs, jobs, |spec| {
+        let asn = ases[spec.ordinal as usize];
         let poll_s: u64 = 600; // users check their feeds every 10 min
         let horizon_s: u64 = 3 * 3_600;
         let services = ["twitter.com", "instagram.com"];
@@ -167,15 +148,12 @@ impl Experiment for WildExp {
             t += poll_s;
         }
         detections
-    }
-
-    fn reduce(&self, trials: Vec<Vec<Detection>>) -> Wild {
-        let mut detections: Vec<Detection> = trials.into_iter().flatten().collect();
-        detections.sort_by_key(|d| (d.at_s, d.asn));
-        Wild {
-            event_at_s: EVENT_AT_S,
-            detections,
-        }
+    });
+    let mut detections: Vec<Detection> = per_as.into_iter().flatten().collect();
+    detections.sort_by_key(|d| (d.at_s, d.asn));
+    Wild {
+        event_at_s: EVENT_AT_S,
+        detections,
     }
 }
 

@@ -10,7 +10,9 @@
 //! `EXPERIMENTS.md`, `exp list`), and `report trace|perf|health`
 //! analyses and gates on what they write. Both parse flags through
 //! [`cli`] and share its exit-code table. Micro-benchmarks for the hot
-//! paths live under `benches/`.
+//! paths live under `benches/`. Sweeps fan their independent trials out
+//! through [`runner::map`]; the three harnesses (`chaos`, `splitbrain`,
+//! `scale`) drive their client populations through [`fleet`].
 //!
 //! Perf attribution rides on `csaw_obs::contention` plus three local
 //! pieces: [`alloc_track`] (allocs/report via the optional counting
@@ -26,6 +28,7 @@
 pub mod alloc_track;
 pub mod cli;
 pub mod experiments;
+pub mod fleet;
 pub mod healthreport;
 pub mod perfreport;
 pub mod runner;

@@ -1,11 +1,11 @@
 //! The deterministic parallel trial executor every `exp` sweep runs
 //! on.
 //!
-//! An experiment is a set of **independent trials** (seed × config
-//! point) plus a reduction. [`run`] fans the trials across `jobs`
-//! worker threads pulling from one shared queue (an idle worker steals
-//! the next un-run trial), yet its observable output is **byte-identical
-//! to a serial run**:
+//! A sweep is a list of **independent trials** (seed × config point),
+//! each a [`TrialSpec`], and a closure that runs one. [`map`] fans the
+//! trials across `jobs` worker threads pulling from one shared queue (an
+//! idle worker steals the next un-run trial), yet its observable output
+//! is **byte-identical to a serial run**:
 //!
 //! - every trial draws from its own RNG, derived from the trial seed
 //!   alone ([`TrialSpec::rng`]) — never from a shared stream;
@@ -22,43 +22,25 @@
 //! Worker scheduling therefore affects wall-clock time and nothing
 //! else. `--jobs 1` and `--jobs 64` write the same bytes.
 //!
-//! # Minimal experiment
+//! # Minimal sweep
 //!
 //! ```
-//! use csaw_bench::runner::{self, Experiment, TrialSpec};
+//! use csaw_bench::runner::{self, TrialSpec};
 //!
 //! /// Monte-Carlo mean of x² over uniform x — one trial per sample.
-//! struct MeanOfSquares {
-//!     seed: u64,
-//! }
-//!
-//! impl Experiment for MeanOfSquares {
-//!     type Trial = f64;
-//!     type Output = f64;
-//!
-//!     fn name(&self) -> &'static str {
-//!         "mean-of-squares"
-//!     }
-//!
-//!     fn trials(&self) -> Vec<TrialSpec> {
-//!         (0..8)
-//!             .map(|i| TrialSpec::forked(self.name(), self.seed, i, format!("sample-{i}")))
-//!             .collect()
-//!     }
-//!
-//!     fn run_trial(&self, spec: &TrialSpec) -> f64 {
-//!         let mut rng = spec.rng();
-//!         let x = rng.f64();
+//! fn mean_of_squares(seed: u64, jobs: usize) -> f64 {
+//!     let specs: Vec<TrialSpec> = (0..8)
+//!         .map(|i| TrialSpec::forked("mean-of-squares", seed, i, format!("sample-{i}")))
+//!         .collect();
+//!     let squares = runner::map(&specs, jobs, |spec| {
+//!         let x = spec.rng().f64();
 //!         x * x
-//!     }
-//!
-//!     fn reduce(&self, trials: Vec<f64>) -> f64 {
-//!         trials.iter().sum::<f64>() / trials.len() as f64
-//!     }
+//!     });
+//!     squares.iter().sum::<f64>() / squares.len() as f64
 //! }
 //!
-//! let serial = runner::run(&MeanOfSquares { seed: 1 }, 1);
-//! let parallel = runner::run(&MeanOfSquares { seed: 1 }, 4);
+//! let serial = mean_of_squares(1, 1);
+//! let parallel = mean_of_squares(1, 4);
 //! assert_eq!(serial, parallel, "jobs must not change the result");
 //! ```
 
@@ -144,44 +126,6 @@ pub fn fork_seed(exp_seed: u64, experiment: &str, ordinal: u64) -> u64 {
     out
 }
 
-/// An experiment decomposed into independent trials plus a reduction.
-///
-/// Contract: `run_trial` must be a pure function of `(self, spec)` and
-/// the trial-scoped observability context — no shared mutable state, no
-/// draws from an RNG owned by another trial. `reduce` receives the
-/// trial results in ascending ordinal order.
-pub trait Experiment: Sync {
-    /// One trial's result.
-    type Trial: Send + 'static;
-    /// The reduced experiment result (usually the struct with the
-    /// `render()` method the binary prints).
-    type Output;
-
-    /// Stable name (`"fig5a"`), used for seed forking, progress lines,
-    /// and the `exp all` artifact tree.
-    fn name(&self) -> &'static str;
-
-    /// The full trial list. Order defines the serial execution order;
-    /// ordinals define the merge order (normally the same).
-    fn trials(&self) -> Vec<TrialSpec>;
-
-    /// Run one trial. Called on an arbitrary worker thread under a
-    /// trial-private observability scope.
-    fn run_trial(&self, spec: &TrialSpec) -> Self::Trial;
-
-    /// Combine the ordinal-ordered trial results.
-    fn reduce(&self, trials: Vec<Self::Trial>) -> Self::Output;
-}
-
-/// Run an experiment across `jobs` workers and reduce. `jobs ≤ 1` runs
-/// serially on the calling thread — through the *same* per-trial arena
-/// path, which is what makes the byte-equality guarantee structural
-/// rather than aspirational.
-pub fn run<E: Experiment>(exp: &E, jobs: usize) -> E::Output {
-    let specs = exp.trials();
-    exp.reduce(run_trials(&specs, jobs, |s| exp.run_trial(s)))
-}
-
 /// Pre-resolved handles for the runner's own scheduling telemetry
 /// (recorded only under [`PerfMode::Monotonic`], parallel path only).
 struct RunnerStats {
@@ -240,10 +184,17 @@ where
     }
 }
 
-/// The generic executor under [`run`]: fan `specs` across `jobs`
-/// workers, then fold the per-trial arenas into the calling scope in
-/// ordinal order and return the trial values in that order.
-fn run_trials<T, F>(specs: &[TrialSpec], jobs: usize, run: F) -> Vec<T>
+/// Run `run` once per spec across `jobs` workers, fold the per-trial
+/// arenas into the calling scope in ordinal order, and return the trial
+/// values in that order.
+///
+/// Contract: `run` must be a pure function of the spec, whatever it
+/// captured by shared reference, and the trial-scoped observability
+/// context — no shared mutable state, no draws from an RNG owned by
+/// another trial. `jobs ≤ 1` runs serially on the calling thread —
+/// through the *same* per-trial arena path, which is what makes the
+/// byte-equality guarantee structural rather than aspirational.
+pub fn map<T, F>(specs: &[TrialSpec], jobs: usize, run: F) -> Vec<T>
 where
     T: Send,
     F: Fn(&TrialSpec) -> T + Sync,
@@ -350,34 +301,19 @@ mod tests {
     use super::*;
     use csaw_obs::sink::RingSink;
 
-    /// A synthetic experiment exercising every arena surface: events,
+    /// A synthetic sweep exercising every arena surface: events,
     /// counters, histograms, gauges, per-trial clocks — with per-trial
     /// busy-work skew so workers finish far out of ordinal order.
-    struct Synthetic {
-        seed: u64,
-        trials: u64,
-    }
-
-    impl Experiment for Synthetic {
-        type Trial = u64;
-        type Output = Vec<u64>;
-
-        fn name(&self) -> &'static str {
-            "synthetic"
-        }
-
-        fn trials(&self) -> Vec<TrialSpec> {
-            (0..self.trials)
-                .map(|i| TrialSpec::forked(self.name(), self.seed, i, format!("t{i}")))
-                .collect()
-        }
-
-        fn run_trial(&self, spec: &TrialSpec) -> u64 {
+    fn synthetic(seed: u64, trials: u64, jobs: usize) -> Vec<u64> {
+        let specs: Vec<TrialSpec> = (0..trials)
+            .map(|i| TrialSpec::forked("synthetic", seed, i, format!("t{i}")))
+            .collect();
+        map(&specs, jobs, |spec| {
             let mut rng = spec.rng();
             // Adversarial interleaving: early ordinals do the most
             // work, so under parallel execution they finish *last* and
             // a naive completion-order merge would invert the stream.
-            let spin = (self.trials - spec.ordinal) * 40_000;
+            let spin = (trials - spec.ordinal) * 40_000;
             let mut acc = spec.seed;
             for _ in 0..spin {
                 acc = acc.rotate_left(7) ^ 0x9e37;
@@ -390,11 +326,7 @@ mod tests {
             csaw_obs::observe_us("synthetic.draw", draw);
             csaw_obs::current().registry.gauge("synthetic.net").add(1);
             draw
-        }
-
-        fn reduce(&self, trials: Vec<u64>) -> Vec<u64> {
-            trials
-        }
+        })
     }
 
     /// Run the synthetic experiment under a fresh scope; return the
@@ -408,13 +340,7 @@ mod tests {
                 .with_sink(ring.clone()),
         );
         let _guard = scope::install(ctx.clone());
-        let out = run(
-            &Synthetic {
-                seed: 7,
-                trials: 12,
-            },
-            jobs,
-        );
+        let out = synthetic(7, 12, jobs);
         let events: Vec<String> = ring
             .drain()
             .into_iter()
@@ -455,7 +381,7 @@ mod tests {
     fn parent_clock_advances_to_trial_maximum() {
         let ctx = Arc::new(ObsCtx::new().with_clock(Arc::new(ManualClock::new())));
         let _guard = scope::install(ctx.clone());
-        let _ = run(&Synthetic { seed: 1, trials: 5 }, 4);
+        let _ = synthetic(1, 5, 4);
         // Trial k sets its clock to 1000·(k+1); the merged maximum is
         // the last trial's.
         assert_eq!(ctx.clock.now_us(), 5_000);
@@ -465,7 +391,7 @@ mod tests {
     fn metrics_totals_match_trial_count() {
         let ctx = Arc::new(ObsCtx::new().with_clock(Arc::new(ManualClock::new())));
         let _guard = scope::install(ctx.clone());
-        let _ = run(&Synthetic { seed: 3, trials: 9 }, 16);
+        let _ = synthetic(3, 9, 16);
         assert_eq!(ctx.registry.counter("synthetic.trials").get(), 9);
         assert_eq!(ctx.registry.histogram("synthetic.draw").count(), 9);
         assert_eq!(ctx.registry.gauge("synthetic.net").get(), 9);
@@ -473,35 +399,22 @@ mod tests {
 
     #[test]
     fn out_of_order_ordinals_merge_by_ordinal_not_position() {
-        struct Reversed;
-        impl Experiment for Reversed {
-            type Trial = u64;
-            type Output = Vec<u64>;
-            fn name(&self) -> &'static str {
-                "reversed"
-            }
-            fn trials(&self) -> Vec<TrialSpec> {
-                // Listed high-to-low: merge order must follow ordinals.
-                (0..6u64)
-                    .rev()
-                    .map(|i| TrialSpec::salted(i, i, format!("r{i}")))
-                    .collect()
-            }
-            fn run_trial(&self, spec: &TrialSpec) -> u64 {
-                spec.ordinal * 10
-            }
-            fn reduce(&self, trials: Vec<u64>) -> Vec<u64> {
-                trials
-            }
-        }
-        assert_eq!(run(&Reversed, 4), vec![0, 10, 20, 30, 40, 50]);
+        // Listed high-to-low: merge order must follow ordinals.
+        let specs: Vec<TrialSpec> = (0..6u64)
+            .rev()
+            .map(|i| TrialSpec::salted(i, i, format!("r{i}")))
+            .collect();
+        assert_eq!(
+            map(&specs, 4, |spec| spec.ordinal * 10),
+            vec![0, 10, 20, 30, 40, 50]
+        );
     }
 
     #[test]
     fn perf_off_leaves_no_runner_or_lock_metrics() {
         let ctx = Arc::new(ObsCtx::new().with_clock(Arc::new(ManualClock::new())));
         let _guard = scope::install(ctx.clone());
-        let _ = run(&Synthetic { seed: 5, trials: 6 }, 4);
+        let _ = synthetic(5, 6, 4);
         let snap = ctx.registry.snapshot().to_string_compact();
         assert!(
             !snap.contains("runner.") && !snap.contains("lock."),
@@ -517,7 +430,7 @@ mod tests {
                 .with_perf(PerfMode::Monotonic),
         );
         let _guard = scope::install(ctx.clone());
-        let _ = run(&Synthetic { seed: 5, trials: 6 }, 4);
+        let _ = synthetic(5, 6, 4);
         assert_eq!(
             ctx.registry.counter("runner.steals").get(),
             6,
@@ -543,13 +456,7 @@ mod tests {
                     .with_perf(PerfMode::Virtual),
             );
             let _guard = scope::install(ctx.clone());
-            let _ = run(
-                &Synthetic {
-                    seed: 11,
-                    trials: 8,
-                },
-                jobs,
-            );
+            let _ = synthetic(11, 8, jobs);
             ctx.registry.snapshot().to_string_pretty()
         };
         assert_eq!(
@@ -566,19 +473,11 @@ mod tests {
 
         /// Records one windowed counter sample per trial and advances
         /// past a window boundary, so every trial emits frames.
-        struct Windowed;
-        impl Experiment for Windowed {
-            type Trial = ();
-            type Output = ();
-            fn name(&self) -> &'static str {
-                "windowed"
-            }
-            fn trials(&self) -> Vec<TrialSpec> {
-                (0..6u64)
-                    .map(|i| TrialSpec::forked(self.name(), 9, i, format!("w{i}")))
-                    .collect()
-            }
-            fn run_trial(&self, spec: &TrialSpec) {
+        fn windowed(jobs: usize) {
+            let specs: Vec<TrialSpec> = (0..6u64)
+                .map(|i| TrialSpec::forked("windowed", 9, i, format!("w{i}")))
+                .collect();
+            map(&specs, jobs, |spec| {
                 let ctx = scope::current();
                 assert!(
                     ctx.timeline.enabled(),
@@ -590,8 +489,7 @@ mod tests {
                 // Crosses the 1 ms boundary (closes window 0), leaves a
                 // partial window for the runner's end-of-run flush.
                 csaw_obs::advance_clock_us(1_500);
-            }
-            fn reduce(&self, _trials: Vec<()>) {}
+            });
         }
 
         let run_at = |jobs: usize| -> String {
@@ -607,7 +505,7 @@ mod tests {
                 slos: Arc::new(SloSet::empty()),
             });
             let _guard = scope::install(ctx.clone());
-            run(&Windowed, jobs);
+            windowed(jobs);
             ring.drain()
                 .into_iter()
                 .filter(|e| e.name == FRAME_EVENT)
@@ -633,7 +531,7 @@ mod tests {
             slos: Arc::new(SloSet::empty()),
         });
         let _guard = scope::install(ctx.clone());
-        let _ = run(&Synthetic { seed: 4, trials: 5 }, 4);
+        let _ = synthetic(4, 5, 4);
         ctx.flush_timeline();
         let frames = ctx.timeline.recent_frames();
         let merged: u64 = frames
@@ -654,23 +552,7 @@ mod tests {
 
     #[test]
     fn empty_trial_list_reduces_empty() {
-        struct Empty;
-        impl Experiment for Empty {
-            type Trial = u64;
-            type Output = usize;
-            fn name(&self) -> &'static str {
-                "empty"
-            }
-            fn trials(&self) -> Vec<TrialSpec> {
-                Vec::new()
-            }
-            fn run_trial(&self, _spec: &TrialSpec) -> u64 {
-                unreachable!("no trials")
-            }
-            fn reduce(&self, trials: Vec<u64>) -> usize {
-                trials.len()
-            }
-        }
-        assert_eq!(run(&Empty, 8), 0);
+        let values: Vec<u64> = map(&[], 8, |_| unreachable!("no trials"));
+        assert_eq!(values.len(), 0);
     }
 }

@@ -56,6 +56,18 @@ fn every_catalogue_entry_answers_help_with_shared_docs_and_its_own_flags() {
             .collect();
         let expected: Vec<&str> = e.flags.iter().map(|(flag, _)| *flag).collect();
         assert_eq!(listed, expected, "exp {} --help:\n{text}", e.name);
+        // ... each separated from its help text, however long the flag.
+        for (flag, help) in e.flags {
+            let line = text
+                .lines()
+                .find(|l| l.trim_start().starts_with(flag))
+                .unwrap_or_else(|| panic!("exp {} --help lacks {flag}:\n{text}", e.name));
+            assert!(
+                line.contains(&format!("{flag} VALUE ")) && line.ends_with(help),
+                "exp {} --help runs {flag} into its help: {line:?}",
+                e.name
+            );
+        }
     }
 }
 
@@ -137,6 +149,30 @@ fn bad_command_lines_exit_2_with_usage() {
         .concat();
         assert_usage_error(&exp(&args), &format!("exp scale {zero} 0"));
     }
+    // A fault rate is a probability.
+    for rate in ["nan", "2", "-0.5", "0.1,1.5"] {
+        assert_usage_error(
+            &exp(&["chaos", "--fault-rates", rate]),
+            &format!("exp chaos --fault-rates {rate}"),
+        );
+    }
+}
+
+#[test]
+fn exp_scale_runs_a_population_smaller_than_the_as_count() {
+    // Three clients report from at most three of the 64 ASes and the ten
+    // lookups walk ASes 0-9: serving nothing is an answer, not a panic.
+    let out = exp(&[
+        "scale",
+        "--clients",
+        "3",
+        "--lookups",
+        "10",
+        "--bench-out",
+        "none",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(stdout(&out).contains("3 clients x 4 reports"));
 }
 
 #[test]
