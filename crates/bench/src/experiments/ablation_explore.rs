@@ -109,7 +109,7 @@ fn run_policy(explore_every: u32, seed: u64) -> PolicyOutcome {
             Site::in_region(Region::UsWest),
         )),
     ];
-    let mut selector = Selector::new(transports, explore_every, 0.3, UserPreference::Performance);
+    let mut selector = Selector::new(transports, explore_every, UserPreference::Performance);
     let provider = world.access.providers()[0].clone();
     let mut rng = DetRng::new(seed);
     let stages = [BlockingType::IpDrop];

@@ -442,7 +442,11 @@ fn run_one(seed: u64, cfg: &ScaleConfig, threads: usize) -> ScaleRow {
         let t0 = Instant::now();
         // A small population may report from none of the ASes walked,
         // so serving nothing is an answer, not an error.
-        std::hint::black_box(server.blocked_for_as_infallible(asn, f));
+        std::hint::black_box(
+            server
+                .blocked_for_as(asn, f)
+                .expect("the in-memory store cannot fail a download"),
+        );
         let us = t0.elapsed().as_micros() as u64;
         lat.observe_us(us);
         csaw_obs::observe_us("exp.scale.lookup", us);

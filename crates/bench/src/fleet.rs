@@ -174,8 +174,7 @@ impl Fleet {
             a.requeued += s.reports_requeued;
             a.pending += pending;
             a.post_failures += s.post_failures;
-            a.balanced &= s.reports_queued
-                == s.reports_posted + s.reports_dropped + s.reports_quarantined + pending;
+            a.balanced &= c.reports_balanced();
         }
         a
     }

@@ -46,6 +46,9 @@ pub struct BlockedFetch {
     pub wasted: csaw_simnet::SimDuration,
 }
 
+/// EWMA weight for per-(transport, URL) PLT tracking.
+const PLT_EWMA_ALPHA: f64 = 0.3;
+
 /// The circumvention transport registry plus selection state.
 pub struct Selector {
     transports: Vec<Box<dyn Transport + Send>>,
@@ -70,13 +73,12 @@ impl Selector {
     pub fn new(
         transports: Vec<Box<dyn Transport + Send>>,
         explore_every: u32,
-        ewma_alpha: f64,
         preference: UserPreference,
     ) -> Selector {
         assert!(!transports.is_empty(), "need at least one transport");
         Selector {
             transports,
-            plt: PltTracker::new(ewma_alpha),
+            plt: PltTracker::new(PLT_EWMA_ALPHA),
             access_counts: HashMap::new(),
             explore_every: explore_every.max(1),
             preference,
@@ -88,7 +90,6 @@ impl Selector {
     pub fn standard(
         front: Option<&str>,
         explore_every: u32,
-        alpha: f64,
         preference: UserPreference,
     ) -> Selector {
         let mut t: Vec<Box<dyn Transport + Send>> = vec![
@@ -104,7 +105,7 @@ impl Selector {
         }
         t.push(Box::new(csaw_circumvent::lantern::LanternClient::new()));
         t.push(Box::new(csaw_circumvent::tor::TorClient::new()));
-        Selector::new(t, explore_every, alpha, preference)
+        Selector::new(t, explore_every, preference)
     }
 
     /// Registered transport names, in registry order.
@@ -353,12 +354,7 @@ mod tests {
     }
 
     fn selector() -> Selector {
-        Selector::standard(
-            Some("cdn-front.example"),
-            5,
-            0.3,
-            UserPreference::Performance,
-        )
+        Selector::standard(Some("cdn-front.example"), 5, UserPreference::Performance)
     }
 
     #[test]
@@ -531,8 +527,7 @@ mod tests {
     #[test]
     fn anonymity_preference_restricts_to_tor() {
         let (w, ctx) = setup(profiles::isp_a(), profiles::ISP_A_ASN);
-        let mut s =
-            Selector::standard(Some("cdn-front.example"), 5, 0.3, UserPreference::Anonymity);
+        let mut s = Selector::standard(Some("cdn-front.example"), 5, UserPreference::Anonymity);
         let mut rng = DetRng::new(4);
         let url = Url::parse("http://www.youtube.com/").unwrap();
         let BlockedFetch {
@@ -557,7 +552,6 @@ mod tests {
         let mut s = Selector::new(
             vec![Box::new(csaw_circumvent::lantern::LanternClient::new())],
             5,
-            0.3,
             UserPreference::Anonymity,
         );
         let mut rng = DetRng::new(99);

@@ -50,11 +50,6 @@ pub struct CsawConfig {
     pub sync_interval: SimDuration,
     /// How often the client pushes its pending reports.
     pub report_interval: SimDuration,
-    /// How often the client probes its egress ASN (multihoming
-    /// detection, §4.4).
-    pub asn_probe_interval: SimDuration,
-    /// EWMA weight for per-(transport, URL) PLT tracking.
-    pub plt_ewma_alpha: f64,
     /// Pending-report queue bound. When a fresh report would exceed it,
     /// the *oldest* queued report is dropped (and counted in
     /// `ClientStats::reports_dropped`) — bounded memory beats unbounded
@@ -82,8 +77,6 @@ impl Default for CsawConfig {
             preference: UserPreference::Performance,
             sync_interval: SimDuration::from_secs(15 * 60),
             report_interval: SimDuration::from_secs(5 * 60),
-            asn_probe_interval: SimDuration::from_secs(60),
-            plt_ewma_alpha: 0.3,
             report_queue_cap: 512,
             report_backoff_base: SimDuration::from_secs(30),
             report_backoff_max: SimDuration::from_secs(3_600),

@@ -12,10 +12,9 @@
 //! carried the batch.
 
 use crate::global::remote::GlobalApi;
-use crate::global::server::PostError;
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::time::SimDuration;
-use csaw_store::Batch;
+use csaw_store::{Batch, StoreError};
 
 /// One collector endpoint (a Tor hidden service in the paper's design).
 #[derive(Debug, Clone, PartialEq)]
@@ -34,11 +33,11 @@ pub enum SubmitError {
     /// Every collector was unreachable.
     AllCollectorsBlocked,
     /// The server rejected the batch.
-    Rejected(PostError),
+    Rejected(StoreError),
 }
 
-impl From<PostError> for SubmitError {
-    fn from(e: PostError) -> SubmitError {
+impl From<StoreError> for SubmitError {
+    fn from(e: StoreError) -> SubmitError {
         SubmitError::Rejected(e)
     }
 }
@@ -165,10 +164,10 @@ impl CollectorSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::record::{Report, Uuid};
     use crate::global::server::ServerDb;
     use csaw_censor::BlockingType;
     use csaw_simnet::time::SimTime;
+    use csaw_store::{Report, Uuid};
 
     fn report(url: &str) -> Report {
         Report {
@@ -273,7 +272,7 @@ mod tests {
                 &mut rng,
             )
             .unwrap_err();
-        assert_eq!(err, SubmitError::Rejected(PostError::UnknownClient));
+        assert_eq!(err, SubmitError::Rejected(StoreError::UnknownClient));
     }
 
     #[test]

@@ -3,21 +3,21 @@
 //! Storage (records, voting, sharding, persistence) lives in
 //! [`csaw_store`]; this module hosts the server front-end plus the
 //! collection tier and reputation auditing, and re-exports the store
-//! types under their historical paths.
+//! types. By design **no personally identifiable information is stored**
+//! — there is no IP/identity field anywhere in the record and report
+//! types, which is the paper's §5 privacy property enforced structurally
+//! rather than by policy.
 
 pub mod collectors;
-pub mod record;
 pub mod remote;
 pub mod reputation;
 pub mod server;
-pub mod voting;
 
 pub use collectors::{Collector, CollectorSet, SubmitError, SubmitReceipt};
-pub use csaw_store::{Batch, IngestReceipt, JsonlStore, ShardedStore, StorageBackend, StoreError};
-pub use record::{GlobalRecord, Report, Uuid, WireError};
+pub use csaw_store::{
+    Batch, ConfidenceFilter, GlobalRecord, IngestReceipt, JsonlStore, Report, ShardedStore,
+    StorageBackend, StoreError, Tally, Uuid, VoteLedger, WireError,
+};
 pub use remote::{GlobalApi, RemoteDb};
 pub use reputation::{audit, Flag, ReputationConfig};
-pub use server::{
-    DeploymentStats, PostError, RegistrarConfig, RegistrationError, ServerDb, ServerDbBuilder,
-};
-pub use voting::{ConfidenceFilter, Tally, VoteLedger};
+pub use server::{DeploymentStats, RegistrarConfig, RegistrationError, ServerDb, ServerDbBuilder};

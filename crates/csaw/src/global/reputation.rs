@@ -19,8 +19,7 @@
 //! eager early reporters (lots of URLs, well corroborated) and niche
 //! browsers (few URLs, weak corroboration) safe.
 
-use crate::global::record::Uuid;
-use crate::global::voting::VoteLedger;
+use csaw_store::{Uuid, VoteLedger};
 
 /// Reputation thresholds.
 #[derive(Debug, Clone, Copy)]

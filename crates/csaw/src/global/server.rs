@@ -17,13 +17,14 @@
 //! (build one with `Batch::new` or `Batch::from_wire`); reads go
 //! through the fallible [`ServerDb::blocked_for_as`].
 
-use crate::global::record::{GlobalRecord, Uuid};
-use crate::global::voting::{ConfidenceFilter, Tally, VoteLedger};
 use csaw_censor::blocking::{BlockingType, Stage};
 use csaw_obs::metrics::{Counter, Gauge};
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
-use csaw_store::{Batch, IngestReceipt, ShardedStore, StorageBackend, StoreError};
+use csaw_store::{
+    Batch, ConfidenceFilter, GlobalRecord, IngestReceipt, ShardedStore, StorageBackend, StoreError,
+    Tally, Uuid, VoteLedger,
+};
 use csaw_webproto::url::Url;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,13 +44,6 @@ pub enum RegistrationError {
     /// reasonable — the gate never saw the attempt.
     Unavailable,
 }
-
-/// Update-posting failures.
-///
-/// Posting now fails with the store's unified [`StoreError`]; this
-/// alias keeps the historical name working. What used to be
-/// `PostError::Malformed` is [`StoreError::Wire`].
-pub type PostError = StoreError;
 
 /// Registration gate configuration.
 #[derive(Debug, Clone, Copy)]
@@ -315,20 +309,6 @@ impl ServerDb {
         }
     }
 
-    /// [`ServerDb::blocked_for_as`], unwrapped — a convenience for the
-    /// figure binaries, whose in-memory backends cannot fail and whose
-    /// plotting loops have no error story. Everything else should
-    /// handle the `Result`.
-    #[doc(hidden)]
-    pub fn blocked_for_as_infallible(
-        &self,
-        asn: Asn,
-        filter: &ConfidenceFilter,
-    ) -> Vec<GlobalRecord> {
-        self.blocked_for_as(asn, filter)
-            .expect("infallible backend promised by the caller")
-    }
-
     /// Vote tally for a (URL, AS) — exposed for analytics.
     pub fn tally(&self, url: &str, asn: Asn) -> Tally {
         self.backend.tally(url, asn)
@@ -450,7 +430,7 @@ pub struct DeploymentStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::record::Report;
+    use csaw_store::Report;
 
     /// A server with the default gate and in-memory backend.
     fn server(salt: u64) -> ServerDb {

@@ -17,8 +17,9 @@
 //!   exploration (§4.3.2);
 //! - [`multihoming`]: egress-ASN probing and strict-union strategy
 //!   resolution (§4.4);
-//! - [`client`]: [`CsawClient`], gluing it all together per Algorithm 1,
-//!   plus the periodic sync/report/expiry workflow;
+//! - [`client`]: [`CsawClient`], composing the fetch path (Algorithm 1),
+//!   the report queue and the synced global view, plus the periodic
+//!   sync/report/expiry workflow;
 //! - [`config`]: user-visible knobs (performance vs. anonymity, the
 //!   revalidation probability `p`, redundancy shape).
 //!

@@ -79,9 +79,7 @@ pub fn fetch_with_redundancy(
     rng: &mut DetRng,
 ) -> RedundantOutcome {
     let out = fetch_with_redundancy_inner(world, ctx, url, mode, circ, detect_cfg, load, rng);
-    if crate::tracing::tracing_fetch() {
-        emit_redundant_tree(ctx, url, circ.name(), &out);
-    }
+    emit_redundant_tree(ctx, url, circ.name(), &out);
     out
 }
 

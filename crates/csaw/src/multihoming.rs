@@ -14,6 +14,10 @@ use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
 use std::collections::{BTreeSet, HashMap};
 
+/// How often the client probes its egress ASN; the detector's window is
+/// three probes wide.
+pub const ASN_PROBE_INTERVAL: SimDuration = SimDuration::from_secs(60);
+
 /// Multihoming detector state.
 #[derive(Debug, Clone)]
 pub struct MultihomingManager {
