@@ -1,8 +1,9 @@
 //! Micro-benchmarks for the hot paths of the reproduction: URL parsing,
 //! local-DB longest-prefix matching, the phase-1 block-page classifier,
-//! vote tallying, the Fig. 4 detector, the TCP transfer model, and the
-//! simnet event loop. These are the operations a deployed C-Saw proxy
-//! runs on every request.
+//! the censor's decision, a direct page fetch, vote tallying, the Fig. 4
+//! detector, the TCP transfer model, and the simnet event loop. These are
+//! the operations a deployed C-Saw proxy (and its simulator) runs on every
+//! request.
 //!
 //! Hand-rolled harness (`harness = false`): each benchmark is calibrated
 //! to a target wall time, then timed over a fixed iteration count and
@@ -118,6 +119,50 @@ fn bench_phase1(filter: Option<&str>) {
     });
     bench("phase1_real_95kb", filter, || {
         phase1_html(black_box(&real_page), &cfg)
+    });
+}
+
+/// The per-layer ledger's `censor.decide_ns` probe: one DNS and one HTTP
+/// decision against a blacklist the size of the pilot's (420 domains).
+fn bench_censor_decide(filter: Option<&str>) {
+    use csaw_censor::{CensorPolicy, CensorRule, DnsTamper, HttpAction, TargetMatcher};
+    let universe = csaw_bench::workload::pilot_universe(420, 997, 60);
+    let mut policy = CensorPolicy::new("pilot");
+    for (i, d) in universe.blocked_domains.iter().enumerate() {
+        let rule = CensorRule::target(TargetMatcher::DomainSuffix(d.clone()));
+        policy = policy.with_rule(if i % 2 == 0 {
+            rule.dns(DnsTamper::Nxdomain)
+        } else {
+            rule.http(HttpAction::BlockPageInline)
+        });
+    }
+    let urls = &universe.blocked_urls;
+    let mut rng = DetRng::new(3);
+    let mut i = 0usize;
+    bench("censor_decide_pilot_420", filter, || {
+        let url = black_box(&urls[i % urls.len()]);
+        i += 1;
+        (
+            policy.on_dns_query(url.dns_name().unwrap_or(""), None, &mut rng),
+            policy.on_http_request(url, None, &mut rng),
+        )
+    });
+}
+
+/// A whole direct page fetch (base document + resources) in a world
+/// with no censor rules: what the flow model itself costs.
+fn bench_direct_fetch(filter: Option<&str>) {
+    use csaw_circumvent::transports::{Direct, FetchCtx, Transport};
+    let world = csaw_bench::worlds::clean_world();
+    let ctx = FetchCtx {
+        now: SimTime::from_secs(100),
+        provider: world.access.providers()[0].clone(),
+    };
+    let url = Url::parse(&format!("http://{}/", csaw_bench::worlds::YOUTUBE)).unwrap();
+    let mut rng = DetRng::new(4);
+    let mut direct = Direct;
+    bench("direct_fetch_clean_world", filter, || {
+        direct.fetch(black_box(&world), &ctx, &url, &mut rng)
     });
 }
 
@@ -254,6 +299,8 @@ fn main() {
     bench_url_parse(filter);
     bench_local_db_lpm(filter);
     bench_phase1(filter);
+    bench_censor_decide(filter);
+    bench_direct_fetch(filter);
     bench_vote_tally(filter);
     bench_detector(filter);
     bench_transfer_model(filter);

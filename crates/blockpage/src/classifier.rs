@@ -71,8 +71,15 @@ pub fn phase1(features: &HtmlFeatures, cfg: &Phase1Config) -> Phase1Verdict {
     }
 }
 
-/// Convenience: extract features and classify in one step.
+/// Extract features and classify in one step — the in-line check of
+/// Algorithm 1. A document longer than `cfg.max_length` is `Normal`
+/// whatever it contains (that is what [`phase1`] concludes from
+/// `features.length`), so it is cleared on its length alone and only
+/// block-page-sized markup is ever scanned.
 pub fn phase1_html(html: &str, cfg: &Phase1Config) -> Phase1Verdict {
+    if html.len() > cfg.max_length {
+        return Phase1Verdict::Normal;
+    }
     phase1(&extract(html), cfg)
 }
 
@@ -194,6 +201,52 @@ mod tests {
                 got
             );
         }
+    }
+
+    /// The length gate answers exactly what the full scan would.
+    #[test]
+    fn length_gate_agrees_with_full_extraction() {
+        let cfg = Phase1Config::default();
+        let mut docs: Vec<String> = corpus_47().into_iter().map(|s| s.html).collect();
+        docs.extend(real_pages(64));
+        // Keyword-bearing, link-free documents straddling the threshold:
+        // a block page by every feature but, past the gate, its length.
+        for len in [cfg.max_length - 1, cfg.max_length, cfg.max_length + 1] {
+            let mut html = String::from("<html><body><p>access denied by court order</p>");
+            let tail = "</body></html>";
+            html.push_str(&"x".repeat(len - html.len() - tail.len()));
+            html.push_str(tail);
+            assert_eq!(html.len(), len);
+            docs.push(html);
+        }
+        let verdicts: Vec<Phase1Verdict> = docs.iter().map(|h| phase1_html(h, &cfg)).collect();
+        for (html, verdict) in docs.iter().zip(&verdicts) {
+            assert_eq!(
+                *verdict,
+                phase1(&extract(html), &cfg),
+                "{} byte document",
+                html.len()
+            );
+        }
+        let n = verdicts.len();
+        assert_eq!(
+            verdicts[n - 3..],
+            [
+                Phase1Verdict::BlockPage,
+                Phase1Verdict::BlockPage,
+                Phase1Verdict::Normal
+            ]
+        );
+
+        // The gate reads the config: with a roomier limit the same
+        // over-6 KB document is scanned and flagged.
+        let roomy = Phase1Config {
+            max_length: 100_000,
+            ..cfg
+        };
+        let long = &docs[n - 1];
+        assert_eq!(phase1_html(long, &roomy), Phase1Verdict::BlockPage);
+        assert_eq!(phase1_html(long, &roomy), phase1(&extract(long), &roomy));
     }
 
     #[test]

@@ -15,8 +15,10 @@
 
 use crate::blocking::{Category, DnsTamper, HttpAction, IpAction, TlsAction, UdpAction};
 use csaw_simnet::DetRng;
-use csaw_webproto::url::Url;
-use std::collections::HashSet;
+use csaw_webproto::url::{Host, Url};
+use std::borrow::Cow;
+use std::cell::OnceCell;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 /// Which traffic a rule applies to.
@@ -36,33 +38,80 @@ pub enum TargetMatcher {
     Category(Category),
 }
 
-impl TargetMatcher {
-    fn matches_name(&self, name: &str, category: Option<Category>) -> bool {
-        match self {
-            TargetMatcher::DomainSuffix(d) => {
-                let name = name.to_ascii_lowercase();
-                name == *d || name.ends_with(&format!(".{d}"))
-            }
-            TargetMatcher::Keyword(k) => name.to_ascii_lowercase().contains(k.as_str()),
-            TargetMatcher::Category(c) => category == Some(*c),
-            // URL prefixes need a path; a bare name can only match if the
-            // prefix is a base URL on the same host.
-            TargetMatcher::UrlPrefix(u) => {
-                u.is_base() && u.host().to_string() == name.to_ascii_lowercase()
-            }
+/// `s` in ASCII lower case, borrowed when it already is.
+fn lower(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// What one decision point can see of a flow, lower-cased once so that no
+/// rule has to: the name (qname, SNI, service host or URL host), the
+/// destination's category and, at the HTTP stage only, the request URL.
+struct Visible<'a> {
+    name: Cow<'a, str>,
+    category: Option<Category>,
+    url: Option<&'a Url>,
+    path: OnceCell<Cow<'a, str>>,
+}
+
+impl<'a> Visible<'a> {
+    /// A name-only stage: DNS, TLS, UDP, and blacklist compilation.
+    fn name(name: &'a str, category: Option<Category>) -> Visible<'a> {
+        Visible {
+            name: lower(name),
+            category,
+            url: None,
+            path: OnceCell::new(),
         }
     }
 
-    fn matches_url(&self, url: &Url, category: Option<Category>) -> bool {
-        match self {
-            TargetMatcher::UrlPrefix(prefix) => url.is_derived_from(prefix),
-            TargetMatcher::Keyword(k) => {
-                url.host().to_string().contains(k.as_str())
-                    || url.path().to_ascii_lowercase().contains(k.as_str())
+    /// The HTTP stage: host and path are both in the clear.
+    fn url(url: &'a Url, category: Option<Category>) -> Visible<'a> {
+        let name = match url.host() {
+            Host::Name(n) => lower(n),
+            Host::Ip(ip) => Cow::Owned(ip.to_string()),
+        };
+        Visible {
+            name,
+            category,
+            url: Some(url),
+            path: OnceCell::new(),
+        }
+    }
+
+    /// Does `target` (already normalised by [`CensorPolicy::with_rule`])
+    /// cover this flow?
+    fn matches(&self, target: &TargetMatcher) -> bool {
+        let name: &str = &self.name;
+        match (target, self.url) {
+            (TargetMatcher::DomainSuffix(d), _) => name
+                .strip_suffix(d.as_str())
+                .is_some_and(|sub| sub.is_empty() || sub.ends_with('.')),
+            (TargetMatcher::Category(c), _) => self.category == Some(*c),
+            (TargetMatcher::Keyword(k), None) => name.contains(k.as_str()),
+            (TargetMatcher::Keyword(k), Some(url)) => {
+                // The host as the URL carries it; the path folded to
+                // lower case.
+                let host = url.host().name().unwrap_or(name);
+                host.contains(k.as_str())
+                    || self
+                        .path
+                        .get_or_init(|| lower(url.path()))
+                        .contains(k.as_str())
             }
-            TargetMatcher::DomainSuffix(_) | TargetMatcher::Category(_) => {
-                self.matches_name(&url.host().to_string(), category)
+            // URL prefixes need a path; a bare name can only match if the
+            // prefix is a base URL on the same host.
+            (TargetMatcher::UrlPrefix(prefix), None) => {
+                prefix.is_base()
+                    && match prefix.host() {
+                        Host::Name(n) => n == name,
+                        Host::Ip(ip) => ip.to_string() == name,
+                    }
             }
+            (TargetMatcher::UrlPrefix(prefix), Some(url)) => url.is_derived_from(prefix),
         }
     }
 }
@@ -178,11 +227,31 @@ impl CensorRule {
 }
 
 /// The filtering configuration of one censoring ISP.
+///
+/// `rules` is the source of truth and its order is behaviour: at every
+/// decision point the first rule, in insertion order, for which
+/// `stage active && target matches && rng.chance(p)` holds wins, and
+/// `chance` draws from the flow's [`DetRng`] only when the first two
+/// hold. The policy is *compiled* as rules enter it — `DomainSuffix`
+/// rules indexed by domain, everything else listed — so a decision visits
+/// only the rules that can match the visible name, but it visits them in
+/// rule order and evaluates that same condition. **Draw-order invariant:**
+/// a decision makes exactly the draws, in exactly the order, that a scan
+/// of all rules would make; seeds, first-match winners and golden outputs
+/// do not depend on the index (`tests/index_equivalence.rs` holds the
+/// scan and checks this).
 #[derive(Debug, Clone, Default)]
 pub struct CensorPolicy {
     /// Display name (e.g. "ISP-A").
     pub name: String,
     rules: Vec<CensorRule>,
+    /// `DomainSuffix` rules by domain, rule indices ascending.
+    by_domain: HashMap<String, Vec<usize>>,
+    /// Every rule that is not a `DomainSuffix`, ascending: these are
+    /// candidates for any name.
+    unindexed: Vec<usize>,
+    /// Rules with an active IP action, ascending.
+    ip_active: Vec<usize>,
     /// Destination addresses subject to IP-stage actions. Populated by
     /// [`CensorPolicy::materialize_ips`] from the deployment's host→IP
     /// map, the way real censors compile hostname blacklists into router
@@ -197,14 +266,30 @@ impl CensorPolicy {
     pub fn new(name: impl Into<String>) -> CensorPolicy {
         CensorPolicy {
             name: name.into(),
-            rules: Vec::new(),
-            ip_blacklist: HashSet::new(),
             block_page_location: "http://block.invalid/".to_string(),
+            ..CensorPolicy::default()
         }
     }
 
-    /// Add a rule.
-    pub fn with_rule(mut self, rule: CensorRule) -> CensorPolicy {
+    /// Add a rule. `DomainSuffix` and `Keyword` targets are folded to
+    /// ASCII lower case here, because every decision point compares them
+    /// with a lower-cased name.
+    pub fn with_rule(mut self, mut rule: CensorRule) -> CensorPolicy {
+        let index = self.rules.len();
+        match &mut rule.target {
+            TargetMatcher::DomainSuffix(d) => {
+                d.make_ascii_lowercase();
+                self.by_domain.entry(d.clone()).or_default().push(index);
+            }
+            TargetMatcher::Keyword(k) => {
+                k.make_ascii_lowercase();
+                self.unindexed.push(index);
+            }
+            TargetMatcher::UrlPrefix(_) | TargetMatcher::Category(_) => self.unindexed.push(index),
+        }
+        if rule.ip.is_active() {
+            self.ip_active.push(index);
+        }
         self.rules.push(rule);
         self
     }
@@ -219,11 +304,34 @@ impl CensorPolicy {
         &self.rules
     }
 
+    /// The rules that can match the lower-cased `name`, in rule order:
+    /// the `DomainSuffix` rules for the name itself and for each suffix
+    /// after a `.` (the empty suffix after a trailing dot included),
+    /// merged with every unindexed rule. A superset of the matching
+    /// rules; [`Visible::matches`] still decides.
+    fn candidates<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a CensorRule> + 'a {
+        let mut hits: Vec<usize> = Vec::new();
+        let suffixes = name.match_indices('.').map(|(dot, _)| &name[dot + 1..]);
+        for domain in std::iter::once(name).chain(suffixes) {
+            if let Some(indices) = self.by_domain.get(domain) {
+                hits.extend_from_slice(indices);
+            }
+        }
+        hits.sort_unstable();
+        let mut indexed = hits.into_iter().peekable();
+        let mut unindexed = self.unindexed.iter().copied().peekable();
+        std::iter::from_fn(move || match (indexed.peek(), unindexed.peek()) {
+            (Some(a), Some(b)) if a < b => indexed.next(),
+            (_, Some(_)) => unindexed.next(),
+            (_, None) => indexed.next(),
+        })
+        .map(|i| &self.rules[i])
+    }
+
     /// Whether any rule targets traffic that could involve `name`.
     pub fn censors_name(&self, name: &str, category: Option<Category>) -> bool {
-        self.rules
-            .iter()
-            .any(|r| r.target.matches_name(name, category))
+        let seen = Visible::name(name, category);
+        self.candidates(&seen.name).any(|r| seen.matches(&r.target))
     }
 
     /// Compile host-level rules into an IP blacklist using the
@@ -234,10 +342,10 @@ impl CensorPolicy {
         F: Fn(&str) -> Option<Ipv4Addr>,
     {
         for (host, category) in hosts {
+            let seen = Visible::name(host, *category);
             let targeted = self
-                .rules
-                .iter()
-                .any(|r| r.ip.is_active() && r.target.matches_name(host, *category));
+                .candidates(&seen.name)
+                .any(|r| r.ip.is_active() && seen.matches(&r.target));
             if targeted {
                 if let Some(ip) = resolve(host) {
                     self.ip_blacklist.insert(ip);
@@ -265,8 +373,9 @@ impl CensorPolicy {
         category: Option<Category>,
         rng: &mut DetRng,
     ) -> DnsTamper {
-        for r in &self.rules {
-            if r.dns.is_active() && r.target.matches_name(qname, category) && rng.chance(r.dns_p) {
+        let seen = Visible::name(qname, category);
+        for r in self.candidates(&seen.name) {
+            if r.dns.is_active() && seen.matches(&r.target) && rng.chance(r.dns_p) {
                 return r.dns;
             }
         }
@@ -282,8 +391,8 @@ impl CensorPolicy {
         if !self.ip_blacklist.contains(&dst) {
             return IpAction::None;
         }
-        for r in &self.rules {
-            if r.ip.is_active() && rng.chance(r.ip_p) {
+        for r in self.ip_active.iter().map(|&i| &self.rules[i]) {
+            if rng.chance(r.ip_p) {
                 return r.ip;
             }
         }
@@ -300,8 +409,9 @@ impl CensorPolicy {
         let Some(sni) = sni else {
             return TlsAction::None; // nothing visible to match on
         };
-        for r in &self.rules {
-            if r.tls.is_active() && r.target.matches_name(sni, category) && rng.chance(r.tls_p) {
+        let seen = Visible::name(sni, category);
+        for r in self.candidates(&seen.name) {
+            if r.tls.is_active() && seen.matches(&r.target) && rng.chance(r.tls_p) {
                 return r.tls;
             }
         }
@@ -318,11 +428,9 @@ impl CensorPolicy {
         category: Option<Category>,
         rng: &mut DetRng,
     ) -> UdpAction {
-        for r in &self.rules {
-            if r.udp.is_active()
-                && r.target.matches_name(service_host, category)
-                && rng.chance(r.udp_p)
-            {
+        let seen = Visible::name(service_host, category);
+        for r in self.candidates(&seen.name) {
+            if r.udp.is_active() && seen.matches(&r.target) && rng.chance(r.udp_p) {
                 return r.udp;
             }
         }
@@ -336,8 +444,9 @@ impl CensorPolicy {
         category: Option<Category>,
         rng: &mut DetRng,
     ) -> HttpAction {
-        for r in &self.rules {
-            if r.http.is_active() && r.target.matches_url(url, category) && rng.chance(r.http_p) {
+        let seen = Visible::url(url, category);
+        for r in self.candidates(&seen.name) {
+            if r.http.is_active() && seen.matches(&r.target) && rng.chance(r.http_p) {
                 return r.http;
             }
         }
@@ -360,30 +469,121 @@ mod tests {
     #[test]
     fn domain_suffix_matches_subdomains() {
         let m = TargetMatcher::DomainSuffix("youtube.com".into());
-        assert!(m.matches_name("youtube.com", None));
-        assert!(m.matches_name("www.youtube.com", None));
-        assert!(m.matches_name("WWW.YOUTUBE.COM", None));
-        assert!(!m.matches_name("notyoutube.com", None));
-        assert!(!m.matches_name("youtube.com.evil.net", None));
+        let sees = |name| Visible::name(name, None).matches(&m);
+        assert!(sees("youtube.com"));
+        assert!(sees("www.youtube.com"));
+        assert!(sees("WWW.YOUTUBE.COM"));
+        assert!(!sees("notyoutube.com"));
+        assert!(!sees("youtube.com.evil.net"));
     }
 
     #[test]
     fn keyword_matches_host_and_path() {
         let m = TargetMatcher::Keyword("xvid".into());
-        assert!(m.matches_url(&url("http://xvideos.example/"), None));
-        assert!(m.matches_url(&url("http://mirror.example/xvid/page"), None));
-        assert!(!m.matches_url(&url("http://10.1.2.3/page"), None));
+        let sees = |u: &str| Visible::url(&url(u), None).matches(&m);
+        assert!(sees("http://xvideos.example/"));
+        assert!(sees("http://mirror.example/xvid/page"));
+        assert!(sees("http://mirror.example/XVID/page"));
+        assert!(!sees("http://10.1.2.3/page"));
     }
 
     #[test]
     fn url_prefix_http_only_semantics() {
         let m = TargetMatcher::UrlPrefix(url("http://foo.com/banned"));
-        assert!(m.matches_url(&url("http://foo.com/banned/page.html"), None));
-        assert!(!m.matches_url(&url("http://foo.com/other"), None));
+        assert!(Visible::url(&url("http://foo.com/banned/page.html"), None).matches(&m));
+        assert!(!Visible::url(&url("http://foo.com/other"), None).matches(&m));
         // At name-only stages a non-base prefix cannot match.
-        assert!(!m.matches_name("foo.com", None));
+        assert!(!Visible::name("foo.com", None).matches(&m));
         let base = TargetMatcher::UrlPrefix(url("http://foo.com/"));
-        assert!(base.matches_name("foo.com", None));
+        assert!(Visible::name("foo.com", None).matches(&base));
+    }
+
+    /// The index is only a pre-filter: nested and duplicate domains, a
+    /// keyword rule between them, and the first in *rule* order wins.
+    #[test]
+    fn index_visits_candidates_in_rule_order() {
+        let rule = |t, a| CensorRule::target(t).http(a);
+        let pol = CensorPolicy::new("isp")
+            .with_rule(rule(
+                TargetMatcher::DomainSuffix("other.org".into()),
+                HttpAction::Rst,
+            ))
+            .with_rule(rule(TargetMatcher::DomainSuffix("b.c".into()), HttpAction::Rst).http_p(0.0))
+            .with_rule(rule(TargetMatcher::Keyword("zzz".into()), HttpAction::Rst))
+            .with_rule(rule(
+                TargetMatcher::DomainSuffix("a.b.c".into()),
+                HttpAction::BlockPageInline,
+            ))
+            .with_rule(rule(TargetMatcher::Keyword("a.b".into()), HttpAction::Drop))
+            .with_rule(rule(
+                TargetMatcher::DomainSuffix("b.c".into()),
+                HttpAction::Drop,
+            ));
+        let order: Vec<usize> = pol
+            .candidates("x.a.b.c")
+            .map(|r| pol.rules.iter().position(|q| std::ptr::eq(q, r)).unwrap())
+            .collect();
+        assert_eq!(order, vec![1, 2, 3, 4, 5]);
+        let mut r = rng();
+        assert_eq!(
+            pol.on_http_request(&url("http://x.a.b.c/"), None, &mut r),
+            HttpAction::BlockPageInline
+        );
+        assert_eq!(
+            pol.on_http_request(&url("http://b.c/"), None, &mut r),
+            HttpAction::Drop
+        );
+    }
+
+    /// Targets written in upper case used to match nothing: names are
+    /// lower-cased before comparison and the targets were not.
+    #[test]
+    fn upper_case_domain_target_matches_at_every_stage() {
+        let pol = CensorPolicy::new("isp").with_rule(
+            CensorRule::target(TargetMatcher::DomainSuffix("YouTube.COM".into()))
+                .dns(DnsTamper::Nxdomain)
+                .ip(IpAction::Drop)
+                .tls(TlsAction::Rst)
+                .http(HttpAction::Drop)
+                .udp(UdpAction::Drop),
+        );
+        stages_fire(pol, "www.youtube.com", "http://www.youtube.com/watch");
+    }
+
+    #[test]
+    fn upper_case_keyword_target_matches_at_every_stage() {
+        let pol = CensorPolicy::new("isp").with_rule(
+            CensorRule::target(TargetMatcher::Keyword("XVID".into()))
+                .dns(DnsTamper::Nxdomain)
+                .ip(IpAction::Drop)
+                .tls(TlsAction::Rst)
+                .http(HttpAction::Drop)
+                .udp(UdpAction::Drop),
+        );
+        let mut r = rng();
+        // The path is only visible to the HTTP stage.
+        assert_eq!(
+            pol.on_http_request(&url("http://mirror.example/XviD/1"), None, &mut r),
+            HttpAction::Drop
+        );
+        stages_fire(pol, "XVideos.example", "http://xvideos.example/");
+    }
+
+    /// A rule with every stage active fires at every decision point for
+    /// `name` / `http_url`.
+    fn stages_fire(mut pol: CensorPolicy, name: &str, http_url: &str) {
+        let mut r = rng();
+        assert!(pol.censors_name(name, None));
+        assert_eq!(pol.on_dns_query(name, None, &mut r), DnsTamper::Nxdomain);
+        assert_eq!(pol.on_tls_hello(Some(name), None, &mut r), TlsAction::Rst);
+        assert_eq!(pol.on_udp_flow(name, None, &mut r), UdpAction::Drop);
+        assert_eq!(
+            pol.on_http_request(&url(http_url), None, &mut r),
+            HttpAction::Drop
+        );
+        let addr: Ipv4Addr = "93.184.216.34".parse().unwrap();
+        pol.materialize_ips(&[(name.to_string(), None)], |_| Some(addr));
+        assert_eq!(pol.on_tcp_connect(addr, &mut r), IpAction::Drop);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use csaw_simnet::topology::{Provider, Site};
 use csaw_webproto::dns::{is_private_or_reserved, DnsObservation};
 use csaw_webproto::page::WebPage;
 use csaw_webproto::url::{Scheme, Url};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Parallel persistent connections a browser opens per host.
@@ -340,8 +341,8 @@ fn fetch_resources_direct(
     base_ip: Ipv4Addr,
     rng: &mut DetRng,
 ) -> (SimDuration, u64, Vec<(Url, FailureKind)>) {
-    use std::collections::HashMap;
-    let mut by_host: HashMap<String, Vec<&csaw_webproto::page::Resource>> = HashMap::new();
+    // Host groups in name order: the draws below depend on it.
+    let mut by_host: BTreeMap<String, Vec<&csaw_webproto::page::Resource>> = BTreeMap::new();
     for r in &page.resources {
         by_host.entry(r.url.host().to_string()).or_default().push(r);
     }
@@ -349,17 +350,14 @@ fn fetch_resources_direct(
     let mut total_bytes = 0u64;
     let mut host_times: Vec<SimDuration> = Vec::new();
     let page_host = page_url.host().to_string();
-    // Deterministic order: sort host groups.
-    let mut hosts: Vec<String> = by_host.keys().cloned().collect();
-    hosts.sort();
-    for host in hosts {
-        let resources = &by_host[&host];
+    for (host, resources) in &by_host {
+        let host = host.as_str();
         let mut setup = SimDuration::ZERO;
         let ip = if host == page_host {
             Some(base_ip)
         } else {
             // Cross-host: resolve + connect, censored like any flow.
-            let (obs, t) = world.dns_lookup(provider, &host, opts.dns, rng);
+            let (obs, t) = world.dns_lookup(provider, host, opts.dns, rng);
             setup += t;
             match obs.resolved_addr() {
                 Some(a) => {
@@ -373,7 +371,7 @@ fn fetch_resources_direct(
                         continue;
                     }
                     if https {
-                        let (tls, t) = world.tls_handshake(provider, a, Some(&host), rng);
+                        let (tls, t) = world.tls_handshake(provider, a, Some(host), rng);
                         setup += t;
                         if tls != TlsStep::Established {
                             let kind = if tls == TlsStep::Reset {

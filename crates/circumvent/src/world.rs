@@ -512,8 +512,9 @@ impl World {
                 self.path_to_ip(provider, dst).sample_rtt(rng),
             );
         }
-        let page = site.page_for(url);
-        let bytes = response_override.unwrap_or(page.html_bytes);
+        // A resource exchange knows its size; only the base document asks
+        // the site what it serves at this URL.
+        let bytes = response_override.unwrap_or_else(|| site.page_for(url).html_bytes);
         let mut path = self.path_to_ip(provider, dst);
         if let Some(backend) = fronted_backend {
             // Front relays to the backend origin over the CDN backbone.
