@@ -40,14 +40,11 @@ impl Transport for ImprovingRelay {
     }
     fn fetch(&mut self, world: &World, ctx: &FetchCtx, url: &Url, rng: &mut DetRng) -> FetchReport {
         if ctx.now < self.improves_at {
-            return FetchReport {
-                outcome: csaw_circumvent::outcome::FetchOutcome::Failed(
-                    csaw_circumvent::outcome::FailureKind::TransportUnavailable,
-                ),
-                elapsed: SimDuration::from_millis(500),
-                trace: Vec::new(),
-                resource_failures: Vec::new(),
-            };
+            return FetchReport::failed(
+                csaw_circumvent::outcome::FailureKind::TransportUnavailable,
+                SimDuration::from_millis(500),
+                Vec::new(),
+            );
         }
         csaw_circumvent::fetch::relay_fetch(
             world,
@@ -129,7 +126,7 @@ fn run_policy(explore_every: u32, seed: u64) -> PolicyOutcome {
         } = selector.fetch_blocked(&world, &ctx, &url, &stages, &mut rng);
         if now >= improves_at + SimDuration::from_secs(1_200) {
             // Steady-state window, well past the improvement.
-            if let Some(plt) = report.fetch().genuine_plt() {
+            if let Some(plt) = report.genuine_plt() {
                 post_plts.push(plt.as_secs_f64());
             }
             if name == "nearby-relay" {

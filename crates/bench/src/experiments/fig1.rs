@@ -68,7 +68,7 @@ fn series(
 ) -> Vec<Cdf> {
     let c = ctx(world);
     let plts: Vec<SimDuration> = (0..RUNS)
-        .filter_map(|_| transport.fetch(world, &c, url, rng).fetch().genuine_plt())
+        .filter_map(|_| transport.fetch(world, &c, url, rng).genuine_plt())
         .collect();
     vec![Cdf::of(label, &plts)]
 }
@@ -149,7 +149,7 @@ pub fn run_1b(seed: u64, jobs: usize) -> Panel {
                 };
                 let r = tor.fetch(world, &c, url, rng);
                 let exit = tor.exit_region().expect("circuit open after fetch");
-                if let Some(plt) = r.fetch().genuine_plt() {
+                if let Some(plt) = r.genuine_plt() {
                     by_exit.entry(exit).or_default().push(plt);
                 }
             }

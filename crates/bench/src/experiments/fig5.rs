@@ -249,7 +249,7 @@ fn run_5bc(page_host: &str, title: &str, seed: u64, jobs: usize) -> Fig5bc {
                 provider: provider.clone(),
             };
             let base = direct.fetch(&world, &ctx, &url, &mut rng);
-            let Some(base_plt) = base.fetch().genuine_plt() else {
+            let Some(base_plt) = base.genuine_plt() else {
                 continue;
             };
             // Load: overlapping *other* requests plus this request's own

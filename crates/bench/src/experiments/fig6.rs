@@ -67,7 +67,7 @@ pub fn run_6a(seed: u64, jobs: usize) -> Fig6a {
             for _ in 0..k {
                 tor.drop_circuit(); // each copy on its own circuit
                 let r = tor.fetch(&world, &ctx, &url, &mut rng);
-                if let Some(plt) = r.fetch().genuine_plt() {
+                if let Some(plt) = r.genuine_plt() {
                     best = Some(match best {
                         None => plt,
                         Some(b) => b.min(plt),

@@ -65,7 +65,7 @@ fn transport_plts(
             provider: provider.clone(),
         };
         let r = transport.fetch(world, &ctx, url, rng);
-        if let Some(plt) = r.fetch().genuine_plt() {
+        if let Some(plt) = r.genuine_plt() {
             out.push(plt);
         }
     }

@@ -62,7 +62,7 @@ fn shared_inputs(seed: u64) -> (Vec<Option<SimDuration>>, SimDuration) {
             provider: provider.clone(),
         };
         let r = tor.fetch(&world, &ctx, &url, &mut base_rng);
-        bases.push(r.fetch().genuine_plt());
+        bases.push(r.genuine_plt());
     }
     // Probe cost is deterministic for IP blocking: the full 21 s
     // ladder (plus DNS); measure it once.

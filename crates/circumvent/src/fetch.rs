@@ -10,29 +10,38 @@
 //!   (static proxy, VPN, Lantern, Tor); the censor sees only the first
 //!   hop, and PLT comes from the composed path.
 //!
+//! A direct-style fetch climbs one connection ladder — `resolve` (DNS
+//! lookup), then `connect` (TCP connect, then TLS when the page is
+//! HTTPS) — written once and walked by two callers: the base document,
+//! and every cross-host (CDN) group of embedded resources, which pays its
+//! own DNS + connect and faces the censor there — exactly how the paper's
+//! pilot study discovered CDN blocking (§7.4). Where the two differ (a
+//! front that does not resolve, the private-space shortcut, whose trace
+//! the steps land in) is spelled out at the call, not inside the ladder.
+//!
 //! Page load time follows a browser model: the base document first, then
-//! embedded resources over up to [`BROWSER_LANES`] parallel persistent
-//! connections per host; cross-host (CDN) resources pay their own DNS +
-//! connect — and face the censor on direct-ish fetches, which is exactly
-//! how the paper's pilot study discovered CDN blocking (§7.4).
+//! the resources it embeds over up to [`BROWSER_LANES`] parallel
+//! persistent connections per host, host groups in parallel.
 
-use crate::outcome::{FailureKind, Fetch, FetchOutcome, PageResult};
-use crate::world::{dns_failure, DnsServer, HttpStep, TlsStep, World};
+use crate::outcome::{FailureKind, FetchOutcome, PageResult};
+use crate::world::{connect_failure, dns_failure, DnsServer, HttpStep, TlsStep, World};
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::tcp::ConnectOutcome;
 use csaw_simnet::time::SimDuration;
 use csaw_simnet::topology::{Provider, Site};
 use csaw_webproto::dns::{is_private_or_reserved, DnsObservation};
-use csaw_webproto::page::WebPage;
-use csaw_webproto::url::{Scheme, Url};
+use csaw_webproto::page::Resource;
+use csaw_webproto::url::{Host, Scheme, Url};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Parallel persistent connections a browser opens per host.
 pub const BROWSER_LANES: usize = 6;
 
-/// One protocol step observed during a fetch. C-Saw's detector classifies
-/// a failed direct fetch from this trace (Fig. 4).
+/// One protocol step observed during a fetch, kept for inspection and
+/// PLT decomposition: C-Saw's detector classifies a failed direct fetch
+/// from its [`FailureKind`] (Fig. 4), and the redundancy engine reads the
+/// circumvention copy's `Connect` step as that copy's set-up leg.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step {
     /// A DNS lookup.
@@ -89,7 +98,9 @@ pub struct FetchReport {
 }
 
 impl FetchReport {
-    fn failed(kind: FailureKind, elapsed: SimDuration, trace: Vec<Step>) -> FetchReport {
+    /// A fetch that failed with `kind` after `elapsed`, having taken the
+    /// steps in `trace`.
+    pub fn failed(kind: FailureKind, elapsed: SimDuration, trace: Vec<Step>) -> FetchReport {
         FetchReport {
             outcome: FetchOutcome::Failed(kind),
             elapsed,
@@ -98,24 +109,11 @@ impl FetchReport {
         }
     }
 
-    /// Collapse to the simple [`Fetch`] view.
-    pub fn fetch(&self) -> Fetch {
-        Fetch {
-            outcome: self.outcome.clone(),
-            elapsed: self.elapsed,
-        }
+    /// PLT if a genuine page was delivered (the metric used in every PLT
+    /// figure; block pages and failures don't count as loads).
+    pub fn genuine_plt(&self) -> Option<SimDuration> {
+        self.outcome.is_genuine_page().then_some(self.elapsed)
     }
-}
-
-/// What name the TLS SNI carries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SniMode {
-    /// The destination hostname (normal HTTPS).
-    HostName,
-    /// A front domain (domain fronting).
-    Front(String),
-    /// No SNI extension.
-    Omit,
 }
 
 /// Options shaping a direct-style fetch.
@@ -125,10 +123,8 @@ pub struct DirectOpts {
     pub dns: DnsServer,
     /// Upgrade the URL to HTTPS before fetching.
     pub force_https: bool,
-    /// SNI behaviour for HTTPS fetches.
-    pub sni: SniMode,
-    /// Domain fronting: connect to this front host; the real destination
-    /// rides in the encrypted Host header.
+    /// Domain fronting: connect to this front host and present it as the
+    /// SNI; the real destination rides in the encrypted Host header.
     pub front: Option<String>,
     /// Give up early on resolutions pointing at private/reserved space
     /// (C-Saw's detector shortcut; plain browsers burn the full connect
@@ -141,11 +137,79 @@ impl Default for DirectOpts {
         DirectOpts {
             dns: DnsServer::IspLocal,
             force_https: false,
-            sni: SniMode::HostName,
             front: None,
             reject_private_resolution: false,
         }
     }
+}
+
+/// What one walk down the connection ladder has cost and seen so far.
+#[derive(Default)]
+struct Walk {
+    elapsed: SimDuration,
+    trace: Vec<Step>,
+}
+
+/// First rung: look `name` up through `dns`. With `reject_private`, an
+/// answer in private/reserved space is a forgery recognised on the spot.
+fn resolve(
+    world: &World,
+    provider: &Provider,
+    name: &str,
+    dns: DnsServer,
+    reject_private: bool,
+    walk: &mut Walk,
+    rng: &mut DetRng,
+) -> Result<Ipv4Addr, FailureKind> {
+    let (obs, t) = world.dns_lookup(provider, name, dns, rng);
+    walk.elapsed += t;
+    let answer = match obs.resolved_addr() {
+        Some(a) if reject_private && is_private_or_reserved(a) => {
+            Err(FailureKind::DnsForgedResolution)
+        }
+        Some(a) => Ok(a),
+        None => Err(dns_failure(&obs).unwrap_or(FailureKind::DnsNoResponse)),
+    };
+    walk.trace.push(Step::Dns {
+        server: dns,
+        obs,
+        elapsed: t,
+    });
+    answer
+}
+
+/// Second rung: TCP connect to `ip`, then — for HTTPS — a TLS handshake
+/// presenting `sni`.
+fn connect(
+    world: &World,
+    provider: &Provider,
+    ip: Ipv4Addr,
+    https: bool,
+    sni: Option<&str>,
+    walk: &mut Walk,
+    rng: &mut DetRng,
+) -> Result<(), FailureKind> {
+    let (outcome, t) = world.tcp_connect(provider, ip, rng);
+    walk.elapsed += t;
+    walk.trace.push(Step::Connect {
+        dst: ip,
+        outcome,
+        elapsed: t,
+    });
+    if let Some(kind) = connect_failure(outcome) {
+        return Err(kind);
+    }
+    if https {
+        let (step, t) = world.tls_handshake(provider, ip, sni, rng);
+        walk.elapsed += t;
+        walk.trace.push(Step::Tls { step, elapsed: t });
+        match step {
+            TlsStep::Established => {}
+            TlsStep::Timeout => return Err(FailureKind::TlsTimeout),
+            TlsStep::Reset => return Err(FailureKind::TlsReset),
+        }
+    }
+    Ok(())
 }
 
 /// Fetch a page directly from the origin (modulo DNS/scheme/SNI options).
@@ -156,185 +220,97 @@ pub fn direct_like_fetch(
     opts: &DirectOpts,
     rng: &mut DetRng,
 ) -> FetchReport {
+    let mut base = Walk::default();
+    match fetch_page(world, provider, url, opts, &mut base, rng) {
+        Ok((page, resource_failures)) => FetchReport {
+            outcome: FetchOutcome::Page(page),
+            elapsed: base.elapsed,
+            trace: base.trace,
+            resource_failures,
+        },
+        Err(kind) => FetchReport::failed(kind, base.elapsed, base.trace),
+    }
+}
+
+/// The base document, then what it embeds. `base` carries the time and
+/// steps out whether or not a page does.
+fn fetch_page(
+    world: &World,
+    provider: &Provider,
+    url: &Url,
+    opts: &DirectOpts,
+    base: &mut Walk,
+    rng: &mut DetRng,
+) -> Result<(PageResult, Vec<(Url, FailureKind)>), FailureKind> {
     let url = if opts.force_https {
         url.with_scheme(Scheme::Https)
     } else {
         url.clone()
     };
-    let mut trace = Vec::new();
-    let mut elapsed = SimDuration::ZERO;
-
-    // --- name resolution -------------------------------------------------
-    // Fronted fetches resolve the *front*; IP-hosts need no DNS at all.
-    let connect_ip: Ipv4Addr = if let Some(front) = &opts.front {
+    let ip = match (&opts.front, url.host()) {
         // The front is a well-known CDN name; blocking it is the
         // collateral damage censors avoid, so its resolution follows the
-        // censor's (non-)rules like any other name.
-        let (obs, t) = world.dns_lookup(provider, front, opts.dns, rng);
-        elapsed += t;
-        trace.push(Step::Dns {
-            server: opts.dns,
-            obs: obs.clone(),
-            elapsed: t,
-        });
-        match obs.resolved_addr() {
-            Some(a) => a,
-            None => return FetchReport::failed(FailureKind::TransportUnavailable, elapsed, trace),
-        }
-    } else {
-        match url.host() {
-            csaw_webproto::url::Host::Ip(ip) => *ip,
-            csaw_webproto::url::Host::Name(name) => {
-                let (obs, t) = world.dns_lookup(provider, name, opts.dns, rng);
-                elapsed += t;
-                trace.push(Step::Dns {
-                    server: opts.dns,
-                    obs: obs.clone(),
-                    elapsed: t,
-                });
-                match obs.resolved_addr() {
-                    Some(a) => {
-                        if opts.reject_private_resolution && is_private_or_reserved(a) {
-                            // Forged resolution recognized instantly.
-                            return FetchReport::failed(
-                                FailureKind::DnsForgedResolution,
-                                elapsed,
-                                trace,
-                            );
-                        }
-                        a
-                    }
-                    None => {
-                        let kind = dns_failure(&obs).unwrap_or(FailureKind::DnsNoResponse);
-                        return FetchReport::failed(kind, elapsed, trace);
-                    }
-                }
-            }
+        // censor's (non-)rules like any other name — and a front that
+        // does not resolve is no transport at all.
+        (Some(front), _) => resolve(world, provider, front, opts.dns, false, base, rng)
+            .map_err(|_| FailureKind::TransportUnavailable)?,
+        (None, Host::Ip(ip)) => *ip,
+        (None, Host::Name(name)) => {
+            let shortcut = opts.reject_private_resolution;
+            resolve(world, provider, name, opts.dns, shortcut, base, rng)?
         }
     };
-
-    // --- transport establishment -----------------------------------------
-    let (conn, t) = world.tcp_connect(provider, connect_ip, rng);
-    elapsed += t;
-    trace.push(Step::Connect {
-        dst: connect_ip,
-        outcome: conn,
-        elapsed: t,
-    });
-    if let Some(kind) = crate::world::connect_failure(conn) {
-        return FetchReport::failed(kind, elapsed, trace);
-    }
-
     let https = url.scheme() == Scheme::Https || opts.front.is_some();
-    if https {
-        let sni: Option<&str> = match (&opts.front, &opts.sni) {
-            (Some(front), _) => Some(front.as_str()),
-            (None, SniMode::HostName) => url.dns_name(),
-            (None, SniMode::Front(f)) => Some(f.as_str()),
-            (None, SniMode::Omit) => None,
-        };
-        let (step, t) = world.tls_handshake(provider, connect_ip, sni, rng);
-        elapsed += t;
-        trace.push(Step::Tls { step, elapsed: t });
-        match step {
-            TlsStep::Established => {}
-            TlsStep::Timeout => {
-                return FetchReport::failed(FailureKind::TlsTimeout, elapsed, trace)
-            }
-            TlsStep::Reset => return FetchReport::failed(FailureKind::TlsReset, elapsed, trace),
-        }
-    }
+    let sni = opts.front.as_deref().or(url.dns_name());
+    connect(world, provider, ip, https, sni, base, rng)?;
 
-    // --- base document ----------------------------------------------------
     let backend = opts.front.as_ref().and_then(|_| url.dns_name());
-    let (http, t) = world.http_exchange(provider, connect_ip, &url, https, backend, None, rng);
-    elapsed += t;
-    let (base_bytes, base_html, truth_block_page, redirected) = match http {
+    let (http, t) = world.http_exchange(provider, ip, &url, https, backend, None, rng);
+    base.elapsed += t;
+    let response = match http {
         HttpStep::Response {
             bytes,
             html,
             truth_block_page,
             redirected,
-        } => {
-            trace.push(Step::Http {
-                ok: true,
-                truth_block_page,
+            resources,
+        } => Ok((
+            PageResult {
                 bytes,
-                elapsed: t,
-            });
-            (bytes, html, truth_block_page, redirected)
-        }
-        HttpStep::Timeout => {
-            trace.push(Step::Http {
-                ok: false,
-                truth_block_page: false,
-                bytes: 0,
-                elapsed: t,
-            });
-            return FetchReport::failed(FailureKind::HttpGetTimeout, elapsed, trace);
-        }
-        HttpStep::Reset => {
-            trace.push(Step::Http {
-                ok: false,
-                truth_block_page: false,
-                bytes: 0,
-                elapsed: t,
-            });
-            return FetchReport::failed(FailureKind::HttpReset, elapsed, trace);
-        }
-    };
-
-    // A block page has no resources to fetch; it *is* the document.
-    if truth_block_page {
-        return FetchReport {
-            outcome: FetchOutcome::Page(PageResult {
-                bytes: base_bytes,
-                html: base_html,
-                truth_block_page: true,
+                html,
+                truth_block_page,
                 redirected,
-            }),
-            elapsed,
-            trace,
-            resource_failures: Vec::new(),
-        };
-    }
-
-    // --- embedded resources -------------------------------------------
-    let page = match url.dns_name() {
-        Some(name) => world.site(name).map(|s| s.page_for(&url)),
-        None => world.site_by_ip(connect_ip).map(|s| s.page_for(&url)),
+            },
+            resources,
+        )),
+        HttpStep::Timeout => Err(FailureKind::HttpGetTimeout),
+        HttpStep::Reset => Err(FailureKind::HttpReset),
     };
-    let mut total_bytes = base_bytes;
-    let mut resource_failures = Vec::new();
-    if let Some(page) = page {
-        let (res_time, res_bytes, failures) =
-            fetch_resources_direct(world, provider, &page, &url, https, opts, connect_ip, rng);
-        elapsed += res_time;
-        total_bytes += res_bytes;
-        resource_failures = failures;
-    }
+    let document = response.as_ref().ok().map(|(page, _)| page);
+    base.trace.push(Step::Http {
+        ok: document.is_some(),
+        truth_block_page: document.is_some_and(|p| p.truth_block_page),
+        bytes: document.map_or(0, |p| p.bytes),
+        elapsed: t,
+    });
+    let (mut page, resources) = response?;
 
-    FetchReport {
-        outcome: FetchOutcome::Page(PageResult {
-            bytes: total_bytes,
-            html: base_html,
-            truth_block_page: false,
-            redirected,
-        }),
-        elapsed,
-        trace,
-        resource_failures,
-    }
+    let (res_time, res_bytes, failures) =
+        fetch_resources(world, provider, &resources, &url, https, opts, ip, rng);
+    base.elapsed += res_time;
+    page.bytes += res_bytes;
+    Ok((page, failures))
 }
 
-/// Fetch a page's embedded resources on the direct path: same-host
-/// resources reuse the existing connection pool; cross-host (CDN)
-/// resources pay DNS + connect and face the censor.
+/// Fetch the resources a document embeds: same-host resources reuse the
+/// existing connection pool; each cross-host (CDN) group walks the ladder
+/// itself, censored like any flow, and its steps stay out of the base
+/// document's trace.
 #[allow(clippy::too_many_arguments)]
-fn fetch_resources_direct(
+fn fetch_resources(
     world: &World,
     provider: &Provider,
-    page: &WebPage,
+    resources: &[Resource],
     page_url: &Url,
     https: bool,
     opts: &DirectOpts,
@@ -342,66 +318,34 @@ fn fetch_resources_direct(
     rng: &mut DetRng,
 ) -> (SimDuration, u64, Vec<(Url, FailureKind)>) {
     // Host groups in name order: the draws below depend on it.
-    let mut by_host: BTreeMap<String, Vec<&csaw_webproto::page::Resource>> = BTreeMap::new();
-    for r in &page.resources {
+    let mut by_host: BTreeMap<String, Vec<&Resource>> = BTreeMap::new();
+    for r in resources {
         by_host.entry(r.url.host().to_string()).or_default().push(r);
     }
     let mut failures = Vec::new();
     let mut total_bytes = 0u64;
     let mut host_times: Vec<SimDuration> = Vec::new();
     let page_host = page_url.host().to_string();
-    for (host, resources) in &by_host {
-        let host = host.as_str();
-        let mut setup = SimDuration::ZERO;
-        let ip = if host == page_host {
-            Some(base_ip)
+    for (host, group) in &by_host {
+        let mut setup = Walk::default();
+        let reached = if *host == page_host {
+            Ok(base_ip)
         } else {
-            // Cross-host: resolve + connect, censored like any flow.
-            let (obs, t) = world.dns_lookup(provider, host, opts.dns, rng);
-            setup += t;
-            match obs.resolved_addr() {
-                Some(a) => {
-                    let (conn, t) = world.tcp_connect(provider, a, rng);
-                    setup += t;
-                    if let Some(kind) = crate::world::connect_failure(conn) {
-                        for r in resources {
-                            failures.push((r.url.clone(), kind));
-                        }
-                        host_times.push(setup);
-                        continue;
-                    }
-                    if https {
-                        let (tls, t) = world.tls_handshake(provider, a, Some(host), rng);
-                        setup += t;
-                        if tls != TlsStep::Established {
-                            let kind = if tls == TlsStep::Reset {
-                                FailureKind::TlsReset
-                            } else {
-                                FailureKind::TlsTimeout
-                            };
-                            for r in resources {
-                                failures.push((r.url.clone(), kind));
-                            }
-                            host_times.push(setup);
-                            continue;
-                        }
-                    }
-                    Some(a)
-                }
-                None => {
-                    let kind = dns_failure(&obs).unwrap_or(FailureKind::DnsNoResponse);
-                    for r in resources {
-                        failures.push((r.url.clone(), kind));
-                    }
-                    host_times.push(setup);
-                    continue;
-                }
+            resolve(world, provider, host, opts.dns, false, &mut setup, rng).and_then(|ip| {
+                connect(world, provider, ip, https, Some(host), &mut setup, rng).map(|()| ip)
+            })
+        };
+        let ip = match reached {
+            Ok(ip) => ip,
+            Err(kind) => {
+                failures.extend(group.iter().map(|r| (r.url.clone(), kind)));
+                host_times.push(setup.elapsed);
+                continue;
             }
         };
-        let Some(ip) = ip else { continue };
         // Exchange each resource; spread across parallel lanes.
-        let mut times = Vec::with_capacity(resources.len());
-        for r in resources {
+        let mut times = Vec::with_capacity(group.len());
+        for r in group {
             let (step, t) = world.http_exchange(
                 provider,
                 ip,
@@ -411,22 +355,14 @@ fn fetch_resources_direct(
                 Some(r.bytes),
                 rng,
             );
+            times.push(t);
             match step {
-                HttpStep::Response { bytes, .. } => {
-                    total_bytes += bytes;
-                    times.push(t);
-                }
-                HttpStep::Timeout => {
-                    failures.push((r.url.clone(), FailureKind::HttpGetTimeout));
-                    times.push(t);
-                }
-                HttpStep::Reset => {
-                    failures.push((r.url.clone(), FailureKind::HttpReset));
-                    times.push(t);
-                }
+                HttpStep::Response { bytes, .. } => total_bytes += bytes,
+                HttpStep::Timeout => failures.push((r.url.clone(), FailureKind::HttpGetTimeout)),
+                HttpStep::Reset => failures.push((r.url.clone(), FailureKind::HttpReset)),
             }
         }
-        host_times.push(setup + lanes_time(&times, BROWSER_LANES));
+        host_times.push(setup.elapsed + lanes_time(&times, BROWSER_LANES));
     }
     // Host groups load in parallel.
     let t = host_times
@@ -559,8 +495,9 @@ pub fn lanes_time(times: &[SimDuration], lanes: usize) -> SimDuration {
 mod tests {
     use super::*;
     use crate::world::{SiteSpec, World};
-    use csaw_censor::profiles;
+    use csaw_censor::{profiles, DnsTamper, HttpAction, IpAction, TlsAction};
     use csaw_simnet::topology::{AccessNetwork, Asn, Region};
+    use csaw_webproto::page::WebPage;
 
     fn world(policy: csaw_censor::CensorPolicy, asn: Asn) -> (World, Provider) {
         let provider = Provider::new(asn, "isp");
@@ -726,6 +663,175 @@ mod tests {
         assert_eq!(lanes_time(&[], 6), SimDuration::ZERO);
         // More lanes than tasks: max task.
         assert_eq!(lanes_time(&[ms(5), ms(7)], 6), ms(7));
+    }
+
+    #[test]
+    fn genuine_plt_only_for_real_pages() {
+        let (w, p) = world(profiles::isp_a(), profiles::ISP_A_ASN);
+        let mut rng = DetRng::new(9);
+        let opts = DirectOpts::default();
+        let ok = Url::parse("http://example.com/").unwrap();
+        let r = direct_like_fetch(&w, &p, &ok, &opts, &mut rng);
+        assert_eq!(r.genuine_plt(), Some(r.elapsed));
+        let blocked = Url::parse("http://www.youtube.com/").unwrap();
+        let r = direct_like_fetch(&w, &p, &blocked, &opts, &mut rng);
+        assert!(r.outcome.is_page());
+        assert_eq!(r.genuine_plt(), None, "a block page is not a load");
+        let failed = FetchReport::failed(
+            FailureKind::HttpGetTimeout,
+            SimDuration::from_secs(30),
+            vec![],
+        );
+        assert_eq!(failed.genuine_plt(), None);
+    }
+
+    #[test]
+    fn an_error_document_has_no_resources() {
+        // example.com does not serve by IP: the 400 it answers is the whole
+        // page, whatever the real page at that path embeds.
+        let (w, p) = world(profiles::clean(), Asn(1));
+        let ip = w.resolve_true("example.com").unwrap();
+        let url = Url::parse(&format!("http://{ip}/")).unwrap();
+        let mut rng = DetRng::new(8);
+        let r = direct_like_fetch(&w, &p, &url, &DirectOpts::default(), &mut rng);
+        assert_eq!(r.outcome.page().expect("the 400 is a document").bytes, 512);
+        assert!(r.resource_failures.is_empty());
+        // Nothing was drawn after the document: connect + one exchange.
+        let mut only_the_document = DetRng::new(8);
+        w.tcp_connect(&p, ip, &mut only_the_document);
+        w.http_exchange(&p, ip, &url, false, None, None, &mut only_the_document);
+        assert_eq!(
+            rng.range_u64(0, 1 << 63),
+            only_the_document.range_u64(0, 1 << 63)
+        );
+    }
+
+    /// Two pages of `media.example` embedding resources from
+    /// `cdn.example`: `/` keeps five of eight on its own host, `/cdn-only`
+    /// none.
+    fn cdn_pages() -> (WebPage, WebPage) {
+        let url = |path: &str| Url::parse(&format!("http://media.example{path}")).unwrap();
+        let cdn = Url::parse("http://cdn.example/").unwrap();
+        (
+            WebPage::synthetic(url("/"), 60_000, 8).with_cdn_resources(&cdn, 3),
+            WebPage::synthetic(url("/cdn-only"), 60_000, 8).with_cdn_resources(&cdn, 8),
+        )
+    }
+
+    /// A world serving [`cdn_pages`], plus `/bare`: the same document
+    /// embedding nothing.
+    fn cdn_world(policy: csaw_censor::CensorPolicy) -> (World, Provider) {
+        let (mixed, cdn_only) = cdn_pages();
+        let bare_url = Url::parse("http://media.example/bare").unwrap();
+        let bare = WebPage::simple(bare_url, mixed.html_bytes);
+        let provider = Provider::new(Asn(2), "isp");
+        let w = World::builder(AccessNetwork::single(provider.clone()))
+            .site(
+                SiteSpec::new("media.example", Site::in_region(Region::Germany))
+                    .page(mixed)
+                    .page(cdn_only)
+                    .page(bare),
+            )
+            .site(SiteSpec::new(
+                "cdn.example",
+                Site::in_region(Region::Netherlands),
+            ))
+            .censor(Asn(2), policy)
+            .build();
+        (w, provider)
+    }
+
+    /// The ladder's second caller: a cross-host group blocked at `rung`
+    /// fails every resource of that host with `kind`, costs the page what
+    /// a fetch of that host stopped at the same rung costs, and leaves the
+    /// base trace and the same-host resources alone.
+    fn cross_host_group_fails_at(
+        scheme: &str,
+        dns: DnsTamper,
+        ip: IpAction,
+        tls: TlsAction,
+        kind: FailureKind,
+    ) {
+        let policy =
+            profiles::single_mechanism("rung", "cdn.example", dns, ip, HttpAction::None, tls);
+        let (w, p) = cdn_world(policy);
+        let url = |path: &str| Url::parse(&format!("{scheme}://media.example{path}")).unwrap();
+        // C-Saw's shortcut is the base lookup's alone: a CDN name hijacked
+        // into private space still burns the connect ladder.
+        let opts = DirectOpts {
+            reject_private_resolution: true,
+            ..DirectOpts::default()
+        };
+        // The document alone, then — from the draws it left off at — the
+        // CDN host fetched as a base document: the ladder's first caller.
+        let mut rng = DetRng::new(11);
+        let bare = direct_like_fetch(&w, &p, &url("/bare"), &opts, &mut rng);
+        assert!(bare.outcome.is_genuine_page(), "{:?}", bare.outcome);
+        let cdn_url = Url::parse(&format!("{scheme}://cdn.example/")).unwrap();
+        let ladder = direct_like_fetch(&w, &p, &cdn_url, &DirectOpts::default(), &mut rng);
+        assert_eq!(ladder.outcome.failure(), Some(kind));
+
+        let (mixed, cdn_page) = cdn_pages();
+        let r = direct_like_fetch(&w, &p, &url("/cdn-only"), &opts, &mut DetRng::new(11));
+        let expected: Vec<(Url, FailureKind)> = cdn_page
+            .resources
+            .iter()
+            .map(|res| (res.url.clone(), kind))
+            .collect();
+        assert_eq!(r.resource_failures, expected);
+        assert_eq!(r.elapsed, bare.elapsed + ladder.elapsed);
+        assert_eq!(r.trace, bare.trace, "cross-host steps are not the base's");
+        assert_eq!(r.outcome.page().unwrap().bytes, cdn_page.html_bytes);
+
+        let r = direct_like_fetch(&w, &p, &url("/"), &opts, &mut DetRng::new(11));
+        assert_eq!(r.resource_failures, expected[..3]);
+        assert_eq!(r.trace, bare.trace);
+        let same_host: u64 = mixed.resources[..5].iter().map(|res| res.bytes).sum();
+        assert_eq!(
+            r.outcome.page().unwrap().bytes,
+            mixed.html_bytes + same_host
+        );
+        // Host groups load in parallel: the page waits for the slower of
+        // the failed ladder and the same-host transfers, not their sum.
+        let resources_time = r.elapsed - bare.elapsed;
+        assert!(resources_time >= ladder.elapsed);
+        if ladder.elapsed >= SimDuration::from_secs(8) {
+            assert_eq!(resources_time, ladder.elapsed);
+        }
+    }
+
+    #[test]
+    fn cross_host_dns_failure_marks_the_group() {
+        let hijack = DnsTamper::HijackTo("10.9.9.9".parse().unwrap());
+        for (dns, kind) in [
+            (DnsTamper::Drop, FailureKind::DnsNoResponse),
+            (DnsTamper::Nxdomain, FailureKind::DnsNxdomain),
+            (DnsTamper::Servfail, FailureKind::DnsServfail),
+            (DnsTamper::Refused, FailureKind::DnsRefused),
+            (hijack, FailureKind::ConnectTimeout),
+        ] {
+            cross_host_group_fails_at("http", dns, IpAction::None, TlsAction::None, kind);
+        }
+    }
+
+    #[test]
+    fn cross_host_connect_failure_marks_the_group() {
+        for (ip, kind) in [
+            (IpAction::Drop, FailureKind::ConnectTimeout),
+            (IpAction::Rst, FailureKind::ConnectReset),
+        ] {
+            cross_host_group_fails_at("http", DnsTamper::None, ip, TlsAction::None, kind);
+        }
+    }
+
+    #[test]
+    fn cross_host_tls_failure_marks_the_group() {
+        for (tls, kind) in [
+            (TlsAction::Drop, FailureKind::TlsTimeout),
+            (TlsAction::Rst, FailureKind::TlsReset),
+        ] {
+            cross_host_group_fails_at("https", DnsTamper::None, IpAction::None, tls, kind);
+        }
     }
 
     #[test]

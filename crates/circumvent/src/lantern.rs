@@ -103,7 +103,8 @@ impl LanternClient {
 
     /// Select a proxy: lowest trust distance first (that's Lantern's
     /// discovery order), skipping proxies that are down right now;
-    /// ties broken deterministically by label.
+    /// ties broken deterministically by label. `None` when every proxy
+    /// is down this round.
     pub fn select_proxy(&mut self, rng: &mut DetRng) -> Option<&LanternProxy> {
         let mut candidates: Vec<&LanternProxy> = self.proxies.iter().collect();
         candidates.sort_by(|a, b| {
@@ -111,13 +112,11 @@ impl LanternClient {
                 .cmp(&b.trust_distance)
                 .then_with(|| a.label.cmp(&b.label))
         });
-        let chosen = candidates.into_iter().find(|p| rng.chance(p.availability));
-        if let Some(p) = chosen {
-            self.last_proxy = Some(p.label.clone());
-        }
-        self.last_proxy
-            .as_ref()
-            .and_then(|l| self.proxies.iter().find(|p| &p.label == l))
+        let chosen = candidates
+            .into_iter()
+            .find(|p| rng.chance(p.availability))?;
+        self.last_proxy = Some(chosen.label.clone());
+        Some(chosen)
     }
 }
 
@@ -140,14 +139,11 @@ impl Transport for LanternClient {
     fn fetch(&mut self, world: &World, ctx: &FetchCtx, url: &Url, rng: &mut DetRng) -> FetchReport {
         let overhead = self.per_fetch_overhead;
         let Some(site) = self.select_proxy(rng).map(|p| p.site) else {
-            return FetchReport {
-                outcome: crate::outcome::FetchOutcome::Failed(
-                    crate::outcome::FailureKind::TransportUnavailable,
-                ),
-                elapsed: SimDuration::ZERO,
-                trace: Vec::new(),
-                resource_failures: Vec::new(),
-            };
+            return FetchReport::failed(
+                crate::outcome::FailureKind::TransportUnavailable,
+                SimDuration::ZERO,
+                Vec::new(),
+            );
         };
         let mut report = relay_fetch(world, &ctx.provider, &[site], url, overhead, rng);
         report.elapsed += overhead;
@@ -242,6 +238,25 @@ mod tests {
             r.outcome.failure(),
             Some(crate::outcome::FailureKind::TransportUnavailable)
         );
+    }
+
+    #[test]
+    fn a_down_round_is_unavailable_after_a_successful_one() {
+        let proxies = vec![LanternProxy {
+            label: "flaky".into(),
+            site: Site::in_region(Region::UsWest),
+            trust_distance: 1,
+            availability: 0.5,
+        }];
+        let mut l = LanternClient::with_proxies(proxies);
+        let mut rng = DetRng::new(3);
+        let up = (0..100)
+            .filter(|_| l.select_proxy(&mut rng).is_some())
+            .count();
+        // A proxy that is up half the time serves about half the rounds;
+        // an earlier success must not stand in for a round it is down.
+        assert!((30..=70).contains(&up), "up {up} of 100");
+        assert!(l.last_proxy.is_some());
     }
 
     #[test]

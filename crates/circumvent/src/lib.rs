@@ -50,11 +50,10 @@ pub mod transports;
 pub mod world;
 
 pub use fetch::{
-    direct_like_fetch, lanes_time, relay_fetch, DirectOpts, FetchReport, SniMode, Step,
-    BROWSER_LANES,
+    direct_like_fetch, lanes_time, relay_fetch, DirectOpts, FetchReport, Step, BROWSER_LANES,
 };
 pub use lantern::{default_trust_network, LanternClient, LanternProxy};
-pub use outcome::{FailureKind, Fetch, FetchOutcome, PageResult};
+pub use outcome::{FailureKind, FetchOutcome, PageResult};
 pub use tor::{default_directory, Circuit, Relay, TorClient, TorConfig};
 pub use transports::{
     Direct, DomainFronting, FetchCtx, HoldOnDns, HttpsUpgrade, IpAsHostname, PublicDns,

@@ -1,10 +1,10 @@
 //! Fetch outcomes: what a client observes when it tries to load a page.
 //!
-//! Outcomes carry both *what happened* (a page, or a specific failure
-//! signature) and *how long it took* — the two inputs C-Saw's detector
-//! (Fig. 4 of the paper) and PLT accounting need.
+//! An outcome says *what happened* (a page, or a specific failure
+//! signature); `fetch::FetchReport` pairs it with *how long it took* —
+//! the two inputs C-Saw's detector (Fig. 4 of the paper) and PLT
+//! accounting need.
 
-use csaw_simnet::time::SimDuration;
 use std::fmt;
 
 /// A failure signature as observed by the client. Each variant maps onto
@@ -113,39 +113,6 @@ impl FetchOutcome {
     }
 }
 
-/// A completed fetch: outcome plus elapsed virtual time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fetch {
-    /// What happened.
-    pub outcome: FetchOutcome,
-    /// How long it took, from request issue to outcome.
-    pub elapsed: SimDuration,
-}
-
-impl Fetch {
-    /// A failed fetch.
-    pub fn failed(kind: FailureKind, elapsed: SimDuration) -> Fetch {
-        Fetch {
-            outcome: FetchOutcome::Failed(kind),
-            elapsed,
-        }
-    }
-
-    /// A successful fetch.
-    pub fn page(result: PageResult, elapsed: SimDuration) -> Fetch {
-        Fetch {
-            outcome: FetchOutcome::Page(result),
-            elapsed,
-        }
-    }
-
-    /// PLT if a genuine page was delivered (the metric used in every PLT
-    /// figure; block pages and failures don't count as loads).
-    pub fn genuine_plt(&self) -> Option<SimDuration> {
-        self.outcome.is_genuine_page().then_some(self.elapsed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,22 +144,6 @@ mod tests {
         });
         assert!(bp.is_page());
         assert!(!bp.is_genuine_page());
-    }
-
-    #[test]
-    fn genuine_plt_only_for_real_pages() {
-        let ok = Fetch::page(
-            PageResult {
-                bytes: 5,
-                html: String::new(),
-                truth_block_page: false,
-                redirected: false,
-            },
-            SimDuration::from_millis(800),
-        );
-        assert_eq!(ok.genuine_plt(), Some(SimDuration::from_millis(800)));
-        let failed = Fetch::failed(FailureKind::HttpGetTimeout, SimDuration::from_secs(30));
-        assert_eq!(failed.genuine_plt(), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! heart of C-Saw's performance story: they avoid relays entirely, so PLT
 //! stays near the direct path's.
 
-use crate::fetch::{direct_like_fetch, DirectOpts, FetchReport, SniMode};
+use crate::fetch::{direct_like_fetch, DirectOpts, FetchReport};
 use crate::outcome::FailureKind;
 use crate::world::{DnsServer, World};
 use csaw_simnet::rng::DetRng;
@@ -145,14 +145,11 @@ impl Transport for HttpsUpgrade {
         if let Some(name) = url.dns_name() {
             if let Some(site) = world.site(name) {
                 if !site.https {
-                    return FetchReport {
-                        outcome: crate::outcome::FetchOutcome::Failed(
-                            FailureKind::TransportUnavailable,
-                        ),
-                        elapsed: SimDuration::ZERO,
-                        trace: Vec::new(),
-                        resource_failures: Vec::new(),
-                    };
+                    return FetchReport::failed(
+                        FailureKind::TransportUnavailable,
+                        SimDuration::ZERO,
+                        Vec::new(),
+                    );
                 }
             }
         }
@@ -203,17 +200,15 @@ impl Transport for DomainFronting {
             .map(|s| s.frontable)
             .unwrap_or(false);
         if !frontable {
-            return FetchReport {
-                outcome: crate::outcome::FetchOutcome::Failed(FailureKind::TransportUnavailable),
-                elapsed: SimDuration::ZERO,
-                trace: Vec::new(),
-                resource_failures: Vec::new(),
-            };
+            return FetchReport::failed(
+                FailureKind::TransportUnavailable,
+                SimDuration::ZERO,
+                Vec::new(),
+            );
         }
         let opts = DirectOpts {
             dns: DnsServer::IspLocal,
             force_https: true,
-            sni: SniMode::Front(self.front.clone()),
             front: Some(self.front.clone()),
             ..DirectOpts::default()
         };
@@ -245,20 +240,14 @@ impl Transport for IpAsHostname {
             return direct_like_fetch(world, &ctx.provider, url, &DirectOpts::default(), rng);
         };
         let Some(site) = world.site(name) else {
-            return FetchReport {
-                outcome: crate::outcome::FetchOutcome::Failed(FailureKind::DnsNxdomain),
-                elapsed: SimDuration::ZERO,
-                trace: Vec::new(),
-                resource_failures: Vec::new(),
-            };
+            return FetchReport::failed(FailureKind::DnsNxdomain, SimDuration::ZERO, Vec::new());
         };
         if !site.serves_by_ip {
-            return FetchReport {
-                outcome: crate::outcome::FetchOutcome::Failed(FailureKind::TransportUnavailable),
-                elapsed: SimDuration::ZERO,
-                trace: Vec::new(),
-                resource_failures: Vec::new(),
-            };
+            return FetchReport::failed(
+                FailureKind::TransportUnavailable,
+                SimDuration::ZERO,
+                Vec::new(),
+            );
         }
         let mut lookup_cost = SimDuration::ZERO;
         let ip = match self.cache.get(name) {
@@ -274,14 +263,7 @@ impl Transport for IpAsHostname {
                         ip
                     }
                     Some(_) | None => {
-                        return FetchReport {
-                            outcome: crate::outcome::FetchOutcome::Failed(
-                                FailureKind::DnsForgedResolution,
-                            ),
-                            elapsed: t,
-                            trace: Vec::new(),
-                            resource_failures: Vec::new(),
-                        }
+                        return FetchReport::failed(FailureKind::DnsForgedResolution, t, Vec::new())
                     }
                 }
             }

@@ -5,8 +5,10 @@
 //! access network. It exposes the *primitive protocol operations* a client
 //! can perform — DNS lookup, TCP connect, TLS handshake, HTTP exchange —
 //! each applying the relevant censor stage exactly where a real middlebox
-//! would sit. C-Saw's measurement module (Fig. 4 of the paper) drives
-//! these primitives directly; circumvention transports compose them.
+//! would sit. [`crate::fetch`] composes them into a page fetch, which is
+//! what the transports and C-Saw's measurement module (Fig. 4 of the
+//! paper) call; besides it only `IpAsHostname`'s out-of-band lookup
+//! touches a primitive directly.
 //!
 //! Timing constants are calibrated against Table 5 of the paper; see
 //! [`DnsTiming`] and `csaw_simnet::tcp::TcpConfig`.
@@ -20,7 +22,7 @@ use csaw_simnet::tcp::{self, ConnectOutcome, TcpConfig};
 use csaw_simnet::time::SimDuration;
 use csaw_simnet::topology::{AccessNetwork, Asn, Provider, Region, Site};
 use csaw_webproto::dns::{DnsObservation, DnsResponse, Rcode};
-use csaw_webproto::page::WebPage;
+use csaw_webproto::page::{Resource, WebPage};
 use csaw_webproto::url::Url;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -161,6 +163,9 @@ pub enum HttpStep {
         /// client observes the 302; censors use it to reach block-page
         /// servers.)
         redirected: bool,
+        /// What the document embeds, in document order. Empty for a block
+        /// page, an error page and a resource exchange.
+        resources: Vec<Resource>,
     },
     /// Nothing came back before the GET timeout.
     Timeout,
@@ -508,16 +513,30 @@ impl World {
                     html: "<html><body><h1>400 Bad Request</h1></body></html>".into(),
                     truth_block_page: false,
                     redirected: false,
+                    resources: Vec::new(),
                 },
                 self.path_to_ip(provider, dst).sample_rtt(rng),
             );
         }
         // A resource exchange knows its size; only the base document asks
         // the site what it serves at this URL.
-        let bytes = response_override.unwrap_or_else(|| site.page_for(url).html_bytes);
+        let (bytes, resources) = match response_override {
+            Some(bytes) => (bytes, Vec::new()),
+            None => {
+                let page = site.page_for(url);
+                (page.html_bytes, page.resources)
+            }
+        };
         let mut path = self.path_to_ip(provider, dst);
         if let Some(backend) = fronted_backend {
             // Front relays to the backend origin over the CDN backbone.
+            // NOTE: `site` above is already the *backend* (a fronted
+            // request resolves the backend name), so this link joins the
+            // backend to itself — always the intra-region constant, never
+            // the front → backend distance the `.min(30)` cap was written
+            // for. `GOLDEN_seed1.json` pins the value (fig1a's
+            // domain-fronting series); changing it is a re-bless with a
+            // paper-claim judgement, listed under ROADMAP's claims gate.
             if let Some(b) = self.site(backend) {
                 let extra = Link::wan(SimDuration::from_millis(
                     site.location
@@ -539,6 +558,7 @@ impl World {
                     },
                     truth_block_page: false,
                     redirected: false,
+                    resources,
                 },
                 elapsed,
             ),
@@ -648,6 +668,7 @@ impl World {
                 html,
                 truth_block_page: true,
                 redirected: via_redirect,
+                resources: Vec::new(),
             },
             elapsed,
         )
@@ -722,28 +743,8 @@ impl WorldBuilder {
 
     /// Finish: compile censor IP blacklists and default block pages.
     pub fn build(mut self) -> World {
-        let hosts: Vec<(String, Option<Category>)> = self
-            .world
-            .sites
-            .values()
-            .map(|s| (s.host.clone(), s.category))
-            .collect();
-        let site_ips: HashMap<String, Ipv4Addr> = self
-            .world
-            .sites
-            .values()
-            .map(|s| (s.host.clone(), s.ip))
-            .collect();
-        let corpus = csaw_blockpage::corpus_47();
-        let asns: Vec<Asn> = self.world.censors.keys().copied().collect();
-        for asn in asns {
-            if let Some(policy) = self.world.censors.get_mut(&asn) {
-                policy.materialize_ips(&hosts, |h| site_ips.get(h).copied());
-            }
-            self.world
-                .block_pages
-                .entry(asn)
-                .or_insert_with(|| corpus[(asn.0 as usize) % 38].html.clone());
+        for (asn, policy) in std::mem::take(&mut self.world.censors) {
+            self.world.install_censor(asn, policy);
         }
         self.world
     }

@@ -219,14 +219,11 @@ impl Selector {
         if order.is_empty() {
             csaw_obs::inc("circum.fetch.failed");
             return BlockedFetch {
-                report: FetchReport {
-                    outcome: csaw_circumvent::outcome::FetchOutcome::Failed(
-                        csaw_circumvent::outcome::FailureKind::TransportUnavailable,
-                    ),
-                    elapsed: csaw_simnet::SimDuration::ZERO,
-                    trace: Vec::new(),
-                    resource_failures: Vec::new(),
-                },
+                report: FetchReport::failed(
+                    csaw_circumvent::outcome::FailureKind::TransportUnavailable,
+                    csaw_simnet::SimDuration::ZERO,
+                    Vec::new(),
+                ),
                 transport: "none".to_string(),
                 kind: TransportKind::Direct,
                 observed_stages: Vec::new(),

@@ -237,15 +237,7 @@ fn classify_attempt(
                     if kind == FailureKind::DnsNxdomain && k2 == FailureKind::DnsNxdomain {
                         // Both resolvers agree the name doesn't exist:
                         // a dead domain, not censorship.
-                        return DirectMeasurement {
-                            status: MeasuredStatus::Inconclusive,
-                            stages: Vec::new(),
-                            detection_time: total,
-                            elapsed: total,
-                            page_bytes: None,
-                            phase1_flagged: false,
-                            served_via_gdns: false,
-                        };
+                        return no_page(MeasuredStatus::Inconclusive, Vec::new(), total);
                     }
                     stages.push(failure_to_blocking(kind).expect("dns kinds map"));
                     if let Some(b2) = failure_to_blocking(k2) {
@@ -253,15 +245,7 @@ fn classify_attempt(
                             stages.push(b2); // multi-stage (e.g. DNS + IP)
                         }
                     }
-                    DirectMeasurement {
-                        status: MeasuredStatus::Blocked,
-                        stages,
-                        detection_time: total,
-                        elapsed: total,
-                        page_bytes: None,
-                        phase1_flagged: false,
-                        served_via_gdns: false,
-                    }
+                    no_page(MeasuredStatus::Blocked, stages, total)
                 }
             }
         }
@@ -286,16 +270,25 @@ fn classify_attempt(
                 // (a shared network problem).
                 MeasuredStatus::Blocked
             };
-            DirectMeasurement {
-                status,
-                stages,
-                detection_time: first.elapsed,
-                elapsed: first.elapsed,
-                page_bytes: None,
-                phase1_flagged: false,
-                served_via_gdns: false,
-            }
+            no_page(status, stages, first.elapsed)
         }
+    }
+}
+
+/// A measurement that ended without a document: declared when it ended.
+fn no_page(
+    status: MeasuredStatus,
+    stages: Vec<BlockingType>,
+    elapsed: SimDuration,
+) -> DirectMeasurement {
+    DirectMeasurement {
+        status,
+        stages,
+        detection_time: elapsed,
+        elapsed,
+        page_bytes: None,
+        phase1_flagged: false,
+        served_via_gdns: false,
     }
 }
 
@@ -313,63 +306,27 @@ fn classify_page(
     via_gdns: bool,
 ) -> DirectMeasurement {
     let flagged = csaw_blockpage::phase1_html(html, &cfg.phase1) == Phase1Verdict::BlockPage;
-    if flagged {
-        // Phase 2 confirms against the circumvention copy when available;
-        // without one, phase-1 evidence stands (the copy will arrive and
-        // correct a rare false positive).
-        let confirmed = match circ_bytes {
-            Some(cb) => csaw_blockpage::phase2(bytes, cb, &cfg.phase2),
-            None => true,
-        };
-        if confirmed {
-            let stage = if redirected {
-                BlockingType::HttpBlockPageRedirect
-            } else {
-                BlockingType::HttpBlockPageInline
-            };
-            return DirectMeasurement {
-                status: MeasuredStatus::Blocked,
-                stages: vec![stage],
-                detection_time: elapsed,
-                elapsed,
-                page_bytes: Some(bytes),
-                phase1_flagged: true,
-                served_via_gdns: via_gdns,
-            };
-        }
-        // Phase-1 false positive corrected by phase 2.
-        return DirectMeasurement {
-            status: MeasuredStatus::NotBlocked,
-            stages: Vec::new(),
-            detection_time: elapsed,
-            elapsed,
-            page_bytes: Some(bytes),
-            phase1_flagged: true,
-            served_via_gdns: via_gdns,
-        };
-    }
-    // Phase 1 cleared it. If a circumvention copy is around, its size can
-    // still unmask a portal-style block page (phase-1 false negative).
-    if let Some(cb) = circ_bytes {
-        if csaw_blockpage::phase2(bytes, cb, &cfg.phase2) {
-            return DirectMeasurement {
-                status: MeasuredStatus::Blocked,
-                stages: vec![BlockingType::HttpBlockPageInline],
-                detection_time: elapsed,
-                elapsed,
-                page_bytes: Some(bytes),
-                phase1_flagged: false,
-                served_via_gdns: via_gdns,
-            };
-        }
-    }
+    // With a circumvention copy around, phase 2 has the last word: it
+    // confirms a phase-1 flag (or corrects the rare false positive) and
+    // unmasks a portal-style block page phase 1 cleared. Without one,
+    // phase-1 evidence stands (the copy will arrive and correct it).
+    let blocked = circ_bytes.map_or(flagged, |cb| csaw_blockpage::phase2(bytes, cb, &cfg.phase2));
+    let stage = if flagged && redirected {
+        BlockingType::HttpBlockPageRedirect
+    } else {
+        BlockingType::HttpBlockPageInline
+    };
     DirectMeasurement {
-        status: MeasuredStatus::NotBlocked,
-        stages: Vec::new(),
+        status: if blocked {
+            MeasuredStatus::Blocked
+        } else {
+            MeasuredStatus::NotBlocked
+        },
+        stages: if blocked { vec![stage] } else { Vec::new() },
         detection_time: elapsed,
         elapsed,
         page_bytes: Some(bytes),
-        phase1_flagged: false,
+        phase1_flagged: flagged,
         served_via_gdns: via_gdns,
     }
 }

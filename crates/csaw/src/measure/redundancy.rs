@@ -78,9 +78,99 @@ pub fn fetch_with_redundancy(
     load: &LoadModel,
     rng: &mut DetRng,
 ) -> RedundantOutcome {
-    let out = fetch_with_redundancy_inner(world, ctx, url, mode, circ, detect_cfg, load, rng);
+    let out = match mode {
+        RedundancyMode::Serial => {
+            let m = measure_direct(world, &ctx.provider, url, None, detect_cfg, rng);
+            if m.status == MeasuredStatus::NotBlocked {
+                direct_alone(m)
+            } else {
+                // Only now does the circumvention copy go out.
+                let c = circ.fetch(world, ctx, url, rng);
+                let total = m.elapsed + c.elapsed;
+                let (plt, from) = if c.outcome.is_genuine_page() {
+                    (Some(total), ServedFrom::Circumvention)
+                } else {
+                    (None, ServedFrom::Nothing)
+                };
+                RedundantOutcome {
+                    user_plt: plt,
+                    served_from: from,
+                    measurement: corroborate(m, &c),
+                    circumvention: Some(c),
+                }
+            }
+        }
+        RedundancyMode::Parallel => {
+            // Both copies in flight for the whole fetch.
+            let mut c = circ.fetch(world, ctx, url, rng);
+            let circ_bytes = c.outcome.page().map(|p| p.bytes);
+            let mut m = measure_direct(world, &ctx.provider, url, circ_bytes, detect_cfg, rng);
+            share_the_link(&mut m, &mut c, 1.0, load, rng);
+            m.detection_time = m.detection_time.min(m.elapsed);
+            combine_parallel(m, c, SimDuration::ZERO)
+        }
+        RedundancyMode::Staggered(delay) => {
+            let mut m = measure_direct(world, &ctx.provider, url, None, detect_cfg, rng);
+            if m.status == MeasuredStatus::NotBlocked && m.elapsed <= delay {
+                // Direct answered before the stagger fired: single copy,
+                // no load tax — the whole point of the delay.
+                direct_alone(m)
+            } else {
+                // The copy goes out at `delay`; the overlap (and hence
+                // the load tax on the direct copy) covers only the
+                // post-delay portion.
+                let mut c = circ.fetch(world, ctx, url, rng);
+                let overlap = 1.0
+                    - (delay.as_secs_f64() / m.elapsed.as_secs_f64().max(f64::EPSILON)).min(1.0);
+                share_the_link(&mut m, &mut c, overlap, load, rng);
+                // Re-run phase-2 opportunity: the copy's size arrives
+                // late, but the measurement semantics are unchanged for
+                // blocked outcomes; portal-style unmasking needs the
+                // copy, which the staggered mode also eventually
+                // provides. (Handled by the caller's bookkeeping via
+                // `measurement.page_bytes`.)
+                combine_parallel(m, c, delay)
+            }
+        }
+    };
     emit_redundant_tree(ctx, url, circ.name(), &out);
     out
+}
+
+/// The direct path answered on its own; no copy was sent.
+fn direct_alone(m: DirectMeasurement) -> RedundantOutcome {
+    RedundantOutcome {
+        user_plt: Some(m.elapsed),
+        served_from: ServedFrom::Direct,
+        measurement: m,
+        circumvention: None,
+    }
+}
+
+/// Two copies in flight tax each other in proportion to the data each
+/// moves: a direct copy that dies in a black hole moves nothing; a block
+/// page is a sliver of a real page; a genuine duplicate is a full extra
+/// unit. `overlap` is the share of the direct fetch the copy was in
+/// flight for.
+fn share_the_link(
+    m: &mut DirectMeasurement,
+    c: &mut FetchReport,
+    overlap: f64,
+    load: &LoadModel,
+    rng: &mut DetRng,
+) {
+    let direct_bytes = m.page_bytes.unwrap_or(0);
+    let circ_bytes = c.outcome.page().map_or(0, |p| p.bytes);
+    let weight = |of: u64, on: u64| {
+        if on > 0 {
+            (of as f64 / on as f64).min(1.0)
+        } else {
+            0.0
+        }
+    };
+    c.elapsed = load.inflate_weighted(c.elapsed, weight(direct_bytes, circ_bytes), rng);
+    let on_direct = weight(circ_bytes, direct_bytes) * overlap;
+    m.elapsed = load.inflate_weighted(m.elapsed, on_direct, rng);
 }
 
 /// Map a [`RedundantOutcome`] onto the canonical PLT decomposition and
@@ -126,113 +216,6 @@ fn emit_redundant_tree(ctx: &FetchCtx, url: &Url, circ_name: &str, out: &Redunda
         ),
     };
     crate::tracing::emit_fetch_tree(start_us, b, url, transport);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fetch_with_redundancy_inner(
-    world: &World,
-    ctx: &FetchCtx,
-    url: &Url,
-    mode: RedundancyMode,
-    circ: &mut dyn Transport,
-    detect_cfg: &DetectConfig,
-    load: &LoadModel,
-    rng: &mut DetRng,
-) -> RedundantOutcome {
-    match mode {
-        RedundancyMode::Serial => {
-            let m = measure_direct(world, &ctx.provider, url, None, detect_cfg, rng);
-            match m.status {
-                MeasuredStatus::NotBlocked => RedundantOutcome {
-                    user_plt: Some(m.elapsed),
-                    served_from: ServedFrom::Direct,
-                    measurement: m,
-                    circumvention: None,
-                },
-                _ => {
-                    // Only now does the circumvention copy go out.
-                    let c = circ.fetch(world, ctx, url, rng);
-                    let total = m.elapsed + c.elapsed;
-                    let (plt, from) = if c.outcome.is_genuine_page() {
-                        (Some(total), ServedFrom::Circumvention)
-                    } else {
-                        (None, ServedFrom::Nothing)
-                    };
-                    let measurement = corroborate(m, &c);
-                    RedundantOutcome {
-                        user_plt: plt,
-                        served_from: from,
-                        measurement,
-                        circumvention: Some(c),
-                    }
-                }
-            }
-        }
-        RedundancyMode::Parallel => {
-            // Both copies in flight. Each taxes the other in proportion
-            // to the data it moves: a direct copy that dies in a black
-            // hole moves nothing; a block page is a sliver of a real
-            // page; a genuine duplicate is a full extra unit.
-            let mut c = circ.fetch(world, ctx, url, rng);
-            let circ_bytes = c.outcome.page().map(|p| p.bytes);
-            let mut m = measure_direct(world, &ctx.provider, url, circ_bytes, detect_cfg, rng);
-            let direct_bytes = m.page_bytes.unwrap_or(0);
-            let cb = circ_bytes.unwrap_or(0);
-            let weight_on_circ = if cb > 0 {
-                (direct_bytes as f64 / cb as f64).min(1.0)
-            } else {
-                0.0
-            };
-            let weight_on_direct = if direct_bytes > 0 {
-                (cb as f64 / direct_bytes as f64).min(1.0)
-            } else {
-                0.0
-            };
-            c.elapsed = load.inflate_weighted(c.elapsed, weight_on_circ, rng);
-            m.elapsed = load.inflate_weighted(m.elapsed, weight_on_direct, rng);
-            m.detection_time = m.detection_time.min(m.elapsed);
-            combine_parallel(m, c, SimDuration::ZERO)
-        }
-        RedundancyMode::Staggered(delay) => {
-            let mut m = measure_direct(world, &ctx.provider, url, None, detect_cfg, rng);
-            if m.status == MeasuredStatus::NotBlocked && m.elapsed <= delay {
-                // Direct answered before the stagger fired: single copy,
-                // no load tax — the whole point of the delay.
-                return RedundantOutcome {
-                    user_plt: Some(m.elapsed),
-                    served_from: ServedFrom::Direct,
-                    measurement: m,
-                    circumvention: None,
-                };
-            }
-            // The copy goes out at `delay`; the overlap (and hence the
-            // load tax) covers only the post-delay portion, scaled by
-            // relative data volume like the parallel case.
-            let mut c = circ.fetch(world, ctx, url, rng);
-            let direct_bytes = m.page_bytes.unwrap_or(0);
-            let cb = c.outcome.page().map(|p| p.bytes).unwrap_or(0);
-            let overlap =
-                1.0 - (delay.as_secs_f64() / m.elapsed.as_secs_f64().max(f64::EPSILON)).min(1.0);
-            let weight_on_circ = if cb > 0 {
-                (direct_bytes as f64 / cb as f64).min(1.0)
-            } else {
-                0.0
-            };
-            let weight_on_direct = if direct_bytes > 0 {
-                (cb as f64 / direct_bytes as f64).min(1.0) * overlap
-            } else {
-                0.0
-            };
-            c.elapsed = load.inflate_weighted(c.elapsed, weight_on_circ, rng);
-            m.elapsed = load.inflate_weighted(m.elapsed, weight_on_direct, rng);
-            // Re-run phase-2 opportunity: the copy's size arrives late,
-            // but the measurement semantics are unchanged for blocked
-            // outcomes; portal-style unmasking needs the copy, which the
-            // staggered mode also eventually provides. (Handled by the
-            // caller's bookkeeping via `measurement.page_bytes`.)
-            combine_parallel(m, c, delay)
-        }
-    }
 }
 
 /// Merge a direct measurement and a circumvention copy under parallel
