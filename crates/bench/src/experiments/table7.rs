@@ -74,7 +74,7 @@ fn mechanism_for(domain_idx: usize, n_domains: usize) -> (DnsTamper, IpAction, H
 /// censor policy shared by all 16 ASes (nation-wide blacklist, per-AS
 /// enforcement), multihomed access across all ASes so each client's
 /// flows stay within its own AS via single-provider sub-worlds.
-fn pilot_world(asn: Asn, universe: &crate::workload::PilotUniverse) -> World {
+pub fn pilot_world(asn: Asn, universe: &crate::workload::PilotUniverse) -> World {
     let provider = Provider::new(asn, format!("pilot-{asn}"));
     let mut builder = World::builder(AccessNetwork::single(provider));
     for d in &universe.blocked_domains {

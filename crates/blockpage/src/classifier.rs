@@ -15,6 +15,7 @@
 //! the paper still reports none).
 
 use crate::features::{extract, HtmlFeatures};
+use csaw_webproto::page::Markup;
 
 /// Phase-1 verdict on a single document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +82,18 @@ pub fn phase1_html(html: &str, cfg: &Phase1Config) -> Phase1Verdict {
         return Phase1Verdict::Normal;
     }
     phase1(&extract(html), cfg)
+}
+
+/// [`phase1_html`] over a delivered document's [`Markup`]. The length
+/// gate reads the markup's length, which a described document knows
+/// without being rendered, so one longer than `cfg.max_length` is
+/// cleared without ever being rendered; shorter markup is rendered (if
+/// described) and scanned.
+pub fn phase1_markup(doc: &Markup, cfg: &Phase1Config) -> Phase1Verdict {
+    if doc.len() > cfg.max_length {
+        return Phase1Verdict::Normal;
+    }
+    phase1_html(&doc.text(), cfg)
 }
 
 /// Phase-2 configuration: the size-comparison test.

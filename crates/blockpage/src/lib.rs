@@ -34,7 +34,8 @@ pub mod corpus;
 pub mod features;
 
 pub use classifier::{
-    detect, phase1, phase1_html, phase2, Detection, Phase1Config, Phase1Verdict, Phase2Config,
+    detect, phase1, phase1_html, phase1_markup, phase2, Detection, Phase1Config, Phase1Verdict,
+    Phase2Config,
 };
 pub use corpus::{corpus_47, real_pages, BlockPageSample, Family};
 pub use features::{extract, HtmlFeatures, BLOCK_KEYWORDS};

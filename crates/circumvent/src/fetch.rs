@@ -25,14 +25,15 @@
 
 use crate::outcome::{FailureKind, FetchOutcome, PageResult};
 use crate::world::{connect_failure, dns_failure, DnsServer, HttpStep, TlsStep, World};
+use csaw_simnet::link::Link;
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::tcp::ConnectOutcome;
 use csaw_simnet::time::SimDuration;
 use csaw_simnet::topology::{Provider, Site};
 use csaw_webproto::dns::{is_private_or_reserved, DnsObservation};
-use csaw_webproto::page::Resource;
+use csaw_webproto::page::{Markup, Resource};
 use csaw_webproto::url::{Host, Scheme, Url};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
 /// Parallel persistent connections a browser opens per host.
@@ -243,9 +244,9 @@ fn fetch_page(
     rng: &mut DetRng,
 ) -> Result<(PageResult, Vec<(Url, FailureKind)>), FailureKind> {
     let url = if opts.force_https {
-        url.with_scheme(Scheme::Https)
+        Cow::Owned(url.with_scheme(Scheme::Https))
     } else {
-        url.clone()
+        Cow::Borrowed(url)
     };
     let ip = match (&opts.front, url.host()) {
         // The front is a well-known CDN name; blocking it is the
@@ -317,16 +318,21 @@ fn fetch_resources(
     base_ip: Ipv4Addr,
     rng: &mut DetRng,
 ) -> (SimDuration, u64, Vec<(Url, FailureKind)>) {
-    // Host groups in name order: the draws below depend on it.
-    let mut by_host: BTreeMap<String, Vec<&Resource>> = BTreeMap::new();
-    for r in resources {
-        by_host.entry(r.url.host().to_string()).or_default().push(r);
-    }
+    // Host groups in name order (the draws below depend on it), each in
+    // document order.
+    let mut by_host: Vec<(Cow<'_, str>, &Resource)> = resources
+        .iter()
+        .map(|r| (host_key(r.url.host()), r))
+        .collect();
+    by_host.sort_by(|a, b| a.0.cmp(&b.0));
+    let page_host = host_key(page_url.host());
     let mut failures = Vec::new();
     let mut total_bytes = 0u64;
-    let mut host_times: Vec<SimDuration> = Vec::new();
-    let page_host = page_url.host().to_string();
-    for (host, group) in &by_host {
+    // Host groups load in parallel: the page waits for the slowest.
+    let mut slowest = SimDuration::ZERO;
+    let mut times = Vec::with_capacity(resources.len());
+    for group in by_host.chunk_by(|a, b| a.0 == b.0) {
+        let host = &group[0].0;
         let mut setup = Walk::default();
         let reached = if *host == page_host {
             Ok(base_ip)
@@ -338,14 +344,14 @@ fn fetch_resources(
         let ip = match reached {
             Ok(ip) => ip,
             Err(kind) => {
-                failures.extend(group.iter().map(|r| (r.url.clone(), kind)));
-                host_times.push(setup.elapsed);
+                failures.extend(group.iter().map(|(_, r)| (r.url.clone(), kind)));
+                slowest = slowest.max(setup.elapsed);
                 continue;
             }
         };
         // Exchange each resource; spread across parallel lanes.
-        let mut times = Vec::with_capacity(group.len());
-        for r in group {
+        times.clear();
+        for (_, r) in group {
             let (step, t) = world.http_exchange(
                 provider,
                 ip,
@@ -362,13 +368,18 @@ fn fetch_resources(
                 HttpStep::Reset => failures.push((r.url.clone(), FailureKind::HttpReset)),
             }
         }
-        host_times.push(setup.elapsed + lanes_time(&times, BROWSER_LANES));
+        slowest = slowest.max(setup.elapsed + lanes_time::<BROWSER_LANES>(&mut times));
     }
-    // Host groups load in parallel.
-    let t = host_times
-        .into_iter()
-        .fold(SimDuration::ZERO, SimDuration::max);
-    (t, total_bytes, failures)
+    (slowest, total_bytes, failures)
+}
+
+/// A host as the resource walk groups and orders it: its name, or its
+/// address written out.
+fn host_key(host: &Host) -> Cow<'_, str> {
+    match host {
+        Host::Name(name) => Cow::Borrowed(name),
+        Host::Ip(ip) => Cow::Owned(ip.to_string()),
+    }
 }
 
 /// Fetch a page through a chain of relays. The censor sees only the first
@@ -401,17 +412,11 @@ pub fn relay_fetch(
     // Compose the path: client -> leg1 -> leg2 -> ... -> origin.
     let mut path = world.path_to_site(provider, legs[0]);
     let mut prev = legs[0];
-    for leg in &legs[1..] {
-        let ms = prev.region.one_way_ms_to(leg.region);
-        path = path.join(&csaw_simnet::link::Path::single(
-            csaw_simnet::link::Link::wan(SimDuration::from_millis(ms) + leg.extra_one_way),
-        ));
-        prev = *leg;
+    for hop in legs[1..].iter().chain([&origin.location]) {
+        let ms = prev.region.one_way_ms_to(hop.region);
+        path = path.then(Link::wan(SimDuration::from_millis(ms) + hop.extra_one_way));
+        prev = *hop;
     }
-    let ms = prev.region.one_way_ms_to(origin.location.region);
-    path = path.join(&csaw_simnet::link::Path::single(
-        csaw_simnet::link::Link::wan(SimDuration::from_millis(ms) + origin.location.extra_one_way),
-    ));
 
     let mut elapsed = per_hop_overhead * legs.len() as u64;
     let mut trace = Vec::new();
@@ -429,15 +434,16 @@ pub fn relay_fetch(
         return FetchReport::failed(kind, elapsed, trace);
     }
 
-    // Base document.
-    let page = origin.page_for(url);
-    let base = csaw_simnet::tcp::exchange(&path, page.html_bytes, &world.tcp, rng);
+    // Base document: the relay needs the page's sizes, not its URLs.
+    let sizes = origin.page_sizes(url);
+    let html_bytes = sizes.html_bytes();
+    let base = csaw_simnet::tcp::exchange(&path, html_bytes, &world.tcp, rng);
     elapsed += base.elapsed();
     let ok = base.is_done();
     trace.push(Step::Http {
         ok,
         truth_block_page: false,
-        bytes: if ok { page.html_bytes } else { 0 },
+        bytes: if ok { html_bytes } else { 0 },
         elapsed: base.elapsed(),
     });
     if !ok {
@@ -446,21 +452,22 @@ pub fn relay_fetch(
 
     // Resources: all tunneled through the same circuit; cross-host
     // resources are resolved at the exit, uncensored.
-    let mut times = Vec::with_capacity(page.resources.len());
-    let mut total_bytes = page.html_bytes;
-    for r in &page.resources {
-        let ex = csaw_simnet::tcp::exchange(&path, r.bytes, &world.tcp, rng);
+    let resources = sizes.resource_bytes();
+    let mut times = Vec::with_capacity(resources.len());
+    let mut total_bytes = html_bytes;
+    for bytes in resources {
+        let ex = csaw_simnet::tcp::exchange(&path, bytes, &world.tcp, rng);
         times.push(ex.elapsed());
         if ex.is_done() {
-            total_bytes += r.bytes;
+            total_bytes += bytes;
         }
     }
-    elapsed += lanes_time(&times, BROWSER_LANES);
+    elapsed += lanes_time::<BROWSER_LANES>(&mut times);
 
     FetchReport {
         outcome: FetchOutcome::Page(PageResult {
             bytes: total_bytes,
-            html: csaw_webproto::synth_html(&origin.host, page.html_bytes.min(64_000) as usize),
+            html: Markup::synthetic(origin.host.clone(), html_bytes.min(64_000) as usize),
             truth_block_page: false,
             redirected: false,
         }),
@@ -471,22 +478,14 @@ pub fn relay_fetch(
 }
 
 /// Greedy longest-processing-time assignment of transfer times onto
-/// `lanes` parallel lanes; returns the makespan.
-pub fn lanes_time(times: &[SimDuration], lanes: usize) -> SimDuration {
-    if times.is_empty() {
-        return SimDuration::ZERO;
-    }
-    let lanes = lanes.max(1);
-    let mut sorted: Vec<SimDuration> = times.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let mut load = vec![SimDuration::ZERO; lanes];
-    for t in sorted {
-        let (i, _) = load
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| **l)
-            .expect("lanes >= 1");
-        load[i] += t;
+/// `LANES` parallel lanes, kept on the stack; returns the makespan.
+/// Sorts `times`, longest first, in place.
+pub fn lanes_time<const LANES: usize>(times: &mut [SimDuration]) -> SimDuration {
+    const { assert!(LANES > 0, "a browser needs at least one lane") };
+    times.sort_unstable_by(|a, b| b.cmp(a));
+    let mut load = [SimDuration::ZERO; LANES];
+    for &t in times.iter() {
+        *load.iter_mut().min().expect("LANES > 0") += t;
     }
     load.into_iter().fold(SimDuration::ZERO, SimDuration::max)
 }
@@ -656,13 +655,18 @@ mod tests {
     fn lanes_makespan() {
         let ms = |x| SimDuration::from_millis(x);
         // 4 equal tasks on 2 lanes: 2 rounds.
-        assert_eq!(lanes_time(&[ms(10); 4], 2), ms(20));
+        assert_eq!(lanes_time::<2>(&mut [ms(10); 4]), ms(20));
         // One big task dominates.
-        assert_eq!(lanes_time(&[ms(100), ms(10), ms(10)], 2), ms(100));
+        assert_eq!(lanes_time::<2>(&mut [ms(10), ms(100), ms(10)]), ms(100));
         // Empty.
-        assert_eq!(lanes_time(&[], 6), SimDuration::ZERO);
+        assert_eq!(lanes_time::<6>(&mut []), SimDuration::ZERO);
         // More lanes than tasks: max task.
-        assert_eq!(lanes_time(&[ms(5), ms(7)], 6), ms(7));
+        assert_eq!(lanes_time::<6>(&mut [ms(5), ms(7)]), ms(7));
+        // Longest first: 7 + 3 on one lane, 5 + 4 + 1 on the other.
+        assert_eq!(
+            lanes_time::<2>(&mut [ms(3), ms(4), ms(5), ms(7), ms(1)]),
+            ms(10)
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! the two inputs C-Saw's detector (Fig. 4 of the paper) and PLT
 //! accounting need.
 
+use csaw_webproto::page::Markup;
 use std::fmt;
 
 /// A failure signature as observed by the client. Each variant maps onto
@@ -65,8 +66,13 @@ impl fmt::Display for FailureKind {
 pub struct PageResult {
     /// Total bytes received (document + resources).
     pub bytes: u64,
-    /// Markup of the base document (the detector's phase-1 input).
-    pub html: String,
+    /// Markup of the base document (the detector's phase-1 input). A
+    /// genuine page's markup is described, not rendered: its length is
+    /// exact without rendering, and it is rendered only when phase 1
+    /// reads it, which phase 1 does only for a document short enough to
+    /// pass its length gate (the pilot's 14–18 KB documents never are;
+    /// see [`Markup`]).
+    pub html: Markup,
     /// Ground truth for evaluation: was this actually a block page?
     /// The client-side algorithms never read this field.
     pub truth_block_page: bool,

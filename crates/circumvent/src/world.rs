@@ -22,10 +22,16 @@ use csaw_simnet::tcp::{self, ConnectOutcome, TcpConfig};
 use csaw_simnet::time::SimDuration;
 use csaw_simnet::topology::{AccessNetwork, Asn, Provider, Region, Site};
 use csaw_webproto::dns::{DnsObservation, DnsResponse, Rcode};
-use csaw_webproto::page::{Resource, WebPage};
+use csaw_webproto::page::{Markup, PageSizes, Resource, WebPage};
 use csaw_webproto::url::Url;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
+
+/// What an AS without block-page markup of its own serves.
+const DEFAULT_BLOCK_PAGE: &str = "<html><body><h1>Access Denied</h1><p>blocked</p></body></html>";
+/// What an origin that does not serve by IP answers a literal-IP request.
+const BAD_REQUEST: &str = "<html><body><h1>400 Bad Request</h1></body></html>";
 
 /// DNS timing knobs, calibrated to Table 5:
 /// REFUSED surfaces in one resolver RTT (25 ms), SERVFAIL only after the
@@ -77,8 +83,9 @@ pub enum DnsServer {
 /// An origin server in the world.
 #[derive(Debug, Clone)]
 pub struct SiteEntry {
-    /// Hostname (lowercase).
-    pub host: String,
+    /// Hostname (lowercase); shared with the described markup of every
+    /// page the site serves.
+    pub host: Arc<str>,
     /// True address.
     pub ip: Ipv4Addr,
     /// Geography.
@@ -111,6 +118,17 @@ impl SiteEntry {
             return p.clone();
         }
         WebPage::synthetic(url.clone(), self.default_page_bytes, self.default_resources)
+    }
+
+    /// The sizes of [`SiteEntry::page_for`]'s page, without building it.
+    pub fn page_sizes(&self, url: &Url) -> PageSizes<'_> {
+        match self.pages.get(url.path()) {
+            Some(p) => PageSizes::Listed(p),
+            None => PageSizes::Synthetic {
+                total_bytes: self.default_page_bytes,
+                n_resources: self.default_resources,
+            },
+        }
     }
 }
 
@@ -155,8 +173,9 @@ pub enum HttpStep {
         /// Bytes of the returned document.
         bytes: u64,
         /// Its markup (block pages carry the censor's page; genuine
-        /// documents carry synthesized site markup).
-        html: String,
+        /// documents carry synthesized site markup, described rather
+        /// than rendered).
+        html: Markup,
         /// Ground truth: was this the censor's block page?
         truth_block_page: bool,
         /// Did the response arrive via an HTTP redirect bounce? (A real
@@ -179,7 +198,7 @@ pub struct World {
     sites: HashMap<String, SiteEntry>,
     ip_index: HashMap<Ipv4Addr, String>,
     censors: HashMap<Asn, CensorPolicy>,
-    block_pages: HashMap<Asn, String>,
+    block_pages: HashMap<Asn, Arc<str>>,
     /// The client's attachment.
     pub access: AccessNetwork,
     /// Where the client lives.
@@ -218,9 +237,14 @@ impl World {
         }
     }
 
-    /// Look up a site by hostname.
+    /// Look up a site by hostname. A name that is already lower case —
+    /// every [`Url`] host is — is looked up as it is.
     pub fn site(&self, host: &str) -> Option<&SiteEntry> {
-        self.sites.get(&host.to_ascii_lowercase())
+        if host.bytes().any(|b| b.is_ascii_uppercase()) {
+            self.sites.get(&host.to_ascii_lowercase())
+        } else {
+            self.sites.get(host)
+        }
     }
 
     /// Look up a site by address.
@@ -242,8 +266,7 @@ impl World {
     pub fn block_page_html(&self, asn: Asn) -> &str {
         self.block_pages
             .get(&asn)
-            .map(String::as_str)
-            .unwrap_or("<html><body><h1>Access Denied</h1><p>blocked</p></body></html>")
+            .map_or(DEFAULT_BLOCK_PAGE, |html| html)
     }
 
     /// All hostnames in the world (used by tests and workload builders).
@@ -262,7 +285,7 @@ impl World {
         let hosts: Vec<(String, Option<Category>)> = self
             .sites
             .values()
-            .map(|s| (s.host.clone(), s.category))
+            .map(|s| (s.host.to_string(), s.category))
             .collect();
         let resolve = |h: &str| self.sites.get(h).map(|s| s.ip);
         policy.materialize_ips(&hosts, resolve);
@@ -270,7 +293,8 @@ impl World {
             // Always a phase-1-catchable family.
             csaw_blockpage::corpus_47()[(asn.0 as usize) % 38]
                 .html
-                .clone()
+                .as_str()
+                .into()
         });
         self.censors.insert(asn, policy);
     }
@@ -510,7 +534,7 @@ impl World {
             return (
                 HttpStep::Response {
                     bytes: 512,
-                    html: "<html><body><h1>400 Bad Request</h1></body></html>".into(),
+                    html: Markup::from_static(BAD_REQUEST),
                     truth_block_page: false,
                     redirected: false,
                     resources: Vec::new(),
@@ -544,7 +568,7 @@ impl World {
                         .one_way_ms_to(b.location.region)
                         .min(30),
                 ));
-                path = path.join(&Path::single(extra));
+                path = path.then(extra);
             }
         }
         let (step, elapsed) = match tcp::exchange(&path, bytes, &self.tcp, rng) {
@@ -552,9 +576,9 @@ impl World {
                 HttpStep::Response {
                     bytes,
                     html: if response_override.is_none() {
-                        csaw_webproto::synth_html(&site.host, bytes.min(64_000) as usize)
+                        Markup::synthetic(site.host.clone(), bytes.min(64_000) as usize)
                     } else {
-                        String::new()
+                        Markup::default()
                     },
                     truth_block_page: false,
                     redirected: false,
@@ -637,7 +661,10 @@ impl World {
         via_redirect: bool,
         rng: &mut DetRng,
     ) -> (HttpStep, SimDuration) {
-        let html = self.block_page_html(provider.asn).to_string();
+        let html = match self.block_pages.get(&provider.asn) {
+            Some(html) => Markup::from(html.clone()),
+            None => Markup::from_static(DEFAULT_BLOCK_PAGE),
+        };
         let bytes = html.len() as u64;
         // The injected response (302 or inline page) arrives on the
         // original connection in about one path RTT.
@@ -712,7 +739,7 @@ impl WorldBuilder {
         self.next_ip += 1;
         let host = spec.host.to_ascii_lowercase();
         let entry = SiteEntry {
-            host: host.clone(),
+            host: host.as_str().into(),
             ip,
             location: spec.location,
             category: spec.category,
@@ -737,7 +764,7 @@ impl WorldBuilder {
 
     /// Use specific block-page markup for an AS.
     pub fn block_page(mut self, asn: Asn, html: String) -> Self {
-        self.world.block_pages.insert(asn, html);
+        self.world.block_pages.insert(asn, html.into());
         self
     }
 

@@ -211,7 +211,7 @@ impl Selector {
         stages: &[BlockingType],
         rng: &mut DetRng,
     ) -> BlockedFetch {
-        let url_key = url.base().to_string();
+        let url_key = url.base_string(url.scheme());
         let count = self.access_counts.entry(url_key.clone()).or_insert(0);
         *count += 1;
         let explore = (*count).is_multiple_of(self.explore_every);

@@ -54,7 +54,9 @@ impl Books<'_> {
     /// any of them), otherwise what the record says.
     fn blocked_stages(&self, url: &Url, record: Option<LocalRecord>) -> Vec<BlockingType> {
         if self.multihoming.multihomed {
-            let union = self.per_provider.strict_union(&url.base().to_string());
+            let union = self
+                .per_provider
+                .strict_union(&url.base_string(url.scheme()));
             if !union.is_empty() {
                 return union;
             }
@@ -69,7 +71,7 @@ impl Books<'_> {
             return;
         }
         self.per_provider
-            .record(&url.base().to_string(), asn, &stages);
+            .record(&url.base_string(url.scheme()), asn, &stages);
         self.reports.enqueue(
             self.cfg,
             self.stats,

@@ -27,7 +27,7 @@ impl SyncView {
 
     /// Normalized view key for a URL: base, http scheme.
     fn key(url: &Url) -> String {
-        url.base().with_scheme(Scheme::Http).to_string()
+        url.base_string(Scheme::Http)
     }
 
     /// Blocking stages the view reports for a URL, if any.

@@ -28,6 +28,7 @@ use csaw_circumvent::world::{DnsServer, World};
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::time::SimDuration;
 use csaw_simnet::topology::Provider;
+use csaw_webproto::page::Markup;
 use csaw_webproto::url::Url;
 
 /// Detector configuration.
@@ -298,14 +299,14 @@ fn no_page(
 /// from ISP-B-style in-band ones (Table 1).
 fn classify_page(
     bytes: u64,
-    html: &str,
+    html: &Markup,
     redirected: bool,
     elapsed: SimDuration,
     circ_bytes: Option<u64>,
     cfg: &DetectConfig,
     via_gdns: bool,
 ) -> DirectMeasurement {
-    let flagged = csaw_blockpage::phase1_html(html, &cfg.phase1) == Phase1Verdict::BlockPage;
+    let flagged = csaw_blockpage::phase1_markup(html, &cfg.phase1) == Phase1Verdict::BlockPage;
     // With a circumvention copy around, phase 2 has the last word: it
     // confirms a phase-1 flag (or corrects the rare false positive) and
     // unmasks a portal-style block page phase 1 cleared. Without one,
@@ -600,7 +601,7 @@ mod tests {
         assert!(!portal.phase1_catchable());
         let m = classify_page(
             portal.len() as u64,
-            &portal.html,
+            &portal.html.as_str().into(),
             false,
             SimDuration::from_millis(500),
             Some(360_000),
@@ -617,7 +618,7 @@ mod tests {
         let html = "<html><body><p>court order archive</p></body></html>";
         let m = classify_page(
             html.len() as u64,
-            html,
+            &html.into(),
             false,
             SimDuration::from_millis(300),
             Some(html.len() as u64),

@@ -176,6 +176,13 @@ impl Path {
         self
     }
 
+    /// This path followed by one more link: `self.join(&Path::single(link))`
+    /// without building the one-link path.
+    pub fn then(mut self, link: Link) -> Path {
+        self.links.push(link);
+        self
+    }
+
     /// Concatenate two paths (e.g. client→proxy plus proxy→origin).
     pub fn join(&self, tail: &Path) -> Path {
         let mut links = self.links.clone();

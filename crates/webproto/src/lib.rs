@@ -44,6 +44,6 @@ pub use bytes::{Bytes, BytesMut};
 pub use codec::{Frame, MAX_FRAME_BYTES, MAX_MESSAGE_BYTES};
 pub use dns::{ARecord, DnsObservation, DnsQuery, DnsResponse, Rcode};
 pub use http::{Headers, HttpParseError, Method, Request, Response};
-pub use page::{synth_html, Resource, WebPage};
+pub use page::{synth_html, Markup, PageSizes, Resource, WebPage};
 pub use tls::{ClientHello, TlsObservables};
 pub use url::{Host, Scheme, Url, UrlParseError};

@@ -334,6 +334,46 @@ impl Url {
     pub fn host_key(&self) -> Url {
         self.base()
     }
+
+    /// `self.base().with_scheme(scheme).to_string()`, written straight
+    /// into one `String`: the string key of this URL's base under
+    /// `scheme`.
+    pub fn base_string(&self, scheme: Scheme) -> String {
+        use fmt::Write;
+        let port = self.port.filter(|p| *p != scheme.default_port());
+        // scheme, "://", the host (at most 15 bytes as an IP), ":port", "/".
+        let host_len = self.host.name().map_or(15, str::len);
+        let mut s = String::with_capacity(scheme.as_str().len() + 3 + host_len + 7);
+        s.push_str(scheme.as_str());
+        s.push_str("://");
+        let _ = write!(s, "{}", self.host);
+        if let Some(p) = port {
+            let _ = write!(s, ":{p}");
+        }
+        s.push('/');
+        s
+    }
+
+    /// The URL of `name` in this URL's directory — its path up to and
+    /// including the last `/` — on the same scheme, host and port, with
+    /// no query. `name` is written straight after the directory, which
+    /// is already normalised; it must be a relative path of non-empty,
+    /// non-`.` segments, so the result needs no second pass.
+    pub fn in_dir(&self, name: impl fmt::Display) -> Url {
+        use fmt::Write;
+        let dir = &self.path[..=self.path.rfind('/').expect("a path starts with `/`")];
+        let mut path = String::with_capacity(dir.len() + 16);
+        path.push_str(dir);
+        let _ = write!(path, "{name}");
+        debug_assert_eq!(normalize_path(&path), path, "not a normalised name");
+        Url {
+            scheme: self.scheme,
+            host: self.host.clone(),
+            port: self.port,
+            path,
+            query: None,
+        }
+    }
 }
 
 /// Normalize a path: ensure leading `/`, collapse duplicate slashes,
@@ -513,6 +553,41 @@ mod tests {
             assert!(!host.is_ip(), "{h} misparsed as IP");
         }
         assert!(Host::parse("255.255.255.255").unwrap().is_ip());
+    }
+
+    #[test]
+    fn base_string_is_the_rendered_base() {
+        for s in [
+            "http://foo.com/a/b?q=1",
+            "https://foo.com/",
+            "https://foo.com:8443/x",
+            "https://foo.com:80/x",
+            "http://foo.com:443/x",
+            "http://10.1.2.3:8080/p",
+        ] {
+            let u = Url::parse(s).unwrap();
+            for scheme in [Scheme::Http, Scheme::Https] {
+                assert_eq!(
+                    u.base_string(scheme),
+                    u.base().with_scheme(scheme).to_string(),
+                    "{s} under {scheme}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn in_dir_keeps_the_origin_and_drops_the_query() {
+        let u = Url::parse("http://x.com:8080/a/b?q=1").unwrap();
+        assert_eq!(
+            u.in_dir("assets/r0.bin").to_string(),
+            "http://x.com:8080/a/assets/r0.bin"
+        );
+        let root = Url::parse("https://x.com/").unwrap();
+        assert_eq!(
+            root.in_dir(format_args!("r{}.bin", 7)),
+            Url::parse("https://x.com/r7.bin").unwrap()
+        );
     }
 
     #[test]
