@@ -188,7 +188,7 @@ pub struct SocketScale {
 
 /// The batch client `idx` posts — a pure function of `(seed, idx)`, so
 /// the aggregate workload is independent of thread partitioning.
-fn batch_for(seed: u64, idx: usize, uuid: Uuid, cfg: &ScaleConfig) -> Batch {
+pub fn batch_for(seed: u64, idx: usize, uuid: Uuid, cfg: &ScaleConfig) -> Batch {
     let mut rng = DetRng::new(seed ^ (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let stages = [
         BlockingType::DnsNxdomain,

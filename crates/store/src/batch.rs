@@ -65,9 +65,9 @@ impl Batch {
 
     /// Is a report storable? The URL must parse and at least one
     /// blocking stage must be present; garbage is counted as rejected,
-    /// not stored.
+    /// not stored. The URL is checked, not built.
     pub(crate) fn storable(r: &Report) -> bool {
-        !r.stages.is_empty() && Url::parse(&r.url).is_ok()
+        !r.stages.is_empty() && Url::check(&r.url).is_ok()
     }
 }
 

@@ -32,9 +32,26 @@
 //! mean batch size, which is what un-serializes parallel ingestion (see
 //! the scorecard's attribution table before/after this change).
 //!
-//! Keys are interned as `Arc<str>` URLs, so spreading one report's URL
-//! across the record map, the client's report set, and the inverted
-//! voter index costs reference-count bumps, not string copies.
+//! ## Keys
+//!
+//! A (URL, AS) key is hashed **once**, by the ledger's `key`, and
+//! carries that hash with it: `Key { hash, url: Arc<str>, asn }`. The
+//! record map, every client's key set and the voter index all hash a key
+//! by reading its `hash` field (a private pass-through hasher), so a
+//! report's URL is hashed by SipHash once however many maps it lands in
+//! and however often they grow, and the interned `Arc<str>` makes
+//! spreading it across them reference-count bumps, not string copies.
+//! The hash is keyed by a `RandomState` the ledger owns: a client cannot
+//! choose URLs that collide in one bucket (§5's adversarial reporters).
+//! Shard and stripe *placement* is a different hash, the stable FNV-1a
+//! of [`crate::hash`], because a replayed log must land every key on the
+//! same shard in every process.
+//!
+//! A key's voters are a `Vec<Uuid>`. Every path that adds a voter has
+//! just inserted that key into the client's key set, so a (client, key)
+//! pair is pushed only when it is new; removal drops every occurrence,
+//! and [`VoteLedger::tally`] sorts and de-duplicates before it sums, so
+//! a duplicate left by a revoke racing an ingest never counts twice.
 //!
 //! A global *vote epoch* increments whenever any client's vote spread
 //! changes (its `1/d` weights moved). Snapshot caches key on it: a
@@ -45,7 +62,9 @@ use crate::hash::key_shard;
 use crate::record::Uuid;
 use csaw_obs::contention::{RwStats, TimedRwLock};
 use csaw_simnet::topology::Asn;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -109,20 +128,65 @@ impl ConfidenceFilter {
     }
 }
 
-/// An interned (URL, AS) vote key. `Arc<str>` lets one URL allocation
-/// back the record map, the client report set, and the voter index.
-pub(crate) type Key = (Arc<str>, Asn);
-type KeySet = HashSet<Key>;
+/// An interned, prehashed (URL, AS) vote key, built only by
+/// [`VoteLedger::key`]. `Arc<str>` lets one URL allocation back the
+/// record map, the client report set, and the voter index; `hash` is
+/// what all three hash it by (see the module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct Key {
+    hash: u64,
+    url: Arc<str>,
+    asn: Asn,
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.hash == other.hash && self.asn == other.asn && self.url == other.url
+    }
+}
+
+impl Eq for Key {}
+
+/// The hasher of every map keyed by [`Key`]: it hands back the hash the
+/// key already carries.
+#[derive(Debug, Default)]
+pub(crate) struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only a prehashed `Key` is hashed by `PassThrough`");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// A map keyed by prehashed (URL, AS) keys.
+pub(crate) type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<PassThrough>>;
+type KeySet = HashSet<Key, BuildHasherDefault<PassThrough>>;
 type ClientShard = TimedRwLock<HashMap<Uuid, KeySet>>;
-type KeyIndexShard = TimedRwLock<HashMap<Key, HashSet<Uuid>>>;
+type KeyIndexShard = TimedRwLock<KeyMap<Vec<Uuid>>>;
 
 /// The server-side vote ledger, lock-striped for concurrent writers.
 #[derive(Debug)]
 pub struct VoteLedger {
     /// client → its current (URL, AS) report set, sharded by UUID.
     client_shards: Box<[ClientShard]>,
-    /// (URL, AS) → distinct voting clients, sharded by the key hash.
+    /// (URL, AS) → voting clients, sharded by the FNV key hash.
     key_shards: Box<[KeyIndexShard]>,
+    /// Keys the in-map hash of every [`Key`] (see the module docs).
+    hasher: RandomState,
     /// Bumped whenever any client's vote spread changes.
     epoch: AtomicU64,
 }
@@ -152,9 +216,20 @@ impl VoteLedger {
                 .map(|_| TimedRwLock::with_stats(client_stats.clone(), HashMap::new()))
                 .collect(),
             key_shards: (0..n)
-                .map(|_| TimedRwLock::with_stats(key_stats.clone(), HashMap::new()))
+                .map(|_| TimedRwLock::with_stats(key_stats.clone(), KeyMap::default()))
                 .collect(),
+            hasher: RandomState::new(),
             epoch: AtomicU64::new(0),
+        }
+    }
+
+    /// The key of (`url`, `asn`), hashed: the one place a key is built,
+    /// and the one SipHash of its URL.
+    pub(crate) fn key(&self, url: &str, asn: Asn) -> Key {
+        Key {
+            hash: self.hasher.hash_one((url, asn)),
+            url: Arc::from(url),
+            asn,
         }
     }
 
@@ -169,8 +244,10 @@ impl VoteLedger {
         &self.client_shards[(c.raw() % self.client_shards.len() as u64) as usize]
     }
 
-    fn key_shard_of(&self, url: &str, asn: Asn) -> &KeyIndexShard {
-        &self.key_shards[key_shard(url, asn, self.key_shards.len())]
+    /// The key-index stripe `key` lives in (its record shard, when built
+    /// through [`crate::ShardedStore`]).
+    pub(crate) fn stripe(&self, key: &Key) -> usize {
+        key_shard(&key.url, key.asn, self.key_shards.len())
     }
 
     /// The current vote epoch (see the module docs).
@@ -186,16 +263,14 @@ impl VoteLedger {
     /// it from every key in `removed`. Called with no client lock held.
     /// Keys are grouped by destination stripe first so each touched
     /// stripe's write lock is taken exactly once.
+    ///
+    /// `added` must hold only keys new to the client's set, so a voter
+    /// is pushed once per (client, key) pair (see the module docs).
     fn update_key_index(&self, client: Uuid, added: KeySet, removed: KeySet) {
-        let n = self.key_shards.len();
         let mut ops: Vec<(usize, Key, bool)> = added
             .into_iter()
-            .map(|k| (key_shard(&k.0, k.1, n), k, true))
-            .chain(
-                removed
-                    .into_iter()
-                    .map(|k| (key_shard(&k.0, k.1, n), k, false)),
-            )
+            .map(|k| (self.stripe(&k), k, true))
+            .chain(removed.into_iter().map(|k| (self.stripe(&k), k, false)))
             .collect();
         ops.sort_by_key(|(s, _, _)| *s);
         let mut it = ops.into_iter().peekable();
@@ -204,9 +279,9 @@ impl VoteLedger {
             while it.peek().map(|(s, _, _)| *s) == Some(s) {
                 let (_, key, add) = it.next().expect("peeked entry exists");
                 if add {
-                    shard.entry(key).or_default().insert(client);
+                    shard.entry(key).or_default().push(client);
                 } else if let Some(voters) = shard.get_mut(&key) {
-                    voters.remove(&client);
+                    voters.retain(|c| *c != client);
                     if voters.is_empty() {
                         shard.remove(&key);
                     }
@@ -227,7 +302,9 @@ impl VoteLedger {
         );
         let added: Vec<(u32, Key)> = {
             let mut shard = self.client_shard(client).write();
-            let set = shard.entry(client).or_default();
+            let set = shard.entry(client).or_insert_with(|| {
+                KeySet::with_capacity_and_hasher(keys.len(), Default::default())
+            });
             keys.into_iter()
                 .filter(|(_, k)| set.insert(k.clone()))
                 .collect()
@@ -240,7 +317,7 @@ impl VoteLedger {
             let mut shard = self.key_shards[s as usize].write();
             while it.peek().map(|(s, _)| *s) == Some(s) {
                 let (_, key) = it.next().expect("peeked entry exists");
-                shard.entry(key).or_default().insert(client);
+                shard.entry(key).or_default().push(client);
             }
         }
         self.bump_epoch();
@@ -249,10 +326,7 @@ impl VoteLedger {
     /// Replace a client's reported blocked set. The client's single unit
     /// of vote is re-spread over the new set.
     pub fn set_client_report(&self, client: Uuid, urls: impl IntoIterator<Item = (String, Asn)>) {
-        let new: KeySet = urls
-            .into_iter()
-            .map(|(u, a)| (Arc::<str>::from(u.as_str()), a))
-            .collect();
+        let new: KeySet = urls.into_iter().map(|(u, a)| self.key(&u, a)).collect();
         let (added, removed) = {
             let mut shard = self.client_shard(client).write();
             let old = if new.is_empty() {
@@ -274,12 +348,11 @@ impl VoteLedger {
     /// Add URLs to a client's reported set (incremental reporting),
     /// re-spreading its vote.
     pub fn add_client_urls(&self, client: Uuid, urls: impl IntoIterator<Item = (String, Asn)>) {
-        let n = self.key_shards.len();
         let mut keys: Vec<(u32, Key)> = urls
             .into_iter()
             .map(|(u, a)| {
-                let key: Key = (Arc::<str>::from(u.as_str()), a);
-                (key_shard(&key.0, key.1, n) as u32, key)
+                let key = self.key(&u, a);
+                (self.stripe(&key) as u32, key)
             })
             .collect();
         keys.sort_by_key(|(s, _)| *s);
@@ -296,7 +369,7 @@ impl VoteLedger {
         if removed.is_empty() {
             return;
         }
-        self.update_key_index(client, KeySet::new(), removed);
+        self.update_key_index(client, KeySet::default(), removed);
         self.bump_epoch();
     }
 
@@ -313,17 +386,20 @@ impl VoteLedger {
     ///
     /// `O(voters of that key)`, not `O(all clients)`: the inverted index
     /// names the voters, and each contributes `1/d` from its shard.
-    /// Voters are visited in sorted UUID order so the float sum is
-    /// independent of hash-map iteration order.
+    /// Voters are visited in sorted UUID order, each once, so the float
+    /// sum is independent of the order they voted in.
     pub fn tally(&self, url: &str, asn: Asn) -> Tally {
-        let mut voters: Vec<Uuid> = {
-            let shard = self.key_shard_of(url, asn).read();
-            match shard.get(&(Arc::<str>::from(url), asn)) {
-                Some(v) => v.iter().copied().collect(),
-                None => return Tally::default(),
-            }
+        self.tally_key(&self.key(url, asn))
+    }
+
+    /// [`VoteLedger::tally`] of a key already built.
+    pub(crate) fn tally_key(&self, key: &Key) -> Tally {
+        let mut voters: Vec<Uuid> = match self.key_shards[self.stripe(key)].read().get(key) {
+            Some(v) => v.clone(),
+            None => return Tally::default(),
         };
         voters.sort_unstable();
+        voters.dedup();
         let mut t = Tally::default();
         for c in voters {
             let d = self.report_count(c);
@@ -367,7 +443,7 @@ impl VoteLedger {
             .client_shard(client)
             .read()
             .get(&client)
-            .map(|set| set.iter().map(|(u, a)| (u.to_string(), *a)).collect())
+            .map(|set| set.iter().map(|k| (k.url.to_string(), k.asn)).collect())
             .unwrap_or_default();
         out.sort();
         out
@@ -516,6 +592,34 @@ mod tests {
     }
 
     #[test]
+    fn a_voter_left_behind_by_a_revoke_race_counts_once() {
+        // An ingest that has added a key to the client's set, released
+        // that lock and not yet pushed the voter can lose a race with a
+        // revoke: the revoke clears the set and finds nobody to remove,
+        // then the push lands. Replay that interleaving by hand.
+        let l = VoteLedger::with_shards(4);
+        let url = "http://raced.com/";
+        let key = l.key(url, Asn(1));
+        l.key_shards[l.stripe(&key)]
+            .write()
+            .entry(key)
+            .or_default()
+            .push(uuid(1));
+        // The client posts the key again: new to its (empty) set, so it
+        // is pushed a second time.
+        l.add_client_urls(uuid(1), [(url.to_string(), Asn(1))]);
+        l.add_client_urls(uuid(2), [(url.to_string(), Asn(1))]);
+        let t = l.tally(url, Asn(1));
+        assert_eq!(t.n, 2);
+        assert_eq!(t.s.to_bits(), 2.0f64.to_bits());
+        // A revoke drops every occurrence.
+        l.revoke(uuid(1));
+        assert_eq!(l.tally(url, Asn(1)).n, 1);
+        let key = l.key(url, Asn(1));
+        assert_eq!(l.key_shards[l.stripe(&key)].read()[&key], [uuid(2)]);
+    }
+
+    #[test]
     fn grouped_fast_lane_matches_public_path() {
         // The ingest fast lane (pre-interned, stripe-grouped keys) must
         // leave the ledger in the same state as the public URL path.
@@ -528,8 +632,8 @@ mod tests {
         let mut keys: Vec<(u32, Key)> = urls
             .iter()
             .map(|(u, asn)| {
-                let key: Key = (Arc::<str>::from(u.as_str()), *asn);
-                (key_shard(&key.0, key.1, b.key_stripes()) as u32, key)
+                let key = b.key(u, *asn);
+                (b.stripe(&key) as u32, key)
             })
             .collect();
         keys.sort_by_key(|(s, _)| *s);

@@ -8,16 +8,20 @@
 //! on the ingest or lookup path.
 //!
 //! Ingestion builds a `BatchPlan` before any lock is taken: every
-//! report is sanitized, its URL interned once as an `Arc<str>`, its
+//! report is sanitized (its URL checked, not built), its (URL, AS) key
+//! built once by the vote ledger — the URL interned as an `Arc<str>`
+//! and hashed once with the ledger's keyed SipHash — its
 //! [`GlobalRecord`] fully constructed, and the whole batch stably
 //! sorted by destination shard. The lock phase then walks the plan run
 //! by run — each touched shard's write lock is acquired exactly once
-//! per batch, and because the vote ledger stripes with the same hash,
-//! the same runs drive the ledger's grouped update (see
-//! [`crate::ledger`] for the lock-order discipline). The plan is the
-//! batch's arena: the interned URL backs the record-map key, the
+//! per batch, and because the vote ledger stripes with the same FNV
+//! hash, the same runs drive the ledger's grouped update (see
+//! [`crate::ledger`] for the lock-order discipline and the key layout).
+//! The plan is the batch's arena: the key backs the record map, the
 //! client's report set, and the voter index, so the per-report cost is
-//! reference counts, not string copies.
+//! reference counts, not string copies, and no map re-hashes a URL when
+//! it grows. A cold snapshot tallies each record by the key it is
+//! stored under.
 //!
 //! Reads are served from a per-shard snapshot cache keyed on
 //! (AS, confidence filter). The cache itself is an atomically swapped
@@ -30,8 +34,7 @@
 use crate::backend::StorageBackend;
 use crate::batch::{Batch, IngestReceipt};
 use crate::error::StoreError;
-use crate::hash::key_shard;
-use crate::ledger::{ConfidenceFilter, Key, Tally, VoteLedger};
+use crate::ledger::{ConfidenceFilter, Key, KeyMap, Tally, VoteLedger};
 use crate::record::{GlobalRecord, Uuid};
 use crate::swap::SwapCell;
 use csaw_obs::contention::{RwStats, TimedRwLock};
@@ -61,7 +64,7 @@ struct CacheEntry {
 
 #[derive(Debug)]
 struct Shard {
-    records: TimedRwLock<HashMap<Key, GlobalRecord>>,
+    records: TimedRwLock<KeyMap<GlobalRecord>>,
     /// Immutable snapshot-cache map, replaced wholesale on publish —
     /// readers never lock (see the module docs).
     cache: SwapCell<CacheMap>,
@@ -75,7 +78,7 @@ impl Shard {
     /// (stats are `None` when perf attribution is off).
     fn new(records: Option<Arc<RwStats>>) -> Shard {
         Shard {
-            records: TimedRwLock::with_stats(records, HashMap::new()),
+            records: TimedRwLock::with_stats(records, KeyMap::default()),
             cache: SwapCell::new(Arc::new(CacheMap::new())),
             generation: AtomicU64::new(0),
         }
@@ -130,7 +133,9 @@ struct BatchPlan {
 }
 
 impl BatchPlan {
-    fn build(batch: &Batch, shards: usize) -> BatchPlan {
+    /// Plan `batch` for a store striped like `ledger`, whose
+    /// [`VoteLedger::key`] builds (and hashes) every key.
+    fn build(batch: &Batch, ledger: &VoteLedger) -> BatchPlan {
         let mut entries: Vec<(u32, Key, GlobalRecord)> = Vec::with_capacity(batch.len());
         let mut rejected_indices = Vec::new();
         for (idx, r) in batch.reports().iter().enumerate() {
@@ -138,12 +143,13 @@ impl BatchPlan {
                 rejected_indices.push(idx);
                 continue;
             }
-            // The one string allocation this report pays: the interned
-            // URL shared by the record key, the ledger's client set and
-            // the voter index. (The record itself keeps an owned String
-            // so `GlobalRecord` stays a plain wire-friendly value type.)
-            let url: Arc<str> = Arc::from(r.url.as_str());
+            // The key's URL is the one string this report interns: it is
+            // shared by the record map, the ledger's client set and the
+            // voter index, and hashed once for all three. (The record
+            // itself keeps an owned String so `GlobalRecord` stays a
+            // plain wire-friendly value type.)
             let asn = Asn(r.asn);
+            let key = ledger.key(&r.url, asn);
             let record = GlobalRecord {
                 url: r.url.clone(),
                 asn,
@@ -152,7 +158,7 @@ impl BatchPlan {
                 posted_at: batch.posted_at,
                 reporter: batch.client,
             };
-            entries.push((key_shard(&url, asn, shards) as u32, (url, asn), record));
+            entries.push((ledger.stripe(&key) as u32, key, record));
         }
         // Stable: within a shard run, batch order is preserved, so a
         // duplicate key later in the batch overwrites the earlier one
@@ -234,8 +240,8 @@ impl ShardedStore {
 impl StorageBackend for ShardedStore {
     fn ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError> {
         debug_assert_eq!(self.shards.len(), self.ledger.key_stripes());
-        // Phase 0, lock-free: sanitize, intern, construct and group.
-        let plan = BatchPlan::build(batch, self.shards.len());
+        // Phase 0, lock-free: sanitize, intern, hash, construct and group.
+        let plan = BatchPlan::build(batch, &self.ledger);
         let accepted = plan.accepted();
         // Phase 1: records, one write acquisition per touched shard.
         // The plan is consumed run by run; keys survive (Arc clones)
@@ -335,10 +341,10 @@ impl StorageBackend for ShardedStore {
                     self.metrics.cache_misses.inc();
                     let computed: Vec<GlobalRecord> = {
                         let recs = shard.records.read();
-                        recs.values()
-                            .filter(|r| r.asn == asn)
-                            .filter(|r| filter.passes(&self.ledger.tally(&r.url, r.asn)))
-                            .cloned()
+                        recs.iter()
+                            .filter(|(_, r)| r.asn == asn)
+                            .filter(|(key, _)| filter.passes(&self.ledger.tally_key(key)))
+                            .map(|(_, r)| r.clone())
                             .collect()
                     };
                     let snapshot = Arc::new(computed);

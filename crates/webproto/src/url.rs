@@ -64,23 +64,10 @@ pub enum Host {
 impl Host {
     /// Parse a host component; a well-formed dotted quad becomes an IP.
     pub fn parse(s: &str) -> Result<Host, UrlParseError> {
-        if s.is_empty() {
-            return Err(UrlParseError::EmptyHost);
-        }
-        if let Ok(ip) = s.parse::<Ipv4Addr>() {
-            return Ok(Host::Ip(ip));
-        }
-        let lower = s.to_ascii_lowercase();
-        if !lower
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '.' || c == '_')
-        {
-            return Err(UrlParseError::BadHost(s.to_string()));
-        }
-        if lower.starts_with('.') || lower.ends_with('.') || lower.contains("..") {
-            return Err(UrlParseError::BadHost(s.to_string()));
-        }
-        Ok(Host::Name(lower))
+        Ok(match check_host(s)? {
+            Some(ip) => Host::Ip(ip),
+            None => Host::Name(s.to_ascii_lowercase()),
+        })
     }
 
     /// Is this a literal IP host?
@@ -124,6 +111,26 @@ impl Host {
             }
         }
     }
+}
+
+/// Validate a host component without building one: `Some(ip)` for a
+/// well-formed dotted quad, `None` for a valid name. A name's bytes are
+/// tested as they are — ASCII classes are case-blind — so nothing is
+/// lower-cased to find out whether it may be.
+fn check_host(s: &str) -> Result<Option<Ipv4Addr>, UrlParseError> {
+    if s.is_empty() {
+        return Err(UrlParseError::EmptyHost);
+    }
+    if let Ok(ip) = s.parse::<Ipv4Addr>() {
+        return Ok(Some(ip));
+    }
+    let valid = s
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'.' | b'_'));
+    if !valid || s.starts_with('.') || s.ends_with('.') || s.contains("..") {
+        return Err(UrlParseError::BadHost(s.to_string()));
+    }
+    Ok(None)
 }
 
 impl fmt::Display for Host {
@@ -174,11 +181,21 @@ pub struct Url {
     query: Option<String>,
 }
 
-impl Url {
-    /// Parse a URL string. Accepts `http://` and `https://` URLs with an
-    /// optional port, path and query. Fragments are stripped (a censor
-    /// never sees them — they stay in the browser).
-    pub fn parse(s: &str) -> Result<Url, UrlParseError> {
+/// A URL string cut into its components, borrowed from the input: what
+/// [`Url::parse`] and [`Url::check`] both start from, so the set of
+/// accepted strings is written once.
+struct Split<'a> {
+    scheme: Scheme,
+    host: &'a str,
+    port: Option<u16>,
+    path: &'a str,
+    query: Option<&'a str>,
+}
+
+impl<'a> Split<'a> {
+    /// Cut `s` (trimmed) into scheme, host, port, path and query; the
+    /// fragment is dropped. The host is not validated here.
+    fn of(s: &'a str) -> Result<Split<'a>, UrlParseError> {
         let s = s.trim();
         let (scheme, rest) = if let Some(r) = s.strip_prefix("https://") {
             (Scheme::Https, r)
@@ -190,14 +207,14 @@ impl Url {
         // Split off fragment first, then query, then path.
         let rest = rest.split('#').next().unwrap_or(rest);
         let (authority_path, query) = match rest.split_once('?') {
-            Some((ap, q)) => (ap, Some(q.to_string())),
+            Some((ap, q)) => (ap, Some(q)),
             None => (rest, None),
         };
         let (authority, path) = match authority_path.find('/') {
             Some(i) => (&authority_path[..i], &authority_path[i..]),
             None => (authority_path, "/"),
         };
-        let (host_s, port) = match authority.rsplit_once(':') {
+        let (host, port) = match authority.rsplit_once(':') {
             Some((h, p)) if !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()) => {
                 let port: u16 = p
                     .parse()
@@ -209,16 +226,37 @@ impl Url {
             }
             _ => (authority, None),
         };
-        let host = Host::parse(host_s)?;
-        // Drop an explicit default port during normalization.
-        let port = port.filter(|p| *p != scheme.default_port());
-        Ok(Url {
+        Ok(Split {
             scheme,
             host,
             port,
-            path: normalize_path(path),
-            query: query.filter(|q| !q.is_empty()),
+            path,
+            query,
         })
+    }
+}
+
+impl Url {
+    /// Parse a URL string. Accepts `http://` and `https://` URLs with an
+    /// optional port, path and query. Fragments are stripped (a censor
+    /// never sees them — they stay in the browser).
+    pub fn parse(s: &str) -> Result<Url, UrlParseError> {
+        let split = Split::of(s)?;
+        Ok(Url {
+            scheme: split.scheme,
+            host: Host::parse(split.host)?,
+            // Drop an explicit default port during normalization.
+            port: split.port.filter(|p| *p != split.scheme.default_port()),
+            path: normalize_path(split.path),
+            query: split.query.filter(|q| !q.is_empty()).map(str::to_string),
+        })
+    }
+
+    /// Would [`Url::parse`] accept `s`? The same answer and the same
+    /// error, without building the URL: nothing is allocated for a URL
+    /// that parses.
+    pub fn check(s: &str) -> Result<(), UrlParseError> {
+        check_host(Split::of(s)?.host).map(|_| ())
     }
 
     /// Construct from parts (used by generators and tests).

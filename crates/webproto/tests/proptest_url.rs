@@ -186,6 +186,75 @@ fn scheme_swap_port_semantics() {
     }
 }
 
+/// `check` answers exactly what `parse` answers, error included.
+fn assert_check_is_parse(s: &str) {
+    assert_eq!(Url::check(s), Url::parse(s).map(|_| ()), "input {s:?}");
+}
+
+/// `check` is `parse` without the URL: on every generated URL, every
+/// truncation of it, every single-byte replacement in it, and hand cases
+/// for each rule of the accept set.
+#[test]
+fn check_agrees_with_parse() {
+    // Bytes a mutation writes: every class the splitter and the host
+    // rules treat differently, plus upper case and a non-ASCII lead byte.
+    const MUTATIONS: &[u8] = b":/?#.-_ aZ09%@\x7f";
+    let mut rng = TestRng(0x5eed_0006);
+    for _ in 0..CASES {
+        let s = rand_url(&mut rng).to_string();
+        assert_check_is_parse(&s);
+        for end in 0..=s.len() {
+            assert_check_is_parse(&s[..end]);
+        }
+        for i in 0..s.len() {
+            let upper = s.as_bytes()[i].to_ascii_uppercase();
+            for b in MUTATIONS.iter().copied().chain([upper]) {
+                let mut bytes = s.clone().into_bytes();
+                bytes[i] = b;
+                assert_check_is_parse(std::str::from_utf8(&bytes).expect("ASCII in, ASCII out"));
+            }
+            let mut with_non_ascii = s.clone();
+            with_non_ascii.replace_range(i..=i, "é");
+            assert_check_is_parse(&with_non_ascii);
+        }
+    }
+    for s in [
+        "not a url at all",
+        "",
+        "http://",
+        "https://",
+        "ftp://x/",
+        "http://..foo.com/",
+        "http://.foo.com/",
+        "http://foo.com./",
+        "http://foo.com:65535/",
+        "http://foo.com:65536/",
+        "http://foo.com:8a/",
+        "http://foo.com:/",
+        "http://:80/",
+        "http://Example.COM/A",
+        "http://EXAMPLE.com:8080/",
+        "http://exämple.com/",
+        "http://例え.jp/",
+        "http://93.184.216.34/page",
+        "http://255.255.255.255/",
+        "http://256.1.1.1/",
+        "http://1.2.3/",
+        "http://foo.com/a#frag",
+        "http://foo.com#frag:99x",
+        "http://foo.com/?",
+        "http://foo.com?q=1/2",
+        "http://foo.com/a?q=1#f",
+        "  http://foo.com/  ",
+        "\thttps://foo.com:443/x\n",
+        " not a url ",
+        "http://bad host/",
+        "http://under_score.com/",
+    ] {
+        assert_check_is_parse(s);
+    }
+}
+
 /// Parsing is total over displayed forms with odd-but-legal inputs:
 /// extra slashes collapse, dot segments vanish.
 #[test]
