@@ -217,11 +217,7 @@ impl GlobalApi for RemoteDb {
             .map_err(|_| RegistrationError::Unavailable)?;
         match resp {
             DbResponse::Registered(uuid) => Ok(uuid),
-            DbResponse::Error { code, .. } => Err(match code.as_str() {
-                "risk_rejected" => RegistrationError::RiskRejected,
-                "rate_limited" => RegistrationError::RateLimited,
-                _ => RegistrationError::Unavailable,
-            }),
+            DbResponse::Error { code, .. } => Err(RegistrationError::from_code(&code)),
             _ => Err(RegistrationError::Unavailable),
         }
     }

@@ -45,6 +45,27 @@ pub enum RegistrationError {
     Unavailable,
 }
 
+impl RegistrationError {
+    /// The wire code a `DbResponse::Error` carries for this error.
+    pub fn code(self) -> &'static str {
+        match self {
+            RegistrationError::RiskRejected => "risk_rejected",
+            RegistrationError::RateLimited => "rate_limited",
+            RegistrationError::Unavailable => "unavailable",
+        }
+    }
+
+    /// The error a wire code names; a code this build does not know is
+    /// `Unavailable`, the retryable shape.
+    pub fn from_code(code: &str) -> RegistrationError {
+        match code {
+            "risk_rejected" => RegistrationError::RiskRejected,
+            "rate_limited" => RegistrationError::RateLimited,
+            _ => RegistrationError::Unavailable,
+        }
+    }
+}
+
 /// Registration gate configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RegistrarConfig {

@@ -94,7 +94,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use csaw::global::{RegistrationError, ServerDb};
+use csaw::global::ServerDb;
 use csaw_store::net::{DbRequest, DbResponse};
 use csaw_store::Batch;
 use csaw_webproto::bytes::BytesMut;
@@ -495,11 +495,7 @@ impl Service {
                 match self.server.register(now, risk) {
                     Ok(uuid) => DbResponse::Registered(uuid),
                     Err(e) => DbResponse::Error {
-                        code: match e {
-                            RegistrationError::RiskRejected => "risk_rejected".into(),
-                            RegistrationError::RateLimited => "rate_limited".into(),
-                            RegistrationError::Unavailable => "unavailable".into(),
-                        },
+                        code: e.code().into(),
                         detail: "registration gate".into(),
                         index: None,
                     },

@@ -110,6 +110,32 @@ fn registration_policy_errors_cross_the_wire() {
     drop(handle);
 }
 
+/// A registration window that is full crosses the wire as
+/// `RateLimited`, and the next window registers again.
+#[test]
+fn rate_limited_registration_crosses_the_wire() {
+    let server = Arc::new(
+        ServerDb::builder(7)
+            .registrar(RegistrarConfig {
+                max_risk: 1.0,
+                max_per_window: 1,
+                window: SimDuration::from_secs(60),
+            })
+            .build()
+            .unwrap(),
+    );
+    let handle = spawn_dbserver(server, DbServerConfig::default()).unwrap();
+    let remote = RemoteDb::new(handle.addr());
+
+    assert!(remote.register(SimTime::from_secs(1), 0.0).is_ok());
+    assert_eq!(
+        remote.register(SimTime::from_secs(2), 0.0),
+        Err(RegistrationError::RateLimited)
+    );
+    assert!(remote.register(SimTime::from_secs(61), 0.0).is_ok());
+    drop(handle);
+}
+
 /// A dead server surfaces as `Unavailable` — the retryable shape the
 /// client's backoff path owns — never a panic or a hang.
 #[test]

@@ -1,27 +1,28 @@
 //! A small discrete-event scheduler.
 //!
-//! The simulator mostly computes network operations *analytically* (see
-//! [`crate::tcp`]), but several parts of the reproduction are genuinely
-//! event-driven: user browse sessions in the pilot study, periodic
-//! global-DB synchronization, local-DB record expiry, Tor circuit rotation,
-//! and mid-experiment censorship policy changes (§7.5 "C-Saw in the wild").
-//! Those are driven by this queue.
+//! The simulator computes network operations *analytically* (see
+//! [`crate::tcp`]): the experiments, the pilot study, the clients and
+//! the benchmark workloads advance time by explicit `SimTime`
+//! arithmetic, and none of them schedules an event. This queue is for
+//! callers that want event-driven time instead — the end-to-end tests
+//! drive a browse-and-sync session through it.
 //!
 //! Events are an application-defined payload type `E`; ties in firing time
 //! break on insertion order, which keeps runs deterministic. Pending events
-//! live in a hierarchical timing wheel (see the private `wheel` module's
-//! docs): `O(1)` push, `O(1)` amortized pop, identical `(time, insertion)`
-//! dispatch order to the binary heap it replaced.
+//! live in a `BTreeMap` keyed by (firing time, schedule sequence), so the
+//! map's first entry is always the next event to dispatch.
 
 use crate::time::SimTime;
-use crate::wheel::TimingWheel;
+use std::collections::BTreeMap;
 
 /// Deterministic earliest-first event queue with a virtual clock.
 #[derive(Debug)]
 pub struct Scheduler<E> {
-    wheel: TimingWheel<E>,
+    /// Pending events keyed by (firing time in µs, schedule sequence).
+    queue: BTreeMap<(u64, u64), E>,
+    /// Sequence number the next scheduled event gets.
+    seq: u64,
     now: SimTime,
-    processed: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -34,9 +35,9 @@ impl<E> Scheduler<E> {
     /// An empty scheduler at t = 0.
     pub fn new() -> Self {
         Scheduler {
-            wheel: TimingWheel::new(),
+            queue: BTreeMap::new(),
+            seq: 0,
             now: SimTime::ZERO,
-            processed: 0,
         }
     }
 
@@ -45,14 +46,9 @@ impl<E> Scheduler<E> {
         self.now
     }
 
-    /// Number of events dispatched so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
-        self.wheel.len()
+        self.queue.len()
     }
 
     /// Schedule `payload` to fire at absolute time `at`.
@@ -60,10 +56,10 @@ impl<E> Scheduler<E> {
     /// Scheduling in the past is clamped to `now` — the event fires next.
     /// This matches how a real runtime treats an already-expired timer and
     /// keeps the clock monotone.
-    #[inline]
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let at = at.max(self.now);
-        self.wheel.push(at.as_micros(), payload);
+        self.queue.insert((at.as_micros(), self.seq), payload);
+        self.seq += 1;
     }
 
     /// Pop the next event, advancing the clock to its firing time.
@@ -74,16 +70,9 @@ impl<E> Scheduler<E> {
     /// into explicitly.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(SimTime, E)> {
-        let ev = self.wheel.pop()?;
-        let at = SimTime::from_micros(ev.at);
-        self.now = at;
-        self.processed += 1;
-        Some((at, ev.payload))
-    }
-
-    /// Peek at the firing time of the next event without dispatching it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.peek().map(SimTime::from_micros)
+        let ((at, _), payload) = self.queue.pop_first()?;
+        self.now = SimTime::from_micros(at);
+        Some((self.now, payload))
     }
 
     /// Run events until the queue is empty or the horizon passes, calling
@@ -99,18 +88,17 @@ impl<E> Scheduler<E> {
         let mut dispatched = 0;
         // Peak pending depth this window — a pure function of the event
         // sequence, so recording it is deterministic.
-        let mut peak_pending = self.wheel.len();
+        let mut peak_pending = self.queue.len();
         let horizon_us = horizon.as_micros();
-        // Fused peek-then-pop: one wheel scan per event instead of two.
-        // `now` and `processed` must be updated per event because
-        // handlers observe both through `&mut self`.
-        while let Some(ev) = self.wheel.pop_at_most(horizon_us) {
-            let t = SimTime::from_micros(ev.at);
+        // `now` is updated per event because handlers observe it
+        // through `&mut self`.
+        while let Some(ev) = self.queue.first_entry().filter(|e| e.key().0 <= horizon_us) {
+            let ((at, _), payload) = ev.remove_entry();
+            let t = SimTime::from_micros(at);
             self.now = t;
-            self.processed += 1;
-            f(t, ev.payload, self);
+            f(t, payload, self);
             dispatched += 1;
-            peak_pending = peak_pending.max(self.wheel.len());
+            peak_pending = peak_pending.max(self.queue.len());
         }
         // Clock lands on the horizon even if no event fired exactly there,
         // so repeated run_until calls tile time correctly.
@@ -128,7 +116,7 @@ impl<E> Scheduler<E> {
             .add(dispatched);
         ctx.registry
             .gauge("simnet.queue_depth")
-            .set(self.wheel.len() as i64);
+            .set(self.queue.len() as i64);
         ctx.registry
             .gauge("simnet.sched.peak_pending")
             .set(peak_pending as i64);
@@ -140,7 +128,7 @@ impl<E> Scheduler<E> {
                 .add(dispatched);
             ctx.timeline
                 .gauge("simnet.sched.depth", &[])
-                .set(self.wheel.len() as i64);
+                .set(self.queue.len() as i64);
             // Peak in-flight depth this run: how backed up the loop got
             // between boundaries (the event-loop lag signal).
             ctx.timeline
@@ -154,7 +142,7 @@ impl<E> Scheduler<E> {
                 horizon.as_micros().saturating_sub(start_us),
                 &[
                     ("dispatched", csaw_obs::json::JsonValue::from(dispatched)),
-                    ("pending", csaw_obs::json::JsonValue::from(self.wheel.len())),
+                    ("pending", csaw_obs::json::JsonValue::from(self.queue.len())),
                 ],
             );
         }
@@ -289,7 +277,6 @@ mod tests {
         s.schedule(SimTime::from_millis(2), 1);
         assert_eq!(s.pending(), 2);
         s.next();
-        assert_eq!(s.processed(), 1);
         assert_eq!(s.pending(), 1);
     }
 }

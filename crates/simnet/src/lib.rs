@@ -37,11 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// `unsafe` is denied crate-wide; the one exception is the reviewed
-// slab arena inside the timing wheel (`wheel.rs`), which keeps the
-// event queue's bucket storage in a single allocation instead of one
-// heap block per bucket.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod link;
@@ -50,7 +46,6 @@ pub mod rng;
 pub mod tcp;
 pub mod time;
 pub mod topology;
-mod wheel;
 
 pub use event::Scheduler;
 pub use link::{FlapProfile, Link, Path};

@@ -15,11 +15,9 @@
 //!   *before* any lock is taken — each touched record shard **and**
 //!   each touched ledger stripe locks once per batch, not once per
 //!   report.
-//! - **Snapshot caching** (the private `swap` module): `blocked_for_as`
-//!   is served from
-//!   per-shard caches validated against (shard generation, vote epoch);
-//!   the cache map itself is an atomically swapped immutable snapshot,
-//!   so cache reads take no lock at all.
+//! - **Snapshot caching** ([`shard`]): `blocked_for_as` is served from
+//!   per-shard caches validated against (shard generation, vote epoch),
+//!   so a write never lets a stale snapshot through.
 //! - **Sharded voting** ([`ledger`]): the 1/d vote-spreading ledger is
 //!   itself lock-striped (clients and keys separately) with a
 //!   deterministic tally — voters sort before the float sum, so the
@@ -69,9 +67,7 @@
 //! ```
 
 #![deny(missing_docs)]
-// `unsafe` is denied crate-wide; the one exception is the reviewed
-// reader/writer protocol in [`swap`], which opts in locally.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod batch;
@@ -81,7 +77,6 @@ pub mod ledger;
 pub mod net;
 pub mod record;
 pub mod shard;
-pub(crate) mod swap;
 pub mod wal;
 
 pub use backend::{Decorator, JsonlStore, ReplicatedStore, StorageBackend};

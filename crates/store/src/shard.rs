@@ -1,5 +1,5 @@
 //! The in-memory sharded store: lock-striped record shards with
-//! per-shard lock-free snapshot caches.
+//! per-shard snapshot caches.
 //!
 //! The URL×ASN keyspace is split across N shards by the stable FNV key
 //! hash ([`crate::hash`]). Each shard holds its slice of the record map
@@ -24,19 +24,18 @@
 //! stored under.
 //!
 //! Reads are served from a per-shard snapshot cache keyed on
-//! (AS, confidence filter). The cache itself is an atomically swapped
-//! immutable map (the private `swap::SwapCell`): readers load it without
-//! locking, and a miss publishes a new map by pointer swap. An entry is
-//! valid while both the shard's write generation and the ledger's vote
-//! epoch are unchanged, so a stale snapshot is never served — the swap
-//! only changes who pays the recompute.
+//! (AS, confidence filter), a map behind its own `RwLock`: a hit holds
+//! the read lock for one lookup, and a miss computes its snapshot with
+//! no cache lock held, then inserts it under the write lock. An entry
+//! is valid while both the shard's write generation and the ledger's
+//! vote epoch are unchanged, so a stale snapshot is never served — a
+//! racing miss only changes who pays the recompute.
 
 use crate::backend::StorageBackend;
 use crate::batch::{Batch, IngestReceipt};
 use crate::error::StoreError;
 use crate::ledger::{ConfidenceFilter, Key, KeyMap, Tally, VoteLedger};
 use crate::record::{GlobalRecord, Uuid};
-use crate::swap::SwapCell;
 use csaw_obs::contention::{RwStats, TimedRwLock};
 use csaw_obs::metrics::{Counter, Gauge, Histogram};
 use csaw_obs::timeseries::Timeline;
@@ -44,7 +43,7 @@ use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Cache entries per shard before the shard's cache map is reset — the
 /// deployed system sees a handful of distinct confidence filters, so
@@ -55,7 +54,7 @@ const CACHE_FILTER_CAP: usize = 64;
 type CacheKey = (Asn, (usize, u64));
 type CacheMap = HashMap<CacheKey, CacheEntry>;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CacheEntry {
     generation: u64,
     epoch: u64,
@@ -65,9 +64,10 @@ struct CacheEntry {
 #[derive(Debug)]
 struct Shard {
     records: TimedRwLock<KeyMap<GlobalRecord>>,
-    /// Immutable snapshot-cache map, replaced wholesale on publish —
-    /// readers never lock (see the module docs).
-    cache: SwapCell<CacheMap>,
+    /// Snapshot cache (see the module docs). A plain `RwLock`, not a
+    /// `TimedRwLock`: a new lock family would change the seed-pure lock
+    /// counts the perf baseline pins.
+    cache: RwLock<CacheMap>,
     /// Bumped after every mutation of `records`.
     generation: AtomicU64,
 }
@@ -79,7 +79,7 @@ impl Shard {
     fn new(records: Option<Arc<RwStats>>) -> Shard {
         Shard {
             records: TimedRwLock::with_stats(records, KeyMap::default()),
-            cache: SwapCell::new(Arc::new(CacheMap::new())),
+            cache: RwLock::new(CacheMap::new()),
             generation: AtomicU64::new(0),
         }
     }
@@ -327,8 +327,12 @@ impl StorageBackend for ShardedStore {
             // mid-compute leaves the entry marked stale, so the worst
             // case is an extra recompute, never a stale serve.
             let generation = shard.generation.load(Ordering::Acquire);
-            let cache = shard.cache.load();
-            let hit = cache
+            // A poisoned cache is still a valid cache: every entry is
+            // checked against (generation, epoch) before it is served.
+            let hit = shard
+                .cache
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
                 .get(&ck)
                 .filter(|e| e.generation == generation && e.epoch == epoch)
                 .map(|e| Arc::clone(&e.records));
@@ -348,16 +352,14 @@ impl StorageBackend for ShardedStore {
                             .collect()
                     };
                     let snapshot = Arc::new(computed);
-                    // Publish by swap: copy the current map (entries are
-                    // a few words each), insert, swap in. A racing miss
-                    // on another key may win the swap instead; its only
-                    // cost is this entry recomputing on the next read.
-                    let mut next = if cache.len() >= CACHE_FILTER_CAP {
-                        CacheMap::new()
-                    } else {
-                        (*cache).clone()
-                    };
-                    next.insert(
+                    // A racing miss on the same key may overwrite this
+                    // entry with an older one; its only cost is a
+                    // recompute on the next read.
+                    let mut cache = shard.cache.write().unwrap_or_else(PoisonError::into_inner);
+                    if cache.len() >= CACHE_FILTER_CAP {
+                        cache.clear();
+                    }
+                    cache.insert(
                         ck,
                         CacheEntry {
                             generation,
@@ -365,7 +367,6 @@ impl StorageBackend for ShardedStore {
                             records: Arc::clone(&snapshot),
                         },
                     );
-                    shard.cache.store(Arc::new(next));
                     snapshot
                 }
             };

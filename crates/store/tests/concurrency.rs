@@ -327,6 +327,92 @@ fn contention_metrics_deterministic_and_forced_waits_visible() {
     );
 }
 
+/// Readers racing writers through the snapshot cache never miss an
+/// acknowledged report: each writer ingests fresh URLs for its own AS
+/// and publishes how many `ingest` calls have returned; a reader that
+/// saw count `k` before calling `blocked_for_as` must get at least `k`
+/// of that writer's URLs back.
+#[test]
+fn cache_reads_never_miss_an_acknowledged_report() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    const WRITERS: usize = 2;
+    const READERS: usize = 2;
+    const REPORTS_PER_WRITER: usize = 300;
+    let filter = ConfidenceFilter {
+        min_clients: 1,
+        min_avg_vote: 0.0,
+    };
+    let writer_asn = |w: usize| 100 + w as u32;
+    // Each round is a few milliseconds; repeat to give the race
+    // windows a few chances to open.
+    for round in 0..10 {
+        let store = ShardedStore::new(8).expect("shard count is valid");
+        let acked: Vec<AtomicUsize> = (0..WRITERS).map(|_| AtomicUsize::new(0)).collect();
+        let writing = AtomicBool::new(true);
+        let start = std::sync::Barrier::new(WRITERS + READERS);
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (store, acked, start) = (&store, &acked, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for i in 0..REPORTS_PER_WRITER {
+                            let b = Batch::new(
+                                Uuid::from_raw((w * REPORTS_PER_WRITER + i + 1) as u64),
+                                vec![Report {
+                                    url: format!("http://w{w}-{i}.example.org/"),
+                                    ..report(0, writer_asn(w), i as u64)
+                                }],
+                                SimTime::from_secs(1),
+                            );
+                            assert_eq!(store.ingest(&b).expect("well-formed batch").accepted, 1);
+                            // Pairs with the readers' Acquire: a count a
+                            // reader sees was stored after `ingest` returned.
+                            acked[w].store(i + 1, Ordering::Release);
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..READERS {
+                let (store, acked, writing, filter) = (&store, &acked, &writing, &filter);
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    let mut reads = 0usize;
+                    while writing.load(Ordering::Acquire) || reads == 0 {
+                        for (w, count) in acked.iter().enumerate() {
+                            let k = count.load(Ordering::Acquire);
+                            let seen = store
+                                .blocked_for_as(Asn(writer_asn(w)), filter)
+                                .expect("memory backend reads are infallible")
+                                .len();
+                            assert!(
+                                seen >= k,
+                                "writer {w} had {k} reports acknowledged, a later read saw {seen}"
+                            );
+                        }
+                        reads += 1;
+                    }
+                });
+            }
+            // Stop the readers before a writer's panic propagates, or the
+            // scope would wait on them for ever.
+            let joined: Vec<_> = writers.into_iter().map(|h| h.join()).collect();
+            writing.store(false, Ordering::Release);
+            for j in joined {
+                j.expect("writer thread");
+            }
+        });
+        for w in 0..WRITERS {
+            let all = store
+                .blocked_for_as(Asn(writer_asn(w)), &filter)
+                .expect("memory backend reads are infallible");
+            assert_eq!(all.len(), REPORTS_PER_WRITER, "round {round}: writer {w}");
+        }
+    }
+}
+
 #[test]
 fn concurrent_revocations_and_posts_leave_no_ghost_votes() {
     let store = ShardedStore::new(8).expect("shard count is valid");
