@@ -75,7 +75,7 @@ pub struct ChaosRow {
     pub posted: u64,
     /// Reports evicted by the queue bound.
     pub dropped: u64,
-    /// Reports quarantined (poison / permanent rejects).
+    /// Reports quarantined (permanent rejects).
     pub quarantined: u64,
     /// Reports re-queued after torn writes.
     pub requeued: u64,

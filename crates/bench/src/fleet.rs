@@ -72,7 +72,7 @@ pub struct Accounting {
     pub posted: u64,
     /// Reports evicted by the queue bound.
     pub dropped: u64,
-    /// Reports quarantined (poison / permanent rejects).
+    /// Reports quarantined (permanent rejects).
     pub quarantined: u64,
     /// Reports re-queued after partial acceptance.
     pub requeued: u64,

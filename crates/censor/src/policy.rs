@@ -354,11 +354,6 @@ impl CensorPolicy {
         }
     }
 
-    /// Manually blacklist an address at the IP stage.
-    pub fn blacklist_ip(&mut self, ip: Ipv4Addr) {
-        self.ip_blacklist.insert(ip);
-    }
-
     /// Is the address on the compiled IP blacklist?
     pub fn ip_blacklisted(&self, ip: Ipv4Addr) -> bool {
         self.ip_blacklist.contains(&ip)

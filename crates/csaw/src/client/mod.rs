@@ -35,8 +35,8 @@ pub use report_queue::WireFault;
 
 use crate::config::{CsawConfig, UserPreference};
 use crate::global::{
-    Batch, ConfidenceFilter, GlobalApi, RegistrationError, Report, StoreError, SubmitError,
-    SubmitReceipt, Uuid,
+    Batch, ConfidenceFilter, GlobalApi, IngestReceipt, RegistrationError, Report, StoreError,
+    SubmitError, SubmitReceipt, Uuid,
 };
 use crate::local::{LocalDb, Status};
 use crate::multihoming::{MultihomingManager, PerProviderBlocking, ASN_PROBE_INTERVAL};
@@ -48,7 +48,8 @@ use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
 use csaw_webproto::url::Url;
 use fetch::{Books, FetchPath};
-use report_queue::{PostCtx, ReportQueue, Verdicts};
+use report_queue::{PostCtx, ReportQueue};
+use std::borrow::Borrow;
 use std::sync::Arc;
 use sync_view::SyncView;
 
@@ -76,8 +77,8 @@ pub struct ClientStats {
     pub reports_queued: u64,
     /// Reports evicted oldest-first by the queue bound.
     pub reports_dropped: u64,
-    /// Reports quarantined as poison (named undecodable by the post's
-    /// wire decode) or permanently rejected by the server.
+    /// Reports quarantined because the server permanently rejected
+    /// them (sanitization: no parseable URL, or no blocking stage).
     pub reports_quarantined: u64,
     /// Reports re-queued after a partial acceptance (deferred by the
     /// server; they remain pending, so they are *not* part of the
@@ -297,8 +298,8 @@ impl CsawClient {
 
     /// One post attempt through `send`, which also gets the request RNG
     /// (the collector tier draws its fail-over order from that stream).
-    /// `None` when unregistered, gated, or nothing was sendable.
-    fn post_with<R: Verdicts, E: From<StoreError>>(
+    /// `None` when unregistered, gated, or the queue is empty.
+    fn post_with<R: Borrow<IngestReceipt>, E: From<StoreError>>(
         &mut self,
         now: SimTime,
         send: impl FnOnce(Batch, &mut DetRng) -> Result<R, E>,
@@ -339,7 +340,7 @@ impl CsawClient {
             return Err(SubmitError::Rejected(StoreError::UnknownClient));
         }
         self.post_with(now, |batch, rng| collectors.submit(server, batch, rng))
-            .unwrap_or_else(|| Ok(SubmitReceipt::empty()))
+            .unwrap_or_else(|| Ok(SubmitReceipt::default()))
     }
 
     /// Anonymity-preferring clients must never leak through non-anonymous

@@ -1,6 +1,6 @@
 //! The client's pending-report queue and the post path that drains it
-//! (§4.2): bounded enqueue, the backoff gate, the wire round trip, and
-//! the bookkeeping that follows from a receipt.
+//! (§4.2): bounded enqueue, the backoff gate, the send, and the
+//! bookkeeping that follows from a receipt.
 //!
 //! Every report ever queued is posted, dropped at the bound,
 //! quarantined or still pending — any gap is silent loss — and
@@ -8,20 +8,21 @@
 
 use super::{elapsed, ClientStats, Telemetry};
 use crate::config::CsawConfig;
-use crate::global::{Batch, IngestReceipt, Report, StoreError, SubmitReceipt, Uuid};
+use crate::global::{Batch, IngestReceipt, Report, StoreError, Uuid, WireError};
 use crate::local::LocalDb;
 use csaw_censor::blocking::BlockingType;
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_webproto::url::Url;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Deterministic wire-level corruption for chaos experiments: with
-/// probability `corrupt_p` per post attempt the encoded batch is
-/// truncated in flight, so the server-side decode fails the way a
-/// half-closed Tor stream would make it fail. Draws come from a
-/// dedicated labelled fork, so arming this never perturbs any other
-/// stream of the same seed.
+/// probability `corrupt_p` per post attempt the batch is corrupted in
+/// flight, so the attempt fails with [`StoreError::Wire`] the way a
+/// half-closed Tor stream would make it fail, and nothing reaches the
+/// server. Draws come from a dedicated labelled fork, so arming this
+/// never perturbs any other stream of the same seed.
 #[derive(Debug, Clone)]
 pub struct WireFault {
     corrupt_p: f64,
@@ -38,46 +39,11 @@ impl WireFault {
         }
     }
 
-    /// Maybe corrupt one encoded batch in place. Returns whether it did.
-    /// Exactly one RNG draw per call, hit or miss — the stream length
-    /// never depends on outcomes, which keeps same-seed runs aligned.
-    fn corrupt(&mut self, wire: &mut String) -> bool {
-        if !self.rng.chance(self.corrupt_p) {
-            return false;
-        }
-        let mut keep = wire.len() / 2;
-        while keep > 0 && !wire.is_char_boundary(keep) {
-            keep -= 1;
-        }
-        wire.truncate(keep);
-        true
-    }
-}
-
-/// What a sink's receipt says about the batch it carried: how many
-/// reports were accepted, which batch indices were permanently
-/// rejected, and which were deferred.
-pub(super) trait Verdicts {
-    fn verdicts(&self) -> (usize, &[usize], &[usize]);
-}
-
-impl Verdicts for IngestReceipt {
-    fn verdicts(&self) -> (usize, &[usize], &[usize]) {
-        (
-            self.accepted,
-            &self.rejected_indices,
-            &self.deferred_indices,
-        )
-    }
-}
-
-impl Verdicts for SubmitReceipt {
-    fn verdicts(&self) -> (usize, &[usize], &[usize]) {
-        (
-            self.accepted,
-            &self.rejected_indices,
-            &self.deferred_indices,
-        )
+    /// Whether this attempt's batch is corrupted in flight. Exactly one
+    /// RNG draw per call, hit or miss — the stream length never depends
+    /// on outcomes, which keeps same-seed runs aligned.
+    fn hits(&mut self) -> bool {
+        self.rng.chance(self.corrupt_p)
     }
 }
 
@@ -106,9 +72,8 @@ pub(super) struct ReportQueue {
     /// repeats it is not queued again.
     reported: HashMap<(String, u32), Vec<BlockingType>>,
     /// Reports pulled out of the queue because they can never be
-    /// delivered: the wire decode named them undecodable (poison) or
-    /// the server permanently rejected them. Kept for audit rather
-    /// than dropped.
+    /// delivered: the server permanently rejected them. Kept for audit
+    /// rather than dropped.
     quarantined: Vec<Report>,
     /// Consecutive failed post attempts (resets on success).
     post_failstreak: u32,
@@ -277,24 +242,18 @@ impl ReportQueue {
         self.quarantined.push(r);
     }
 
-    /// Split the drained batch according to the server's per-report
+    /// Split the posted queue according to the server's per-report
     /// verdicts: permanently rejected indices are quarantined (futile to
     /// resend), deferred indices go back on the queue (the store never
     /// attempted them), everything else is marked posted. Exactly the
     /// accepted reports count toward `reports_posted` — nothing is
     /// marked posted that the server did not take.
-    fn reconcile_receipt(
-        &mut self,
-        cx: &mut PostCtx<'_>,
-        drained: Vec<Report>,
-        rejected_indices: &[usize],
-        deferred_indices: &[usize],
-    ) {
+    fn reconcile_receipt(&mut self, cx: &mut PostCtx<'_>, receipt: &IngestReceipt) {
         let mut posted_now = 0u64;
-        for (i, r) in drained.into_iter().enumerate() {
-            if rejected_indices.contains(&i) {
+        for (i, r) in std::mem::take(&mut self.queue).into_iter().enumerate() {
+            if receipt.rejected_indices.contains(&i) {
                 self.quarantine(cx.stats, r);
-            } else if deferred_indices.contains(&i) {
+            } else if receipt.deferred_indices.contains(&i) {
                 cx.stats.reports_requeued += 1;
                 self.queue.push(r);
             } else {
@@ -311,12 +270,13 @@ impl ReportQueue {
     }
 
     /// One post attempt, whatever carries it: the gate, the causal
-    /// trace, the wire round trip, the send, and the queue bookkeeping
-    /// that follows from its receipt. `send` takes the cut batch to
+    /// trace, the send, and the queue bookkeeping that follows from its
+    /// receipt. `send` takes the queue as one [`Batch`] to
     /// [`crate::global::GlobalApi::ingest`] — directly, or with collector
-    /// fail-over in front. `None` means no attempt was made or nothing
-    /// was sendable.
-    pub(super) fn post_once<R: Verdicts, E: From<StoreError>>(
+    /// fail-over in front — and answers with that call's
+    /// [`IngestReceipt`] or something that carries it. `None` means no
+    /// attempt was made: the queue was empty or backoff is armed.
+    pub(super) fn post_once<R: Borrow<IngestReceipt>, E: From<StoreError>>(
         &mut self,
         mut cx: PostCtx<'_>,
         send: impl FnOnce(Batch) -> Result<R, E>,
@@ -340,14 +300,11 @@ impl ReportQueue {
                 now.as_micros(),
             )
         });
-        let outcome = self.cut_and_deliver(&mut cx, true, send);
+        let outcome = self.deliver(&mut cx, send);
         // The trace closes on **every** exit path — a root left dangling
         // turns into a truncated causal tree that the `report trace` gate
         // flags as a lost report.
-        let accepted = match &outcome {
-            Some(Ok(receipt)) => Some(receipt.verdicts().0),
-            _ => None,
-        };
+        let accepted = outcome.as_ref().ok().map(|r| r.borrow().accepted);
         csaw_obs::trace::complete_active(
             "report.post",
             now.as_micros(),
@@ -361,65 +318,33 @@ impl ReportQueue {
                 ("ok", csaw_obs::json::JsonValue::from(accepted.is_some())),
             ],
         );
-        outcome
+        Some(outcome)
     }
 
-    /// Cut the queue into one wire batch and deliver it. An armed
-    /// [`WireFault`] sees the first cut of an attempt only: a re-cut
-    /// after a quarantine is the same attempt, and the fault stream
-    /// draws once per attempt.
-    fn cut_and_deliver<R: Verdicts, E: From<StoreError>>(
+    /// Send the whole queue as one batch and reconcile the queue with
+    /// the receipt. An armed [`WireFault`] draws once per attempt; a hit
+    /// fails the attempt before `send` is called. A failure — of the
+    /// wire, of the send — is transient: every report stays queued and
+    /// backoff arms.
+    fn deliver<R: Borrow<IngestReceipt>, E: From<StoreError>>(
         &mut self,
         cx: &mut PostCtx<'_>,
-        first_cut: bool,
         send: impl FnOnce(Batch) -> Result<R, E>,
-    ) -> Option<Result<R, E>> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        // Wire round trip: encode, (Tor carries it), the batch owns the
-        // server-side decode. Chaos runs corrupt the wire here.
-        let mut wire = Report::encode_batch(&self.queue);
-        let fault = self.wire_fault.as_mut().filter(|_| first_cut);
-        let corrupted = fault.is_some_and(|f| f.corrupt(&mut wire));
-        if corrupted {
+    ) -> Result<R, E> {
+        let sent = if self.wire_fault.as_mut().is_some_and(WireFault::hits) {
             csaw_obs::event!("fault.wire.corrupt", queued = self.queue.len() as u64);
-        }
-        self.deliver(cx, &wire, corrupted, send)
-    }
-
-    /// Decode one cut of the queue, send it, and reconcile the queue
-    /// with the receipt. One undeliverable report must never pin the
-    /// queue: when the decode of a wire nothing corrupted names a poison
-    /// index, that report is quarantined and the rest is cut again in
-    /// the same attempt. Any other failure — of a corrupted wire, of the
-    /// send — is transient: every report stays queued and backoff arms.
-    fn deliver<R: Verdicts, E: From<StoreError>>(
-        &mut self,
-        cx: &mut PostCtx<'_>,
-        wire: &str,
-        corrupted: bool,
-        send: impl FnOnce(Batch) -> Result<R, E>,
-    ) -> Option<Result<R, E>> {
-        let sent = match Batch::from_wire(cx.uuid, wire, cx.now) {
-            Ok(batch) => send(batch),
-            Err(StoreError::Malformed { index, .. }) if !corrupted && index < self.queue.len() => {
-                let poison = self.queue.remove(index);
-                self.quarantine(cx.stats, poison);
-                return self.cut_and_deliver(cx, false, send);
-            }
-            Err(e) => Err(e.into()),
+            Err(StoreError::Wire(WireError::Shape("batch corrupted in flight")).into())
+        } else {
+            send(Batch::new(cx.uuid, self.queue.clone(), cx.now))
         };
         match &sent {
             Ok(receipt) => {
-                let (_, rejected, deferred) = receipt.verdicts();
-                let drained = std::mem::take(&mut self.queue);
-                self.reconcile_receipt(cx, drained, rejected, deferred);
+                self.reconcile_receipt(cx, receipt.borrow());
                 self.reset_backoff(cx.ts);
             }
             Err(_) => self.bump_backoff(cx),
         }
-        Some(sent)
+        sent
     }
 }
 
@@ -429,7 +354,7 @@ mod tests {
     use crate::client::testkit::client;
     use crate::client::{CsawClient, Telemetry};
     use crate::config::CsawConfig;
-    use crate::global::{ConfidenceFilter, ServerDb, SubmitError};
+    use crate::global::{ConfidenceFilter, ServerDb, SubmitError, SubmitReceipt};
     use csaw_censor::profiles;
     use csaw_faults::{FaultProfile, FaultyBackend, OutageSchedule};
     use csaw_store::ShardedStore;
@@ -656,10 +581,9 @@ mod tests {
         seed(&mut c, "http://www.youtube.com/");
         let healthy = c.pending_reports();
         assert!(healthy >= 1);
-        // A timestamp above 2^53 is not an f64-exact integer. It used
-        // to fail the JSON wire round-trip and was quarantined as
-        // poison; the wire now carries integers digit for digit, so
-        // the report is delivered like any other.
+        // A timestamp above 2^53 is not an f64-exact integer; the post
+        // hands it over as it is, and the store keeps it digit for
+        // digit, so the report is delivered like any other.
         let odd = (1 << 53) + 1;
         enqueue(
             &mut c,
@@ -779,7 +703,7 @@ mod tests {
         let receipt = c
             .post_reports_via(&collectors, &server, SimTime::from_secs(2))
             .unwrap();
-        assert_eq!(receipt.accepted as u64, pending);
+        assert_eq!(receipt.ingest.accepted as u64, pending);
         assert_eq!(c.stats.reports_posted, pending);
         assert_eq!(c.pending_reports(), 0);
         accounting_holds(&c);
@@ -851,7 +775,7 @@ mod tests {
         }
         let before = c.stats;
         let gated = c.post_reports_via(&collectors, &server, SimTime::from_secs(3));
-        assert_eq!(gated, Ok(SubmitReceipt::empty()));
+        assert_eq!(gated, Ok(SubmitReceipt::default()));
         assert_eq!(c.stats, before, "a gated attempt leaves the stats alone");
         assert_eq!((c.reports.report_seq, c.pending_reports()), (1, pending));
         assert_eq!(c.next_report_at(), Some(retry_at));
@@ -859,7 +783,7 @@ mod tests {
 
         // Past it: the queue drains under a second, closed, ok=true root.
         let receipt = c.post_reports_via(&collectors, &server, retry_at).unwrap();
-        assert_eq!(receipt.accepted, pending);
+        assert_eq!(receipt.ingest.accepted, pending);
         assert_eq!((c.reports.report_seq, c.pending_reports()), (2, 0));
         assert_eq!(c.next_report_at(), None);
         assert_eq!(posts(&sink), [true]);
@@ -889,47 +813,76 @@ mod tests {
     }
 
     #[test]
-    fn poison_on_an_untouched_wire_is_quarantined_and_the_rest_delivered() {
-        let server = ServerDb::builder(41).build().unwrap();
+    fn send_gets_the_queue_in_order_stamped_now() {
         let mut c = client(51);
-        c.uuid = server.register(SimTime::ZERO, 0.0).ok();
-        for u in [
+        let uuid = Uuid::derive(SimTime::ZERO, 0, 51);
+        c.uuid = Some(uuid);
+        let urls = [
             "http://a.example/",
             "http://b.example/",
             "http://c.example/",
-        ] {
+        ];
+        for u in urls {
             seed(&mut c, u);
         }
-        // No encoder output fails to decode (`wire_codec.rs` proves it),
-        // so splice the poison in by hand: element 1 loses its stages.
-        let wire = Report::encode_batch(&c.reports.queue);
-        let one = Report::encode_batch(&c.reports.queue[1..2]);
-        let element = &one[1..one.len() - 1];
-        let spliced = wire.replace(element, "{\"url\":\"http://b.example/\"}");
-        assert_ne!(spliced, wire);
-        let send = |batch: Batch| server.ingest(batch);
-        let now = SimTime::from_secs(2);
-
-        // A wire the fault injector corrupted proves nothing about the
-        // reports: transient, everything stays queued.
-        let (q, mut cx) = parts(&mut c, now);
-        let sent = q.deliver(&mut cx, &spliced, true, send);
-        assert!(matches!(
-            sent,
-            Some(Err(StoreError::Malformed { index: 1, .. }))
-        ));
-        assert_eq!((c.pending_reports(), c.stats.reports_quarantined), (3, 0));
-        assert_eq!(c.stats.post_failures, 1);
-
-        // Untouched, the same wire names a poison report: exactly that
-        // one is quarantined and the rest lands in the same call.
-        let (q, mut cx) = parts(&mut c, now);
-        let sent = q.deliver(&mut cx, &spliced, false, send);
-        assert_eq!(sent.unwrap().unwrap().accepted, 2);
-        assert_eq!(c.quarantined_reports(), [report("http://b.example/")]);
-        assert_eq!(c.stats.reports_posted, 2);
-        assert_eq!(c.pending_reports(), 0);
-        assert_eq!(server.stats().unique_blocked_urls, 2);
+        let queued = c.reports.queue.clone();
+        assert!(queued.iter().map(|r| &r.url).eq(urls));
+        let now = SimTime::from_secs(7);
+        let (q, cx) = parts(&mut c, now);
+        let sent = q.post_once(cx, |batch| {
+            assert_eq!(batch, Batch::new(uuid, queued, now));
+            Ok::<_, StoreError>(receipt(3, &[], &[]))
+        });
+        assert!(matches!(sent, Some(Ok(_))));
+        assert_eq!((c.pending_reports(), c.stats.reports_posted), (0, 3));
         accounting_holds(&c);
+    }
+
+    #[test]
+    fn a_wire_fault_fails_the_attempt_before_send() {
+        let mut c = client(52);
+        c.uuid = Some(Uuid::derive(SimTime::ZERO, 0, 52));
+        seed(&mut c, "http://a.example/");
+        seed(&mut c, "http://b.example/");
+        let before = c.reports.queue.clone();
+        c.arm_wire_fault(WireFault::new(1.0, 52));
+        let now = SimTime::from_secs(2);
+        let (q, cx) = parts(&mut c, now);
+        let sent = q.post_once(cx, |_| -> Result<IngestReceipt, StoreError> {
+            panic!("a corrupted batch reached send")
+        });
+        assert!(matches!(sent, Some(Err(StoreError::Wire(_)))), "{sent:?}");
+        assert_eq!(c.reports.queue, before, "the queue is untouched");
+        assert_eq!(c.stats.post_failures, 1);
+        assert!(c.next_report_at() > Some(now), "backoff armed");
+        accounting_holds(&c);
+    }
+
+    #[test]
+    fn the_wire_fault_draws_once_per_attempt() {
+        const SEED: u64 = 53;
+        const ATTEMPTS: usize = 64;
+        let mut c = client(SEED);
+        c.uuid = Some(Uuid::derive(SimTime::ZERO, 0, SEED));
+        seed(&mut c, "http://a.example/");
+        c.arm_wire_fault(WireFault::new(0.5, SEED));
+        let mut expected = DetRng::new(SEED).fork("wire-fault");
+        let mut now = SimTime::from_secs(1);
+        let mut hits = 0;
+        for attempt in 0..ATTEMPTS {
+            let mut reached_send = false;
+            let (q, cx) = parts(&mut c, now);
+            let sent = q.post_once(cx, |_| {
+                reached_send = true;
+                Err::<IngestReceipt, _>(StoreError::Unavailable("down"))
+            });
+            assert!(sent.is_some(), "attempt {attempt} was gated");
+            let hit = expected.chance(0.5);
+            assert_eq!(!reached_send, hit, "attempt {attempt}");
+            hits += usize::from(hit);
+            now = c.next_report_at().expect("every attempt failed");
+        }
+        assert!(0 < hits && hits < ATTEMPTS, "{hits} hits");
+        assert_eq!(c.stats.post_failures, ATTEMPTS as u64);
     }
 }

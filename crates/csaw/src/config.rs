@@ -92,12 +92,6 @@ impl CsawConfig {
         self
     }
 
-    /// Builder: redundancy mode.
-    pub fn with_redundancy(mut self, mode: RedundancyMode) -> Self {
-        self.redundancy = mode;
-        self
-    }
-
     /// Builder: user preference.
     pub fn with_preference(mut self, pref: UserPreference) -> Self {
         self.preference = pref;

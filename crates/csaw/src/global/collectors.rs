@@ -14,7 +14,8 @@
 use crate::global::remote::GlobalApi;
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::time::SimDuration;
-use csaw_store::{Batch, StoreError};
+use csaw_store::{Batch, IngestReceipt, StoreError};
+use std::borrow::Borrow;
 
 /// One collector endpoint (a Tor hidden service in the paper's design).
 #[derive(Debug, Clone, PartialEq)]
@@ -42,33 +43,22 @@ impl From<StoreError> for SubmitError {
     }
 }
 
-/// Outcome of a successful submission.
-#[derive(Debug, Clone, PartialEq)]
+/// Outcome of a successful submission: the server's receipt and how it
+/// got there. The default is the receipt of an empty submission
+/// (nothing queued).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SubmitReceipt {
     /// Which collector carried the batch.
     pub via: String,
-    /// Reports accepted by the server.
-    pub accepted: usize,
     /// Time spent, including failed attempts against blocked collectors.
     pub elapsed: SimDuration,
-    /// Batch indices the server permanently rejected (sanitization) —
-    /// resubmitting these is futile.
-    pub rejected_indices: Vec<usize>,
-    /// Batch indices the store never attempted (torn write) — these
-    /// must be resubmitted or they are lost.
-    pub deferred_indices: Vec<usize>,
+    /// What the server did with the batch.
+    pub ingest: IngestReceipt,
 }
 
-impl SubmitReceipt {
-    /// A receipt for an empty submission (nothing queued).
-    pub fn empty() -> SubmitReceipt {
-        SubmitReceipt {
-            via: "-".into(),
-            accepted: 0,
-            elapsed: SimDuration::ZERO,
-            rejected_indices: Vec::new(),
-            deferred_indices: Vec::new(),
-        }
+impl Borrow<IngestReceipt> for SubmitReceipt {
+    fn borrow(&self) -> &IngestReceipt {
+        &self.ingest
     }
 }
 
@@ -146,15 +136,10 @@ impl CollectorSet {
             }
             elapsed += c.latency;
             batch.posted_at += elapsed;
-            // The first-class ingest path, so the receipt's per-report
-            // indices survive for client-side reconciliation.
-            let receipt = server.ingest(batch)?;
             return Ok(SubmitReceipt {
                 via: c.id.clone(),
-                accepted: receipt.accepted,
                 elapsed,
-                rejected_indices: receipt.rejected_indices,
-                deferred_indices: receipt.deferred_indices,
+                ingest: server.ingest(batch)?,
             });
         }
         Err(SubmitError::AllCollectorsBlocked)
@@ -200,7 +185,7 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-        assert_eq!(r.accepted, 1);
+        assert_eq!(r.ingest.accepted, 1);
         assert!(r.via.ends_with(".onion"));
         assert_eq!(server.stats().unique_blocked_urls, 1);
     }

@@ -44,42 +44,6 @@ pub trait GlobalApi: Send + Sync {
     ) -> Result<Vec<GlobalRecord>, StoreError>;
 }
 
-impl<T: GlobalApi + ?Sized> GlobalApi for std::sync::Arc<T> {
-    fn register(&self, now: SimTime, risk_score: f64) -> Result<Uuid, RegistrationError> {
-        (**self).register(now, risk_score)
-    }
-
-    fn ingest(&self, batch: Batch) -> Result<IngestReceipt, StoreError> {
-        (**self).ingest(batch)
-    }
-
-    fn blocked_for_as(
-        &self,
-        asn: Asn,
-        filter: &ConfidenceFilter,
-    ) -> Result<Vec<GlobalRecord>, StoreError> {
-        (**self).blocked_for_as(asn, filter)
-    }
-}
-
-impl<T: GlobalApi + ?Sized> GlobalApi for &T {
-    fn register(&self, now: SimTime, risk_score: f64) -> Result<Uuid, RegistrationError> {
-        (**self).register(now, risk_score)
-    }
-
-    fn ingest(&self, batch: Batch) -> Result<IngestReceipt, StoreError> {
-        (**self).ingest(batch)
-    }
-
-    fn blocked_for_as(
-        &self,
-        asn: Asn,
-        filter: &ConfidenceFilter,
-    ) -> Result<Vec<GlobalRecord>, StoreError> {
-        (**self).blocked_for_as(asn, filter)
-    }
-}
-
 impl GlobalApi for ServerDb {
     fn register(&self, now: SimTime, risk_score: f64) -> Result<Uuid, RegistrationError> {
         ServerDb::register(self, now, risk_score)

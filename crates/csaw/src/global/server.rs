@@ -13,9 +13,8 @@
 //!
 //! Construction goes through [`ServerDbBuilder`] (salt, registrar
 //! config, shard count or backend) — it is the only way to build a
-//! server. Ingestion goes through [`ServerDb::ingest`] with a [`Batch`]
-//! (build one with `Batch::new` or `Batch::from_wire`); reads go
-//! through the fallible [`ServerDb::blocked_for_as`].
+//! server. Ingestion goes through [`ServerDb::ingest`] with a [`Batch`];
+//! reads go through the fallible [`ServerDb::blocked_for_as`].
 
 use csaw_censor::blocking::{BlockingType, Stage};
 use csaw_obs::metrics::{Counter, Gauge};
@@ -520,10 +519,7 @@ mod tests {
     fn malformed_wire_rejected_and_garbage_urls_dropped() {
         let s = server(7);
         let c = s.register(SimTime::ZERO, 0.0).unwrap();
-        assert!(matches!(
-            Batch::from_wire(c, "garbage", SimTime::ZERO),
-            Err(StoreError::Wire(_))
-        ));
+        assert!(Report::decode_batch("garbage").is_err());
         let n = s
             .post(
                 c,

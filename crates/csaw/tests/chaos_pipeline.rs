@@ -80,7 +80,7 @@ fn chaotic_backend_never_loses_or_duplicates_reports() {
                         Some("cdn-front.example"),
                         1_000 + idx as u64,
                     );
-                    c.register(&server, profiles::ISP_A_ASN, SimTime::ZERO, 0.0)
+                    c.register(&*server, profiles::ISP_A_ASN, SimTime::ZERO, 0.0)
                         .unwrap();
                     // Unique URLs per client: any report both lost and
                     // counted (or posted twice) shifts the global record
@@ -101,7 +101,7 @@ fn chaotic_backend_never_loses_or_duplicates_reports() {
                             break;
                         }
                         now += SimDuration::from_secs(700);
-                        c.post_reports(&server, now);
+                        c.post_reports(&*server, now);
                     }
                     assert_eq!(
                         c.pending_reports(),
@@ -194,7 +194,7 @@ fn collector_outage_defers_but_never_drops() {
             collectors.set_reachable(id, !sched.is_down(now));
         }
         if let Ok(receipt) = c.post_reports_via(&collectors, &server, now) {
-            delivered += receipt.accepted;
+            delivered += receipt.ingest.accepted;
         }
         if c.pending_reports() == 0 {
             break;

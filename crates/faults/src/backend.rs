@@ -67,12 +67,6 @@ impl FaultProfile {
         self
     }
 
-    /// Builder: download-failure probability.
-    pub fn with_download_fail_p(mut self, p: f64) -> FaultProfile {
-        self.download_fail_p = p.clamp(0.0, 1.0);
-        self
-    }
-
     /// Builder: scheduled ingest outage windows.
     pub fn with_ingest_outages(mut self, s: OutageSchedule) -> FaultProfile {
         self.ingest_outages = Some(s);

@@ -113,15 +113,6 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// Take the retained failed trees, oldest first, clearing the store.
-    pub fn take_failed(&self) -> Vec<(TraceId, Vec<Event>)> {
-        lock_recover(&self.inner)
-            .failed
-            .drain(..)
-            .map(|f| (TraceId(f.trace), f.events))
-            .collect()
-    }
-
     /// Write every retained failed tree as JSONL (same shape the
     /// [`crate::sink::JsonlSink`] writes, so `report trace` reads it).
     /// Each tree is preceded by the window frames it snapshotted, so a

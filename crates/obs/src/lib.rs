@@ -112,21 +112,6 @@ pub fn advance_clock_us(us: u64) {
     ctx.advance_timeline(us);
 }
 
-/// Resolve a windowed counter on the current context's timeline.
-pub fn ts_counter(name: &str, labels: &[(&str, &str)]) -> std::sync::Arc<TsCounter> {
-    current().timeline.counter(name, labels)
-}
-
-/// Resolve a windowed gauge on the current context's timeline.
-pub fn ts_gauge(name: &str, labels: &[(&str, &str)]) -> std::sync::Arc<TsGauge> {
-    current().timeline.gauge(name, labels)
-}
-
-/// Resolve a windowed histogram on the current context's timeline.
-pub fn ts_hist(name: &str, labels: &[(&str, &str)]) -> std::sync::Arc<TsHist> {
-    current().timeline.hist(name, labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -161,11 +161,6 @@ impl TsHist {
     pub fn observe_secs(&self, secs: f64) {
         self.0.observe_secs(secs);
     }
-
-    /// Samples in the open window (tests/diagnostics).
-    pub fn current_count(&self) -> u64 {
-        self.0.count()
-    }
 }
 
 /// One series' contribution to a closed window.

@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod acceptor;
 pub mod codec;
 pub mod proxy;
 pub mod testbed;

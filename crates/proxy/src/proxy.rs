@@ -8,6 +8,7 @@
 //! block-page detector, the user is served the best copy, and every
 //! verdict lands in a measurement log exportable as global-DB reports.
 
+use crate::acceptor::Acceptor;
 use crate::codec::{read_request, read_response, write_request, write_response};
 use crate::testbed::resolver::TestResolver;
 use csaw::global::Report;
@@ -20,9 +21,8 @@ use csaw_webproto::url::Scheme;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How a host's blocking manifested on the direct path.
@@ -134,20 +134,7 @@ pub struct CsawProxy {
     /// The address browsers point at.
     pub addr: SocketAddr,
     state: Arc<ProxyState>,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Drop for CsawProxy {
-    fn drop(&mut self) {
-        // The accept loop is non-blocking and re-checks this flag every
-        // pass, so setting it is sufficient — no wake-up connection
-        // (which used to race real clients arriving at shutdown).
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    _acceptor: Acceptor,
 }
 
 impl CsawProxy {
@@ -218,12 +205,6 @@ fn fetch_one(addr: SocketAddr, req: &Request, timeout: Duration) -> PathFetch {
 /// Spawn the proxy on an ephemeral 127.0.0.1 port.
 pub fn spawn_proxy(resolver: Arc<TestResolver>, cfg: ProxyConfig) -> std::io::Result<CsawProxy> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
-    // Non-blocking accept: the loop re-checks `stop` *before* every
-    // accept attempt, so shutdown never depends on one more connection
-    // arriving. (The old blocking loop checked `stop` only after
-    // `accept()` returned, and `Drop` had to race a wake-up connect
-    // against real clients.)
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let obs_ctx = csaw_obs::scope::current();
     let state = Arc::new(ProxyState {
@@ -236,34 +217,13 @@ pub fn spawn_proxy(resolver: Arc<TestResolver>, cfg: ProxyConfig) -> std::io::Re
         req_seq: AtomicU64::new(0),
     });
     let state2 = Arc::clone(&state);
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || loop {
-        if stop2.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Handlers use blocking reads with timeouts; undo the
-                // non-blocking mode inherited on some platforms.
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                let state = Arc::clone(&state2);
-                std::thread::spawn(move || handle_browser(stream, state));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::park_timeout(Duration::from_micros(100));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    });
+    let acceptor = Acceptor::spawn(listener, move |stream| {
+        handle_browser(stream, Arc::clone(&state2))
+    })?;
     Ok(CsawProxy {
         addr,
         state,
-        stop,
-        handle: Some(handle),
+        _acceptor: acceptor,
     })
 }
 

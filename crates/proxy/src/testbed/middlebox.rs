@@ -7,15 +7,14 @@
 //! serve a block page. Actions are runtime-mutable so tests can flip
 //! blocking on mid-run (the §7.5 "in the wild" situation).
 
+use crate::acceptor::Acceptor;
 use crate::codec::{read_request, write_response};
 use csaw_webproto::bytes::BytesMut;
 use csaw_webproto::http::Response;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-use std::thread::JoinHandle;
 
 /// What the middlebox does to requests for a host.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,19 +46,7 @@ pub struct Middlebox {
     /// The address clients' "direct path" connects to.
     pub addr: SocketAddr,
     policy: Arc<RwLock<MbPolicy>>,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Drop for Middlebox {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocked accept() so the loop observes the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    _acceptor: Acceptor,
 }
 
 impl Middlebox {
@@ -71,15 +58,6 @@ impl Middlebox {
             .actions
             .insert(host.to_ascii_lowercase(), action);
     }
-
-    /// Route a host to an upstream origin.
-    pub fn set_route(&self, host: &str, upstream: SocketAddr) {
-        self.policy
-            .write()
-            .unwrap()
-            .routes
-            .insert(host.to_ascii_lowercase(), upstream);
-    }
 }
 
 /// Spawn a middlebox with an initial policy.
@@ -88,23 +66,13 @@ pub fn spawn_middlebox(initial: MbPolicy) -> std::io::Result<Middlebox> {
     let addr = listener.local_addr()?;
     let policy = Arc::new(RwLock::new(initial));
     let policy2 = Arc::clone(&policy);
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || loop {
-        let Ok((stream, _)) = listener.accept() else {
-            break;
-        };
-        if stop2.load(Ordering::SeqCst) {
-            break;
-        }
-        let policy = Arc::clone(&policy2);
-        std::thread::spawn(move || handle_conn(stream, policy));
-    });
+    let acceptor = Acceptor::spawn(listener, move |stream| {
+        handle_conn(stream, Arc::clone(&policy2))
+    })?;
     Ok(Middlebox {
         addr,
         policy,
-        stop,
-        handle: Some(handle),
+        _acceptor: acceptor,
     })
 }
 

@@ -6,14 +6,12 @@
 //! direct connection here, the "direct path" goes through the
 //! censoring middlebox.
 
+use crate::acceptor::Acceptor;
 use crate::codec::{read_request, write_response};
 use csaw_webproto::bytes::BytesMut;
 use csaw_webproto::http::Response;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// A running origin server.
 #[derive(Debug)]
@@ -22,19 +20,7 @@ pub struct Origin {
     pub host: String,
     /// Bound address.
     pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Drop for Origin {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocked accept() so the loop observes the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    _acceptor: Acceptor,
 }
 
 /// Configuration for an origin.
@@ -70,40 +56,29 @@ pub fn spawn_origin(cfg: OriginConfig) -> std::io::Result<Origin> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     let host = cfg.host.clone();
-    let cfg = Arc::new(cfg);
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || {
-        loop {
-            let Ok((mut stream, _)) = listener.accept() else {
-                break;
-            };
-            if stop2.load(Ordering::SeqCst) {
-                break;
-            }
-            let cfg = Arc::clone(&cfg);
-            std::thread::spawn(move || {
-                let mut buf = BytesMut::new();
-                // Keep-alive loop: serve requests until the peer closes.
-                while let Ok(Some(req)) = read_request(&mut stream, &mut buf) {
-                    let path = req.target.split('?').next().unwrap_or("/").to_string();
-                    let html = cfg.pages.get(&path).cloned().unwrap_or_else(|| {
-                        csaw_webproto::synth_html(&cfg.host, cfg.default_page_bytes)
-                    });
-                    let resp = Response::ok_html(html);
-                    if write_response(&mut stream, &resp).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-    });
+    let acceptor = Acceptor::spawn(listener, move |stream| serve(stream, &cfg))?;
     Ok(Origin {
         host,
         addr,
-        stop,
-        handle: Some(handle),
+        _acceptor: acceptor,
     })
+}
+
+/// Keep-alive loop: serve requests until the peer closes.
+fn serve(mut stream: TcpStream, cfg: &OriginConfig) {
+    let mut buf = BytesMut::new();
+    while let Ok(Some(req)) = read_request(&mut stream, &mut buf) {
+        let path = req.target.split('?').next().unwrap_or("/").to_string();
+        let html = cfg
+            .pages
+            .get(&path)
+            .cloned()
+            .unwrap_or_else(|| csaw_webproto::synth_html(&cfg.host, cfg.default_page_bytes));
+        let resp = Response::ok_html(html);
+        if write_response(&mut stream, &resp).is_err() {
+            break;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -99,11 +99,6 @@ impl WalShipper {
         });
     }
 
-    /// Number of replica links.
-    pub fn region_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// Ship pending WAL lines to every replica whose link index passes
     /// `reachable` (a partition gate: unreachable links are skipped but
     /// their lag and staleness gauges still tick). Returns per-link

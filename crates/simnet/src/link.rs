@@ -65,12 +65,6 @@ impl Link {
         self
     }
 
-    /// Builder: set jitter.
-    pub fn with_jitter(mut self, jitter: SimDuration) -> Link {
-        self.jitter = jitter;
-        self
-    }
-
     /// Builder: set bandwidth.
     pub fn with_bandwidth(mut self, bps: u64) -> Link {
         self.bandwidth_bps = bps.max(1);

@@ -138,12 +138,6 @@ impl Site {
         }
     }
 
-    /// Add site-specific extra one-way latency.
-    pub fn with_extra(mut self, extra: SimDuration) -> Site {
-        self.extra_one_way = extra;
-        self
-    }
-
     /// A site pinned so that the *round-trip* from the vantage point is
     /// `rtt_ms` (used to reproduce Table 2 exactly).
     pub fn at_vantage_rtt(region: Region, rtt_ms: u64) -> Site {
@@ -212,12 +206,6 @@ impl Provider {
             name: name.into(),
             access: AccessProfile::default(),
         }
-    }
-
-    /// Builder: override the access profile.
-    pub fn with_access(mut self, access: AccessProfile) -> Provider {
-        self.access = access;
-        self
     }
 }
 

@@ -1,12 +1,11 @@
 //! The single ingestion entry point's input and output types.
 //!
-//! [`Batch`] owns the wire decode: a server front-end builds one either
-//! from already-parsed [`Report`]s or straight from the JSON wire bytes,
-//! and hands it to `ingest`. [`IngestReceipt`] carries the
-//! accepted/rejected split so callers (and the obs counters) see exactly
-//! what the store kept.
+//! [`Batch`] is what `ingest` takes: one client's reports and the time
+//! they were posted. An in-process client hands its queue over as one;
+//! a socket front-end builds one from the reports its frame decode
+//! produced. [`IngestReceipt`] carries the accepted/rejected split so
+//! callers (and the obs counters) see exactly what the store kept.
 
-use crate::error::StoreError;
 use crate::record::{Report, Uuid};
 use csaw_simnet::time::SimTime;
 use csaw_webproto::url::Url;
@@ -29,18 +28,6 @@ impl Batch {
             posted_at,
             reports,
         }
-    }
-
-    /// Decode a batch from the JSON wire format. Never panics: a broken
-    /// envelope (not JSON, not an array) is [`StoreError::Wire`], and a
-    /// single undecodable report is [`StoreError::Malformed`] carrying
-    /// that report's batch index — so a client can quarantine exactly
-    /// the poison entry instead of re-parsing the batch report by
-    /// report.
-    pub fn from_wire(client: Uuid, wire: &str, posted_at: SimTime) -> Result<Batch, StoreError> {
-        let reports = Report::decode_batch_indexed(wire)?
-            .map_err(|(index, reason)| StoreError::Malformed { index, reason })?;
-        Ok(Batch::new(client, reports, posted_at))
     }
 
     /// The carried reports.
@@ -110,46 +97,6 @@ impl IngestReceipt {
 mod tests {
     use super::*;
     use csaw_censor::blocking::BlockingType;
-
-    #[test]
-    fn from_wire_roundtrips_and_rejects_garbage() {
-        let reports = vec![Report {
-            url: "http://x.example/".into(),
-            asn: 7,
-            measured_at_us: 5,
-            stages: vec![BlockingType::HttpDrop],
-        }];
-        let wire = Report::encode_batch(&reports);
-        let b = Batch::from_wire(Uuid::from_raw(1), &wire, SimTime::from_secs(9)).unwrap();
-        assert_eq!(b.reports(), &reports[..]);
-        assert_eq!(b.posted_at, SimTime::from_secs(9));
-        let err = Batch::from_wire(Uuid::from_raw(1), "garbage", SimTime::ZERO).unwrap_err();
-        assert!(matches!(err, StoreError::Wire(_)));
-    }
-
-    #[test]
-    fn from_wire_names_the_poison_report_index() {
-        let good = Report {
-            url: "http://x.example/".into(),
-            asn: 7,
-            measured_at_us: 5,
-            stages: vec![BlockingType::HttpDrop],
-        };
-        // Hand-assemble a wire batch whose middle element is garbage.
-        let one = Report::encode_batch(std::slice::from_ref(&good));
-        let inner = one.trim_start_matches('[').trim_end_matches(']');
-        let wire = format!("[{inner},{{\"url\":5}},{inner}]");
-        let err = Batch::from_wire(Uuid::from_raw(1), &wire, SimTime::ZERO).unwrap_err();
-        match err {
-            StoreError::Malformed { index, .. } => assert_eq!(index, 1),
-            other => panic!("expected Malformed, got {other:?}"),
-        }
-        // A broken envelope is still a plain wire error.
-        assert!(matches!(
-            Batch::from_wire(Uuid::from_raw(1), "{}", SimTime::ZERO).unwrap_err(),
-            StoreError::Wire(_)
-        ));
-    }
 
     #[test]
     fn storable_requires_url_and_stages() {

@@ -16,13 +16,13 @@ use std::fmt;
 pub enum StoreError {
     /// The posting UUID is unknown or has been revoked.
     UnknownClient,
-    /// The report batch could not be decoded from the wire (the
-    /// envelope itself: not JSON, or not an array).
+    /// The report batch did not survive the wire: its envelope did not
+    /// decode (not JSON, or not the expected shape), or it was
+    /// corrupted in flight.
     Wire(WireError),
-    /// One report inside an otherwise well-formed batch failed to
-    /// decode. Carries the batch index of the poison report so a client
-    /// can quarantine exactly that entry and resubmit the rest without
-    /// re-parsing report by report.
+    /// One report inside an otherwise well-formed POST frame failed to
+    /// decode — input from outside the program, since every report the
+    /// encoder writes decodes. Carries that report's batch index.
     Malformed {
         /// Zero-based index of the undecodable report in the batch.
         index: usize,

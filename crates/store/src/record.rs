@@ -241,15 +241,6 @@ impl Report {
         read_elements(r, Report::read_json).map(Some)
     }
 
-    /// Decode a whole batch document. The outer error is a broken
-    /// envelope, the inner one the first poison report.
-    pub(crate) fn decode_batch_indexed(s: &str) -> Result<Result<Vec<Report>, Poison>, WireError> {
-        let mut r = JsonReader::new(s);
-        let reports = Report::read_array(&mut r)?;
-        r.end()?;
-        reports.ok_or(WireError::Shape("batch must be an array"))
-    }
-
     /// Serialize a batch of reports to the JSON wire format.
     pub fn encode_batch(reports: &[Report]) -> String {
         let mut w = JsonWriter::compact();
@@ -258,9 +249,15 @@ impl Report {
     }
 
     /// Parse a batch from the wire. Malformed input is an error (the
-    /// server rejects, not panics).
+    /// server rejects, not panics): a broken envelope, or the first
+    /// undecodable report's reason.
     pub fn decode_batch(s: &str) -> Result<Vec<Report>, WireError> {
-        Report::decode_batch_indexed(s)?.map_err(|(_, reason)| reason)
+        let mut r = JsonReader::new(s);
+        let reports = Report::read_array(&mut r)?;
+        r.end()?;
+        reports
+            .ok_or(WireError::Shape("batch must be an array"))?
+            .map_err(|(_, reason)| reason)
     }
 }
 

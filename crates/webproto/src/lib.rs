@@ -10,8 +10,6 @@
 //!   client can make;
 //! - [`http`]: HTTP/1.1 requests and responses with a byte-level codec used
 //!   by the real-socket proxy;
-//! - [`tls`]: the plaintext-visible ClientHello (SNI) surface that HTTPS
-//!   censorship and domain fronting both operate on;
 //! - [`page`]: the web page model (base document + embedded resources,
 //!   possibly CDN-hosted) whose load time is the paper's headline metric.
 
@@ -37,7 +35,6 @@ pub mod codec;
 pub mod dns;
 pub mod http;
 pub mod page;
-pub mod tls;
 pub mod url;
 
 pub use bytes::{Bytes, BytesMut};
@@ -45,5 +42,4 @@ pub use codec::{Frame, MAX_FRAME_BYTES, MAX_MESSAGE_BYTES};
 pub use dns::{ARecord, DnsObservation, DnsQuery, DnsResponse, Rcode};
 pub use http::{Headers, HttpParseError, Method, Request, Response};
 pub use page::{synth_html, Markup, PageSizes, Resource, WebPage};
-pub use tls::{ClientHello, TlsObservables};
 pub use url::{Host, Scheme, Url, UrlParseError};

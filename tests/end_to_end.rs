@@ -541,7 +541,7 @@ fn client_posts_reports_via_collectors() {
     let retry_at = client.next_report_at().expect("the failure armed backoff");
     assert!(retry_at > SimTime::from_secs(20));
     let receipt = client.post_reports_via(&set, &server, retry_at).unwrap();
-    assert!(receipt.accepted >= 1);
+    assert!(receipt.ingest.accepted >= 1);
     assert_eq!(receipt.via, "collector-b.onion");
     assert!(server.stats().unique_blocked_urls >= 1);
 
@@ -549,7 +549,7 @@ fn client_posts_reports_via_collectors() {
     let receipt = client
         .post_reports_via(&set, &server, retry_at + SimDuration::from_secs(10))
         .unwrap();
-    assert_eq!(receipt.accepted, 0);
+    assert_eq!(receipt.ingest.accepted, 0);
 }
 
 /// Multi-stage discovery through failed local fixes: a client whose

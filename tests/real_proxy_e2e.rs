@@ -153,8 +153,11 @@ fn measurement_log_exports_reports() {
     let uuid = server
         .register(csaw_simnet::SimTime::from_secs(1), 0.0)
         .unwrap();
-    let batch =
-        csaw::global::Batch::from_wire(uuid, &wire, csaw_simnet::SimTime::from_secs(2)).unwrap();
+    let batch = csaw::global::Batch::new(
+        uuid,
+        csaw::global::Report::decode_batch(&wire).unwrap(),
+        csaw_simnet::SimTime::from_secs(2),
+    );
     let receipt = server.ingest(batch).unwrap();
     assert_eq!(receipt.accepted, 1);
     assert_eq!(server.stats().unique_blocked_urls, 1);
