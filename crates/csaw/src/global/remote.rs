@@ -21,10 +21,9 @@ use csaw_simnet::time::SimTime;
 use csaw_simnet::topology::Asn;
 use csaw_store::net::{DbRequest, DbResponse};
 use csaw_store::{Batch, ConfidenceFilter, GlobalRecord, IngestReceipt, StoreError, Uuid};
-use csaw_webproto::bytes::BytesMut;
-use csaw_webproto::codec::{read_frame, write_frame};
+use csaw_webproto::codec::FrameClient;
 use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -62,32 +61,13 @@ impl GlobalApi for ServerDb {
     }
 }
 
-/// One pooled connection: the blocking stream plus its incremental
-/// read buffer (responses can arrive torn across reads).
-#[derive(Debug)]
-struct PooledConn {
-    stream: TcpStream,
-    buf: BytesMut,
-}
-
-impl PooledConn {
-    fn roundtrip(&mut self, req: &DbRequest) -> Result<DbResponse, StoreError> {
-        write_frame(&mut self.stream, &req.to_frame())
-            .map_err(|_| StoreError::Unavailable("global DB connection write failed"))?;
-        let frame = read_frame(&mut self.stream, &mut self.buf)
-            .map_err(|_| StoreError::Unavailable("global DB connection read failed"))?
-            .ok_or(StoreError::Unavailable("global DB closed the connection"))?;
-        DbResponse::from_frame(&frame)
-    }
-}
-
 /// A TCP client for `csaw-dbserver` with a checkout/return connection
 /// pool. Shareable across threads (`&RemoteDb` posts concurrently —
 /// each in-flight request owns a pooled connection exclusively).
 #[derive(Debug)]
 pub struct RemoteDb {
     addr: SocketAddr,
-    idle: Mutex<Vec<PooledConn>>,
+    idle: Mutex<Vec<FrameClient>>,
     max_idle: usize,
     /// Applied to reads and writes alike.
     timeout: Duration,
@@ -128,21 +108,14 @@ impl RemoteDb {
         self.idle.lock().unwrap().len()
     }
 
-    fn checkout(&self) -> io::Result<PooledConn> {
+    fn checkout(&self) -> io::Result<FrameClient> {
         if let Some(conn) = self.idle.lock().unwrap().pop() {
             return Ok(conn);
         }
-        let stream = TcpStream::connect(self.addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        Ok(PooledConn {
-            stream,
-            buf: BytesMut::new(),
-        })
+        FrameClient::connect(self.addr, self.timeout)
     }
 
-    fn put_back(&self, conn: PooledConn) {
+    fn put_back(&self, conn: FrameClient) {
         let mut idle = self.idle.lock().unwrap();
         if idle.len() < self.max_idle {
             idle.push(conn);
@@ -157,13 +130,13 @@ impl RemoteDb {
         let mut conn = self
             .checkout()
             .map_err(|_| StoreError::Unavailable("global DB server unreachable"))?;
-        match conn.roundtrip(req) {
-            Ok(resp) => {
-                self.put_back(conn);
-                Ok(resp)
-            }
-            Err(e) => Err(e),
-        }
+        let frame = conn
+            .call(&req.to_frame())
+            .map_err(|_| StoreError::Unavailable("global DB connection failed"))?
+            .ok_or(StoreError::Unavailable("global DB closed the connection"))?;
+        let resp = DbResponse::from_frame(&frame)?;
+        self.put_back(conn);
+        Ok(resp)
     }
 
     fn unexpected(resp: &DbResponse) -> StoreError {

@@ -9,18 +9,22 @@
 //! ## Threads, not polling
 //!
 //! The workspace is hermetic (no `mio`, no `libc`), and the one thing
-//! `std::net` does without polling is block. So nothing here sleeps or
-//! spins while idle:
+//! `std::net` does without polling is block. So nothing here sleeps, or
+//! spins for longer than one look, while idle:
 //!
 //! 1. One **acceptor** thread (named `csaw-dbserver`) blocks in
 //!    `accept` and spawns one thread per connection.
-//! 2. Each **connection** thread blocks in `read`, decodes every
-//!    complete frame the bytes finish, executes each through the shared
-//!    `Service`, and answers them in order with one `write_all`.
-//!    Having answered, it looks for the peer's next request for a few
-//!    tens of microseconds without sleeping before it blocks again: a
-//!    closed-loop client's next request is usually already on its way,
-//!    and finding it spares both sides a futex wake-up.
+//! 2. Each **connection** thread waits for bytes with
+//!    [`csaw_webproto::codec::read_looking`], decodes every complete
+//!    frame they finish, executes each through the shared `Service`,
+//!    and answers them in order with one `write_all`. The wait looks
+//!    for the peer's bytes for
+//!    [`LOOK_BEFORE_BLOCK`](csaw_webproto::codec::LOOK_BEFORE_BLOCK)
+//!    without sleeping before it blocks in `read`: a closed-loop
+//!    client's next request is usually already on its way. The client
+//!    end (`RemoteDb`, the WAL shipper) waits for each answer the same
+//!    way, so on a loopback round trip neither side usually pays a
+//!    futex wake-up.
 //! 3. **Execution** is transport-free: `Service::handle` maps one
 //!    request frame to one response and touches no socket, so any
 //!    number of connection threads run it at once over the lock-striped
@@ -98,13 +102,13 @@ use csaw::global::ServerDb;
 use csaw_store::net::{DbRequest, DbResponse};
 use csaw_store::Batch;
 use csaw_webproto::bytes::BytesMut;
-use csaw_webproto::codec::{decode_frame, Frame};
-use std::io::{self, Read, Write};
+use csaw_webproto::codec::{decode_frame, read_looking, Frame};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long a response write may make no progress before the
 /// connection is given up on — the same 10 s `RemoteDb` waits on its
@@ -112,17 +116,6 @@ use std::time::{Duration, Instant};
 /// `write_all`, and [`DbServerHandle::drain`] with it, forever. (This
 /// crate's unit tests wait it out, so they get a short one.)
 const WRITE_TIMEOUT: Duration = Duration::from_millis(if cfg!(test) { 300 } else { 10_000 });
-
-/// How long a connection thread looks for the peer's next request
-/// (non-blocking `read` + `yield_now`) after answering one, before it
-/// falls back to the blocking `read`. A constant, not a setting: it
-/// only has to cover a loopback client's turnaround (≈15–30 µs), and a
-/// miss costs one futex wake-up, not correctness. Measured on
-/// `wire_mixed` (2 cores, pinned apart, ten 20 s runs): without the
-/// look `write_reports_per_s` is 65.4k and `post_rtt_us.p50` 46 µs;
-/// with it 94.7k (+45%) and 35 µs (`BENCH_history.jsonl`,
-/// `466f88f+PR20-no-look` against `466f88f+PR20`).
-const LOOK_BEFORE_BLOCK: Duration = Duration::from_micros(50);
 
 /// The server's one setting.
 #[derive(Debug, Clone)]
@@ -382,36 +375,6 @@ fn accept_loop(listener: TcpListener, service: Arc<Service>, asked: &AtomicU8) {
     }
 }
 
-/// The peer's next bytes. With `look`, poll for them for
-/// [`LOOK_BEFORE_BLOCK`] before blocking.
-fn read_next(stream: &mut TcpStream, chunk: &mut [u8], look: bool) -> io::Result<usize> {
-    if look && stream.set_nonblocking(true).is_ok() {
-        let deadline = Instant::now() + LOOK_BEFORE_BLOCK;
-        let found = loop {
-            match stream.read(chunk) {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        break None;
-                    }
-                    std::thread::yield_now();
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                found => break Some(found),
-            }
-        };
-        stream.set_nonblocking(false)?;
-        if let Some(found) = found {
-            return found;
-        }
-    }
-    loop {
-        match stream.read(chunk) {
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            read => return read,
-        }
-    }
-}
-
 /// Everything a request needs and no socket: shared by every
 /// connection thread, and drivable without one.
 #[derive(Debug)]
@@ -435,9 +398,8 @@ impl Service {
         let mut rbuf = BytesMut::new();
         let mut chunk = [0u8; 16 * 1024];
         let mut out = Vec::new();
-        let mut answered = false;
         loop {
-            let n = match read_next(stream, &mut chunk, answered) {
+            let n = match read_looking(stream, &mut chunk) {
                 Ok(0) | Err(_) => return,
                 Ok(n) => n,
             };
@@ -471,8 +433,7 @@ impl Service {
                     .passes_with_requests
                     .fetch_add(1, Ordering::Relaxed);
             }
-            answered = !out.is_empty();
-            if answered {
+            if !out.is_empty() {
                 // A write that times out (the peer stopped reading)
                 // fails here like any other: the connection is done.
                 if stream.write_all(&out).is_err() {
@@ -621,6 +582,7 @@ mod tests {
     use csaw_store::net::op;
     use csaw_store::{ConfidenceFilter, Report, Uuid};
     use csaw_webproto::codec::{read_frame, write_frame};
+    use std::io::Read;
 
     fn permissive_server() -> Arc<ServerDb> {
         Arc::new(

@@ -13,11 +13,15 @@ use csaw_censor::{profiles, Category};
 use csaw_circumvent::world::{SiteSpec, World};
 use csaw_dbserver::{spawn_dbserver, DbServerConfig};
 use csaw_simnet::time::{SimDuration, SimTime};
-use csaw_simnet::topology::{AccessNetwork, Provider, Region, Site};
-use csaw_store::{Batch, ConfidenceFilter, Report, StoreError, Uuid};
+use csaw_simnet::topology::{AccessNetwork, Asn, Provider, Region, Site};
+use csaw_store::net::{DbRequest, DbResponse};
+use csaw_store::{Batch, ConfidenceFilter, IngestReceipt, Report, StoreError, Uuid};
+use csaw_webproto::bytes::BytesMut;
+use csaw_webproto::codec::{read_frame, write_frame};
 use csaw_webproto::url::Url;
+use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn permissive_server() -> Arc<ServerDb> {
     Arc::new(
@@ -182,6 +186,83 @@ fn server_that_never_reads_surfaces_unavailable() {
     assert_eq!(remote.idle_connections(), 0, "failed conns are not pooled");
     drop(release);
     deaf.join().unwrap();
+}
+
+/// A peer that accepts and never answers: the call gives up after the
+/// pool's timeout — which the look before blocking neither cuts short
+/// nor stretches by more than the stated slack — as a retryable
+/// `Unavailable`, and the connection is not pooled.
+#[test]
+fn a_silent_peer_times_out_as_unavailable() {
+    const TIMEOUT: Duration = Duration::from_millis(100);
+    const SLACK: Duration = Duration::from_millis(400);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let silent = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
+        let _ = held.recv();
+        drop(conn);
+    });
+
+    let remote = RemoteDb::new(addr).with_read_timeout(TIMEOUT);
+    let start = Instant::now();
+    let result = remote.blocked_for_as(Asn(1), &open_filter());
+    let waited = start.elapsed();
+    assert!(
+        matches!(result, Err(StoreError::Unavailable(_))),
+        "expected Unavailable, got {result:?}"
+    );
+    // The kernel may round the timeout to its tick.
+    assert!(
+        waited >= TIMEOUT - Duration::from_millis(5) && waited < TIMEOUT + SLACK,
+        "gave up after {waited:?}"
+    );
+    assert_eq!(remote.idle_connections(), 0, "failed conns are not pooled");
+    drop(release);
+    silent.join().unwrap();
+}
+
+/// A peer that answers well after the look: the blocking fallback
+/// still delivers the receipt, the connection goes back to the pool,
+/// and the next call reuses it (the peer accepts only once).
+#[test]
+fn a_late_answer_is_delivered_and_the_connection_pooled() {
+    const LATE: Duration = Duration::from_millis(5);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let slow = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut buf = BytesMut::new();
+        for _ in 0..2 {
+            let frame = read_frame(&mut stream, &mut buf).unwrap().unwrap();
+            let Ok(DbRequest::Post { reports, .. }) = DbRequest::from_frame(&frame) else {
+                panic!("expected a POST frame");
+            };
+            std::thread::sleep(LATE);
+            let receipt = IngestReceipt {
+                accepted: reports.len(),
+                ..IngestReceipt::default()
+            };
+            write_frame(&mut stream, &DbResponse::Receipt(receipt).to_frame()).unwrap();
+        }
+    });
+
+    let remote = RemoteDb::new(addr).with_read_timeout(Duration::from_secs(5));
+    for posted_at in 1..=2 {
+        let start = Instant::now();
+        let receipt = remote
+            .ingest(Batch::new(
+                Uuid::from_raw(1),
+                vec![report("http://late.example/")],
+                SimTime::from_secs(posted_at),
+            ))
+            .unwrap();
+        assert!(start.elapsed() >= LATE);
+        assert_eq!(receipt.accepted, 1);
+        assert_eq!(remote.idle_connections(), 1, "the connection is back");
+    }
+    slow.join().unwrap();
 }
 
 /// Concurrent posters share the pool: every batch gets a receipt and

@@ -28,20 +28,23 @@
 use csaw_simnet::time::SimTime;
 use csaw_store::net::{DbRequest, DbResponse};
 pub use csaw_store::ReplicatedStore;
-use csaw_webproto::bytes::BytesMut;
-use csaw_webproto::codec::{read_frame, write_frame};
+use csaw_webproto::codec::FrameClient;
 use std::fmt;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// How many WAL lines one `SHIP` frame carries at most.
 const SHIP_CHUNK_LINES: usize = 256;
 
+/// How long a link's read or write may make no progress before the
+/// round gives up on it (the next round reconnects).
+const LINK_TIMEOUT: Duration = Duration::from_secs(10);
+
 struct ReplicaLink {
     region: String,
     addr: SocketAddr,
-    conn: Option<(TcpStream, BytesMut)>,
+    conn: Option<FrameClient>,
     acked_seq: u64,
     last_synced_at: SimTime,
 }
@@ -179,15 +182,68 @@ impl WalShipper {
     fn exchange(&mut self, i: usize, req: DbRequest) -> Option<DbResponse> {
         let link = &mut self.links[i];
         if link.conn.is_none() {
-            let stream = TcpStream::connect(link.addr).ok()?;
-            stream
-                .set_read_timeout(Some(Duration::from_secs(10)))
-                .ok()?;
-            link.conn = Some((stream, BytesMut::new()));
+            link.conn = Some(FrameClient::connect(link.addr, LINK_TIMEOUT).ok()?);
         }
-        let (stream, buf) = link.conn.as_mut().expect("connection just established");
-        write_frame(stream, &req.to_frame()).ok()?;
-        let frame = read_frame(stream, buf).ok()??;
+        let conn = link.conn.as_mut().expect("connection just established");
+        let frame = conn.call(&req.to_frame()).ok()??;
         DbResponse::from_frame(&frame).ok()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use csaw_store::{Batch, Report, ShardedStore, StorageBackend, Uuid};
+    use csaw_webproto::bytes::BytesMut;
+    use csaw_webproto::codec::{read_frame, write_frame};
+    use std::net::TcpListener;
+
+    /// A replica that stops reading must not pin `ship_round` in
+    /// `write_all`: a link carries the write timeout (and the
+    /// `TCP_NODELAY`) every DB client connection carries.
+    #[test]
+    fn a_replica_link_has_a_write_timeout_and_nodelay() {
+        let leader = Arc::new(ReplicatedStore::new(Arc::new(
+            ShardedStore::new(2).unwrap(),
+        )));
+        let report = Report {
+            url: "http://shipped.example/".into(),
+            asn: 9,
+            measured_at_us: 10,
+            stages: vec![csaw_censor::blocking::BlockingType::HttpDrop],
+        };
+        leader
+            .ingest(&Batch::new(Uuid::from_raw(1), vec![report], SimTime::ZERO))
+            .unwrap();
+
+        // A replica that acks one shipment.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let replica = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let frame = read_frame(&mut stream, &mut BytesMut::new())
+                .unwrap()
+                .unwrap();
+            let Ok(DbRequest::Ship { from_seq, lines }) = DbRequest::from_frame(&frame) else {
+                panic!("expected a SHIP frame");
+            };
+            let applied_seq = from_seq + lines.len() as u64;
+            write_frame(&mut stream, &DbResponse::ShipAck { applied_seq }.to_frame()).unwrap();
+        });
+
+        let mut shipper = WalShipper::new(leader);
+        shipper.add_region("r0", addr, SimTime::ZERO);
+        let status = shipper.ship_round(SimTime::from_secs(1), |_| true);
+        assert!(status[0].synced, "{status:?}");
+        replica.join().unwrap();
+
+        let socket = shipper.links[0]
+            .conn
+            .as_ref()
+            .expect("a clean round keeps the link open")
+            .socket();
+        assert_eq!(socket.write_timeout().unwrap(), Some(LINK_TIMEOUT));
+        assert_eq!(socket.read_timeout().unwrap(), Some(LINK_TIMEOUT));
+        assert!(socket.nodelay().unwrap());
     }
 }
