@@ -63,7 +63,9 @@
 //! shipment at a time under a lock) and acks that position after every
 //! shipment, which makes the protocol idempotent: a re-shipped overlap
 //! is skipped, and a shipment that starts *beyond* the applied position
-//! is refused by acking the true position so the leader rewinds.
+//! is refused by acking the true position so the leader rewinds. A
+//! `SHIP` frame that does not decode (see [`csaw_store::net`] for its
+//! length-prefixed layout) is a protocol error and applies nothing.
 //! Replayed ingests bypass the registrar by design — the leader already
 //! gated the original post.
 //!
@@ -947,6 +949,49 @@ mod tests {
         assert_eq!(stats.wal_applied_seq, 1);
         assert_eq!(server.store().record_count(), 1);
         drop(handle);
+    }
+
+    #[test]
+    fn a_malformed_ship_frame_is_a_protocol_error_and_applies_nothing() {
+        let server = permissive_server();
+        let handle = spawn_dbserver(Arc::clone(&server), DbServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut buf = BytesMut::new();
+        let good = DbRequest::Ship {
+            from_seq: 0,
+            lines: vec![wal_line(1, "http://good.example/", 10)],
+        };
+        match call(&mut stream, &mut buf, &good) {
+            DbResponse::ShipAck { applied_seq } => assert_eq!(applied_seq, 1),
+            other => panic!("expected ShipAck, got {other:?}"),
+        }
+        // The next shipment, cut one byte short, then with a line that is
+        // not UTF-8: neither may apply a line or move the position.
+        let next = DbRequest::Ship {
+            from_seq: 1,
+            lines: vec![
+                wal_line(2, "http://next.example/", 20),
+                wal_line(3, "http://last.example/", 30),
+            ],
+        }
+        .to_frame();
+        let mut cut = next.clone();
+        cut.payload.pop();
+        let mut not_utf8 = next;
+        let last = not_utf8.payload.len() - 2;
+        not_utf8.payload[last] = 0xff;
+        for bad in [cut, not_utf8] {
+            write_frame(&mut stream, &bad).unwrap();
+            let frame = read_frame(&mut stream, &mut buf).unwrap().unwrap();
+            match DbResponse::from_frame(&frame).unwrap() {
+                DbResponse::Error { code, .. } => assert_eq!(code, "wire"),
+                other => panic!("expected Error, got {other:?}"),
+            }
+        }
+        let stats = handle.drain();
+        assert_eq!(stats.protocol_errors, 2);
+        assert_eq!((stats.ship_requests, stats.wal_applied_seq), (1, 1));
+        assert_eq!(server.store().record_count(), 1);
     }
 
     #[test]

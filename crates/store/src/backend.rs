@@ -22,6 +22,8 @@ use crate::record::{GlobalRecord, Uuid};
 use crate::shard::ShardedStore;
 use crate::wal;
 use csaw_obs::contention::TimedMutex;
+use csaw_obs::metrics::Counter;
+use csaw_obs::timeseries::Timeline;
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
 use std::fmt;
@@ -47,6 +49,15 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// Ingest one client's report batch. Never panics on garbage input;
     /// unsalvageable reports are counted in the receipt's `rejected`.
     fn ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError>;
+
+    /// [`StorageBackend::ingest`], given the batch's [`wal::ingest_line`]
+    /// already encoded: a journalling layer records `line` instead of
+    /// encoding the batch again. Backends that keep no journal ignore
+    /// it, which is the default.
+    fn ingest_encoded(&self, batch: &Batch, line: &str) -> Result<IngestReceipt, StoreError> {
+        let _ = line;
+        self.ingest(batch)
+    }
 
     /// Confidence-filtered snapshot of blocked URLs for one AS, sorted
     /// by URL.
@@ -108,6 +119,17 @@ pub trait Decorator: Send + Sync + fmt::Debug {
         self.inner().ingest(batch)
     }
 
+    /// [`StorageBackend::ingest_encoded`] as this layer sees it. The
+    /// default is this layer's own [`Decorator::on_ingest`], which drops
+    /// the line: a layer may change what reaches the backend below it
+    /// (`csaw-faults` tears batches), and a line handed on must describe
+    /// what is applied. A layer that applies the batch unchanged may
+    /// pass the line down.
+    fn on_ingest_encoded(&self, batch: &Batch, line: &str) -> Result<IngestReceipt, StoreError> {
+        let _ = line;
+        self.on_ingest(batch)
+    }
+
     /// [`StorageBackend::blocked_for_as`] as this layer sees it.
     fn on_blocked_for_as(
         &self,
@@ -141,6 +163,10 @@ pub trait Decorator: Send + Sync + fmt::Debug {
 impl<D: Decorator> StorageBackend for D {
     fn ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError> {
         self.on_ingest(batch)
+    }
+
+    fn ingest_encoded(&self, batch: &Batch, line: &str) -> Result<IngestReceipt, StoreError> {
+        self.on_ingest_encoded(batch, line)
     }
 
     fn blocked_for_as(
@@ -200,7 +226,7 @@ pub trait Journal: Send + Sync + fmt::Debug {
     const WRITE_AHEAD: bool;
 
     /// Record one WAL line (no trailing newline).
-    fn record(&self, line: String) -> Result<(), StoreError>;
+    fn record(&self, line: &str) -> Result<(), StoreError>;
 
     /// Push buffered lines to their destination.
     fn flush(&self) -> Result<(), StoreError> {
@@ -218,6 +244,11 @@ pub trait Journal: Send + Sync + fmt::Debug {
 /// replay land every key on the same shard). [`ReplicatedStore`] keeps
 /// the lines in memory for `csaw-replica`'s `WalShipper` to stream.
 ///
+/// A batch is encoded once per stack: the outermost journal encodes it
+/// and hands the line down through [`StorageBackend::ingest_encoded`],
+/// so a `ReplicatedStore` over a `JsonlStore` records one line twice,
+/// not two encodings of one batch.
+///
 /// `revoke`, `remove_reporter_records` and `expire_records` cannot
 /// refuse, so they are applied even when the journal refuses their
 /// line; every refused line counts into `store.wal.append_failed` and
@@ -233,7 +264,7 @@ pub struct Journaled<J> {
 }
 
 impl<J: Journal> Journaled<J> {
-    fn record(&self, line: String) -> Result<(), StoreError> {
+    fn record(&self, line: &str) -> Result<(), StoreError> {
         self.journal.record(line).inspect_err(|e| {
             csaw_obs::inc("store.wal.append_failed");
             csaw_obs::event!("store.wal.append_failed", error = e.to_string());
@@ -247,29 +278,33 @@ impl<J: Journal> Decorator for Journaled<J> {
     }
 
     fn on_ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError> {
+        self.on_ingest_encoded(batch, &wal::ingest_line(batch))
+    }
+
+    fn on_ingest_encoded(&self, batch: &Batch, line: &str) -> Result<IngestReceipt, StoreError> {
         if J::WRITE_AHEAD {
-            self.record(wal::ingest_line(batch))?;
+            self.record(line)?;
         }
         // The journal's lock is never held across the apply.
-        let receipt = self.inner.ingest(batch)?;
+        let receipt = self.inner.ingest_encoded(batch, line)?;
         if !J::WRITE_AHEAD {
-            self.record(wal::ingest_line(batch))?;
+            self.record(line)?;
         }
         Ok(receipt)
     }
 
     fn on_revoke(&self, client: Uuid) {
-        let _ = self.record(wal::revoke_line(client));
+        let _ = self.record(&wal::revoke_line(client));
         self.inner.revoke(client);
     }
 
     fn on_remove_reporter_records(&self, client: Uuid) -> usize {
-        let _ = self.record(wal::remove_reporter_line(client));
+        let _ = self.record(&wal::remove_reporter_line(client));
         self.inner.remove_reporter_records(client)
     }
 
     fn on_expire_records(&self, now: SimTime, max_age: SimDuration) -> usize {
-        let _ = self.record(wal::expire_line(now, max_age));
+        let _ = self.record(&wal::expire_line(now, max_age));
         self.inner.expire_records(now, max_age)
     }
 
@@ -280,27 +315,33 @@ impl<J: Journal> Decorator for Journaled<J> {
 }
 
 /// The on-disk journal: an append-only JSONL file, one line per
-/// mutating operation, buffered until [`StorageBackend::flush`].
+/// mutating operation, buffered until [`StorageBackend::flush`]. Its
+/// counters are resolved once, from the observability scope current at
+/// [`JsonlStore::open`].
 #[derive(Debug)]
 pub struct FileLog {
     path: PathBuf,
     log: TimedMutex<BufWriter<File>>,
+    appends: Arc<Counter>,
+    bytes: Arc<Counter>,
+    timeline: Arc<Timeline>,
 }
 
 impl Journal for FileLog {
     const WRITE_AHEAD: bool = true;
 
-    fn record(&self, mut line: String) -> Result<(), StoreError> {
-        line.push('\n');
-        let mut log = self.log.lock();
-        log.write_all(line.as_bytes())
-            .map_err(|e| StoreError::io(&self.path, e))?;
-        csaw_obs::inc("store.wal.appends");
-        csaw_obs::add("store.wal.bytes", line.len() as u64);
+    fn record(&self, line: &str) -> Result<(), StoreError> {
+        {
+            let mut log = self.log.lock();
+            log.write_all(line.as_bytes())
+                .and_then(|()| log.write_all(b"\n"))
+                .map_err(|e| StoreError::io(&self.path, e))?;
+        }
+        self.appends.inc();
+        self.bytes.add(line.len() as u64 + 1);
         // Windowed WAL lag signal: appends per window on the timeline.
-        let tl = &csaw_obs::current().timeline;
-        if tl.enabled() {
-            tl.counter("store.wal.appends", &[]).inc();
+        if self.timeline.enabled() {
+            self.timeline.counter("store.wal.appends", &[]).inc();
         }
         Ok(())
     }
@@ -317,44 +358,121 @@ pub type JsonlStore = Journaled<FileLog>;
 
 impl Journaled<FileLog> {
     /// Open (or create) a log at `path` over a fresh `shards`-way store,
-    /// replaying any existing operations. A truncated or hand-edited
-    /// line is [`StoreError::Corrupt`] with its line number.
+    /// replaying any existing operations.
+    ///
+    /// A last line that lacks its newline and does not replay is a write
+    /// a crash tore: it is dropped, cut off the file (so the next append
+    /// starts a line of its own) and counted in
+    /// `store.wal.torn_tail_dropped`. Any other line that does not replay
+    /// is [`StoreError::Corrupt`] with its line number.
     pub fn open(path: &Path, shards: usize) -> Result<JsonlStore, StoreError> {
+        let io = |e| StoreError::io(path, e);
         let inner = ShardedStore::new(shards)?;
-        if path.exists() {
-            let f = File::open(path).map_err(|e| StoreError::io(path, e))?;
-            for (no, line) in BufReader::new(f).lines().enumerate() {
-                let line = line.map_err(|e| StoreError::io(path, e))?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                wal::replay_line(&inner, &line)
-                    .map_err(|e| StoreError::Corrupt(format!("line {}: {e}", no + 1)))?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)
+            .map_err(io)?;
+        match replay_log(&file, path, &inner)? {
+            Tail::Clean => {}
+            Tail::Unterminated => file.write_all(b"\n").map_err(io)?,
+            Tail::Torn { keep } => {
+                csaw_obs::inc("store.wal.torn_tail_dropped");
+                file.set_len(keep).map_err(io)?;
             }
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| StoreError::io(path, e))?;
+        let obs = csaw_obs::current();
         Ok(Journaled {
             inner: Arc::new(inner),
             journal: FileLog {
                 path: path.to_path_buf(),
                 log: TimedMutex::new("store.wal.log", BufWriter::new(file)),
+                appends: obs.registry.counter("store.wal.appends"),
+                bytes: obs.registry.counter("store.wal.bytes"),
+                timeline: obs.timeline.clone(),
             },
         })
     }
 }
 
+/// How a replayed log ends.
+enum Tail {
+    /// In a newline, or empty.
+    Clean,
+    /// In a line that replayed but lacks its newline.
+    Unterminated,
+    /// In a fragment that lacks its newline and does not replay; the
+    /// lines before it are the first `keep` bytes.
+    Torn {
+        /// Length of the log's replayed prefix.
+        keep: u64,
+    },
+}
+
+/// Replay the log in `file` into `store`, one reused line buffer at a
+/// time.
+fn replay_log(file: &File, path: &Path, store: &dyn StorageBackend) -> Result<Tail, StoreError> {
+    let mut reader = BufReader::new(file);
+    let mut buf = Vec::new();
+    let (mut keep, mut no) = (0u64, 0usize);
+    loop {
+        buf.clear();
+        let n = reader
+            .read_until(b'\n', &mut buf)
+            .map_err(|e| StoreError::io(path, e))?;
+        if n == 0 {
+            return Ok(Tail::Clean);
+        }
+        no += 1;
+        let terminated = buf.ends_with(b"\n");
+        let replayed = std::str::from_utf8(&buf)
+            .map_err(|_| StoreError::Corrupt("not UTF-8".into()))
+            .and_then(|text| {
+                let text = text.strip_suffix('\n').unwrap_or(text);
+                let text = text.strip_suffix('\r').unwrap_or(text);
+                if text.trim().is_empty() {
+                    return Ok(());
+                }
+                wal::replay_line(store, text)
+            });
+        match (replayed, terminated) {
+            (Ok(()), true) => keep += n as u64,
+            (Ok(()), false) => return Ok(Tail::Unterminated),
+            (Err(_), false) => return Ok(Tail::Torn { keep }),
+            (Err(e), true) => return Err(StoreError::Corrupt(format!("line {no}: {e}"))),
+        }
+    }
+}
+
 /// The in-memory journal a leader keeps for WAL shipping: line `n` of
 /// the log is sequence number `n`.
+pub struct ShipLog {
+    lines: Mutex<ShipLines>,
+    appends: Arc<Counter>,
+}
+
+/// The ship log's lines back to back in one buffer. One growing
+/// allocation, not one per line: a log of lines each copied to its own
+/// exact-size block left the heap fragmented, and measurably slowed the
+/// allocations of whatever ran after the log was dropped.
 #[derive(Default)]
-pub struct ShipLog(Mutex<Vec<String>>);
+struct ShipLines {
+    text: String,
+    /// Where line `n` ends in `text`.
+    ends: Vec<usize>,
+}
+
+impl ShipLines {
+    fn line(&self, n: usize) -> &str {
+        let start = n.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.text[start..self.ends[n]]
+    }
+}
 
 impl fmt::Debug for ShipLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let lines = self.0.lock().expect("wal lock poisoned").len();
+        let lines = self.lines.lock().expect("wal lock poisoned").ends.len();
         f.debug_struct("ShipLog").field("lines", &lines).finish()
     }
 }
@@ -362,9 +480,14 @@ impl fmt::Debug for ShipLog {
 impl Journal for ShipLog {
     const WRITE_AHEAD: bool = false;
 
-    fn record(&self, line: String) -> Result<(), StoreError> {
-        self.0.lock().expect("wal lock poisoned").push(line);
-        csaw_obs::inc("replica.wal.appends");
+    fn record(&self, line: &str) -> Result<(), StoreError> {
+        {
+            let mut log = self.lines.lock().expect("wal lock poisoned");
+            log.text.push_str(line);
+            let end = log.text.len();
+            log.ends.push(end);
+        }
+        self.appends.inc();
         Ok(())
     }
 }
@@ -374,27 +497,35 @@ impl Journal for ShipLog {
 pub type ReplicatedStore = Journaled<ShipLog>;
 
 impl Journaled<ShipLog> {
-    /// Wrap a backend; the log starts empty at sequence 0.
+    /// Wrap a backend; the log starts empty at sequence 0. Its counter
+    /// is resolved from the observability scope current here.
     pub fn new(inner: Arc<dyn StorageBackend>) -> ReplicatedStore {
         Journaled {
             inner,
-            journal: ShipLog::default(),
+            journal: ShipLog {
+                lines: Mutex::default(),
+                appends: csaw_obs::current().registry.counter("replica.wal.appends"),
+            },
         }
     }
 
     /// Total WAL lines written so far (the next line gets this seq).
     pub fn leader_seq(&self) -> u64 {
-        self.journal.0.lock().expect("wal lock poisoned").len() as u64
+        self.journal
+            .lines
+            .lock()
+            .expect("wal lock poisoned")
+            .ends
+            .len() as u64
     }
 
     /// Up to `max` log lines starting at `from_seq`, in log order.
     pub fn lines_from(&self, from_seq: u64, max: usize) -> Vec<String> {
-        let wal = self.journal.0.lock().expect("wal lock poisoned");
-        wal.iter()
-            .skip(from_seq as usize)
-            .take(max)
-            .cloned()
-            .collect()
+        let wal = self.journal.lines.lock().expect("wal lock poisoned");
+        let len = wal.ends.len();
+        let from = usize::try_from(from_seq).map_or(len, |n| n.min(len));
+        let to = from.saturating_add(max).min(len);
+        (from..to).map(|n| wal.line(n).to_owned()).collect()
     }
 }
 
@@ -495,6 +626,39 @@ mod tests {
     }
 
     #[test]
+    fn a_torn_last_line_is_dropped_and_the_next_append_starts_a_line() {
+        use csaw_obs::scope::{self, ObsCtx};
+        let ctx = Arc::new(ObsCtx::new());
+        let _g = scope::install(ctx.clone());
+        let dropped = || ctx.registry.counter("store.wal.torn_tail_dropped").get();
+        let path = tmp("torn");
+        let first = wal::ingest_line(&batch(1, "http://a.com/", 7, 10));
+        let second = wal::ingest_line(&batch(2, "http://b.com/", 7, 20));
+
+        // Half of the second line made it to disk.
+        std::fs::write(&path, format!("{first}\n{}", &second[..40])).unwrap();
+        let s = JsonlStore::open(&path, 2).unwrap();
+        assert_eq!((s.record_count(), dropped()), (1, 1));
+        s.ingest(&batch(3, "http://c.com/", 7, 30)).unwrap();
+        s.flush().unwrap();
+        drop(s);
+        let s = JsonlStore::open(&path, 2).unwrap();
+        assert_eq!((s.record_count(), dropped()), (2, 1));
+        drop(s);
+
+        // All of it but the newline: the line stands, and is ended.
+        std::fs::write(&path, format!("{first}\n{second}")).unwrap();
+        let s = JsonlStore::open(&path, 2).unwrap();
+        s.revoke(Uuid::from_raw(1));
+        s.flush().unwrap();
+        assert_eq!((s.record_count(), dropped()), (2, 1));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let revoke = wal::revoke_line(Uuid::from_raw(1));
+        assert_eq!(text, format!("{first}\n{second}\n{revoke}\n"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn expire_survives_replay() {
         let path = tmp("expire");
         {
@@ -530,6 +694,11 @@ mod tests {
         assert_eq!(leader.lines_from(3, 10).len(), 2);
         assert_eq!(leader.lines_from(5, 10).len(), 0);
         assert_eq!(leader.lines_from(99, 10).len(), 0);
+        assert_eq!(leader.lines_from(u64::MAX, usize::MAX).len(), 0);
+        let lines: Vec<String> = (1..3u64)
+            .map(|c| wal::ingest_line(&batch(c, &format!("http://u{c}.com/"), 9, c + 1)))
+            .collect();
+        assert_eq!(leader.lines_from(1, 2), lines);
     }
 
     /// A journal whose destination is gone.
@@ -539,7 +708,7 @@ mod tests {
     impl<const WRITE_AHEAD: bool> Journal for Refusing<WRITE_AHEAD> {
         const WRITE_AHEAD: bool = WRITE_AHEAD;
 
-        fn record(&self, _line: String) -> Result<(), StoreError> {
+        fn record(&self, _line: &str) -> Result<(), StoreError> {
             Err(StoreError::Unavailable("journal refused"))
         }
     }

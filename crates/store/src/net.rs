@@ -3,10 +3,10 @@
 //!
 //! Each frame is `len:u32 (BE) | op:u8 | payload`, where the payload is
 //! a compact JSON object (the same in-tree JSON the WAL and scorecards
-//! use). Requests and responses are modelled as enums with exact
-//! encode/decode symmetry; a malformed payload decodes to
-//! [`StoreError::Wire`], never a panic — the server rejects, the
-//! connection survives.
+//! use) — except for `SHIP`, below. Requests and responses are modelled
+//! as enums with exact encode/decode symmetry; a malformed payload
+//! decodes to [`StoreError::Wire`], never a panic — the server rejects,
+//! the connection survives.
 //!
 //! Payloads are written and read straight off
 //! [`csaw_obs::json::JsonWriter`] / [`csaw_obs::json::JsonReader`], with
@@ -16,6 +16,22 @@
 //! UUIDs cross the wire as 16-hex-digit strings (a reader that holds
 //! JSON numbers as f64 would round raw u64 ids — same convention as the
 //! JSONL WAL). Times cross as integer microseconds, digit for digit.
+//!
+//! # The `SHIP` payload
+//!
+//! `SHIP` is the one payload that is not JSON. Its lines already are
+//! JSON ([`crate::wal`] lines), so it carries them verbatim, each behind
+//! its byte length:
+//!
+//! ```text
+//! from_seq:u64 (BE) | { len:u32 (BE) | line: len bytes of UTF-8 }*
+//! ```
+//!
+//! Encoding is a sized copy, and decoding bounds-checks every length
+//! and validates each line as UTF-8: a payload shorter than 8 bytes, a
+//! cut length prefix, a line that overruns the payload or a line that is
+//! not UTF-8 is [`StoreError::Wire`]. Whether a line means anything is
+//! for [`crate::wal::replay_line`] to judge on the replica.
 
 use crate::batch::IngestReceipt;
 use crate::error::StoreError;
@@ -99,11 +115,43 @@ fn read_indices(r: &mut JsonReader<'_>) -> Shaped<Vec<usize>> {
     })
 }
 
-fn read_lines(r: &mut JsonReader<'_>) -> Shaped<Vec<String>> {
-    read_array_of(r, "lines must be an array", |r| {
-        Ok(r.str()?
-            .map(Cow::into_owned)
-            .ok_or(WireError::Shape("WAL line must be a string")))
+/// The `SHIP` payload (see the module docs): `from_seq`, then each line
+/// behind its length. Frames are capped far below 4 GiB, so every line
+/// that can be shipped has a `u32` length.
+fn ship_payload(from_seq: u64, lines: &[String]) -> Vec<u8> {
+    let len = 8 + lines.iter().map(|l| 4 + l.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&from_seq.to_be_bytes());
+    for line in lines {
+        let n = u32::try_from(line.len()).expect("a WAL line is shorter than a frame");
+        out.extend_from_slice(&n.to_be_bytes());
+        out.extend_from_slice(line.as_bytes());
+    }
+    out
+}
+
+/// Decode a `SHIP` payload; every malformation is [`StoreError::Wire`].
+fn read_ship(payload: &[u8]) -> Result<DbRequest, StoreError> {
+    let (from_seq, mut rest) = payload
+        .split_first_chunk::<8>()
+        .ok_or(shape("SHIP payload must start with a u64 from_seq"))?;
+    let mut lines = Vec::new();
+    while !rest.is_empty() {
+        let (len, tail) = rest
+            .split_first_chunk::<4>()
+            .ok_or(shape("SHIP line length is cut short"))?;
+        let len = u32::from_be_bytes(*len) as usize;
+        if len > tail.len() {
+            return Err(shape("SHIP line overruns the payload"));
+        }
+        let (line, tail) = tail.split_at(len);
+        let line = std::str::from_utf8(line).map_err(|_| shape("WAL line must be UTF-8"))?;
+        lines.push(line.to_owned());
+        rest = tail;
+    }
+    Ok(DbRequest::Ship {
+        from_seq: u64::from_be_bytes(*from_seq),
+        lines,
     })
 }
 
@@ -140,7 +188,8 @@ pub enum DbRequest {
     /// Ship a contiguous run of WAL lines to a replica (see
     /// [`crate::wal`] for the line codec). `lines[0]` carries the
     /// operation with sequence number `from_seq` (0-based: the first
-    /// line ever written is seq 0).
+    /// line ever written is seq 0). The lines cross verbatim, not as
+    /// JSON strings (see the module docs).
     Ship {
         /// Sequence number of the first shipped line.
         from_seq: u64,
@@ -179,16 +228,9 @@ impl DbRequest {
                 w.key("min_clients");
                 w.u64(filter.min_clients as u64);
             }),
-            DbRequest::Ship { from_seq, lines } => object_frame(op::SHIP, |w| {
-                w.key("from_seq");
-                w.u64(*from_seq);
-                w.key("lines");
-                w.begin_array();
-                for line in lines {
-                    w.str(line);
-                }
-                w.end_array();
-            }),
+            DbRequest::Ship { from_seq, lines } => {
+                Frame::new(op::SHIP, ship_payload(*from_seq, lines))
+            }
         }
     }
 
@@ -244,18 +286,7 @@ impl DbRequest {
                     },
                 })
             }
-            op::SHIP => {
-                let (mut from_seq, mut lines) = (None, None);
-                read_object(frame, |key, r| match key {
-                    "from_seq" => r.u64().map(|v| from_seq = v),
-                    "lines" => read_lines(r).map(|v| lines = Some(v)),
-                    _ => r.skip(),
-                })?;
-                Ok(DbRequest::Ship {
-                    from_seq: from_seq.ok_or(shape("from_seq must be a u64"))?,
-                    lines: lines.ok_or(shape("lines must be an array"))??,
-                })
-            }
+            op::SHIP => read_ship(&frame.payload),
             _ => {
                 read_object(frame, |_, r| r.skip())?;
                 Err(shape("unknown request opcode"))

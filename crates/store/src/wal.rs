@@ -5,7 +5,11 @@
 //! records one of these lines per mutation — to disk ahead of the
 //! apply as a `JsonlStore`, to memory as a `ReplicatedStore` — and
 //! `csaw-replica` ships the very same lines from a leader to its
-//! per-region read replicas (the `SHIP` op in [`crate::net`]). Keeping the codec public and in one
+//! per-region read replicas (the `SHIP` op in [`crate::net`]). "The
+//! very same" holds byte for byte: a stack of journals encodes each
+//! mutation once and every journal records that one line, and a `SHIP`
+//! frame carries the lines verbatim, behind their lengths, not
+//! re-escaped as JSON strings. Keeping the codec public and in one
 //! place guarantees the durable log and the replication stream can
 //! never drift apart: a replica replaying shipped lines runs the exact
 //! code `JsonlStore::open` runs on restart.
@@ -167,7 +171,8 @@ fn corrupt(msg: &str) -> StoreError {
 /// This is the single replay routine shared by `JsonlStore::open`
 /// (restart recovery) and the replica side of WAL shipping. A
 /// truncated or hand-edited line is [`StoreError::Corrupt`]; the
-/// backend is left untouched by a line that fails to parse.
+/// backend is left untouched by a line that fails to parse. (No strict
+/// prefix of a line parses: every line ends in the `}` that closes it.)
 ///
 /// Note: replaying an `ingest` line bypasses registration checks by
 /// design — the leader already gated the original post, and a replica

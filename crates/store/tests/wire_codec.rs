@@ -18,6 +18,11 @@
 //! an integer above 2^53, which the typed path reads exactly and the
 //! f64-backed tree rounds. Those inputs are counted and skipped here;
 //! the exact reading has its own tests in `net` and `wal`.
+//!
+//! `SHIP` payloads are not JSON: `from_seq`, then each WAL line behind
+//! its `u32` length. [`reference`] specifies that layout with a byte
+//! cursor of its own, so the sweeps above hold the typed `SHIP` codec
+//! to it too — and the last two tests spell out its edges.
 
 use csaw_censor::blocking::BlockingType;
 use csaw_simnet::rng::DetRng;
@@ -211,7 +216,46 @@ mod reference {
             .collect()
     }
 
+    /// `from_seq:u64 BE`, then `len:u32 BE | line bytes` per line.
+    fn ship_to_bytes(from_seq: u64, lines: &[String]) -> Vec<u8> {
+        let mut out: Vec<u8> = (0..8).rev().map(|i| (from_seq >> (8 * i)) as u8).collect();
+        for line in lines {
+            let n = line.len();
+            out.extend((0..4).rev().map(|i| (n >> (8 * i)) as u8));
+            out.extend(line.bytes());
+        }
+        out
+    }
+
+    fn ship_from_bytes(p: &[u8]) -> Result<DbRequest, StoreError> {
+        if p.len() < 8 {
+            return Err(shape("SHIP payload must start with a u64 from_seq"));
+        }
+        let from_seq = p[..8].iter().fold(0u64, |n, &b| n << 8 | u64::from(b));
+        let (mut at, mut lines) = (8, Vec::new());
+        while at < p.len() {
+            if p.len() - at < 4 {
+                return Err(shape("SHIP line length is cut short"));
+            }
+            let len = p[at..at + 4]
+                .iter()
+                .fold(0usize, |n, &b| n << 8 | usize::from(b));
+            at += 4;
+            if p.len() - at < len {
+                return Err(shape("SHIP line overruns the payload"));
+            }
+            let line = String::from_utf8(p[at..at + len].to_vec())
+                .map_err(|_| shape("WAL line must be UTF-8"))?;
+            lines.push(line);
+            at += len;
+        }
+        Ok(DbRequest::Ship { from_seq, lines })
+    }
+
     pub fn request_to_frame(req: &DbRequest) -> Frame {
+        if let DbRequest::Ship { from_seq, lines } = req {
+            return Frame::new(op::SHIP, ship_to_bytes(*from_seq, lines));
+        }
         let mut v = JsonValue::obj();
         let op = match req {
             DbRequest::Register { now, risk } => {
@@ -235,19 +279,15 @@ mod reference {
                 v.set("min_avg_vote", filter.min_avg_vote);
                 op::BLOCKED
             }
-            DbRequest::Ship { from_seq, lines } => {
-                v.set("from_seq", *from_seq);
-                v.set(
-                    "lines",
-                    JsonValue::Arr(lines.iter().map(|l| JsonValue::from(l.as_str())).collect()),
-                );
-                op::SHIP
-            }
+            DbRequest::Ship { .. } => unreachable!("SHIP is encoded above"),
         };
         Frame::new(op, v.to_string_compact().into_bytes())
     }
 
     pub fn request_from_frame(frame: &Frame) -> Result<DbRequest, StoreError> {
+        if frame.op == op::SHIP {
+            return ship_from_bytes(&frame.payload);
+        }
         let v = parse_payload(frame)?;
         match frame.op {
             op::REGISTER => Ok(DbRequest::Register {
@@ -291,23 +331,6 @@ mod reference {
                         .and_then(JsonValue::as_f64)
                         .ok_or(shape("min_avg_vote must be a number"))?,
                 },
-            }),
-            op::SHIP => Ok(DbRequest::Ship {
-                from_seq: v
-                    .get("from_seq")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or(shape("from_seq must be a u64"))?,
-                lines: v
-                    .get("lines")
-                    .and_then(JsonValue::as_arr)
-                    .ok_or(shape("lines must be an array"))?
-                    .iter()
-                    .map(|l| {
-                        l.as_str()
-                            .map(str::to_string)
-                            .ok_or(shape("WAL line must be a string"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
             }),
             _ => Err(shape("unknown request opcode")),
         }
@@ -704,7 +727,7 @@ fn gen_response(rng: &mut DetRng) -> DbResponse {
 const STRUCTURAL: &[u8] = b"\"\\{}[],:0123456789-+.eE tfnu\x00\x1f\x7f\x80\xc3\xff";
 
 /// Every key the codecs know, plus one they do not.
-const KEYS: [&str; 28] = [
+const KEYS: [&str; 26] = [
     "url",
     "asn",
     "measured_at_us",
@@ -717,8 +740,6 @@ const KEYS: [&str; 28] = [
     "risk",
     "min_clients",
     "min_avg_vote",
-    "from_seq",
-    "lines",
     "uuid",
     "accepted",
     "rejected",
@@ -1064,4 +1085,97 @@ fn members_in_any_order_with_unknown_and_duplicate_keys() {
     let recorder = Recorder::new();
     assert_eq!(recorder.replay(line), Ok(WalOp::Revoke(Uuid::from_raw(10))));
     assert_eq!(recorder.replay(line), reference::wal_decode(line));
+}
+
+#[test]
+fn ship_lines_cross_verbatim() {
+    let big = "x".repeat(64 * 1024);
+    let special = [
+        "a line\nholding a newline",
+        "\"quoted\"",
+        "back\\slash \\u0041",
+        "é € 😀",
+    ];
+    let cases: Vec<Vec<String>> = vec![
+        Vec::new(),
+        vec![String::new()],
+        vec![String::new(), "{}".into(), String::new()],
+        special.iter().map(|s| s.to_string()).collect(),
+        vec![big.clone(), "after".into(), big],
+    ];
+    for (i, lines) in cases.into_iter().enumerate() {
+        let from_seq = u64::MAX - i as u64;
+        let req = DbRequest::Ship {
+            from_seq,
+            lines: lines.clone(),
+        };
+        let frame = req.to_frame();
+        // Nothing but the sequence number, the lengths and the lines
+        // themselves, each line's bytes as they are.
+        assert_eq!(frame.payload[..8], from_seq.to_be_bytes());
+        let mut at = 8;
+        for line in &lines {
+            let len = u32::from_be_bytes(frame.payload[at..at + 4].try_into().unwrap());
+            assert_eq!(len as usize, line.len());
+            assert_eq!(&frame.payload[at + 4..at + 4 + line.len()], line.as_bytes());
+            at += 4 + line.len();
+        }
+        assert_eq!(at, frame.payload.len());
+        assert_eq!(frame, reference::request_to_frame(&req));
+        assert_eq!(DbRequest::from_frame(&frame).unwrap(), req);
+    }
+}
+
+#[test]
+fn a_cut_or_non_utf8_ship_payload_is_a_wire_error() {
+    let lines = vec![
+        wal::revoke_line(Uuid::from_raw(3)),
+        String::new(),
+        "é\n\"\\".to_string(),
+        wal_line(&gen_wal_op(&mut DetRng::new(7))),
+    ];
+    let ship = |lines: &[String]| DbRequest::Ship {
+        from_seq: 7,
+        lines: lines.to_vec(),
+    };
+    let payload = ship(&lines).to_frame().payload;
+    // Where each line ends: a cut there is a shorter shipment, since
+    // the frame, not the payload, carries the length.
+    let ends: Vec<usize> = std::iter::once(8)
+        .chain(lines.iter().scan(8, |end, l| {
+            *end += 4 + l.len();
+            Some(*end)
+        }))
+        .collect();
+    for cut in 0..payload.len() {
+        let f = Frame::new(op::SHIP, payload[..cut].to_vec());
+        let got = DbRequest::from_frame(&f);
+        match ends.iter().position(|&end| end == cut) {
+            Some(k) => assert_eq!(got, Ok(ship(&lines[..k])), "cut at {cut}"),
+            None => assert!(
+                matches!(got, Err(StoreError::Wire(_))),
+                "cut at {cut}: {got:?}"
+            ),
+        }
+        assert_eq!(got, reference::request_from_frame(&f), "cut at {cut}");
+    }
+
+    // A length past the end, and lines that are not UTF-8: a lone
+    // continuation byte, an overlong '/', a surrogate half, a bare 0xff.
+    let overlong = [&7u64.to_be_bytes()[..], &5u32.to_be_bytes(), b"four"].concat();
+    let bad_lines: [&[u8]; 4] = [b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"{\xff}"];
+    let not_utf8 = bad_lines.iter().map(|line| {
+        let len = (line.len() as u32).to_be_bytes();
+        [&7u64.to_be_bytes()[..], &len, line].concat()
+    });
+    for bad in std::iter::once(overlong).chain(not_utf8) {
+        let f = Frame::new(op::SHIP, bad);
+        let got = DbRequest::from_frame(&f);
+        assert!(
+            matches!(got, Err(StoreError::Wire(_))),
+            "{:?}: {got:?}",
+            f.payload
+        );
+        assert_eq!(got, reference::request_from_frame(&f));
+    }
 }
