@@ -210,7 +210,7 @@ fn run_all(args: &[String]) {
     // The scorecard: stdout digests are the deterministic section.
     let digests = runs.iter().map(|r| (r.name, r.digest.as_str()));
     let card = experiments::sweep_card(seed, digests);
-    let card_path = dir.join(format!("BENCH_seed{seed}.json"));
+    let card_path = dir.join(experiments::sweep_card_file(seed));
     or_die(&card_path, card.write(&card_path));
 
     eprintln!("exp all: per-experiment wall timings (jobs={jobs}):");

@@ -2,18 +2,12 @@
 //!
 //! ```text
 //! report trace  TRACE  [--baseline TRACE] [--max-regress-pct P] [--waterfall N]
-//! report perf   CARD   [--baseline CARD] [--fingerprint]
 //! report health FRAMES [--gate] [--expect RULES]
 //! ```
 //!
 //! - `trace` reads a `--trace-out` file (`.json` Chrome trace or JSONL):
 //!   per-fetch PLT decomposition and waterfalls; a fetch whose children
 //!   do not sum to its root PLT within 1 µs makes the trace unusable.
-//! - `perf` reads a `BENCH_<seed>.json` scorecard: the attribution
-//!   table, the deterministic fingerprint (byte-identical across
-//!   same-seed runs), and the exact diff of the deterministic section against a
-//!   baseline card. It gates on no timing field — timing regressions
-//!   are the repo benchmark's job (`benchmark/`, `BENCH_history.jsonl`).
 //! - `health` reads a `--frames-out` JSONL file (only `ts.frame` /
 //!   `slo.violation` events matter; a full `--trace-out` JSONL stream
 //!   also works). `--gate` is the CI "run must be healthy" check;
@@ -24,13 +18,12 @@
 //! Exit codes are [`csaw_bench::cli::exit`], shared with `exp`.
 
 use csaw_bench::cli::{self, exit};
-use csaw_bench::scorecard::Scorecard;
+use csaw_bench::healthreport;
 use csaw_bench::tracereport::{self, RawEvent};
-use csaw_bench::{healthreport, perfreport};
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "\
-usage: report <trace | perf | health> FILE [flags]   (report KIND --help)";
+usage: report <trace | health> FILE [flags]   (report KIND --help)";
 
 const TRACE_USAGE: &str = "\
 usage: report trace TRACE [flags]
@@ -40,15 +33,6 @@ usage: report trace TRACE [flags]
                        p50 or p99 regresses past the threshold
   --max-regress-pct P  allowed worsening before the gate fails (default 10)
   --waterfall N        per-fetch waterfalls to print (default 8)";
-
-const PERF_USAGE: &str = "\
-usage: report perf CARD.json [flags]
-
-  --baseline FILE   diff the deterministic section against a baseline
-                    scorecard; exit 4 on a mismatch (timing fields are
-                    rendered, never compared)
-  --fingerprint     print only the deterministic fingerprint and exit
-                    (two same-seed runs must print identical bytes)";
 
 const HEALTH_USAGE: &str = "\
 usage: report health FRAMES.jsonl [flags]
@@ -70,7 +54,6 @@ fn main() {
             0
         }
         "trace" => trace(rest),
-        "perf" => perf(rest),
         "health" => health(rest),
         other => cli::die("report", USAGE, &format!("unknown report kind {other:?}")),
     };
@@ -151,42 +134,6 @@ fn trace(args: &[String]) -> i32 {
         println!("{}", verdict.render());
         if verdict.regressed {
             return exit::GATE;
-        }
-    }
-    0
-}
-
-fn perf(args: &[String]) -> i32 {
-    let (cmd, usage) = ("report perf", PERF_USAGE);
-    let mut card_path: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut fingerprint = false;
-    cli::parse_args(cmd, usage, args, |a, value| {
-        match a {
-            "--baseline" => baseline = Some(PathBuf::from(value())),
-            "--fingerprint" => fingerprint = true,
-            other => return positional(&mut card_path, other),
-        }
-        true
-    });
-    let card_path =
-        card_path.unwrap_or_else(|| cli::die(cmd, usage, "a scorecard path is required"));
-    let load = |path: &Path| Scorecard::load(path).unwrap_or_else(|e| cli::die(cmd, usage, &e));
-    let card = load(&card_path);
-
-    if fingerprint {
-        // Bytes only: this output is compared across same-seed runs.
-        print!("{}", card.fingerprint());
-        return 0;
-    }
-
-    print!("{}", perfreport::attribution(&card));
-
-    if let Some(base_path) = &baseline {
-        let cmp = perfreport::compare(&card, &load(base_path));
-        print!("\n{}", cmp.render());
-        if !cmp.ok() {
-            return exit::CORRECTNESS;
         }
     }
     0

@@ -19,7 +19,6 @@
 //! byte-identical JSON, *regardless of `--jobs`* — the parallel runner
 //! merges per-trial telemetry in trial order behind a barrier.
 
-use crate::scorecard::Scorecard;
 use csaw_obs::chrome::ChromeTraceSink;
 use csaw_obs::clock::ManualClock;
 use csaw_obs::contention::PerfMode;
@@ -44,7 +43,7 @@ pub mod exit {
     /// A gate on measured values failed: trace PLT regression, SLO
     /// violation under `--gate`.
     pub const GATE: i32 = 3;
-    /// Correctness: deterministic-field mismatch, silent report loss.
+    /// Correctness: silent report loss.
     pub const CORRECTNESS: i32 = 4;
     /// Delivery ratio fell below `--min-delivery`.
     pub const DELIVERY: i32 = 5;
@@ -62,7 +61,7 @@ exit codes:
   2  usage, I/O or parse error
   3  a gate on measured values failed (trace PLT regression, SLO
      violation under --gate)
-  4  correctness: deterministic-field mismatch, silent report loss
+  4  correctness: silent report loss
   5  delivery ratio below --min-delivery
   6  replica not converged after heal
   7  an --expect'ed SLO rule never fired";
@@ -84,9 +83,9 @@ pub const COMMON_HELP: &str =
                       format (chrome://tracing, Perfetto), anything else
                       streams raw JSONL events
   --perf MODE         perf-attribution telemetry: off | virtual | wall
-                      (off unless the experiment documents another
-                      default; wall records real lock wait/hold time and
-                      so makes snapshots machine-dependent)
+                      (default off; wall records real lock wait/hold
+                      time into the --metrics-out snapshot and so makes
+                      it machine-dependent)
   --window SECS       telemetry window length, virtual seconds (0 = off);
                       overrides the experiment's documented default
   --frames-out PATH   write `ts.frame`/`slo.violation` events as JSONL,
@@ -183,10 +182,6 @@ pub struct ExpCli {
     /// Worker threads for independent trials (`--jobs`, default 1;
     /// `--jobs 0` resolves to the number of available cores).
     pub jobs: usize,
-    /// Perf-attribution mode from `--perf`, `None` when the flag was
-    /// absent (so an experiment can apply its own default via
-    /// [`ExpCli::default_perf`]).
-    pub perf: Option<PerfMode>,
     /// Telemetry window length in virtual seconds from `--window`,
     /// `None` when absent (the experiment's [`ExpCli::default_window`]
     /// applies then). `Some(0.0)` explicitly disables windowing.
@@ -322,7 +317,6 @@ impl ExpCli {
         let cli = ExpCli {
             seed,
             jobs,
-            perf,
             window,
             metrics_out,
             frames_out,
@@ -335,15 +329,6 @@ impl ExpCli {
             values,
         };
         (cli, flags)
-    }
-
-    /// Apply an experiment-specific default perf mode when `--perf` was
-    /// not given (`exp scale` defaults to `wall` so every run yields an
-    /// attributable scorecard; everything else stays `off`).
-    pub fn default_perf(&self, mode: PerfMode) {
-        if self.perf.is_none() {
-            self.ctx.set_perf_mode(mode);
-        }
     }
 
     /// Configure windowed telemetry: `--window` when given, else the
@@ -362,21 +347,6 @@ impl ExpCli {
     /// The installed observability context.
     pub fn ctx(&self) -> &Arc<ObsCtx> {
         &self.ctx
-    }
-
-    /// Write `card` to `path`; exits [`exit::USAGE`] when the file
-    /// cannot be written.
-    pub fn write_card(&self, card: Scorecard, path: &Path) {
-        // Close the open telemetry window here: finish() flushes once
-        // more and that second flush emits the idle tail frame, which
-        // the byte-pinned `--frames-out` streams of card-writing runs
-        // contain.
-        self.ctx.flush_timeline();
-        if let Err(e) = card.write(path) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(exit::USAGE);
-        }
-        eprintln!("scorecard -> {}", path.display());
     }
 
     /// Deterministic JSON snapshot of the metrics registry.
@@ -452,24 +422,12 @@ mod tests {
     }
 
     #[test]
-    fn perf_flag_sets_scope_mode_and_default_perf_defers_to_it() {
-        let cli = parse(&[]);
-        assert_eq!(cli.perf, None);
-        assert_eq!(cli.ctx.perf_mode(), PerfMode::Off);
-        cli.default_perf(PerfMode::Monotonic);
-        assert_eq!(cli.ctx.perf_mode(), PerfMode::Monotonic, "binary default");
-
+    fn perf_flag_sets_scope_mode() {
+        assert_eq!(parse(&[]).ctx.perf_mode(), PerfMode::Off, "off by default");
         let cli = parse(&["--perf", "virtual"]);
-        assert_eq!(cli.perf, Some(PerfMode::Virtual));
         assert_eq!(cli.ctx.perf_mode(), PerfMode::Virtual);
-        cli.default_perf(PerfMode::Monotonic);
-        assert_eq!(
-            cli.ctx.perf_mode(),
-            PerfMode::Virtual,
-            "explicit flag wins over the binary default"
-        );
         let cli = parse(&["--perf", "wall"]);
-        assert_eq!(cli.perf, Some(PerfMode::Monotonic));
+        assert_eq!(cli.ctx.perf_mode(), PerfMode::Monotonic);
     }
 
     #[test]

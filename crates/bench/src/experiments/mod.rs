@@ -23,9 +23,9 @@
 //! answer the paper's §8 future-work questions; both are pure
 //! `(seed, jobs) → rendered text` sweeps, which is what lets `exp all`
 //! digest them. **Harness** entries ([`chaos`], [`splitbrain`],
-//! [`scale`]) take their own flags, configure telemetry windows, write
-//! scorecards and gate on their result with an exit code from
-//! [`crate::cli::exit`]; `exp all` skips them.
+//! [`scale`]) take their own flags, configure telemetry windows and
+//! gate on their result with an exit code from [`crate::cli::exit`];
+//! `exp all` skips them.
 
 use crate::cli::{ExpCli, Flags, Verdict};
 use crate::scorecard::Scorecard;
@@ -213,6 +213,11 @@ pub const CATALOGUE: &[Entry] = &[
 /// The catalogue entry called `name`.
 pub fn find(name: &str) -> Option<&'static Entry> {
     CATALOGUE.iter().find(|e| e.name == name)
+}
+
+/// The file name of `exp all`'s [`sweep_card`] under `<out-dir>/<seed>/`.
+pub fn sweep_card_file(seed: u64) -> String {
+    format!("BENCH_seed{seed}.json")
 }
 
 /// The sweep scorecard `exp all` writes, whose `stdout_digests` the

@@ -27,22 +27,21 @@
 //! Throughput numbers are wall-clock and therefore machine-dependent;
 //! EXPERIMENTS.md records the reference environment alongside the
 //! numbers. Everything else (accepted/rejected counts, record counts,
-//! lookup result sizes) is deterministic in the seed.
+//! lookup result sizes) is deterministic in the seed. Under `--perf
+//! wall` the store's timed locks record their acquisitions, contention
+//! and wait/hold sums into the `--metrics-out` snapshot.
 
-use crate::alloc_track::{self, AllocSnapshot};
 use crate::cli::{ExpCli, Flags, Verdict};
 use crate::fleet;
-use crate::scorecard::{self, LockProbe, LockTotals, Scorecard};
+use crate::scorecard::Scorecard;
 use csaw::global::{Batch, ConfidenceFilter, GlobalApi, RemoteDb, Report, ServerDb, Uuid};
 use csaw_censor::blocking::BlockingType;
 use csaw_dbserver::{spawn_dbserver, DbServerConfig};
 use csaw_obs::json::JsonValue;
 use csaw_obs::slo::SloSet;
-use csaw_obs::PerfMode;
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,18 +50,6 @@ const REPORTS_PER_CLIENT: usize = 4;
 
 /// Every n-th client includes one garbage report (rejected path).
 const GARBAGE_EVERY: usize = 16;
-
-/// The `lock.<family>` metric sets the ingest phase is attributed
-/// against — every timed lock the store takes on the write path.
-pub const LOCK_FAMILIES: &[&str] = &[
-    "store.shard.records.read",
-    "store.shard.records.write",
-    "store.ledger.clients.read",
-    "store.ledger.clients.write",
-    "store.ledger.keys.read",
-    "store.ledger.keys.write",
-    "store.wal.log",
-];
 
 /// Harness knobs (see [`FLAGS`] for the ones `exp scale` exposes).
 #[derive(Debug, Clone)]
@@ -113,28 +100,6 @@ pub struct ScaleRow {
     pub lookup_p50_us: u64,
     /// 99th-percentile `blocked_for_as` latency, µs.
     pub lookup_p99_us: u64,
-    /// Ingest-phase attribution, present when the run's observability
-    /// scope has `PerfMode::Monotonic` enabled (`--perf wall`).
-    pub perf: Option<RowPerf>,
-}
-
-/// Where one row's ingest wall time went: thread-seconds spent building
-/// batches, inside `ingest` calls, and waiting on / holding each timed
-/// lock family, plus allocator deltas when the counting allocator is
-/// compiled in (`perf-telemetry` feature).
-#[derive(Debug, Clone)]
-pub struct RowPerf {
-    /// Thread-seconds spent in `batch_for` (workload synthesis — harness
-    /// cost, not store cost).
-    pub build_s: f64,
-    /// Thread-seconds spent inside `ServerDb::ingest` calls.
-    pub call_s: f64,
-    /// Ingest-phase delta per lock family, nonzero families only, in
-    /// [`LOCK_FAMILIES`] order.
-    pub locks: Vec<(String, LockTotals)>,
-    /// Allocator events/bytes during ingest (None without the
-    /// `perf-telemetry` feature — absence is distinct from zero).
-    pub allocs: Option<AllocSnapshot>,
 }
 
 /// The full sweep result.
@@ -154,9 +119,8 @@ pub struct Scale {
 ///
 /// `accepted`/`rejected`/`records` are seed-pure (deferrals only delay
 /// a report, they never change whether it is ultimately accepted) and
-/// land in the scorecard's `deterministic` section; everything
-/// wall-clock or scheduling-dependent (throughput, request latency,
-/// deferral retries) is `timing`.
+/// land in the scorecard; everything wall-clock or scheduling-dependent
+/// (throughput, request latency, deferral retries) is only printed.
 #[derive(Debug, Clone)]
 pub struct SocketScale {
     /// Posting threads sharing the connection pool.
@@ -173,17 +137,13 @@ pub struct SocketScale {
     /// is bounded and explicit — every deferral is retried, so this
     /// counts extra round trips, not losses). Timing-dependent.
     pub deferred_retries: u64,
-    /// Wall-clock posting time, seconds (registration excluded).
-    pub ingest_secs: f64,
-    /// Sustained socketed ingest throughput, reports per second.
+    /// Sustained socketed ingest throughput, reports per second
+    /// (registration excluded).
     pub reports_per_sec: f64,
     /// Median request round-trip latency, µs.
     pub req_p50_us: u64,
     /// 99th-percentile request round-trip latency, µs.
     pub req_p99_us: u64,
-    /// Batches the server handed to `ingest` (posts + deferral
-    /// retries). Timing-dependent via the retry count.
-    pub batches_ingested: u64,
 }
 
 /// The batch client `idx` posts — a pure function of `(seed, idx)`, so
@@ -363,11 +323,9 @@ pub fn run_socketed(
         rejected,
         records: server.store().record_count(),
         deferred_retries: retries,
-        ingest_secs,
         reports_per_sec: posted_reports as f64 / ingest_secs.max(1e-9),
         req_p50_us: lat.p50_us().unwrap_or(0),
         req_p99_us: lat.p99_us().unwrap_or(0),
-        batches_ingested: stats.batches_ingested,
     }
 }
 
@@ -376,54 +334,18 @@ fn run_one(seed: u64, cfg: &ScaleConfig, threads: usize) -> ScaleRow {
     let server = fresh_server(seed, cfg);
     let uuids = register_all(&server, cfg);
 
-    // Perf attribution (only under `--perf wall`): bracket the ingest
-    // phase with lock-family and allocator readings, and have each
-    // writer sum its own batch-build and ingest-call time. Probes read
-    // the scope registry the store's TimedMutex/TimedRwLock stats were
-    // resolved against at construction just above.
-    let perf = csaw_obs::current().perf_mode() == PerfMode::Monotonic;
-    let probes: Vec<LockProbe> = if perf {
-        let ctx = csaw_obs::current();
-        LOCK_FAMILIES
-            .iter()
-            .map(|f| LockProbe::new(&ctx.registry, f))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let lock_before: Vec<LockTotals> = probes.iter().map(LockProbe::totals).collect();
-    let alloc_before = alloc_track::snapshot();
-
     let started = Instant::now();
-    let [accepted, rejected, build_ns, call_ns] = fleet::fan_out(cfg.clients, threads, |chunk| {
-        let (mut acc, mut rej, mut build, mut call) = (0u64, 0u64, 0u64, 0u64);
+    let [accepted, rejected] = fleet::fan_out(cfg.clients, threads, |chunk| {
+        let (mut acc, mut rej) = (0u64, 0u64);
         for idx in chunk {
-            // The clock is read only under perf attribution.
-            let t0 = perf.then(Instant::now);
             let batch = batch_for(seed, idx, uuids[idx], cfg);
-            let t1 = perf.then(Instant::now);
             let receipt = server.ingest(batch).expect("registered client");
-            if let (Some(t0), Some(t1)) = (t0, t1) {
-                call += t1.elapsed().as_nanos() as u64;
-                build += (t1 - t0).as_nanos() as u64;
-            }
             acc += receipt.accepted as u64;
             rej += receipt.rejected as u64;
         }
-        [acc, rej, build, call]
+        [acc, rej]
     });
     let ingest_secs = started.elapsed().as_secs_f64();
-    let row_perf = perf.then(|| RowPerf {
-        build_s: build_ns as f64 / 1e9,
-        call_s: call_ns as f64 / 1e9,
-        locks: probes
-            .iter()
-            .zip(&lock_before)
-            .map(|(p, before)| (p.name.clone(), p.totals().delta_since(before)))
-            .filter(|(_, t)| !t.is_zero())
-            .collect(),
-        allocs: alloc_track::enabled().then(|| alloc_track::snapshot().delta_since(&alloc_before)),
-    });
     let total_reports = (cfg.clients * REPORTS_PER_CLIENT) as f64;
     csaw_obs::observe_secs("exp.scale.ingest", ingest_secs);
 
@@ -461,7 +383,6 @@ fn run_one(seed: u64, cfg: &ScaleConfig, threads: usize) -> ScaleRow {
         records: server.store().record_count(),
         lookup_p50_us: lat.p50_us().unwrap_or(0),
         lookup_p99_us: lat.p99_us().unwrap_or(0),
-        perf: row_perf,
     }
 }
 
@@ -475,23 +396,18 @@ pub const FLAGS: &[(&str, &str)] = &[
     ("--shards", "store shard count (default 16)"),
     ("--lookups", "read-path lookups to time (default 10000)"),
     (
-        "--bench-out",
-        "scorecard path (default BENCH_seed<seed>.json; 'none' disables)",
-    ),
-    (
         "--transport",
         "also run the socketed phase: 'in-process' (default) or 'tcp'",
     ),
 ];
 
 /// `exp scale`: the ingest sweep, plus the socketed phase under
-/// `--transport tcp`. Every run writes the scorecard (feed it to
-/// `report perf`), and perf telemetry defaults to `--perf wall` so the
-/// card carries real lock wait/hold attribution. There is no verdict to
-/// gate on: the socketed phase panics on any reconciliation failure
-/// (silent loss), which exits nonzero — that is the CI gate.
+/// `--transport tcp`. It prints its table and writes no file of its
+/// own; lock attribution is `--perf wall --metrics-out m.json`. There
+/// is no verdict to gate on: the socketed phase panics on any
+/// reconciliation failure (silent loss), which exits nonzero — that is
+/// the CI gate.
 pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
-    cli.default_perf(PerfMode::Monotonic);
     // This harness runs on wall clock (the virtual clock never moves),
     // so windows are off unless --window is given; when on, the ingest
     // coverage rule still applies to the single close-of-run window.
@@ -527,14 +443,6 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
         let threads = cfg.threads.iter().copied().max().unwrap_or(1);
         let server = DbServerConfig::default();
         result.socket = Some(run_socketed(cli.seed, &cfg, threads, server));
-    }
-    let default_path = scorecard::default_path(cli.seed);
-    match flags.get("--bench-out") {
-        Some("none") => {}
-        path => cli.write_card(
-            result.scorecard(cli.seed),
-            path.map_or(default_path.as_path(), Path::new),
-        ),
     }
     (result.render(), Ok(()))
 }
@@ -608,13 +516,11 @@ impl Scale {
         out
     }
 
-    /// The machine-readable scorecard for this sweep (`BENCH_<seed>.json`).
-    ///
-    /// Seed-pure counts (config echo, accepted/rejected/records,
-    /// per-family lock acquisitions, allocs/report) go in the
-    /// `deterministic` section — two same-seed runs of the same build
-    /// must agree byte-for-byte there. Wall-clock measurements
-    /// (throughput, latency percentiles, wait/hold sums) go in `timing`.
+    /// The seed-pure scorecard of this sweep, whose fingerprint is the
+    /// golden manifest's `exp scale` row: the config echo, each row's
+    /// accepted/rejected/record counts, and the socketed phase's
+    /// receipt totals and store state. Two same-seed runs of the same
+    /// build agree byte-for-byte; nothing wall-clock is in it.
     pub fn scorecard(&self, seed: u64) -> Scorecard {
         let mut card = Scorecard::new("exp_scale", seed);
         let mut config = JsonValue::obj();
@@ -624,51 +530,21 @@ impl Scale {
         config.set("urls", self.cfg.urls);
         config.set("asns", self.cfg.asns);
         config.set("lookups", self.cfg.lookups);
-        let mut det_rows: Vec<JsonValue> = Vec::with_capacity(self.rows.len());
-        let mut timing_rows: Vec<JsonValue> = Vec::with_capacity(self.rows.len());
-        for r in &self.rows {
-            let mut d = JsonValue::obj();
-            d.set("threads", r.threads);
-            d.set("accepted", r.accepted);
-            d.set("rejected", r.rejected);
-            d.set("records", r.records);
-            let mut t = JsonValue::obj();
-            t.set("threads", r.threads);
-            t.set("ingest_secs", r.ingest_secs);
-            t.set("reports_per_sec", r.reports_per_sec);
-            t.set("lookup_p50_us", r.lookup_p50_us);
-            t.set("lookup_p99_us", r.lookup_p99_us);
-            if let Some(p) = &r.perf {
-                let mut acquires = JsonValue::obj();
-                let mut locks = JsonValue::obj();
-                for (name, tot) in &p.locks {
-                    acquires.set(name, tot.acquires);
-                    let mut l = JsonValue::obj();
-                    l.set("contended", tot.contended);
-                    l.set("wait_us", tot.wait_us);
-                    l.set("hold_us", tot.hold_us);
-                    locks.set(name, l);
-                }
-                d.set("lock_acquires", acquires);
-                t.set("build_s", p.build_s);
-                t.set("call_s", p.call_s);
-                t.set("locks", locks);
-                if let Some(a) = &p.allocs {
-                    let reports = (r.accepted + r.rejected).max(1);
-                    d.set("allocs_per_report", a.allocs / reports);
-                    t.set("allocs", a.allocs);
-                    t.set("alloc_bytes", a.bytes);
-                }
-            }
-            det_rows.push(d);
-            timing_rows.push(t);
-        }
+        let rows: Vec<JsonValue> = self
+            .rows
+            .iter()
+            .map(|r| {
+                let mut d = JsonValue::obj();
+                d.set("threads", r.threads);
+                d.set("accepted", r.accepted);
+                d.set("rejected", r.rejected);
+                d.set("records", r.records);
+                d
+            })
+            .collect();
         card.deterministic.set("config", config);
-        card.deterministic.set("rows", det_rows);
+        card.deterministic.set("rows", rows);
         if let Some(sck) = &self.socket {
-            // Socketed section, split on the same rule: receipt totals
-            // and store state are seed-pure; latency, throughput and
-            // deferrals depend on real scheduling.
             let mut d = JsonValue::obj();
             d.set("threads", sck.threads);
             d.set("posted_reports", sck.posted_reports);
@@ -676,24 +552,7 @@ impl Scale {
             d.set("rejected", sck.rejected);
             d.set("records", sck.records);
             card.deterministic.set("socket", d);
-            let mut t = JsonValue::obj();
-            t.set("ingest_secs", sck.ingest_secs);
-            t.set("reports_per_sec", sck.reports_per_sec);
-            t.set("req_p50_us", sck.req_p50_us);
-            t.set("req_p99_us", sck.req_p99_us);
-            t.set("deferred_retries", sck.deferred_retries);
-            t.set("batches_ingested", sck.batches_ingested);
-            card.timing.set("socket", t);
         }
-        // Machine identity for the attribution table: rows wider than
-        // the host's cores measure time-slicing, not the store, so the
-        // card records how many it saw. Timing section — it describes
-        // the machine, not the seed.
-        card.timing.set(
-            "host_threads",
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-        );
-        card.timing.set("rows", timing_rows);
         card
     }
 }
@@ -701,6 +560,7 @@ impl Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csaw_obs::{install, ObsCtx, PerfMode};
 
     fn tiny() -> ScaleConfig {
         ScaleConfig {
@@ -733,47 +593,52 @@ mod tests {
     }
 
     #[test]
-    fn perf_capture_off_by_default_and_scorecard_still_valid() {
-        let s = run_with(9, tiny());
-        assert!(
-            s.rows.iter().all(|r| r.perf.is_none()),
-            "no attribution without an explicit perf mode"
-        );
-        let card = s.scorecard(9);
-        assert_eq!(card.experiment, "exp_scale");
-        assert!(!card.fingerprint().contains("lock_acquires"));
+    fn perf_off_registers_no_lock_metric() {
+        let ctx = Arc::new(ObsCtx::new());
+        let _g = install(ctx.clone());
+        run_with(9, tiny());
+        let snap = ctx.registry.snapshot().to_string_compact();
+        assert!(!snap.contains("lock."), "perf off, yet: {snap}");
     }
 
+    /// The write locks one ingest takes, per family, over the 10k-client
+    /// smoke workload: one `clients` stripe per batch, and one `keys`
+    /// stripe and one record shard per (batch, touched shard) pair. A
+    /// batch that took a shard or stripe write lock twice would raise a
+    /// count; so would a lock taken per report instead of per shard.
     #[test]
-    fn perf_capture_and_scorecard_fingerprint_are_seed_pure() {
-        use csaw_obs::{install, ObsCtx, PerfMode};
-        use std::sync::Arc;
-        let run = || {
-            let ctx = Arc::new(ObsCtx::new().with_perf(PerfMode::Monotonic));
-            let _g = install(ctx);
-            let s = run_with(11, tiny());
-            let p = s.rows[0].perf.as_ref().expect("perf rows under wall mode");
-            assert!(p.build_s >= 0.0 && p.call_s >= 0.0);
-            assert!(
-                p.locks
-                    .iter()
-                    .any(|(n, t)| n == "store.shard.records.write" && t.acquires > 0),
-                "ingest must acquire the shard write lock: {:?}",
-                p.locks
-            );
-            s.scorecard(11)
+    fn each_batch_takes_each_write_lock_once_at_every_thread_count() {
+        let acquires = |threads: usize| {
+            let ctx = Arc::new(ObsCtx::new().with_perf(PerfMode::Virtual));
+            let _g = install(ctx.clone());
+            let cfg = ScaleConfig {
+                clients: 10_000,
+                lookups: 1_000,
+                threads: vec![threads],
+                ..ScaleConfig::default()
+            };
+            run_with(1, cfg);
+            [
+                "store.ledger.clients.write",
+                "store.ledger.keys.write",
+                "store.shard.records.write",
+            ]
+            .map(|family| {
+                let name = format!("lock.{family}.acquires");
+                (family, ctx.registry.counter(&name).get())
+            })
         };
-        let (a, b) = (run(), run());
-        assert_eq!(
-            a.fingerprint(),
-            b.fingerprint(),
-            "deterministic section must be byte-stable across same-seed runs"
-        );
-        assert!(a.fingerprint().contains("lock_acquires"));
-        assert!(
-            !a.fingerprint().contains("reports_per_sec"),
-            "wall-clock numbers must stay out of the fingerprint"
-        );
+        for threads in [1, 4] {
+            assert_eq!(
+                acquires(threads),
+                [
+                    ("store.ledger.clients.write", 10_000),
+                    ("store.ledger.keys.write", 35_976),
+                    ("store.shard.records.write", 35_976),
+                ],
+                "{threads} writer thread(s)"
+            );
+        }
     }
 
     #[test]

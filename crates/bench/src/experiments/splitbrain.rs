@@ -32,20 +32,17 @@
 use crate::cli::{exit, ExpCli, Flags, Verdict};
 use crate::fleet::{self, Fleet};
 use crate::runner::{self, TrialSpec};
-use crate::scorecard::Scorecard;
 use csaw::config::CsawConfig;
 use csaw::encore::{EncoreConfig, EncoreSource};
 use csaw::global::{ConfidenceFilter, GlobalApi, RemoteDb, ServerDb};
 use csaw_censor::profiles;
 use csaw_dbserver::{spawn_dbserver, DbServerConfig, DbServerHandle};
 use csaw_faults::OutageSchedule;
-use csaw_obs::json::JsonValue;
 use csaw_obs::slo::{SloKind, SloRule, SloSet};
 use csaw_replica::{ReplicatedStore, StoreState, WalShipper};
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_store::{Decorator, ShardedStore};
 use std::collections::BTreeSet;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Experiment shape.
@@ -375,10 +372,6 @@ pub const FLAGS: &[(&str, &str)] = &[
     ("--regions", "per-region dbserver replicas (default 2)"),
     ("--clients", "full C-Saw clients (default 4)"),
     ("--urls", "unique blocked URLs per client (default 5)"),
-    (
-        "--bench-out",
-        "scorecard path ('none' disables; default none)",
-    ),
 ];
 
 /// `exp splitbrain`: run the baseline and partitioned scenarios and
@@ -402,10 +395,6 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
     cli.default_window(3_600.0, Arc::new(slo_set()));
 
     let result = run(cli.seed, &cfg, cli.jobs);
-    match flags.get("--bench-out") {
-        None | Some("none") => {}
-        Some(path) => cli.write_card(result.scorecard(&cfg, cli.seed), Path::new(path)),
-    }
     let verdict = if result.silent_loss() {
         Err((
             exit::CORRECTNESS,
@@ -461,55 +450,6 @@ impl SplitBrain {
             ));
         }
         out
-    }
-
-    /// The machine-readable scorecard: config, both scenario rows, and
-    /// the Encore modality summary, all in the deterministic
-    /// (fingerprinted) section.
-    pub fn scorecard(&self, cfg: &SplitBrainConfig, seed: u64) -> Scorecard {
-        let mut card = Scorecard::new("chaos-splitbrain", seed);
-        let mut det = JsonValue::obj();
-        let mut config = JsonValue::obj();
-        config.set("clients", cfg.clients);
-        config.set("urls_per_client", cfg.urls_per_client);
-        config.set("regions", cfg.regions);
-        config.set("ship_every_s", cfg.ship_every_s);
-        config.set("horizon_s", cfg.horizon_s);
-        config.set("partition_start_s", cfg.partition_s.0);
-        config.set("partition_end_s", cfg.partition_s.1);
-        det.set("config", config);
-        let mut encore = JsonValue::obj();
-        encore.set("probes", cfg.clients * cfg.encore_factor);
-        encore.set("rounds", cfg.encore_rounds);
-        encore.set(
-            "posted",
-            self.rows.first().map(|r| r.encore_posted).unwrap_or(0),
-        );
-        det.set("encore", encore);
-        let rows: Vec<JsonValue> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut row = JsonValue::obj();
-                row.set("scenario", r.scenario.as_str());
-                row.set("queued", r.queued);
-                row.set("posted", r.posted);
-                row.set("encore_posted", r.encore_posted);
-                row.set("leader_seq", r.leader_seq);
-                row.set("records", r.store_records);
-                row.set("peak_lag", r.peak_lag);
-                row.set("peak_staleness_s", r.peak_staleness_s);
-                row.set("heal_rounds", r.heal_rounds);
-                row.set("replica_records", r.replica_records);
-                row.set("converged", r.converged);
-                row.set("accounted", r.accounted);
-                row.set("fingerprint", r.fingerprint.as_str());
-                row
-            })
-            .collect();
-        det.set("rows", rows);
-        card.deterministic = det;
-        card
     }
 }
 

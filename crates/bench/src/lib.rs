@@ -7,30 +7,27 @@
 //!
 //! Two binaries: `exp` runs the entries of [`experiments::CATALOGUE`]
 //! (`exp <name>`, `exp all` for the full report consumed by
-//! `EXPERIMENTS.md`, `exp list`), and `report trace|perf|health`
-//! analyses and gates on what they write. Both parse flags through
-//! [`cli`] and share its exit-code table. Micro-benchmarks for the hot
-//! paths live under `benches/`. Sweeps fan their independent trials out
-//! through [`runner::map`]; the three harnesses (`chaos`, `splitbrain`,
+//! `EXPERIMENTS.md`, `exp list`), and `report trace|health` analyses
+//! and gates on what they write. Both parse flags through [`cli`] and
+//! share its exit-code table. Micro-benchmarks for the hot paths live
+//! under `benches/`. Sweeps fan their independent trials out through
+//! [`runner::map`]; the three harnesses (`chaos`, `splitbrain`,
 //! `scale`) drive their client populations through [`fleet`].
 //!
-//! Perf attribution rides on `csaw_obs::contention` plus three local
-//! pieces: [`alloc_track`] (allocs/report via the optional counting
-//! allocator), [`scorecard`] (the machine-readable `BENCH_<seed>.json`
-//! every scale run writes), and [`perfreport`] (the attribution table
-//! and the determinism diff behind `report perf`). Traces
-//! (`--trace-out`) are analysed by [`tracereport`], windowed health
-//! telemetry (`--frames-out` JSONL) by [`healthreport`].
+//! Seed-pure counts and stdout digests go into a [`scorecard`], the
+//! format of the golden manifest. Lock attribution is the metrics
+//! snapshot of a `--perf wall` run (`csaw_obs::contention`); timing is
+//! the repo benchmark's (`benchmark/`). Traces (`--trace-out`) are
+//! analysed by [`tracereport`], windowed health telemetry
+//! (`--frames-out` JSONL) by [`healthreport`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod alloc_track;
 pub mod cli;
 pub mod experiments;
 pub mod fleet;
 pub mod healthreport;
-pub mod perfreport;
 pub mod runner;
 pub mod scorecard;
 pub mod stats;

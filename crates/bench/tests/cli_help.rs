@@ -86,20 +86,12 @@ fn exp_list_prints_every_catalogue_name_once_in_order() {
 
 #[test]
 fn report_kinds_answer_help_with_the_shared_exit_table() {
-    for kind in ["trace", "perf", "health"] {
+    for kind in ["trace", "health"] {
         let out = report(&[kind, "--help"]);
         let text = stdout(&out);
         assert!(out.status.success(), "report {kind} --help: {out:?}");
         assert!(text.contains(&format!("usage: report {kind}")), "{text}");
         assert!(text.contains(exit::HELP), "report {kind} --help: {text}");
-        if kind == "perf" {
-            let flags: Vec<&str> = text
-                .lines()
-                .filter_map(|l| l.split_whitespace().next())
-                .filter(|w| w.starts_with("--"))
-                .collect();
-            assert_eq!(flags, ["--baseline", "--fingerprint"], "{text}");
-        }
     }
     for args in [
         &["--help"][..],
@@ -130,23 +122,18 @@ fn bad_command_lines_exit_2_with_usage() {
     assert_usage_error(&report(&["nosuch"]), "report nosuch");
     assert_usage_error(&report(&["health"]), "report health without a file");
     assert_usage_error(&report(&["trace", "x", "--nope"]), "report trace --nope");
-    // The timing gate, the health gate and the trace aggregator are
-    // gone from `report perf`, not aliased.
-    for removed in [
-        &["--tolerance", "0.5"][..],
-        &["--gate-health"],
-        &["--trace", "x"],
-    ] {
-        let args = [&["perf", "card.json"], removed].concat();
-        assert_usage_error(&report(&args), &format!("report perf {removed:?}"));
+    // The scorecard report and the harnesses' card paths are gone, not
+    // aliased.
+    assert_usage_error(&report(&["perf", "card.json"]), "report perf");
+    for harness in ["scale", "splitbrain"] {
+        assert_usage_error(
+            &exp(&[harness, "--bench-out", "x"]),
+            &format!("exp {harness} --bench-out"),
+        );
     }
     // `exp scale` rejects sizes it cannot run instead of panicking.
     for zero in ["--threads", "--clients", "--lookups", "--shards"] {
-        let args = [
-            &["scale", "--clients", "100", "--lookups", "10"],
-            &["--bench-out", "none", zero, "0"][..],
-        ]
-        .concat();
+        let args = ["scale", "--clients", "100", "--lookups", "10", zero, "0"];
         assert_usage_error(&exp(&args), &format!("exp scale {zero} 0"));
     }
     // A fault rate is a probability.
@@ -162,52 +149,23 @@ fn bad_command_lines_exit_2_with_usage() {
 fn exp_scale_runs_a_population_smaller_than_the_as_count() {
     // Three clients report from at most three of the 64 ASes and the ten
     // lookups walk ASes 0-9: serving nothing is an answer, not a panic.
-    let out = exp(&[
-        "scale",
-        "--clients",
-        "3",
-        "--lookups",
-        "10",
-        "--bench-out",
-        "none",
-    ]);
+    // The run prints its table and leaves its working directory as it
+    // found it.
+    let cwd = std::env::temp_dir().join(format!("csaw_cli_scale_{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("create a fresh working directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_exp"))
+        .args(["scale", "--clients", "3", "--lookups", "10"])
+        .current_dir(&cwd)
+        .output()
+        .expect("spawn exp scale");
+    let left: Vec<_> = std::fs::read_dir(&cwd)
+        .expect("read the working directory")
+        .map(|e| e.expect("directory entry").file_name())
+        .collect();
+    let _ = std::fs::remove_dir_all(&cwd);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert!(stdout(&out).contains("3 clients x 4 reports"));
-}
-
-#[test]
-fn perf_baseline_diff_ignores_timing_and_flags_a_changed_count() {
-    let card = |name: &str, accepted: u64, reports_per_sec: f64| {
-        let path =
-            std::env::temp_dir().join(format!("csaw_cli_{name}_{}.json", std::process::id()));
-        let text = format!(
-            r#"{{"schema":1,"experiment":"exp_scale","seed":1,
-                "deterministic":{{"rows":[{{"threads":1,"accepted":{accepted}}}]}},
-                "timing":{{"rows":[{{"threads":1,"reports_per_sec":{reports_per_sec}}}]}}}}"#
-        );
-        std::fs::write(&path, text).expect("write card");
-        path
-    };
-    let base = card("base", 400, 1000.0);
-    let slow = card("slow", 400, 100.0);
-    let drift = card("drift", 401, 1000.0);
-    let diff = |cur: &std::path::Path| {
-        report(&[
-            "perf",
-            cur.to_str().expect("utf-8 temp path"),
-            "--baseline",
-            base.to_str().expect("utf-8 temp path"),
-        ])
-    };
-    let out = diff(&slow);
-    assert_eq!(out.status.code(), Some(0), "timing-only: {out:?}");
-    assert!(!stdout(&out).contains("REGRESSION"), "{}", stdout(&out));
-    let out = diff(&drift);
-    assert_eq!(out.status.code(), Some(exit::CORRECTNESS), "{out:?}");
-    assert!(stdout(&out).contains("DETERMINISM MISMATCH"));
-    for p in [base, slow, drift] {
-        let _ = std::fs::remove_file(p);
-    }
+    assert!(left.is_empty(), "exp scale wrote {left:?} into its cwd");
 }
 
 #[test]

@@ -9,9 +9,9 @@
 //!   40`) and `exp splitbrain --regions 2` — rendered block plus the
 //!   full event stream under the harness's hour windows, i.e. what
 //!   `--trace-out x.jsonl` writes, frames and violations included — and
-//!   the deterministic card section of `exp scale --clients 10000
-//!   --lookups 1000 --threads 4 --transport tcp` with perf off, so stock
-//!   and `perf-telemetry` builds agree;
+//!   the scorecard of `exp scale --clients 10000 --lookups 1000
+//!   --threads 4 --transport tcp` (its seed-pure receipts and record
+//!   counts);
 //! - `artifacts`: `exp fig5a --trace-out x.json`'s Chrome trace and
 //!   `exp all`'s `metrics.json`.
 //!
@@ -201,7 +201,8 @@ fn exp_all_digests_what_exp_name_prints() {
         .output()
         .expect("spawn exp all");
     assert!(all.status.success(), "exp all failed: {all:?}");
-    let card = Scorecard::load(&dir.join("1/BENCH_seed1.json")).expect("exp all's scorecard");
+    let card = Scorecard::load(&dir.join("1").join(experiments::sweep_card_file(1)))
+        .expect("exp all's scorecard");
     let metrics = std::fs::read_to_string(dir.join("1/metrics.json")).expect("metrics.json");
     let _ = std::fs::remove_dir_all(&dir);
     let golden = std::fs::read_to_string(GOLDEN).expect("GOLDEN_seed1.json");

@@ -1,12 +1,14 @@
 //! A counting global allocator for the perf-attribution layer.
 //!
-//! The scorecard's `allocs/report` number answers "is ingest
-//! allocation-bound?" — the one question lock telemetry cannot. This
-//! crate wraps [`std::alloc::System`] with per-thread-shard atomic
-//! counters (allocation count and bytes requested), installed as the
-//! process `#[global_allocator]` only when the `global` feature is on.
-//! `csaw-bench` forwards that feature from its own `perf-telemetry`
-//! feature, so plain builds keep the stock allocator byte-for-byte.
+//! Allocations per report answer "is ingest allocation-bound?" — the
+//! one question lock telemetry cannot. This crate wraps
+//! [`std::alloc::System`] with per-thread-shard atomic counters
+//! (allocation count and bytes requested), installed as the process
+//! `#[global_allocator]` only when the `global` feature is on. The
+//! benchmark's `traced` build turns that feature on; `csaw-bench`'s
+//! allocation-budget tests install [`CountingAlloc`] in their own test
+//! binaries instead, so every workspace binary keeps the stock
+//! allocator.
 //!
 //! ## Why shards, not a single pair of atomics
 //!
