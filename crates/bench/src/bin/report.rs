@@ -5,9 +5,10 @@
 //! report health FRAMES [--gate] [--expect RULES]
 //! ```
 //!
-//! - `trace` reads a `--trace-out` file (`.json` Chrome trace or JSONL):
-//!   per-fetch PLT decomposition and waterfalls; a fetch whose children
-//!   do not sum to its root PLT within 1 µs makes the trace unusable.
+//! - `trace` reads the JSONL a `--trace-out x.jsonl` run streams (not
+//!   the `.json` Chrome trace, which is for viewers): per-fetch PLT
+//!   decomposition and waterfalls; a fetch whose children do not sum to
+//!   its root PLT within 1 µs makes the trace unusable.
 //! - `health` reads a `--frames-out` JSONL file (only `ts.frame` /
 //!   `slo.violation` events matter; a full `--trace-out` JSONL stream
 //!   also works). `--gate` is the CI "run must be healthy" check;
@@ -28,7 +29,8 @@ usage: report <trace | health> FILE [flags]   (report KIND --help)";
 const TRACE_USAGE: &str = "\
 usage: report trace TRACE [flags]
 
-  TRACE                a --trace-out file (.json Chrome trace or JSONL)
+  TRACE                the JSONL a --trace-out run streams (any extension
+                       but .json; a .json Chrome trace does not parse)
   --baseline TRACE     compare against this trace; exit 3 when total-PLT
                        p50 or p99 regresses past the threshold
   --max-regress-pct P  allowed worsening before the gate fails (default 10)
@@ -74,9 +76,9 @@ fn read(cmd: &str, usage: &str, path: &Path) -> String {
         .unwrap_or_else(|e| cli::die(cmd, usage, &format!("cannot read {}: {e}", path.display())))
 }
 
-/// The events of a trace file, Chrome-trace or JSONL.
+/// The events of a JSONL trace file.
 fn events(cmd: &str, usage: &str, path: &Path) -> Vec<RawEvent> {
-    tracereport::parse_events(&read(cmd, usage, path))
+    tracereport::parse_jsonl(&read(cmd, usage, path))
         .unwrap_or_else(|e| cli::die(cmd, usage, &format!("cannot parse {}: {e}", path.display())))
 }
 

@@ -14,16 +14,17 @@
 //! [`ExpCli::from_args`] installs a process-wide [`csaw_obs`] context — a
 //! fresh registry, a [`ManualClock`] driven by the simnet virtual clock,
 //! and a sink chosen by the flags (null by default, so the hot paths pay
-//! nothing). [`ExpCli::finish`] dumps the snapshot. The snapshot is a
-//! pure function of the seed: two runs with the same seed write
-//! byte-identical JSON, *regardless of `--jobs`* — the parallel runner
-//! merges per-trial telemetry in trial order behind a barrier.
+//! nothing). [`ExpCli::finish`] writes the Chrome trace, if one was
+//! asked for, and dumps the snapshot. The snapshot is a pure function
+//! of the seed: two runs with the same seed write byte-identical JSON,
+//! *regardless of `--jobs`* — the parallel runner merges per-trial
+//! telemetry in trial order behind a barrier.
 
-use csaw_obs::chrome::ChromeTraceSink;
+use csaw_obs::chrome::render_chrome_trace;
 use csaw_obs::clock::ManualClock;
 use csaw_obs::contention::PerfMode;
 use csaw_obs::scope::{self, ObsCtx, ScopeGuard};
-use csaw_obs::sink::{FilterSink, JsonlSink, NullSink, Sink, StderrSink, TeeSink};
+use csaw_obs::sink::{BufferSink, FilterSink, JsonlSink, NullSink, Sink, StderrSink, TeeSink};
 use csaw_obs::slo::{SloSet, VIOLATION_EVENT};
 use csaw_obs::timeseries::{WindowCfg, FRAME_EVENT};
 use std::collections::HashMap;
@@ -79,13 +80,15 @@ pub const COMMON_HELP: &str =
                       0 = all available cores); output is byte-identical
                       for every N
   --metrics-out PATH  write a JSON metrics snapshot on exit
-  --trace-out PATH    write trace events; `.json` selects Chrome-trace
-                      format (chrome://tracing, Perfetto), anything else
-                      streams raw JSONL events
-  --perf MODE         perf-attribution telemetry: off | virtual | wall
-                      (default off; wall records real lock wait/hold
-                      time into the --metrics-out snapshot and so makes
-                      it machine-dependent)
+  --trace-out PATH    write trace events; any extension but `.json`
+                      streams JSONL events as they happen (what `report
+                      trace` reads; use it for long runs), `.json` keeps
+                      the whole run in memory and writes one Chrome
+                      trace (chrome://tracing, Perfetto) at exit
+  --perf MODE         perf-attribution telemetry: off | wall (default
+                      off; wall records real lock wait/hold time into
+                      the --metrics-out snapshot and so makes it
+                      machine-dependent)
   --window SECS       telemetry window length, virtual seconds (0 = off);
                       overrides the experiment's documented default
   --frames-out PATH   write `ts.frame`/`slo.violation` events as JSONL,
@@ -188,6 +191,9 @@ pub struct ExpCli {
     pub window: Option<f64>,
     metrics_out: Option<PathBuf>,
     frames_out: Option<PathBuf>,
+    /// `--trace-out x.json`: the file, and the buffer the run records
+    /// into until [`ExpCli::finish`] renders it there.
+    chrome_out: Option<(PathBuf, Arc<BufferSink>)>,
     ctx: Arc<ObsCtx>,
     // Keeps the thread-local scope alive for the process's lifetime.
     _guard: ScopeGuard,
@@ -243,11 +249,7 @@ impl ExpCli {
                 "--perf" => {
                     let v = value();
                     perf = Some(PerfMode::parse(&v).unwrap_or_else(|| {
-                        die(
-                            cmd,
-                            &usage,
-                            &format!("bad --perf {v:?} (off | virtual | wall)"),
-                        )
+                        die(cmd, &usage, &format!("bad --perf {v:?} (off | wall)"))
                     }));
                 }
                 "--window" => {
@@ -272,12 +274,18 @@ impl ExpCli {
         let open_failed = |path: &Path, e: std::io::Error| -> ! {
             die(cmd, &usage, &format!("cannot open {}: {e}", path.display()))
         };
+        let mut chrome_out = None;
         let sink: Arc<dyn Sink> = match &trace_out {
             // `.json` means a self-contained Chrome-trace file (open it in
-            // chrome://tracing or Perfetto); any other extension streams
-            // raw JSONL events, one per line, as they happen.
+            // chrome://tracing or Perfetto), rendered from a buffer of the
+            // whole run at exit; the file is created now so a bad path
+            // fails before the run. Any other extension streams raw JSONL
+            // events, one per line, as they happen.
             Some(path) if path.extension().and_then(|e| e.to_str()) == Some("json") => {
-                Arc::new(ChromeTraceSink::create(path).unwrap_or_else(|e| open_failed(path, e)))
+                std::fs::File::create(path).unwrap_or_else(|e| open_failed(path, e));
+                let buf = Arc::new(BufferSink::new(true));
+                chrome_out = Some((path.clone(), buf.clone()));
+                buf
             }
             Some(path) => {
                 Arc::new(JsonlSink::create(path).unwrap_or_else(|e| open_failed(path, e)))
@@ -320,6 +328,7 @@ impl ExpCli {
             window,
             metrics_out,
             frames_out,
+            chrome_out,
             ctx,
             _guard: guard,
         };
@@ -356,7 +365,8 @@ impl ExpCli {
         snap.to_string_pretty()
     }
 
-    /// Flush the trace sink and write the metrics snapshot if
+    /// Flush the trace sink, write the Chrome trace if `--trace-out`
+    /// named a `.json` file, and write the metrics snapshot if
     /// `--metrics-out` was given. Call last, after the experiment has
     /// rendered its output.
     pub fn finish(self) {
@@ -365,20 +375,25 @@ impl ExpCli {
         // series like `runner.trials.merged` and stays silent when no
         // series registered).
         self.ctx.flush_timeline();
-        // Chrome-trace sinks buffer everything and only write a complete
-        // file on flush; JSONL sinks flush their line buffer.
         self.ctx.sink.flush();
+        if let Some((path, buf)) = &self.chrome_out {
+            write_or_exit(path, render_chrome_trace(&buf.take()));
+        }
         if let Some(path) = &self.metrics_out {
-            let json = self.snapshot_json();
-            if let Err(e) = std::fs::write(path, json + "\n") {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(exit::USAGE);
-            }
+            write_or_exit(path, self.snapshot_json() + "\n");
             csaw_obs::event::progress(&format!("metrics snapshot -> {}", path.display()));
         }
         if let Some(path) = &self.frames_out {
             csaw_obs::event::progress(&format!("telemetry frames -> {}", path.display()));
         }
+    }
+}
+
+/// Write `contents` to `path`, or exit [`exit::USAGE`] saying why not.
+fn write_or_exit(path: &Path, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(exit::USAGE);
     }
 }
 
@@ -424,8 +439,6 @@ mod tests {
     #[test]
     fn perf_flag_sets_scope_mode() {
         assert_eq!(parse(&[]).ctx.perf_mode(), PerfMode::Off, "off by default");
-        let cli = parse(&["--perf", "virtual"]);
-        assert_eq!(cli.ctx.perf_mode(), PerfMode::Virtual);
         let cli = parse(&["--perf", "wall"]);
         assert_eq!(cli.ctx.perf_mode(), PerfMode::Monotonic);
     }

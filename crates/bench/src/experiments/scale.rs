@@ -609,7 +609,7 @@ mod tests {
     #[test]
     fn each_batch_takes_each_write_lock_once_at_every_thread_count() {
         let acquires = |threads: usize| {
-            let ctx = Arc::new(ObsCtx::new().with_perf(PerfMode::Virtual));
+            let ctx = Arc::new(ObsCtx::new().with_perf(PerfMode::Monotonic));
             let _g = install(ctx.clone());
             let cfg = ScaleConfig {
                 clients: 10_000,

@@ -211,18 +211,18 @@ pub(crate) mod tests {
     use super::*;
     use csaw::global::ServerDb;
     use csaw_obs::slo::{SloSet, VIOLATION_EVENT};
-    use csaw_obs::{ManualClock, ObsCtx, RingSink, WindowCfg, FRAME_EVENT};
+    use csaw_obs::{BufferSink, ManualClock, ObsCtx, WindowCfg, FRAME_EVENT};
     use std::sync::Arc;
 
     /// Run `sweep` under hour windows evaluating `slos` (the harnesses'
     /// `exp` configuration) and return the frame JSONL and the violation
     /// lines the sink saw.
     pub(crate) fn windowed_run(slos: SloSet, sweep: impl FnOnce()) -> (String, Vec<String>) {
-        let ring = Arc::new(RingSink::new(1 << 16));
+        let buf = Arc::new(BufferSink::new(true));
         let ctx = Arc::new(
             ObsCtx::new()
                 .with_clock(Arc::new(ManualClock::new()))
-                .with_sink(ring.clone()),
+                .with_sink(buf.clone()),
         );
         ctx.timeline
             .configure(WindowCfg::from_secs(3_600.0, Arc::new(slos)));
@@ -231,7 +231,7 @@ pub(crate) mod tests {
         ctx.flush_timeline();
         let mut frames = Vec::new();
         let mut viols = Vec::new();
-        for e in ring.drain() {
+        for e in buf.take() {
             let line = e.to_json().to_string_compact();
             if e.name == FRAME_EVENT {
                 frames.push(line);

@@ -4,7 +4,7 @@
 //! A sweep is a list of **independent trials** (seed × config point),
 //! each a [`TrialSpec`], and a closure that runs one. [`map`] fans the
 //! trials across `jobs` worker threads pulling from one shared queue (an
-//! idle worker steals the next un-run trial), yet its observable output
+//! idle worker takes the next un-run trial), yet its observable output
 //! is **byte-identical to a serial run**:
 //!
 //! - every trial draws from its own RNG, derived from the trial seed
@@ -45,8 +45,8 @@
 //! ```
 
 use csaw_obs::clock::ManualClock;
-use csaw_obs::contention::{LockStats, PerfMode, TimedMutex};
-use csaw_obs::metrics::{Counter, Gauge, Histogram, Registry};
+use csaw_obs::contention::PerfMode;
+use csaw_obs::metrics::Registry;
 use csaw_obs::scope::{self, ObsCtx};
 use csaw_obs::sink::{BufferSink, Sink};
 use csaw_obs::timeseries::Timeline;
@@ -54,7 +54,6 @@ use csaw_obs::Event;
 use csaw_simnet::rng::{fnv1a, DetRng};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// One independent unit of experiment work.
 ///
@@ -124,14 +123,6 @@ pub fn fork_seed(exp_seed: u64, experiment: &str, ordinal: u64) -> u64 {
         out = z ^ (z >> 31);
     }
     out
-}
-
-/// Pre-resolved handles for the runner's own scheduling telemetry
-/// (recorded only under [`PerfMode::Monotonic`], parallel path only).
-struct RunnerStats {
-    steals: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
-    idle_us: Arc<Histogram>,
 }
 
 /// Everything a trial leaves behind: its value plus its observability
@@ -206,57 +197,25 @@ where
     let timeline = parent.timeline.clone();
     let jobs = jobs.max(1).min(specs.len().max(1));
 
-    // Runner self-measurement is wall-clock-only (Monotonic): under
-    // Virtual mode queue depths and idle times are scheduler noise that
-    // would break the jobs-independence the snapshots promise, so they
-    // are simply not recorded there.
-    let runner_stats = (perf == PerfMode::Monotonic).then(|| RunnerStats {
-        steals: parent.registry.counter("runner.steals"),
-        queue_depth: parent.registry.gauge("runner.queue_depth"),
-        idle_us: parent.registry.histogram("runner.worker.idle_us"),
-    });
-
     let mut slots: Vec<Option<TrialResult<T>>> = if jobs <= 1 {
         specs
             .iter()
             .map(|s| Some(run_one(s, &run, enabled, verbosity, perf, &timeline)))
             .collect()
     } else {
-        // One shared work deque: each idle worker steals the next
-        // un-run trial from the front. Assignment of trials to workers
-        // is nondeterministic; nothing downstream can see it. The
-        // deque's own lock is a timed lock (`runner.queue` family) so a
-        // perf run can tell queue contention from genuine idleness.
-        let queue_stats = (perf == PerfMode::Monotonic)
-            .then(|| LockStats::resolve("runner.queue"))
-            .flatten();
-        let queue = TimedMutex::with_stats(queue_stats, (0..specs.len()).collect::<VecDeque<_>>());
+        // One shared work deque: each idle worker takes the next un-run
+        // trial from the front. Assignment of trials to workers is
+        // nondeterministic; nothing downstream can see it.
+        let queue = Mutex::new((0..specs.len()).collect::<VecDeque<_>>());
         let slots: Vec<Mutex<Option<TrialResult<T>>>> =
             specs.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|sc| {
             for _ in 0..jobs {
-                sc.spawn(|| {
-                    let mut finished_at: Option<Instant> = None;
-                    loop {
-                        let (claimed, remaining) = {
-                            let mut q = queue.lock();
-                            let c = q.pop_front();
-                            (c, q.len())
-                        };
-                        let Some(i) = claimed else { break };
-                        if let Some(rs) = &runner_stats {
-                            rs.steals.inc();
-                            rs.queue_depth.set(remaining as i64);
-                            // Idle = gap between finishing the previous
-                            // trial and claiming this one.
-                            if let Some(done) = finished_at {
-                                rs.idle_us.observe_us(done.elapsed().as_micros() as u64);
-                            }
-                        }
-                        let result = run_one(&specs[i], &run, enabled, verbosity, perf, &timeline);
-                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-                        finished_at = Some(Instant::now());
-                    }
+                sc.spawn(|| loop {
+                    let claimed = queue.lock().unwrap_or_else(|e| e.into_inner()).pop_front();
+                    let Some(i) = claimed else { break };
+                    let result = run_one(&specs[i], &run, enabled, verbosity, perf, &timeline);
+                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
                 });
             }
         });
@@ -288,9 +247,7 @@ where
         if timeline.enabled() {
             timeline.counter("runner.trials.merged", &[]).inc();
         }
-        if let Some(clock) = parent.manual_clock() {
-            clock.set_us(r.clock_us);
-        }
+        parent.clock.set_us(r.clock_us);
         values.push(r.value);
     }
     values
@@ -299,7 +256,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csaw_obs::sink::RingSink;
 
     /// A synthetic sweep exercising every arena surface: events,
     /// counters, histograms, gauges, per-trial clocks — with per-trial
@@ -333,16 +289,16 @@ mod tests {
     /// reduced output, the replayed event stream rendered to JSON, and
     /// the metrics snapshot.
     fn run_instrumented(jobs: usize) -> (Vec<u64>, String, String) {
-        let ring = Arc::new(RingSink::new(1 << 12));
+        let buf = Arc::new(BufferSink::new(true));
         let ctx = Arc::new(
             ObsCtx::new()
                 .with_clock(Arc::new(ManualClock::new()))
-                .with_sink(ring.clone()),
+                .with_sink(buf.clone()),
         );
         let _guard = scope::install(ctx.clone());
         let out = synthetic(7, 12, jobs);
-        let events: Vec<String> = ring
-            .drain()
+        let events: Vec<String> = buf
+            .take()
             .into_iter()
             .map(|e| e.to_json().to_string_compact())
             .collect();
@@ -423,50 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn monotonic_perf_records_steals_and_queue_metrics() {
-        let ctx = Arc::new(
-            ObsCtx::new()
-                .with_clock(Arc::new(ManualClock::new()))
-                .with_perf(PerfMode::Monotonic),
-        );
-        let _guard = scope::install(ctx.clone());
-        let _ = synthetic(5, 6, 4);
-        assert_eq!(
-            ctx.registry.counter("runner.steals").get(),
-            6,
-            "every trial is claimed exactly once"
-        );
-        assert_eq!(
-            ctx.registry.counter("lock.runner.queue.acquires").get(),
-            6 + 4,
-            "one claim per trial plus one empty-queue check per worker"
-        );
-        // 4 workers × ≥1 trial each is not guaranteed (one worker can
-        // drain everything), so idle samples are 0..=5; the histogram
-        // must merely exist via the queue-depth gauge having been set.
-        assert!(ctx.registry.gauge("runner.queue_depth").get() >= 0);
-    }
-
-    #[test]
-    fn virtual_perf_keeps_byte_identity_across_jobs() {
-        let run_at = |jobs: usize| -> String {
-            let ctx = Arc::new(
-                ObsCtx::new()
-                    .with_clock(Arc::new(ManualClock::new()))
-                    .with_perf(PerfMode::Virtual),
-            );
-            let _guard = scope::install(ctx.clone());
-            let _ = synthetic(11, 8, jobs);
-            ctx.registry.snapshot().to_string_pretty()
-        };
-        assert_eq!(
-            run_at(1),
-            run_at(8),
-            "virtual perf mode must not leak scheduling into snapshots"
-        );
-    }
-
-    #[test]
     fn trial_timelines_inherit_config_and_replay_frames_byte_identically() {
         use csaw_obs::timeseries::FRAME_EVENT;
         use csaw_obs::{SloSet, WindowCfg};
@@ -493,11 +405,11 @@ mod tests {
         }
 
         let run_at = |jobs: usize| -> String {
-            let ring = Arc::new(RingSink::new(1 << 12));
+            let buf = Arc::new(BufferSink::new(true));
             let ctx = Arc::new(
                 ObsCtx::new()
                     .with_clock(Arc::new(ManualClock::new()))
-                    .with_sink(ring.clone()),
+                    .with_sink(buf.clone()),
             );
             ctx.timeline.configure(WindowCfg {
                 window_us: 1_000,
@@ -506,7 +418,7 @@ mod tests {
             });
             let _guard = scope::install(ctx.clone());
             windowed(jobs);
-            ring.drain()
+            buf.take()
                 .into_iter()
                 .filter(|e| e.name == FRAME_EVENT)
                 .map(|e| e.to_json().to_string_compact())

@@ -1,8 +1,8 @@
 //! Trace analysis behind `report trace`.
 //!
-//! Consumes the files `--trace-out` writes — either a Chrome trace
-//! (`.json`) or raw JSONL events — and reconstructs the per-fetch span
-//! trees the client emits (`fetch` roots with `fetch.detect`,
+//! Consumes the JSONL events `--trace-out x.jsonl` streams (the Chrome
+//! trace `--trace-out x.json` writes is for viewers, not for this) and
+//! reconstructs the per-fetch span trees the client emits (`fetch` roots with `fetch.detect`,
 //! `fetch.circum`, `fetch.transfer` children; see
 //! `csaw::tracing`). From those it renders:
 //!
@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 /// Children must sum to the root PLT within this many microseconds.
 pub const SUM_TOLERANCE_US: u64 = 1;
 
-/// One event parsed back out of a trace file, format-independent.
+/// One event parsed back out of a JSONL trace file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawEvent {
     /// Event name (`fetch`, `fetch.detect`, `simnet.flow`, ...).
@@ -42,20 +42,6 @@ pub struct RawEvent {
     pub parent: Option<String>,
     /// Remaining structured fields (`url`, `transport`, `ok`, ...).
     pub fields: BTreeMap<String, JsonValue>,
-}
-
-/// Parse a trace file body, auto-detecting the format: a Chrome trace
-/// document (one JSON object with a `traceEvents` array) or JSONL (one
-/// event object per line). Metadata records (`ph: "M"`) are skipped.
-pub fn parse_events(text: &str) -> Result<Vec<RawEvent>, String> {
-    let trimmed = text.trim_start();
-    if trimmed.starts_with('{') && !trimmed.contains('\n')
-        || trimmed.starts_with("{\"displayTimeUnit\"")
-    {
-        parse_chrome(text)
-    } else {
-        parse_jsonl(text)
-    }
 }
 
 fn str_field(v: &JsonValue, key: &str) -> Option<String> {
@@ -99,54 +85,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<RawEvent>, String> {
             trace: str_field(&v, "trace"),
             span: str_field(&v, "span"),
             parent: str_field(&v, "parent"),
-            fields,
-        });
-    }
-    Ok(out)
-}
-
-/// Parse a Chrome trace document (`ChromeTraceSink` output): `ph: "X"`
-/// slices become span events, `ph: "i"` instants become point events,
-/// and the causal ids come back out of `args`.
-pub fn parse_chrome(text: &str) -> Result<Vec<RawEvent>, String> {
-    let doc = JsonValue::parse(text).map_err(|e| format!("chrome trace: {e:?}"))?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(|t| t.as_arr())
-        .ok_or("chrome trace: no traceEvents array")?;
-    let mut out = Vec::new();
-    for v in events {
-        let ph = v.get("ph").and_then(|p| p.as_str()).unwrap_or("");
-        if ph != "X" && ph != "i" {
-            continue; // metadata and other phases carry no trace data
-        }
-        let name = str_field(v, "name").ok_or("chrome trace: event without name")?;
-        let ts_us = v
-            .get("ts")
-            .and_then(|t| t.as_u64())
-            .ok_or("chrome trace: event without ts")?;
-        let dur_us = (ph == "X").then(|| v.get("dur").and_then(|d| d.as_u64()).unwrap_or(0));
-        let (mut trace, mut span, mut parent) = (None, None, None);
-        let mut fields = BTreeMap::new();
-        if let Some(args) = v.get("args").and_then(|a| a.as_obj()) {
-            for (k, val) in args {
-                match k.as_str() {
-                    "trace" => trace = val.as_str().map(str::to_string),
-                    "span" => span = val.as_str().map(str::to_string),
-                    "parent" => parent = val.as_str().map(str::to_string),
-                    _ => {
-                        fields.insert(k.clone(), val.clone());
-                    }
-                }
-            }
-        }
-        out.push(RawEvent {
-            name,
-            ts_us,
-            dur_us,
-            trace,
-            span,
-            parent,
             fields,
         });
     }
@@ -531,47 +469,19 @@ mod tests {
     }
 
     #[test]
-    fn chrome_roundtrip_matches_jsonl() {
-        // Render the same logical events through the Chrome exporter and
-        // check both formats reconstruct identical records.
-        use csaw_obs::event::Event;
-        use csaw_obs::trace::{SpanId, TraceCtx, TraceId};
-        let t = TraceId(0x1234_5678_9abc_def0);
-        let ev = |name: &str, ts: u64, dur: u64, parent: Option<u64>| Event {
-            ts_us: ts,
-            name: name.to_string(),
-            dur_us: Some(dur),
-            fields: if name == "fetch" {
-                vec![
-                    ("ok", JsonValue::Bool(true)),
-                    ("transport", JsonValue::from("direct")),
-                    ("url", JsonValue::from("http://x/")),
-                ]
-            } else {
-                vec![]
-            },
-            trace: Some(TraceCtx {
-                trace: t,
-                span: SpanId(0xaa),
-                parent: parent.map(SpanId),
-            }),
-        };
-        let events = vec![
-            ev("fetch.detect", 0, 7, Some(1)),
-            ev("fetch.circum", 7, 0, Some(1)),
-            ev("fetch.transfer", 7, 13, Some(1)),
-            ev("fetch", 0, 20, None),
-        ];
-        let chrome = csaw_obs::chrome::render_chrome_trace(&events);
-        let parsed = parse_events(&chrome).unwrap();
-        let recs = fetch_records(&parsed);
-        assert_eq!(recs.len(), 1);
-        assert_eq!(
-            (recs[0].detect_us, recs[0].circum_us, recs[0].transfer_us),
-            (7, 0, 13)
-        );
-        assert_eq!(recs[0].total_us, 20);
-        assert_eq!(recs[0].transport, "direct");
+    fn one_line_without_trailing_newline_is_jsonl() {
+        let text = jsonl_fetch("0000000000000004", 0, 1, 2, 3);
+        let root = text.lines().last().unwrap();
+        let events = parse_jsonl(root).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(fetch_records(&events).len(), 1);
+    }
+
+    #[test]
+    fn chrome_document_is_a_parse_error_on_line_1() {
+        let chrome = csaw_obs::chrome::render_chrome_trace(&[csaw_obs::Event::point("x", 1)]);
+        let err = parse_jsonl(&chrome).unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
     }
 
     #[test]

@@ -122,6 +122,21 @@ fn bad_command_lines_exit_2_with_usage() {
     assert_usage_error(&report(&["nosuch"]), "report nosuch");
     assert_usage_error(&report(&["health"]), "report health without a file");
     assert_usage_error(&report(&["trace", "x", "--nope"]), "report trace --nope");
+    // `report trace` reads JSONL only: a Chrome trace is a parse error.
+    let chrome = std::env::temp_dir().join(format!("csaw_cli_help_{}.json", std::process::id()));
+    let doc = csaw_obs::chrome::render_chrome_trace(&[csaw_obs::Event::point("fetch", 1)]);
+    std::fs::write(&chrome, doc).expect("write a Chrome trace");
+    let out = report(&["trace", chrome.to_str().expect("utf-8 temp path")]);
+    let _ = std::fs::remove_file(&chrome);
+    assert_usage_error(&out, "report trace x.json");
+    // The perf modes are `off` and `wall`; the virtual one is gone, not
+    // aliased.
+    for gone in ["virtual", "monotonic"] {
+        assert_usage_error(
+            &exp(&["fig6b", "--perf", gone]),
+            &format!("exp fig6b --perf {gone}"),
+        );
+    }
     // The scorecard report and the harnesses' card paths are gone, not
     // aliased.
     assert_usage_error(&report(&["perf", "card.json"]), "report perf");

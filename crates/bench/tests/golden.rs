@@ -192,6 +192,32 @@ fn seed_1_reproduces_the_golden_manifest() {
 }
 
 #[test]
+fn exp_trace_out_json_writes_the_pinned_chrome_trace() {
+    let dir = std::env::temp_dir().join(format!("csaw_golden_chrome_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("x.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_exp"))
+        .args(["fig5a", "--seed", "1", "--trace-out"])
+        .arg(&path)
+        .output()
+        .expect("spawn exp fig5a");
+    let chrome = std::fs::read_to_string(&path).expect("the Chrome trace");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success(), "exp fig5a failed: {out:?}");
+    let golden = std::fs::read_to_string(GOLDEN).expect("GOLDEN_seed1.json");
+    let golden = Scorecard::parse(&golden).expect("the manifest parses as a scorecard");
+    assert_eq!(
+        golden
+            .deterministic
+            .get("artifacts")
+            .and_then(|a| a.get("fig5a --trace-out x.json"))
+            .and_then(JsonValue::as_str),
+        Some(digest64(&chrome).as_str()),
+        "`exp fig5a --trace-out x.json` writes the Chrome trace the manifest pins"
+    );
+}
+
+#[test]
 fn exp_all_digests_what_exp_name_prints() {
     let exp = env!("CARGO_BIN_EXE_exp");
     let dir = std::env::temp_dir().join(format!("csaw_golden_{}", std::process::id()));

@@ -1,31 +1,45 @@
 //! End-to-end causal tracing: a traced client run emits one well-formed
 //! span tree per fetch (detect/circum/transfer children summing exactly
-//! to the root PLT), and the rendered Chrome trace is a pure function of
-//! the seed — two same-seed runs are byte-identical.
+//! to the root PLT, read back from the JSONL rendering `report trace`
+//! consumes), and the rendered Chrome trace is a pure function of the
+//! seed — two same-seed runs are byte-identical.
 
 use csaw::client::CsawClient;
 use csaw::config::CsawConfig;
-use csaw_bench::tracereport::{fetch_records, parse_events, sum_violations, FetchRecord};
+use csaw_bench::tracereport::{fetch_records, parse_jsonl, sum_violations, FetchRecord};
 use csaw_bench::worlds::{single_isp_world, SMALL_PAGE, YOUTUBE};
 use csaw_censor::blocking::{DnsTamper, HttpAction, IpAction, TlsAction};
-use csaw_obs::chrome::ChromeTraceSink;
+use csaw_obs::chrome::render_chrome_trace;
 use csaw_obs::clock::ManualClock;
 use csaw_obs::scope::{self, ObsCtx};
+use csaw_obs::sink::BufferSink;
+use csaw_obs::Event;
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
 use csaw_webproto::url::Url;
 use std::sync::Arc;
 
-/// Drive a client through blocked and unblocked fetches under a fresh
-/// Chrome-trace scope; return the rendered trace document.
-fn run_traced_client(seed: u64) -> String {
-    let sink = Arc::new(ChromeTraceSink::in_memory(1 << 16));
+/// Run `body` under a fresh scope recording into a buffer; return the
+/// recorded events.
+fn recorded(body: impl FnOnce()) -> Vec<Event> {
+    let sink = Arc::new(BufferSink::new(true));
     let ctx = Arc::new(
         ObsCtx::new()
             .with_clock(Arc::new(ManualClock::new()))
             .with_sink(sink.clone()),
     );
     let _guard = scope::install(ctx);
+    body();
+    sink.take()
+}
+
+/// Drive a client through blocked and unblocked fetches; return the
+/// events it emitted.
+fn run_traced_client(seed: u64) -> Vec<Event> {
+    recorded(|| drive_client(seed))
+}
+
+fn drive_client(seed: u64) {
     let policy = csaw_censor::single_mechanism(
         "trace-test",
         YOUTUBE,
@@ -45,11 +59,16 @@ fn run_traced_client(seed: u64) -> String {
         client.request(&world, &open, now);
         now += SimDuration::from_secs(180);
     }
-    sink.render()
 }
 
-fn records(trace: &str) -> Vec<FetchRecord> {
-    fetch_records(&parse_events(trace).expect("rendered trace parses back"))
+/// The fetch trees in `events`, read back from their JSONL rendering
+/// (the `--trace-out x.jsonl` lines).
+fn records(events: &[Event]) -> Vec<FetchRecord> {
+    let jsonl: String = events
+        .iter()
+        .map(|e| e.to_json().to_string_compact() + "\n")
+        .collect();
+    fetch_records(&parse_jsonl(&jsonl).expect("JSONL trace parses back"))
 }
 
 #[test]
@@ -82,24 +101,20 @@ fn client_fetches_emit_well_formed_span_trees() {
 
 #[test]
 fn same_seed_chrome_traces_are_byte_identical() {
-    let a = run_traced_client(7);
-    let b = run_traced_client(7);
+    let chrome = |seed| render_chrome_trace(&run_traced_client(seed));
+    let a = chrome(7);
+    let b = chrome(7);
     assert_eq!(a, b, "same-seed traces must be byte-identical");
-    let c = run_traced_client(8);
+    let c = chrome(8);
     assert_ne!(a, c, "different seeds should perturb the trace");
 }
 
 #[test]
 fn fig5a_traced_run_yields_one_tree_per_fetch() {
-    let sink = Arc::new(ChromeTraceSink::in_memory(1 << 16));
-    let ctx = Arc::new(
-        ObsCtx::new()
-            .with_clock(Arc::new(ManualClock::new()))
-            .with_sink(sink.clone()),
-    );
-    let _guard = scope::install(ctx);
-    let _ = csaw_bench::experiments::fig5::run_5a(1, 1);
-    let recs = records(&sink.render());
+    let events = recorded(|| {
+        csaw_bench::experiments::fig5::run_5a(1, 1);
+    });
+    let recs = records(&events);
     // 4 blocking types x {serial, parallel} x 30 iterations.
     assert_eq!(recs.len(), 240, "one root span tree per fetch");
     assert!(sum_violations(&recs).is_empty());

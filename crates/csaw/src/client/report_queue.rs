@@ -495,7 +495,7 @@ mod tests {
 
     #[test]
     fn failed_ingest_keeps_queue_closes_trace_and_arms_backoff() {
-        let sink = Arc::new(csaw_obs::sink::RingSink::new(256));
+        let sink = Arc::new(csaw_obs::sink::BufferSink::new(true));
         let _g = csaw_obs::scope::install(Arc::new(
             csaw_obs::scope::ObsCtx::new().with_sink(sink.clone()),
         ));
@@ -515,7 +515,7 @@ mod tests {
             "backoff armed"
         );
         // The REPORT trace root closed with ok=false — no dangling root.
-        let events = sink.drain();
+        let events = sink.take();
         let post = events
             .iter()
             .find(|e| e.name == "report.post")
@@ -728,7 +728,7 @@ mod tests {
 
     #[test]
     fn via_collectors_honours_backoff_and_traces_every_attempt() {
-        let sink = Arc::new(csaw_obs::sink::RingSink::new(1024));
+        let sink = Arc::new(csaw_obs::sink::BufferSink::new(true));
         let _g = csaw_obs::scope::install(Arc::new(
             csaw_obs::scope::ObsCtx::new().with_sink(sink.clone()),
         ));
@@ -748,9 +748,9 @@ mod tests {
         seed(&mut c, "http://www.youtube.com/");
         let pending = c.pending_reports();
         assert!(pending >= 1);
-        sink.drain();
-        let posts = |sink: &csaw_obs::sink::RingSink| -> Vec<bool> {
-            sink.drain()
+        sink.take();
+        let posts = |sink: &csaw_obs::sink::BufferSink| -> Vec<bool> {
+            sink.take()
                 .iter()
                 .filter(|e| e.name == "report.post")
                 .map(|e| {

@@ -170,10 +170,10 @@ mod tests {
     #[test]
     fn emitted_tree_children_sum_to_root() {
         use csaw_obs::scope::{install, ObsCtx};
-        use csaw_obs::sink::RingSink;
+        use csaw_obs::sink::BufferSink;
         use std::sync::Arc;
-        let ring = Arc::new(RingSink::new(16));
-        let ctx = Arc::new(ObsCtx::new().with_sink(ring.clone()));
+        let buf = Arc::new(BufferSink::new(true));
+        let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx);
         let _root = csaw_obs::trace::fetch_root(7, 0, 1_000);
         emit_fetch_tree(
@@ -186,7 +186,7 @@ mod tests {
             &csaw_webproto::url::Url::parse("http://x.example/").unwrap(),
             "https",
         );
-        let evs = ring.drain();
+        let evs = buf.take();
         assert_eq!(evs.len(), 4);
         let root = evs.iter().find(|e| e.name == "fetch").unwrap();
         let kids: u64 = evs

@@ -1,6 +1,7 @@
-//! Chrome/Perfetto `trace_event` export.
+//! Chrome/Perfetto `trace_event` rendering.
 //!
-//! [`ChromeTraceSink`] buffers events and, on [`Sink::flush`], writes a
+//! [`render_chrome_trace`] turns recorded events (a
+//! [`crate::sink::BufferSink`]'s, for `--trace-out x.json`) into one
 //! complete Chrome trace JSON document (the `{"traceEvents": [...]}`
 //! array-of-objects format `chrome://tracing` and Perfetto load):
 //!
@@ -13,94 +14,20 @@
 //!   event's fields ride in `args`.
 //!
 //! Output is deterministic: events are sorted by `(ts, arrival order)`,
-//! tids are assigned in lexicographic component order at write time,
-//! and all JSON maps are ordered. Two same-seed runs produce
-//! byte-identical files.
+//! tids are assigned in lexicographic component order, and all JSON
+//! maps are ordered. Two same-seed runs produce byte-identical files.
 //!
-//! The buffer is bounded (drop-oldest, [`ChromeTraceSink::dropped_events`]),
-//! so an unexpectedly chatty run degrades to a truncated trace instead
-//! of unbounded memory growth.
+//! The rendering is write-only: `report trace` reads the JSONL stream
+//! instead.
 
 use crate::event::Event;
 use crate::json::JsonValue;
-use crate::sink::{lock_recover, Sink};
-use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
 
-/// Default buffered-event capacity (~a few hundred MB worst case is
-/// far above any `exp` run; `exp scale` runs use `--trace-out` sparingly).
-pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-/// A sink that renders the buffered events as one Chrome trace JSON
-/// document on flush (and again on drop, so a forgotten flush still
-/// leaves a complete file).
-#[derive(Debug)]
-pub struct ChromeTraceSink {
-    cap: usize,
-    buf: Mutex<VecDeque<Event>>,
-    dropped: AtomicU64,
-    out: Option<PathBuf>,
-}
-
-impl ChromeTraceSink {
-    /// A sink writing to `path` on flush/drop, with the default buffer
-    /// capacity. The file is created (and truncated) immediately so bad
-    /// paths fail fast, like [`crate::sink::JsonlSink::create`].
-    pub fn create(path: &std::path::Path) -> std::io::Result<ChromeTraceSink> {
-        std::fs::File::create(path)?;
-        Ok(ChromeTraceSink {
-            cap: DEFAULT_CAPACITY,
-            buf: Mutex::new(VecDeque::new()),
-            dropped: AtomicU64::new(0),
-            out: Some(path.to_path_buf()),
-        })
-    }
-
-    /// An in-memory sink (no file): render with
-    /// [`ChromeTraceSink::render`]. `cap` bounds the buffer.
-    pub fn in_memory(cap: usize) -> ChromeTraceSink {
-        ChromeTraceSink {
-            cap: cap.max(1),
-            buf: Mutex::new(VecDeque::new()),
-            dropped: AtomicU64::new(0),
-            out: None,
-        }
-    }
-
-    /// Override the buffer capacity.
-    pub fn with_capacity(mut self, cap: usize) -> ChromeTraceSink {
-        self.cap = cap.max(1);
-        self
-    }
-
-    /// Events dropped because the buffer was full.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Number of currently buffered events.
-    pub fn len(&self) -> usize {
-        lock_recover(&self.buf).len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The component (track) an event belongs to: the name prefix
-    /// before the first `.`.
-    fn component(name: &str) -> &str {
-        name.split('.').next().unwrap_or(name)
-    }
-
-    /// Render the buffered events as a Chrome trace JSON document.
-    pub fn render(&self) -> String {
-        let events: Vec<Event> = lock_recover(&self.buf).iter().cloned().collect();
-        render_chrome_trace(&events)
-    }
+/// The component (track) an event belongs to: the name prefix before
+/// the first `.`.
+fn component(name: &str) -> &str {
+    name.split('.').next().unwrap_or(name)
 }
 
 /// Render `events` as a complete Chrome trace JSON document
@@ -114,7 +41,7 @@ pub fn render_chrome_trace(events: &[Event]) -> String {
     // Tracks in lexicographic component order.
     let tids: BTreeMap<String, u64> = events
         .iter()
-        .map(|e| ChromeTraceSink::component(&e.name).to_string())
+        .map(|e| component(&e.name).to_string())
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .zip(0u64..)
@@ -146,7 +73,7 @@ pub fn render_chrome_trace(events: &[Event]) -> String {
 
     for &i in &order {
         let e = &events[i];
-        let tid = tids[ChromeTraceSink::component(&e.name)];
+        let tid = tids[component(&e.name)];
         let mut v = JsonValue::obj();
         v.set("name", e.name.as_str());
         v.set("pid", 1u64);
@@ -185,37 +112,15 @@ pub fn render_chrome_trace(events: &[Event]) -> String {
     s
 }
 
-impl Sink for ChromeTraceSink {
-    fn record(&self, event: &Event) {
-        let mut b = lock_recover(&self.buf);
-        if b.len() == self.cap {
-            b.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        b.push_back(event.clone());
-    }
-
-    fn flush(&self) {
-        if let Some(path) = &self.out {
-            let _ = std::fs::write(path, self.render());
-        }
-    }
-}
-
-impl Drop for ChromeTraceSink {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scope::{install, ObsCtx};
+    use crate::sink::BufferSink;
     use std::sync::Arc;
 
     fn traced_events() -> Vec<Event> {
-        let sink = Arc::new(ChromeTraceSink::in_memory(64));
+        let sink = Arc::new(BufferSink::new(true));
         let ctx = Arc::new(ObsCtx::new().with_sink(sink.clone()));
         let _g = install(ctx);
         let root = crate::trace::fetch_root(1, 0, 100);
@@ -224,8 +129,7 @@ mod tests {
         crate::event!("store.note", n = 1u64);
         crate::trace::complete_active("fetch", 100, 90, &[("ok", JsonValue::from(true))]);
         drop(root);
-        let events: Vec<Event> = lock_recover(&sink.buf).iter().cloned().collect();
-        events
+        sink.take()
     }
 
     #[test]
@@ -272,28 +176,5 @@ mod tests {
         let a = render_chrome_trace(&traced_events());
         let b = render_chrome_trace(&traced_events());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn bounded_buffer_counts_drops() {
-        let s = ChromeTraceSink::in_memory(2);
-        for i in 0..5 {
-            s.record(&Event::point("x", i));
-        }
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.dropped_events(), 3);
-    }
-
-    #[test]
-    fn create_writes_file_on_flush() {
-        let dir = std::env::temp_dir().join("csaw-obs-chrome-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.json");
-        let s = ChromeTraceSink::create(&path).unwrap();
-        s.record(&Event::point("a.b", 1));
-        s.flush();
-        let text = std::fs::read_to_string(&path).unwrap();
-        JsonValue::parse(&text).expect("valid JSON on disk");
-        std::fs::remove_file(&path).ok();
     }
 }

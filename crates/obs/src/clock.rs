@@ -1,29 +1,15 @@
-//! Time sources for telemetry.
+//! The telemetry clock.
 //!
 //! Everything in the simulation runs on virtual time, so trace
 //! timestamps must come from the simulation clock — never the OS — or
-//! traces stop being bit-reproducible. The real proxy, which has no
-//! virtual clock, falls back to a monotonic wall clock measured from
-//! process start.
+//! traces stop being bit-reproducible. [`ManualClock`] is that clock:
+//! the simulator advances it, and every event and span reads it. The
+//! real proxy stamps its measurements on the same clock, so a harness
+//! that drives it can pin them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// A source of "now", in microseconds.
-pub trait Clock: Send + Sync + std::fmt::Debug {
-    /// Current time in microseconds. The epoch is source-defined
-    /// (simulation start for virtual clocks, clock creation for wall
-    /// clocks).
-    fn now_us(&self) -> u64;
-
-    /// `self` as `&dyn Any`, so callers can recover the concrete clock
-    /// (e.g. to drive a [`ManualClock`]).
-    fn as_any(&self) -> &dyn std::any::Any;
-}
 
 /// A manually-driven clock: the simulation advances it explicitly.
-/// This is the default, so telemetry is deterministic unless a caller
-/// opts into wall time.
 #[derive(Debug, Default)]
 pub struct ManualClock(AtomicU64);
 
@@ -33,47 +19,14 @@ impl ManualClock {
         ManualClock::default()
     }
 
-    /// Move the clock to `us` (monotone: earlier values are ignored).
-    pub fn set_us(&self, us: u64) {
-        self.0.fetch_max(us, Ordering::Relaxed);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_us(&self) -> u64 {
+    /// Current time in microseconds since simulation start.
+    pub fn now_us(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-/// Monotonic wall-clock time since the clock was created. For the real
-/// proxy only — never use in simulation paths.
-#[derive(Debug)]
-pub struct WallClock(Instant);
-
-impl Default for WallClock {
-    fn default() -> Self {
-        WallClock(Instant::now())
-    }
-}
-
-impl WallClock {
-    /// A wall clock whose epoch is "now".
-    pub fn new() -> WallClock {
-        WallClock::default()
-    }
-}
-
-impl Clock for WallClock {
-    fn now_us(&self) -> u64 {
-        self.0.elapsed().as_micros() as u64
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+    /// Move the clock to `us` (monotone: earlier values are ignored).
+    pub fn set_us(&self, us: u64) {
+        self.0.fetch_max(us, Ordering::Relaxed);
     }
 }
 
@@ -88,13 +41,5 @@ mod tests {
         c.set_us(100);
         c.set_us(40); // ignored: time does not go backwards
         assert_eq!(c.now_us(), 100);
-    }
-
-    #[test]
-    fn wall_clock_advances() {
-        let c = WallClock::new();
-        let a = c.now_us();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(c.now_us() > a);
     }
 }

@@ -25,22 +25,17 @@
 //! determinism contract intact: a run that never opts in produces
 //! byte-identical snapshots with or without this module compiled in.
 //!
-//! ## Time sources
+//! ## Time source
 //!
-//! "Virtual-or-monotonic" per the perf-attribution design:
-//!
-//! - [`PerfMode::Virtual`] reads the scope's clock. Under a
-//!   [`crate::clock::ManualClock`] waits are (deterministically) zero —
-//!   useful because acquisition *counts* are still exact, and the whole
-//!   snapshot stays byte-identical across `--jobs 1` vs `--jobs 8`.
-//! - [`PerfMode::Monotonic`] reads `Instant`, giving real wait/hold
-//!   microseconds for wall-clock experiments like `exp scale`.
+//! Wait and hold times are real: [`PerfMode::Monotonic`] reads
+//! `Instant`, so the microseconds vary run to run. Acquisition counts
+//! do not — they are a pure function of the workload, which is what
+//! the lock-count tests pin.
 //!
 //! Poisoning panics, matching the `lock().unwrap()` discipline the
 //! callers already had; writers that must survive panics should keep
 //! using `std` primitives with explicit recovery.
 
-use crate::clock::Clock;
 use crate::metrics::{Counter, Histogram};
 use crate::scope;
 use std::ops::{Deref, DerefMut};
@@ -53,30 +48,24 @@ pub enum PerfMode {
     /// No attribution: timed locks are pure delegates (default).
     #[default]
     Off,
-    /// Timestamps from the scope's (virtual) clock: acquisition counts
-    /// are exact and deterministic; waits read as zero under a manual
-    /// clock that nobody advances mid-acquisition.
-    Virtual,
     /// Timestamps from a monotonic wall clock: real wait/hold
     /// microseconds, at the cost of run-to-run variance.
     Monotonic,
 }
 
 impl PerfMode {
-    /// Parse a CLI spelling: `off`, `virtual`, or `wall`/`monotonic`.
+    /// Parse a CLI spelling: `off` or `wall`.
     pub fn parse(s: &str) -> Option<PerfMode> {
         match s {
             "off" => Some(PerfMode::Off),
-            "virtual" => Some(PerfMode::Virtual),
-            "wall" | "monotonic" => Some(PerfMode::Monotonic),
+            "wall" => Some(PerfMode::Monotonic),
             _ => None,
         }
     }
 
     pub(crate) fn from_u8(v: u8) -> PerfMode {
         match v {
-            1 => PerfMode::Virtual,
-            2 => PerfMode::Monotonic,
+            1 => PerfMode::Monotonic,
             _ => PerfMode::Off,
         }
     }
@@ -84,26 +73,7 @@ impl PerfMode {
     pub(crate) fn as_u8(self) -> u8 {
         match self {
             PerfMode::Off => 0,
-            PerfMode::Virtual => 1,
-            PerfMode::Monotonic => 2,
-        }
-    }
-}
-
-/// Where a [`LockStats`] family reads "now" from.
-#[derive(Debug, Clone)]
-enum TimeSource {
-    /// The scope's clock (virtual time).
-    Virtual(Arc<dyn Clock>),
-    /// Monotonic microseconds since the stats family was resolved.
-    Monotonic(Instant),
-}
-
-impl TimeSource {
-    fn now_us(&self) -> u64 {
-        match self {
-            TimeSource::Virtual(c) => c.now_us(),
-            TimeSource::Monotonic(epoch) => epoch.elapsed().as_micros() as u64,
+            PerfMode::Monotonic => 1,
         }
     }
 }
@@ -121,7 +91,8 @@ pub struct LockStats {
     contended: Arc<Counter>,
     wait_us: Arc<Histogram>,
     hold_us: Arc<Histogram>,
-    time: TimeSource,
+    /// Timestamps are microseconds since the family was resolved.
+    epoch: Instant,
 }
 
 impl LockStats {
@@ -132,31 +103,33 @@ impl LockStats {
     /// related locks; resolving is the only registry interaction.
     pub fn resolve(name: &str) -> Option<Arc<LockStats>> {
         let ctx = scope::current();
-        let time = match ctx.perf_mode() {
-            PerfMode::Off => return None,
-            PerfMode::Virtual => TimeSource::Virtual(ctx.clock.clone()),
-            PerfMode::Monotonic => TimeSource::Monotonic(Instant::now()),
-        };
+        if ctx.perf_mode() == PerfMode::Off {
+            return None;
+        }
         let reg = &ctx.registry;
         Some(Arc::new(LockStats {
             acquires: reg.counter(&format!("lock.{name}.acquires")),
             contended: reg.counter(&format!("lock.{name}.contended")),
             wait_us: reg.histogram(&format!("lock.{name}.wait_us")),
             hold_us: reg.histogram(&format!("lock.{name}.hold_us")),
-            time,
+            epoch: Instant::now(),
         }))
+    }
+
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
 
     /// Acquisition requested; returns the request timestamp.
     fn begin(&self) -> u64 {
         self.acquires.inc();
-        self.time.now_us()
+        self.now_us()
     }
 
     /// Acquisition granted; records wait and returns the grant
     /// timestamp (for hold-time measurement at release).
     fn granted(&self, requested_us: u64, contended: bool) -> u64 {
-        let now = self.time.now_us();
+        let now = self.now_us();
         if contended {
             self.contended.inc();
         }
@@ -167,7 +140,7 @@ impl LockStats {
     /// Guard dropped; records hold time.
     fn released(&self, granted_us: u64) {
         self.hold_us
-            .observe_us(self.time.now_us().saturating_sub(granted_us));
+            .observe_us(self.now_us().saturating_sub(granted_us));
     }
 }
 
@@ -438,8 +411,8 @@ mod tests {
     }
 
     #[test]
-    fn virtual_mode_counts_deterministically() {
-        let ctx = Arc::new(ObsCtx::new().with_perf(PerfMode::Virtual));
+    fn counts_every_acquisition() {
+        let ctx = Arc::new(ObsCtx::new().with_perf(PerfMode::Monotonic));
         let _g = install(ctx.clone());
         let m = TimedMutex::new("test.m", 0u32);
         for _ in 0..5 {
@@ -448,13 +421,12 @@ mod tests {
         assert_eq!(ctx.registry.counter("lock.test.m.acquires").get(), 5);
         assert_eq!(ctx.registry.counter("lock.test.m.contended").get(), 0);
         assert_eq!(ctx.registry.histogram("lock.test.m.wait_us").count(), 5);
-        assert_eq!(ctx.registry.histogram("lock.test.m.wait_us").sum_us(), 0);
         assert_eq!(ctx.registry.histogram("lock.test.m.hold_us").count(), 5);
     }
 
     #[test]
     fn rwlock_splits_read_and_write_families() {
-        let ctx = Arc::new(ObsCtx::new().with_perf(PerfMode::Virtual));
+        let ctx = Arc::new(ObsCtx::new().with_perf(PerfMode::Monotonic));
         let _g = install(ctx.clone());
         let rw = TimedRwLock::new("test.rw", 0u32);
         *rw.write() += 1;
@@ -467,7 +439,7 @@ mod tests {
 
     #[test]
     fn shared_stats_aggregate_across_locks() {
-        let ctx = Arc::new(ObsCtx::new().with_perf(PerfMode::Virtual));
+        let ctx = Arc::new(ObsCtx::new().with_perf(PerfMode::Monotonic));
         let _g = install(ctx.clone());
         let stats = LockStats::resolve("test.shared");
         let locks: Vec<TimedMutex<u32>> = (0..4)
@@ -504,9 +476,9 @@ mod tests {
     #[test]
     fn perf_mode_parse() {
         assert_eq!(PerfMode::parse("off"), Some(PerfMode::Off));
-        assert_eq!(PerfMode::parse("virtual"), Some(PerfMode::Virtual));
         assert_eq!(PerfMode::parse("wall"), Some(PerfMode::Monotonic));
-        assert_eq!(PerfMode::parse("monotonic"), Some(PerfMode::Monotonic));
-        assert_eq!(PerfMode::parse("bogus"), None);
+        for gone in ["virtual", "monotonic", "bogus"] {
+            assert_eq!(PerfMode::parse(gone), None, "{gone}");
+        }
     }
 }

@@ -18,8 +18,7 @@ use crate::trace::{self, TraceCtx};
 /// A structured telemetry event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    /// Timestamp in µs from the context clock (virtual time in the
-    /// simulation, wall time in the real proxy).
+    /// Timestamp in µs from the context clock (virtual time).
     pub ts_us: u64,
     /// Event name, dot-separated by convention (`simnet.run_until`).
     pub name: String,
@@ -127,8 +126,8 @@ pub fn span_completed_at(
 }
 
 /// Open a span measured on the context clock; the guard emits a
-/// span-end event when dropped. Suits the real proxy (wall clock) and
-/// any region whose clock advances while it runs. Inside an active
+/// span-end event when dropped. Suits any region whose clock advances
+/// while it runs. Inside an active
 /// trace the guard opens a child frame, so events emitted while it is
 /// open are parented under it.
 pub fn span(name: &str) -> SpanGuard {
@@ -228,17 +227,17 @@ macro_rules! span_us {
 mod tests {
     use super::*;
     use crate::scope::{install, ObsCtx};
-    use crate::sink::RingSink;
+    use crate::sink::BufferSink;
     use std::sync::Arc;
 
     #[test]
     fn events_carry_clock_time_and_fields() {
-        let ring = Arc::new(RingSink::new(16));
-        let ctx = Arc::new(ObsCtx::new().with_sink(ring.clone()));
+        let buf = Arc::new(BufferSink::new(true));
+        let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx.clone());
-        ctx.manual_clock().unwrap().set_us(42);
+        ctx.clock.set_us(42);
         crate::event!("test.hello", n = 3u64, who = "world");
-        let evs = ring.drain();
+        let evs = buf.take();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].ts_us, 42);
         assert_eq!(evs[0].name, "test.hello");
@@ -249,16 +248,16 @@ mod tests {
 
     #[test]
     fn span_guard_measures_on_the_context_clock() {
-        let ring = Arc::new(RingSink::new(16));
-        let ctx = Arc::new(ObsCtx::new().with_sink(ring.clone()));
+        let buf = Arc::new(BufferSink::new(true));
+        let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx.clone());
-        ctx.manual_clock().unwrap().set_us(100);
+        ctx.clock.set_us(100);
         {
             let mut s = span("region");
             s.field("k", 1u64);
-            ctx.manual_clock().unwrap().set_us(350);
+            ctx.clock.set_us(350);
         }
-        let evs = ring.drain();
+        let evs = buf.take();
         assert_eq!(evs[0].dur_us, Some(250));
         assert_eq!(evs[0].ts_us, 100);
     }
@@ -280,8 +279,8 @@ mod tests {
 
     #[test]
     fn traced_emissions_form_a_tree() {
-        let ring = Arc::new(RingSink::new(16));
-        let ctx = Arc::new(ObsCtx::new().with_sink(ring.clone()));
+        let buf = Arc::new(BufferSink::new(true));
+        let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx);
         let root = crate::trace::fetch_root(1, 0, 0);
         let root_span = root.ctx().span;
@@ -295,7 +294,7 @@ mod tests {
             crate::event!("inner.note");
         }
         drop(root);
-        let evs = ring.drain();
+        let evs = buf.take();
         assert_eq!(evs.len(), 4);
         let point = &evs[0];
         assert_eq!(point.trace.unwrap().span, root_span);
@@ -316,12 +315,12 @@ mod tests {
 
     #[test]
     fn traced_json_carries_hex_ids() {
-        let ring = Arc::new(RingSink::new(4));
-        let ctx = Arc::new(ObsCtx::new().with_sink(ring.clone()));
+        let buf = Arc::new(BufferSink::new(true));
+        let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx);
         let _root = crate::trace::fetch_root(2, 1, 0);
         span_completed_at("stage", 10, 3, &[]);
-        let evs = ring.drain();
+        let evs = buf.take();
         let j = evs[0].to_json();
         let trace_hex = j.get("trace").and_then(|v| v.as_str()).unwrap();
         assert_eq!(trace_hex.len(), 16);

@@ -8,17 +8,15 @@
 //!
 //! - [`mod@event`]: structured events and spans ([`event!`], [`span_us!`],
 //!   [`event::span`]) flowing to a pluggable [`sink`] (null by default,
-//!   ring buffer, JSONL file, stderr, Chrome trace, flight recorder);
+//!   an in-memory buffer, a JSONL file, stderr);
 //! - [`trace`]: causal identity — deterministic trace/span ids with
 //!   parent links, so one fetch becomes one reconstructable tree
-//!   ([`chrome`] renders it for `chrome://tracing`; [`flight`] retains
-//!   only failed trees);
+//!   ([`chrome`] renders recorded events for `chrome://tracing`);
 //! - [`metrics`]: a registry of saturating counters, gauges, and
 //!   fixed-bucket log-linear histograms, snapshotting to deterministic
 //!   JSON;
-//! - [`clock`]: time sources — a manually-driven clock that simulation
-//!   code advances with virtual time, and a wall clock for the real
-//!   proxy;
+//! - [`clock`]: the manually-driven clock simulation code advances with
+//!   virtual time;
 //! - [`scope`]: thread-local contexts so concurrent experiments (and
 //!   concurrent tests) keep their telemetry separate;
 //! - [`json`]: the deterministic JSON reader, writer and value tree the
@@ -52,7 +50,6 @@ pub mod chrome;
 pub mod clock;
 pub mod contention;
 pub mod event;
-pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod scope;
@@ -61,15 +58,13 @@ pub mod slo;
 pub mod timeseries;
 pub mod trace;
 
-pub use chrome::ChromeTraceSink;
-pub use clock::{Clock, ManualClock, WallClock};
+pub use clock::ManualClock;
 pub use contention::{LockStats, PerfMode, RwStats, TimedMutex, TimedRwLock};
 pub use event::{progress, span, Event, SpanGuard};
-pub use flight::FlightRecorder;
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use scope::{current, install, set_global, ObsCtx, ScopeGuard};
-pub use sink::{BufferSink, FilterSink, JsonlSink, NullSink, RingSink, Sink, StderrSink, TeeSink};
+pub use sink::{BufferSink, FilterSink, JsonlSink, NullSink, Sink, StderrSink, TeeSink};
 pub use slo::{SloKind, SloRule, SloSet, Violation};
 pub use timeseries::{
     Frame, SeriesSample, Timeline, TsCounter, TsGauge, TsHist, WindowCfg, FRAME_EVENT,
@@ -86,11 +81,6 @@ pub fn add(name: &str, n: u64) {
     current().registry.counter(name).add(n);
 }
 
-/// Set the named gauge in the current context.
-pub fn gauge_set(name: &str, v: i64) {
-    current().registry.gauge(name).set(v);
-}
-
 /// Record `us` into the named histogram in the current context.
 pub fn observe_us(name: &str, us: u64) {
     current().registry.histogram(name).observe_us(us);
@@ -101,14 +91,11 @@ pub fn observe_secs(name: &str, secs: f64) {
     current().registry.histogram(name).observe_secs(secs);
 }
 
-/// Advance the current context's virtual clock to `us` (no-op when the
-/// installed clock is not manual, e.g. the proxy's wall clock), then
-/// advance the windowed timeline, closing any crossed window boundaries.
+/// Advance the current context's virtual clock to `us`, then advance
+/// the windowed timeline, closing any crossed window boundaries.
 pub fn advance_clock_us(us: u64) {
     let ctx = current();
-    if let Some(c) = ctx.manual_clock() {
-        c.set_us(us);
-    }
+    ctx.clock.set_us(us);
     ctx.advance_timeline(us);
 }
 
@@ -123,21 +110,19 @@ mod tests {
         let _g = install(ctx.clone());
         inc("a");
         add("a", 2);
-        gauge_set("g", -4);
         observe_us("h", 10);
         observe_secs("h", 0.00002);
         assert_eq!(ctx.registry.counter("a").get(), 3);
-        assert_eq!(ctx.registry.gauge("g").get(), -4);
         assert_eq!(ctx.registry.histogram("h").count(), 2);
     }
 
     #[test]
     fn advance_clock_reaches_events() {
-        let ring = Arc::new(RingSink::new(4));
-        let ctx = Arc::new(ObsCtx::new().with_sink(ring.clone()));
+        let buf = Arc::new(BufferSink::new(true));
+        let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx);
         advance_clock_us(777);
         crate::event!("tick");
-        assert_eq!(ring.drain()[0].ts_us, 777);
+        assert_eq!(buf.take()[0].ts_us, 777);
     }
 }

@@ -11,7 +11,7 @@
 //! experiment runs must not bleed metrics into each other's
 //! registries.
 
-use crate::clock::{Clock, ManualClock};
+use crate::clock::ManualClock;
 use crate::contention::PerfMode;
 use crate::metrics::Registry;
 use crate::sink::{NullSink, Sink};
@@ -28,8 +28,8 @@ pub struct ObsCtx {
     pub registry: Arc<Registry>,
     /// Events land here.
     pub sink: Arc<dyn Sink>,
-    /// Timestamps come from here.
-    pub clock: Arc<dyn Clock>,
+    /// Timestamps come from here; the simulator advances it.
+    pub clock: Arc<ManualClock>,
     /// 0 = silent (default), ≥ 1 = progress lines on stderr.
     pub verbosity: u8,
     /// Windowed time-series timeline (disabled until configured; see
@@ -66,8 +66,8 @@ impl ObsCtx {
         self
     }
 
-    /// Replace the clock.
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> ObsCtx {
+    /// Replace the clock (share one clock across contexts).
+    pub fn with_clock(mut self, clock: Arc<ManualClock>) -> ObsCtx {
         self.clock = clock;
         self
     }
@@ -115,12 +115,6 @@ impl ObsCtx {
     /// handles at construction so the hot path never re-checks.
     pub fn set_perf_mode(&self, mode: PerfMode) {
         self.perf.store(mode.as_u8(), Ordering::Relaxed);
-    }
-
-    /// The clock, downcast to [`ManualClock`] if that is what it is —
-    /// simulation drivers use this to advance virtual time.
-    pub fn manual_clock(&self) -> Option<&ManualClock> {
-        self.clock.as_any().downcast_ref::<ManualClock>()
     }
 }
 
@@ -209,13 +203,5 @@ mod tests {
         }
         assert_eq!(a.registry.counter("x").get(), 5);
         assert_eq!(b.registry.counter("x").get(), 7);
-    }
-
-    #[test]
-    fn manual_clock_downcast() {
-        let ctx = ObsCtx::new();
-        assert!(ctx.manual_clock().is_some());
-        let wall = ObsCtx::new().with_clock(Arc::new(crate::clock::WallClock::new()));
-        assert!(wall.manual_clock().is_none());
     }
 }

@@ -1,17 +1,14 @@
-//! Pluggable event sinks: null (default), bounded ring buffer,
-//! unbounded replay buffer (the parallel runner's per-trial arena),
-//! JSONL writer, and human-readable stderr. The Chrome-trace and
-//! flight-recorder sinks live in [`crate::chrome`] and
-//! [`crate::flight`].
+//! Pluggable event sinks: null (default), the in-memory event buffer,
+//! JSONL writer, human-readable stderr, and the filter and tee
+//! combinators. A Chrome trace is a rendering of a buffer's events
+//! ([`crate::chrome::render_chrome_trace`]), not a sink of its own.
 //!
 //! Telemetry must never propagate a panic: every internal lock is
 //! recovered on poison (`lock_recover`) — an event buffer left by a
 //! panicking thread is still perfectly good data.
 
 use crate::event::Event;
-use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Lock a sink-internal mutex, recovering the guard if a panicking
@@ -41,7 +38,7 @@ pub trait Sink: Send + Sync + std::fmt::Debug {
     fn enabled(&self) -> bool {
         true
     }
-    /// Flush buffered output (JSONL, Chrome trace).
+    /// Flush buffered output (the JSONL writer's line buffer).
     fn flush(&self) {}
 }
 
@@ -57,78 +54,21 @@ impl Sink for NullSink {
     }
 }
 
-/// Keeps the last `cap` events in memory — the in-process memory sink
-/// tests and experiment consumers use. Bounded: when full, the oldest
-/// event is dropped and [`RingSink::dropped_events`] counts it, so a
-/// long `exp scale` run cannot OOM through its sink.
-#[derive(Debug)]
-pub struct RingSink {
-    cap: usize,
-    buf: Mutex<VecDeque<Event>>,
-    dropped: AtomicU64,
-}
-
-impl RingSink {
-    /// A ring holding at most `cap` events (oldest evicted first).
-    pub fn new(cap: usize) -> RingSink {
-        RingSink {
-            cap: cap.max(1),
-            buf: Mutex::new(VecDeque::new()),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Take every buffered event, oldest first.
-    pub fn drain(&self) -> Vec<Event> {
-        lock_recover(&self.buf).drain(..).collect()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        lock_recover(&self.buf).len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Sink for RingSink {
-    fn record(&self, event: &Event) {
-        let mut b = lock_recover(&self.buf);
-        if b.len() == self.cap {
-            b.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        b.push_back(event.clone());
-    }
-}
-
-/// Captures every event, unbounded and in emission order, for later
-/// replay into another sink.
+/// Captures every event, unbounded and in emission order — the one
+/// in-memory sink.
 ///
-/// This is the per-trial event arena the parallel experiment runner
-/// builds on: each trial records into its own `BufferSink`, and after
-/// the worker barrier the runner replays the buffers into the real sink
-/// in trial-ordinal order, so the merged stream is byte-identical to a
-/// serial run no matter how the workers interleaved.
+/// Three things are built on it: the parallel experiment runner's
+/// per-trial event arena (each trial records into its own buffer, and
+/// after the worker barrier the runner replays the buffers into the
+/// real sink in trial-ordinal order, so the merged stream is
+/// byte-identical to a serial run), the Chrome trace `--trace-out
+/// x.json` renders at exit, and every test that inspects what was
+/// emitted.
 ///
-/// Unlike [`RingSink`] it never drops (a trial's trace must be
-/// complete), and its [`Sink::enabled`] gate is fixed at construction:
-/// pass the *parent* sink's enabled state so instrumented code inside
-/// the trial skips event construction exactly when a serial run would
-/// have.
+/// It never drops (a trace must be complete), and its
+/// [`Sink::enabled`] gate is fixed at construction: a trial passes the
+/// *parent* sink's enabled state so instrumented code inside it skips
+/// event construction exactly when a serial run would have.
 #[derive(Debug)]
 pub struct BufferSink {
     enabled: bool,
@@ -136,8 +76,8 @@ pub struct BufferSink {
 }
 
 impl BufferSink {
-    /// A buffer whose emit gate mirrors `enabled` (the parent sink's
-    /// [`Sink::enabled`] at trial start).
+    /// A buffer whose emit gate is `enabled` (for a trial arena, the
+    /// parent sink's [`Sink::enabled`] at trial start).
     pub fn new(enabled: bool) -> BufferSink {
         BufferSink {
             enabled,
@@ -267,8 +207,8 @@ impl Sink for FilterSink {
     }
 }
 
-/// Fan out every event to several sinks (e.g. a Chrome trace on disk
-/// plus an in-memory flight recorder).
+/// Fan out every event to several sinks (e.g. the main trace sink plus
+/// the `--frames-out` filter).
 #[derive(Debug)]
 pub struct TeeSink {
     sinks: Vec<std::sync::Arc<dyn Sink>>,
@@ -314,24 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest_and_counts_drops() {
-        let r = RingSink::new(2);
-        assert_eq!(r.capacity(), 2);
-        r.record(&ev("a", 1));
-        r.record(&ev("b", 2));
-        assert_eq!(r.dropped_events(), 0);
-        r.record(&ev("c", 3));
-        assert_eq!(r.dropped_events(), 1);
-        let got: Vec<String> = r.drain().into_iter().map(|e| e.name).collect();
-        assert_eq!(got, vec!["b", "c"]);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn poisoned_ring_recovers_instead_of_panicking() {
+    fn poisoned_buffer_recovers_instead_of_panicking() {
         let ctx = std::sync::Arc::new(crate::scope::ObsCtx::new());
         let _scope = crate::scope::install(ctx.clone());
-        let r = std::sync::Arc::new(RingSink::new(4));
+        let r = std::sync::Arc::new(BufferSink::new(true));
         r.record(&ev("before", 1));
         // Poison the internal mutex: panic while holding the guard.
         let r2 = r.clone();
@@ -341,10 +267,10 @@ mod tests {
         }));
         // Telemetry keeps working on the poisoned lock...
         r.record(&ev("after", 2));
-        let names: Vec<String> = r.drain().into_iter().map(|e| e.name).collect();
+        let names: Vec<String> = r.take().into_iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["before", "after"]);
         // ...and every recovery is visible in the metrics snapshot
-        // (record + drain above = two recovered acquisitions).
+        // (record + take above = two recovered acquisitions).
         assert_eq!(ctx.registry.counter("obs.sink.poisoned").get(), 2);
     }
 
@@ -400,20 +326,20 @@ mod tests {
 
     #[test]
     fn filter_passes_only_allowed_names() {
-        let inner = std::sync::Arc::new(RingSink::new(8));
+        let inner = std::sync::Arc::new(BufferSink::new(true));
         let f = FilterSink::new(inner.clone(), &["ts.frame"]);
         assert!(f.enabled());
         f.record(&ev("ts.frame", 1));
         f.record(&ev("other", 2));
         f.record(&ev("ts.frame", 3));
-        let names: Vec<String> = inner.drain().into_iter().map(|e| e.name).collect();
+        let names: Vec<String> = inner.take().into_iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["ts.frame", "ts.frame"]);
     }
 
     #[test]
     fn tee_duplicates_and_flushes() {
-        let a = std::sync::Arc::new(RingSink::new(4));
-        let b = std::sync::Arc::new(RingSink::new(4));
+        let a = std::sync::Arc::new(BufferSink::new(true));
+        let b = std::sync::Arc::new(BufferSink::new(true));
         let t = TeeSink::new(vec![a.clone(), b.clone()]);
         assert!(t.enabled());
         t.record(&ev("x", 1));

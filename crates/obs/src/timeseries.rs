@@ -665,7 +665,7 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::RingSink;
+    use crate::sink::BufferSink;
     use crate::slo::SloSet;
 
     fn cfg(window_us: u64) -> WindowCfg {
@@ -692,10 +692,10 @@ mod tests {
         assert!(!t.enabled());
         let c = t.counter("x", &[]);
         c.add(5);
-        let ring = RingSink::new(8);
-        t.advance_to(10_000_000, &ring);
-        t.flush(&ring);
-        assert!(ring.is_empty());
+        let buf = BufferSink::new(true);
+        t.advance_to(10_000_000, &buf);
+        t.flush(&buf);
+        assert!(buf.is_empty());
         assert!(t.recent_frames().is_empty());
     }
 
@@ -705,12 +705,12 @@ mod tests {
         assert!(t.enabled());
         t.set_run("r1");
         let c = t.counter("hits", &[("asn", "7")]);
-        let ring = RingSink::new(64);
+        let buf = BufferSink::new(true);
         c.add(3);
-        t.advance_to(500, &ring); // still window 0
-        assert!(ring.is_empty());
+        t.advance_to(500, &buf); // still window 0
+        assert!(buf.is_empty());
         c.add(2);
-        t.advance_to(1_500, &ring); // crosses into window 1
+        t.advance_to(1_500, &buf); // crosses into window 1
         let frames = t.recent_frames();
         assert_eq!(frames.len(), 1);
         let f = &frames[0];
@@ -719,13 +719,13 @@ mod tests {
         assert_eq!(f.series["hits{asn=7}"], SeriesSample::Count(5));
         // Counter reset: next window counts only new samples.
         c.add(1);
-        t.advance_to(2_100, &ring);
+        t.advance_to(2_100, &buf);
         assert_eq!(
             t.recent_frames()[1].series["hits{asn=7}"],
             SeriesSample::Count(1)
         );
         // Frames reached the sink as ts.frame events.
-        let evs = ring.drain();
+        let evs = buf.take();
         assert_eq!(evs.len(), 2);
         assert!(evs.iter().all(|e| e.name == FRAME_EVENT));
         assert_eq!(evs[0].ts_us, 1_000);
@@ -735,8 +735,8 @@ mod tests {
     fn empty_crossed_windows_emit_zero_frames() {
         let t = Timeline::with_cfg(cfg(1_000));
         let _c = t.counter("hits", &[]);
-        let ring = RingSink::new(64);
-        t.advance_to(3_500, &ring); // crosses windows 0,1,2
+        let buf = BufferSink::new(true);
+        t.advance_to(3_500, &buf); // crosses windows 0,1,2
         let frames = t.recent_frames();
         assert_eq!(frames.len(), 3);
         for (i, f) in frames.iter().enumerate() {
@@ -749,11 +749,11 @@ mod tests {
     fn gauge_carries_last_forward_and_tracks_min_max() {
         let t = Timeline::with_cfg(cfg(1_000));
         let g = t.gauge("depth", &[]);
-        let ring = RingSink::new(64);
+        let buf = BufferSink::new(true);
         g.set(5);
         g.set(2);
         g.set(9);
-        t.advance_to(1_200, &ring);
+        t.advance_to(1_200, &buf);
         assert_eq!(
             t.recent_frames()[0].series["depth"],
             SeriesSample::Gauge {
@@ -763,7 +763,7 @@ mod tests {
             }
         );
         // Quiet window: level carries forward, min = max = last.
-        t.advance_to(2_200, &ring);
+        t.advance_to(2_200, &buf);
         assert_eq!(
             t.recent_frames()[1].series["depth"],
             SeriesSample::Gauge {
@@ -781,8 +781,8 @@ mod tests {
         let _h = t.hist("lat", &[]);
         let c = t.counter("hits", &[]);
         c.inc();
-        let ring = RingSink::new(8);
-        t.advance_to(1_500, &ring);
+        let buf = BufferSink::new(true);
+        t.advance_to(1_500, &buf);
         let f = &t.recent_frames()[0];
         assert_eq!(
             f.series.len(),
@@ -796,11 +796,11 @@ mod tests {
     fn hist_digest_resets_per_window() {
         let t = Timeline::with_cfg(cfg(1_000));
         let h = t.hist("lat", &[]);
-        let ring = RingSink::new(8);
+        let buf = BufferSink::new(true);
         for ms in [10u64, 20, 30] {
             h.observe_us(ms * 1_000);
         }
-        t.advance_to(1_500, &ring);
+        t.advance_to(1_500, &buf);
         let f0 = &t.recent_frames()[0];
         match &f0.series["lat"] {
             SeriesSample::Digest { count, p50_us, .. } => {
@@ -811,7 +811,7 @@ mod tests {
             other => panic!("expected digest, got {other:?}"),
         }
         h.observe_us(5_000);
-        t.advance_to(2_500, &ring);
+        t.advance_to(2_500, &buf);
         match &t.recent_frames()[1].series["lat"] {
             SeriesSample::Digest { count, sum_us, .. } => {
                 assert_eq!(*count, 1);
@@ -826,8 +826,8 @@ mod tests {
         let t = Timeline::with_cfg(cfg(1_000_000));
         let c = t.counter("hits", &[]);
         c.add(4);
-        let ring = RingSink::new(8);
-        t.flush(&ring);
+        let buf = BufferSink::new(true);
+        t.flush(&buf);
         let frames = t.recent_frames();
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].series["hits"], SeriesSample::Count(4));
@@ -841,8 +841,8 @@ mod tests {
         t.counter("c", &[("asn", "1")]).add(7);
         t.gauge("g", &[]).set(-3);
         t.hist("h", &[]).observe_us(123);
-        let ring = RingSink::new(8);
-        t.advance_to(1_500, &ring);
+        let buf = BufferSink::new(true);
+        t.advance_to(1_500, &buf);
         let f = &t.recent_frames()[0];
         let line = f.to_event().to_json();
         let parsed = Frame::parse(&line).expect("frame parses");
@@ -858,8 +858,8 @@ mod tests {
             let v = i.to_string();
             t.counter("c", &[("id", v.as_str())]).inc();
         }
-        let ring = RingSink::new(8);
-        t.advance_to(1_500, &ring);
+        let buf = BufferSink::new(true);
+        t.advance_to(1_500, &buf);
         let f = &t.recent_frames()[0];
         // The shared overflow series itself sits one past the cap.
         assert!(f.series.len() <= MAX_SERIES + 1);
@@ -871,13 +871,13 @@ mod tests {
     fn huge_clock_jump_is_capped_and_recorded() {
         let t = Timeline::with_cfg(cfg(1));
         t.counter("c", &[]).inc();
-        let ring = RingSink::new(8);
+        let buf = BufferSink::new(true);
         // Jump ~10^7 windows: far past the per-advance cap. The cap
         // closes a bounded number of frames, then skips to the target.
-        t.advance_to(10_000_000, &ring);
+        t.advance_to(10_000_000, &buf);
         // The next closed frame records the size of the gap.
         t.counter("c", &[]).inc();
-        t.advance_to(10_000_002, &ring);
+        t.advance_to(10_000_002, &buf);
         let frames = t.recent_frames();
         let first_after_gap = frames
             .iter()
@@ -893,8 +893,8 @@ mod tests {
         t.counter("hits", &[("asn", "1")]).add(2);
         t.counter("hits", &[("asn", "2")]).add(3);
         t.counter("hitsx", &[]).add(100);
-        let ring = RingSink::new(8);
-        t.advance_to(1_500, &ring);
+        let buf = BufferSink::new(true);
+        t.advance_to(1_500, &buf);
         assert_eq!(t.recent_frames()[0].family_count("hits"), 5);
     }
 
@@ -906,8 +906,8 @@ mod tests {
         assert!(child.enabled());
         assert_eq!(child.cfg().unwrap().window_us, 2_000);
         assert!(child.recent_frames().is_empty());
-        let ring = RingSink::new(8);
-        child.advance_to(5_000, &ring);
+        let buf = BufferSink::new(true);
+        child.advance_to(5_000, &buf);
         assert!(
             child.recent_frames().is_empty(),
             "no series registered in the child yet"

@@ -82,7 +82,7 @@ pub mod stream {
     pub const FETCH: u64 = 0;
     /// Report posts to the global DB.
     pub const REPORT: u64 = 1;
-    /// Real-proxy request handling (wall clock).
+    /// Real-proxy request handling.
     pub const PROXY: u64 = 2;
 }
 
@@ -339,7 +339,7 @@ pub fn complete_active(
 mod tests {
     use super::*;
     use crate::scope::{install, ObsCtx};
-    use crate::sink::RingSink;
+    use crate::sink::BufferSink;
     use std::sync::Arc;
 
     #[test]
@@ -439,12 +439,12 @@ mod tests {
 
     #[test]
     fn complete_active_emits_root_span() {
-        let ring = Arc::new(RingSink::new(8));
-        let ctx = Arc::new(ObsCtx::new().with_sink(ring.clone()));
+        let buf = Arc::new(BufferSink::new(true));
+        let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx);
         let r = fetch_root(4, 2, 10);
         complete_active("fetch", 10, 400, &[("ok", JsonValue::from(true))]);
-        let evs = ring.drain();
+        let evs = buf.take();
         assert_eq!(evs.len(), 1);
         let t = evs[0].trace.unwrap();
         assert_eq!(t.span, r.ctx().span);

@@ -13,7 +13,7 @@ use crate::codec::{read_request, read_response, write_request, write_response};
 use crate::testbed::resolver::TestResolver;
 use csaw::global::Report;
 use csaw_blockpage::{phase1_html, phase2, Phase1Config, Phase1Verdict, Phase2Config};
-use csaw_obs::clock::Clock;
+use csaw_obs::clock::ManualClock;
 use csaw_obs::metrics::Registry;
 use csaw_webproto::bytes::BytesMut;
 use csaw_webproto::http::{Request, Response};
@@ -74,8 +74,8 @@ pub struct ProxyMeasurement {
     /// Measurement time (`T_m`) in µs on the observability clock — the
     /// same virtual clock the rest of the pipeline runs on, so reports
     /// exported from a simulation timeline sort correctly against
-    /// simulated ones. (Embedders running on wall time install a wall
-    /// clock in the obs scope and get wall µs.)
+    /// simulated ones. Nothing advances that clock on its own: an
+    /// embedder that wants real times drives it with `set_us`.
     pub measured_at_us: u64,
 }
 
@@ -123,7 +123,7 @@ struct ProxyState {
     // registry — and stamp measurements from the same clock — the
     // embedding experiment installed.
     obs: Arc<Registry>,
-    clock: Arc<dyn Clock>,
+    clock: Arc<ManualClock>,
     // Monotone request ordinal feeding PROXY-stream trace-id derivation.
     req_seq: AtomicU64,
 }
@@ -238,7 +238,7 @@ fn handle_browser(mut browser: TcpStream, state: Arc<ProxyState>) {
         // Each proxied request is one causal tree on the PROXY stream.
         // The ordinal (not wall clock) feeds id derivation, matching the
         // simulation's determinism contract; the span guard measures the
-        // request on the context (wall) clock.
+        // request on the context's clock.
         let obs_ctx = csaw_obs::scope::current();
         let _root = obs_ctx.sink.enabled().then(|| {
             let seq = state.req_seq.fetch_add(1, Ordering::Relaxed);

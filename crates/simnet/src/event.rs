@@ -108,9 +108,7 @@ impl<E> Scheduler<E> {
         // Observability at the run boundary only — never per event, so the
         // event loop's hot path stays within its overhead budget.
         let ctx = csaw_obs::scope::current();
-        if let Some(clock) = ctx.manual_clock() {
-            clock.set_us(self.now.as_micros());
-        }
+        ctx.clock.set_us(self.now.as_micros());
         ctx.registry
             .counter("simnet.events_processed")
             .add(dispatched);

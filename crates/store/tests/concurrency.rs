@@ -217,11 +217,11 @@ fn contention_metrics_deterministic_and_forced_waits_visible() {
     use csaw_obs::{install, ObsCtx, PerfMode};
     use std::sync::Arc;
 
-    // Virtual perf mode: acquisition counts are exact and a serial
-    // replay of the same script yields the identical snapshot — the
-    // contention layer must not break the determinism contract.
+    // Acquisition counts are exact: a serial replay of the same script
+    // yields the identical counts — the contention layer must not break
+    // the determinism contract.
     let counts = |jobs_serial: bool| -> String {
-        let ctx = Arc::new(ObsCtx::new().with_perf(PerfMode::Virtual));
+        let ctx = Arc::new(ObsCtx::new().with_perf(PerfMode::Monotonic));
         let _g = install(ctx.clone());
         let store = ShardedStore::new(16).expect("shard count is valid");
         if jobs_serial {
@@ -244,8 +244,8 @@ fn contention_metrics_deterministic_and_forced_waits_visible() {
                 }
             });
         }
-        // Counts only: `contended` and wait histograms legitimately
-        // differ between a serial and a racing run even in virtual time.
+        // Counts only: `contended` and the wait and hold histograms
+        // legitimately differ between a serial and a racing run.
         let snap = ctx.registry.snapshot();
         let counters = snap.get("counters").expect("snapshot has counters");
         [
@@ -267,7 +267,7 @@ fn contention_metrics_deterministic_and_forced_waits_visible() {
     let parallel = counts(false);
     assert_eq!(
         serial, parallel,
-        "virtual-mode acquisition counts must not depend on interleaving"
+        "acquisition counts must not depend on interleaving"
     );
     assert!(
         !serial.contains("=0"),
