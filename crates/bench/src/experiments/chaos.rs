@@ -251,6 +251,12 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
         fault_rates: flags.list("--fault-rates").unwrap_or(defaults.fault_rates),
         drain_rounds: flags.numeric("--rounds", defaults.drain_rounds),
     };
+    // An empty fleet queues nothing, and every gate passes on nothing.
+    for (flag, value) in [("--clients", cfg.clients), ("--urls", cfg.urls_per_client)] {
+        if value == 0 {
+            flags.die(&format!("{flag} must be at least 1"));
+        }
+    }
     if let Some(bad) = cfg.fault_rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
         flags.die(&format!(
             "--fault-rates are probabilities in [0, 1], got {bad}"

@@ -204,7 +204,7 @@ pub const CATALOGUE: &[Entry] = &[
     },
     Entry {
         name: "scale",
-        summary: "sharded-store ingest throughput at a million clients",
+        summary: "million-client sharded-store ingest, reconciled to zero loss",
         flags: scale::FLAGS,
         run: Run::Harness(scale::harness),
     },

@@ -388,6 +388,11 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
     if cfg.regions == 0 {
         flags.die("--regions needs at least one region");
     }
+    // No clients means no Encore probes either: an empty store converges
+    // trivially. (`--urls 0` still posts the probes.)
+    if cfg.clients == 0 {
+        flags.die("--clients must be at least 1");
+    }
 
     // Virtual-hour windows like the chaos sweep's, with the
     // replica-staleness rule on top: the partitioned scenario must trip

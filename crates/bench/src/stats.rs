@@ -5,8 +5,8 @@
 //! figure/table renderers reproduce the paper's numbers and must carry
 //! no sketch error, while `csaw_obs::metrics::Histogram::quantile_us`
 //! is log-bucketed (exact below 64 µs, ≤ ~1.6 % above) because
-//! streaming telemetry — trace-leg stats, scale-lookup rows, every
-//! windowed timeline digest — cannot keep raw samples.
+//! streaming telemetry — trace-leg stats, every windowed timeline
+//! digest — cannot keep raw samples.
 
 use csaw_simnet::time::SimDuration;
 

@@ -146,11 +146,28 @@ fn bad_command_lines_exit_2_with_usage() {
             &format!("exp {harness} --bench-out"),
         );
     }
-    // `exp scale` rejects sizes it cannot run instead of panicking.
+    // `exp scale` rejects sizes it cannot run instead of panicking, and
+    // the fleet harnesses reject a population whose gates would pass on
+    // nothing.
     for zero in ["--threads", "--clients", "--lookups", "--shards"] {
         let args = ["scale", "--clients", "100", "--lookups", "10", zero, "0"];
         assert_usage_error(&exp(&args), &format!("exp scale {zero} 0"));
     }
+    for (harness, zero) in [
+        ("chaos", "--clients"),
+        ("chaos", "--urls"),
+        ("splitbrain", "--clients"),
+    ] {
+        assert_usage_error(
+            &exp(&[harness, zero, "0"]),
+            &format!("exp {harness} {zero} 0"),
+        );
+    }
+    // `--threads` is one writer count; the per-count sweep is gone.
+    assert_usage_error(
+        &exp(&["scale", "--clients", "100", "--threads", "1,2"]),
+        "exp scale --threads 1,2",
+    );
     // A fault rate is a probability.
     for rate in ["nan", "2", "-0.5", "0.1,1.5"] {
         assert_usage_error(

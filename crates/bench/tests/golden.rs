@@ -119,12 +119,12 @@ fn recompute() -> String {
     let cfg = scale::ScaleConfig {
         clients: 10_000,
         lookups: 1_000,
-        threads: vec![4],
+        threads: 4,
         ..scale::ScaleConfig::default()
     };
     let (scaled, _, _) = observed(false, None, || {
         let mut result = scale::run_with(1, cfg.clone());
-        result.socket = Some(scale::run_socketed(1, &cfg, 4, DbServerConfig::default()));
+        result.socket = Some(scale::run_socketed(1, &cfg, DbServerConfig::default()));
         result
     });
     let mut row = JsonValue::obj();

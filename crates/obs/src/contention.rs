@@ -1,7 +1,7 @@
 //! Lock contention attribution: timed `Mutex`/`RwLock` wrappers.
 //!
-//! The scaling question this answers: when `exp scale` goes flat from
-//! 1→8 threads, is the store lock-bound or compute-bound? Nothing in a
+//! The scaling question this answers: when store ingest goes flat as
+//! writers are added, is the store lock-bound or compute-bound? Nothing in a
 //! metrics snapshot could say, because wait time inside
 //! `std::sync::Mutex::lock` is invisible. [`TimedMutex`] and
 //! [`TimedRwLock`] make it visible: every acquisition records wait time
