@@ -24,9 +24,7 @@ use csaw_obs::chrome::render_chrome_trace;
 use csaw_obs::clock::ManualClock;
 use csaw_obs::contention::PerfMode;
 use csaw_obs::scope::{self, ObsCtx, ScopeGuard};
-use csaw_obs::sink::{BufferSink, FilterSink, JsonlSink, NullSink, Sink, StderrSink, TeeSink};
-use csaw_obs::slo::{SloSet, VIOLATION_EVENT};
-use csaw_obs::timeseries::{WindowCfg, FRAME_EVENT};
+use csaw_obs::sink::{BufferSink, JsonlSink, NullSink, Sink};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -36,13 +34,13 @@ use std::sync::Arc;
 /// can tell *why* a command failed without knowing which one it ran.
 pub mod exit {
     /// The input is not usable evidence: a trace whose fetch trees do
-    /// not sum (or that has none), a frames file with no frames under
+    /// not sum (or that has none), a trace with no frames under
     /// `--gate`.
     pub const NO_EVIDENCE: i32 = 1;
     /// Usage, I/O or parse error.
     pub const USAGE: i32 = 2;
-    /// A gate on measured values failed: trace PLT regression, SLO
-    /// violation under `--gate`.
+    /// A gate on measured values failed: an SLO violation under
+    /// `--gate`.
     pub const GATE: i32 = 3;
     /// Correctness: silent report loss.
     pub const CORRECTNESS: i32 = 4;
@@ -60,8 +58,7 @@ exit codes:
   1  input is not usable evidence (trace trees do not sum, no fetch
      trees, no frames under --gate)
   2  usage, I/O or parse error
-  3  a gate on measured values failed (trace PLT regression, SLO
-     violation under --gate)
+  3  a gate on measured values failed (SLO violation under --gate)
   4  correctness: silent report loss
   5  delivery ratio below --min-delivery
   6  replica not converged after heal
@@ -80,19 +77,16 @@ pub const COMMON_HELP: &str =
                       0 = all available cores); output is byte-identical
                       for every N
   --metrics-out PATH  write a JSON metrics snapshot on exit
-  --trace-out PATH    write trace events; any extension but `.json`
-                      streams JSONL events as they happen (what `report
-                      trace` reads; use it for long runs), `.json` keeps
-                      the whole run in memory and writes one Chrome
-                      trace (chrome://tracing, Perfetto) at exit
+  --trace-out PATH    write the run's events; any extension but `.json`
+                      streams JSONL as they happen (what `report trace`
+                      and `report health` read; use it for long runs),
+                      `.json` keeps the whole run in memory and writes
+                      one Chrome trace (chrome://tracing, Perfetto) at
+                      exit
   --perf MODE         perf-attribution telemetry: off | wall (default
                       off; wall records real lock wait/hold time into
                       the --metrics-out snapshot and so makes it
                       machine-dependent)
-  --window SECS       telemetry window length, virtual seconds (0 = off);
-                      overrides the experiment's documented default
-  --frames-out PATH   write `ts.frame`/`slo.violation` events as JSONL,
-                      the input format of `report health`
   -v, --verbose       progress events to stderr (stdout stays parseable)";
 
 /// Print `cmd: msg` and the usage text, then exit [`exit::USAGE`].
@@ -185,12 +179,7 @@ pub struct ExpCli {
     /// Worker threads for independent trials (`--jobs`, default 1;
     /// `--jobs 0` resolves to the number of available cores).
     pub jobs: usize,
-    /// Telemetry window length in virtual seconds from `--window`,
-    /// `None` when absent (the experiment's [`ExpCli::default_window`]
-    /// applies then). `Some(0.0)` explicitly disables windowing.
-    pub window: Option<f64>,
     metrics_out: Option<PathBuf>,
-    frames_out: Option<PathBuf>,
     /// `--trace-out x.json`: the file, and the buffer the run records
     /// into until [`ExpCli::finish`] renders it there.
     chrome_out: Option<(PathBuf, Arc<BufferSink>)>,
@@ -229,11 +218,9 @@ impl ExpCli {
         let mut seed = 1u64;
         let mut jobs = 1usize;
         let mut perf: Option<PerfMode> = None;
-        let mut window: Option<f64> = None;
         let mut metrics_out = None;
         let mut trace_out: Option<PathBuf> = None;
-        let mut frames_out: Option<PathBuf> = None;
-        let mut verbosity = 0u8;
+        let mut verbose = false;
         let mut values = HashMap::new();
         parse_args(cmd, &usage, args, |a, value| {
             match a {
@@ -252,18 +239,9 @@ impl ExpCli {
                         die(cmd, &usage, &format!("bad --perf {v:?} (off | wall)"))
                     }));
                 }
-                "--window" => {
-                    let v = value();
-                    let secs: f64 = parse_value(cmd, &usage, a, &v);
-                    if secs.is_nan() || secs < 0.0 {
-                        die(cmd, &usage, &format!("bad --window {v:?}"));
-                    }
-                    window = Some(secs);
-                }
                 "--metrics-out" => metrics_out = Some(PathBuf::from(value())),
                 "--trace-out" => trace_out = Some(PathBuf::from(value())),
-                "--frames-out" => frames_out = Some(PathBuf::from(value())),
-                "-v" | "--verbose" => verbosity += 1,
+                "-v" | "--verbose" => verbose = true,
                 other if extra_flags.iter().any(|(f, _)| *f == other) => {
                     values.insert(other.to_string(), value());
                 }
@@ -280,7 +258,8 @@ impl ExpCli {
             // chrome://tracing or Perfetto), rendered from a buffer of the
             // whole run at exit; the file is created now so a bad path
             // fails before the run. Any other extension streams raw JSONL
-            // events, one per line, as they happen.
+            // events, one per line, as they happen: the file `report`
+            // reads.
             Some(path) if path.extension().and_then(|e| e.to_str()) == Some("json") => {
                 std::fs::File::create(path).unwrap_or_else(|e| open_failed(path, e));
                 let buf = Arc::new(BufferSink::new(true));
@@ -290,30 +269,13 @@ impl ExpCli {
             Some(path) => {
                 Arc::new(JsonlSink::create(path).unwrap_or_else(|e| open_failed(path, e)))
             }
-            None if verbosity >= 2 => Arc::new(StderrSink),
             None => Arc::new(NullSink),
-        };
-        // `--frames-out` tees a filtered JSONL stream of frame and
-        // violation events off whatever the main sink is (including the
-        // null sink: the tee's enabled() gate turns event emission on).
-        let sink: Arc<dyn Sink> = match &frames_out {
-            Some(path) => {
-                let frames = JsonlSink::create(path).unwrap_or_else(|e| open_failed(path, e));
-                Arc::new(TeeSink::new(vec![
-                    sink,
-                    Arc::new(FilterSink::new(
-                        Arc::new(frames),
-                        &[FRAME_EVENT, VIOLATION_EVENT],
-                    )),
-                ]))
-            }
-            None => sink,
         };
         let ctx = Arc::new(
             ObsCtx::new()
                 .with_clock(Arc::new(ManualClock::new()))
                 .with_sink(sink)
-                .with_verbosity(verbosity),
+                .with_verbosity(u8::from(verbose)),
         );
         if let Some(mode) = perf {
             ctx.set_perf_mode(mode);
@@ -325,9 +287,7 @@ impl ExpCli {
         let cli = ExpCli {
             seed,
             jobs,
-            window,
             metrics_out,
-            frames_out,
             chrome_out,
             ctx,
             _guard: guard,
@@ -338,19 +298,6 @@ impl ExpCli {
             values,
         };
         (cli, flags)
-    }
-
-    /// Configure windowed telemetry: `--window` when given, else the
-    /// experiment's `default_secs`; zero (from either source) leaves the
-    /// timeline disabled. `slos` is the experiment's rule set, evaluated at
-    /// every window close. Call once, before running the experiment.
-    pub fn default_window(&self, default_secs: f64, slos: Arc<SloSet>) {
-        let secs = self.window.unwrap_or(default_secs);
-        if secs > 0.0 {
-            self.ctx
-                .timeline
-                .configure(WindowCfg::from_secs(secs, slos));
-        }
     }
 
     /// The installed observability context.
@@ -382,9 +329,6 @@ impl ExpCli {
         if let Some(path) = &self.metrics_out {
             write_or_exit(path, self.snapshot_json() + "\n");
             csaw_obs::event::progress(&format!("metrics snapshot -> {}", path.display()));
-        }
-        if let Some(path) = &self.frames_out {
-            csaw_obs::event::progress(&format!("telemetry frames -> {}", path.display()));
         }
     }
 }
@@ -493,49 +437,6 @@ mod tests {
             "{text}"
         );
         assert!(!text.contains("traceEvents"));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn window_flag_overrides_binary_default() {
-        let cli = parse(&["--window", "60"]);
-        assert_eq!(cli.window, Some(60.0));
-        cli.default_window(3_600.0, Arc::new(SloSet::empty()));
-        assert_eq!(
-            cli.ctx.timeline.cfg().map(|c| c.window_us),
-            Some(60_000_000),
-            "explicit --window wins over the binary default"
-        );
-
-        let cli = parse(&[]);
-        assert_eq!(cli.window, None);
-        cli.default_window(3_600.0, Arc::new(SloSet::empty()));
-        assert_eq!(
-            cli.ctx.timeline.cfg().map(|c| c.window_us),
-            Some(3_600_000_000)
-        );
-
-        let cli = parse(&["--window", "0"]);
-        cli.default_window(3_600.0, Arc::new(SloSet::empty()));
-        assert!(!cli.ctx.timeline.enabled(), "--window 0 disables windowing");
-    }
-
-    #[test]
-    fn frames_out_captures_only_frame_and_violation_events() {
-        let path = std::env::temp_dir().join("csaw_cli_frames_test.jsonl");
-        let cli = parse(&["--frames-out", path.to_str().unwrap()]);
-        assert!(
-            cli.ctx.sink.enabled(),
-            "frames tee must turn event emission on"
-        );
-        cli.default_window(1.0, Arc::new(SloSet::empty()));
-        cli.ctx.timeline.counter("cli.test.work", &[]).add(3);
-        csaw_obs::event!("cli.noise");
-        cli.finish(); // flushes the open window into the tee
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"event\":\"ts.frame\""), "{text}");
-        assert!(text.contains("cli.test.work"), "{text}");
-        assert!(!text.contains("cli.noise"), "filter must drop: {text}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -10,11 +10,12 @@
 //!
 //! Each trial is processed in **global virtual-time order** (client
 //! registrations, then time-sorted browse sessions, then round-robin
-//! drain rounds), advancing the scope clock at every step. Under
-//! `--window` that drives the windowed telemetry timeline: per-window
-//! delivery, staleness, and backoff series with `run=rate=<r>` labels,
-//! plus `slo.violation` events from the `SloSet::csaw_default` rules —
-//! the input `report health` renders and gates on.
+//! drain rounds), advancing the scope clock at every step. That drives
+//! the windowed telemetry timeline, one window per virtual hour:
+//! per-window delivery, staleness, and backoff series with
+//! `run=rate=<r>` labels, plus `slo.violation` events from the
+//! `SloSet::csaw_default` rules — the lines of the `--trace-out
+//! x.jsonl` stream that `report health` renders and gates on.
 //!
 //! Two invariants are machine-checked ([`harness`] fails its verdict
 //! when either breaks, which is what the CI chaos job runs):
@@ -34,6 +35,7 @@ use csaw::global::{ConfidenceFilter, ServerDb};
 use csaw_censor::profiles;
 use csaw_faults::{FaultProfile, FaultyBackend, OutageSchedule};
 use csaw_obs::slo::SloSet;
+use csaw_obs::timeseries::WindowCfg;
 use csaw_simnet::time::SimDuration;
 use csaw_store::{Decorator, ShardedStore};
 use std::sync::Arc;
@@ -267,7 +269,10 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
     // Virtual-hour health windows with the full C-Saw SLO set: the
     // chaos sweep advances the shared clock, so delivery-ratio and
     // staleness timelines come out per virtual hour of the run.
-    cli.default_window(3_600.0, Arc::new(SloSet::csaw_default()));
+    cli.ctx().timeline.configure(WindowCfg::from_secs(
+        3_600.0,
+        Arc::new(SloSet::csaw_default()),
+    ));
 
     let result = run(cli.seed, &cfg, cli.jobs);
     let verdict = if result.silent_loss() {

@@ -31,7 +31,6 @@ use csaw::global::{Batch, ConfidenceFilter, GlobalApi, RemoteDb, Report, ServerD
 use csaw_censor::blocking::BlockingType;
 use csaw_dbserver::{spawn_dbserver, DbServerConfig};
 use csaw_obs::json::JsonValue;
-use csaw_obs::slo::SloSet;
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
@@ -303,10 +302,6 @@ pub const FLAGS: &[(&str, &str)] = &[
 /// is no verdict to gate on: either pass panics on any reconciliation
 /// failure (silent loss), which exits nonzero — that is the CI gate.
 pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
-    // The virtual clock never moves here, so windows are off unless
-    // --window is given; when on, the ingest coverage rule still
-    // applies to the single close-of-run window.
-    cli.default_window(0.0, Arc::new(SloSet::ingest_default()));
     let defaults = ScaleConfig::default();
     let cfg = ScaleConfig {
         clients: flags.numeric("--clients", defaults.clients),

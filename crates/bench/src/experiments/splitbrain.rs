@@ -39,6 +39,7 @@ use csaw_censor::profiles;
 use csaw_dbserver::{spawn_dbserver, DbServerConfig, DbServerHandle};
 use csaw_faults::OutageSchedule;
 use csaw_obs::slo::{SloKind, SloRule, SloSet};
+use csaw_obs::timeseries::WindowCfg;
 use csaw_replica::{ReplicatedStore, StoreState, WalShipper};
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_store::{Decorator, ShardedStore};
@@ -397,7 +398,9 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
     // Virtual-hour windows like the chaos sweep's, with the
     // replica-staleness rule on top: the partitioned scenario must trip
     // it.
-    cli.default_window(3_600.0, Arc::new(slo_set()));
+    cli.ctx()
+        .timeline
+        .configure(WindowCfg::from_secs(3_600.0, Arc::new(slo_set())));
 
     let result = run(cli.seed, &cfg, cli.jobs);
     let verdict = if result.silent_loss() {

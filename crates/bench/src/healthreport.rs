@@ -1,8 +1,9 @@
 //! Offline health-timeline analysis behind `report health`.
 //!
-//! Consumes the JSONL stream `--frames-out` writes (`ts.frame` and
-//! `slo.violation` events — a full `--trace-out` JSONL stream also
-//! parses; unrelated events are skipped) and renders, per run label:
+//! Consumes the JSONL event stream `--trace-out x.jsonl` writes (the
+//! same file `report trace` reads), uses its `ts.frame` and
+//! `slo.violation` events, skips every other event, and renders, per
+//! run label:
 //!
 //! - a **delivery timeline**: per window, reports queued / posted /
 //!   failed, the cumulative delivery ratio, the summed client queue
@@ -26,7 +27,7 @@ use csaw_obs::slo::Violation;
 use csaw_obs::timeseries::{key_in_family, Frame};
 use std::collections::BTreeSet;
 
-/// Everything parsed out of a frames JSONL file.
+/// The frames and violations parsed out of a JSONL event stream.
 #[derive(Debug, Clone, Default)]
 pub struct HealthInput {
     /// Telemetry frames, in file order (trial-ordinal order, thanks to
@@ -70,13 +71,13 @@ impl HealthInput {
     }
 }
 
-/// Parse a frames JSONL stream. Lines that are valid JSON but neither
-/// `ts.frame` nor `slo.violation` events are skipped, so a full
-/// `--trace-out` stream is accepted too; malformed JSON is an error.
+/// Parse a JSONL event stream. Events that are neither `ts.frame` nor
+/// `slo.violation` are skipped; a line that is not a JSON event (a
+/// Chrome trace, say) is an error.
 pub fn parse_jsonl(text: &str) -> Result<HealthInput, String> {
     let mut input = HealthInput::default();
     for item in jsonl_values(text) {
-        let (_, v) = item?;
+        let (_, _, v) = item?;
         if let Some(f) = Frame::parse(&v) {
             input.frames.push(f);
         } else if let Some(viol) = Violation::parse(&v) {
@@ -360,6 +361,9 @@ mod tests {
         assert_eq!(input.violations.len(), 1);
         assert_eq!(input.runs(), vec!["rate=0.6"]);
         assert!(parse_jsonl("not json").is_err());
+        // A Chrome trace is one JSON object, but not an event.
+        let chrome = csaw_obs::chrome::render_chrome_trace(&[csaw_obs::Event::point("x", 1)]);
+        assert_eq!(parse_jsonl(&chrome).unwrap_err(), "line 1: not an event");
     }
 
     #[test]

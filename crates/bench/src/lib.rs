@@ -9,17 +9,16 @@
 //! (`exp <name>`, `exp all` for the full report consumed by
 //! `EXPERIMENTS.md`, `exp list`), and `report trace|health` analyses
 //! and gates on what they write. Both parse flags through [`cli`] and
-//! share its exit-code table. Micro-benchmarks for the hot paths live
-//! under `benches/`. Sweeps fan their independent trials out through
-//! [`runner::map`]; the three harnesses (`chaos`, `splitbrain`,
+//! share its exit-code table. Sweeps fan their independent trials out
+//! through [`runner::map`]; the three harnesses (`chaos`, `splitbrain`,
 //! `scale`) drive their client populations through [`fleet`].
 //!
 //! Seed-pure counts and stdout digests go into a [`scorecard`], the
 //! format of the golden manifest. Lock attribution is the metrics
 //! snapshot of a `--perf wall` run (`csaw_obs::contention`); timing is
-//! the repo benchmark's (`benchmark/`). Traces (`--trace-out`) are
-//! analysed by [`tracereport`], windowed health telemetry
-//! (`--frames-out` JSONL) by [`healthreport`].
+//! the repo benchmark's (`benchmark/`). A run's `--trace-out x.jsonl`
+//! event stream is the one file both reports read: its fetch span trees
+//! by [`tracereport`], its windowed health frames by [`healthreport`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,12 +1,14 @@
 //! Distribution summaries and CDFs for experiment reporting.
 //!
-//! Two quantile paths are kept on purpose: [`percentile`] is **exact**
-//! (sort + linear interpolation over the raw sample) because the
+//! Two quantile paths are kept on purpose, split by whether the raw
+//! sample is at hand. Raw samples get **exact** percentiles
+//! ([`percentile_sorted`]: sort + linear interpolation): the
 //! figure/table renderers reproduce the paper's numbers and must carry
-//! no sketch error, while `csaw_obs::metrics::Histogram::quantile_us`
-//! is log-bucketed (exact below 64 µs, ≤ ~1.6 % above) because
-//! streaming telemetry — trace-leg stats, every windowed timeline
-//! digest — cannot keep raw samples.
+//! no sketch error, and `report trace`'s leg columns read every sample
+//! of the trace. Streaming digests get
+//! `csaw_obs::metrics::Histogram::quantile_us`, log-bucketed (exact
+//! below 64 µs, ≤ ~1.6 % above): the metrics registry and every
+//! windowed timeline digest cannot keep raw samples.
 
 use csaw_simnet::time::SimDuration;
 

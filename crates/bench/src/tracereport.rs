@@ -9,17 +9,15 @@
 //! - per-fetch **waterfalls** (detect/circum/transfer segments on a
 //!   shared scale);
 //! - a **PLT-decomposition table** (mean/p50/p99 per leg, plus each
-//!   leg's share of total PLT);
-//! - a **regression verdict** against a baseline trace: p50/p99 of
-//!   total PLT compared leg-for-leg, with a configurable threshold.
+//!   leg's share of total PLT).
 //!
 //! The invariant checked throughout: a fetch's children sum to its
 //! root duration within [`SUM_TOLERANCE_US`]. A trace violating that is
 //! malformed — the emitter constructs `transfer` as the exact
 //! remainder, so any drift means the tree was truncated or corrupted.
 
+use crate::stats::percentile_sorted;
 use csaw_obs::json::JsonValue;
-use csaw_obs::metrics::Histogram;
 use std::collections::BTreeMap;
 
 /// Children must sum to the root PLT within this many microseconds.
@@ -49,15 +47,23 @@ fn str_field(v: &JsonValue, key: &str) -> Option<String> {
 }
 
 /// The one JSONL line reader under `report`: each non-blank line of
-/// `text` parsed as JSON, paired with its 1-based line number; a
-/// malformed line is `Err("line N: …")`.
-pub fn jsonl_values(text: &str) -> impl Iterator<Item = Result<(usize, JsonValue), String>> + '_ {
+/// `text` parsed as JSON, paired with its 1-based line number and its
+/// event name. A line that is not JSON is `Err("line N: …")`, and so is
+/// one whose object has no string `event` field (`"line N: not an
+/// event"`) — which is how a Chrome trace, one JSON document on one
+/// line, is told from an event stream.
+pub fn jsonl_values(
+    text: &str,
+) -> impl Iterator<Item = Result<(usize, String, JsonValue), String>> + '_ {
     text.lines()
         .enumerate()
         .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| match JsonValue::parse(line) {
-            Ok(v) => Ok((i + 1, v)),
-            Err(e) => Err(format!("line {}: {e:?}", i + 1)),
+        .map(|(i, line)| {
+            let lineno = i + 1;
+            let v = JsonValue::parse(line).map_err(|e| format!("line {lineno}: {e:?}"))?;
+            let name =
+                str_field(&v, "event").ok_or_else(|| format!("line {lineno}: not an event"))?;
+            Ok((lineno, name, v))
         })
 }
 
@@ -66,8 +72,7 @@ pub fn jsonl_values(text: &str) -> impl Iterator<Item = Result<(usize, JsonValue
 pub fn parse_jsonl(text: &str) -> Result<Vec<RawEvent>, String> {
     let mut out = Vec::new();
     for item in jsonl_values(text) {
-        let (lineno, v) = item?;
-        let name = str_field(&v, "event").ok_or_else(|| format!("line {lineno}: no event"))?;
+        let (lineno, name, v) = item?;
         let ts_us = v
             .get("ts_us")
             .and_then(|t| t.as_u64())
@@ -217,9 +222,9 @@ pub struct LegStats {
     pub p99_us: f64,
 }
 
-/// Summarise raw µs samples via the shared [`Histogram`] quantile
-/// sketch (log-bucketed: exact below 64 µs, ≤ ~1.6 % above — plenty
-/// inside the decomposition table's ms-level resolution).
+/// Summarise raw µs samples with exact percentiles
+/// ([`percentile_sorted`]): a trace holds every sample, so nothing is
+/// sketched.
 pub fn leg_stats(samples: &[u64]) -> LegStats {
     if samples.is_empty() {
         return LegStats {
@@ -229,15 +234,13 @@ pub fn leg_stats(samples: &[u64]) -> LegStats {
             p99_us: 0.0,
         };
     }
-    let h = Histogram::default();
-    for &s in samples {
-        h.observe_us(s);
-    }
+    let mut sorted: Vec<f64> = samples.iter().map(|&s| s as f64).collect();
+    sorted.sort_by(f64::total_cmp);
     LegStats {
         n: samples.len(),
         mean_us: samples.iter().sum::<u64>() as f64 / samples.len() as f64,
-        p50_us: h.p50_us().unwrap_or(0) as f64,
-        p99_us: h.p99_us().unwrap_or(0) as f64,
+        p50_us: percentile_sorted(&sorted, 50.0),
+        p99_us: percentile_sorted(&sorted, 99.0),
     }
 }
 
@@ -316,118 +319,6 @@ pub fn waterfall(recs: &[FetchRecord], limit: usize) -> String {
     out
 }
 
-/// Baseline-vs-current comparison of one leg.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LegDelta {
-    /// Baseline stats.
-    pub base: LegStats,
-    /// Current stats.
-    pub cur: LegStats,
-    /// p50 change, percent of baseline (positive = slower).
-    pub p50_delta_pct: f64,
-    /// p99 change, percent of baseline.
-    pub p99_delta_pct: f64,
-}
-
-fn delta_pct(base: f64, cur: f64) -> f64 {
-    if base > 0.0 {
-        (cur - base) / base * 100.0
-    } else {
-        0.0
-    }
-}
-
-impl LegDelta {
-    fn of(base: LegStats, cur: LegStats) -> LegDelta {
-        LegDelta {
-            base,
-            cur,
-            p50_delta_pct: delta_pct(base.p50_us, cur.p50_us),
-            p99_delta_pct: delta_pct(base.p99_us, cur.p99_us),
-        }
-    }
-}
-
-/// The regression verdict over total PLT, with per-leg deltas for
-/// attribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Verdict {
-    /// Total-PLT delta — the gating leg.
-    pub total: LegDelta,
-    /// Per-leg deltas: (label, delta), for the report body.
-    pub legs: Vec<(String, LegDelta)>,
-    /// Allowed worsening (%) before the gate fails.
-    pub threshold_pct: f64,
-    /// True when total p50 or p99 worsened beyond the threshold.
-    pub regressed: bool,
-}
-
-/// Compare current fetches against a baseline. The gate fails when
-/// total-PLT p50 *or* p99 is more than `threshold_pct` percent slower
-/// than the baseline; per-leg deltas attribute the change.
-pub fn compare(base: &[FetchRecord], cur: &[FetchRecord], threshold_pct: f64) -> Verdict {
-    let stats = |recs: &[FetchRecord], f: fn(&FetchRecord) -> u64| -> LegStats {
-        leg_stats(&recs.iter().map(f).collect::<Vec<u64>>())
-    };
-    let total = LegDelta::of(stats(base, |r| r.total_us), stats(cur, |r| r.total_us));
-    let legs = vec![
-        (
-            "detection".to_string(),
-            LegDelta::of(stats(base, |r| r.detect_us), stats(cur, |r| r.detect_us)),
-        ),
-        (
-            "circum setup".to_string(),
-            LegDelta::of(stats(base, |r| r.circum_us), stats(cur, |r| r.circum_us)),
-        ),
-        (
-            "transfer".to_string(),
-            LegDelta::of(
-                stats(base, |r| r.transfer_us),
-                stats(cur, |r| r.transfer_us),
-            ),
-        ),
-    ];
-    let regressed = total.p50_delta_pct > threshold_pct || total.p99_delta_pct > threshold_pct;
-    Verdict {
-        total,
-        legs,
-        threshold_pct,
-        regressed,
-    }
-}
-
-impl Verdict {
-    /// Text rendering of the verdict and per-leg attribution.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Regression gate (threshold {:.1}%): {}\n",
-            self.threshold_pct,
-            if self.regressed { "FAIL" } else { "PASS" }
-        );
-        out.push_str(&format!(
-            "  {:<14}{:>12}{:>12}{:>9}{:>12}{:>12}{:>9}\n",
-            "leg", "base p50", "cur p50", "Δp50", "base p99", "cur p99", "Δp99"
-        ));
-        let mut rows: Vec<(&str, &LegDelta)> = vec![("total PLT", &self.total)];
-        for (label, d) in &self.legs {
-            rows.push((label, d));
-        }
-        for (label, d) in rows {
-            out.push_str(&format!(
-                "  {:<14}{:>10.3}ms{:>10.3}ms{:>8.1}%{:>10.3}ms{:>10.3}ms{:>8.1}%\n",
-                label,
-                ms(d.base.p50_us),
-                ms(d.cur.p50_us),
-                d.p50_delta_pct,
-                ms(d.base.p99_us),
-                ms(d.cur.p99_us),
-                d.p99_delta_pct
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,7 +372,19 @@ mod tests {
     fn chrome_document_is_a_parse_error_on_line_1() {
         let chrome = csaw_obs::chrome::render_chrome_trace(&[csaw_obs::Event::point("x", 1)]);
         let err = parse_jsonl(&chrome).unwrap_err();
-        assert!(err.starts_with("line 1:"), "{err}");
+        assert_eq!(err, "line 1: not an event");
+    }
+
+    #[test]
+    fn leg_percentiles_are_exact() {
+        // Unsorted input; a log-bucketed sketch would round 397 µs to a
+        // bucket edge.
+        let s = leg_stats(&[400, 100, 300, 200]);
+        assert_eq!(s.n, 4);
+        assert_eq!(s.mean_us, 250.0);
+        assert_eq!(s.p50_us, 250.0);
+        assert!((s.p99_us - 397.0).abs() < 1e-9, "{s:?}");
+        assert_eq!(leg_stats(&[]).n, 0);
     }
 
     #[test]
@@ -498,37 +401,9 @@ mod tests {
     }
 
     #[test]
-    fn self_comparison_passes_and_slowdown_fails() {
-        let text: String = (0..20u64)
-            .map(|i| jsonl_fetch(&format!("{:016x}", i + 1), i * 100, 10, 5, 100 + i))
-            .collect();
-        let recs = fetch_records(&parse_jsonl(&text).unwrap());
-        let same = compare(&recs, &recs, 10.0);
-        assert!(!same.regressed, "{}", same.render());
-
-        // Inject a 50% slowdown on every total.
-        let slow: Vec<FetchRecord> = recs
-            .iter()
-            .map(|r| FetchRecord {
-                total_us: r.total_us * 3 / 2,
-                transfer_us: r.transfer_us + r.total_us / 2,
-                ..r.clone()
-            })
-            .collect();
-        let v = compare(&recs, &slow, 10.0);
-        assert!(v.regressed, "{}", v.render());
-        assert!(v.total.p50_delta_pct > 40.0);
-        // Attribution: the transfer leg carries the regression.
-        let transfer = &v.legs.iter().find(|(l, _)| l == "transfer").unwrap().1;
-        assert!(transfer.p50_delta_pct > 40.0);
-    }
-
-    #[test]
     fn tables_render_without_panicking_on_empty_input() {
         let recs: Vec<FetchRecord> = Vec::new();
         assert!(decomposition_table(&recs).contains("0 fetches"));
         assert!(waterfall(&recs, 5).contains("Waterfalls"));
-        let v = compare(&recs, &recs, 10.0);
-        assert!(!v.regressed);
     }
 }

@@ -122,13 +122,17 @@ fn bad_command_lines_exit_2_with_usage() {
     assert_usage_error(&report(&["nosuch"]), "report nosuch");
     assert_usage_error(&report(&["health"]), "report health without a file");
     assert_usage_error(&report(&["trace", "x", "--nope"]), "report trace --nope");
-    // `report trace` reads JSONL only: a Chrome trace is a parse error.
+    // `report` reads JSONL only: a Chrome trace is a parse error for
+    // both kinds.
     let chrome = std::env::temp_dir().join(format!("csaw_cli_help_{}.json", std::process::id()));
     let doc = csaw_obs::chrome::render_chrome_trace(&[csaw_obs::Event::point("fetch", 1)]);
     std::fs::write(&chrome, doc).expect("write a Chrome trace");
-    let out = report(&["trace", chrome.to_str().expect("utf-8 temp path")]);
+    let file = chrome.to_str().expect("utf-8 temp path");
+    let outs = [report(&["trace", file]), report(&["health", file])];
     let _ = std::fs::remove_file(&chrome);
-    assert_usage_error(&out, "report trace x.json");
+    for (kind, out) in ["trace", "health"].iter().zip(&outs) {
+        assert_usage_error(out, &format!("report {kind} x.json"));
+    }
     // The perf modes are `off` and `wall`; the virtual one is gone, not
     // aliased.
     for gone in ["virtual", "monotonic"] {
@@ -138,8 +142,22 @@ fn bad_command_lines_exit_2_with_usage() {
         );
     }
     // The scorecard report and the harnesses' card paths are gone, not
-    // aliased.
+    // aliased; so are the frames file, the window override and the
+    // trace baseline gate.
     assert_usage_error(&report(&["perf", "card.json"]), "report perf");
+    for args in [
+        &["chaos", "--frames-out", "x"][..],
+        &["chaos", "--window", "60"],
+        &["fig5a", "--window", "60"],
+    ] {
+        assert_usage_error(&exp(args), &format!("exp {}", args.join(" ")));
+    }
+    for args in [
+        &["trace", "x.jsonl", "--baseline", "y.jsonl"][..],
+        &["trace", "x.jsonl", "--max-regress-pct", "5"],
+    ] {
+        assert_usage_error(&report(args), &format!("report {}", args.join(" ")));
+    }
     for harness in ["scale", "splitbrain"] {
         assert_usage_error(
             &exp(&[harness, "--bench-out", "x"]),

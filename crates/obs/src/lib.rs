@@ -8,7 +8,7 @@
 //!
 //! - [`mod@event`]: structured events and spans ([`event!`], [`span_us!`],
 //!   [`event::span`]) flowing to a pluggable [`sink`] (null by default,
-//!   an in-memory buffer, a JSONL file, stderr);
+//!   an in-memory buffer, or a JSONL file);
 //! - [`trace`]: causal identity — deterministic trace/span ids with
 //!   parent links, so one fetch becomes one reconstructable tree
 //!   ([`chrome`] renders recorded events for `chrome://tracing`);
@@ -64,7 +64,7 @@ pub use event::{progress, span, Event, SpanGuard};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use scope::{current, install, set_global, ObsCtx, ScopeGuard};
-pub use sink::{BufferSink, FilterSink, JsonlSink, NullSink, Sink, StderrSink, TeeSink};
+pub use sink::{BufferSink, JsonlSink, NullSink, Sink};
 pub use slo::{SloKind, SloRule, SloSet, Violation};
 pub use timeseries::{
     Frame, SeriesSample, Timeline, TsCounter, TsGauge, TsHist, WindowCfg, FRAME_EVENT,

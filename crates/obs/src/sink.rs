@@ -1,7 +1,7 @@
-//! Pluggable event sinks: null (default), the in-memory event buffer,
-//! JSONL writer, human-readable stderr, and the filter and tee
-//! combinators. A Chrome trace is a rendering of a buffer's events
-//! ([`crate::chrome::render_chrome_trace`]), not a sink of its own.
+//! Pluggable event sinks: null (default), the in-memory event buffer
+//! and the JSONL writer. A Chrome trace is a rendering of a buffer's
+//! events ([`crate::chrome::render_chrome_trace`]), not a sink of its
+//! own.
 //!
 //! Telemetry must never propagate a panic: every internal lock is
 //! recovered on poison (`lock_recover`) — an event buffer left by a
@@ -151,94 +151,6 @@ impl Sink for JsonlSink {
     }
 }
 
-/// Human-readable lines on stderr — the `-v` debugging sink. Stdout is
-/// never touched, so experiment output stays machine-parseable.
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl Sink for StderrSink {
-    fn record(&self, event: &Event) {
-        let mut line = format!("[{:>12}us] {}", event.ts_us, event.name);
-        if let Some(d) = event.dur_us {
-            line.push_str(&format!(" ({d}us)"));
-        }
-        if let Some(t) = &event.trace {
-            line.push_str(&format!(" trace={}", t.trace.to_hex()));
-        }
-        for (k, v) in &event.fields {
-            line.push_str(&format!(" {k}={}", v.to_string_compact()));
-        }
-        eprintln!("{line}");
-    }
-}
-
-/// Passes through only events whose name is in an allow-list — how
-/// `--frames-out` captures `ts.frame`/`slo.violation` lines into their
-/// own JSONL file while the main sink sees the full stream.
-#[derive(Debug)]
-pub struct FilterSink {
-    names: Vec<&'static str>,
-    inner: std::sync::Arc<dyn Sink>,
-}
-
-impl FilterSink {
-    /// A sink forwarding to `inner` only events named in `names`.
-    pub fn new(inner: std::sync::Arc<dyn Sink>, names: &[&'static str]) -> FilterSink {
-        FilterSink {
-            names: names.to_vec(),
-            inner,
-        }
-    }
-}
-
-impl Sink for FilterSink {
-    fn record(&self, event: &Event) {
-        if self.names.iter().any(|n| *n == event.name) {
-            self.inner.record(event);
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn flush(&self) {
-        self.inner.flush();
-    }
-}
-
-/// Fan out every event to several sinks (e.g. the main trace sink plus
-/// the `--frames-out` filter).
-#[derive(Debug)]
-pub struct TeeSink {
-    sinks: Vec<std::sync::Arc<dyn Sink>>,
-}
-
-impl TeeSink {
-    /// A sink duplicating events into each of `sinks`.
-    pub fn new(sinks: Vec<std::sync::Arc<dyn Sink>>) -> TeeSink {
-        TeeSink { sinks }
-    }
-}
-
-impl Sink for TeeSink {
-    fn record(&self, event: &Event) {
-        for s in &self.sinks {
-            s.record(event);
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn flush(&self) {
-        for s in &self.sinks {
-            s.flush();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,29 +234,5 @@ mod tests {
         for l in lines {
             JsonValue::parse(l).expect("each line is standalone JSON");
         }
-    }
-
-    #[test]
-    fn filter_passes_only_allowed_names() {
-        let inner = std::sync::Arc::new(BufferSink::new(true));
-        let f = FilterSink::new(inner.clone(), &["ts.frame"]);
-        assert!(f.enabled());
-        f.record(&ev("ts.frame", 1));
-        f.record(&ev("other", 2));
-        f.record(&ev("ts.frame", 3));
-        let names: Vec<String> = inner.take().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["ts.frame", "ts.frame"]);
-    }
-
-    #[test]
-    fn tee_duplicates_and_flushes() {
-        let a = std::sync::Arc::new(BufferSink::new(true));
-        let b = std::sync::Arc::new(BufferSink::new(true));
-        let t = TeeSink::new(vec![a.clone(), b.clone()]);
-        assert!(t.enabled());
-        t.record(&ev("x", 1));
-        t.flush();
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 }

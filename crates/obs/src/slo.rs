@@ -229,21 +229,6 @@ impl SloSet {
         }
     }
 
-    /// The ingest-harness rule set (`exp scale`): no client-side series
-    /// exist there, so only store-side coverage is checked.
-    pub fn ingest_default() -> SloSet {
-        SloSet {
-            rules: vec![SloRule {
-                name: "store.ingest.coverage".into(),
-                windows: 1,
-                kind: SloKind::CoverageMin {
-                    family: "store.ingest.accepted".into(),
-                    min: 1,
-                },
-            }],
-        }
-    }
-
     /// Evaluate every rule against `frames` (oldest first; the newest
     /// frame is the one that just closed). Pure: same frames, same
     /// verdicts. Returns the violations attributable to the newest

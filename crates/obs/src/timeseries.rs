@@ -8,9 +8,10 @@
 //! and closes a fixed-width window every time the virtual clock crosses
 //! a window boundary. Closing a window drains every series into a
 //! [`Frame`], emits the frame as an ordinary `ts.frame` [`Event`] into
-//! the current sink (one JSONL line with `--frames-out`), evaluates the
-//! configured SLO rules ([`crate::slo`]) against the retained frame
-//! history, and emits any violations as `slo.violation` events.
+//! the current sink (one line of a `--trace-out x.jsonl` stream),
+//! evaluates the configured SLO rules ([`crate::slo`]) against the
+//! retained frame history, and emits any violations as `slo.violation`
+//! events.
 //!
 //! Determinism contract: frames are a pure function of the recorded
 //! samples and the clock — two same-seed runs emit byte-identical frame
@@ -326,8 +327,9 @@ impl Frame {
         }
     }
 
-    /// Rebuild a frame from an event's JSON form (one `--frames-out`
-    /// line). Returns `None` for lines that are not `ts.frame` events.
+    /// Rebuild a frame from an event's JSON form (one line of a JSONL
+    /// event stream). Returns `None` for lines that are not `ts.frame`
+    /// events.
     pub fn parse(line: &JsonValue) -> Option<Frame> {
         if line.get("event").and_then(JsonValue::as_str) != Some(FRAME_EVENT) {
             return None;
@@ -444,8 +446,7 @@ impl Timeline {
     }
 
     /// Configure windowing. First caller wins (returns `false` if the
-    /// timeline was already configured) — mirrors how a CLI default
-    /// must not override an explicit `--window`.
+    /// timeline was already configured).
     pub fn configure(&self, cfg: WindowCfg) -> bool {
         self.cfg.set(cfg).is_ok()
     }
