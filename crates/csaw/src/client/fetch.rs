@@ -66,7 +66,13 @@ impl Books<'_> {
 
     /// Record a blocked verdict: per provider, on the report queue (for
     /// the accessed URL), and in the local DB.
-    fn record_blocked(&mut self, url: &Url, asn: Asn, now: SimTime, stages: Vec<BlockingType>) {
+    pub(super) fn record_blocked(
+        &mut self,
+        url: &Url,
+        asn: Asn,
+        now: SimTime,
+        stages: Vec<BlockingType>,
+    ) {
         if stages.is_empty() {
             return;
         }
@@ -89,7 +95,7 @@ impl Books<'_> {
     }
 
     /// Record that the direct path served the URL.
-    fn record_clear(&mut self, url: &Url, asn: Asn, now: SimTime) {
+    pub(super) fn record_clear(&mut self, url: &Url, asn: Asn, now: SimTime) {
         self.local_db
             .record_measurement(url, asn, now, Status::NotBlocked, vec![]);
     }

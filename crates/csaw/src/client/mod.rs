@@ -266,6 +266,25 @@ impl CsawClient {
             t.counter("client.fetch.method", &[("method", method.as_str())])
                 .inc()
         });
+        let (books, fetch) = self.books();
+        fetch.request(books, world, url, method.safe_to_duplicate(), now)
+    }
+
+    /// Record a verdict measured outside [`CsawClient::request`] — the
+    /// real-socket proxy measures on its own sockets — into the books a
+    /// simulated fetch writes: blocked when `stages` is non-empty (local
+    /// DB, per-provider store, report queue), clear otherwise.
+    pub fn record_verdict(&mut self, url: &Url, asn: Asn, now: SimTime, stages: Vec<BlockingType>) {
+        let (mut books, _) = self.books();
+        if stages.is_empty() {
+            books.record_clear(url, asn, now);
+        } else {
+            books.record_blocked(url, asn, now, stages);
+        }
+    }
+
+    /// What a verdict reads and writes, beside the fetch path.
+    fn books(&mut self) -> (Books<'_>, &mut FetchPath) {
         let books = Books {
             cfg: &self.cfg,
             stats: &mut self.stats,
@@ -276,8 +295,7 @@ impl CsawClient {
             view: &self.view,
             reports: &mut self.reports,
         };
-        self.fetch
-            .request(books, world, url, method.safe_to_duplicate(), now)
+        (books, &mut self.fetch)
     }
 
     /// Periodic background work: global sync, report posting, expiry.
@@ -308,7 +326,6 @@ impl CsawClient {
             cfg: &self.cfg,
             stats: &mut self.stats,
             ts: &self.ts,
-            local_db: &mut self.local_db,
             uuid: self.uuid?,
             now,
         };

@@ -9,11 +9,9 @@
 use super::{elapsed, ClientStats, Telemetry};
 use crate::config::CsawConfig;
 use crate::global::{Batch, IngestReceipt, Report, StoreError, Uuid, WireError};
-use crate::local::LocalDb;
 use csaw_censor::blocking::BlockingType;
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::time::{SimDuration, SimTime};
-use csaw_webproto::url::Url;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
@@ -48,13 +46,11 @@ impl WireFault {
 }
 
 /// What one post attempt borrows from the client: configuration,
-/// counters and telemetry, the local DB (accepted reports are marked
-/// posted there), its identity and the time of the attempt.
+/// counters and telemetry, its identity and the time of the attempt.
 pub(super) struct PostCtx<'a> {
     pub cfg: &'a CsawConfig,
     pub stats: &'a mut ClientStats,
     pub ts: &'a Telemetry,
-    pub local_db: &'a mut LocalDb,
     pub uuid: Uuid,
     pub now: SimTime,
 }
@@ -245,9 +241,9 @@ impl ReportQueue {
     /// Split the posted queue according to the server's per-report
     /// verdicts: permanently rejected indices are quarantined (futile to
     /// resend), deferred indices go back on the queue (the store never
-    /// attempted them), everything else is marked posted. Exactly the
-    /// accepted reports count toward `reports_posted` — nothing is
-    /// marked posted that the server did not take.
+    /// attempted them), everything else counts as posted. Exactly the
+    /// accepted reports count toward `reports_posted` — nothing counts
+    /// as posted that the server did not take.
     fn reconcile_receipt(&mut self, cx: &mut PostCtx<'_>, receipt: &IngestReceipt) {
         let mut posted_now = 0u64;
         for (i, r) in std::mem::take(&mut self.queue).into_iter().enumerate() {
@@ -257,9 +253,6 @@ impl ReportQueue {
                 cx.stats.reports_requeued += 1;
                 self.queue.push(r);
             } else {
-                if let Ok(u) = Url::parse(&r.url) {
-                    cx.local_db.mark_posted(&u);
-                }
                 cx.stats.reports_posted += 1;
                 posted_now += 1;
             }
@@ -409,7 +402,6 @@ mod tests {
             cfg: &c.cfg,
             stats: &mut c.stats,
             ts: &c.ts,
-            local_db: &mut c.local_db,
             uuid: c.uuid.expect("registered"),
             now,
         };
@@ -429,7 +421,6 @@ mod tests {
     fn the_identity_holds_through_every_verdict_with_no_world_and_no_server() {
         let cfg = CsawConfig::default().with_report_queue_cap(3);
         let mut stats = ClientStats::default();
-        let mut local_db = LocalDb::new(cfg.record_ttl);
         let ts = Telemetry {
             trace_seed: 52,
             timeline: csaw_obs::current().timeline.clone(),
@@ -443,7 +434,6 @@ mod tests {
                     cfg: &cfg,
                     stats: &mut stats,
                     ts: &ts,
-                    local_db: &mut local_db,
                     uuid,
                     now: $now,
                 }

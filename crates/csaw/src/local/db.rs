@@ -233,30 +233,6 @@ impl LocalDb {
         removed
     }
 
-    /// Blocked records not yet posted to the global DB.
-    pub fn pending_reports(&self) -> Vec<LocalRecord> {
-        let mut out = Vec::new();
-        for trie in self.hosts.values() {
-            trie.for_each(&mut |r| {
-                if r.status == Status::Blocked && !r.global_posted {
-                    out.push(r.clone());
-                }
-            });
-        }
-        // Deterministic order for reproducible reports.
-        out.sort_by(|a, b| a.url.cmp(&b.url));
-        out
-    }
-
-    /// Mark a record as posted.
-    pub fn mark_posted(&mut self, url: &Url) {
-        if let Some(trie) = self.hosts.get_mut(&HostKey::of(url)) {
-            if let Some(r) = trie.get_mut(&Self::segs(url)) {
-                r.global_posted = true;
-            }
-        }
-    }
-
     /// All live blocked records (for analytics/tests).
     pub fn blocked_records(&self, now: SimTime) -> Vec<LocalRecord> {
         let mut out = Vec::new();
@@ -508,30 +484,6 @@ mod tests {
         let purged = d.purge_expired(later);
         assert_eq!(purged, 1);
         assert_eq!(d.record_count(), 0);
-    }
-
-    #[test]
-    fn pending_reports_and_mark_posted() {
-        let mut d = db();
-        d.record_measurement(
-            &url("http://a.com/"),
-            Asn(1),
-            T0,
-            Status::Blocked,
-            vec![BlockingType::HttpDrop],
-        );
-        d.record_measurement(
-            &url("http://b.com/"),
-            Asn(1),
-            T0,
-            Status::NotBlocked,
-            vec![],
-        );
-        let pending = d.pending_reports();
-        assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].url, url("http://a.com/"));
-        d.mark_posted(&url("http://a.com/"));
-        assert!(d.pending_reports().is_empty());
     }
 
     #[test]

@@ -43,8 +43,7 @@ impl Status {
 /// One record of the local database (Table 3): the URL (the index), the
 /// AS the measurement was made from, the measurement time `T_m`, the
 /// status, the blocking mechanism observed at each stage (multi-stage
-/// blocking keeps several), and whether this record has been posted to
-/// the global DB.
+/// blocking keeps several).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalRecord {
     /// The measured URL.
@@ -57,8 +56,6 @@ pub struct LocalRecord {
     pub status: Status,
     /// Stage-1..k blocking mechanisms observed.
     pub stages: Vec<BlockingType>,
-    /// Has the latest update been posted to the global DB?
-    pub global_posted: bool,
 }
 
 impl LocalRecord {
@@ -71,7 +68,6 @@ impl LocalRecord {
             measured_at: now,
             status: Status::Blocked,
             stages,
-            global_posted: false,
         }
     }
 
@@ -83,9 +79,6 @@ impl LocalRecord {
             measured_at: now,
             status: Status::NotBlocked,
             stages: Vec::new(),
-            // Only blocked URLs are ever posted; mark as posted so this
-            // never shows up in the pending queue.
-            global_posted: true,
         }
     }
 
@@ -118,7 +111,6 @@ impl LocalRecord {
                 .map(|s| JsonValue::from(s.name()))
                 .collect::<Vec<_>>(),
         );
-        v.set("global_posted", self.global_posted);
         v
     }
 
@@ -134,14 +126,12 @@ impl LocalRecord {
             .iter()
             .map(|s| s.as_str().and_then(BlockingType::from_name))
             .collect::<Option<Vec<_>>>()?;
-        let global_posted = v.get("global_posted")?.as_bool()?;
         Some(LocalRecord {
             url,
             asn,
             measured_at,
             status,
             stages,
-            global_posted,
         })
     }
 }
@@ -180,12 +170,5 @@ mod tests {
             vec![BlockingType::DnsHijack, BlockingType::HttpDrop],
         );
         assert!(r.has_host_level_stage());
-    }
-
-    #[test]
-    fn not_blocked_records_never_pending() {
-        let r = LocalRecord::not_blocked(url("http://a.com/"), Asn(1), SimTime::ZERO);
-        assert!(r.global_posted);
-        assert_eq!(r.status, Status::NotBlocked);
     }
 }

@@ -41,15 +41,6 @@ impl PathTrie {
         node.record.as_ref()
     }
 
-    /// Mutable access to the record exactly at the given path.
-    pub fn get_mut(&mut self, segments: &[String]) -> Option<&mut LocalRecord> {
-        let mut node = self;
-        for seg in segments {
-            node = node.children.get_mut(seg)?;
-        }
-        node.record.as_mut()
-    }
-
     /// Longest-prefix match: the most specific record whose path is a
     /// prefix (segment-wise) of the query.
     pub fn lpm(&self, segments: &[String]) -> Option<&LocalRecord> {

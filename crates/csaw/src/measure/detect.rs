@@ -296,8 +296,9 @@ fn no_page(
 /// Classify a delivered document with the 2-phase detector. `redirected`
 /// is the client-observable fact that the document arrived via an HTTP
 /// redirect bounce — it distinguishes ISP-A-style redirect block pages
-/// from ISP-B-style in-band ones (Table 1).
-fn classify_page(
+/// from ISP-B-style in-band ones (Table 1). The real-socket proxy runs
+/// its live responses through this same function.
+pub fn classify_page(
     bytes: u64,
     html: &Markup,
     redirected: bool,

@@ -8,8 +8,8 @@
 //! blocking on mid-run (the §7.5 "in the wild" situation).
 
 use crate::acceptor::Acceptor;
-use crate::codec::{read_request, write_response};
 use csaw_webproto::bytes::BytesMut;
+use csaw_webproto::codec::{read_request, read_response, write_request, write_response};
 use csaw_webproto::http::Response;
 use std::collections::HashMap;
 use std::io::Read;
@@ -98,13 +98,13 @@ fn handle_conn(mut client: TcpStream, policy: Arc<RwLock<MbPolicy>>) {
                 // Forward request, relay one response.
                 match TcpStream::connect(upstream) {
                     Ok(mut up) => {
-                        if crate::codec::write_request(&mut up, &req).is_err() {
+                        if write_request(&mut up, &req).is_err() {
                             let _ =
                                 write_response(&mut client, &Response::error(502, "Bad Gateway"));
                             continue;
                         }
                         let mut ubuf = BytesMut::new();
-                        match crate::codec::read_response(&mut up, &mut ubuf) {
+                        match read_response(&mut up, &mut ubuf) {
                             Ok(resp) => {
                                 if write_response(&mut client, &resp).is_err() {
                                     return;
@@ -158,7 +158,6 @@ fn handle_conn(mut client: TcpStream, policy: Arc<RwLock<MbPolicy>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{read_response, write_request};
     use crate::testbed::origin::{spawn_origin, OriginConfig};
     use csaw_webproto::http::Request;
     use csaw_webproto::url::Url;

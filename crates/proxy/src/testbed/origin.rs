@@ -7,8 +7,8 @@
 //! censoring middlebox.
 
 use crate::acceptor::Acceptor;
-use crate::codec::{read_request, write_response};
 use csaw_webproto::bytes::BytesMut;
+use csaw_webproto::codec::{read_request, write_response};
 use csaw_webproto::http::Response;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -84,7 +84,7 @@ fn serve(mut stream: TcpStream, cfg: &OriginConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{read_response, write_request};
+    use csaw_webproto::codec::{read_response, write_request};
     use csaw_webproto::http::Request;
     use csaw_webproto::url::Url;
 

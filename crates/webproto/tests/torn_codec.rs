@@ -6,10 +6,10 @@
 //! through an in-memory reader that serves a wire image in chunks —
 //! every possible 2-way split, plus byte-at-a-time — and assert the
 //! reassembled message is identical to the original. They also pin the
-//! three failure contracts: oversized messages are `InvalidData`,
-//! closing mid-message is `UnexpectedEof`, and closing on a message
-//! boundary is a clean `Ok(None)` (requests and frames only; a
-//! response must always arrive).
+//! three failure contracts: oversized or malformed messages are
+//! `InvalidData`, closing mid-message is `UnexpectedEof`, and closing
+//! on a message boundary is a clean `Ok(None)` (requests and frames
+//! only; a response must always arrive).
 
 use csaw_webproto::bytes::BytesMut;
 use csaw_webproto::codec::{
@@ -205,6 +205,14 @@ fn oversized_request_is_rejected_as_invalid_data() {
     let mut buf = BytesMut::new();
     buf.extend_from_slice(&image);
     let mut r = ChunkedReader::new(vec![filler.to_vec()]);
+    let err = read_request(&mut r, &mut buf).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+}
+
+#[test]
+fn non_http_request_line_is_rejected_as_invalid_data() {
+    let mut r = ChunkedReader::new(vec![b"BREW /pot HTCPCP/1.0\r\n\r\n".to_vec()]);
+    let mut buf = BytesMut::new();
     let err = read_request(&mut r, &mut buf).unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 }

@@ -4,22 +4,32 @@
 //! A raw "browser" sends requests through the proxy. The first visit to
 //! the blocked site races redundant requests over the censored and clean
 //! paths, detects the block page, and serves the genuine content; the
-//! measurement log at the end is exportable as global-DB reports.
+//! proxy's client then posts its report to a live `csaw-dbserver`, and
+//! the server's `BLOCKED` answer for the AS is printed. Exits 1 if the
+//! censored site is not in that answer.
 //!
 //! ```sh
 //! cargo run --example real_proxy
 //! ```
 
-use csaw_proxy::codec::{read_response, write_request};
+use csaw::client::CsawClient;
+use csaw::config::CsawConfig;
+use csaw::global::{ConfidenceFilter, GlobalApi, RemoteDb, ServerDb};
+use csaw_dbserver::{spawn_dbserver, DbServerConfig};
 use csaw_proxy::testbed::{
     spawn_middlebox, spawn_origin, MbAction, MbPolicy, OriginConfig, TestResolver,
 };
 use csaw_proxy::{spawn_proxy, ProxyConfig};
+use csaw_simnet::time::SimTime;
+use csaw_simnet::topology::Asn;
 use csaw_webproto::bytes::BytesMut;
+use csaw_webproto::codec::{read_response, write_request};
 use csaw_webproto::http::Request;
 use csaw_webproto::url::Url;
 use std::net::TcpStream;
 use std::sync::Arc;
+
+const ASN: Asn = Asn(17557);
 
 fn main() -> std::io::Result<()> {
     // Origins: one censored site, one clean site.
@@ -50,8 +60,24 @@ fn main() -> std::io::Result<()> {
     resolver.insert("video-site.test", middlebox.addr, blocked_origin.addr);
     resolver.insert("news-site.test", middlebox.addr, clean_origin.addr);
 
+    // The global DB on a real socket, and the proxy's client registered
+    // there.
+    let db = spawn_dbserver(
+        Arc::new(ServerDb::builder(1).build().expect("in-memory server")),
+        DbServerConfig::default(),
+    )?;
+    let remote = RemoteDb::new(db.addr());
+    let mut client = CsawClient::new(CsawConfig::default(), None, 1);
+    client
+        .register(&remote, ASN, SimTime::ZERO, 0.0)
+        .expect("registration");
+
     // The C-Saw proxy.
-    let proxy = spawn_proxy(Arc::clone(&resolver), ProxyConfig::default())?;
+    let cfg = ProxyConfig {
+        asn: ASN,
+        ..ProxyConfig::default()
+    };
+    let proxy = spawn_proxy(Arc::clone(&resolver), client, cfg)?;
     println!("C-Saw proxy listening on {}\n", proxy.addr);
 
     // A raw browser.
@@ -82,18 +108,21 @@ fn main() -> std::io::Result<()> {
         );
     }
 
-    println!("\nProxy measurement log:");
-    for m in proxy.measurements() {
-        println!(
-            "  {}://{} blocked ({:?}) at +{}µs",
-            m.scheme.as_str(),
-            m.host,
-            m.signature,
-            m.measured_at_us
-        );
+    let posted = proxy.client().post_reports(&remote, SimTime::from_secs(1));
+    println!(
+        "\nPosted {posted} report(s) to the global DB at {}",
+        db.addr()
+    );
+    let blocked = remote
+        .blocked_for_as(ASN, &ConfidenceFilter::default())
+        .map_err(|e| std::io::Error::other(format!("{e:?}")))?;
+    println!("BLOCKED answer for AS{}:", ASN.0);
+    for r in &blocked {
+        println!("  {} blocked ({:?})", r.url, r.stages);
     }
-    println!("\nAs global-DB reports (JSON wire format):");
-    let reports = proxy.to_reports(17557);
-    println!("{}", csaw::global::Report::encode_batch(&reports));
+    if !blocked.iter().any(|r| r.url == "http://video-site.test/") {
+        eprintln!("the censored site is missing from the BLOCKED answer");
+        std::process::exit(1);
+    }
     Ok(())
 }

@@ -1,21 +1,35 @@
 //! End-to-end tests of the real-socket proxy over 127.0.0.1: browser →
-//! C-Saw proxy → censoring middlebox → origin, all actual TCP.
+//! C-Saw proxy → censoring middlebox → origin, all actual TCP, with the
+//! proxy's client registered at, and posting to, a live `csaw-dbserver`.
 
-use csaw_proxy::codec::{read_response, write_request};
+use csaw::client::CsawClient;
+use csaw::config::CsawConfig;
+use csaw::global::{ConfidenceFilter, GlobalApi, RemoteDb, ServerDb};
+use csaw::local::{LocalRecord, Status};
+use csaw_censor::BlockingType;
+use csaw_dbserver::{spawn_dbserver, DbServerConfig, DbServerHandle};
 use csaw_proxy::testbed::{
     spawn_middlebox, spawn_origin, MbAction, MbPolicy, OriginConfig, TestResolver,
 };
-use csaw_proxy::{spawn_proxy, CsawProxy, HostStatus, ProxyConfig, ProxySignature};
+use csaw_proxy::{spawn_proxy, CsawProxy, ProxyConfig};
+use csaw_simnet::time::SimTime;
+use csaw_simnet::topology::Asn;
 use csaw_webproto::bytes::BytesMut;
+use csaw_webproto::codec::{read_response, write_request};
 use csaw_webproto::http::{Request, Response};
 use csaw_webproto::url::Url;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
+
+const ASN: Asn = Asn(17557);
 
 struct Testbed {
     proxy: CsawProxy,
     middlebox: csaw_proxy::Middlebox,
+    resolver: Arc<TestResolver>,
+    remote: RemoteDb,
+    _db: DbServerHandle,
     _origins: Vec<csaw_proxy::Origin>,
 }
 
@@ -38,17 +52,29 @@ fn testbed() -> Testbed {
     let resolver = Arc::new(TestResolver::new());
     resolver.insert("blocked.test", middlebox.addr, blocked.addr);
     resolver.insert("clean.test", middlebox.addr, clean.addr);
+    let db = spawn_dbserver(
+        Arc::new(ServerDb::builder(5).build().unwrap()),
+        DbServerConfig::default(),
+    )
+    .unwrap();
+    let remote = RemoteDb::new(db.addr());
+    let mut client = CsawClient::new(CsawConfig::default(), None, 1);
+    client.register(&remote, ASN, SimTime::ZERO, 0.0).unwrap();
     let proxy = spawn_proxy(
         Arc::clone(&resolver),
+        client,
         ProxyConfig {
             get_timeout: Duration::from_millis(400),
-            ..ProxyConfig::default()
+            asn: ASN,
         },
     )
     .unwrap();
     Testbed {
         proxy,
         middlebox,
+        resolver,
+        remote,
+        _db: db,
         _origins: vec![blocked, clean],
     }
 }
@@ -61,14 +87,29 @@ fn browse(proxy: &CsawProxy, host: &str) -> Response {
     read_response(&mut s, &mut buf).unwrap()
 }
 
+/// The proxy client's local-DB record for a host at time zero.
+fn record(proxy: &CsawProxy, host: &str) -> Option<LocalRecord> {
+    let url = Url::parse(&format!("http://{host}/")).unwrap();
+    proxy.client().local_db.lookup(&url, SimTime::ZERO).record
+}
+
+fn stages(proxy: &CsawProxy, host: &str) -> Vec<BlockingType> {
+    let r = record(proxy, host).expect("host measured");
+    assert_eq!(r.status, Status::Blocked, "{r:?}");
+    r.stages
+}
+
 #[test]
 fn clean_host_served_direct() {
     let tb = testbed();
     let r = browse(&tb.proxy, "clean.test");
     assert_eq!(r.status, 200);
     assert!(r.body.len() > 25_000);
-    assert_eq!(tb.proxy.host_status("clean.test"), HostStatus::NotBlocked);
-    assert!(tb.proxy.measurements().is_empty());
+    assert_eq!(
+        record(&tb.proxy, "clean.test").map(|r| r.status),
+        Some(Status::NotBlocked)
+    );
+    assert_eq!(tb.proxy.client().pending_reports(), 0);
 }
 
 #[test]
@@ -82,10 +123,10 @@ fn block_page_detected_and_circumvented() {
         "user must get the genuine page, got block page"
     );
     assert!(r.body.len() > 25_000, "genuine page is large");
-    match tb.proxy.host_status("blocked.test") {
-        HostStatus::Blocked(sig) => assert_eq!(sig, ProxySignature::BlockPage),
-        other => panic!("status {other:?}"),
-    }
+    assert_eq!(
+        stages(&tb.proxy, "blocked.test"),
+        [BlockingType::HttpBlockPageInline]
+    );
 }
 
 #[test]
@@ -96,10 +137,7 @@ fn dropped_get_detected_and_circumvented() {
     let r = browse(&tb.proxy, "blocked.test");
     assert_eq!(r.status, 200);
     assert!(r.body.len() > 25_000);
-    match tb.proxy.host_status("blocked.test") {
-        HostStatus::Blocked(sig) => assert_eq!(sig, ProxySignature::GetTimeout),
-        other => panic!("status {other:?}"),
-    }
+    assert_eq!(stages(&tb.proxy, "blocked.test"), [BlockingType::HttpDrop]);
 }
 
 #[test]
@@ -108,10 +146,25 @@ fn reset_detected_and_circumvented() {
     tb.middlebox.set_action("blocked.test", MbAction::Reset);
     let r = browse(&tb.proxy, "blocked.test");
     assert_eq!(r.status, 200);
-    match tb.proxy.host_status("blocked.test") {
-        HostStatus::Blocked(sig) => assert_eq!(sig, ProxySignature::ConnectionReset),
-        other => panic!("status {other:?}"),
-    }
+    assert_eq!(stages(&tb.proxy, "blocked.test"), [BlockingType::HttpRst]);
+}
+
+#[test]
+fn direct_connect_failure_is_ip_rst_on_a_host_seen_clean() {
+    // Regression: a refused direct connect on a host already measured
+    // clean was recorded as `HttpRst`, where a first visit records the
+    // same failure as `IpRst`.
+    let tb = testbed();
+    browse(&tb.proxy, "clean.test");
+    let closed = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let clean_path = tb.resolver.resolve("clean.test").unwrap().clean;
+    tb.resolver.insert("clean.test", closed, clean_path);
+    let r = browse(&tb.proxy, "clean.test");
+    assert_eq!(r.status, 200, "served over the clean path");
+    assert_eq!(stages(&tb.proxy, "clean.test"), [BlockingType::IpRst]);
 }
 
 #[test]
@@ -120,7 +173,10 @@ fn mid_run_blocking_event_caught_by_inline_measurement() {
     // Phase 1: clean. Establishes NotBlocked status.
     let r = browse(&tb.proxy, "blocked.test");
     assert!(r.body.len() > 25_000);
-    assert_eq!(tb.proxy.host_status("blocked.test"), HostStatus::NotBlocked);
+    assert_eq!(
+        record(&tb.proxy, "blocked.test").map(|r| r.status),
+        Some(Status::NotBlocked)
+    );
     // Phase 2: the censor switches on (the §7.5 event).
     tb.middlebox.set_action("blocked.test", MbAction::BlockPage);
     let r = browse(&tb.proxy, "blocked.test");
@@ -129,13 +185,27 @@ fn mid_run_blocking_event_caught_by_inline_measurement() {
         !body.contains("Access Denied"),
         "served genuine content after refresh"
     );
-    assert!(matches!(
-        tb.proxy.host_status("blocked.test"),
-        HostStatus::Blocked(ProxySignature::BlockPage)
-    ));
+    assert_eq!(
+        stages(&tb.proxy, "blocked.test"),
+        [BlockingType::HttpBlockPageInline]
+    );
     // Phase 3: subsequent requests go straight to circumvention.
     let r = browse(&tb.proxy, "blocked.test");
     assert!(r.body.len() > 25_000);
+}
+
+/// Post the proxy client's queue to the live server and read back what
+/// the server answers for the proxy's AS.
+fn post_and_read_blocked(tb: &Testbed) -> Vec<(String, Vec<BlockingType>)> {
+    let mut client = tb.proxy.client();
+    assert_eq!(client.post_reports(&tb.remote, SimTime::from_secs(1)), 1);
+    assert!(client.reports_balanced(), "{:?}", client.stats);
+    tb.remote
+        .blocked_for_as(ASN, &ConfidenceFilter::default())
+        .unwrap()
+        .into_iter()
+        .map(|r| (r.url, r.stages))
+        .collect()
 }
 
 #[test]
@@ -143,24 +213,13 @@ fn measurement_log_exports_reports() {
     let tb = testbed();
     tb.middlebox.set_action("blocked.test", MbAction::BlockPage);
     browse(&tb.proxy, "blocked.test");
-    let reports = tb.proxy.to_reports(17557);
-    assert_eq!(reports.len(), 1);
-    assert_eq!(reports[0].url, "http://blocked.test/");
-    assert_eq!(reports[0].asn, 17557);
-    // The wire format round-trips into the (simulated) server.
-    let wire = csaw::global::Report::encode_batch(&reports);
-    let server = csaw::global::ServerDb::builder(5).build().unwrap();
-    let uuid = server
-        .register(csaw_simnet::SimTime::from_secs(1), 0.0)
-        .unwrap();
-    let batch = csaw::global::Batch::new(
-        uuid,
-        csaw::global::Report::decode_batch(&wire).unwrap(),
-        csaw_simnet::SimTime::from_secs(2),
+    assert_eq!(
+        post_and_read_blocked(&tb),
+        [(
+            "http://blocked.test/".to_string(),
+            vec![BlockingType::HttpBlockPageInline]
+        )]
     );
-    let receipt = server.ingest(batch).unwrap();
-    assert_eq!(receipt.accepted, 1);
-    assert_eq!(server.stats().unique_blocked_urls, 1);
 }
 
 #[test]
@@ -185,11 +244,9 @@ fn concurrent_browsers_share_measurements() {
         assert_eq!(r.status, 200);
         assert!(r.body.len() > 25_000);
     }
-    // The status converged to Blocked regardless of interleaving.
-    assert!(matches!(
-        tb.proxy.host_status("blocked.test"),
-        HostStatus::Blocked(_)
-    ));
+    // Blocked regardless of interleaving, and reported exactly once.
+    assert_eq!(stages(&tb.proxy, "blocked.test"), [BlockingType::HttpDrop]);
+    assert_eq!(tb.proxy.client().pending_reports(), 1);
 }
 
 #[test]
@@ -200,9 +257,9 @@ fn absolute_form_targets_are_rewritten() {
     let mut s = TcpStream::connect(tb.proxy.addr).unwrap();
     let mut req = Request::get(&Url::parse("http://clean.test/some/page").unwrap());
     req.target = "http://clean.test/some/page".to_string();
-    csaw_proxy::codec::write_request(&mut s, &req).unwrap();
+    write_request(&mut s, &req).unwrap();
     let mut buf = BytesMut::new();
-    let resp = csaw_proxy::codec::read_response(&mut s, &mut buf).unwrap();
+    let resp = read_response(&mut s, &mut buf).unwrap();
     assert_eq!(resp.status, 200);
     assert!(resp.body.len() > 25_000, "origin served the page");
 }
@@ -210,7 +267,7 @@ fn absolute_form_targets_are_rewritten() {
 #[test]
 fn https_scheme_is_preserved_in_reports() {
     // A browser asking the proxy for an https URL (absolute-form
-    // target) must see that scheme in the exported report — a censor
+    // target) must see that scheme in the posted report — a censor
     // blocking https://host but not http://host is a distinct record.
     let tb = testbed();
     tb.middlebox.set_action("blocked.test", MbAction::BlockPage);
@@ -221,27 +278,52 @@ fn https_scheme_is_preserved_in_reports() {
     let mut buf = BytesMut::new();
     let r = read_response(&mut s, &mut buf).unwrap();
     assert_eq!(r.status, 200, "circumvented copy served");
-    let reports = tb.proxy.to_reports(17557);
-    assert_eq!(reports.len(), 1);
-    assert_eq!(reports[0].url, "https://blocked.test/");
+    let blocked = post_and_read_blocked(&tb);
+    assert_eq!(blocked.len(), 1);
+    assert_eq!(blocked[0].0, "https://blocked.test/");
 }
 
 #[test]
 fn measurements_are_stamped_on_the_obs_clock() {
     // The pipeline runs on virtual time; a proxy spawned inside an
     // observability scope must stamp measurements from that scope's
-    // clock, not from a private wall-clock epoch.
+    // clock, not from a private wall-clock epoch — and expire them on
+    // that clock too.
     let clock = Arc::new(csaw_obs::clock::ManualClock::new());
     clock.set_us(1_234_567);
     let ctx = Arc::new(csaw_obs::scope::ObsCtx::new().with_clock(clock.clone()));
-    let _g = csaw_obs::scope::install(ctx);
+    let _g = csaw_obs::scope::install(ctx.clone());
     let tb = testbed();
     tb.middlebox.set_action("blocked.test", MbAction::BlockPage);
     browse(&tb.proxy, "blocked.test");
-    let ms = tb.proxy.measurements();
-    assert_eq!(ms.len(), 1);
-    assert_eq!(ms[0].measured_at_us, 1_234_567);
-    assert_eq!(tb.proxy.to_reports(1)[0].measured_at_us, 1_234_567);
+    let url = Url::parse("http://blocked.test/").unwrap();
+    let now = SimTime::from_micros(1_234_567);
+    let rec = tb.proxy.client().local_db.lookup(&url, now).record;
+    assert_eq!(rec.map(|r| r.measured_at), Some(now));
+    // Past the record TTL the host reads unmeasured, so the next visit
+    // races both paths again.
+    let ttl = tb.proxy.client().cfg.record_ttl;
+    clock.set_us((now + ttl).as_micros());
+    browse(&tb.proxy, "blocked.test");
+    assert_eq!(ctx.registry.counter("proxy.redundant_requests").get(), 2);
+}
+
+#[test]
+fn proxy_spans_reach_the_spawners_sink() {
+    // Regression: handler threads did not inherit the spawner's scope,
+    // so each request's span went to the handler thread's null sink.
+    let sink = Arc::new(csaw_obs::BufferSink::new(true));
+    let ctx = Arc::new(csaw_obs::ObsCtx::new().with_sink(sink.clone()));
+    let _g = csaw_obs::install(ctx);
+    let tb = testbed();
+    sink.take();
+    browse(&tb.proxy, "clean.test");
+    let spans = sink
+        .take()
+        .into_iter()
+        .filter(|e| e.name == "proxy.request" && e.dur_us.is_some())
+        .count();
+    assert_eq!(spans, 1);
 }
 
 #[test]
@@ -291,9 +373,9 @@ fn missing_host_header_is_a_client_error() {
     let mut s = TcpStream::connect(tb.proxy.addr).unwrap();
     let mut req = Request::get(&Url::parse("http://clean.test/").unwrap());
     req.headers.remove("Host");
-    csaw_proxy::codec::write_request(&mut s, &req).unwrap();
+    write_request(&mut s, &req).unwrap();
     let mut buf = BytesMut::new();
-    let resp = csaw_proxy::codec::read_response(&mut s, &mut buf).unwrap();
+    let resp = read_response(&mut s, &mut buf).unwrap();
     assert_eq!(resp.status, 400);
 }
 
