@@ -29,8 +29,12 @@
 //! taking any lock**: a batch that touches `k` keys across `m` stripes
 //! acquires `m` key-index write locks, not `k`. At deployment batch
 //! sizes this collapses the `store.ledger.keys` lock traffic by the
-//! mean batch size, which is what un-serializes parallel ingestion (see
-//! the scorecard's attribution table before/after this change).
+//! mean batch size, which is what un-serializes parallel ingestion;
+//! `scale::tests::each_batch_takes_each_write_lock_once_at_every_thread_count`
+//! pins the count. The read side groups too: a cold snapshot tallies
+//! all of one shard's keys for an AS with `VoteLedger::tally_keys`,
+//! one read of that stripe and one per client stripe, not one per key
+//! and voter.
 //!
 //! ## Keys
 //!
@@ -50,7 +54,7 @@
 //! A key's voters are a `Vec<Uuid>`. Every path that adds a voter has
 //! just inserted that key into the client's key set, so a (client, key)
 //! pair is pushed only when it is new; removal drops every occurrence,
-//! and [`VoteLedger::tally`] sorts and de-duplicates before it sums, so
+//! and every tally sorts its voters and sums each distinct one once, so
 //! a duplicate left by a revoke racing an ingest never counts twice.
 //!
 //! A global *vote epoch* increments whenever any client's vote spread
@@ -240,8 +244,12 @@ impl VoteLedger {
         self.key_shards.len()
     }
 
+    fn client_stripe(&self, c: Uuid) -> usize {
+        (c.raw() % self.client_shards.len() as u64) as usize
+    }
+
     fn client_shard(&self, c: Uuid) -> &ClientShard {
-        &self.client_shards[(c.raw() % self.client_shards.len() as u64) as usize]
+        &self.client_shards[self.client_stripe(c)]
     }
 
     /// The key-index stripe `key` lives in (its record shard, when built
@@ -399,16 +407,56 @@ impl VoteLedger {
             None => return Tally::default(),
         };
         voters.sort_unstable();
-        voters.dedup();
-        let mut t = Tally::default();
-        for c in voters {
-            let d = self.report_count(c);
-            if d > 0 {
-                t.n += 1;
-                t.s += 1.0 / d as f64;
+        sum_votes(&voters, |c| self.report_count(c))
+    }
+
+    /// [`VoteLedger::tally_key`] of every key in `keys`, in order, all of
+    /// which live in key-index stripe `stripe`. One pass: the stripe is
+    /// read once, each distinct voter's `d` is read once (one read lock
+    /// per client stripe), and each key is summed by the loop
+    /// `tally_key` uses, so every tally is bit-identical to its own.
+    pub(crate) fn tally_keys<'k>(
+        &self,
+        stripe: usize,
+        keys: impl IntoIterator<Item = &'k Key>,
+    ) -> Vec<Tally> {
+        // Every key's voters, back to back; `ends[i]` closes key `i`'s run.
+        let mut voters: Vec<Uuid> = Vec::new();
+        let mut ends: Vec<usize> = Vec::new();
+        {
+            let index = self.key_shards[stripe].read();
+            for key in keys {
+                debug_assert_eq!(self.stripe(key), stripe, "key outside the stripe");
+                if let Some(v) = index.get(key) {
+                    voters.extend_from_slice(v);
+                }
+                ends.push(voters.len());
             }
         }
-        t
+        // Each distinct voter's `d`, grouped by client stripe, then
+        // sorted by voter for the lookups below.
+        let mut distinct = voters.clone();
+        distinct.sort_unstable_by_key(|c| (self.client_stripe(*c), *c));
+        distinct.dedup();
+        let mut d: Vec<(Uuid, usize)> = Vec::with_capacity(distinct.len());
+        for run in distinct.chunk_by(|a, b| self.client_stripe(*a) == self.client_stripe(*b)) {
+            let clients = self.client_shard(run[0]).read();
+            d.extend(
+                run.iter()
+                    .map(|c| (*c, clients.get(c).map_or(0, HashSet::len))),
+            );
+        }
+        d.sort_unstable_by_key(|(c, _)| *c);
+        let d_of = |c: Uuid| d[d.binary_search_by_key(&c, |(v, _)| *v).expect("voter read")].1;
+        let mut start = 0;
+        ends.into_iter()
+            .map(|end| {
+                let run = &mut voters[start..end];
+                start = end;
+                run.sort_unstable();
+                sum_votes(run, d_of)
+            })
+            .collect()
     }
 
     /// Total vote mass a client currently spends (1.0 if it reports
@@ -448,6 +496,27 @@ impl VoteLedger {
         out.sort();
         out
     }
+}
+
+/// The tally of `voters`, sorted by UUID: each distinct voter adds 1 to
+/// `n` and `1/d` to `s`, in UUID order, so the float sum does not depend
+/// on the order the votes arrived in. A duplicate (left by a revoke
+/// racing an ingest) counts once; a voter with `d = 0` not at all.
+fn sum_votes(voters: &[Uuid], d_of: impl Fn(Uuid) -> usize) -> Tally {
+    let mut t = Tally::default();
+    let mut last = None;
+    for &c in voters {
+        if last == Some(c) {
+            continue;
+        }
+        last = Some(c);
+        let d = d_of(c);
+        if d > 0 {
+            t.n += 1;
+            t.s += 1.0 / d as f64;
+        }
+    }
+    t
 }
 
 #[cfg(test)]
@@ -617,6 +686,68 @@ mod tests {
         assert_eq!(l.tally(url, Asn(1)).n, 1);
         let key = l.key(url, Asn(1));
         assert_eq!(l.key_shards[l.stripe(&key)].read()[&key], [uuid(2)]);
+    }
+
+    #[test]
+    fn tally_keys_equals_tally_bit_for_bit() {
+        use csaw_simnet::rng::DetRng;
+        for seed in 1..=8u64 {
+            let mut rng = DetRng::new(seed);
+            let l = VoteLedger::with_shards(4);
+            let pool: Vec<(String, Asn)> = (0..40)
+                .map(|i| (format!("http://t{i}.com/"), Asn(i % 2)))
+                .collect();
+            // 40 clients cover every client stripe; each reports the
+            // popular key plus up to 15 drawn ones, so `d` varies and so
+            // does the number of voters per key.
+            for c in 0..40u64 {
+                let n = 1 + rng.index(15);
+                let urls: Vec<(String, Asn)> = std::iter::once(pool[0].clone())
+                    .chain((0..n).map(|_| pool[1 + rng.index(30)].clone()))
+                    .collect();
+                l.add_client_urls(uuid(c), urls);
+            }
+            // A lone voter on two keys nobody else draws.
+            l.add_client_urls(uuid(99), [pool[35].clone(), pool[36].clone()]);
+            for c in (0..40u64).filter(|c| c % 7 == seed % 7) {
+                l.revoke(uuid(c));
+            }
+            // The revoke race of `a_voter_left_behind_by_a_revoke_race_counts_once`:
+            // client 3's voter is pushed twice on the popular key.
+            l.revoke(uuid(3));
+            let raced = l.key(&pool[0].0, pool[0].1);
+            l.key_shards[l.stripe(&raced)]
+                .write()
+                .entry(raced)
+                .or_default()
+                .push(uuid(3));
+            l.add_client_urls(uuid(3), [pool[0].clone()]);
+            let keys: Vec<Key> = pool.iter().map(|(u, a)| l.key(u, *a)).collect();
+            let mut seen = Vec::new();
+            for stripe in 0..l.key_stripes() {
+                let mine: Vec<&Key> = keys.iter().filter(|k| l.stripe(k) == stripe).collect();
+                let got = l.tally_keys(stripe, mine.iter().copied());
+                assert_eq!(got.len(), mine.len());
+                for (key, t) in mine.iter().zip(got) {
+                    let want = l.tally_key(key);
+                    assert_eq!(t.n, want.n, "seed {seed}: n of {}", key.url);
+                    assert_eq!(
+                        t.s.to_bits(),
+                        want.s.to_bits(),
+                        "seed {seed}: s of {}",
+                        key.url
+                    );
+                    seen.push(t.n);
+                }
+            }
+            // Keys with no voter (t31..t39 are never drawn), one voter
+            // (client 99's) and many are all in the comparison.
+            assert!(
+                seen.contains(&0) && seen.contains(&1),
+                "seed {seed}: {seen:?}"
+            );
+            assert!(seen.iter().any(|n| *n >= 20), "seed {seed}: {seen:?}");
+        }
     }
 
     #[test]

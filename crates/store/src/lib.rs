@@ -17,7 +17,8 @@
 //!   report.
 //! - **Snapshot caching** ([`shard`]): `blocked_for_as` is served from
 //!   per-shard caches validated against (shard generation, vote epoch),
-//!   so a write never lets a stale snapshot through.
+//!   so a write never lets a stale snapshot through; a miss walks only
+//!   the AS's partition of the shard and tallies it in one ledger pass.
 //! - **Sharded voting** ([`ledger`]): the 1/d vote-spreading ledger is
 //!   itself lock-striped (clients and keys separately) with a
 //!   deterministic tally — voters sort before the float sum, so the

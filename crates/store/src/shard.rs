@@ -2,34 +2,41 @@
 //! per-shard snapshot caches.
 //!
 //! The URL×ASN keyspace is split across N shards by the stable FNV key
-//! hash ([`crate::hash`]). Each shard holds its slice of the record map
+//! hash ([`crate::hash`]). Each shard holds its slice of the records
 //! behind its own `RwLock`, so writers on different shards — and all
 //! readers — proceed in parallel; there is **no global lock anywhere**
-//! on the ingest or lookup path.
+//! on the ingest or lookup path. Within a shard the records are
+//! partitioned by AS — AS → (URL, AS) key → record — so an AS's blocked
+//! list costs that AS's records, not the whole shard's; a partition
+//! exists only while it holds a record.
 //!
 //! Ingestion builds a `BatchPlan` before any lock is taken: every
 //! report is sanitized (its URL checked, not built), its (URL, AS) key
 //! built once by the vote ledger — the URL interned as an `Arc<str>`
 //! and hashed once with the ledger's keyed SipHash — its
 //! [`GlobalRecord`] fully constructed, and the whole batch stably
-//! sorted by destination shard. The lock phase then walks the plan run
-//! by run — each touched shard's write lock is acquired exactly once
-//! per batch, and because the vote ledger stripes with the same FNV
-//! hash, the same runs drive the ledger's grouped update (see
+//! sorted by (destination shard, AS). The lock phase then walks the
+//! plan run by run — each touched shard's write lock is acquired
+//! exactly once per batch and each touched partition looked up once per
+//! (shard, AS) run, and because the vote ledger stripes with the same
+//! FNV hash, the same shard runs drive the ledger's grouped update (see
 //! [`crate::ledger`] for the lock-order discipline and the key layout).
 //! The plan is the batch's arena: the key backs the record map, the
 //! client's report set, and the voter index, so the per-report cost is
 //! reference counts, not string copies, and no map re-hashes a URL when
-//! it grows. A cold snapshot tallies each record by the key it is
-//! stored under.
+//! it grows.
 //!
 //! Reads are served from a per-shard snapshot cache keyed on
-//! (AS, confidence filter), a map behind its own `RwLock`: a hit holds
+//! (confidence filter, AS), a map behind its own `RwLock`: a hit holds
 //! the read lock for one lookup, and a miss computes its snapshot with
 //! no cache lock held, then inserts it under the write lock. An entry
 //! is valid while both the shard's write generation and the ledger's
 //! vote epoch are unchanged, so a stale snapshot is never served — a
-//! racing miss only changes who pays the recompute.
+//! racing miss only changes who pays the recompute. A miss walks only
+//! the AS's partition and tallies all of its keys in one ledger pass
+//! (one read of the shard's key stripe, which is the record shard by
+//! construction, and one per client stripe); the snapshot is stored
+//! sorted by URL, so a read merges presorted runs.
 
 use crate::backend::StorageBackend;
 use crate::batch::{Batch, IngestReceipt};
@@ -45,14 +52,17 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// Cache entries per shard before the shard's cache map is reset — the
-/// deployed system sees a handful of distinct confidence filters, so
-/// this bound only guards against pathological filter churn.
+/// Distinct confidence filters a shard caches snapshots for before its
+/// cache is reset — the deployed system sees a handful, so this bound
+/// only guards against pathological filter churn. It does not bound
+/// ASes: a filter keeps one snapshot per AS, at most a copy of the
+/// shard's records.
 const CACHE_FILTER_CAP: usize = 64;
 
-/// Cache lookup key: (AS, confidence-filter cache key).
-type CacheKey = (Asn, (usize, u64));
-type CacheMap = HashMap<CacheKey, CacheEntry>;
+/// Confidence-filter cache key → AS → snapshot.
+type CacheMap = HashMap<(usize, u64), HashMap<Asn, CacheEntry>>;
+/// AS → (URL, AS) key → record.
+type Partitions = HashMap<Asn, KeyMap<GlobalRecord>>;
 
 #[derive(Debug)]
 struct CacheEntry {
@@ -63,10 +73,12 @@ struct CacheEntry {
 
 #[derive(Debug)]
 struct Shard {
-    records: TimedRwLock<KeyMap<GlobalRecord>>,
+    records: TimedRwLock<Partitions>,
     /// Snapshot cache (see the module docs). A plain `RwLock`, not a
     /// `TimedRwLock`: a new lock family would change the seed-pure lock
-    /// counts the perf baseline pins.
+    /// counts that
+    /// `scale::tests::each_batch_takes_each_write_lock_once_at_every_thread_count`
+    /// pins.
     cache: RwLock<CacheMap>,
     /// Bumped after every mutation of `records`.
     generation: AtomicU64,
@@ -78,7 +90,7 @@ impl Shard {
     /// (stats are `None` when perf attribution is off).
     fn new(records: Option<Arc<RwStats>>) -> Shard {
         Shard {
-            records: TimedRwLock::with_stats(records, KeyMap::default()),
+            records: TimedRwLock::with_stats(records, Partitions::new()),
             cache: RwLock::new(CacheMap::new()),
             generation: AtomicU64::new(0),
         }
@@ -124,10 +136,10 @@ impl StoreMetrics {
 }
 
 /// One planned, sanitized batch: everything ingest needs, built before
-/// any lock is taken. Entries are stably sorted by destination shard so
-/// the lock phase walks contiguous runs.
+/// any lock is taken. Entries are stably sorted by (destination shard,
+/// AS) so the lock phase walks contiguous runs.
 struct BatchPlan {
-    /// `(shard, key, record)` in batch order within each shard run.
+    /// `(shard, key, record)` in batch order within each (shard, AS) run.
     entries: Vec<(u32, Key, GlobalRecord)>,
     rejected_indices: Vec<usize>,
 }
@@ -160,10 +172,10 @@ impl BatchPlan {
             };
             entries.push((ledger.stripe(&key) as u32, key, record));
         }
-        // Stable: within a shard run, batch order is preserved, so a
-        // duplicate key later in the batch overwrites the earlier one
+        // Stable: within a (shard, AS) run, batch order is preserved, so
+        // a duplicate key later in the batch overwrites the earlier one
         // exactly as a per-report loop would.
-        entries.sort_by_key(|(s, _, _)| *s);
+        entries.sort_by_key(|(s, _, r)| (*s, r.asn));
         BatchPlan {
             entries,
             rejected_indices,
@@ -206,26 +218,44 @@ impl ShardedStore {
         })
     }
 
-    /// Drop every record `keep` turns down, shard by shard; returns how
-    /// many went.
+    /// Drop every record `keep` turns down, shard by shard, and every
+    /// partition left empty; returns how many records went.
     fn retain_records(&self, keep: impl Fn(&GlobalRecord) -> bool) -> usize {
         let mut removed = 0usize;
         for (i, shard) in self.shards.iter().enumerate() {
-            let before;
-            let after;
-            {
-                let mut recs = shard.records.write();
-                before = recs.len();
-                recs.retain(|_, r| keep(r));
-                after = recs.len();
-            }
-            if before != after {
+            let mut gone = 0usize;
+            shard.records.write().retain(|_, part| {
+                let before = part.len();
+                part.retain(|_, r| keep(r));
+                gone += before - part.len();
+                !part.is_empty()
+            });
+            if gone > 0 {
                 shard.generation.fetch_add(1, Ordering::AcqRel);
-                self.apply_record_delta(i, -((before - after) as i64));
-                removed += before - after;
+                self.apply_record_delta(i, -(gone as i64));
+                removed += gone;
             }
         }
         removed
+    }
+
+    /// Shard `idx`'s snapshot of `asn` under `filter`: its records whose
+    /// tallies pass, sorted by URL.
+    fn snapshot(&self, idx: usize, asn: Asn, filter: &ConfidenceFilter) -> Vec<GlobalRecord> {
+        let recs = self.shards[idx].records.read();
+        let Some(part) = recs.get(&asn) else {
+            return Vec::new();
+        };
+        let tallies = self.ledger.tally_keys(idx, part.keys());
+        let mut out: Vec<GlobalRecord> = part
+            .values()
+            .zip(tallies)
+            .filter(|(_, t)| filter.passes(t))
+            .map(|(r, _)| r.clone())
+            .collect();
+        drop(recs);
+        out.sort_unstable_by(|a, b| a.url.cmp(&b.url));
+        out
     }
 
     fn apply_record_delta(&self, shard_idx: usize, delta: i64) {
@@ -264,20 +294,23 @@ impl StorageBackend for ShardedStore {
             }
             {
                 let mut recs = shard.records.write();
-                while it.peek().map(|(s, _, _)| *s) == Some(s) {
-                    let (_, key, record) = it.next().expect("peeked entry exists");
-                    ledger_keys.push((s, key.clone()));
-                    if track {
-                        let staleness = record
-                            .posted_at
-                            .as_micros()
-                            .saturating_sub(record.measured_at.as_micros());
-                        let e = per_as.entry(record.asn.0).or_default();
-                        e.0 += 1;
-                        e.1.push(staleness);
-                    }
-                    if recs.insert(key, record).is_none() {
-                        delta += 1;
+                while let Some(asn) = it.peek().filter(|e| e.0 == s).map(|e| e.2.asn) {
+                    let part = recs.entry(asn).or_default();
+                    while it.peek().is_some_and(|e| e.0 == s && e.2.asn == asn) {
+                        let (_, key, record) = it.next().expect("peeked entry exists");
+                        ledger_keys.push((s, key.clone()));
+                        if track {
+                            let staleness = record
+                                .posted_at
+                                .as_micros()
+                                .saturating_sub(record.measured_at.as_micros());
+                            let e = per_as.entry(asn.0).or_default();
+                            e.0 += 1;
+                            e.1.push(staleness);
+                        }
+                        if part.insert(key, record).is_none() {
+                            delta += 1;
+                        }
                     }
                 }
             }
@@ -319,10 +352,10 @@ impl StorageBackend for ShardedStore {
         asn: Asn,
         filter: &ConfidenceFilter,
     ) -> Result<Vec<GlobalRecord>, StoreError> {
-        let ck = (asn, filter.cache_key());
+        let fk = filter.cache_key();
         let epoch = self.ledger.epoch();
         let mut out: Vec<GlobalRecord> = Vec::new();
-        for shard in self.shards.iter() {
+        for (idx, shard) in self.shards.iter().enumerate() {
             // Read validity markers *before* computing: a write landing
             // mid-compute leaves the entry marked stale, so the worst
             // case is an extra recompute, never a stale serve.
@@ -333,7 +366,8 @@ impl StorageBackend for ShardedStore {
                 .cache
                 .read()
                 .unwrap_or_else(PoisonError::into_inner)
-                .get(&ck)
+                .get(&fk)
+                .and_then(|by_as| by_as.get(&asn))
                 .filter(|e| e.generation == generation && e.epoch == epoch)
                 .map(|e| Arc::clone(&e.records));
             let snapshot = match hit {
@@ -343,24 +377,16 @@ impl StorageBackend for ShardedStore {
                 }
                 None => {
                     self.metrics.cache_misses.inc();
-                    let computed: Vec<GlobalRecord> = {
-                        let recs = shard.records.read();
-                        recs.iter()
-                            .filter(|(_, r)| r.asn == asn)
-                            .filter(|(key, _)| filter.passes(&self.ledger.tally_key(key)))
-                            .map(|(_, r)| r.clone())
-                            .collect()
-                    };
-                    let snapshot = Arc::new(computed);
+                    let snapshot = Arc::new(self.snapshot(idx, asn, filter));
                     // A racing miss on the same key may overwrite this
                     // entry with an older one; its only cost is a
                     // recompute on the next read.
                     let mut cache = shard.cache.write().unwrap_or_else(PoisonError::into_inner);
-                    if cache.len() >= CACHE_FILTER_CAP {
+                    if !cache.contains_key(&fk) && cache.len() >= CACHE_FILTER_CAP {
                         cache.clear();
                     }
-                    cache.insert(
-                        ck,
+                    cache.entry(fk).or_default().insert(
+                        asn,
                         CacheEntry {
                             generation,
                             epoch,
@@ -372,6 +398,7 @@ impl StorageBackend for ShardedStore {
             };
             out.extend(snapshot.iter().cloned());
         }
+        // Each shard's run is already URL-sorted: this merges them.
         out.sort_by(|a, b| a.url.cmp(&b.url));
         Ok(out)
     }
@@ -399,7 +426,7 @@ impl StorageBackend for ShardedStore {
     fn for_each_record(&self, f: &mut dyn FnMut(&GlobalRecord)) {
         for shard in self.shards.iter() {
             let recs = shard.records.read();
-            for r in recs.values() {
+            for r in recs.values().flat_map(KeyMap::values) {
                 f(r);
             }
         }
@@ -544,6 +571,86 @@ mod tests {
         s.revoke(Uuid::from_raw(2));
         s.blocked_for_as(Asn(1), &f).unwrap();
         assert_eq!(hits(), h0, "post-revoke read must not be served from cache");
+    }
+
+    #[test]
+    fn cache_keeps_every_as_and_resets_on_a_new_filter_past_the_cap() {
+        let ctx = Arc::new(ObsCtx::new());
+        let _g = scope::install(ctx.clone());
+        let s = ShardedStore::new(2).unwrap();
+        for asn in 0..100u32 {
+            s.ingest(&batch(asn.into(), &["http://a.com/"], asn, 1))
+                .unwrap();
+        }
+        let counts = || {
+            let reg = &ctx.registry;
+            (
+                reg.counter("store.cache.hits").get(),
+                reg.counter("store.cache.misses").get(),
+            )
+        };
+        let f = ConfidenceFilter::default();
+        let pass = || {
+            for asn in 0..100 {
+                s.blocked_for_as(Asn(asn), &f).unwrap();
+            }
+        };
+        pass();
+        assert_eq!(counts(), (0, 200));
+        // A second pass with no write between: every shard read hits.
+        pass();
+        assert_eq!(counts(), (200, 200));
+        // 64 distinct filters (the default is `strict(1, 0.0)`) fit...
+        for k in 2..=64 {
+            s.blocked_for_as(Asn(0), &ConfidenceFilter::strict(k, 0.0))
+                .unwrap();
+        }
+        s.blocked_for_as(Asn(5), &f).unwrap();
+        assert_eq!(counts(), (202, 200 + 2 * 63));
+        // ...and a 65th resets the cache.
+        s.blocked_for_as(Asn(0), &ConfidenceFilter::strict(65, 0.0))
+            .unwrap();
+        s.blocked_for_as(Asn(5), &f).unwrap();
+        assert_eq!(counts(), (202, 200 + 2 * 63 + 4));
+    }
+
+    #[test]
+    fn an_emptied_partition_goes_and_a_later_ingest_is_served() {
+        let s = ShardedStore::new(4).unwrap();
+        s.ingest(&batch(1, &["http://a.com/", "http://b.com/"], 7, 10))
+            .unwrap();
+        s.ingest(&batch(2, &["http://c.com/"], 8, 90)).unwrap();
+        let partitions = |asn: u32| -> usize {
+            s.shards
+                .iter()
+                .filter(|sh| sh.records.read().contains_key(&Asn(asn)))
+                .count()
+        };
+        let urls = |asn: u32| -> Vec<String> {
+            s.blocked_for_as(Asn(asn), &ConfidenceFilter::default())
+                .unwrap()
+                .into_iter()
+                .map(|r| r.url)
+                .collect()
+        };
+        assert_eq!(urls(7), ["http://a.com/", "http://b.com/"]);
+        assert!(partitions(7) >= 1);
+        // Removing AS 7's last records drops its partitions.
+        assert_eq!(s.remove_reporter_records(Uuid::from_raw(1)), 2);
+        assert_eq!(partitions(7), 0);
+        assert!(urls(7).is_empty());
+        // So does expiring AS 8's last record.
+        assert_eq!(urls(8), ["http://c.com/"]);
+        assert_eq!(
+            s.expire_records(SimTime::from_secs(200), SimDuration::from_secs(50)),
+            1
+        );
+        assert_eq!((partitions(8), s.record_count()), (0, 0));
+        assert!(urls(8).is_empty());
+        // A later ingest into AS 7 builds a partition and is served.
+        s.ingest(&batch(3, &["http://d.com/"], 7, 300)).unwrap();
+        assert_eq!(partitions(7), 1);
+        assert_eq!(urls(7), ["http://d.com/"]);
     }
 
     #[test]
