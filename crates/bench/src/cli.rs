@@ -280,9 +280,6 @@ impl ExpCli {
         if let Some(mode) = perf {
             ctx.set_perf_mode(mode);
         }
-        // Thread-local for this (main) thread, global fallback for any
-        // worker threads the experiment spawns.
-        scope::set_global(ctx.clone());
         let guard = scope::install(ctx.clone());
         let cli = ExpCli {
             seed,

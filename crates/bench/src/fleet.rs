@@ -183,6 +183,7 @@ impl Fleet {
 /// Split `0..n` into `threads` contiguous chunks, run `work` on one
 /// scoped thread per chunk, and sum the per-thread counters
 /// element-wise. Which thread got which chunk is invisible in the sum.
+/// Each worker runs in the caller's observability scope.
 pub fn fan_out<const N: usize>(
     n: usize,
     threads: usize,
@@ -192,8 +193,11 @@ pub fn fan_out<const N: usize>(
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let work = &work;
-                s.spawn(move || work((t * chunk).min(n)..((t + 1) * chunk).min(n)))
+                let (work, ctx) = (&work, csaw_obs::current());
+                s.spawn(move || {
+                    let _scope = csaw_obs::install(ctx);
+                    work((t * chunk).min(n)..((t + 1) * chunk).min(n))
+                })
             })
             .collect();
         handles.into_iter().fold([0u64; N], |mut sum, h| {

@@ -6,15 +6,16 @@
 //! length-framed wire protocol from [`csaw_store::net`], carried by the
 //! shared incremental codec in [`csaw_webproto::codec`].
 //!
-//! ## Threads, not polling
+//! ## Connections and execution
 //!
-//! The workspace is hermetic (no `mio`, no `libc`), and the one thing
-//! `std::net` does without polling is block. So nothing here sleeps, or
-//! spins for longer than one look, while idle:
+//! The server runs the workspace's one accept/drain loop,
+//! [`csaw_webproto::server`]: an acceptor thread named `csaw-dbserver`
+//! and one `csaw-dbserver-conn` thread per connection, stopped on drop
+//! and drained by [`DbServerHandle::drain`] (see that module for the
+//! thread and shutdown discipline). What this crate adds is the
+//! connection's work:
 //!
-//! 1. One **acceptor** thread (named `csaw-dbserver`) blocks in
-//!    `accept` and spawns one thread per connection.
-//! 2. Each **connection** thread waits for bytes with
+//! 1. Each connection thread waits for bytes with
 //!    [`csaw_webproto::codec::read_looking`], decodes every complete
 //!    frame they finish, executes each through the shared `Service`,
 //!    and answers them in order with one `write_all`. The wait looks
@@ -25,33 +26,16 @@
 //!    end (`RemoteDb`, the WAL shipper) waits for each answer the same
 //!    way, so on a loopback round trip neither side usually pays a
 //!    futex wake-up.
-//! 3. **Execution** is transport-free: `Service::handle` maps one
+//! 2. **Execution** is transport-free: `Service::handle` maps one
 //!    request frame to one response and touches no socket, so any
 //!    number of connection threads run it at once over the lock-striped
 //!    [`ServerDb`]. `Post` requests beyond the in-flight bound are
 //!    answered with an all-`deferred_indices` receipt instead of being
-//!    dropped — the client-side reconciliation (PR 4's contract)
-//!    re-queues exactly those reports.
+//!    dropped — the client-side reconciliation re-queues exactly
+//!    those reports.
 //!
-//! ## Graceful drain
-//!
-//! [`DbServerHandle::drain`] stops accepting, shuts down the read half
-//! of every open connection — bytes the server had already received
-//! are still served and their responses written, then the connection
-//! thread sees end-of-stream — and joins every thread. A batch whose
-//! receipt was sent is never lost; a client whose request had not fully
-//! arrived sees a closed connection — an explicit error on its side,
-//! never a silent drop. A peer that stops reading cannot hold a drain
-//! up: accepted sockets carry a write timeout, and a write that times
-//! out closes the connection.
-//!
-//! Stop and drain set their flag *first* and then wake the blocked
-//! acceptor with a loopback connect; the acceptor re-checks the flag
-//! after *every* `accept`. So it does not matter whose connection wakes
-//! it: if a client's connect is accepted in place of the wake-up, the
-//! acceptor still sees the flag and leaves, and the unaccepted wake-up
-//! is reset with the listener. (The proxy's historical shutdown race
-//! checked the flag only before blocking.)
+//! A drain serves every request that had fully arrived, so a batch
+//! whose receipt was sent is never lost.
 //!
 //! ## Replication (`SHIP`/`SHIP_ACK`)
 //!
@@ -105,11 +89,11 @@ use csaw_store::net::{DbRequest, DbResponse};
 use csaw_store::Batch;
 use csaw_webproto::bytes::BytesMut;
 use csaw_webproto::codec::{decode_frame, read_looking, Frame};
+use csaw_webproto::server::{serve, Server};
 use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How long a response write may make no progress before the
@@ -225,26 +209,19 @@ impl AtomicStats {
     }
 }
 
-/// What the handle has asked of the acceptor.
-const RUNNING: u8 = 0;
-const DRAINING: u8 = 1;
-const STOPPING: u8 = 2;
-
 /// Handle to a running [`spawn_dbserver`] server. Dropping it stops
 /// the server immediately; call [`DbServerHandle::drain`] first for a
 /// graceful shutdown.
 #[derive(Debug)]
 pub struct DbServerHandle {
-    addr: SocketAddr,
+    server: Server,
     service: Arc<Service>,
-    asked: Arc<AtomicU8>,
-    join: Option<JoinHandle<()>>,
 }
 
 impl DbServerHandle {
     /// The loopback address the server is listening on.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Snapshot the server's counters.
@@ -254,35 +231,16 @@ impl DbServerHandle {
 
     /// Graceful drain: stop accepting, serve every fully-received
     /// request, write all responses, close, and join every thread.
-    pub fn drain(mut self) -> DbServerStats {
-        self.shut_down(DRAINING);
+    pub fn drain(self) -> DbServerStats {
+        self.server.drain();
         self.service.stats.snapshot()
-    }
-
-    /// Flag first, then wake: the acceptor is blocked in `accept` and
-    /// re-checks the flag after every connection, whoever sent it.
-    fn shut_down(&mut self, how: u8) {
-        let Some(join) = self.join.take() else {
-            return;
-        };
-        self.asked.store(how, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        let _ = join.join();
-    }
-}
-
-impl Drop for DbServerHandle {
-    fn drop(&mut self) {
-        self.shut_down(STOPPING);
     }
 }
 
 /// Bind a loopback listener and serve `server` over the wire protocol
-/// from background threads.
+/// from background threads. Metrics the server emits (store ingest,
+/// WAL replays) land in the spawner's observability scope.
 pub fn spawn_dbserver(server: Arc<ServerDb>, cfg: DbServerConfig) -> io::Result<DbServerHandle> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let asked = Arc::new(AtomicU8::new(RUNNING));
     let service = Arc::new(Service {
         server,
         cfg,
@@ -290,91 +248,11 @@ pub fn spawn_dbserver(server: Arc<ServerDb>, cfg: DbServerConfig) -> io::Result<
         wal_seq: Mutex::new(0),
         posts_in_flight: AtomicUsize::new(0),
     });
-    // Inherit the spawner's observability scope: metrics the server
-    // emits (store ingest, WAL replays) land in the same context as the
-    // experiment trial that spawned it, not the process-global one.
-    let ctx = csaw_obs::current();
-    let join = std::thread::Builder::new()
-        .name("csaw-dbserver".into())
-        .spawn({
-            let (service, asked) = (Arc::clone(&service), Arc::clone(&asked));
-            move || {
-                let _scope = csaw_obs::install(ctx);
-                accept_loop(listener, service, &asked)
-            }
-        })?;
-    Ok(DbServerHandle {
-        addr,
-        service,
-        asked,
-        join: Some(join),
-    })
-}
-
-/// Accept until asked to leave, one thread per connection; then close
-/// the listener, end every connection and join its thread.
-fn accept_loop(listener: TcpListener, service: Arc<Service>, asked: &AtomicU8) {
-    // The acceptor's half of each live connection (to shut it down
-    // from here) and the thread serving the other half.
-    let mut conns: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
-    let how = loop {
-        let accepted = listener.accept();
-        let how = asked.load(Ordering::SeqCst);
-        if how != RUNNING {
-            break how;
-        }
-        conns.retain(|(_, thread)| !thread.is_finished());
-        let Ok((mut stream, _)) = accepted else {
-            // Out of descriptors, most likely: closing connections
-            // frees some, spinning on the error does not.
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        };
-        let _ = stream.set_nodelay(true);
-        let (Ok(()), Ok(ours)) = (
-            stream.set_write_timeout(Some(WRITE_TIMEOUT)),
-            stream.try_clone(),
-        ) else {
-            continue;
-        };
-        service
-            .stats
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
-        // Spawned from this thread so that connection threads inherit
-        // its CPU mask as well as its observability scope.
-        let spawned = std::thread::Builder::new()
-            .name("csaw-dbserver-conn".into())
-            .spawn({
-                let (service, ctx) = (Arc::clone(&service), csaw_obs::current());
-                move || {
-                    let _scope = csaw_obs::install(ctx);
-                    service.serve(&mut stream);
-                    // The acceptor holds the other handle to this
-                    // socket, so dropping ours would not close it.
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-            });
-        if let Ok(thread) = spawned {
-            conns.push((ours, thread));
-        }
-    };
-    drop(listener);
-    // Drain closes only the read half: bytes already received are
-    // still served and answered, then the thread reads end-of-stream.
-    // Partial frames belong to requests that never fully arrived;
-    // their senders observe the close as an explicit error.
-    let half = if how == DRAINING {
-        Shutdown::Read
-    } else {
-        Shutdown::Both
-    };
-    for (ours, _) in &conns {
-        let _ = ours.shutdown(half);
-    }
-    for (_, thread) in conns {
-        let _ = thread.join();
-    }
+    let server = serve("csaw-dbserver", WRITE_TIMEOUT, {
+        let service = Arc::clone(&service);
+        move |stream| service.serve(stream)
+    })?;
+    Ok(DbServerHandle { server, service })
 }
 
 /// Everything a request needs and no socket: shared by every
@@ -397,6 +275,9 @@ impl Service {
     /// One connection, until the peer closes, the server shuts the
     /// socket down, framing is lost or a write fails.
     fn serve(&self, stream: &mut TcpStream) {
+        self.stats
+            .connections_accepted
+            .fetch_add(1, Ordering::Relaxed);
         let mut rbuf = BytesMut::new();
         let mut chunk = [0u8; 16 * 1024];
         let mut out = Vec::new();

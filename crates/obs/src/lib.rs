@@ -63,7 +63,7 @@ pub use contention::{LockStats, PerfMode, RwStats, TimedMutex, TimedRwLock};
 pub use event::{progress, span, Event, SpanGuard};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
-pub use scope::{current, install, set_global, ObsCtx, ScopeGuard};
+pub use scope::{current, install, ObsCtx, ScopeGuard};
 pub use sink::{BufferSink, JsonlSink, NullSink, Sink};
 pub use slo::{SloKind, SloRule, SloSet, Violation};
 pub use timeseries::{

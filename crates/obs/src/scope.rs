@@ -1,10 +1,11 @@
 //! Context plumbing: which registry/sink/clock/verbosity instrumented
 //! code should use.
 //!
-//! Contexts resolve in three steps: the innermost thread-local scope
-//! (installed with [`install`]), then the process-global context (set
-//! with [`set_global`]), then a lazily-created default (null sink,
-//! manual clock at zero, fresh registry).
+//! Contexts resolve in two steps: the innermost thread-local scope
+//! (installed with [`install`]), then a lazily-created default (null
+//! sink, manual clock at zero, fresh registry). A thread sees its
+//! spawner's scope only if it installs it: the workspace's servers and
+//! fan-outs pass `current()` to each thread they spawn.
 //!
 //! Thread-local scoping is what makes the determinism tests sound:
 //! `cargo test` runs tests on many threads, and two same-seed
@@ -122,22 +123,15 @@ thread_local! {
     static SCOPES: RefCell<Vec<Arc<ObsCtx>>> = const { RefCell::new(Vec::new()) };
 }
 
-static GLOBAL: OnceLock<Arc<ObsCtx>> = OnceLock::new();
-
 fn fallback() -> &'static Arc<ObsCtx> {
     static DEFAULT: OnceLock<Arc<ObsCtx>> = OnceLock::new();
     DEFAULT.get_or_init(|| Arc::new(ObsCtx::new()))
 }
 
-/// The innermost active context: thread-local scope, else global, else
-/// the shared default.
+/// The innermost active context: thread-local scope, else the shared
+/// default.
 pub fn current() -> Arc<ObsCtx> {
-    SCOPES.with(|s| {
-        if let Some(top) = s.borrow().last() {
-            return top.clone();
-        }
-        GLOBAL.get().unwrap_or_else(fallback).clone()
-    })
+    SCOPES.with(|s| s.borrow().last().unwrap_or_else(|| fallback()).clone())
 }
 
 /// Install `ctx` for this thread until the returned guard drops.
@@ -145,13 +139,6 @@ pub fn current() -> Arc<ObsCtx> {
 pub fn install(ctx: Arc<ObsCtx>) -> ScopeGuard {
     SCOPES.with(|s| s.borrow_mut().push(ctx));
     ScopeGuard { _priv: () }
-}
-
-/// Set the process-global context (used by multithreaded consumers like
-/// the real proxy whose worker threads can't see a thread-local scope).
-/// First caller wins; returns `false` if already set.
-pub fn set_global(ctx: Arc<ObsCtx>) -> bool {
-    GLOBAL.set(ctx).is_ok()
 }
 
 /// Pops the thread-local scope on drop.
@@ -184,7 +171,7 @@ mod tests {
         }
         assert!(Arc::ptr_eq(&current(), &outer));
         drop(g1);
-        // Back to global/default — not one of ours.
+        // Back to the default — not one of ours.
         assert!(!Arc::ptr_eq(&current(), &outer));
         assert!(!Arc::ptr_eq(&current(), &inner));
     }

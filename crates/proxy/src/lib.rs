@@ -12,15 +12,24 @@
 //!   its local DB decides each host's road, and its report queue posts
 //!   to any global DB.
 //!
+//! Every server here — proxy, origin, middlebox — runs the shared
+//! accept/drain loop [`csaw_webproto::server`]: its connection threads
+//! run in the spawner's observability scope, and dropping the server
+//! closes every connection it holds and joins its threads.
+//!
 //! Integration tests in the workspace root drive a browser → proxy →
 //! middlebox → origin chain entirely over 127.0.0.1.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod acceptor;
 pub mod proxy;
 pub mod testbed;
+
+/// How long a write to a peer may make no progress before its
+/// connection is given up on: a browser or proxy that stops reading
+/// must not pin a server thread, and the server's drop with it.
+const WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 
 pub use proxy::{spawn_proxy, CsawProxy, ProxyConfig};
 pub use testbed::{

@@ -17,7 +17,6 @@
 //! client's `record_ttl` on that same clock; nothing advances it on its
 //! own, so an embedder that wants real times drives it with `set_us`.
 
-use crate::acceptor::Acceptor;
 use crate::testbed::resolver::TestResolver;
 use csaw::client::CsawClient;
 use csaw::local::Status;
@@ -29,9 +28,10 @@ use csaw_simnet::topology::Asn;
 use csaw_webproto::bytes::BytesMut;
 use csaw_webproto::codec::{read_request, read_response, write_request, write_response};
 use csaw_webproto::http::{Request, Response};
+use csaw_webproto::server::{serve, Server};
 use csaw_webproto::url::{Scheme, Url};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -70,7 +70,7 @@ pub struct CsawProxy {
     /// The address browsers point at.
     pub addr: SocketAddr,
     state: Arc<ProxyState>,
-    _acceptor: Acceptor,
+    _server: Server,
 }
 
 impl CsawProxy {
@@ -118,24 +118,20 @@ pub fn spawn_proxy(
     client: CsawClient,
     cfg: ProxyConfig,
 ) -> io::Result<CsawProxy> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
     let state = Arc::new(ProxyState {
         resolver,
         cfg,
         client: Mutex::new(client),
         req_seq: AtomicU64::new(0),
     });
-    let state2 = Arc::clone(&state);
-    let obs = csaw_obs::current();
-    let acceptor = Acceptor::spawn(listener, move |stream| {
-        let _scope = csaw_obs::install(Arc::clone(&obs));
-        handle_browser(stream, &state2)
+    let server = serve("csaw-proxy", crate::WRITE_TIMEOUT, {
+        let state = Arc::clone(&state);
+        move |browser| handle_browser(browser, &state)
     })?;
     Ok(CsawProxy {
-        addr,
+        addr: server.addr(),
         state,
-        _acceptor: acceptor,
+        _server: server,
     })
 }
 
@@ -160,16 +156,16 @@ fn origin_form(req: &mut Request) -> Scheme {
     scheme
 }
 
-fn handle_browser(mut browser: TcpStream, state: &ProxyState) {
+fn handle_browser(browser: &mut TcpStream, state: &ProxyState) {
     let mut buf = BytesMut::new();
-    while let Ok(Some(mut req)) = read_request(&mut browser, &mut buf) {
+    while let Ok(Some(mut req)) = read_request(browser, &mut buf) {
         csaw_obs::inc("proxy.requests");
         let scheme = origin_form(&mut req);
         let Some(url) = req
             .host()
             .and_then(|host| Url::parse(&format!("{}://{host}/", scheme.as_str())).ok())
         else {
-            let _ = write_response(&mut browser, &Response::error(400, "Bad Request"));
+            let _ = write_response(browser, &Response::error(400, "Bad Request"));
             continue;
         };
         // Each proxied request is one causal tree on the PROXY stream.
@@ -190,7 +186,7 @@ fn handle_browser(mut browser: TcpStream, state: &ProxyState) {
         let resp = serve_url(state, &host, &url, &req);
         span.field("status", resp.status as u64);
         drop(span);
-        if write_response(&mut browser, &resp).is_err() {
+        if write_response(browser, &resp).is_err() {
             return;
         }
     }

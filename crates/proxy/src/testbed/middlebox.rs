@@ -7,13 +7,13 @@
 //! serve a block page. Actions are runtime-mutable so tests can flip
 //! blocking on mid-run (the §7.5 "in the wild" situation).
 
-use crate::acceptor::Acceptor;
 use csaw_webproto::bytes::BytesMut;
 use csaw_webproto::codec::{read_request, read_response, write_request, write_response};
 use csaw_webproto::http::Response;
+use csaw_webproto::server::{serve, Server};
 use std::collections::HashMap;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, RwLock};
 
 /// What the middlebox does to requests for a host.
@@ -46,7 +46,7 @@ pub struct Middlebox {
     /// The address clients' "direct path" connects to.
     pub addr: SocketAddr,
     policy: Arc<RwLock<MbPolicy>>,
-    _acceptor: Acceptor,
+    _server: Server,
 }
 
 impl Middlebox {
@@ -62,23 +62,21 @@ impl Middlebox {
 
 /// Spawn a middlebox with an initial policy.
 pub fn spawn_middlebox(initial: MbPolicy) -> std::io::Result<Middlebox> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
     let policy = Arc::new(RwLock::new(initial));
-    let policy2 = Arc::clone(&policy);
-    let acceptor = Acceptor::spawn(listener, move |stream| {
-        handle_conn(stream, Arc::clone(&policy2))
+    let server = serve("csaw-middlebox", crate::WRITE_TIMEOUT, {
+        let policy = Arc::clone(&policy);
+        move |client| handle_conn(client, &policy)
     })?;
     Ok(Middlebox {
-        addr,
+        addr: server.addr(),
         policy,
-        _acceptor: acceptor,
+        _server: server,
     })
 }
 
-fn handle_conn(mut client: TcpStream, policy: Arc<RwLock<MbPolicy>>) {
+fn handle_conn(client: &mut TcpStream, policy: &RwLock<MbPolicy>) {
     let mut buf = BytesMut::new();
-    while let Ok(Some(req)) = read_request(&mut client, &mut buf) {
+    while let Ok(Some(req)) = read_request(client, &mut buf) {
         csaw_obs::inc("middlebox.requests");
         let host = req.host().unwrap_or_default();
         let (action, upstream, block_html) = {
@@ -92,34 +90,31 @@ fn handle_conn(mut client: TcpStream, policy: Arc<RwLock<MbPolicy>>) {
         match action {
             MbAction::Pass => {
                 let Some(upstream) = upstream else {
-                    let _ = write_response(&mut client, &Response::error(502, "Bad Gateway"));
+                    let _ = write_response(client, &Response::error(502, "Bad Gateway"));
                     continue;
                 };
                 // Forward request, relay one response.
                 match TcpStream::connect(upstream) {
                     Ok(mut up) => {
                         if write_request(&mut up, &req).is_err() {
-                            let _ =
-                                write_response(&mut client, &Response::error(502, "Bad Gateway"));
+                            let _ = write_response(client, &Response::error(502, "Bad Gateway"));
                             continue;
                         }
                         let mut ubuf = BytesMut::new();
                         match read_response(&mut up, &mut ubuf) {
                             Ok(resp) => {
-                                if write_response(&mut client, &resp).is_err() {
+                                if write_response(client, &resp).is_err() {
                                     return;
                                 }
                             }
                             Err(_) => {
-                                let _ = write_response(
-                                    &mut client,
-                                    &Response::error(502, "Bad Gateway"),
-                                );
+                                let _ =
+                                    write_response(client, &Response::error(502, "Bad Gateway"));
                             }
                         }
                     }
                     Err(_) => {
-                        let _ = write_response(&mut client, &Response::error(502, "Bad Gateway"));
+                        let _ = write_response(client, &Response::error(502, "Bad Gateway"));
                     }
                 }
             }
@@ -147,7 +142,7 @@ fn handle_conn(mut client: TcpStream, policy: Arc<RwLock<MbPolicy>>) {
             MbAction::BlockPage => {
                 csaw_obs::inc("middlebox.block_pages");
                 let resp = Response::ok_html(block_html);
-                if write_response(&mut client, &resp).is_err() {
+                if write_response(client, &resp).is_err() {
                     return;
                 }
             }

@@ -6,12 +6,12 @@
 //! direct connection here, the "direct path" goes through the
 //! censoring middlebox.
 
-use crate::acceptor::Acceptor;
 use csaw_webproto::bytes::BytesMut;
 use csaw_webproto::codec::{read_request, write_response};
 use csaw_webproto::http::Response;
+use csaw_webproto::server::{serve, Server};
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 
 /// A running origin server.
 #[derive(Debug)]
@@ -20,7 +20,7 @@ pub struct Origin {
     pub host: String,
     /// Bound address.
     pub addr: SocketAddr,
-    _acceptor: Acceptor,
+    _server: Server,
 }
 
 /// Configuration for an origin.
@@ -53,21 +53,21 @@ impl OriginConfig {
 
 /// Spawn an origin server on an ephemeral port.
 pub fn spawn_origin(cfg: OriginConfig) -> std::io::Result<Origin> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
     let host = cfg.host.clone();
-    let acceptor = Acceptor::spawn(listener, move |stream| serve(stream, &cfg))?;
+    let server = serve("csaw-origin", crate::WRITE_TIMEOUT, move |stream| {
+        serve_pages(stream, &cfg)
+    })?;
     Ok(Origin {
         host,
-        addr,
-        _acceptor: acceptor,
+        addr: server.addr(),
+        _server: server,
     })
 }
 
 /// Keep-alive loop: serve requests until the peer closes.
-fn serve(mut stream: TcpStream, cfg: &OriginConfig) {
+fn serve_pages(stream: &mut TcpStream, cfg: &OriginConfig) {
     let mut buf = BytesMut::new();
-    while let Ok(Some(req)) = read_request(&mut stream, &mut buf) {
+    while let Ok(Some(req)) = read_request(stream, &mut buf) {
         let path = req.target.split('?').next().unwrap_or("/").to_string();
         let html = cfg
             .pages
@@ -75,7 +75,7 @@ fn serve(mut stream: TcpStream, cfg: &OriginConfig) {
             .cloned()
             .unwrap_or_else(|| csaw_webproto::synth_html(&cfg.host, cfg.default_page_bytes));
         let resp = Response::ok_html(html);
-        if write_response(&mut stream, &resp).is_err() {
+        if write_response(stream, &resp).is_err() {
             break;
         }
     }

@@ -36,7 +36,7 @@
 //! shipper's replica links) go through [`FrameClient`].
 
 use crate::bytes::BytesMut;
-use crate::http::{Request, Response};
+use crate::http::{HttpParseError, Request, Response};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -150,7 +150,7 @@ impl FrameClient {
     pub fn call(&mut self, frame: &Frame) -> io::Result<Option<Frame>> {
         write_frame(&mut self.stream, frame)?;
         let FrameClient { stream, buf, chunk } = self;
-        next_frame(buf, |buf| {
+        next_message(buf, "frame", decode_frame, |buf| {
             let n = read_looking(stream, chunk)?;
             buf.extend_from_slice(&chunk[..n]);
             Ok(n)
@@ -166,70 +166,66 @@ impl FrameClient {
 /// Read one HTTP request from the stream. `Ok(None)` means the peer
 /// closed cleanly before sending a full request.
 pub fn read_request<R: Read>(stream: &mut R, buf: &mut BytesMut) -> io::Result<Option<Request>> {
+    read_http(stream, buf, "request", Request::parse)
+}
+
+/// Read one HTTP response from a whole stream.
+pub fn read_response<R: Read>(stream: &mut R, buf: &mut BytesMut) -> io::Result<Response> {
+    read_http(stream, buf, "response", Response::parse)?.ok_or_else(|| closed_mid("response"))
+}
+
+/// One HTTP message (`what` names it in errors). More than
+/// [`MAX_MESSAGE_BYTES`] buffered with no whole message is
+/// `InvalidData`.
+fn read_http<R: Read, T>(
+    stream: &mut R,
+    buf: &mut BytesMut,
+    what: &str,
+    parse: impl Fn(&[u8]) -> Result<Option<(T, usize)>, HttpParseError>,
+) -> io::Result<Option<T>> {
+    let invalid = |msg| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let decode = |buf: &mut BytesMut| match parse(buf) {
+        Ok(Some((msg, used))) => {
+            let _ = buf.split_to(used);
+            Ok(Some(msg))
+        }
+        Ok(None) if buf.len() > MAX_MESSAGE_BYTES => Err(invalid(format!("{what} too large"))),
+        Ok(None) => Ok(None),
+        Err(e) => Err(invalid(format!("bad {what}: {e}"))),
+    };
+    next_message(buf, what, decode, |buf| read_some(stream, buf))
+}
+
+/// The one blocking read loop behind every reader here: `decode` the
+/// message at the front of `buf` (or fail, for a malformed or oversized
+/// one), else call `fill` to append more bytes (returning how many; 0
+/// at end-of-stream), until one is whole. End-of-stream is `Ok(None)`
+/// with nothing buffered and `UnexpectedEof` mid-message.
+fn next_message<T>(
+    buf: &mut BytesMut,
+    what: &str,
+    mut decode: impl FnMut(&mut BytesMut) -> io::Result<Option<T>>,
+    mut fill: impl FnMut(&mut BytesMut) -> io::Result<usize>,
+) -> io::Result<Option<T>> {
     loop {
-        match Request::parse(buf) {
-            Ok(Some((req, used))) => {
-                let _ = buf.split_to(used);
-                return Ok(Some(req));
-            }
-            Ok(None) => {}
-            Err(e) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad request: {e}"),
-                ))
-            }
+        if let Some(msg) = decode(buf)? {
+            return Ok(Some(msg));
         }
-        if buf.len() > MAX_MESSAGE_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "request too large",
-            ));
-        }
-        let n = read_some(stream, buf)?;
-        if n == 0 {
+        if fill(buf)? == 0 {
             return if buf.is_empty() {
                 Ok(None)
             } else {
-                Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-request",
-                ))
+                Err(closed_mid(what))
             };
         }
     }
 }
 
-/// Read one HTTP response from a whole stream.
-pub fn read_response<R: Read>(stream: &mut R, buf: &mut BytesMut) -> io::Result<Response> {
-    loop {
-        match Response::parse(buf) {
-            Ok(Some((resp, used))) => {
-                let _ = buf.split_to(used);
-                return Ok(resp);
-            }
-            Ok(None) => {}
-            Err(e) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad response: {e}"),
-                ))
-            }
-        }
-        if buf.len() > MAX_MESSAGE_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "response too large",
-            ));
-        }
-        let n = read_some(stream, buf)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response",
-            ));
-        }
-    }
+fn closed_mid(what: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        format!("connection closed mid-{what}"),
+    )
 }
 
 /// Write a request.
@@ -321,31 +317,7 @@ pub fn decode_frame(buf: &mut BytesMut) -> io::Result<Option<Frame>> {
 /// closed cleanly on a frame boundary; closing mid-frame is
 /// `UnexpectedEof`, and a bad header is `InvalidData`.
 pub fn read_frame<R: Read>(stream: &mut R, buf: &mut BytesMut) -> io::Result<Option<Frame>> {
-    next_frame(buf, |buf| read_some(stream, buf))
-}
-
-/// The frame at the front of `buf`, calling `fill` to append more bytes
-/// (returning how many; 0 at end-of-stream) until one is whole.
-fn next_frame(
-    buf: &mut BytesMut,
-    mut fill: impl FnMut(&mut BytesMut) -> io::Result<usize>,
-) -> io::Result<Option<Frame>> {
-    loop {
-        if let Some(frame) = decode_frame(buf)? {
-            return Ok(Some(frame));
-        }
-        let n = fill(buf)?;
-        if n == 0 {
-            return if buf.is_empty() {
-                Ok(None)
-            } else {
-                Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            };
-        }
-    }
+    next_message(buf, "frame", decode_frame, |buf| read_some(stream, buf))
 }
 
 /// Write one frame.

@@ -11,7 +11,9 @@
 //! - [`http`]: HTTP/1.1 requests and responses with a byte-level codec used
 //!   by the real-socket proxy;
 //! - [`page`]: the web page model (base document + embedded resources,
-//!   possibly CDN-hosted) whose load time is the paper's headline metric.
+//!   possibly CDN-hosted) whose load time is the paper's headline metric;
+//! - [`codec`] and [`server`]: the blocking wire codecs and the one
+//!   accept/drain loop every loopback server in the workspace runs.
 
 //!
 //! ```
@@ -35,6 +37,7 @@ pub mod codec;
 pub mod dns;
 pub mod http;
 pub mod page;
+pub mod server;
 pub mod url;
 
 pub use bytes::{Bytes, BytesMut};
