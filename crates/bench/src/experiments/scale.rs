@@ -6,8 +6,8 @@
 //! [`ShardedStore`](csaw::global::StorageBackend) loses nothing when that
 //! population is driven hard: `--clients` synthetic clients (default
 //! one million) each post one report batch from `--threads` concurrent
-//! writers, then `--lookups` `blocked_for_as` calls read the per-shard
-//! snapshot caches back. Under `--transport tcp` the same workload is
+//! writers, then `--lookups` `blocked_for_as` calls read the store's
+//! blocked-list cache back. Under `--transport tcp` the same workload is
 //! posted a second time, to a real `csaw-dbserver` over loopback.
 //!
 //! The workload is a *pure function of (seed, client index)*: every
@@ -200,7 +200,7 @@ pub fn run_with(seed: u64, cfg: ScaleConfig) -> Scale {
 
     // The read workload behind `--perf wall`'s read-lock attribution:
     // repeat lookups (cache hits) alternate with a stricter filter
-    // (recomputes) so both ends of the snapshot cache are exercised.
+    // (rebuilds) so both ends of the blocked-list cache are exercised.
     let filter = ConfidenceFilter::default();
     let strict = ConfidenceFilter::strict(2, 0.0);
     for i in 0..cfg.lookups {

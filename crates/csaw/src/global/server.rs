@@ -304,7 +304,7 @@ impl ServerDb {
 
     /// The blocked-URL list for an AS, filtered by vote confidence —
     /// what clients download at initialization and on every sync.
-    /// Served from the backend's per-shard snapshot caches.
+    /// Served from the backend's blocked-list cache.
     ///
     /// Fallible by design: backend unavailability (fault-injection
     /// windows, a remote store's outage) surfaces as an error instead

@@ -31,10 +31,10 @@
 //! sizes this collapses the `store.ledger.keys` lock traffic by the
 //! mean batch size, which is what un-serializes parallel ingestion;
 //! `scale::tests::each_batch_takes_each_write_lock_once_at_every_thread_count`
-//! pins the count. The read side groups too: a cold snapshot tallies
-//! all of one shard's keys for an AS with `VoteLedger::tally_keys`,
-//! one read of that stripe and one per client stripe, not one per key
-//! and voter.
+//! pins the count. The read side groups too: a blocked-list rebuild
+//! tallies all of one shard's keys for an AS with
+//! `VoteLedger::tally_keys`, one read of that stripe and one per client
+//! stripe, not one per key and voter.
 //!
 //! ## Keys
 //!
@@ -58,9 +58,9 @@
 //! a duplicate left by a revoke racing an ingest never counts twice.
 //!
 //! A global *vote epoch* increments whenever any client's vote spread
-//! changes (its `1/d` weights moved). Snapshot caches key on it: a
-//! cached confidence-filtered view is valid only while both its shard
-//! generation and the vote epoch are unchanged.
+//! changes (its `1/d` weights moved). The store's blocked-list cache
+//! keys on it: a cached confidence-filtered list is valid only while
+//! the vote epoch and every shard's write generation are unchanged.
 
 use crate::hash::key_shard;
 use crate::record::Uuid;
@@ -125,10 +125,14 @@ impl ConfidenceFilter {
         t.n >= self.min_clients && (self.min_avg_vote <= 0.0 || t.avg_vote() >= self.min_avg_vote)
     }
 
-    /// A stable cache key for snapshot caches (`f64` has no `Hash`; the
-    /// bit pattern does).
+    /// A stable cache key for the blocked-list cache (`f64` has no
+    /// `Hash`; the bit pattern does). Filters that [`Self::passes`]
+    /// treats alike share a key: every `min_avg_vote <= 0.0` ignores
+    /// vote mass, so all of them key as `0.0`.
     pub(crate) fn cache_key(&self) -> (usize, u64) {
-        (self.min_clients, self.min_avg_vote.to_bits())
+        let v = self.min_avg_vote;
+        let v = if v <= 0.0 { 0.0 } else { v };
+        (self.min_clients, v.to_bits())
     }
 }
 
@@ -433,21 +437,22 @@ impl VoteLedger {
                 ends.push(voters.len());
             }
         }
-        // Each distinct voter's `d`, grouped by client stripe, then
-        // sorted by voter for the lookups below.
-        let mut distinct = voters.clone();
-        distinct.sort_unstable_by_key(|c| (self.client_stripe(*c), *c));
+        // Each distinct voter's `d`, in (client stripe, voter) order: one
+        // read lock per client stripe, and the same order serves the
+        // lookups below. `d[i]` is `distinct[i]`'s.
+        let key = |c: Uuid| (self.client_stripe(c), c);
+        let mut distinct: Vec<(usize, Uuid)> = voters.iter().map(|c| key(*c)).collect();
+        distinct.sort_unstable();
         distinct.dedup();
-        let mut d: Vec<(Uuid, usize)> = Vec::with_capacity(distinct.len());
-        for run in distinct.chunk_by(|a, b| self.client_stripe(*a) == self.client_stripe(*b)) {
-            let clients = self.client_shard(run[0]).read();
+        let mut d: Vec<usize> = Vec::with_capacity(distinct.len());
+        for run in distinct.chunk_by(|a, b| a.0 == b.0) {
+            let clients = self.client_shards[run[0].0].read();
             d.extend(
                 run.iter()
-                    .map(|c| (*c, clients.get(c).map_or(0, HashSet::len))),
+                    .map(|(_, c)| clients.get(c).map_or(0, HashSet::len)),
             );
         }
-        d.sort_unstable_by_key(|(c, _)| *c);
-        let d_of = |c: Uuid| d[d.binary_search_by_key(&c, |(v, _)| *v).expect("voter read")].1;
+        let d_of = |c: Uuid| d[distinct.binary_search(&key(c)).expect("voter read")];
         let mut start = 0;
         ends.into_iter()
             .map(|end| {

@@ -16,9 +16,10 @@
 //!   each touched ledger stripe locks once per batch, not once per
 //!   report.
 //! - **Snapshot caching** ([`shard`]): `blocked_for_as` is served from
-//!   per-shard caches validated against (shard generation, vote epoch),
-//!   so a write never lets a stale snapshot through; a miss walks only
-//!   the AS's partition of the shard and tallies it in one ledger pass.
+//!   one cache of finished, URL-sorted lists validated against (every
+//!   shard's generation, vote epoch), so a write never lets a stale list
+//!   through; a miss walks only the AS's partition of each shard and
+//!   tallies it in one ledger pass.
 //! - **Sharded voting** ([`ledger`]): the 1/d vote-spreading ledger is
 //!   itself lock-striped (clients and keys separately) with a
 //!   deterministic tally — voters sort before the float sum, so the

@@ -1,5 +1,5 @@
-//! The in-memory sharded store: lock-striped record shards with
-//! per-shard snapshot caches.
+//! The in-memory sharded store: lock-striped record shards and one
+//! blocked-list cache.
 //!
 //! The URL×ASN keyspace is split across N shards by the stable FNV key
 //! hash ([`crate::hash`]). Each shard holds its slice of the records
@@ -26,17 +26,19 @@
 //! reference counts, not string copies, and no map re-hashes a URL when
 //! it grows.
 //!
-//! Reads are served from a per-shard snapshot cache keyed on
-//! (confidence filter, AS), a map behind its own `RwLock`: a hit holds
-//! the read lock for one lookup, and a miss computes its snapshot with
-//! no cache lock held, then inserts it under the write lock. An entry
-//! is valid while both the shard's write generation and the ledger's
-//! vote epoch are unchanged, so a stale snapshot is never served — a
-//! racing miss only changes who pays the recompute. A miss walks only
-//! the AS's partition and tallies all of its keys in one ledger pass
-//! (one read of the shard's key stripe, which is the record shard by
-//! construction, and one per client stripe); the snapshot is stored
-//! sorted by URL, so a read merges presorted runs.
+//! Reads are served from one store-wide cache keyed on (confidence
+//! filter, AS), a map behind its own `RwLock` that holds each finished,
+//! URL-sorted blocked list. An entry is valid while the ledger's vote
+//! epoch and every shard's write generation are unchanged; all of them
+//! are read before a list is built, so a stale list is never served — a
+//! racing miss only changes who pays the rebuild. A hit holds the read
+//! lock for one lookup and clones the list. A miss, with no cache lock
+//! held, walks the AS's partition in every shard, tallying each
+//! partition's keys in one ledger pass (one read of the shard's key
+//! stripe, which is the record shard by construction, and one per
+//! client stripe), appends the passing records to one list and sorts it
+//! once by URL; it then inserts the list under the write lock. A write
+//! to any one shard the list spans rebuilds the whole list.
 
 use crate::backend::StorageBackend;
 use crate::batch::{Batch, IngestReceipt};
@@ -52,34 +54,31 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// Distinct confidence filters a shard caches snapshots for before its
+/// Distinct confidence filters the store caches lists for before its
 /// cache is reset — the deployed system sees a handful, so this bound
 /// only guards against pathological filter churn. It does not bound
-/// ASes: a filter keeps one snapshot per AS, at most a copy of the
-/// shard's records.
+/// ASes: a filter keeps one list per AS, at most a copy of the store's
+/// records.
 const CACHE_FILTER_CAP: usize = 64;
 
-/// Confidence-filter cache key → AS → snapshot.
+/// Confidence-filter cache key → AS → blocked list.
 type CacheMap = HashMap<(usize, u64), HashMap<Asn, CacheEntry>>;
 /// AS → (URL, AS) key → record.
 type Partitions = HashMap<Asn, KeyMap<GlobalRecord>>;
 
+/// One AS's blocked list under one filter, and the markers it was
+/// built under.
 #[derive(Debug)]
 struct CacheEntry {
-    generation: u64,
     epoch: u64,
+    /// Every shard's write generation, in shard order.
+    generations: Box<[u64]>,
     records: Arc<Vec<GlobalRecord>>,
 }
 
 #[derive(Debug)]
 struct Shard {
     records: TimedRwLock<Partitions>,
-    /// Snapshot cache (see the module docs). A plain `RwLock`, not a
-    /// `TimedRwLock`: a new lock family would change the seed-pure lock
-    /// counts that
-    /// `scale::tests::each_batch_takes_each_write_lock_once_at_every_thread_count`
-    /// pins.
-    cache: RwLock<CacheMap>,
     /// Bumped after every mutation of `records`.
     generation: AtomicU64,
 }
@@ -91,7 +90,6 @@ impl Shard {
     fn new(records: Option<Arc<RwStats>>) -> Shard {
         Shard {
             records: TimedRwLock::with_stats(records, Partitions::new()),
-            cache: RwLock::new(CacheMap::new()),
             generation: AtomicU64::new(0),
         }
     }
@@ -192,6 +190,12 @@ impl BatchPlan {
 pub struct ShardedStore {
     shards: Box<[Shard]>,
     ledger: VoteLedger,
+    /// Blocked-list cache (see the module docs). A plain `RwLock`, not a
+    /// `TimedRwLock`: a new lock family would change the seed-pure lock
+    /// counts that
+    /// `scale::tests::each_batch_takes_each_write_lock_once_at_every_thread_count`
+    /// pins.
+    cache: RwLock<CacheMap>,
     metrics: StoreMetrics,
     /// Live record count maintained by delta at every mutation, so
     /// `record_count` is one atomic load — the per-batch gauge update
@@ -213,6 +217,7 @@ impl ShardedStore {
                 .map(|_| Shard::new(record_stats.clone()))
                 .collect(),
             ledger: VoteLedger::with_shards(shards),
+            cache: RwLock::new(CacheMap::new()),
             metrics: StoreMetrics::resolve(shards),
             live_records: AtomicI64::new(0),
         })
@@ -239,21 +244,31 @@ impl ShardedStore {
         removed
     }
 
-    /// Shard `idx`'s snapshot of `asn` under `filter`: its records whose
-    /// tallies pass, sorted by URL.
-    fn snapshot(&self, idx: usize, asn: Asn, filter: &ConfidenceFilter) -> Vec<GlobalRecord> {
-        let recs = self.shards[idx].records.read();
-        let Some(part) = recs.get(&asn) else {
-            return Vec::new();
-        };
-        let tallies = self.ledger.tally_keys(idx, part.keys());
-        let mut out: Vec<GlobalRecord> = part
-            .values()
-            .zip(tallies)
-            .filter(|(_, t)| filter.passes(t))
-            .map(|(r, _)| r.clone())
-            .collect();
-        drop(recs);
+    /// Every shard's write generation, in shard order.
+    fn generations(&self) -> impl Iterator<Item = u64> + '_ {
+        self.shards
+            .iter()
+            .map(|s| s.generation.load(Ordering::Acquire))
+    }
+
+    /// `asn`'s records whose tallies pass `filter`, from every shard,
+    /// sorted by URL. A URL is unique within one AS, so the unstable
+    /// sort's order is the only order.
+    fn build_list(&self, asn: Asn, filter: &ConfidenceFilter) -> Vec<GlobalRecord> {
+        let mut out: Vec<GlobalRecord> = Vec::new();
+        for (idx, shard) in self.shards.iter().enumerate() {
+            let recs = shard.records.read();
+            let Some(part) = recs.get(&asn) else {
+                continue;
+            };
+            let tallies = self.ledger.tally_keys(idx, part.keys());
+            out.extend(
+                part.values()
+                    .zip(tallies)
+                    .filter(|(_, t)| filter.passes(t))
+                    .map(|(r, _)| r.clone()),
+            );
+        }
         out.sort_unstable_by(|a, b| a.url.cmp(&b.url));
         out
     }
@@ -347,59 +362,53 @@ impl StorageBackend for ShardedStore {
         })
     }
 
+    /// Served from the store's list cache (see the module docs): a hit
+    /// is one clone of the cached list; a miss rebuilds it from `asn`'s
+    /// partition in every shard, sorts it once and caches it.
     fn blocked_for_as(
         &self,
         asn: Asn,
         filter: &ConfidenceFilter,
     ) -> Result<Vec<GlobalRecord>, StoreError> {
         let fk = filter.cache_key();
+        // Read validity markers *before* building: a write landing
+        // mid-build leaves the entry marked stale, so the worst case is
+        // an extra rebuild, never a stale serve.
         let epoch = self.ledger.epoch();
-        let mut out: Vec<GlobalRecord> = Vec::new();
-        for (idx, shard) in self.shards.iter().enumerate() {
-            // Read validity markers *before* computing: a write landing
-            // mid-compute leaves the entry marked stale, so the worst
-            // case is an extra recompute, never a stale serve.
-            let generation = shard.generation.load(Ordering::Acquire);
-            // A poisoned cache is still a valid cache: every entry is
-            // checked against (generation, epoch) before it is served.
-            let hit = shard
-                .cache
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get(&fk)
-                .and_then(|by_as| by_as.get(&asn))
-                .filter(|e| e.generation == generation && e.epoch == epoch)
-                .map(|e| Arc::clone(&e.records));
-            let snapshot = match hit {
-                Some(s) => {
-                    self.metrics.cache_hits.inc();
-                    s
-                }
-                None => {
-                    self.metrics.cache_misses.inc();
-                    let snapshot = Arc::new(self.snapshot(idx, asn, filter));
-                    // A racing miss on the same key may overwrite this
-                    // entry with an older one; its only cost is a
-                    // recompute on the next read.
-                    let mut cache = shard.cache.write().unwrap_or_else(PoisonError::into_inner);
-                    if !cache.contains_key(&fk) && cache.len() >= CACHE_FILTER_CAP {
-                        cache.clear();
-                    }
-                    cache.entry(fk).or_default().insert(
-                        asn,
-                        CacheEntry {
-                            generation,
-                            epoch,
-                            records: Arc::clone(&snapshot),
-                        },
-                    );
-                    snapshot
-                }
-            };
-            out.extend(snapshot.iter().cloned());
+        // A poisoned cache is still a valid cache: every entry is
+        // checked against its markers before it is served.
+        let hit = self
+            .cache
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&fk)
+            .and_then(|by_as| by_as.get(&asn))
+            .filter(|e| e.epoch == epoch && e.generations.iter().copied().eq(self.generations()))
+            .map(|e| Arc::clone(&e.records));
+        // Hits and misses count one per shard the list spans, the scale
+        // `store.cache.*` is pinned at in the golden manifest.
+        if let Some(records) = hit {
+            self.metrics.cache_hits.add(self.shards.len() as u64);
+            return Ok(records.as_ref().clone());
         }
-        // Each shard's run is already URL-sorted: this merges them.
-        out.sort_by(|a, b| a.url.cmp(&b.url));
+        self.metrics.cache_misses.add(self.shards.len() as u64);
+        let generations = self.generations().collect();
+        let records = self.build_list(asn, filter);
+        let out = records.clone();
+        // A racing miss on the same key may overwrite this entry with an
+        // older one; its only cost is a rebuild on the next read.
+        let mut cache = self.cache.write().unwrap_or_else(PoisonError::into_inner);
+        if !cache.contains_key(&fk) && cache.len() >= CACHE_FILTER_CAP {
+            cache.clear();
+        }
+        cache.entry(fk).or_default().insert(
+            asn,
+            CacheEntry {
+                epoch,
+                generations,
+                records: Arc::new(records),
+            },
+        );
         Ok(out)
     }
 
@@ -571,6 +580,57 @@ mod tests {
         s.revoke(Uuid::from_raw(2));
         s.blocked_for_as(Asn(1), &f).unwrap();
         assert_eq!(hits(), h0, "post-revoke read must not be served from cache");
+        // The same client re-posting a key it holds moves no vote, so the
+        // epoch stays put, but its shard's generation moves: the next
+        // read rebuilds and serves the later measurement.
+        let generations = || s.generations().collect::<Vec<u64>>();
+        let (e0, g0, m0) = (s.ledger.epoch(), generations(), misses());
+        let repost = Report {
+            measured_at_us: 7,
+            ..report("http://a.com/", 1)
+        };
+        s.ingest(&Batch::new(
+            Uuid::from_raw(1),
+            vec![repost],
+            SimTime::from_secs(3),
+        ))
+        .unwrap();
+        assert_eq!(s.ledger.epoch(), e0);
+        let moved = generations()
+            .iter()
+            .zip(&g0)
+            .filter(|(a, b)| a != b)
+            .count();
+        assert_eq!(moved, 1);
+        let v = s.blocked_for_as(Asn(1), &f).unwrap();
+        assert_eq!(misses(), m0 + 2);
+        let got: Vec<(&str, SimTime)> = v.iter().map(|r| (r.url.as_str(), r.measured_at)).collect();
+        assert_eq!(got, [("http://a.com/", SimTime::from_micros(7))]);
+    }
+
+    #[test]
+    fn filters_that_pass_alike_share_one_cache_entry() {
+        let ctx = Arc::new(ObsCtx::new());
+        let _g = scope::install(ctx.clone());
+        let s = ShardedStore::new(2).unwrap();
+        s.ingest(&batch(1, &["http://a.com/"], 1, 1)).unwrap();
+        let counts = || {
+            let reg = &ctx.registry;
+            (
+                reg.counter("store.cache.hits").get(),
+                reg.counter("store.cache.misses").get(),
+            )
+        };
+        // Every `min_avg_vote <= 0.0` ignores vote mass.
+        s.blocked_for_as(Asn(1), &ConfidenceFilter::strict(1, 0.0))
+            .unwrap();
+        assert_eq!(counts(), (0, 2));
+        s.blocked_for_as(Asn(1), &ConfidenceFilter::strict(1, -0.0))
+            .unwrap();
+        assert_eq!(counts(), (2, 2));
+        s.blocked_for_as(Asn(1), &ConfidenceFilter::strict(1, -3.0))
+            .unwrap();
+        assert_eq!(counts(), (4, 2));
     }
 
     #[test]
