@@ -121,7 +121,7 @@ fn run_scoped(
         ObsCtx::new()
             .with_clock(parent.clock.clone())
             .with_sink(parent.sink.clone())
-            .with_verbosity(parent.verbosity)
+            .with_verbose(parent.verbose)
             .with_perf(parent.perf_mode()),
     );
     let t0 = Instant::now();

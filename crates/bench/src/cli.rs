@@ -217,7 +217,7 @@ impl ExpCli {
         let usage = usage(cmd, extra_flags);
         let mut seed = 1u64;
         let mut jobs = 1usize;
-        let mut perf: Option<PerfMode> = None;
+        let mut perf = PerfMode::Off;
         let mut metrics_out = None;
         let mut trace_out: Option<PathBuf> = None;
         let mut verbose = false;
@@ -235,9 +235,9 @@ impl ExpCli {
                 }
                 "--perf" => {
                     let v = value();
-                    perf = Some(PerfMode::parse(&v).unwrap_or_else(|| {
+                    perf = PerfMode::parse(&v).unwrap_or_else(|| {
                         die(cmd, &usage, &format!("bad --perf {v:?} (off | wall)"))
-                    }));
+                    });
                 }
                 "--metrics-out" => metrics_out = Some(PathBuf::from(value())),
                 "--trace-out" => trace_out = Some(PathBuf::from(value())),
@@ -275,11 +275,9 @@ impl ExpCli {
             ObsCtx::new()
                 .with_clock(Arc::new(ManualClock::new()))
                 .with_sink(sink)
-                .with_verbosity(u8::from(verbose)),
+                .with_verbose(verbose)
+                .with_perf(perf),
         );
-        if let Some(mode) = perf {
-            ctx.set_perf_mode(mode);
-        }
         let guard = scope::install(ctx.clone());
         let cli = ExpCli {
             seed,

@@ -141,11 +141,12 @@ fn run_rate(seed: u64, cfg: &ChaosConfig, rate: f64) -> ChaosRow {
     // Phase 1: registrations, one client per virtual second. A slice of
     // posts is corrupted on the wire too (transient: the reports
     // themselves are fine, so retries recover them).
-    let backoff = CsawConfig::default().with_report_backoff(
-        SimDuration::from_secs(60),
-        SimDuration::from_secs(1_800),
-        0.1,
-    );
+    let backoff = CsawConfig {
+        report_backoff_base: SimDuration::from_secs(60),
+        report_backoff_max: SimDuration::from_secs(1_800),
+        report_backoff_jitter: 0.1,
+        ..Default::default()
+    };
     let mut fleet = Fleet::register(&server, seed, cfg.clients, backoff);
     for (idx, c) in fleet.clients.iter_mut().enumerate() {
         c.arm_wire_fault(WireFault::new(rate / 4.0, seed ^ (idx as u64) << 3));

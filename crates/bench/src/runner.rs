@@ -138,7 +138,7 @@ fn run_one<T, F>(
     spec: &TrialSpec,
     run: &F,
     enabled: bool,
-    verbosity: u8,
+    verbose: bool,
     perf: PerfMode,
     parent_timeline: &Timeline,
 ) -> TrialResult<T>
@@ -150,7 +150,7 @@ where
         ObsCtx::new()
             .with_clock(Arc::new(ManualClock::new()))
             .with_sink(sink.clone() as Arc<dyn Sink>)
-            .with_verbosity(verbosity)
+            .with_verbose(verbose)
             // Trials inherit the caller's perf-attribution mode, so a
             // perf-enabled sweep sees into the locks its trials build.
             .with_perf(perf)
@@ -192,7 +192,7 @@ where
 {
     let parent = scope::current();
     let enabled = parent.sink.enabled();
-    let verbosity = parent.verbosity;
+    let verbose = parent.verbose;
     let perf = parent.perf_mode();
     let timeline = parent.timeline.clone();
     let jobs = jobs.max(1).min(specs.len().max(1));
@@ -200,7 +200,7 @@ where
     let mut slots: Vec<Option<TrialResult<T>>> = if jobs <= 1 {
         specs
             .iter()
-            .map(|s| Some(run_one(s, &run, enabled, verbosity, perf, &timeline)))
+            .map(|s| Some(run_one(s, &run, enabled, verbose, perf, &timeline)))
             .collect()
     } else {
         // One shared work deque: each idle worker takes the next un-run
@@ -214,7 +214,7 @@ where
                 sc.spawn(|| loop {
                     let claimed = queue.lock().unwrap_or_else(|e| e.into_inner()).pop_front();
                     let Some(i) = claimed else { break };
-                    let result = run_one(&specs[i], &run, enabled, verbosity, perf, &timeline);
+                    let result = run_one(&specs[i], &run, enabled, verbose, perf, &timeline);
                     *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
                 });
             }

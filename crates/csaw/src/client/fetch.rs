@@ -525,7 +525,10 @@ mod tests {
     #[test]
     fn anonymity_preference_only_uses_tor() {
         let w = build_world(profiles::isp_a(), profiles::ISP_A_ASN);
-        let cfg = CsawConfig::default().with_preference(UserPreference::Anonymity);
+        let cfg = CsawConfig {
+            preference: UserPreference::Anonymity,
+            ..Default::default()
+        };
         let mut c = CsawClient::new(cfg, Some("cdn-front.example"), 6);
         let url = Url::parse("http://www.youtube.com/").unwrap();
         c.request(&w, &url, SimTime::from_secs(1));
@@ -550,7 +553,10 @@ mod tests {
             ),
             Asn(9),
         );
-        let cfg = CsawConfig::default().with_revalidate_p(1.0);
+        let cfg = CsawConfig {
+            revalidate_p: 1.0,
+            ..Default::default()
+        };
         // No fronting available => relays carry the blocked URL.
         let mut c = CsawClient::new(cfg, None, 7);
         let url = Url::parse("http://www.youtube.com/").unwrap();
@@ -573,7 +579,10 @@ mod tests {
     #[test]
     fn expiry_retriggers_measurement() {
         let w = build_world(profiles::clean(), Asn(1));
-        let cfg = CsawConfig::default().with_record_ttl(SimDuration::from_secs(100));
+        let cfg = CsawConfig {
+            record_ttl: SimDuration::from_secs(100),
+            ..Default::default()
+        };
         let mut c = CsawClient::new(cfg, None, 8);
         let url = Url::parse("http://news.example/").unwrap();
         c.request(&w, &url, SimTime::from_secs(1));
@@ -625,7 +634,10 @@ mod tests {
     #[test]
     fn a_relay_served_post_is_not_copied_onto_the_direct_path() {
         let w = ip_drop_world(Asn(9));
-        let cfg = CsawConfig::default().with_revalidate_p(1.0);
+        let cfg = CsawConfig {
+            revalidate_p: 1.0,
+            ..Default::default()
+        };
         let mut c = CsawClient::new(cfg, None, 33);
         let url = Url::parse("http://www.youtube.com/comment").unwrap();
         let r = c.request(&w, &url, SimTime::from_secs(1)); // GET measures

@@ -150,17 +150,16 @@ impl ReportQueue {
         if self.reported.get(&key) == Some(&report.stages) {
             return;
         }
-        if self.queue.len() >= cfg.report_queue_cap {
+        // A cap below 1 could never hold the report that triggers the drop.
+        let cap = cfg.report_queue_cap.max(1);
+        if self.queue.len() >= cap {
             // Bounded queue: evict oldest-first and *account* for it.
             // Forgetting its `reported` entry lets the observation
             // re-queue the next time the URL is seen blocked.
             let victim = self.queue.remove(0);
             self.reported.remove(&(victim.url, victim.asn));
             stats.reports_dropped += 1;
-            csaw_obs::event!(
-                "report.drop_oldest",
-                queue_cap = cfg.report_queue_cap as u64
-            );
+            csaw_obs::event!("report.drop_oldest", queue_cap = cap as u64);
         }
         self.reported.insert(key, report.stages.clone());
         self.queue.push(report);
@@ -205,7 +204,7 @@ impl ReportQueue {
         let max = cx.cfg.report_backoff_max.as_micros().max(base);
         let raw = base.saturating_mul(1u64 << exp).min(max);
         let swing = 2.0 * self.backoff_rng.f64() - 1.0;
-        let factor = 1.0 + cx.cfg.report_backoff_jitter * swing;
+        let factor = 1.0 + cx.cfg.report_backoff_jitter.clamp(0.0, 1.0) * swing;
         let delay = ((raw as f64 * factor) as u64).max(1);
         self.next_report_at = Some(cx.now + SimDuration::from_micros(delay));
         cx.ts.emit(|t, client| {
@@ -419,7 +418,10 @@ mod tests {
 
     #[test]
     fn the_identity_holds_through_every_verdict_with_no_world_and_no_server() {
-        let cfg = CsawConfig::default().with_report_queue_cap(3);
+        let cfg = CsawConfig {
+            report_queue_cap: 3,
+            ..Default::default()
+        };
         let mut stats = ClientStats::default();
         let ts = Telemetry {
             trace_seed: 52,
@@ -654,7 +656,10 @@ mod tests {
 
     #[test]
     fn queue_cap_drops_oldest_and_accounts() {
-        let cfg = CsawConfig::default().with_report_queue_cap(2);
+        let cfg = CsawConfig {
+            report_queue_cap: 2,
+            ..Default::default()
+        };
         let mut c = CsawClient::new(cfg, None, 45);
         for u in [
             "http://a.example/",
@@ -679,6 +684,56 @@ mod tests {
         // A repeat of a queued observation does not.
         seed(&mut c, "http://a.example/");
         assert_eq!(c.stats.reports_queued, 4);
+    }
+
+    #[test]
+    fn a_zero_queue_cap_holds_one_report() {
+        // The cap is a public field: a 0 reads as 1 where it is used,
+        // instead of evicting from an empty queue.
+        let cfg = CsawConfig {
+            report_queue_cap: 0,
+            ..Default::default()
+        };
+        let mut c = CsawClient::new(cfg, None, 46);
+        for u in ["http://a.example/", "http://b.example/"] {
+            let url = csaw_webproto::url::Url::parse(u).unwrap();
+            c.record_verdict(
+                &url,
+                profiles::ISP_A_ASN,
+                SimTime::from_secs(1),
+                vec![BlockingType::HttpDrop],
+            );
+        }
+        assert_eq!(c.pending_reports(), 1);
+        assert_eq!(c.stats.reports_dropped, 1);
+        assert_eq!(c.reports.queue[0].url, "http://b.example/");
+        accounting_holds(&c);
+    }
+
+    #[test]
+    fn out_of_range_backoff_settings_are_tamed_where_read() {
+        // A ceiling below the base reads as the base and a jitter of 3 as
+        // 1, so every first retry waits at most twice the base.
+        let cfg = CsawConfig {
+            report_backoff_base: SimDuration::from_secs(60),
+            report_backoff_max: SimDuration::from_secs(10),
+            report_backoff_jitter: 3.0,
+            ..Default::default()
+        };
+        let (server, _faulty) = broken_server(8);
+        let now = SimTime::from_secs(2);
+        for s in 0..16 {
+            let mut c = CsawClient::new(cfg, None, 60 + s);
+            c.register(&server, profiles::ISP_A_ASN, SimTime::ZERO, 0.0)
+                .unwrap();
+            seed(&mut c, "http://www.youtube.com/");
+            assert_eq!(c.post_reports(&server, now), 0);
+            let wait = c
+                .next_report_at()
+                .expect("backoff armed")
+                .duration_since(now);
+            assert!(wait <= SimDuration::from_secs(120), "seed {s}: {wait}");
+        }
     }
 
     #[test]

@@ -29,6 +29,13 @@ pub enum RedundancyMode {
 
 /// C-Saw client configuration. Defaults follow the paper's
 /// recommendations (p ≤ 0.25, n = 5 exploration, parallel redundancy).
+///
+/// Every field is public and set one way, with struct-update syntax
+/// (`CsawConfig { revalidate_p: 0.0, ..Default::default() }`). Out-of-range
+/// values are tamed where they are read, not here: a queue cap of 0 acts
+/// as 1, the backoff ceiling never sits below its base, the jitter
+/// fraction is clamped to `[0, 1]`, and a `revalidate_p` outside `[0, 1]`
+/// reads as never / always.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CsawConfig {
     /// Probability of re-measuring the direct path for a URL that the
@@ -85,42 +92,6 @@ impl Default for CsawConfig {
     }
 }
 
-impl CsawConfig {
-    /// Builder: revalidation probability (clamped to `[0, 1]`).
-    pub fn with_revalidate_p(mut self, p: f64) -> Self {
-        self.revalidate_p = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Builder: user preference.
-    pub fn with_preference(mut self, pref: UserPreference) -> Self {
-        self.preference = pref;
-        self
-    }
-
-    /// Builder: record TTL.
-    pub fn with_record_ttl(mut self, ttl: SimDuration) -> Self {
-        self.record_ttl = ttl;
-        self
-    }
-
-    /// Builder: report-queue bound (at least 1 — a zero cap could never
-    /// hold the report that triggered the drop).
-    pub fn with_report_queue_cap(mut self, cap: usize) -> Self {
-        self.report_queue_cap = cap.max(1);
-        self
-    }
-
-    /// Builder: backoff base, ceiling, and jitter fraction (jitter
-    /// clamped to `[0, 1]`).
-    pub fn with_report_backoff(mut self, base: SimDuration, max: SimDuration, jitter: f64) -> Self {
-        self.report_backoff_base = base;
-        self.report_backoff_max = max.max(base);
-        self.report_backoff_jitter = jitter.clamp(0.0, 1.0);
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,22 +103,5 @@ mod tests {
         assert_eq!(c.explore_every, 5);
         assert_eq!(c.redundancy, RedundancyMode::Parallel);
         assert_eq!(c.preference, UserPreference::Performance);
-    }
-
-    #[test]
-    fn builder_clamps() {
-        let c = CsawConfig::default().with_revalidate_p(7.0);
-        assert_eq!(c.revalidate_p, 1.0);
-        let c = c.with_revalidate_p(-1.0);
-        assert_eq!(c.revalidate_p, 0.0);
-        let c = c.with_report_queue_cap(0);
-        assert_eq!(c.report_queue_cap, 1);
-        let c = c.with_report_backoff(SimDuration::from_secs(60), SimDuration::from_secs(10), 3.0);
-        assert_eq!(
-            c.report_backoff_max,
-            SimDuration::from_secs(60),
-            "max >= base"
-        );
-        assert_eq!(c.report_backoff_jitter, 1.0);
     }
 }

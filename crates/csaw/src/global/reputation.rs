@@ -113,7 +113,7 @@ mod tests {
             let urls: Vec<(String, Asn)> = (0..shared_urls)
                 .map(|i| (format!("http://popular-{i}.example/"), Asn(1)))
                 .collect();
-            ledger.set_client_report(uuid(c), urls);
+            ledger.add_client_urls(uuid(c), urls);
         }
     }
 
@@ -131,7 +131,7 @@ mod tests {
         let fakes: Vec<(String, Asn)> = (0..500)
             .map(|i| (format!("http://fake-{i}.example/"), Asn(1)))
             .collect();
-        l.set_client_report(uuid(999), fakes);
+        l.add_client_urls(uuid(999), fakes);
         let flags = audit(&l, &ReputationConfig::default());
         assert_eq!(flags.len(), 1);
         let f = &flags[0];
@@ -154,7 +154,7 @@ mod tests {
         for (i, (u, a)) in urls.iter().enumerate() {
             l.add_client_urls(uuid(100 + (i % 5) as u64), [(u.clone(), *a)]);
         }
-        l.set_client_report(uuid(42), urls.drain(..));
+        l.add_client_urls(uuid(42), urls.drain(..));
         let flags = audit(&l, &ReputationConfig::default());
         assert!(
             flags.iter().all(|f| f.client != uuid(42)),
@@ -175,7 +175,7 @@ mod tests {
             let fakes: Vec<(String, Asn)> = (0..400)
                 .map(|i| (format!("http://clique-{i}.example/"), Asn(1)))
                 .collect();
-            l.set_client_report(uuid(500 + c), fakes);
+            l.add_client_urls(uuid(500 + c), fakes);
         }
         let cfg = ReputationConfig {
             min_witnesses: 6, // above the clique size
@@ -188,11 +188,11 @@ mod tests {
     #[test]
     fn tiny_population_is_never_audited() {
         let l = VoteLedger::new();
-        l.set_client_report(uuid(1), [("http://x.example/".to_string(), Asn(1))]);
+        l.add_client_urls(uuid(1), [("http://x.example/".to_string(), Asn(1))]);
         let fakes: Vec<(String, Asn)> = (0..900)
             .map(|i| (format!("http://f{i}.example/"), Asn(1)))
             .collect();
-        l.set_client_report(uuid(2), fakes);
+        l.add_client_urls(uuid(2), fakes);
         assert!(audit(&l, &ReputationConfig::default()).is_empty());
     }
 }

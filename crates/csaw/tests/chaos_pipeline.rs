@@ -72,11 +72,12 @@ fn chaotic_backend_never_loses_or_duplicates_reports() {
                     let w = build_world();
                     let mut c = CsawClient::new(
                         // Short backoff keeps the virtual-time walk small.
-                        CsawConfig::default().with_report_backoff(
-                            SimDuration::from_secs(30),
-                            SimDuration::from_secs(600),
-                            0.1,
-                        ),
+                        CsawConfig {
+                            report_backoff_base: SimDuration::from_secs(30),
+                            report_backoff_max: SimDuration::from_secs(600),
+                            report_backoff_jitter: 0.1,
+                            ..Default::default()
+                        },
                         Some("cdn-front.example"),
                         1_000 + idx as u64,
                     );
@@ -156,11 +157,12 @@ fn collector_outage_defers_but_never_drops() {
     let server = ServerDb::builder(0xB10C).build().unwrap();
     let w = build_world();
     let mut c = CsawClient::new(
-        CsawConfig::default().with_report_backoff(
-            SimDuration::from_secs(30),
-            SimDuration::from_secs(300),
-            0.1,
-        ),
+        CsawConfig {
+            report_backoff_base: SimDuration::from_secs(30),
+            report_backoff_max: SimDuration::from_secs(300),
+            report_backoff_jitter: 0.1,
+            ..Default::default()
+        },
         Some("cdn-front.example"),
         9_001,
     );

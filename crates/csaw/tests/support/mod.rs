@@ -101,11 +101,12 @@ pub fn run<G: GlobalApi + ?Sized>(
     mut post: impl FnMut(&mut CsawClient, SimTime),
 ) -> Outcome {
     let w = world();
-    let cfg = CsawConfig::default().with_report_backoff(
-        SimDuration::from_secs(30),
-        SimDuration::from_secs(600),
-        0.1,
-    );
+    let cfg = CsawConfig {
+        report_backoff_base: SimDuration::from_secs(30),
+        report_backoff_max: SimDuration::from_secs(600),
+        report_backoff_jitter: 0.1,
+        ..Default::default()
+    };
     let mut c = CsawClient::new(cfg, Some("cdn-front.example"), 77);
     c.register(server, profiles::ISP_A_ASN, SimTime::ZERO, 0.0)
         .unwrap();

@@ -343,11 +343,12 @@ fn csaw_client_runs_end_to_end_over_sockets() {
 
     let w = build_world();
     let mut c = CsawClient::new(
-        CsawConfig::default().with_report_backoff(
-            SimDuration::from_secs(30),
-            SimDuration::from_secs(600),
-            0.1,
-        ),
+        CsawConfig {
+            report_backoff_base: SimDuration::from_secs(30),
+            report_backoff_max: SimDuration::from_secs(600),
+            report_backoff_jitter: 0.1,
+            ..Default::default()
+        },
         Some("cdn-front.example"),
         42,
     );

@@ -19,8 +19,6 @@
 //! - [`OutageSchedule`] turns a seed into alternating up/down windows
 //!   (exponentially distributed holding times) for modelling collector
 //!   blockage and store maintenance windows.
-//! - `csaw_simnet::link::FlapProfile` (in the simnet crate) gives links
-//!   periodic loss bursts for the same experiments.
 //!
 //! Every injected fault is counted ([`FaultyBackend::snapshot`]) and
 //! emitted as a `fault.*` obs event, so a chaos experiment can assert

@@ -62,20 +62,6 @@ impl PerfMode {
             _ => None,
         }
     }
-
-    pub(crate) fn from_u8(v: u8) -> PerfMode {
-        match v {
-            1 => PerfMode::Monotonic,
-            _ => PerfMode::Off,
-        }
-    }
-
-    pub(crate) fn as_u8(self) -> u8 {
-        match self {
-            PerfMode::Off => 0,
-            PerfMode::Monotonic => 1,
-        }
-    }
 }
 
 /// Pre-resolved metric handles for one lock family

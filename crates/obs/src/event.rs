@@ -183,13 +183,12 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Emit a human-facing progress line. Suppressed entirely below
-/// verbosity 1, so experiment stdout stays machine-parseable; at
-/// verbosity ≥ 1 it goes to stderr *and* to the sink as a structured
-/// `progress` event.
+/// Emit a human-facing progress line: on stderr only when the context
+/// is verbose, so experiment stdout stays machine-parseable, and to an
+/// enabled sink as a structured `progress` event either way.
 pub fn progress(msg: &str) {
     let ctx = scope::current();
-    if ctx.verbosity >= 1 {
+    if ctx.verbose {
         eprintln!("[csaw] {msg}");
     }
     if ctx.sink.enabled() {

@@ -1,5 +1,5 @@
-//! Context plumbing: which registry/sink/clock/verbosity instrumented
-//! code should use.
+//! Context plumbing: which registry/sink/clock instrumented code should
+//! use, whether progress lines print, and whether locks attribute time.
 //!
 //! Contexts resolve in two steps: the innermost thread-local scope
 //! (installed with [`install`]), then a lazily-created default (null
@@ -18,11 +18,11 @@ use crate::metrics::Registry;
 use crate::sink::{NullSink, Sink};
 use crate::timeseries::Timeline;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A bundle of observability state: metrics registry, event sink,
-/// clock, and verbosity level.
+/// clock, timeline, and two settings fixed when the context is built
+/// (`verbose`, the perf mode).
 #[derive(Debug)]
 pub struct ObsCtx {
     /// Metrics land here.
@@ -31,15 +31,15 @@ pub struct ObsCtx {
     pub sink: Arc<dyn Sink>,
     /// Timestamps come from here; the simulator advances it.
     pub clock: Arc<ManualClock>,
-    /// 0 = silent (default), ≥ 1 = progress lines on stderr.
-    pub verbosity: u8,
+    /// Progress lines on stderr (off by default).
+    pub verbose: bool,
     /// Windowed time-series timeline (disabled until configured; see
-    /// [`Timeline::configure`]). Interior-mutable like `perf`, so a CLI
-    /// can enable windowing after the context is installed.
+    /// [`Timeline::configure`]). Interior-mutable: an experiment
+    /// configures its windows on the context it finds installed.
     pub timeline: Arc<Timeline>,
-    /// Perf-attribution mode ([`PerfMode`] as `u8`). Interior-mutable so
-    /// a CLI can flip it on after the context is installed.
-    perf: AtomicU8,
+    /// Perf-attribution mode, set with [`ObsCtx::with_perf`] before the
+    /// context is shared.
+    perf: PerfMode,
 }
 
 impl Default for ObsCtx {
@@ -48,9 +48,9 @@ impl Default for ObsCtx {
             registry: Arc::new(Registry::new()),
             sink: Arc::new(NullSink),
             clock: Arc::new(ManualClock::new()),
-            verbosity: 0,
+            verbose: false,
             timeline: Arc::new(Timeline::new()),
-            perf: AtomicU8::new(PerfMode::Off.as_u8()),
+            perf: PerfMode::Off,
         }
     }
 }
@@ -73,15 +73,15 @@ impl ObsCtx {
         self
     }
 
-    /// Set the verbosity level.
-    pub fn with_verbosity(mut self, v: u8) -> ObsCtx {
-        self.verbosity = v;
+    /// Print progress lines on stderr or not.
+    pub fn with_verbose(mut self, verbose: bool) -> ObsCtx {
+        self.verbose = verbose;
         self
     }
 
-    /// Set the perf-attribution mode (builder form).
-    pub fn with_perf(self, mode: PerfMode) -> ObsCtx {
-        self.set_perf_mode(mode);
+    /// Set the perf-attribution mode.
+    pub fn with_perf(mut self, mode: PerfMode) -> ObsCtx {
+        self.perf = mode;
         self
     }
 
@@ -105,17 +105,12 @@ impl ObsCtx {
         self.timeline.flush(self.sink.as_ref());
     }
 
-    /// Current perf-attribution mode. [`PerfMode::Off`] by default, so
-    /// instrumented locks cost nothing unless a caller opts in.
+    /// The perf-attribution mode. [`PerfMode::Off`] by default, so
+    /// instrumented locks cost nothing unless a caller opts in. Locks
+    /// read it once, when they are built under this context, and keep
+    /// their stats handles, so the hot path never re-checks.
     pub fn perf_mode(&self) -> PerfMode {
-        PerfMode::from_u8(self.perf.load(Ordering::Relaxed))
-    }
-
-    /// Flip the perf-attribution mode. Only locks *constructed after*
-    /// the call observe the new mode — wrappers capture their stats
-    /// handles at construction so the hot path never re-checks.
-    pub fn set_perf_mode(&self, mode: PerfMode) {
-        self.perf.store(mode.as_u8(), Ordering::Relaxed);
+        self.perf
     }
 }
 

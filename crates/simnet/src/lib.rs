@@ -5,8 +5,8 @@
 //! - [`time`]: integer-microsecond virtual time ([`SimTime`], [`SimDuration`]);
 //! - [`rng`]: seeded, labelled-forkable randomness ([`DetRng`]);
 //! - [`event`]: a deterministic discrete-event [`Scheduler`];
-//! - [`link`]: links and composed paths with latency/jitter/loss/bandwidth
-//!   and smoltcp-style fault injection;
+//! - [`link`]: links and composed paths with latency/jitter/loss/bandwidth,
+//!   loss being the medium's one fault term;
 //! - [`tcp`]: the flow-level TCP timing model (connects, RTO ladders
 //!   calibrated to the paper's Table 5, slow-start transfers, HTTP
 //!   timeouts);
@@ -48,7 +48,7 @@ pub mod time;
 pub mod topology;
 
 pub use event::Scheduler;
-pub use link::{FlapProfile, Link, Path};
+pub use link::{Link, Path};
 pub use load::{InFlightTracker, LoadModel};
 pub use rng::DetRng;
 pub use tcp::{
@@ -61,7 +61,7 @@ pub use topology::{AccessNetwork, AccessProfile, Asn, Provider, Region, Site};
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::event::Scheduler;
-    pub use crate::link::{FlapProfile, Link, Path};
+    pub use crate::link::{Link, Path};
     pub use crate::load::{InFlightTracker, LoadModel};
     pub use crate::rng::DetRng;
     pub use crate::tcp::{

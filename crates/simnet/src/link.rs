@@ -5,13 +5,14 @@
 //! bottleneck bandwidth. A [`Path`] composes links end to end; round-trip
 //! time, loss and bottleneck bandwidth are derived from the composition.
 //!
-//! Fault injection (extra loss, congestion-style delay spikes) follows the
-//! smoltcp examples' philosophy: adverse conditions are first-class knobs on
-//! the medium, not special cases in protocol code. The C-Saw measurement
-//! module must distinguish censorship from exactly these conditions.
+//! Loss is the medium's one fault term: a first-class knob on each link,
+//! not a special case in protocol code, and the C-Saw measurement module
+//! must tell censorship apart from it. Congestion-style delay spikes are
+//! not a property of the medium; they belong to the flaky static proxies
+//! of Figure 1a (`csaw_circumvent::transports::StaticProxy::congested`).
 
 use crate::rng::DetRng;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// One directed network segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,17 +36,6 @@ impl Link {
             jitter: SimDuration::ZERO,
             loss: 0.0,
             bandwidth_bps: 1_000_000_000,
-        }
-    }
-
-    /// A typical consumer access link in the measurement region:
-    /// 8 ms one-way, small jitter, light loss, 20 Mbps.
-    pub fn access() -> Link {
-        Link {
-            latency: SimDuration::from_millis(8),
-            jitter: SimDuration::from_millis(2),
-            loss: 0.002,
-            bandwidth_bps: 20_000_000,
         }
     }
 
@@ -84,90 +74,22 @@ impl Link {
     }
 }
 
-/// A periodic link flap / loss-burst profile (fault-injection knob).
-///
-/// Every `period`, the link spends `down_for` in a degraded burst where
-/// its loss rate jumps to `burst_loss` (1.0 models a hard flap — every
-/// packet dies). The schedule is a pure function of virtual time, so a
-/// chaos experiment replaying the same seed sees identical bursts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlapProfile {
-    /// Cycle length. A zero period disables the profile.
-    pub period: SimDuration,
-    /// Degraded span at the start of each cycle (clamped to `period`).
-    pub down_for: SimDuration,
-    /// Phase offset, so multiple links armed from the same profile do
-    /// not flap in lockstep.
-    pub phase: SimDuration,
-    /// Loss rate during the burst.
-    pub burst_loss: f64,
-}
-
-impl FlapProfile {
-    /// A hard on/off flap: total loss during `down_for` of each cycle.
-    pub fn hard(period: SimDuration, down_for: SimDuration, phase: SimDuration) -> FlapProfile {
-        FlapProfile {
-            period,
-            down_for,
-            phase,
-            burst_loss: 1.0,
-        }
-    }
-
-    /// Is the link inside a burst at `now`?
-    pub fn is_down(&self, now: SimTime) -> bool {
-        let p = self.period.as_micros();
-        if p == 0 {
-            return false;
-        }
-        (now.as_micros() + self.phase.as_micros()) % p < self.down_for.as_micros().min(p)
-    }
-
-    /// The link as seen at `now`: during a burst the loss rate is
-    /// raised to `burst_loss` (never lowered), otherwise unchanged.
-    pub fn apply(&self, link: Link, now: SimTime) -> Link {
-        if self.is_down(now) {
-            link.with_loss(self.burst_loss.max(link.loss))
-        } else {
-            link
-        }
-    }
-}
-
 /// An end-to-end path composed of directed links.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Path {
     links: Vec<Link>,
-    /// Extra delay injected by on-path congestion (fault injection knob):
-    /// with probability `congestion_p`, a traversal suffers an extra delay
-    /// uniform in `[0, congestion_max]`.
-    pub congestion_p: f64,
-    /// See [`Path::congestion_p`].
-    pub congestion_max: SimDuration,
 }
 
 impl Path {
-    /// A path over the given links with no congestion injection.
+    /// A path over the given links.
     pub fn new(links: Vec<Link>) -> Path {
         assert!(!links.is_empty(), "a path needs at least one link");
-        Path {
-            links,
-            congestion_p: 0.0,
-            congestion_max: SimDuration::ZERO,
-        }
+        Path { links }
     }
 
     /// Single-link convenience constructor.
     pub fn single(link: Link) -> Path {
         Path::new(vec![link])
-    }
-
-    /// Enable congestion-style delay spikes (used to model the flaky static
-    /// proxies of Figure 1a and to stress censorship/fault disambiguation).
-    pub fn with_congestion(mut self, p: f64, max: SimDuration) -> Path {
-        self.congestion_p = p.clamp(0.0, 1.0);
-        self.congestion_max = max;
-        self
     }
 
     /// This path followed by one more link: `self.join(&Path::single(link))`
@@ -181,11 +103,7 @@ impl Path {
     pub fn join(&self, tail: &Path) -> Path {
         let mut links = self.links.clone();
         links.extend(tail.links.iter().cloned());
-        Path {
-            links,
-            congestion_p: (self.congestion_p + tail.congestion_p).clamp(0.0, 1.0),
-            congestion_max: self.congestion_max.max(tail.congestion_max),
-        }
+        Path { links }
     }
 
     /// The links of this path.
@@ -223,16 +141,11 @@ impl Path {
             .fold(1.0_f64, |acc, l| acc * (1.0 - l.loss))
     }
 
-    /// Sample a one-way traversal delay including jitter and congestion.
+    /// Sample a one-way traversal delay including jitter.
     pub fn sample_one_way(&self, rng: &mut DetRng) -> SimDuration {
         let mut d = SimDuration::ZERO;
         for l in &self.links {
             d += l.sample_delay(rng);
-        }
-        if self.congestion_p > 0.0 && rng.chance(self.congestion_p) {
-            d += SimDuration::from_micros(
-                rng.range_u64(0, self.congestion_max.as_micros().max(1) + 1),
-            );
         }
         d
     }
@@ -267,38 +180,11 @@ mod tests {
     fn loss_composes_multiplicatively() {
         let p = Path::new(vec![Link::lan().with_loss(0.1), Link::lan().with_loss(0.1)]);
         assert!((p.loss() - 0.19).abs() < 1e-9);
-    }
-
-    #[test]
-    fn flap_profile_windows_and_phase() {
-        let f = FlapProfile::hard(
-            SimDuration::from_secs(100),
-            SimDuration::from_secs(10),
-            SimDuration::ZERO,
+        assert_eq!(
+            Link::lan().with_loss(1.0).loss,
+            0.999,
+            "clamped below certain loss"
         );
-        assert!(f.is_down(SimTime::ZERO));
-        assert!(f.is_down(SimTime::from_secs(9)));
-        assert!(!f.is_down(SimTime::from_secs(10)));
-        assert!(f.is_down(SimTime::from_secs(105)));
-        // A phase offset shifts the burst.
-        let g = FlapProfile::hard(
-            SimDuration::from_secs(100),
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(50),
-        );
-        assert!(!g.is_down(SimTime::ZERO));
-        assert!(g.is_down(SimTime::from_secs(55)));
-        // Applying during a burst drives loss to 1.0, and never lowers it.
-        let l = Link::access().with_loss(0.5);
-        assert_eq!(f.apply(l, SimTime::from_secs(5)).loss, 0.999, "clamped");
-        assert_eq!(f.apply(l, SimTime::from_secs(50)).loss, 0.5);
-        // A zero period never fires.
-        let z = FlapProfile::hard(
-            SimDuration::ZERO,
-            SimDuration::from_secs(1),
-            SimDuration::ZERO,
-        );
-        assert!(!z.is_down(SimTime::from_secs(3)));
     }
 
     #[test]
@@ -321,20 +207,6 @@ mod tests {
         });
         for _ in 0..10 {
             assert_eq!(p.sample_one_way(&mut rng), SimDuration::from_millis(25));
-        }
-    }
-
-    #[test]
-    fn congestion_spikes_only_increase_delay() {
-        let mut rng = DetRng::new(2);
-        let base = Path::single(Link::wan(SimDuration::from_millis(50)));
-        let congested = base
-            .clone()
-            .with_congestion(1.0, SimDuration::from_millis(500));
-        for _ in 0..50 {
-            let c = congested.sample_one_way(&mut rng);
-            assert!(c >= SimDuration::from_millis(50));
-            assert!(c <= SimDuration::from_millis(50 + 500) + congested.base_one_way());
         }
     }
 

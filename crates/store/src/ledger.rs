@@ -271,28 +271,20 @@ impl VoteLedger {
         self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Add `client` to the voter index of every key in `added`, remove
-    /// it from every key in `removed`. Called with no client lock held.
-    /// Keys are grouped by destination stripe first so each touched
-    /// stripe's write lock is taken exactly once.
-    ///
-    /// `added` must hold only keys new to the client's set, so a voter
-    /// is pushed once per (client, key) pair (see the module docs).
-    fn update_key_index(&self, client: Uuid, added: KeySet, removed: KeySet) {
-        let mut ops: Vec<(usize, Key, bool)> = added
-            .into_iter()
-            .map(|k| (self.stripe(&k), k, true))
-            .chain(removed.into_iter().map(|k| (self.stripe(&k), k, false)))
-            .collect();
-        ops.sort_by_key(|(s, _, _)| *s);
+    /// Remove `client` from the voter index of every key in `removed`.
+    /// Called with no client lock held. Keys are grouped by destination
+    /// stripe first so each touched stripe's write lock is taken exactly
+    /// once.
+    fn remove_from_key_index(&self, client: Uuid, removed: KeySet) {
+        let mut ops: Vec<(usize, Key)> =
+            removed.into_iter().map(|k| (self.stripe(&k), k)).collect();
+        ops.sort_by_key(|(s, _)| *s);
         let mut it = ops.into_iter().peekable();
-        while let Some(s) = it.peek().map(|(s, _, _)| *s) {
+        while let Some(s) = it.peek().map(|(s, _)| *s) {
             let mut shard = self.key_shards[s].write();
-            while it.peek().map(|(s, _, _)| *s) == Some(s) {
-                let (_, key, add) = it.next().expect("peeked entry exists");
-                if add {
-                    shard.entry(key).or_default().push(client);
-                } else if let Some(voters) = shard.get_mut(&key) {
+            while it.peek().map(|(s, _)| *s) == Some(s) {
+                let (_, key) = it.next().expect("peeked entry exists");
+                if let Some(voters) = shard.get_mut(&key) {
                     voters.retain(|c| *c != client);
                     if voters.is_empty() {
                         shard.remove(&key);
@@ -335,28 +327,6 @@ impl VoteLedger {
         self.bump_epoch();
     }
 
-    /// Replace a client's reported blocked set. The client's single unit
-    /// of vote is re-spread over the new set.
-    pub fn set_client_report(&self, client: Uuid, urls: impl IntoIterator<Item = (String, Asn)>) {
-        let new: KeySet = urls.into_iter().map(|(u, a)| self.key(&u, a)).collect();
-        let (added, removed) = {
-            let mut shard = self.client_shard(client).write();
-            let old = if new.is_empty() {
-                shard.remove(&client).unwrap_or_default()
-            } else {
-                shard.insert(client, new.clone()).unwrap_or_default()
-            };
-            let added: KeySet = new.difference(&old).cloned().collect();
-            let removed: KeySet = old.difference(&new).cloned().collect();
-            (added, removed)
-        };
-        if added.is_empty() && removed.is_empty() {
-            return;
-        }
-        self.update_key_index(client, added, removed);
-        self.bump_epoch();
-    }
-
     /// Add URLs to a client's reported set (incremental reporting),
     /// re-spreading its vote.
     pub fn add_client_urls(&self, client: Uuid, urls: impl IntoIterator<Item = (String, Asn)>) {
@@ -381,7 +351,7 @@ impl VoteLedger {
         if removed.is_empty() {
             return;
         }
-        self.update_key_index(client, KeySet::default(), removed);
+        self.remove_from_key_index(client, removed);
         self.bump_epoch();
     }
 
@@ -535,7 +505,7 @@ mod tests {
     #[test]
     fn vote_spreads_evenly() {
         let l = VoteLedger::new();
-        l.set_client_report(
+        l.add_client_urls(
             uuid(1),
             [
                 ("http://a.com/".to_string(), Asn(10)),
@@ -554,22 +524,12 @@ mod tests {
             let urls: Vec<(String, Asn)> = (0..d)
                 .map(|i| (format!("http://site{i}.com/"), Asn(1)))
                 .collect();
-            l.set_client_report(uuid(7), urls);
-            assert!((l.client_vote_mass(uuid(7)) - 1.0).abs() < 1e-9, "d={d}");
+            l.add_client_urls(uuid(d as u64), urls);
+            assert!(
+                (l.client_vote_mass(uuid(d as u64)) - 1.0).abs() < 1e-9,
+                "d={d}"
+            );
         }
-    }
-
-    #[test]
-    fn replacement_retracts_old_votes() {
-        let l = VoteLedger::new();
-        l.set_client_report(uuid(1), [("http://a.com/".to_string(), Asn(1))]);
-        l.set_client_report(uuid(1), [("http://b.com/".to_string(), Asn(1))]);
-        assert_eq!(l.tally("http://a.com/", Asn(1)).n, 0);
-        assert_eq!(l.tally("http://b.com/", Asn(1)).n, 1);
-        // Empty replacement removes the voter entirely.
-        l.set_client_report(uuid(1), std::iter::empty());
-        assert_eq!(l.voter_count(), 0);
-        assert_eq!(l.tally("http://b.com/", Asn(1)).n, 0);
     }
 
     #[test]
@@ -577,7 +537,7 @@ mod tests {
         let l = VoteLedger::new();
         // 10 honest clients each report the same 2 genuinely blocked URLs.
         for c in 0..10 {
-            l.set_client_report(
+            l.add_client_urls(
                 uuid(c),
                 [
                     ("http://blocked-1.com/".to_string(), Asn(1)),
@@ -589,7 +549,7 @@ mod tests {
         let fakes: Vec<(String, Asn)> = (0..1000)
             .map(|i| (format!("http://fake{i}.com/"), Asn(1)))
             .collect();
-        l.set_client_report(uuid(99), fakes);
+        l.add_client_urls(uuid(99), fakes);
 
         let honest = l.tally("http://blocked-1.com/", Asn(1));
         let fake = l.tally("http://fake1.com/", Asn(1));
@@ -612,7 +572,7 @@ mod tests {
             let urls: Vec<(String, Asn)> = (0..500)
                 .map(|i| (format!("http://fake{i}.com/"), Asn(1)))
                 .collect();
-            l.set_client_report(uuid(c), urls);
+            l.add_client_urls(uuid(c), urls);
         }
         let t = l.tally("http://fake0.com/", Asn(1));
         assert_eq!(t.n, 20);
@@ -623,7 +583,7 @@ mod tests {
     #[test]
     fn revocation_removes_influence() {
         let l = VoteLedger::new();
-        l.set_client_report(uuid(1), [("http://x.com/".to_string(), Asn(1))]);
+        l.add_client_urls(uuid(1), [("http://x.com/".to_string(), Asn(1))]);
         assert_eq!(l.tally("http://x.com/", Asn(1)).n, 1);
         l.revoke(uuid(1));
         assert_eq!(l.tally("http://x.com/", Asn(1)).n, 0);
@@ -643,7 +603,7 @@ mod tests {
     #[test]
     fn per_as_tallies_are_separate() {
         let l = VoteLedger::new();
-        l.set_client_report(uuid(1), [("http://x.com/".to_string(), Asn(1))]);
+        l.add_client_urls(uuid(1), [("http://x.com/".to_string(), Asn(1))]);
         assert_eq!(l.tally("http://x.com/", Asn(2)).n, 0);
     }
 
@@ -799,7 +759,7 @@ mod tests {
                         )
                     })
                     .collect();
-                l.set_client_report(uuid(c), urls);
+                l.add_client_urls(uuid(c), urls);
             }
             for c in (0..50u64).step_by(5) {
                 l.revoke(uuid(c));

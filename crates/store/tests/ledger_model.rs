@@ -47,7 +47,6 @@ type ModelKey = (String, Asn);
 enum Op {
     Ingest(Batch),
     AddUrls(Uuid, Vec<ModelKey>),
-    SetReport(Uuid, Vec<ModelKey>),
     Revoke(Uuid),
     RemoveReporter(Uuid),
     Expire(SimTime, SimDuration),
@@ -114,13 +113,6 @@ impl Model {
                 self.add(*client, keys.iter().cloned());
                 String::new()
             }
-            Op::SetReport(client, keys) => {
-                self.drop_client(*client);
-                if !keys.is_empty() {
-                    self.add(*client, keys.iter().cloned());
-                }
-                String::new()
-            }
             Op::Revoke(client) => {
                 self.drop_client(*client);
                 String::new()
@@ -161,10 +153,6 @@ fn apply(store: &ShardedStore, op: &Op) -> String {
         }
         Op::AddUrls(client, keys) => {
             ledger.add_client_urls(*client, keys.iter().map(|(u, a)| (u.clone(), *a)));
-            String::new()
-        }
-        Op::SetReport(client, keys) => {
-            ledger.set_client_report(*client, keys.iter().map(|(u, a)| (u.clone(), *a)));
             String::new()
         }
         Op::Revoke(client) => {
@@ -303,8 +291,7 @@ fn random_op(rng: &mut DetRng, step: u64) -> Op {
                 .collect();
             Op::Ingest(Batch::new(client, reports, SimTime::from_secs(100 + step)))
         }
-        4 => Op::AddUrls(client, pick_keys(rng, 4)),
-        5 => Op::SetReport(client, pick_keys(rng, 4)),
+        4 | 5 => Op::AddUrls(client, pick_keys(rng, 4)),
         6 | 7 => Op::Revoke(client),
         8 => Op::RemoveReporter(client),
         _ => Op::Expire(

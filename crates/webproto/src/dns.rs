@@ -1,7 +1,7 @@
 //! DNS message model.
 //!
 //! Only the parts a censorship measurement system interacts with: A-record
-//! queries, responses with answers or error rcodes, and the tampering
+//! responses with answers or error rcodes, and the tampering
 //! outcomes a censor can produce (no response at all, a forged answer
 //! pointing at a local host or block-page server, NXDOMAIN, SERVFAIL,
 //! REFUSED — the taxonomy of §2.1 and Figure 2 of the paper).
@@ -33,22 +33,6 @@ impl fmt::Display for Rcode {
             Rcode::Refused => "REFUSED",
         };
         f.write_str(s)
-    }
-}
-
-/// A query for the A records of a name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DnsQuery {
-    /// Queried name, lowercase.
-    pub qname: String,
-}
-
-impl DnsQuery {
-    /// Build a query, lowercasing the name.
-    pub fn a(qname: &str) -> DnsQuery {
-        DnsQuery {
-            qname: qname.to_ascii_lowercase(),
-        }
     }
 }
 
@@ -135,11 +119,6 @@ pub fn is_private_or_reserved(ip: Ipv4Addr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn query_lowercases() {
-        assert_eq!(DnsQuery::a("WWW.Foo.COM").qname, "www.foo.com");
-    }
 
     #[test]
     fn answer_and_error_shapes() {

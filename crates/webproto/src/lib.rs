@@ -6,7 +6,7 @@
 //! - [`url`]: a normalized [`Url`] type with the base/derived structure and
 //!   segment-wise prefix semantics that C-Saw's local database aggregation
 //!   (§4.4 of the paper) is built on, plus the "IP as hostname" form;
-//! - [`dns`]: query/response/rcode models and the tampering observations a
+//! - [`dns`]: response/rcode models and the tampering observations a
 //!   client can make;
 //! - [`http`]: HTTP/1.1 requests and responses with a byte-level codec used
 //!   by the real-socket proxy;
@@ -42,7 +42,7 @@ pub mod url;
 
 pub use bytes::{Bytes, BytesMut};
 pub use codec::{Frame, MAX_FRAME_BYTES, MAX_MESSAGE_BYTES};
-pub use dns::{ARecord, DnsObservation, DnsQuery, DnsResponse, Rcode};
+pub use dns::{ARecord, DnsObservation, DnsResponse, Rcode};
 pub use http::{Headers, HttpParseError, Method, Request, Response};
 pub use page::{synth_html, Markup, PageSizes, Resource, WebPage};
 pub use url::{Host, Scheme, Url, UrlParseError};

@@ -114,9 +114,11 @@ fn crowdsourcing_with_spam_resistance() {
 #[test]
 fn churn_blocked_to_unblocked_via_expiry() {
     let mut world = youtube_world(profiles::isp_a(), profiles::ISP_A_ASN);
-    let cfg = CsawConfig::default()
-        .with_record_ttl(SimDuration::from_secs(600))
-        .with_revalidate_p(0.0); // isolate the expiry path
+    let cfg = CsawConfig {
+        record_ttl: SimDuration::from_secs(600),
+        revalidate_p: 0.0, // isolate the expiry path
+        ..Default::default()
+    };
     let mut c = CsawClient::new(cfg, Some("cdn-front.example"), 5);
     let yt = url("http://www.youtube.com/");
     let r = c.request(&world, &yt, SimTime::from_secs(10));
@@ -174,7 +176,10 @@ fn churn_unblocked_to_blocked_inline() {
 fn multihoming_strategy_converges() {
     let world = csaw_bench::worlds::multihomed_university_world();
     let mut c = CsawClient::new(
-        CsawConfig::default().with_revalidate_p(0.0),
+        CsawConfig {
+            revalidate_p: 0.0,
+            ..Default::default()
+        },
         Some(csaw_bench::worlds::FRONT),
         7,
     );
@@ -260,7 +265,10 @@ fn cdn_blocking_surfaces_in_resource_failures() {
 #[test]
 fn anonymity_preference_is_absolute() {
     let world = youtube_world(profiles::isp_b(), profiles::ISP_B_ASN);
-    let cfg = CsawConfig::default().with_preference(UserPreference::Anonymity);
+    let cfg = CsawConfig {
+        preference: UserPreference::Anonymity,
+        ..Default::default()
+    };
     let mut c = CsawClient::new(cfg, Some("cdn-front.example"), 8);
     let yt = url("http://www.youtube.com/");
     for i in 0..10u64 {
@@ -579,7 +587,10 @@ fn failed_fixes_teach_missing_stages() {
         )
         .unwrap();
 
-    let cfg = CsawConfig::default().with_revalidate_p(0.0);
+    let cfg = CsawConfig {
+        revalidate_p: 0.0,
+        ..Default::default()
+    };
     let mut c = CsawClient::new(cfg, Some("cdn-front.example"), 37);
     c.register(&server, profiles::ISP_B_ASN, SimTime::from_secs(5), 0.0)
         .unwrap();

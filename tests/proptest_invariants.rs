@@ -120,7 +120,7 @@ fn vote_mass_is_conserved() {
         let urls: Vec<(String, Asn)> = (0..n_urls)
             .map(|i| (format!("http://u{i}.example/"), Asn(1)))
             .collect();
-        ledger.set_client_report(Uuid::from_raw(client), urls.clone());
+        ledger.add_client_urls(Uuid::from_raw(client), urls.clone());
         let total: f64 = urls.iter().map(|(u, a)| ledger.tally(u, *a).s).sum();
         assert!(
             (total - 1.0).abs() < 1e-9,
