@@ -212,7 +212,21 @@ impl BlockingType {
         BlockingType::ALL.iter().copied().find(|t| t.name() == s)
     }
 
-    /// All variants, for exhaustive sweeps in tests and benches.
+    /// The wire code of this mechanism: its index in
+    /// [`BlockingType::ALL`] (a `RECORDS` download carries stages this
+    /// way).
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`BlockingType::code`]; `None` for a byte no variant has.
+    pub fn from_code(b: u8) -> Option<BlockingType> {
+        BlockingType::ALL.get(usize::from(b)).copied()
+    }
+
+    /// All variants, in declaration order, for exhaustive sweeps in tests
+    /// and benches. The order is wire-visible ([`BlockingType::code`]):
+    /// append new variants, here and in the enum, never insert or reorder.
     pub const ALL: [BlockingType; 15] = [
         BlockingType::DnsNoResponse,
         BlockingType::DnsHijack,
@@ -343,5 +357,15 @@ mod tests {
             assert_eq!(BlockingType::from_name(t.name()), Some(t));
         }
         assert_eq!(BlockingType::from_name("NotAMechanism"), None);
+    }
+
+    #[test]
+    fn wire_codes_are_indices_into_all() {
+        for (i, t) in BlockingType::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(t.code()), i);
+            assert_eq!(BlockingType::from_code(t.code()), Some(t));
+        }
+        assert_eq!(BlockingType::from_code(15), None);
+        assert_eq!(BlockingType::from_code(u8::MAX), None);
     }
 }

@@ -312,6 +312,48 @@ fn concurrent_posts_share_the_pool() {
     );
 }
 
+/// A blocked list as large as the benchmark's largest frame crosses the
+/// socket in several reads on both ends and arrives as the in-process
+/// list, record for record.
+#[test]
+fn a_large_download_equals_the_in_process_list() {
+    use csaw_censor::blocking::BlockingType;
+    const RECORDS: usize = 1_750;
+
+    let server = permissive_server();
+    let handle = spawn_dbserver(Arc::clone(&server), DbServerConfig::default()).unwrap();
+    let remote = RemoteDb::new(handle.addr());
+    for c in 0..7u64 {
+        let uuid = remote.register(SimTime::from_secs(1 + c), 0.0).unwrap();
+        let reports = (0..RECORDS as u64 / 7)
+            .map(|i| {
+                let n = c * 1_000 + i;
+                let kinds = BlockingType::ALL.len() as u64;
+                Report {
+                    url: format!("http://blocked{n}.example/{}", "p/".repeat(n as usize % 40)),
+                    measured_at_us: 1_000 + n,
+                    stages: (0..=n % 3)
+                        .map(|k| BlockingType::ALL[((n + k) % kinds) as usize])
+                        .collect(),
+                    ..report("")
+                }
+            })
+            .collect();
+        let receipt = remote
+            .ingest(Batch::new(uuid, reports, SimTime::from_secs(10 + c)))
+            .unwrap();
+        assert_eq!(receipt.accepted, RECORDS / 7);
+    }
+
+    let local = server.blocked_for_as(Asn(17557), &open_filter()).unwrap();
+    assert_eq!(local.len(), RECORDS);
+    let frame_bytes = DbResponse::Records(local.clone()).to_frame().encode().len();
+    assert!(frame_bytes > 4 * 16 * 1024, "{frame_bytes} bytes");
+    let downloaded = remote.blocked_for_as(Asn(17557), &open_filter()).unwrap();
+    assert_eq!(downloaded, local);
+    handle.drain();
+}
+
 fn build_world() -> World {
     let provider = Provider::new(profiles::ISP_A_ASN, "isp");
     let access = AccessNetwork::single(provider);

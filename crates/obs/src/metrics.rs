@@ -310,6 +310,13 @@ struct Inner {
     histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
+/// The metric called `name`, created on first use. A name already
+/// registered is found without allocating its key.
+fn get_or_create<T: Default>(map: &mut BTreeMap<String, Arc<T>>, name: &str) -> Arc<T> {
+    let found = map.get(name).cloned();
+    found.unwrap_or_else(|| map.entry(name.to_string()).or_default().clone())
+}
+
 /// A registry of named metrics.
 ///
 /// Handles returned by [`Registry::counter`] / [`gauge`](Registry::gauge)
@@ -328,20 +335,17 @@ impl Registry {
 
     /// Get or create a counter.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut g = self.inner.lock().unwrap();
-        g.counters.entry(name.to_string()).or_default().clone()
+        get_or_create(&mut self.inner.lock().unwrap().counters, name)
     }
 
     /// Get or create a gauge.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut g = self.inner.lock().unwrap();
-        g.gauges.entry(name.to_string()).or_default().clone()
+        get_or_create(&mut self.inner.lock().unwrap().gauges, name)
     }
 
     /// Get or create a histogram.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut g = self.inner.lock().unwrap();
-        g.histograms.entry(name.to_string()).or_default().clone()
+        get_or_create(&mut self.inner.lock().unwrap().histograms, name)
     }
 
     /// Fold every metric of `other` into this registry: counters and

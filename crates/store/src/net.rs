@@ -3,7 +3,10 @@
 //!
 //! Each frame is `len:u32 (BE) | op:u8 | payload`, where the payload is
 //! a compact JSON object (the same in-tree JSON the WAL and scorecards
-//! use) — except for `SHIP`, below. Requests and responses are modelled
+//! use) — except for `SHIP`, below. A `RECORDS` download, the largest
+//! JSON payload, spells each record as a positional array with its
+//! stages as numeric codes (see [`op::RECORDS`]): no key is written or
+//! matched per record. Requests and responses are modelled
 //! as enums with exact encode/decode symmetry; a malformed payload
 //! decodes to [`StoreError::Wire`], never a panic — the server rejects,
 //! the connection survives.
@@ -57,7 +60,13 @@ pub mod op {
     pub const REGISTERED: u8 = 0x81;
     /// Server → client: ingest receipt for a posted batch.
     pub const RECEIPT: u8 = 0x82;
-    /// Server → client: blocked-record download result.
+    /// Server → client: blocked-record download result. Each record is
+    /// a positional array, not an object, and each stage is its
+    /// [`BlockingType::code`](csaw_censor::blocking::BlockingType::code):
+    ///
+    /// ```text
+    /// {"records":[[asn, measured_at_us, posted_at_us, "reporter", [stage, ..], "url"], ..]}
+    /// ```
     pub const RECORDS: u8 = 0x83;
     /// Replica → leader: acknowledge the applied WAL position.
     pub const SHIP_ACK: u8 = 0x84;
@@ -153,10 +162,6 @@ fn read_ship(payload: &[u8]) -> Result<DbRequest, StoreError> {
         from_seq: u64::from_be_bytes(*from_seq),
         lines,
     })
-}
-
-fn read_records(r: &mut JsonReader<'_>) -> Shaped<Vec<GlobalRecord>> {
-    read_array_of(r, "records must be an array", GlobalRecord::read_json)
 }
 
 /// A client → server request.
@@ -414,7 +419,10 @@ impl DbResponse {
             op::RECORDS => {
                 let mut records = None;
                 read_object(frame, |key, r| match key {
-                    "records" => read_records(r).map(|v| records = Some(v)),
+                    "records" => {
+                        read_array_of(r, "records must be an array", GlobalRecord::read_json)
+                            .map(|v| records = Some(v))
+                    }
                     _ => r.skip(),
                 })?;
                 Ok(DbResponse::Records(
@@ -605,7 +613,14 @@ mod tests {
         }]);
         let frame = resp.to_frame();
         let text = std::str::from_utf8(&frame.payload).unwrap();
-        assert!(text.contains("\"measured_at_us\":18446744073709551614,"));
+        let stage = BlockingType::IpRst.code();
+        assert_eq!(
+            text,
+            format!(
+                "{{\"records\":[[4294967295,18446744073709551614,18446744073709551613,\
+                 \"fffffffffffffffe\",[{stage}],\"http://blocked.example/\"]]}}"
+            )
+        );
         assert_eq!(DbResponse::from_frame(&frame).unwrap(), resp);
         let ship = DbRequest::Ship {
             from_seq: big,

@@ -161,7 +161,9 @@ impl Uuid {
     /// Write as a 16-hex-digit string: ids use all 64 bits, and readers
     /// that hold JSON numbers as `f64` would round them.
     pub(crate) fn write_json(self, w: &mut JsonWriter) {
-        w.str(&self.to_string());
+        let hex: [u8; 16] =
+            std::array::from_fn(|i| b"0123456789abcdef"[(self.0 >> (60 - 4 * i)) as usize & 0xf]);
+        w.str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
     }
 
     /// Read a hex-string UUID; `None` if the value is not one.
@@ -279,74 +281,76 @@ pub struct GlobalRecord {
     pub reporter: Uuid,
 }
 
+/// What a record must be on the wire (see [`crate::net::op::RECORDS`]).
+const RECORD_FIELDS: &str = "record must be an array of its 6 fields";
+
 impl GlobalRecord {
+    /// Write as the positional array `[asn, measured_at_us,
+    /// posted_at_us, reporter, [stage code, ..], url]`: no keys, and
+    /// each stage as its [`BlockingType::code`].
     pub(crate) fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("asn");
+        w.begin_array();
         w.u64(u64::from(self.asn.0));
-        w.key("measured_at_us");
         w.u64(self.measured_at.as_micros());
-        w.key("posted_at_us");
         w.u64(self.posted_at.as_micros());
-        w.key("reporter");
         self.reporter.write_json(w);
-        w.key("stages");
-        write_stages(&self.stages, w);
-        w.key("url");
-        w.str(&self.url);
-        w.end_object();
-    }
-
-    pub(crate) fn read_json(r: &mut JsonReader<'_>) -> Shaped<GlobalRecord> {
-        let (mut url, mut asn, mut measured_at, mut stages) = (None, None, None, None);
-        let (mut posted_at, mut reporter) = (None, None);
-        if r.object()? {
-            while let Some(key) = r.key()? {
-                match &*key {
-                    "url" => url = r.str()?,
-                    "asn" => asn = r.u64()?.and_then(|n| u32::try_from(n).ok()),
-                    "measured_at_us" => measured_at = r.u64()?,
-                    "stages" => stages = Some(read_stages(r)?),
-                    "posted_at_us" => posted_at = r.u64()?,
-                    "reporter" => reporter = Uuid::read_json(r)?,
-                    _ => r.skip()?,
-                }
-            }
+        w.begin_array();
+        for s in &self.stages {
+            w.u64(u64::from(s.code()));
         }
-        Ok(GlobalRecord::from_fields(
-            url,
-            asn,
-            measured_at,
-            stages,
-            posted_at,
-            reporter,
-        ))
+        w.end_array();
+        w.str(&self.url);
+        w.end_array();
     }
 
-    /// As [`Report::from_fields`].
-    fn from_fields(
-        url: Option<Cow<'_, str>>,
-        asn: Option<u32>,
-        measured_at_us: Option<u64>,
-        stages: Option<Result<Vec<BlockingType>, WireError>>,
-        posted_at_us: Option<u64>,
-        reporter: Option<Uuid>,
-    ) -> Result<GlobalRecord, WireError> {
+    /// Read what [`GlobalRecord::write_json`] wrote. An array of another
+    /// length is ill-shaped, and so is a field of the wrong type; the
+    /// fields are judged in order once the whole array is read.
+    pub(crate) fn read_json(r: &mut JsonReader<'_>) -> Shaped<GlobalRecord> {
         let shape = WireError::Shape;
-        Ok(GlobalRecord {
-            url: url
-                .ok_or(shape("record url must be a string"))?
-                .into_owned(),
-            asn: Asn(asn.ok_or(shape("record asn must be a u32"))?),
-            measured_at: SimTime::from_micros(
-                measured_at_us.ok_or(shape("record measured_at_us must be a u64"))?,
-            ),
-            stages: stages.ok_or(shape("stages must be an array"))??,
-            posted_at: SimTime::from_micros(
-                posted_at_us.ok_or(shape("record posted_at_us must be a u64"))?,
-            ),
-            reporter: reporter.ok_or(shape("uuid must be a hex string"))?,
-        })
+        let (mut asn, mut measured_at, mut posted_at) = (None, None, None);
+        let (mut reporter, mut stages, mut url) = (None, None, None);
+        let mut fields = 0;
+        let is_array = r.array()?;
+        while is_array && r.element()? {
+            match fields {
+                0 => asn = r.u64()?.and_then(|n| u32::try_from(n).ok()),
+                1 => measured_at = r.u64()?,
+                2 => posted_at = r.u64()?,
+                3 => reporter = Uuid::read_json(r)?,
+                4 => {
+                    stages = Some(read_array_of(r, "stages must be an array", |r| {
+                        Ok(r.u64()?
+                            .and_then(|n| u8::try_from(n).ok())
+                            .and_then(BlockingType::from_code)
+                            .ok_or(shape("unknown blocking type")))
+                    })?)
+                }
+                5 => url = r.str()?,
+                _ => r.skip()?,
+            }
+            fields += 1;
+        }
+        if fields != 6 {
+            return Ok(Err(shape(RECORD_FIELDS)));
+        }
+        let record = || {
+            Ok(GlobalRecord {
+                asn: Asn(asn.ok_or(shape("record asn must be a u32"))?),
+                measured_at: SimTime::from_micros(
+                    measured_at.ok_or(shape("record measured_at_us must be a u64"))?,
+                ),
+                posted_at: SimTime::from_micros(
+                    posted_at.ok_or(shape("record posted_at_us must be a u64"))?,
+                ),
+                reporter: reporter.ok_or(shape("uuid must be a hex string"))?,
+                stages: stages.ok_or(shape("stages must be an array"))??,
+                url: url
+                    .ok_or(shape("record url must be a string"))?
+                    .into_owned(),
+            })
+        };
+        Ok(record())
     }
 }
 

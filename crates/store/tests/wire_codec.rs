@@ -19,6 +19,9 @@
 //! f64-backed tree rounds. Those inputs are counted and skipped here;
 //! the exact reading has its own tests in `net` and `wal`.
 //!
+//! `RECORDS` carries each record as a positional array with its stages
+//! as numeric codes; [`reference`] builds and walks that as a tree too.
+//!
 //! `SHIP` payloads are not JSON: `from_seq`, then each WAL line behind
 //! its `u32` length. [`reference`] specifies that layout with a byte
 //! cursor of its own, so the sweeps above hold the typed `SHIP` codec
@@ -32,7 +35,7 @@ use csaw_store::ledger::VoteLedger;
 use csaw_store::net::op;
 use csaw_store::{
     wal, Batch, ConfidenceFilter, DbRequest, DbResponse, GlobalRecord, IngestReceipt, Report,
-    ShardedStore, StorageBackend, StoreError, Tally, Uuid,
+    ShardedStore, StorageBackend, StoreError, Tally, Uuid, WireError,
 };
 use csaw_webproto::codec::Frame;
 use std::sync::Mutex;
@@ -165,41 +168,60 @@ mod reference {
             .collect()
     }
 
+    /// A record is `[asn, measured_at_us, posted_at_us, reporter,
+    /// [stage, ..], url]`; a stage is its position in
+    /// `BlockingType::ALL`.
     fn record_to_json(r: &GlobalRecord) -> JsonValue {
-        let mut v = JsonValue::obj();
-        v.set("url", r.url.as_str());
-        v.set("asn", r.asn.0);
-        v.set("measured_at_us", r.measured_at.as_micros());
-        v.set("stages", stages_to_json(&r.stages));
-        v.set("posted_at_us", r.posted_at.as_micros());
-        v.set("reporter", uuid_to_json(r.reporter));
-        v
+        let codes = r.stages.iter().map(|s| {
+            let i = BlockingType::ALL.iter().position(|t| t == s).unwrap();
+            JsonValue::from(i as u64)
+        });
+        JsonValue::Arr(vec![
+            JsonValue::from(r.asn.0),
+            JsonValue::from(r.measured_at.as_micros()),
+            JsonValue::from(r.posted_at.as_micros()),
+            uuid_to_json(r.reporter),
+            JsonValue::Arr(codes.collect()),
+            JsonValue::from(r.url.as_str()),
+        ])
     }
 
     fn record_from_json(v: &JsonValue) -> Result<GlobalRecord, StoreError> {
+        let f = v
+            .as_arr()
+            .filter(|f| f.len() == 6)
+            .ok_or(shape("record must be an array of its 6 fields"))?;
+        let stages = f[4].as_arr().ok_or(shape("stages must be an array"));
+        let stages = stages.and_then(|codes| {
+            codes
+                .iter()
+                .map(|s| {
+                    s.as_u64()
+                        .and_then(|n| usize::try_from(n).ok())
+                        .and_then(|i| BlockingType::ALL.get(i).copied())
+                })
+                .collect::<Option<Vec<_>>>()
+                .ok_or(shape("unknown blocking type"))
+        });
         Ok(GlobalRecord {
-            url: v
-                .get("url")
-                .and_then(JsonValue::as_str)
-                .ok_or(shape("record url must be a string"))?
-                .to_string(),
-            asn: Asn(v
-                .get("asn")
-                .and_then(JsonValue::as_u64)
+            asn: Asn(f[0]
+                .as_u64()
                 .and_then(|n| u32::try_from(n).ok())
                 .ok_or(shape("record asn must be a u32"))?),
             measured_at: SimTime::from_micros(
-                v.get("measured_at_us")
-                    .and_then(JsonValue::as_u64)
+                f[1].as_u64()
                     .ok_or(shape("record measured_at_us must be a u64"))?,
             ),
-            stages: stages_from_json(v.get("stages"))?,
             posted_at: SimTime::from_micros(
-                v.get("posted_at_us")
-                    .and_then(JsonValue::as_u64)
+                f[2].as_u64()
                     .ok_or(shape("record posted_at_us must be a u64"))?,
             ),
-            reporter: wire_uuid(v.get("reporter"))?,
+            reporter: wire_uuid(Some(&f[3]))?,
+            stages: stages?,
+            url: f[5]
+                .as_str()
+                .ok_or(shape("record url must be a string"))?
+                .to_string(),
         })
     }
 
@@ -1177,5 +1199,55 @@ fn a_cut_or_non_utf8_ship_payload_is_a_wire_error() {
             f.payload
         );
         assert_eq!(got, reference::request_from_frame(&f));
+    }
+}
+
+#[test]
+fn an_ill_shaped_record_is_a_wire_error() {
+    let record = |fields: &str| {
+        Frame::new(
+            op::RECORDS,
+            format!("{{\"records\":[[17557,1,2,\"3\",[1,13],\"http://a/\"],{fields}]}}")
+                .into_bytes(),
+        )
+    };
+    let fields = "record must be an array of its 6 fields";
+    let cases: [(&str, &'static str); 10] = [
+        // Stage codes one past the last variant, at the top of a byte and past it.
+        ("[1,1,2,\"3\",[15],\"u\"]", "unknown blocking type"),
+        ("[1,1,2,\"3\",[0,255],\"u\"]", "unknown blocking type"),
+        ("[1,1,2,\"3\",[256],\"u\"]", "unknown blocking type"),
+        ("[1,1,2,\"3\",[\"IpRst\"],\"u\"]", "unknown blocking type"),
+        // One field short, one too many, and an object in the array's place.
+        ("[1,1,2,\"3\",[0]]", fields),
+        ("[1,1,2,\"3\",[0],\"u\",0]", fields),
+        ("{\"asn\":1}", fields),
+        // Fields in the wrong places: the first one in order is named.
+        (
+            "[4294967296,\"1\",2,\"3\",[0],7]",
+            "record asn must be a u32",
+        ),
+        ("[1,1,2,3,[0],7]", "uuid must be a hex string"),
+        ("[1,1,2,\"3\",[0],7]", "record url must be a string"),
+    ];
+    for (fields, why) in cases {
+        let f = record(fields);
+        let got = DbResponse::from_frame(&f);
+        assert_eq!(
+            got,
+            Err(StoreError::Wire(WireError::Shape(why))),
+            "{fields}"
+        );
+        assert_eq!(got, reference::response_from_frame(&f), "{fields}");
+    }
+    let ok = &record("[1,1,2,\"3\",[0],\"u\"]").payload;
+    // A URL that is not UTF-8, and one byte after the document.
+    let not_utf8 = [&ok[..ok.len() - 5], b"\xff\"]]]}"].concat();
+    let trailing = [&ok[..], b"0"].concat();
+    for bad in [not_utf8, trailing] {
+        let f = Frame::new(op::RECORDS, bad);
+        let got = DbResponse::from_frame(&f);
+        assert!(matches!(got, Err(StoreError::Wire(_))), "{got:?}");
+        assert_eq!(got, reference::response_from_frame(&f));
     }
 }
