@@ -133,7 +133,7 @@ pub fn run(seed: u64, jobs: usize) -> Wild {
                         .local_db
                         .lookup(&url, now)
                         .record
-                        .map(|rec| rec.stages)
+                        .map(|rec| rec.stages.clone())
                         .unwrap_or_default();
                     detections.push(Detection {
                         asn: asn.0,

@@ -195,8 +195,11 @@ pub enum HttpStep {
 /// The simulated internet.
 #[derive(Debug, Clone)]
 pub struct World {
-    sites: HashMap<String, SiteEntry>,
-    ip_index: HashMap<Ipv4Addr, String>,
+    /// Every site once; the two indexes point into it, so a name or an
+    /// address reaches its entry in one hash lookup.
+    sites: Vec<SiteEntry>,
+    by_host: HashMap<String, usize>,
+    by_ip: HashMap<Ipv4Addr, usize>,
     censors: HashMap<Asn, CensorPolicy>,
     block_pages: HashMap<Asn, Arc<str>>,
     /// The client's attachment.
@@ -221,8 +224,9 @@ impl World {
     pub fn builder(access: AccessNetwork) -> WorldBuilder {
         WorldBuilder {
             world: World {
-                sites: HashMap::new(),
-                ip_index: HashMap::new(),
+                sites: Vec::new(),
+                by_host: HashMap::new(),
+                by_ip: HashMap::new(),
                 censors: HashMap::new(),
                 block_pages: HashMap::new(),
                 access,
@@ -240,16 +244,17 @@ impl World {
     /// Look up a site by hostname. A name that is already lower case —
     /// every [`Url`] host is — is looked up as it is.
     pub fn site(&self, host: &str) -> Option<&SiteEntry> {
-        if host.bytes().any(|b| b.is_ascii_uppercase()) {
-            self.sites.get(&host.to_ascii_lowercase())
+        let i = if host.bytes().any(|b| b.is_ascii_uppercase()) {
+            self.by_host.get(&host.to_ascii_lowercase())
         } else {
-            self.sites.get(host)
-        }
+            self.by_host.get(host)
+        };
+        i.map(|&i| &self.sites[i])
     }
 
     /// Look up a site by address.
     pub fn site_by_ip(&self, ip: Ipv4Addr) -> Option<&SiteEntry> {
-        self.ip_index.get(&ip).and_then(|h| self.sites.get(h))
+        self.by_ip.get(&ip).map(|&i| &self.sites[i])
     }
 
     /// The true address of a hostname (what an untampered resolver says).
@@ -271,7 +276,7 @@ impl World {
 
     /// All hostnames in the world (used by tests and workload builders).
     pub fn hosts(&self) -> impl Iterator<Item = &str> {
-        self.sites.keys().map(String::as_str)
+        self.by_host.keys().map(String::as_str)
     }
 
     /// Opt in to on-path interception of public-resolver queries.
@@ -284,10 +289,10 @@ impl World {
     pub fn install_censor(&mut self, asn: Asn, mut policy: CensorPolicy) {
         let hosts: Vec<(String, Option<Category>)> = self
             .sites
-            .values()
+            .iter()
             .map(|s| (s.host.to_string(), s.category))
             .collect();
-        let resolve = |h: &str| self.sites.get(h).map(|s| s.ip);
+        let resolve = |h: &str| self.by_host.get(h).map(|&i| self.sites[i].ip);
         policy.materialize_ips(&hosts, resolve);
         self.block_pages.entry(asn).or_insert_with(|| {
             // Always a phase-1-catchable family.
@@ -405,13 +410,11 @@ impl World {
         self.access.path_to(provider, self.client_region, site)
     }
 
-    /// Network path from the client to the site hosting `ip` (falls back
-    /// to an in-country path for unknown/sinkhole addresses).
-    pub fn path_to_ip(&self, provider: &Provider, ip: Ipv4Addr) -> Path {
-        let site = self
-            .site_by_ip(ip)
-            .map(|s| s.location)
-            .unwrap_or_else(|| Site::in_region(self.client_region));
+    /// Network path from the client to `dst`, the site an address
+    /// resolved to (an in-country path for an unknown or sinkhole
+    /// address, `None`).
+    fn path_to_dst(&self, provider: &Provider, dst: Option<&SiteEntry>) -> Path {
+        let site = dst.map_or_else(|| Site::in_region(self.client_region), |s| s.location);
         self.path_to_site(provider, site)
     }
 
@@ -424,6 +427,7 @@ impl World {
         dst: Ipv4Addr,
         rng: &mut DetRng,
     ) -> (ConnectOutcome, SimDuration) {
+        let site = self.site_by_ip(dst);
         if let Some(policy) = self.censors.get(&provider.asn) {
             match policy.on_tcp_connect(dst, rng) {
                 IpAction::None => {}
@@ -432,18 +436,18 @@ impl World {
                     return (o, o.elapsed());
                 }
                 IpAction::Rst => {
-                    let path = self.path_to_ip(provider, dst);
+                    let path = self.path_to_dst(provider, site);
                     let o = tcp::connect_reset(&path, rng);
                     return (o, o.elapsed());
                 }
             }
         }
-        if self.site_by_ip(dst).is_none() {
+        if site.is_none() {
             // Sinkhole or bogus address: nothing answers.
             let o = tcp::connect_blackholed(&self.tcp);
             return (o, o.elapsed());
         }
-        let path = self.path_to_ip(provider, dst);
+        let path = self.path_to_dst(provider, site);
         let o = tcp::connect(&path, &self.tcp, rng);
         (o, o.elapsed())
     }
@@ -463,14 +467,14 @@ impl World {
                 TlsAction::None => {}
                 TlsAction::Drop => return (TlsStep::Timeout, self.tls_timeout),
                 TlsAction::Rst => {
-                    let path = self.path_to_ip(provider, dst);
+                    let path = self.path_to_dst(provider, self.site_by_ip(dst));
                     return (TlsStep::Reset, path.sample_rtt(rng));
                 }
             }
         }
         // Two round trips of handshake (TLS 1.2-era, matching the paper's
         // timeframe).
-        let path = self.path_to_ip(provider, dst);
+        let path = self.path_to_dst(provider, self.site_by_ip(dst));
         let t = path.sample_rtt(rng) + path.sample_rtt(rng);
         (TlsStep::Established, t)
     }
@@ -495,27 +499,30 @@ impl World {
         response_override: Option<u64>,
         rng: &mut DetRng,
     ) -> (HttpStep, SimDuration) {
+        // The connected address's site, resolved once: the censor's
+        // fallback category, the origin and the path all come from it.
+        let at_dst = self.site_by_ip(dst);
         // Censor HTTP stage: plaintext only.
         if !via_tls {
             if let Some(policy) = self.censors.get(&provider.asn) {
                 let cat = url
                     .dns_name()
                     .and_then(|h| self.category_of(h))
-                    .or_else(|| self.site_by_ip(dst).and_then(|s| s.category));
+                    .or_else(|| at_dst.and_then(|s| s.category));
                 match policy.on_http_request(url, cat, rng) {
                     HttpAction::None => {}
                     HttpAction::Drop => {
                         return (HttpStep::Timeout, self.tcp.http_timeout);
                     }
                     HttpAction::Rst => {
-                        let path = self.path_to_ip(provider, dst);
+                        let path = self.path_to_dst(provider, at_dst);
                         return (HttpStep::Reset, path.sample_rtt(rng));
                     }
                     HttpAction::BlockPageRedirect => {
-                        return self.serve_block_page(provider, dst, true, rng);
+                        return self.serve_block_page(provider, at_dst, true, rng);
                     }
                     HttpAction::BlockPageInline => {
-                        return self.serve_block_page(provider, dst, false, rng);
+                        return self.serve_block_page(provider, at_dst, false, rng);
                     }
                 }
             }
@@ -524,7 +531,7 @@ impl World {
         // name; otherwise the connected address identifies the origin.
         let site = match fronted_backend {
             Some(backend) => self.site(backend),
-            None => self.site_by_ip(dst),
+            None => at_dst,
         };
         let Some(site) = site else {
             return (HttpStep::Timeout, self.tcp.http_timeout);
@@ -539,7 +546,7 @@ impl World {
                     redirected: false,
                     resources: Vec::new(),
                 },
-                self.path_to_ip(provider, dst).sample_rtt(rng),
+                self.path_to_dst(provider, at_dst).sample_rtt(rng),
             );
         }
         // A resource exchange knows its size; only the base document asks
@@ -551,8 +558,8 @@ impl World {
                 (page.html_bytes, page.resources)
             }
         };
-        let mut path = self.path_to_ip(provider, dst);
-        if let Some(backend) = fronted_backend {
+        let mut path = self.path_to_dst(provider, at_dst);
+        if fronted_backend.is_some() {
             // Front relays to the backend origin over the CDN backbone.
             // NOTE: `site` above is already the *backend* (a fronted
             // request resolves the backend name), so this link joins the
@@ -561,15 +568,11 @@ impl World {
             // for. `GOLDEN_seed1.json` pins the value (fig1a's
             // domain-fronting series); changing it is a re-bless with a
             // paper-claim judgement, listed under ROADMAP's claims gate.
-            if let Some(b) = self.site(backend) {
-                let extra = Link::wan(SimDuration::from_millis(
-                    site.location
-                        .region
-                        .one_way_ms_to(b.location.region)
-                        .min(30),
-                ));
-                path = path.then(extra);
-            }
+            let region = site.location.region;
+            let extra = Link::wan(SimDuration::from_millis(
+                region.one_way_ms_to(region).min(30),
+            ));
+            path = path.then(extra);
         }
         let (step, elapsed) = match tcp::exchange(&path, bytes, &self.tcp, rng) {
             tcp::ExchangeOutcome::Done { elapsed } => (
@@ -657,7 +660,7 @@ impl World {
     fn serve_block_page(
         &self,
         provider: &Provider,
-        dst: Ipv4Addr,
+        dst: Option<&SiteEntry>,
         via_redirect: bool,
         rng: &mut DetRng,
     ) -> (HttpStep, SimDuration) {
@@ -668,7 +671,7 @@ impl World {
         let bytes = html.len() as u64;
         // The injected response (302 or inline page) arrives on the
         // original connection in about one path RTT.
-        let orig_path = self.path_to_ip(provider, dst);
+        let orig_path = self.path_to_dst(provider, dst);
         let mut elapsed = orig_path.sample_rtt(rng);
         if via_redirect {
             // Follow the redirect: resolve + connect + fetch from the
@@ -751,8 +754,21 @@ impl WorldBuilder {
             default_resources: spec.default_resources,
             udp_port: spec.udp_port,
         };
-        self.world.ip_index.insert(ip, host.clone());
-        self.world.sites.insert(host, entry);
+        // A host added again replaces its entry; its old address still
+        // reaches it.
+        let w = &mut self.world;
+        let i = match w.by_host.get(&host) {
+            Some(&i) => {
+                w.sites[i] = entry;
+                i
+            }
+            None => {
+                w.sites.push(entry);
+                w.by_host.insert(host, w.sites.len() - 1);
+                w.sites.len() - 1
+            }
+        };
+        w.by_ip.insert(ip, i);
         self
     }
 

@@ -52,7 +52,7 @@ impl Books<'_> {
     /// blocked: on a multihomed network the strict union across
     /// providers (blocking differs per ISP, and the flow may land on
     /// any of them), otherwise what the record says.
-    fn blocked_stages(&self, url: &Url, record: Option<LocalRecord>) -> Vec<BlockingType> {
+    fn blocked_stages(&self, url: &Url, record: Option<&LocalRecord>) -> Vec<BlockingType> {
         if self.multihoming.multihomed {
             let union = self
                 .per_provider
@@ -61,7 +61,7 @@ impl Books<'_> {
                 return union;
             }
         }
-        record.map(|r| r.stages).unwrap_or_default()
+        record.map(|r| r.stages.clone()).unwrap_or_default()
     }
 
     /// Record a blocked verdict: per provider, on the report queue (for
@@ -190,7 +190,8 @@ impl FetchPath {
         bk.multihoming.probe(now, provider.asn);
         let ctx = FetchCtx { now, provider };
         let lookup = bk.local_db.lookup(url, now);
-        let known_blocked = match lookup.status {
+        let status = lookup.status;
+        let known_blocked = match status {
             Status::Blocked => Some(bk.blocked_stages(url, lookup.record)),
             // Consult the local copy of the global DB first.
             Status::NotMeasured => bk.view.lookup(url).cloned(),
@@ -198,10 +199,10 @@ impl FetchPath {
         };
         match known_blocked {
             Some(stages) => self.serve_blocked(&mut bk, world, &ctx, url, stages, copyable),
-            None if copyable && lookup.status == Status::NotMeasured => {
+            None if copyable && status == Status::NotMeasured => {
                 self.measure_and_serve(&mut bk, world, &ctx, url)
             }
-            None => self.direct_with_detection(&mut bk, world, &ctx, url, lookup.status),
+            None => self.direct_with_detection(&mut bk, world, &ctx, url, status),
         }
     }
 

@@ -19,34 +19,92 @@
 //! identity.
 
 use crate::local::record::{LocalRecord, Status};
-use crate::local::trie::PathTrie;
+use crate::local::trie::{PathTrie, ROOT};
 use csaw_censor::blocking::BlockingType;
 use csaw_obs::json::JsonValue;
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
 use csaw_store::StoreError;
-use csaw_webproto::url::Url;
+use csaw_webproto::url::{Host, Url};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Host-level key: hostname (or IP literal) plus port. The two web
 /// default ports (80/443) collapse to `None` so that the same resource
 /// fetched over HTTP and HTTPS shares one identity — scheme is a
 /// *transport* question, recorded in `stages`, not an identity question.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 struct HostKey {
-    host: String,
+    host: Host,
     port: Option<u16>,
 }
 
 impl HostKey {
     fn of(url: &Url) -> HostKey {
-        let p = url.port();
         HostKey {
-            host: url.host().to_string(),
-            port: if p == 80 || p == 443 { None } else { Some(p) },
+            host: url.host().clone(),
+            port: host_port(url),
         }
     }
 }
+
+/// The port part of `url`'s host key.
+fn host_port(url: &Url) -> Option<u16> {
+    Some(url.port()).filter(|p| *p != 80 && *p != 443)
+}
+
+/// A host key's parts by reference: what the map hashes and compares,
+/// so a lookup borrows the URL's host instead of building a key.
+trait KeyParts {
+    fn parts(&self) -> (&Host, Option<u16>);
+}
+
+impl KeyParts for HostKey {
+    fn parts(&self) -> (&Host, Option<u16>) {
+        (&self.host, self.port)
+    }
+}
+
+impl KeyParts for (&Host, Option<u16>) {
+    fn parts(&self) -> (&Host, Option<u16>) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for HostKey {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
+
+impl Hash for HostKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for HostKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for HostKey {}
 
 /// The client's local measurement database.
 ///
@@ -62,13 +120,13 @@ pub struct LocalDb {
     pub ttl: SimDuration,
 }
 
-/// What a lookup reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Lookup {
+/// What a lookup reports, borrowed from the database.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Lookup<'a> {
     /// Status after TTL filtering (NotMeasured when nothing live).
     pub status: Status,
     /// The matched record (most specific live ancestor), if any.
-    pub record: Option<LocalRecord>,
+    pub record: Option<&'a LocalRecord>,
 }
 
 impl LocalDb {
@@ -91,16 +149,25 @@ impl LocalDb {
         }
     }
 
-    fn segs(url: &Url) -> Vec<String> {
-        url.path_segments().into_iter().map(String::from).collect()
+    /// The URL's path segments, borrowed.
+    fn segs(url: &Url) -> impl Iterator<Item = &str> + Clone {
+        url.path().split('/').filter(|seg| !seg.is_empty())
     }
 
-    /// Look up the blocking status of a URL at time `now`.
+    /// The trie of `url`'s host key, found by borrowing the URL's host.
+    fn trie(&self, url: &Url) -> Option<&PathTrie> {
+        self.hosts
+            .get(&(url.host(), host_port(url)) as &dyn KeyParts)
+    }
+
+    /// Look up the blocking status of a URL at time `now`. Nothing is
+    /// allocated: the host key and the path segments are borrowed from
+    /// `url`, and the record from the database.
     ///
     /// Telemetry: `local_db.hits` counts lookups answered by a live
     /// record, `local_db.misses` the rest — the hit rate is the fraction
     /// of page loads that skip the measurement machinery entirely.
-    pub fn lookup(&self, url: &Url, now: SimTime) -> Lookup {
+    pub fn lookup(&self, url: &Url, now: SimTime) -> Lookup<'_> {
         let miss = || {
             csaw_obs::inc("local_db.misses");
             Lookup {
@@ -108,28 +175,30 @@ impl LocalDb {
                 record: None,
             }
         };
-        let Some(trie) = self.hosts.get(&HostKey::of(url)) else {
+        let Some(trie) = self.trie(url) else {
             return miss();
         };
         let segs = Self::segs(url);
         let record = if self.aggregate {
-            trie.lpm(&segs)
+            trie.lpm(segs)
         } else {
-            trie.get(&segs)
+            trie.get(segs)
         };
         match record {
             Some(r) if r.is_live(now, self.ttl) => {
                 csaw_obs::inc("local_db.hits");
                 Lookup {
                     status: r.status,
-                    record: Some(r.clone()),
+                    record: Some(r),
                 }
             }
             _ => miss(),
         }
     }
 
-    /// Record a measurement, applying the aggregation rules.
+    /// Record a measurement, applying the aggregation rules. What is
+    /// allocated is what is stored: records, and the keys of a host or
+    /// path segment not held yet.
     pub fn record_measurement(
         &mut self,
         url: &Url,
@@ -142,8 +211,14 @@ impl LocalDb {
             status != Status::NotMeasured,
             "store real measurements only"
         );
-        let key = HostKey::of(url);
-        let trie = self.hosts.entry(key).or_default();
+        let key = (url.host(), host_port(url));
+        if !self.hosts.contains_key(&key as &dyn KeyParts) {
+            self.hosts.insert(HostKey::of(url), PathTrie::new());
+        }
+        let trie = self
+            .hosts
+            .get_mut(&key as &dyn KeyParts)
+            .expect("inserted above");
         let segs = Self::segs(url);
 
         if !self.aggregate {
@@ -151,7 +226,7 @@ impl LocalDb {
                 Status::Blocked => LocalRecord::blocked(url.clone(), asn, now, stages),
                 _ => LocalRecord::not_blocked(url.clone(), asn, now),
             };
-            trie.insert(&segs, rec);
+            trie.insert(segs, rec);
             return;
         }
 
@@ -164,40 +239,42 @@ impl LocalDb {
                     // else is subsumed.
                     let base_rec = LocalRecord::blocked(url.base(), asn, now, rec.stages);
                     *trie = PathTrie::new();
-                    trie.insert(&[], base_rec);
+                    trie.insert(ROOT, base_rec);
                 } else {
                     // Rule 1b: a blocked derived URL gets its own record;
                     // the base's status (if known) stays as-is.
-                    trie.insert(&segs, rec);
+                    trie.insert(segs, rec);
                 }
             }
             Status::NotBlocked | Status::NotMeasured => {
-                let governing = trie.lpm(&segs).cloned();
+                let governing = trie
+                    .lpm(segs.clone())
+                    .map(|g| (g.status, g.has_host_level_stage()));
                 match governing {
                     // Fresh reachability against a *host-level* block
                     // (DNS/IP/SNI): those mechanisms key on the host, so a
                     // single successful measurement proves the whole host
                     // was whitelisted (churn Scenario A observed early).
-                    Some(g) if g.status == Status::Blocked && g.has_host_level_stage() => {
+                    Some((Status::Blocked, true)) => {
                         *trie = PathTrie::new();
-                        trie.insert(&[], LocalRecord::not_blocked(url.base(), asn, now));
+                        trie.insert(ROOT, LocalRecord::not_blocked(url.base(), asn, now));
                     }
                     // Fresh reachability against an HTTP-level block:
                     // override the exact path; if an ancestor blocked
                     // record still governs, leave a specific not-blocked
                     // record so LPM resolves this subtree correctly.
-                    Some(g) if g.status == Status::Blocked => {
-                        trie.remove(&segs);
+                    Some((Status::Blocked, false)) => {
+                        trie.remove(segs.clone());
                         let still_blocked = trie
-                            .lpm(&segs)
+                            .lpm(segs.clone())
                             .map(|r| r.status == Status::Blocked)
                             .unwrap_or(false);
                         if still_blocked {
-                            trie.insert(&segs, LocalRecord::not_blocked(url.clone(), asn, now));
+                            trie.insert(segs, LocalRecord::not_blocked(url.clone(), asn, now));
                         } else {
                             trie.retain(|r| r.status == Status::Blocked);
-                            if trie.get(&[]).is_none() {
-                                trie.insert(&[], LocalRecord::not_blocked(url.base(), asn, now));
+                            if trie.get(ROOT).is_none() {
+                                trie.insert(ROOT, LocalRecord::not_blocked(url.base(), asn, now));
                             }
                         }
                     }
@@ -207,8 +284,8 @@ impl LocalDb {
                     // collectively; that's why lookup uses LPM).
                     _ => {
                         trie.retain(|r| r.status == Status::Blocked);
-                        if trie.get(&[]).is_none() {
-                            trie.insert(&[], LocalRecord::not_blocked(url.base(), asn, now));
+                        if trie.get(ROOT).is_none() {
+                            trie.insert(ROOT, LocalRecord::not_blocked(url.base(), asn, now));
                         }
                     }
                 }
@@ -252,14 +329,18 @@ impl LocalDb {
     /// map keys must be strings, and sorting keeps snapshots
     /// deterministic.
     pub fn to_json(&self) -> JsonValue {
-        let mut pairs: Vec<(&HostKey, &PathTrie)> = self.hosts.iter().collect();
-        pairs.sort_by(|a, b| (&a.0.host, a.0.port).cmp(&(&b.0.host, b.0.port)));
+        let mut pairs: Vec<(String, Option<u16>, &PathTrie)> = self
+            .hosts
+            .iter()
+            .map(|(k, trie)| (k.host.to_string(), k.port, trie))
+            .collect();
+        pairs.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
         let hosts = pairs
             .into_iter()
-            .map(|(k, trie)| {
+            .map(|(host, port, trie)| {
                 let mut key = JsonValue::obj();
-                key.set("host", k.host.as_str());
-                match k.port {
+                key.set("host", host);
+                match port {
                     Some(p) => key.set("port", u64::from(p)),
                     None => key.set("port", JsonValue::Null),
                 }
@@ -287,7 +368,7 @@ impl LocalDb {
             let [key, trie] = pair.as_arr()? else {
                 return None;
             };
-            let host = key.get("host")?.as_str()?.to_string();
+            let host = Host::parse(key.get("host")?.as_str()?).ok()?;
             let port = match key.get("port")? {
                 JsonValue::Null => None,
                 p => Some(u16::try_from(p.as_u64()?).ok()?),

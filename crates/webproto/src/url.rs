@@ -64,10 +64,23 @@ pub enum Host {
 impl Host {
     /// Parse a host component; a well-formed dotted quad becomes an IP.
     pub fn parse(s: &str) -> Result<Host, UrlParseError> {
-        Ok(match check_host(s)? {
+        let scan = Scan::of(s.as_bytes());
+        // A `/`, `?` or `#` ends the scan; no host may hold one.
+        let bits = if scan.end < s.len() {
+            class::NOT_NAME | class::NOT_QUAD
+        } else {
+            scan.bits
+        };
+        Ok(Host::of(s, check_host(s, bits)?))
+    }
+
+    /// The host a checked component names: its address, or the name
+    /// lower-cased.
+    fn of(s: &str, ip: Option<Ipv4Addr>) -> Host {
+        match ip {
             Some(ip) => Host::Ip(ip),
             None => Host::Name(s.to_ascii_lowercase()),
-        })
+        }
     }
 
     /// Is this a literal IP host?
@@ -113,24 +126,150 @@ impl Host {
     }
 }
 
-/// Validate a host component without building one: `Some(ip)` for a
+/// Byte classes of the URL scanner: what each byte rules out, one
+/// table entry per byte.
+mod class {
+    /// Not in a host name: anything but ASCII alphanumerics, `-`, `.`
+    /// and `_`.
+    pub const NOT_NAME: u8 = 1;
+    /// Not in a dotted quad: anything but ASCII digits and `.`.
+    pub const NOT_QUAD: u8 = 2;
+    /// `.`, which a host name may not hold twice in a row.
+    pub const DOT: u8 = 4;
+    /// `:`, `/`, `?` or `#`: the scanner stops to look.
+    pub const STOP: u8 = 8;
+
+    pub const OF: [u8; 256] = {
+        let mut t = [NOT_NAME | NOT_QUAD; 256];
+        let mut b = 0;
+        while b < 256 {
+            let c = b as u8;
+            if matches!(c, b':' | b'/' | b'?' | b'#') {
+                t[b] = STOP | NOT_NAME | NOT_QUAD;
+            } else if c == b'.' {
+                t[b] = DOT;
+            } else if c.is_ascii_digit() {
+                t[b] = 0;
+            } else if c.is_ascii_alphanumeric() || matches!(c, b'-' | b'_') {
+                t[b] = NOT_QUAD;
+            }
+            b += 1;
+        }
+        t
+    };
+}
+
+/// What one forward pass learns about an authority (`host[:port]`):
+/// where it ends, where its last `:` is, and what its bytes rule out.
+/// Every host rule but the two edge dots is decided here, so the host's
+/// bytes are read once.
+struct Scan {
+    /// Offset of the first `/`, `?` or `#`, or the input's length.
+    end: usize,
+    /// The last `:` before `end`, with the class bits of the bytes
+    /// before it: the host's, if a port follows.
+    colon: Option<(usize, u8)>,
+    /// The class bits of every byte before `end`, OR-ed, with
+    /// [`class::NOT_NAME`] added for a `..`.
+    bits: u8,
+}
+
+impl Scan {
+    /// Whole 8-byte chunks that hold no stop byte are classified without
+    /// a branch per byte; from the first chunk that holds one, the scan
+    /// goes byte by byte.
+    fn of(bytes: &[u8]) -> Scan {
+        use class::{DOT, NOT_NAME, OF, STOP};
+        // A `..` is `DOT` in two neighbours' classes; shifted, it is
+        // `NOT_NAME`.
+        const _: () = assert!(DOT >> 2 == NOT_NAME);
+        let mut bits = 0u8;
+        let mut prev = 0u8;
+        let mut i = 0;
+        while let Some(chunk) = bytes[i..].first_chunk::<8>() {
+            let (mut any, mut pairs, mut last) = (0u8, 0u8, prev);
+            for &b in chunk {
+                let c = OF[usize::from(b)];
+                any |= c;
+                pairs |= c & last;
+                last = c;
+            }
+            if any & STOP != 0 {
+                break;
+            }
+            bits |= any | (pairs & DOT) >> 2;
+            prev = last;
+            i += 8;
+        }
+        let mut scan = Scan {
+            end: bytes.len(),
+            colon: None,
+            bits,
+        };
+        for (j, &b) in bytes[i..].iter().enumerate() {
+            let c = OF[usize::from(b)];
+            if c & STOP != 0 {
+                if b != b':' {
+                    scan.end = i + j;
+                    break;
+                }
+                scan.colon = Some((i + j, scan.bits));
+            }
+            scan.bits |= c | (c & prev & DOT) >> 2;
+            prev = c;
+        }
+        scan
+    }
+}
+
+/// Validate `host`, whose bytes' classes OR to `bits`: `Some(ip)` for a
 /// well-formed dotted quad, `None` for a valid name. A name's bytes are
 /// tested as they are — ASCII classes are case-blind — so nothing is
 /// lower-cased to find out whether it may be.
-fn check_host(s: &str) -> Result<Option<Ipv4Addr>, UrlParseError> {
-    if s.is_empty() {
+fn check_host(host: &str, bits: u8) -> Result<Option<Ipv4Addr>, UrlParseError> {
+    if host.is_empty() {
         return Err(UrlParseError::EmptyHost);
     }
-    if let Ok(ip) = s.parse::<Ipv4Addr>() {
-        return Ok(Some(ip));
+    if bits & class::NOT_QUAD == 0 {
+        if let Ok(ip) = host.parse::<Ipv4Addr>() {
+            return Ok(Some(ip));
+        }
     }
-    let valid = s
-        .bytes()
-        .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'.' | b'_'));
-    if !valid || s.starts_with('.') || s.ends_with('.') || s.contains("..") {
-        return Err(UrlParseError::BadHost(s.to_string()));
+    if bits & class::NOT_NAME != 0 || host.starts_with('.') || host.ends_with('.') {
+        return Err(UrlParseError::BadHost(host.to_string()));
     }
     Ok(None)
+}
+
+/// A host as a base key writes it: a name (lower-cased on the way) or
+/// an address.
+enum HostText<'a> {
+    Name(&'a str),
+    Ip(Ipv4Addr),
+}
+
+/// Write `{scheme}://{host}[:{port}]/` over `out`: the one rendering of
+/// a base URL's string key. `port` is the URL's explicit port, dropped
+/// here when it is `scheme`'s default.
+fn write_base(out: &mut String, scheme: Scheme, host: HostText<'_>, port: Option<u16>) {
+    use fmt::Write;
+    out.clear();
+    out.push_str(scheme.as_str());
+    out.push_str("://");
+    match host {
+        HostText::Name(name) => {
+            let from = out.len();
+            out.push_str(name);
+            out[from..].make_ascii_lowercase();
+        }
+        HostText::Ip(ip) => {
+            let _ = write!(out, "{ip}");
+        }
+    }
+    if let Some(p) = port.filter(|p| *p != scheme.default_port()) {
+        let _ = write!(out, ":{p}");
+    }
+    out.push('/');
 }
 
 impl fmt::Display for Host {
@@ -181,20 +320,25 @@ pub struct Url {
     query: Option<String>,
 }
 
-/// A URL string cut into its components, borrowed from the input: what
-/// [`Url::parse`] and [`Url::check`] both start from, so the set of
-/// accepted strings is written once.
+/// A URL string cut at its authority, borrowed from the input: what
+/// [`Url::parse`], [`Url::check`] and [`Url::base_key`] all start from,
+/// so the set of accepted strings is written once. The host is already
+/// validated; path, query and fragment are still uncut in `tail`,
+/// because nothing in them can make a URL fail to parse.
 struct Split<'a> {
     scheme: Scheme,
     host: &'a str,
+    /// The host's address when it is a dotted quad.
+    ip: Option<Ipv4Addr>,
     port: Option<u16>,
-    path: &'a str,
-    query: Option<&'a str>,
+    /// What follows the authority: empty, or from a `/`, `?` or `#`.
+    tail: &'a str,
 }
 
 impl<'a> Split<'a> {
-    /// Cut `s` (trimmed) into scheme, host, port, path and query; the
-    /// fragment is dropped. The host is not validated here.
+    /// Trim `s`, then read its scheme and, in one forward pass, its
+    /// authority: host, last `:` and port. A non-numeric or out-of-range
+    /// port is reported before anything about the host.
     fn of(s: &'a str) -> Result<Split<'a>, UrlParseError> {
         let s = s.trim();
         let (scheme, rest) = if let Some(r) = s.strip_prefix("https://") {
@@ -204,35 +348,46 @@ impl<'a> Split<'a> {
         } else {
             return Err(UrlParseError::BadScheme);
         };
-        // Split off fragment first, then query, then path.
-        let rest = rest.split('#').next().unwrap_or(rest);
-        let (authority_path, query) = match rest.split_once('?') {
-            Some((ap, q)) => (ap, Some(q)),
-            None => (rest, None),
-        };
-        let (authority, path) = match authority_path.find('/') {
-            Some(i) => (&authority_path[..i], &authority_path[i..]),
-            None => (authority_path, "/"),
-        };
-        let (host, port) = match authority.rsplit_once(':') {
-            Some((h, p)) if !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()) => {
-                let port: u16 = p
-                    .parse()
-                    .map_err(|_| UrlParseError::BadPort(p.to_string()))?;
-                (h, Some(port))
+        let scan = Scan::of(rest.as_bytes());
+        let (authority, tail) = rest.split_at(scan.end);
+        // An empty port leaves the `:` in the host, which rejects it.
+        let (host, bits, port) = match scan.colon {
+            Some((c, host_bits)) if c + 1 < authority.len() => {
+                let p = &authority[c + 1..];
+                // `u16::from_str` takes a leading `+`; a port is digits.
+                let digits = p.bytes().all(|b| b.is_ascii_digit());
+                let port = p
+                    .parse::<u16>()
+                    .ok()
+                    .filter(|_| digits)
+                    .ok_or_else(|| UrlParseError::BadPort(p.to_string()))?;
+                (&authority[..c], host_bits, Some(port))
             }
-            Some((_, p)) if p.bytes().any(|b| !b.is_ascii_digit()) && !p.is_empty() => {
-                return Err(UrlParseError::BadPort(p.to_string()));
-            }
-            _ => (authority, None),
+            _ => (authority, scan.bits, None),
         };
         Ok(Split {
             scheme,
             host,
+            ip: check_host(host, bits)?,
             port,
-            path,
-            query,
+            tail,
         })
+    }
+
+    /// The path (`/` when there is none) and the query; the fragment is
+    /// dropped.
+    fn path_and_query(&self) -> (&'a str, Option<&'a str>) {
+        let tail = self.tail.find('#').map_or(self.tail, |i| &self.tail[..i]);
+        let (path, query) = match tail.split_once('?') {
+            Some((p, q)) => (p, Some(q)),
+            None => (tail, None),
+        };
+        (if path.is_empty() { "/" } else { path }, query)
+    }
+
+    /// The port a parsed URL keeps: none when it is the scheme's default.
+    fn port(&self) -> Option<u16> {
+        self.port.filter(|p| *p != self.scheme.default_port())
     }
 }
 
@@ -242,21 +397,36 @@ impl Url {
     /// never sees them — they stay in the browser).
     pub fn parse(s: &str) -> Result<Url, UrlParseError> {
         let split = Split::of(s)?;
+        let (path, query) = split.path_and_query();
         Ok(Url {
             scheme: split.scheme,
-            host: Host::parse(split.host)?,
+            host: Host::of(split.host, split.ip),
             // Drop an explicit default port during normalization.
-            port: split.port.filter(|p| *p != split.scheme.default_port()),
-            path: normalize_path(split.path),
-            query: split.query.filter(|q| !q.is_empty()).map(str::to_string),
+            port: split.port(),
+            path: normalize_path(path),
+            query: query.filter(|q| !q.is_empty()).map(str::to_string),
         })
     }
 
     /// Would [`Url::parse`] accept `s`? The same answer and the same
     /// error, without building the URL: nothing is allocated for a URL
-    /// that parses.
+    /// that parses, and the path and query are never read.
     pub fn check(s: &str) -> Result<(), UrlParseError> {
-        check_host(Split::of(s)?.host).map(|_| ())
+        Split::of(s).map(|_| ())
+    }
+
+    /// Write `Url::parse(s)?.base_string(scheme)` over `out` without
+    /// building the URL: the same key, or the same error with `out`
+    /// left as it was. Only the scheme and authority are read, and
+    /// nothing is allocated once `out` has room for the key.
+    pub fn base_key(s: &str, scheme: Scheme, out: &mut String) -> Result<(), UrlParseError> {
+        let split = Split::of(s)?;
+        let host = match split.ip {
+            Some(ip) => HostText::Ip(ip),
+            None => HostText::Name(split.host),
+        };
+        write_base(out, scheme, host, split.port());
+        Ok(())
     }
 
     /// Construct from parts (used by generators and tests).
@@ -377,19 +547,20 @@ impl Url {
     /// into one `String`: the string key of this URL's base under
     /// `scheme`.
     pub fn base_string(&self, scheme: Scheme) -> String {
-        use fmt::Write;
-        let port = self.port.filter(|p| *p != scheme.default_port());
         // scheme, "://", the host (at most 15 bytes as an IP), ":port", "/".
         let host_len = self.host.name().map_or(15, str::len);
         let mut s = String::with_capacity(scheme.as_str().len() + 3 + host_len + 7);
-        s.push_str(scheme.as_str());
-        s.push_str("://");
-        let _ = write!(s, "{}", self.host);
-        if let Some(p) = port {
-            let _ = write!(s, ":{p}");
-        }
-        s.push('/');
+        self.base_string_into(scheme, &mut s);
         s
+    }
+
+    /// [`Url::base_string`] written over `out`, which keeps its room.
+    pub fn base_string_into(&self, scheme: Scheme, out: &mut String) {
+        let host = match &self.host {
+            Host::Name(n) => HostText::Name(n),
+            Host::Ip(ip) => HostText::Ip(*ip),
+        };
+        write_base(out, scheme, host, self.port);
     }
 
     /// The URL of `name` in this URL's directory — its path up to and
@@ -418,7 +589,8 @@ impl Url {
 /// resolve `.` segments (but keep `..` literally — we model, not a
 /// browser; censors match textually).
 fn normalize_path(p: &str) -> String {
-    let mut out = String::from("/");
+    let mut out = String::with_capacity(p.len().max(1));
+    out.push('/');
     for seg in p.split('/') {
         if seg.is_empty() || seg == "." {
             continue;

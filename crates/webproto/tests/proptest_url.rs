@@ -5,102 +5,10 @@
 //! the crate stays dependency-free. Every case derives from a fixed
 //! seed, so failures reproduce exactly.
 
-use csaw_webproto::url::{Host, Scheme, Url};
+mod support;
 
-const CASES: usize = 300;
-
-/// Minimal deterministic generator (xorshift64*), local to this test so
-/// `csaw-webproto` keeps zero dependencies (`csaw-simnet` depends on us,
-/// so borrowing its `DetRng` would be a cycle).
-struct TestRng(u64);
-
-impl TestRng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn index(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn chance(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
-
-    fn string(&mut self, alphabet: &[u8], min: usize, max: usize) -> String {
-        let n = self.index(max - min + 1) + min;
-        (0..n)
-            .map(|_| alphabet[self.index(alphabet.len())] as char)
-            .collect()
-    }
-}
-
-fn rand_label(rng: &mut TestRng) -> String {
-    // [a-z][a-z0-9-]{0,8}[a-z0-9]
-    let first = rng.string(b"abcdefghijklmnopqrstuvwxyz", 1, 1);
-    let mid = rng.string(b"abcdefghijklmnopqrstuvwxyz0123456789-", 0, 8);
-    let last = rng.string(b"abcdefghijklmnopqrstuvwxyz0123456789", 1, 1);
-    format!("{first}{mid}{last}")
-}
-
-fn rand_hostname(rng: &mut TestRng) -> String {
-    let n = rng.index(3) + 1;
-    (0..n)
-        .map(|_| rand_label(rng))
-        .collect::<Vec<_>>()
-        .join(".")
-}
-
-fn rand_path(rng: &mut TestRng) -> String {
-    let n = rng.index(5);
-    format!(
-        "/{}",
-        (0..n)
-            .map(|_| rng.string(
-                b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-",
-                1,
-                10
-            ))
-            .collect::<Vec<_>>()
-            .join("/")
-    )
-}
-
-fn rand_url(rng: &mut TestRng) -> Url {
-    let scheme = if rng.chance() {
-        Scheme::Https
-    } else {
-        Scheme::Http
-    };
-    let host = rand_hostname(rng);
-    let port = if rng.chance() {
-        Some((rng.index(60000 - 1024) + 1024) as u16)
-    } else {
-        None
-    };
-    let path = rand_path(rng);
-    let query = if rng.chance() {
-        Some(format!(
-            "{}={}",
-            rng.string(b"abcdefghijklmnopqrstuvwxyz", 1, 1),
-            rng.string(b"0123456789", 1, 4)
-        ))
-    } else {
-        None
-    };
-    Url::from_parts(
-        scheme,
-        Host::parse(&host).unwrap(),
-        port,
-        &path,
-        query.as_deref(),
-    )
-}
+use csaw_webproto::url::{Scheme, Url};
+use support::{rand_hostname, rand_url, TestRng, CASES};
 
 /// Display → parse is the identity on normalized URLs.
 #[test]

@@ -90,7 +90,12 @@ fn browse(proxy: &CsawProxy, host: &str) -> Response {
 /// The proxy client's local-DB record for a host at time zero.
 fn record(proxy: &CsawProxy, host: &str) -> Option<LocalRecord> {
     let url = Url::parse(&format!("http://{host}/")).unwrap();
-    proxy.client().local_db.lookup(&url, SimTime::ZERO).record
+    proxy
+        .client()
+        .local_db
+        .lookup(&url, SimTime::ZERO)
+        .record
+        .cloned()
 }
 
 fn stages(proxy: &CsawProxy, host: &str) -> Vec<BlockingType> {
@@ -298,7 +303,7 @@ fn measurements_are_stamped_on_the_obs_clock() {
     browse(&tb.proxy, "blocked.test");
     let url = Url::parse("http://blocked.test/").unwrap();
     let now = SimTime::from_micros(1_234_567);
-    let rec = tb.proxy.client().local_db.lookup(&url, now).record;
+    let rec = tb.proxy.client().local_db.lookup(&url, now).record.cloned();
     assert_eq!(rec.map(|r| r.measured_at), Some(now));
     // Past the record TTL the host reads unmeasured, so the next visit
     // races both paths again.
