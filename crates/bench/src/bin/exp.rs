@@ -69,7 +69,7 @@ fn main() {
             for e in CATALOGUE {
                 if let Run::Extension(run) = e.run {
                     progress(&format!("running {}", e.name));
-                    println!("{}", run(cli.seed, cli.jobs));
+                    println!("{}", run(cli.seed, cli.jobs).render());
                 }
             }
             cli.finish();
@@ -86,7 +86,7 @@ fn run_one(entry: &Entry, args: &[String]) {
     let cmd = format!("exp {}", entry.name);
     let (cli, flags) = ExpCli::from_args(&cmd, args, entry.flags);
     let (out, verdict) = match entry.run {
-        Run::Paper(run) | Run::Extension(run) => (run(cli.seed, cli.jobs), Ok(())),
+        Run::Paper(run) | Run::Extension(run) => (run(cli.seed, cli.jobs).render(), Ok(())),
         Run::Harness(run) => run(&cli, &flags),
     };
     println!("{out}");
@@ -127,7 +127,7 @@ fn run_scoped(
     let t0 = Instant::now();
     let out = {
         let _guard = scope::install(child.clone());
-        run(seed, jobs)
+        run(seed, jobs).render()
     };
     let wall_s = t0.elapsed().as_secs_f64();
     println!("{out}");

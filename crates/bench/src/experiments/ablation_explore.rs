@@ -10,6 +10,7 @@
 //! the exploring client rediscovers the recovered relay and its
 //! steady-state PLT drops.
 
+use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use csaw::circum::selector::{BlockedFetch, Selector};
 use csaw::config::UserPreference;
@@ -165,9 +166,8 @@ pub fn run(seed: u64, jobs: usize) -> ExploreAblation {
     }
 }
 
-impl ExploreAblation {
-    /// Text rendering.
-    pub fn render(&self) -> String {
+impl Outcome for ExploreAblation {
+    fn render(&self) -> String {
         format!(
             "Exploration ablation (§4.3.2, n = 5):\n  with exploration   : steady-state mean {:.2}s, recovered-relay uses {}\n  without exploration: steady-state mean {:.2}s, recovered-relay uses {}\n  Exploration lets the client rediscover a transport that improved mid-run.\n",
             self.with.steady_state_mean_s,

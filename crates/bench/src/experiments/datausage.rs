@@ -9,6 +9,7 @@
 //! redundancy keeps the common case cheap and that `p` can be lowered in
 //! developing regions.
 
+use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use csaw::config::RedundancyMode;
 use csaw::measure::{fetch_with_redundancy, measure_direct, DetectConfig};
@@ -175,9 +176,10 @@ impl DataUsage {
             .find(|r| r.label == label)
             .unwrap_or_else(|| panic!("row {label} missing"))
     }
+}
 
-    /// Text rendering.
-    pub fn render(&self) -> String {
+impl Outcome for DataUsage {
+    fn render(&self) -> String {
         let mut out = String::from("Data usage (extension of §8): bytes vs a plain browser\n");
         out.push_str(&format!(
             "  {:<22}{:>14}{:>14}{:>12}\n",

@@ -9,7 +9,7 @@
 //!   (~50 KB) — Lantern ≈1.5× slower.
 
 use crate::runner::{self, TrialSpec};
-use crate::stats::Cdf;
+use crate::stats::{Cdf, Panel};
 use crate::worlds::{single_isp_world, static_proxies, FRONT, PORN_PAGE, YOUTUBE};
 use csaw_circumvent::lantern::LanternClient;
 use csaw_circumvent::tor::TorClient;
@@ -25,30 +25,6 @@ use std::collections::HashMap;
 
 /// Number of back-to-back runs per series (the paper uses 200).
 pub const RUNS: usize = 200;
-
-/// One panel's series set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Panel {
-    /// Panel label.
-    pub title: String,
-    /// PLT CDFs per series.
-    pub series: Vec<Cdf>,
-}
-
-impl Panel {
-    /// A series by label.
-    pub fn series(&self, label: &str) -> &Cdf {
-        self.series
-            .iter()
-            .find(|c| c.label == label)
-            .unwrap_or_else(|| panic!("series {label} missing"))
-    }
-
-    /// Text rendering.
-    pub fn render(&self) -> String {
-        format!("{}\n{}", self.title, Cdf::render_table(&self.series))
-    }
-}
 
 fn ctx(world: &World) -> FetchCtx {
     FetchCtx {
@@ -197,6 +173,7 @@ pub fn run_1c(seed: u64, jobs: usize) -> Panel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::Outcome;
 
     #[test]
     fn fig1a_df_beats_every_proxy_median() {

@@ -5,6 +5,7 @@
 //! closing the loop between censor configuration and client-side
 //! classification.
 
+use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use csaw::measure::{measure_direct, DetectConfig, MeasuredStatus};
 use csaw_censor::blocking::BlockingType;
@@ -137,9 +138,9 @@ pub fn run(seed: u64, jobs: usize) -> Fig2 {
     Fig2 { bars }
 }
 
-impl Fig2 {
+impl Outcome for Fig2 {
     /// Text rendering (stacked-bar analogue).
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = String::from("Figure 2: blocking-type fractions per AS (recovered)\n");
         out.push_str(&format!("  {:<24}", "AS"));
         for c in OniCategory::ALL {

@@ -8,8 +8,9 @@
 //! - **(c)** the same on a larger page (316 KB), where staggering clearly
 //!   beats blind duplication.
 
+use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
-use crate::stats::{reduction_pct, Cdf, Summary};
+use crate::stats::{reduction_pct, Cdf, Panel, Summary};
 use crate::workload::uniform_arrivals;
 use crate::worlds::{single_isp_world, LARGE_PAGE, SMALL_PAGE};
 use csaw::config::RedundancyMode;
@@ -174,9 +175,8 @@ pub fn run_5a(seed: u64, jobs: usize) -> Fig5a {
     Fig5a { bars }
 }
 
-impl Fig5a {
-    /// Text rendering.
-    pub fn render(&self) -> String {
+impl Outcome for Fig5a {
+    fn render(&self) -> String {
         let mut out = String::from("Figure 5a: blocked pages, serial vs parallel redundancy\n");
         out.push_str(&format!(
             "  {:<24}{:>12}{:>12}{:>12}\n",
@@ -192,22 +192,15 @@ impl Fig5a {
     }
 }
 
-/// The Fig. 5b/c result: PLT CDFs for the three redundancy shapes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig5bc {
-    /// Panel title.
-    pub title: String,
-    /// "1 copy", "2 copies", "2 copies (with delay)".
-    pub series: Vec<Cdf>,
-}
-
-/// Run the unblocked-page workload for one page.
+/// Run the unblocked-page workload for one page: PLT CDFs for the
+/// three redundancy shapes, "1 copy", "2 copies" and "2 copies (with
+/// delay)".
 ///
 /// 100 requests, U(1 s, 5 s) inter-arrivals. Redundant copies ride Tor;
 /// on an unblocked page the user always takes the direct copy, so the
 /// redundant copy contributes only *load*: full overlap for "2 copies",
 /// partial overlap (after the 2 s stagger) for "2 copies (with delay)".
-fn run_5bc(page_host: &str, title: &str, seed: u64, jobs: usize) -> Fig5bc {
+fn run_5bc(page_host: &str, title: &str, seed: u64, jobs: usize) -> Panel {
     // One trial per redundancy shape, each with its historical
     // per-series RNG stream.
     let shapes = [
@@ -280,14 +273,14 @@ fn run_5bc(page_host: &str, title: &str, seed: u64, jobs: usize) -> Fig5bc {
         }
         Cdf::of(label, &plts)
     });
-    Fig5bc {
+    Panel {
         title: title.to_string(),
         series,
     }
 }
 
 /// Fig. 5b: the small (95 KB) page.
-pub fn run_5b(seed: u64, jobs: usize) -> Fig5bc {
+pub fn run_5b(seed: u64, jobs: usize) -> Panel {
     run_5bc(
         SMALL_PAGE,
         "Figure 5b: small unblocked page (95KB)",
@@ -297,28 +290,13 @@ pub fn run_5b(seed: u64, jobs: usize) -> Fig5bc {
 }
 
 /// Fig. 5c: the larger (316 KB) page.
-pub fn run_5c(seed: u64, jobs: usize) -> Fig5bc {
+pub fn run_5c(seed: u64, jobs: usize) -> Panel {
     run_5bc(
         LARGE_PAGE,
         "Figure 5c: larger unblocked page (316KB)",
         seed,
         jobs,
     )
-}
-
-impl Fig5bc {
-    /// A series by label.
-    pub fn series(&self, label: &str) -> &Cdf {
-        self.series
-            .iter()
-            .find(|c| c.label == label)
-            .unwrap_or_else(|| panic!("series {label} missing"))
-    }
-
-    /// Text rendering.
-    pub fn render(&self) -> String {
-        format!("{}\n{}", self.title, Cdf::render_table(&self.series))
-    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,9 @@
 //! **(b)** an Alexa-top-15 browse session with and without aggregation;
 //! the paper measured ~55% fewer local-DB records.
 
+use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
-use crate::stats::Cdf;
+use crate::stats::{Cdf, Panel};
 use crate::workload::alexa15_session;
 use csaw::local::{LocalDb, Status};
 use csaw::measure::{measure_direct, DetectConfig, MeasuredStatus};
@@ -24,22 +25,17 @@ use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::{AccessNetwork, Asn, Provider, Region, Site};
 use csaw_webproto::url::Url;
 
-/// Fig. 6a result: PLT CDFs for 1, 2 and 3 redundant requests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig6a {
-    /// "1 RReq.", "2 RReqs.", "3 RReqs.".
-    pub series: Vec<Cdf>,
-}
-
-/// Run Fig. 6a: 200 rounds; each round sends `k` copies on fresh Tor
-/// circuits and takes the fastest. Two concurrent Tor fetches barely tax
-/// the client (they are slow, bandwidth-light flows); a third saturates
-/// it — the calibration behind the paper's finding that the second copy
-/// buys ~30% at the median while the third only fattens the p95 (+17%).
+/// Run Fig. 6a, PLT CDFs for 1, 2 and 3 redundant requests ("1 RReq.",
+/// "2 RReqs.", "3 RReqs."): 200 rounds; each round sends `k` copies on
+/// fresh Tor circuits and takes the fastest. Two concurrent Tor fetches
+/// barely tax the client (they are slow, bandwidth-light flows); a third
+/// saturates it — the calibration behind the paper's finding that the
+/// second copy buys ~30% at the median while the third only fattens the
+/// p95 (+17%).
 ///
 /// One runner trial per redundancy level, each with its historical
 /// `seed ^ (k << 9)` stream.
-pub fn run_6a(seed: u64, jobs: usize) -> Fig6a {
+pub fn run_6a(seed: u64, jobs: usize) -> Panel {
     let specs: Vec<TrialSpec> = (1usize..=3)
         .map(|k| {
             let label = if k == 1 {
@@ -86,24 +82,9 @@ pub fn run_6a(seed: u64, jobs: usize) -> Fig6a {
         }
         Cdf::of(&spec.label, &plts)
     });
-    Fig6a { series }
-}
-
-impl Fig6a {
-    /// A series by label.
-    pub fn series(&self, label: &str) -> &Cdf {
-        self.series
-            .iter()
-            .find(|c| c.label == label)
-            .unwrap_or_else(|| panic!("series {label} missing"))
-    }
-
-    /// Text rendering.
-    pub fn render(&self) -> String {
-        format!(
-            "Figure 6a: redundant requests over separate Tor circuits\n{}",
-            Cdf::render_table(&self.series)
-        )
+    Panel {
+        title: "Figure 6a: redundant requests over separate Tor circuits".into(),
+        series,
     }
 }
 
@@ -121,9 +102,10 @@ impl Fig6b {
     pub fn reduction_pct(&self) -> f64 {
         crate::stats::reduction_pct(self.without as f64, self.with as f64)
     }
+}
 
-    /// Text rendering.
-    pub fn render(&self) -> String {
+impl Outcome for Fig6b {
+    fn render(&self) -> String {
         format!(
             "Figure 6b: local_DB records — without aggregation: {}, with: {} ({:.1}% reduction)\n",
             self.without,

@@ -9,7 +9,7 @@
 //!   Lantern's single hop beats Tor's three.
 
 use crate::runner::{self, TrialSpec};
-use crate::stats::Cdf;
+use crate::stats::{Cdf, Panel};
 use crate::worlds::{single_isp_world, YOUTUBE};
 use csaw::client::CsawClient;
 use csaw::config::CsawConfig;
@@ -25,30 +25,6 @@ use csaw_webproto::url::Url;
 
 /// Accesses per series.
 pub const RUNS: usize = 200;
-
-/// A Fig. 7 panel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Panel {
-    /// Panel title.
-    pub title: String,
-    /// PLT CDFs.
-    pub series: Vec<Cdf>,
-}
-
-impl Panel {
-    /// A series by label.
-    pub fn series(&self, label: &str) -> &Cdf {
-        self.series
-            .iter()
-            .find(|c| c.label == label)
-            .unwrap_or_else(|| panic!("series {label} missing"))
-    }
-
-    /// Text rendering.
-    pub fn render(&self) -> String {
-        format!("{}\n{}", self.title, Cdf::render_table(&self.series))
-    }
-}
 
 /// PLTs for a raw transport (Lantern/Tor baselines).
 fn transport_plts(

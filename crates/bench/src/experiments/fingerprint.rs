@@ -15,6 +15,7 @@
 //! the numbers: the paired-flow rate of a C-Saw client decays as its
 //! local DB warms up, and serial mode leaves almost no pairs at all.
 
+use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use csaw::config::RedundancyMode;
 use csaw::measure::{fetch_with_redundancy, DetectConfig, ServedFrom};
@@ -262,9 +263,10 @@ impl Fingerprint {
             .find(|m| m.mode == label)
             .unwrap_or_else(|| panic!("mode {label} missing"))
     }
+}
 
-    /// Text rendering.
-    pub fn render(&self) -> String {
+impl Outcome for Fingerprint {
+    fn render(&self) -> String {
         let mut out =
             String::from("Fingerprintability (extension of §8): censor-side paired-flow feature\n");
         out.push_str(&format!(

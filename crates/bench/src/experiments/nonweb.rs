@@ -2,6 +2,7 @@
 //! app blocked with different UDP mechanisms across ASes, detected by the
 //! paired direct/tunnel probe and circumvented through a VPN relay.
 
+use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use csaw::measure::nonweb::measure_udp_service;
 use csaw::measure::MeasuredStatus;
@@ -96,9 +97,8 @@ pub fn run(seed: u64, jobs: usize) -> Nonweb {
     Nonweb { rows }
 }
 
-impl Nonweb {
-    /// Text rendering.
-    pub fn render(&self) -> String {
+impl Outcome for Nonweb {
+    fn render(&self) -> String {
         let mut out = String::from(
             "Non-web filtering (extension of §8): a messaging app across three ASes\n",
         );

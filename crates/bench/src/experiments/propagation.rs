@@ -11,6 +11,7 @@
 //! track the population's first-visit PLT as a function of *when* the
 //! client first visits.
 
+use crate::experiments::Outcome;
 use crate::stats::Summary;
 use crate::worlds::{single_isp_world, FRONT, YOUTUBE};
 use csaw::client::CsawClient;
@@ -120,9 +121,8 @@ pub fn run(seed: u64) -> Propagation {
     Propagation { cohorts }
 }
 
-impl Propagation {
-    /// Text rendering.
-    pub fn render(&self) -> String {
+impl Outcome for Propagation {
+    fn render(&self) -> String {
         let mut out =
             String::from("Crowd propagation: first-visit cost vs arrival time (ISP-B, YouTube)\n");
         out.push_str(&format!(

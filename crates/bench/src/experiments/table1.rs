@@ -2,6 +2,7 @@
 //! C-Saw detector (the paper presents the censor-side truth; we recover
 //! it from client-side observations, which is the stronger statement).
 
+use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use crate::worlds::{single_isp_world, PORN_PAGE, YOUTUBE};
 use csaw::measure::{measure_direct, DetectConfig, MeasuredStatus};
@@ -125,9 +126,11 @@ impl Table1 {
             .find(|c| c.isp == isp && c.target.starts_with(target_prefix))
             .expect("cell exists")
     }
+}
 
+impl Outcome for Table1 {
     /// Text rendering in the paper's layout.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out =
             String::from("Table 1: measured filtering mechanisms (client-side recovery)\n");
         for c in &self.cells {

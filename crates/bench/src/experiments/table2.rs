@@ -3,6 +3,7 @@
 //! experiment *measures* them over the simulated paths and checks the
 //! round trip matches the paper's numbers.
 
+use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use crate::worlds::{clean_world, static_proxies};
 use csaw_simnet::rng::DetRng;
@@ -84,9 +85,8 @@ pub fn run(seed: u64, jobs: usize) -> Table2 {
     Table2 { rows }
 }
 
-impl Table2 {
-    /// Text rendering.
-    pub fn render(&self) -> String {
+impl Outcome for Table2 {
+    fn render(&self) -> String {
         let mut out = String::from("Table 2: avg ping RTT to static proxies (paper vs measured)\n");
         out.push_str(&format!(
             "  {:<14}{:>10}{:>12}\n",

@@ -10,6 +10,7 @@
 //! | HTTP (block page)                  | 1.8            |
 //! | TCP/IP + DNS (multi-stage)         | 32.7           |
 
+use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use crate::worlds::YOUTUBE;
 use csaw::measure::{measure_direct, DetectConfig, MeasuredStatus};
@@ -134,9 +135,10 @@ impl Table5 {
             .find(|r| r.label.starts_with(prefix))
             .expect("row exists")
     }
+}
 
-    /// Text rendering.
-    pub fn render(&self) -> String {
+impl Outcome for Table5 {
+    fn render(&self) -> String {
         let mut out = String::from("Table 5: avg blocking-detection time (paper vs measured)\n");
         out.push_str(&format!(
             "  {:<36}{:>10}{:>12}\n",

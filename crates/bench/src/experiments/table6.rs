@@ -6,6 +6,7 @@
 //! the user's fetch — and a probe against, e.g., TCP/IP blocking lingers
 //! for its whole 21 s detection window, taxing later requests too.
 
+use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use crate::stats::percentile;
 use crate::worlds::{single_isp_world, YOUTUBE};
@@ -129,9 +130,10 @@ impl Table6 {
             .find(|r| (r.p - p).abs() < 1e-9)
             .expect("row exists")
     }
+}
 
-    /// Text rendering.
-    pub fn render(&self) -> String {
+impl Outcome for Table6 {
+    fn render(&self) -> String {
         let mut out = String::from("Table 6: revalidation probability p vs median PLT\n");
         out.push_str(&format!("  {:>6}{:>14}\n", "p", "median PLT(s)"));
         for r in &self.rows {

@@ -22,6 +22,7 @@
 //! aggregation, reporting, voting, per-AS downloads — recovers those
 //! numbers at the server.
 
+use crate::experiments::Outcome;
 use crate::workload::{pilot_universe, Zipf};
 use crate::worlds::pilot_asns;
 use csaw::client::CsawClient;
@@ -159,9 +160,9 @@ pub fn run(seed: u64, users: usize) -> Table7 {
     }
 }
 
-impl Table7 {
+impl Outcome for Table7 {
     /// Text rendering in the paper's layout.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let s = &self.stats;
         let rows = [
             ("No. of users", s.clients.to_string(), "123"),

@@ -8,6 +8,7 @@
 //! experiment logs the first detection per (AS, service) with its
 //! failure signature.
 
+use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use csaw::client::CsawClient;
 use csaw::config::{CsawConfig, RedundancyMode};
@@ -164,9 +165,11 @@ impl Wild {
             .iter()
             .find(|d| d.asn == asn && d.service == service)
     }
+}
 
+impl Outcome for Wild {
     /// Paper-style snapshot rendering.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = format!(
             "C-Saw in the wild: blocking event at t={}s; measurements collected:\n",
             self.event_at_s

@@ -2,8 +2,9 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation against
 //! the simulated substrate. Each experiment is a pure function of a seed
-//! (bit-reproducible) returning a typed result with a `render()` method
-//! that prints the same rows/series the paper reports.
+//! (bit-reproducible) returning a typed result, an
+//! [`experiments::Outcome`]: its fields hold the numbers, and its
+//! `render()` prints the same rows/series the paper reports.
 //!
 //! Two binaries: `exp` runs the entries of [`experiments::CATALOGUE`]
 //! (`exp <name>`, `exp all` for the full report consumed by
@@ -33,5 +34,3 @@ pub mod stats;
 pub mod tracereport;
 pub mod workload;
 pub mod worlds;
-
-pub use stats::{percentile, reduction_pct, Cdf, Summary};

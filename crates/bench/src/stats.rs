@@ -1,4 +1,5 @@
-//! Distribution summaries and CDFs for experiment reporting.
+//! Distribution summaries, CDFs and the CDF figure panel for experiment
+//! reporting.
 //!
 //! Two quantile paths are kept on purpose, split by whether the raw
 //! sample is at hand. Raw samples get **exact** percentiles
@@ -10,6 +11,7 @@
 //! below 64 µs, ≤ ~1.6 % above): the metrics registry and every
 //! windowed timeline digest cannot keep raw samples.
 
+use crate::experiments::Outcome;
 use csaw_simnet::time::SimDuration;
 
 /// Summary statistics over a sample of durations.
@@ -85,7 +87,7 @@ pub fn percentile(samples: &[SimDuration], p: f64) -> SimDuration {
     SimDuration::from_secs_f64(percentile_sorted(&secs, p))
 }
 
-/// An empirical CDF: sorted values with cumulative probabilities.
+/// An empirical CDF: one series' sorted sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     /// Series label (legend entry).
@@ -105,16 +107,6 @@ impl Cdf {
         }
     }
 
-    /// `(value, F(value))` points.
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        let n = self.values_s.len();
-        self.values_s
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (*v, (i + 1) as f64 / n as f64))
-            .collect()
-    }
-
     /// Median of the series.
     pub fn median(&self) -> f64 {
         if self.values_s.is_empty() {
@@ -132,18 +124,39 @@ impl Cdf {
             percentile_sorted(&self.values_s, p)
         }
     }
+}
 
-    /// Render several CDFs as a text table sampled at fixed quantiles —
-    /// the textual analogue of the paper's CDF figures.
-    pub fn render_table(cdfs: &[Cdf]) -> String {
+/// A CDF figure panel: a title over one PLT CDF per series.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Panel {
+    /// Panel title.
+    pub title: String,
+    /// PLT CDFs, one per series.
+    pub series: Vec<Cdf>,
+}
+
+impl Panel {
+    /// A series by label.
+    pub fn series(&self, label: &str) -> &Cdf {
+        self.series
+            .iter()
+            .find(|c| c.label == label)
+            .unwrap_or_else(|| panic!("series {label} missing"))
+    }
+}
+
+impl Outcome for Panel {
+    /// The title over every series sampled at fixed quantiles — the
+    /// textual analogue of the paper's CDF figures.
+    fn render(&self) -> String {
         let quantiles = [10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0];
-        let mut out = String::new();
+        let mut out = format!("{}\n", self.title);
         out.push_str(&format!("{:<28}", "series \\ PLT(s) at CDF="));
         for q in quantiles {
             out.push_str(&format!("{:>8}", format!("p{q:.0}")));
         }
         out.push('\n');
-        for cdf in cdfs {
+        for cdf in &self.series {
             out.push_str(&format!("{:<28}", cdf.label));
             for q in quantiles {
                 out.push_str(&format!("{:>8.2}", cdf.pct(q)));
@@ -199,10 +212,8 @@ mod tests {
     #[test]
     fn cdf_points_monotone() {
         let c = Cdf::of("x", &ms(&[300, 100, 200]));
-        let pts = c.points();
-        assert_eq!(pts.len(), 3);
-        assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1));
-        assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-9);
+        assert_eq!(c.values_s.len(), 3);
+        assert!(c.values_s.windows(2).all(|w| w[0] <= w[1]));
         assert!((c.median() - 0.2).abs() < 1e-9);
     }
 
@@ -216,9 +227,14 @@ mod tests {
     fn render_has_all_series() {
         let a = Cdf::of("alpha", &ms(&[100, 200]));
         let b = Cdf::of("beta", &ms(&[300, 400]));
-        let t = Cdf::render_table(&[a, b]);
+        let panel = Panel {
+            title: "title".into(),
+            series: vec![a, b],
+        };
+        let t = panel.render();
+        assert!(t.starts_with("title\n"));
         assert!(t.contains("alpha"));
         assert!(t.contains("beta"));
-        assert!(t.lines().count() >= 3);
+        assert!(t.lines().count() >= 4);
     }
 }

@@ -84,7 +84,7 @@ fn recompute() -> String {
     let mut per_exp = JsonValue::obj();
     for e in CATALOGUE {
         if let Run::Paper(run) | Run::Extension(run) = e.run {
-            let (text, _, snapshot) = observed(false, None, || run(1, jobs));
+            let (text, _, snapshot) = observed(false, None, || run(1, jobs).render());
             digests.push((e.name, digest64(&text)));
             per_exp.set(e.name, snapshot);
         }

@@ -7,6 +7,8 @@
 //! cargo run --example censorship_event
 //! ```
 
+use csaw_bench::experiments::Outcome;
+
 fn main() {
     let w = csaw_bench::experiments::wild::run(2026, 1);
     println!("{}", w.render());

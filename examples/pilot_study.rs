@@ -7,6 +7,8 @@
 //! cargo run --release --example pilot_study -- 32      # custom user count
 //! ```
 
+use csaw_bench::experiments::Outcome;
+
 fn main() {
     let users: usize = std::env::args()
         .nth(1)
