@@ -44,7 +44,6 @@ impl Transport for ImprovingRelay {
             return FetchReport::failed(
                 csaw_circumvent::outcome::FailureKind::TransportUnavailable,
                 SimDuration::from_millis(500),
-                Vec::new(),
             );
         }
         csaw_circumvent::fetch::relay_fetch(

@@ -16,8 +16,9 @@
 //! and every cross-host (CDN) group of embedded resources, which pays its
 //! own DNS + connect and faces the censor there — exactly how the paper's
 //! pilot study discovered CDN blocking (§7.4). Where the two differ (a
-//! front that does not resolve, the private-space shortcut, whose trace
-//! the steps land in) is spelled out at the call, not inside the ladder.
+//! front that does not resolve, the private-space shortcut, whose connect
+//! time the report carries) is spelled out at the call, not inside the
+//! ladder.
 //!
 //! Page load time follows a browser model: the base document first, then
 //! the resources it embeds over up to [`BROWSER_LANES`] parallel
@@ -27,10 +28,9 @@ use crate::outcome::{FailureKind, FetchOutcome, PageResult};
 use crate::world::{connect_failure, dns_failure, DnsServer, HttpStep, TlsStep, World};
 use csaw_simnet::link::Link;
 use csaw_simnet::rng::DetRng;
-use csaw_simnet::tcp::ConnectOutcome;
 use csaw_simnet::time::SimDuration;
 use csaw_simnet::topology::{Provider, Site};
-use csaw_webproto::dns::{is_private_or_reserved, DnsObservation};
+use csaw_webproto::dns::is_private_or_reserved;
 use csaw_webproto::page::{Markup, Resource};
 use csaw_webproto::url::{Host, Scheme, Url};
 use std::borrow::Cow;
@@ -39,51 +39,6 @@ use std::net::Ipv4Addr;
 /// Parallel persistent connections a browser opens per host.
 pub const BROWSER_LANES: usize = 6;
 
-/// One protocol step observed during a fetch, kept for inspection and
-/// PLT decomposition: C-Saw's detector classifies a failed direct fetch
-/// from its [`FailureKind`] (Fig. 4), and the redundancy engine reads the
-/// circumvention copy's `Connect` step as that copy's set-up leg.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Step {
-    /// A DNS lookup.
-    Dns {
-        /// Which resolver was asked.
-        server: DnsServer,
-        /// What came back.
-        obs: DnsObservation,
-        /// How long it took.
-        elapsed: SimDuration,
-    },
-    /// A TCP connect attempt.
-    Connect {
-        /// Destination address.
-        dst: Ipv4Addr,
-        /// Outcome.
-        outcome: ConnectOutcome,
-        /// How long it took.
-        elapsed: SimDuration,
-    },
-    /// A TLS handshake attempt.
-    Tls {
-        /// Outcome.
-        step: TlsStep,
-        /// How long it took.
-        elapsed: SimDuration,
-    },
-    /// An HTTP exchange for the base document.
-    Http {
-        /// Outcome summary (`Response`/`Timeout`/`Reset`).
-        ok: bool,
-        /// Whether the response was a block page (ground truth; the
-        /// detector uses the HTML, not this flag).
-        truth_block_page: bool,
-        /// Response size, 0 on failure.
-        bytes: u64,
-        /// How long it took.
-        elapsed: SimDuration,
-    },
-}
-
 /// A completed fetch plus everything the measurement layer wants to know.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FetchReport {
@@ -91,21 +46,23 @@ pub struct FetchReport {
     pub outcome: FetchOutcome,
     /// Page load time (or time burned until failure).
     pub elapsed: SimDuration,
-    /// The protocol steps taken for the base document.
-    pub trace: Vec<Step>,
+    /// The base document's TCP connect time (attempted, if it failed),
+    /// zero when the fetch never got that far: the set-up leg of the
+    /// redundancy engine's PLT decomposition.
+    pub connect: SimDuration,
     /// Resources that failed to load (URL + failure) — blocked CDNs show
     /// up here.
     pub resource_failures: Vec<(Url, FailureKind)>,
 }
 
 impl FetchReport {
-    /// A fetch that failed with `kind` after `elapsed`, having taken the
-    /// steps in `trace`.
-    pub fn failed(kind: FailureKind, elapsed: SimDuration, trace: Vec<Step>) -> FetchReport {
+    /// A fetch that failed with `kind` after `elapsed`, before any
+    /// connect.
+    pub fn failed(kind: FailureKind, elapsed: SimDuration) -> FetchReport {
         FetchReport {
             outcome: FetchOutcome::Failed(kind),
             elapsed,
-            trace,
+            connect: SimDuration::ZERO,
             resource_failures: Vec::new(),
         }
     }
@@ -144,11 +101,12 @@ impl Default for DirectOpts {
     }
 }
 
-/// What one walk down the connection ladder has cost and seen so far.
+/// What one walk down the connection ladder has cost so far, and its
+/// TCP connect time once it has tried one.
 #[derive(Default)]
 struct Walk {
     elapsed: SimDuration,
-    trace: Vec<Step>,
+    connect: SimDuration,
 }
 
 /// First rung: look `name` up through `dns`. With `reject_private`, an
@@ -164,19 +122,13 @@ fn resolve(
 ) -> Result<Ipv4Addr, FailureKind> {
     let (obs, t) = world.dns_lookup(provider, name, dns, rng);
     walk.elapsed += t;
-    let answer = match obs.resolved_addr() {
+    match obs.resolved_addr() {
         Some(a) if reject_private && is_private_or_reserved(a) => {
             Err(FailureKind::DnsForgedResolution)
         }
         Some(a) => Ok(a),
         None => Err(dns_failure(&obs).unwrap_or(FailureKind::DnsNoResponse)),
-    };
-    walk.trace.push(Step::Dns {
-        server: dns,
-        obs,
-        elapsed: t,
-    });
-    answer
+    }
 }
 
 /// Second rung: TCP connect to `ip`, then — for HTTPS — a TLS handshake
@@ -192,18 +144,13 @@ fn connect(
 ) -> Result<(), FailureKind> {
     let (outcome, t) = world.tcp_connect(provider, ip, rng);
     walk.elapsed += t;
-    walk.trace.push(Step::Connect {
-        dst: ip,
-        outcome,
-        elapsed: t,
-    });
+    walk.connect = t;
     if let Some(kind) = connect_failure(outcome) {
         return Err(kind);
     }
     if https {
         let (step, t) = world.tls_handshake(provider, ip, sni, rng);
         walk.elapsed += t;
-        walk.trace.push(Step::Tls { step, elapsed: t });
         match step {
             TlsStep::Established => {}
             TlsStep::Timeout => return Err(FailureKind::TlsTimeout),
@@ -222,19 +169,21 @@ pub fn direct_like_fetch(
     rng: &mut DetRng,
 ) -> FetchReport {
     let mut base = Walk::default();
-    match fetch_page(world, provider, url, opts, &mut base, rng) {
-        Ok((page, resource_failures)) => FetchReport {
-            outcome: FetchOutcome::Page(page),
-            elapsed: base.elapsed,
-            trace: base.trace,
-            resource_failures,
-        },
-        Err(kind) => FetchReport::failed(kind, base.elapsed, base.trace),
+    let page = fetch_page(world, provider, url, opts, &mut base, rng);
+    let (outcome, resource_failures) = match page {
+        Ok((page, failures)) => (FetchOutcome::Page(page), failures),
+        Err(kind) => (FetchOutcome::Failed(kind), Vec::new()),
+    };
+    FetchReport {
+        outcome,
+        elapsed: base.elapsed,
+        connect: base.connect,
+        resource_failures,
     }
 }
 
 /// The base document, then what it embeds. `base` carries the time and
-/// steps out whether or not a page does.
+/// connect time out whether or not a page does.
 fn fetch_page(
     world: &World,
     provider: &Provider,
@@ -268,14 +217,14 @@ fn fetch_page(
     let backend = opts.front.as_ref().and_then(|_| url.dns_name());
     let (http, t) = world.http_exchange(provider, ip, &url, https, backend, None, rng);
     base.elapsed += t;
-    let response = match http {
+    let (mut page, resources) = match http {
         HttpStep::Response {
             bytes,
             html,
             truth_block_page,
             redirected,
             resources,
-        } => Ok((
+        } => (
             PageResult {
                 bytes,
                 html,
@@ -283,18 +232,10 @@ fn fetch_page(
                 redirected,
             },
             resources,
-        )),
-        HttpStep::Timeout => Err(FailureKind::HttpGetTimeout),
-        HttpStep::Reset => Err(FailureKind::HttpReset),
+        ),
+        HttpStep::Timeout => return Err(FailureKind::HttpGetTimeout),
+        HttpStep::Reset => return Err(FailureKind::HttpReset),
     };
-    let document = response.as_ref().ok().map(|(page, _)| page);
-    base.trace.push(Step::Http {
-        ok: document.is_some(),
-        truth_block_page: document.is_some_and(|p| p.truth_block_page),
-        bytes: document.map_or(0, |p| p.bytes),
-        elapsed: t,
-    });
-    let (mut page, resources) = response?;
 
     let (res_time, res_bytes, failures) =
         fetch_resources(world, provider, &resources, &url, https, opts, ip, rng);
@@ -305,8 +246,8 @@ fn fetch_page(
 
 /// Fetch the resources a document embeds: same-host resources reuse the
 /// existing connection pool; each cross-host (CDN) group walks the ladder
-/// itself, censored like any flow, and its steps stay out of the base
-/// document's trace.
+/// itself, censored like any flow, and its connect time is not the base
+/// document's.
 #[allow(clippy::too_many_arguments)]
 fn fetch_resources(
     world: &World,
@@ -395,17 +336,12 @@ pub fn relay_fetch(
 ) -> FetchReport {
     assert!(!legs.is_empty(), "a relay fetch needs at least one relay");
     let Some(name) = url.dns_name() else {
-        return FetchReport::failed(
-            FailureKind::TransportUnavailable,
-            SimDuration::ZERO,
-            Vec::new(),
-        );
+        return FetchReport::failed(FailureKind::TransportUnavailable, SimDuration::ZERO);
     };
     let Some(origin) = world.site(name) else {
         return FetchReport::failed(
             FailureKind::DnsNxdomain,
             per_hop_overhead * legs.len() as u64,
-            Vec::new(),
         );
     };
 
@@ -419,19 +355,18 @@ pub fn relay_fetch(
     }
 
     let mut elapsed = per_hop_overhead * legs.len() as u64;
-    let mut trace = Vec::new();
 
     // Circuit/tunnel establishment: one composed-path round trip, plus a
     // TLS-grade handshake to the first relay.
     let conn = csaw_simnet::tcp::connect(&path, &world.tcp, rng);
-    elapsed += conn.elapsed();
-    trace.push(Step::Connect {
-        dst: origin.ip,
-        outcome: conn,
-        elapsed: conn.elapsed(),
-    });
-    if let Some(kind) = crate::world::connect_failure(conn) {
-        return FetchReport::failed(kind, elapsed, trace);
+    let connect = conn.elapsed();
+    elapsed += connect;
+    let failed = |kind, elapsed| FetchReport {
+        connect,
+        ..FetchReport::failed(kind, elapsed)
+    };
+    if let Some(kind) = connect_failure(conn) {
+        return failed(kind, elapsed);
     }
 
     // Base document: the relay needs the page's sizes, not its URLs.
@@ -439,15 +374,8 @@ pub fn relay_fetch(
     let html_bytes = sizes.html_bytes();
     let base = csaw_simnet::tcp::exchange(&path, html_bytes, &world.tcp, rng);
     elapsed += base.elapsed();
-    let ok = base.is_done();
-    trace.push(Step::Http {
-        ok,
-        truth_block_page: false,
-        bytes: if ok { html_bytes } else { 0 },
-        elapsed: base.elapsed(),
-    });
-    if !ok {
-        return FetchReport::failed(FailureKind::HttpGetTimeout, elapsed, trace);
+    if !base.is_done() {
+        return failed(FailureKind::HttpGetTimeout, elapsed);
     }
 
     // Resources: all tunneled through the same circuit; cross-host
@@ -472,7 +400,7 @@ pub fn relay_fetch(
             redirected: false,
         }),
         elapsed,
-        trace,
+        connect,
         resource_failures: Vec::new(),
     }
 }
@@ -681,11 +609,7 @@ mod tests {
         let r = direct_like_fetch(&w, &p, &blocked, &opts, &mut rng);
         assert!(r.outcome.is_page());
         assert_eq!(r.genuine_plt(), None, "a block page is not a load");
-        let failed = FetchReport::failed(
-            FailureKind::HttpGetTimeout,
-            SimDuration::from_secs(30),
-            vec![],
-        );
+        let failed = FetchReport::failed(FailureKind::HttpGetTimeout, SimDuration::from_secs(30));
         assert_eq!(failed.genuine_plt(), None);
     }
 
@@ -748,7 +672,7 @@ mod tests {
     /// The ladder's second caller: a cross-host group blocked at `rung`
     /// fails every resource of that host with `kind`, costs the page what
     /// a fetch of that host stopped at the same rung costs, and leaves the
-    /// base trace and the same-host resources alone.
+    /// base connect time and the same-host resources alone.
     fn cross_host_group_fails_at(
         scheme: &str,
         dns: DnsTamper,
@@ -784,12 +708,15 @@ mod tests {
             .collect();
         assert_eq!(r.resource_failures, expected);
         assert_eq!(r.elapsed, bare.elapsed + ladder.elapsed);
-        assert_eq!(r.trace, bare.trace, "cross-host steps are not the base's");
+        assert_eq!(
+            r.connect, bare.connect,
+            "a cross-host connect is not the base's"
+        );
         assert_eq!(r.outcome.page().unwrap().bytes, cdn_page.html_bytes);
 
         let r = direct_like_fetch(&w, &p, &url("/"), &opts, &mut DetRng::new(11));
         assert_eq!(r.resource_failures, expected[..3]);
-        assert_eq!(r.trace, bare.trace);
+        assert_eq!(r.connect, bare.connect);
         let same_host: u64 = mixed.resources[..5].iter().map(|res| res.bytes).sum();
         assert_eq!(
             r.outcome.page().unwrap().bytes,
@@ -839,21 +766,18 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_steps() {
+    fn connect_time_is_the_base_documents() {
         let (w, p) = world(profiles::clean(), Asn(1));
         let mut rng = DetRng::new(7);
         let url = Url::parse("https://example.com/").unwrap();
         let r = direct_like_fetch(&w, &p, &url, &DirectOpts::default(), &mut rng);
-        let kinds: Vec<&str> = r
-            .trace
-            .iter()
-            .map(|s| match s {
-                Step::Dns { .. } => "dns",
-                Step::Connect { .. } => "connect",
-                Step::Tls { .. } => "tls",
-                Step::Http { .. } => "http",
-            })
-            .collect();
-        assert_eq!(kinds, vec!["dns", "connect", "tls", "http"]);
+        assert!(r.outcome.is_genuine_page(), "{:?}", r.outcome);
+        assert!(r.connect > SimDuration::ZERO);
+        assert!(r.connect < r.elapsed, "{} vs {}", r.connect, r.elapsed);
+        // An NXDOMAIN ends the walk before any connect.
+        let nowhere = Url::parse("https://nowhere.example/").unwrap();
+        let r = direct_like_fetch(&w, &p, &nowhere, &DirectOpts::default(), &mut rng);
+        assert_eq!(r.outcome.failure(), Some(FailureKind::DnsNxdomain));
+        assert_eq!(r.connect, SimDuration::ZERO);
     }
 }

@@ -142,7 +142,6 @@ impl Transport for LanternClient {
             return FetchReport::failed(
                 crate::outcome::FailureKind::TransportUnavailable,
                 SimDuration::ZERO,
-                Vec::new(),
             );
         };
         let mut report = relay_fetch(world, &ctx.provider, &[site], url, overhead, rng);

@@ -50,7 +50,7 @@ pub mod transports;
 pub mod world;
 
 pub use fetch::{
-    direct_like_fetch, lanes_time, relay_fetch, DirectOpts, FetchReport, Step, BROWSER_LANES,
+    direct_like_fetch, lanes_time, relay_fetch, DirectOpts, FetchReport, BROWSER_LANES,
 };
 pub use lantern::{default_trust_network, LanternClient, LanternProxy};
 pub use outcome::{FailureKind, FetchOutcome, PageResult};

@@ -148,7 +148,6 @@ impl Transport for HttpsUpgrade {
                     return FetchReport::failed(
                         FailureKind::TransportUnavailable,
                         SimDuration::ZERO,
-                        Vec::new(),
                     );
                 }
             }
@@ -200,11 +199,7 @@ impl Transport for DomainFronting {
             .map(|s| s.frontable)
             .unwrap_or(false);
         if !frontable {
-            return FetchReport::failed(
-                FailureKind::TransportUnavailable,
-                SimDuration::ZERO,
-                Vec::new(),
-            );
+            return FetchReport::failed(FailureKind::TransportUnavailable, SimDuration::ZERO);
         }
         let opts = DirectOpts {
             dns: DnsServer::IspLocal,
@@ -240,14 +235,10 @@ impl Transport for IpAsHostname {
             return direct_like_fetch(world, &ctx.provider, url, &DirectOpts::default(), rng);
         };
         let Some(site) = world.site(name) else {
-            return FetchReport::failed(FailureKind::DnsNxdomain, SimDuration::ZERO, Vec::new());
+            return FetchReport::failed(FailureKind::DnsNxdomain, SimDuration::ZERO);
         };
         if !site.serves_by_ip {
-            return FetchReport::failed(
-                FailureKind::TransportUnavailable,
-                SimDuration::ZERO,
-                Vec::new(),
-            );
+            return FetchReport::failed(FailureKind::TransportUnavailable, SimDuration::ZERO);
         }
         let mut lookup_cost = SimDuration::ZERO;
         let ip = match self.cache.get(name) {
@@ -263,7 +254,7 @@ impl Transport for IpAsHostname {
                         ip
                     }
                     Some(_) | None => {
-                        return FetchReport::failed(FailureKind::DnsForgedResolution, t, Vec::new())
+                        return FetchReport::failed(FailureKind::DnsForgedResolution, t)
                     }
                 }
             }

@@ -6,15 +6,16 @@
 //! part of the determinism contract (same seed ⇒ byte-identical
 //! experiment output). This test replays a grid of worlds, censor
 //! policies, URLs and seeds through each transport, folds the `Debug`
-//! rendering of every report and the generator's next draw into one
-//! digest per transport, and compares it with a constant recorded from
-//! the implementation this file was first written against. A refactor of
-//! the fetch pipeline keeps every constant; a deliberate behaviour change
-//! re-blesses exactly the rows it names (the failure message prints the
-//! recomputed table).
+//! rendering of every report's fields and the generator's next draw into
+//! one digest per transport, and compares it with a constant recorded
+//! from the implementation this file was first written against. A
+//! refactor of the fetch pipeline keeps every constant; a deliberate
+//! behaviour change re-blesses exactly the rows it names (the failure
+//! message prints the recomputed table).
 
-use csaw::measure::{measure_direct, DetectConfig};
+use csaw::measure::{measure_direct, DetectConfig, DirectMeasurement};
 use csaw_censor::{profiles, CensorPolicy, DnsTamper, HttpAction, IpAction, TlsAction};
+use csaw_circumvent::fetch::FetchReport;
 use csaw_circumvent::transports::{
     Direct, DomainFronting, FetchCtx, HoldOnDns, HttpsUpgrade, IpAsHostname, PublicDns, Transport,
 };
@@ -145,7 +146,32 @@ type Subject = Box<dyn FnMut(&World, &FetchCtx, &Url, &mut DetRng) -> String>;
 type MakeSubject = fn() -> Subject;
 
 fn transport<T: Transport + 'static>(mut t: T) -> Subject {
-    Box::new(move |w, ctx, url, rng| format!("{:?}", t.fetch(w, ctx, url, rng)))
+    Box::new(move |w, ctx, url, rng| report_fields(&t.fetch(w, ctx, url, rng)))
+}
+
+/// Every field of a transport's report, destructured so that a field
+/// added to [`FetchReport`] has to be added here too.
+fn report_fields(r: &FetchReport) -> String {
+    let FetchReport {
+        outcome,
+        elapsed,
+        connect,
+        resource_failures,
+    } = r;
+    format!("{outcome:?} {elapsed:?} {connect:?} {resource_failures:?}")
+}
+
+/// Every field of a direct-path measurement, destructured likewise.
+fn measurement_fields(m: &DirectMeasurement) -> String {
+    let DirectMeasurement {
+        status,
+        stages,
+        detection_time,
+        elapsed,
+        page_bytes,
+        phase1_flagged,
+    } = m;
+    format!("{status:?} {stages:?} {detection_time:?} {elapsed:?} {page_bytes:?} {phase1_flagged}")
 }
 
 /// The rows, in table order. A subject is made fresh per (world, seed),
@@ -168,10 +194,14 @@ fn subjects() -> Vec<(&'static str, MakeSubject)> {
                 phase2 = !phase2;
                 let circ_bytes = phase2.then_some(100_000);
                 let cfg = DetectConfig::default();
-                format!(
-                    "{:?}",
-                    measure_direct(w, &ctx.provider, url, circ_bytes, &cfg, rng)
-                )
+                measurement_fields(&measure_direct(
+                    w,
+                    &ctx.provider,
+                    url,
+                    circ_bytes,
+                    &cfg,
+                    rng,
+                ))
             })
         }),
     ]
@@ -271,14 +301,14 @@ fn every_transport_reports_and_draws_what_it_did() {
         "main",
         &rows,
         &[
-            0x2217bfcd1172a5ac, // direct
-            0x501855f2928abd8f, // public-dns
-            0x518885ac44bc00d8, // hold-on-dns
-            0x806691d045756ff4, // https
-            0x7f4b32e7c136ba5e, // https+public-dns
-            0xad727e45106ef7fe, // domain-fronting
-            0x7a375f73bc5da1ac, // ip-as-hostname
-            0x77ba11f99f6755bb, // measure-direct
+            0xc893da3cb5468a28, // direct
+            0x29dcb32ef227ae53, // public-dns
+            0x8bba2b20725356d2, // hold-on-dns
+            0x2581bcbcc9085db4, // https
+            0x3036b201c45fb25f, // https+public-dns
+            0x0324f64e3c845334, // domain-fronting
+            0x2a49f6633c73dcfc, // ip-as-hostname
+            0x5e64d30f3eded5e9, // measure-direct
         ],
     );
 }
@@ -315,14 +345,14 @@ fn literal_ip_to_an_origin_that_does_not_serve_by_ip() {
         "literal-ip",
         &rows,
         &[
-            0x64d0ed2853507e9a, // direct
-            0x64d0ed2853507e9a, // public-dns
-            0x64d0ed2853507e9a, // hold-on-dns
-            0xe287843dac1e5f54, // https
-            0xe287843dac1e5f54, // https+public-dns
-            0xe5ce6ecd1d87c894, // domain-fronting
-            0x64d0ed2853507e9a, // ip-as-hostname
-            0x05f11f92708c0e60, // measure-direct
+            0x5fbe86b60dcec168, // direct
+            0x5fbe86b60dcec168, // public-dns
+            0x5fbe86b60dcec168, // hold-on-dns
+            0x00de48eda88924a8, // https
+            0x00de48eda88924a8, // https+public-dns
+            0x102dc8897ad09af4, // domain-fronting
+            0x5fbe86b60dcec168, // ip-as-hostname
+            0xd6efaa12537cc640, // measure-direct
         ],
     );
 }

@@ -222,7 +222,6 @@ impl Selector {
                 report: FetchReport::failed(
                     csaw_circumvent::outcome::FailureKind::TransportUnavailable,
                     csaw_simnet::SimDuration::ZERO,
-                    Vec::new(),
                 ),
                 transport: "none".to_string(),
                 kind: TransportKind::Direct,

@@ -21,10 +21,8 @@
 use crate::local::record::{LocalRecord, Status};
 use crate::local::trie::{PathTrie, ROOT};
 use csaw_censor::blocking::BlockingType;
-use csaw_obs::json::JsonValue;
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
-use csaw_store::StoreError;
 use csaw_webproto::url::{Host, Url};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -107,10 +105,6 @@ impl PartialEq for HostKey {
 impl Eq for HostKey {}
 
 /// The client's local measurement database.
-///
-/// Serializes to a portable form (the host map as a pair list, since
-/// JSON map keys must be strings) so a client can persist its
-/// measurements across restarts.
 #[derive(Debug, Clone)]
 pub struct LocalDb {
     hosts: HashMap<HostKey, PathTrie>,
@@ -322,73 +316,6 @@ impl LocalDb {
         }
         out.sort_by(|a, b| a.url.cmp(&b.url));
         out
-    }
-
-    /// Encode the database for persistence across client restarts. The
-    /// host map serializes as a pair list sorted by (host, port) — JSON
-    /// map keys must be strings, and sorting keeps snapshots
-    /// deterministic.
-    pub fn to_json(&self) -> JsonValue {
-        let mut pairs: Vec<(String, Option<u16>, &PathTrie)> = self
-            .hosts
-            .iter()
-            .map(|(k, trie)| (k.host.to_string(), k.port, trie))
-            .collect();
-        pairs.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-        let hosts = pairs
-            .into_iter()
-            .map(|(host, port, trie)| {
-                let mut key = JsonValue::obj();
-                key.set("host", host);
-                match port {
-                    Some(p) => key.set("port", u64::from(p)),
-                    None => key.set("port", JsonValue::Null),
-                }
-                JsonValue::Arr(vec![key, trie.to_json()])
-            })
-            .collect::<Vec<_>>();
-        let mut v = JsonValue::obj();
-        v.set("aggregate", self.aggregate);
-        v.set("ttl_us", self.ttl.as_micros());
-        v.set("hosts", hosts);
-        v
-    }
-
-    /// [`LocalDb::to_json`] as a string.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_string_compact()
-    }
-
-    /// Decode a persisted database.
-    pub fn from_json(v: &JsonValue) -> Option<LocalDb> {
-        let aggregate = v.get("aggregate")?.as_bool()?;
-        let ttl = SimDuration::from_micros(v.get("ttl_us")?.as_u64()?);
-        let mut hosts = HashMap::new();
-        for pair in v.get("hosts")?.as_arr()? {
-            let [key, trie] = pair.as_arr()? else {
-                return None;
-            };
-            let host = Host::parse(key.get("host")?.as_str()?).ok()?;
-            let port = match key.get("port")? {
-                JsonValue::Null => None,
-                p => Some(u16::try_from(p.as_u64()?).ok()?),
-            };
-            hosts.insert(HostKey { host, port }, PathTrie::from_json(trie)?);
-        }
-        Some(LocalDb {
-            hosts,
-            aggregate,
-            ttl,
-        })
-    }
-
-    /// Parse and decode a persisted database from JSON text. Garbage is
-    /// the store's unified [`StoreError::Corrupt`], never a panic.
-    pub fn from_json_str(s: &str) -> Result<LocalDb, StoreError> {
-        let v = JsonValue::parse(s)
-            .map_err(|e| StoreError::Corrupt(format!("local DB snapshot: {e}")))?;
-        LocalDb::from_json(&v)
-            .ok_or_else(|| StoreError::Corrupt("malformed local DB snapshot".to_string()))
     }
 }
 

@@ -1,7 +1,6 @@
 //! Local database records — Table 3 of the paper.
 
 use csaw_censor::blocking::BlockingType;
-use csaw_obs::json::JsonValue;
 use csaw_simnet::time::SimTime;
 use csaw_simnet::topology::Asn;
 use csaw_webproto::url::Url;
@@ -17,27 +16,6 @@ pub enum Status {
     NotBlocked,
     /// Never measured, or the record expired.
     NotMeasured,
-}
-
-impl Status {
-    /// Stable wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Status::Blocked => "Blocked",
-            Status::NotBlocked => "NotBlocked",
-            Status::NotMeasured => "NotMeasured",
-        }
-    }
-
-    /// Inverse of [`Status::name`].
-    pub fn from_name(s: &str) -> Option<Status> {
-        match s {
-            "Blocked" => Some(Status::Blocked),
-            "NotBlocked" => Some(Status::NotBlocked),
-            "NotMeasured" => Some(Status::NotMeasured),
-            _ => None,
-        }
-    }
 }
 
 /// One record of the local database (Table 3): the URL (the index), the
@@ -95,44 +73,6 @@ impl LocalRecord {
         self.stages
             .iter()
             .any(|s| matches!(s.stage(), Stage::Dns | Stage::Ip | Stage::Tls))
-    }
-
-    /// Encode for persistence (the local DB's restart snapshot).
-    pub fn to_json(&self) -> JsonValue {
-        let mut v = JsonValue::obj();
-        v.set("url", self.url.to_string());
-        v.set("asn", self.asn.0);
-        v.set("measured_at_us", self.measured_at.as_micros());
-        v.set("status", self.status.name());
-        v.set(
-            "stages",
-            self.stages
-                .iter()
-                .map(|s| JsonValue::from(s.name()))
-                .collect::<Vec<_>>(),
-        );
-        v
-    }
-
-    /// Decode a persisted record; `None` on any malformed field.
-    pub fn from_json(v: &JsonValue) -> Option<LocalRecord> {
-        let url = Url::parse(v.get("url")?.as_str()?).ok()?;
-        let asn = Asn(v.get("asn")?.as_u64()? as u32);
-        let measured_at = SimTime::from_micros(v.get("measured_at_us")?.as_u64()?);
-        let status = Status::from_name(v.get("status")?.as_str()?)?;
-        let stages = v
-            .get("stages")?
-            .as_arr()?
-            .iter()
-            .map(|s| s.as_str().and_then(BlockingType::from_name))
-            .collect::<Option<Vec<_>>>()?;
-        Some(LocalRecord {
-            url,
-            asn,
-            measured_at,
-            status,
-            stages,
-        })
     }
 }
 

@@ -6,7 +6,6 @@
 //! returns the most specific record on the query's path.
 
 use crate::local::record::LocalRecord;
-use csaw_obs::json::JsonValue;
 use std::collections::HashMap;
 
 /// The root's path: no segments.
@@ -171,36 +170,6 @@ impl PathTrie {
         for child in self.children.values_mut() {
             child.for_each_mut(f);
         }
-    }
-
-    /// Encode for persistence: `{"record": ..., "children": {seg: trie}}`.
-    /// Children serialize in sorted-segment order, so output is
-    /// deterministic regardless of insertion order.
-    pub fn to_json(&self) -> JsonValue {
-        let mut v = JsonValue::obj();
-        match &self.record {
-            Some(r) => v.set("record", r.to_json()),
-            None => v.set("record", JsonValue::Null),
-        }
-        let mut children = JsonValue::obj();
-        for (seg, child) in &self.children {
-            children.set(seg, child.to_json());
-        }
-        v.set("children", children);
-        v
-    }
-
-    /// Decode a persisted trie; `None` on any malformed node.
-    pub fn from_json(v: &JsonValue) -> Option<PathTrie> {
-        let record = match v.get("record")? {
-            JsonValue::Null => None,
-            r => Some(LocalRecord::from_json(r)?),
-        };
-        let mut children = HashMap::new();
-        for (seg, child) in v.get("children")?.as_obj()? {
-            children.insert(seg.clone(), PathTrie::from_json(child)?);
-        }
-        Some(PathTrie { record, children })
     }
 }
 

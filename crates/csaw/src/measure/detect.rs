@@ -71,9 +71,6 @@ pub struct DirectMeasurement {
     pub page_bytes: Option<u64>,
     /// Did phase 1 flag the returned document?
     pub phase1_flagged: bool,
-    /// Was the genuine page obtained via the public-DNS fallback (i.e.
-    /// the local fix already worked during measurement)?
-    pub served_via_gdns: bool,
 }
 
 /// Map an observed failure to the blocking mechanism it evidences.
@@ -170,7 +167,6 @@ fn classify_attempt(
             first.elapsed,
             circ_bytes,
             cfg,
-            false,
         ),
         FetchOutcome::Failed(kind) if is_dns_stage(kind) => {
             // DNS anomaly: detection of the DNS stage happened now; fall
@@ -216,7 +212,6 @@ fn classify_attempt(
                         total,
                         circ_bytes,
                         cfg,
-                        true,
                     );
                     match m.status {
                         MeasuredStatus::Blocked => {
@@ -289,7 +284,6 @@ fn no_page(
         elapsed,
         page_bytes: None,
         phase1_flagged: false,
-        served_via_gdns: false,
     }
 }
 
@@ -305,7 +299,6 @@ pub fn classify_page(
     elapsed: SimDuration,
     circ_bytes: Option<u64>,
     cfg: &DetectConfig,
-    via_gdns: bool,
 ) -> DirectMeasurement {
     let flagged = csaw_blockpage::phase1_markup(html, &cfg.phase1) == Phase1Verdict::BlockPage;
     // With a circumvention copy around, phase 2 has the last word: it
@@ -329,7 +322,6 @@ pub fn classify_page(
         elapsed,
         page_bytes: Some(bytes),
         phase1_flagged: flagged,
-        served_via_gdns: via_gdns,
     }
 }
 
@@ -427,7 +419,6 @@ mod tests {
             "{}",
             m.detection_time
         );
-        assert!(m.served_via_gdns);
         assert!(m.page_bytes.is_some(), "GDNS local fix already delivered");
     }
 
@@ -515,7 +506,7 @@ mod tests {
         assert_eq!(m.status, MeasuredStatus::Blocked);
         assert_eq!(m.stages, vec![BlockingType::DnsHijack]);
         assert!(m.detection_time < SimDuration::from_millis(100));
-        assert!(m.served_via_gdns);
+        assert!(m.page_bytes.is_some(), "GDNS local fix already delivered");
     }
 
     #[test]
@@ -591,7 +582,7 @@ mod tests {
         );
         assert_eq!(m.status, MeasuredStatus::Blocked);
         assert_eq!(m.stages, vec![BlockingType::DnsNxdomain]);
-        assert!(m.served_via_gdns);
+        assert!(m.page_bytes.is_some(), "GDNS local fix already delivered");
     }
 
     #[test]
@@ -607,7 +598,6 @@ mod tests {
             SimDuration::from_millis(500),
             Some(360_000),
             &DetectConfig::default(),
-            false,
         );
         assert_eq!(m.status, MeasuredStatus::Blocked);
         assert_eq!(m.stages, vec![BlockingType::HttpBlockPageInline]);
@@ -624,7 +614,6 @@ mod tests {
             SimDuration::from_millis(300),
             Some(html.len() as u64),
             &DetectConfig::default(),
-            false,
         );
         assert_eq!(m.status, MeasuredStatus::NotBlocked);
         assert!(m.phase1_flagged);

@@ -180,20 +180,11 @@ fn share_the_link(
 /// redundancy shapes: serial pays the full direct measurement before the
 /// copy starts, parallel overlaps it entirely (zero-width detection
 /// leg), and staggered pays exactly the stagger delay. The setup leg is
-/// the copy's connection-establishment step; the transfer leg is the
+/// the copy's TCP connect time; the transfer leg is the
 /// remainder, so the three children always sum to the root PLT exactly.
 fn emit_redundant_tree(ctx: &FetchCtx, url: &Url, circ_name: &str, out: &RedundantOutcome) {
     use crate::tracing::FetchBreakdown;
     let start_us = ctx.now.as_micros();
-    let copy_connect = |c: &FetchReport| {
-        c.trace
-            .iter()
-            .find_map(|s| match s {
-                csaw_circumvent::fetch::Step::Connect { elapsed, .. } => Some(*elapsed),
-                _ => None,
-            })
-            .unwrap_or(SimDuration::ZERO)
-    };
     let (b, transport) = match (out.served_from, out.user_plt, &out.circumvention) {
         (ServedFrom::Direct, Some(plt), _) => (
             FetchBreakdown::served(plt, SimDuration::ZERO, SimDuration::ZERO),
@@ -201,7 +192,7 @@ fn emit_redundant_tree(ctx: &FetchCtx, url: &Url, circ_name: &str, out: &Redunda
         ),
         (ServedFrom::Circumvention | ServedFrom::CircumventionAfterRefresh, Some(plt), c) => {
             let copy = c.as_ref().map(|c| c.elapsed).unwrap_or(SimDuration::ZERO);
-            let setup = c.as_ref().map(copy_connect).unwrap_or(SimDuration::ZERO);
+            let setup = c.as_ref().map(|c| c.connect).unwrap_or(SimDuration::ZERO);
             (
                 FetchBreakdown::served(plt, plt.saturating_sub(copy), setup),
                 circ_name,
@@ -451,7 +442,7 @@ mod tests {
                         csaw_circumvent::outcome::FailureKind::TransportUnavailable,
                     ),
                     elapsed: SimDuration::from_secs(5),
-                    trace: Vec::new(),
+                    connect: SimDuration::ZERO,
                     resource_failures: Vec::new(),
                 }
             }
@@ -495,7 +486,7 @@ mod tests {
                         csaw_circumvent::outcome::FailureKind::HttpGetTimeout,
                     ),
                     elapsed: SimDuration::from_secs(30),
-                    trace: Vec::new(),
+                    connect: SimDuration::ZERO,
                     resource_failures: Vec::new(),
                 }
             }
@@ -539,7 +530,7 @@ mod tests {
                         csaw_circumvent::outcome::FailureKind::HttpGetTimeout,
                     ),
                     elapsed: SimDuration::from_secs(30),
-                    trace: Vec::new(),
+                    connect: SimDuration::ZERO,
                     resource_failures: Vec::new(),
                 }
             }

@@ -4,8 +4,9 @@
 //! network essentials and run against the localhost testbed: browsers
 //! connect to it, every host's first visit triggers **redundant
 //! requests** (direct path through the censoring middlebox,
-//! circumvention path straight to the origin), the direct response
-//! passes through the simulated client's 2-phase detector
+//! circumvention path straight to the origin; a POST, which must not
+//! reach the origin twice, takes the direct path alone), the direct
+//! response passes through the simulated client's 2-phase detector
 //! ([`classify_page`]), and the user is served the best copy.
 //!
 //! The proxy keeps no books of its own. Its verdicts live in the
@@ -203,7 +204,6 @@ fn detect(direct: &Response, clean: Option<&Response>) -> Vec<BlockingType> {
         SimDuration::ZERO,
         clean.map(|c| c.body.len() as u64),
         &DetectConfig::default(),
-        false,
     )
     .stages
 }
@@ -252,6 +252,12 @@ fn serve_url(state: &ProxyState, host: &str, url: &Url, req: &Request) -> Respon
         .local_db
         .lookup(url, obs_now())
         .status;
+    // A request that must not reach the origin twice (a POST) is never
+    // raced: an unmeasured host takes the single-path road instead.
+    let status = match status {
+        Status::NotMeasured if !req.method.safe_to_duplicate() => Status::NotBlocked,
+        status => status,
+    };
     match status {
         Status::Blocked => {
             // Known blocked: circumvention path only.

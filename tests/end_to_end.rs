@@ -635,40 +635,6 @@ fn failed_fixes_teach_missing_stages() {
     );
 }
 
-/// Client restart: the local DB persists through its JSON snapshot
-/// format (the paper's client survives restarts with its measurements
-/// intact) and the revived DB serves lookups identically.
-#[test]
-fn local_db_survives_restart_via_serde() {
-    let world = youtube_world(profiles::isp_a(), profiles::ISP_A_ASN);
-    let mut c = CsawClient::new(CsawConfig::default(), Some("cdn-front.example"), 51);
-    let yt = url("http://www.youtube.com/");
-    c.request(&world, &yt, SimTime::from_secs(10));
-    assert_eq!(
-        c.local_db.lookup(&yt, SimTime::from_secs(20)).status,
-        Status::Blocked
-    );
-
-    // "Shut down": serialize the DB; "restart": deserialize into a
-    // fresh one.
-    let saved = c.local_db.to_json_string();
-    let revived: LocalDb = LocalDb::from_json_str(&saved).expect("local_db deserializes");
-    assert_eq!(revived.record_count(), c.local_db.record_count());
-    let l = revived.lookup(&yt, SimTime::from_secs(20));
-    assert_eq!(l.status, Status::Blocked);
-    assert_eq!(
-        l.record.unwrap().stages,
-        c.local_db
-            .lookup(&yt, SimTime::from_secs(20))
-            .record
-            .unwrap()
-            .stages
-    );
-    // Expiry semantics survive the round trip too.
-    let after_ttl = SimTime::from_secs(20) + revived.ttl + SimDuration::from_secs(1);
-    assert_eq!(revived.lookup(&yt, after_ttl).status, Status::NotMeasured);
-}
-
 /// Scheduler stress: 100k events with interleaved re-scheduling stay
 /// ordered and deterministic.
 #[test]

@@ -16,7 +16,7 @@ use csaw_simnet::time::SimTime;
 use csaw_simnet::topology::Asn;
 use csaw_webproto::bytes::BytesMut;
 use csaw_webproto::codec::{read_response, write_request};
-use csaw_webproto::http::{Request, Response};
+use csaw_webproto::http::{Method, Request, Response};
 use csaw_webproto::url::Url;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -311,6 +311,25 @@ fn measurements_are_stamped_on_the_obs_clock() {
     clock.set_us((now + ttl).as_micros());
     browse(&tb.proxy, "blocked.test");
     assert_eq!(ctx.registry.counter("proxy.redundant_requests").get(), 2);
+}
+
+#[test]
+fn a_post_is_never_sent_down_both_paths() {
+    // §4.3.1: a request that is not safe to duplicate takes one path,
+    // even to a host never measured; a GET to such a host races both.
+    let ctx = Arc::new(csaw_obs::scope::ObsCtx::new());
+    let _g = csaw_obs::scope::install(ctx.clone());
+    let tb = testbed();
+    let redundant = || ctx.registry.counter("proxy.redundant_requests").get();
+    let mut s = TcpStream::connect(tb.proxy.addr).unwrap();
+    let mut post = Request::get(&Url::parse("http://clean.test/").unwrap());
+    post.method = Method::Post;
+    write_request(&mut s, &post).unwrap();
+    let r = read_response(&mut s, &mut BytesMut::new()).unwrap();
+    assert_eq!(r.status, 200);
+    assert_eq!(redundant(), 0, "the POST reached the origin twice");
+    browse(&tb.proxy, "blocked.test");
+    assert_eq!(redundant(), 1);
 }
 
 #[test]
