@@ -258,7 +258,10 @@ mod tests {
                 dns += 1;
             } else if ip.is_active() {
                 tcp += 1;
-            } else if http.serves_block_page() {
+            } else if matches!(
+                http,
+                HttpAction::BlockPageRedirect | HttpAction::BlockPageInline
+            ) {
                 bp += 1;
             }
         }

@@ -38,8 +38,9 @@ fn snapshot_medians_match_table5() {
     let med = |name: &str| {
         ctx.registry
             .histogram(name)
-            .median_secs()
-            .unwrap_or_else(|| panic!("no samples in {name}"))
+            .p50_us()
+            .unwrap_or_else(|| panic!("no samples in {name}")) as f64
+            / 1e6
     };
     // Paper's Table 5 values, with the tolerance EXPERIMENTS.md allows
     // (histogram buckets quantize to ~0.4% on top of the simulation).

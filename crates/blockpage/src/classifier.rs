@@ -166,7 +166,7 @@ pub fn detect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{corpus_47, real_pages};
+    use crate::corpus::{corpus_47, real_pages, Family};
 
     /// The headline claim of §4.3.1: ~80% of the 47-ISP corpus is caught
     /// in phase 1.
@@ -207,7 +207,7 @@ mod tests {
             let got = phase1_html(&s.html, &cfg) == Phase1Verdict::BlockPage;
             assert_eq!(
                 got,
-                s.phase1_catchable(),
+                s.family != Family::PortalStyle,
                 "{} ({:?}): phase1={}",
                 s.isp,
                 s.family,
@@ -282,7 +282,7 @@ mod tests {
         let real_size = 360_000u64;
         for s in corpus_47() {
             let d = detect(&s.html, s.len() as u64, real_size, &p1, &p2);
-            if s.phase1_catchable() {
+            if s.family != Family::PortalStyle {
                 assert_eq!(d, Detection::ConfirmedBlockPage, "{}", s.isp);
             } else {
                 // Portal pages sail through phase 1 — the redundant-copy

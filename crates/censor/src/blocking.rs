@@ -78,14 +78,6 @@ impl HttpAction {
     pub fn is_active(self) -> bool {
         !matches!(self, HttpAction::None)
     }
-
-    /// Does this action deliver a block page (by any mechanism)?
-    pub fn serves_block_page(self) -> bool {
-        matches!(
-            self,
-            HttpAction::BlockPageRedirect | HttpAction::BlockPageInline
-        )
-    }
 }
 
 /// What a censor does to a TLS flow, keyed on the plaintext SNI.
@@ -335,14 +327,6 @@ mod tests {
         assert!(HttpAction::Drop.is_active());
         assert!(!TlsAction::None.is_active());
         assert!(TlsAction::Drop.is_active());
-    }
-
-    #[test]
-    fn block_page_actions() {
-        assert!(HttpAction::BlockPageRedirect.serves_block_page());
-        assert!(HttpAction::BlockPageInline.serves_block_page());
-        assert!(!HttpAction::Drop.serves_block_page());
-        assert!(!HttpAction::None.serves_block_page());
     }
 
     #[test]

@@ -190,7 +190,7 @@ mod tests {
         let mix = &figure2_mixtures()[0]; // Yemen
         let domains: Vec<String> = (0..100).map(|i| format!("site{i}.ye")).collect();
         let pol = policy_from_mixture(mix, &domains);
-        assert_eq!(pol.rule_count(), 100);
+        assert_eq!(pol.rules().len(), 100);
         // Count mechanisms: NoHttpResp should dominate for Yemen (0.60).
         let mut rng = DetRng::new(1);
         let mut http_drop = 0;

@@ -294,11 +294,6 @@ impl CensorPolicy {
         self
     }
 
-    /// Number of rules installed.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Iterate over rules (read-only).
     pub fn rules(&self) -> &[CensorRule] {
         &self.rules
@@ -328,12 +323,6 @@ impl CensorPolicy {
         .map(|i| &self.rules[i])
     }
 
-    /// Whether any rule targets traffic that could involve `name`.
-    pub fn censors_name(&self, name: &str, category: Option<Category>) -> bool {
-        let seen = Visible::name(name, category);
-        self.candidates(&seen.name).any(|r| seen.matches(&r.target))
-    }
-
     /// Compile host-level rules into an IP blacklist using the
     /// deployment's resolver. Call once after the world's addresses are
     /// assigned. `resolve` maps a hostname to its true address(es).
@@ -352,11 +341,6 @@ impl CensorPolicy {
                 }
             }
         }
-    }
-
-    /// Is the address on the compiled IP blacklist?
-    pub fn ip_blacklisted(&self, ip: Ipv4Addr) -> bool {
-        self.ip_blacklist.contains(&ip)
     }
 
     // --- middlebox decision points -------------------------------------
@@ -568,7 +552,6 @@ mod tests {
     /// `name` / `http_url`.
     fn stages_fire(mut pol: CensorPolicy, name: &str, http_url: &str) {
         let mut r = rng();
-        assert!(pol.censors_name(name, None));
         assert_eq!(pol.on_dns_query(name, None, &mut r), DnsTamper::Nxdomain);
         assert_eq!(pol.on_tls_hello(Some(name), None, &mut r), TlsAction::Rst);
         assert_eq!(pol.on_udp_flow(name, None, &mut r), UdpAction::Drop);
@@ -612,7 +595,6 @@ mod tests {
         pol.materialize_ips(&[("blocked.com".to_string(), None)], |h| {
             (h == "blocked.com").then_some(addr)
         });
-        assert!(pol.ip_blacklisted(addr));
         assert_eq!(pol.on_tcp_connect(addr, &mut r), IpAction::Drop);
     }
 
@@ -686,15 +668,5 @@ mod tests {
             pol.on_http_request(&url("http://a.com/"), None, &mut r),
             HttpAction::Rst
         );
-    }
-
-    #[test]
-    fn censors_name_probe() {
-        let pol = CensorPolicy::new("isp").with_rule(
-            CensorRule::target(TargetMatcher::DomainSuffix("bad.org".into()))
-                .http(HttpAction::Drop),
-        );
-        assert!(pol.censors_name("www.bad.org", None));
-        assert!(!pol.censors_name("good.org", None));
     }
 }

@@ -607,7 +607,7 @@ mod tests {
         assert_eq!(r.genuine_plt(), Some(r.elapsed));
         let blocked = Url::parse("http://www.youtube.com/").unwrap();
         let r = direct_like_fetch(&w, &p, &blocked, &opts, &mut rng);
-        assert!(r.outcome.is_page());
+        assert!(r.outcome.page().is_some());
         assert_eq!(r.genuine_plt(), None, "a block page is not a load");
         let failed = FetchReport::failed(FailureKind::HttpGetTimeout, SimDuration::from_secs(30));
         assert_eq!(failed.genuine_plt(), None);
@@ -639,10 +639,16 @@ mod tests {
     /// none.
     fn cdn_pages() -> (WebPage, WebPage) {
         let url = |path: &str| Url::parse(&format!("http://media.example{path}")).unwrap();
-        let cdn = Url::parse("http://cdn.example/").unwrap();
+        let on_cdn = |mut page: WebPage, n: usize| {
+            let start = page.resources.len() - n;
+            for (i, r) in page.resources[start..].iter_mut().enumerate() {
+                r.url = Url::parse(&format!("http://cdn.example/static/r{i}.bin")).unwrap();
+            }
+            page
+        };
         (
-            WebPage::synthetic(url("/"), 60_000, 8).with_cdn_resources(&cdn, 3),
-            WebPage::synthetic(url("/cdn-only"), 60_000, 8).with_cdn_resources(&cdn, 8),
+            on_cdn(WebPage::synthetic(url("/"), 60_000, 8), 3),
+            on_cdn(WebPage::synthetic(url("/cdn-only"), 60_000, 8), 8),
         )
     }
 
@@ -651,7 +657,7 @@ mod tests {
     fn cdn_world(policy: csaw_censor::CensorPolicy) -> (World, Provider) {
         let (mixed, cdn_only) = cdn_pages();
         let bare_url = Url::parse("http://media.example/bare").unwrap();
-        let bare = WebPage::simple(bare_url, mixed.html_bytes);
+        let bare = WebPage::synthetic(bare_url, mixed.html_bytes, 0);
         let provider = Provider::new(Asn(2), "isp");
         let w = World::builder(AccessNetwork::single(provider.clone()))
             .site(

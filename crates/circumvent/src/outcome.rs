@@ -91,11 +91,6 @@ pub enum FetchOutcome {
 }
 
 impl FetchOutcome {
-    /// Did we get a document (any document)?
-    pub fn is_page(&self) -> bool {
-        matches!(self, FetchOutcome::Page(_))
-    }
-
     /// The page result, if any.
     pub fn page(&self) -> Option<&PageResult> {
         match self {
@@ -131,11 +126,10 @@ mod tests {
             truth_block_page: false,
             redirected: false,
         });
-        assert!(p.is_page());
+        assert!(p.page().is_some());
         assert!(p.is_genuine_page());
         assert!(p.failure().is_none());
         let f = FetchOutcome::Failed(FailureKind::ConnectTimeout);
-        assert!(!f.is_page());
         assert_eq!(f.failure(), Some(FailureKind::ConnectTimeout));
         assert!(f.page().is_none());
     }
@@ -148,7 +142,7 @@ mod tests {
             truth_block_page: true,
             redirected: true,
         });
-        assert!(bp.is_page());
+        assert!(bp.page().is_some());
         assert!(!bp.is_genuine_page());
     }
 

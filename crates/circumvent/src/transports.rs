@@ -334,13 +334,6 @@ pub struct Vpn {
     pub site: Site,
 }
 
-impl Vpn {
-    /// A VPN exiting at the given location.
-    pub fn exit_at(site: Site) -> Vpn {
-        Vpn { site }
-    }
-}
-
 impl Transport for Vpn {
     fn name(&self) -> &str {
         "vpn"
@@ -487,7 +480,9 @@ mod tests {
         );
         let p = proxy.fetch(&w, &ctx, &url, &mut rng);
         assert!(p.outcome.is_genuine_page());
-        let mut vpn = Vpn::exit_at(Site::in_region(Region::Germany));
+        let mut vpn = Vpn {
+            site: Site::in_region(Region::Germany),
+        };
         let v = vpn.fetch(&w, &ctx, &url, &mut rng);
         assert!(v.outcome.is_genuine_page());
         // Both slower than an uncensored direct fetch would be.
@@ -594,7 +589,10 @@ mod tests {
             TransportKind::Relay
         );
         assert_eq!(
-            Vpn::exit_at(Site::in_region(Region::Japan)).kind(),
+            Vpn {
+                site: Site::in_region(Region::Japan)
+            }
+            .kind(),
             TransportKind::Relay
         );
     }

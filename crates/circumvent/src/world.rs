@@ -304,11 +304,6 @@ impl World {
         self.censors.insert(asn, policy);
     }
 
-    /// Remove a censor policy (unblocking events).
-    pub fn remove_censor(&mut self, asn: Asn) {
-        self.censors.remove(&asn);
-    }
-
     /// The site category visible to a censor for `name` (censors classify
     /// by destination, which we model as the site's own category tag).
     fn category_of(&self, name: &str) -> Option<Category> {
@@ -778,12 +773,6 @@ impl WorldBuilder {
         self
     }
 
-    /// Use specific block-page markup for an AS.
-    pub fn block_page(mut self, asn: Asn, html: String) -> Self {
-        self.world.block_pages.insert(asn, html.into());
-        self
-    }
-
     /// Finish: compile censor IP blacklists and default block pages.
     pub fn build(mut self) -> World {
         for (asn, policy) in std::mem::take(&mut self.world.censors) {
@@ -959,7 +948,7 @@ mod tests {
         let (w, p) = test_world(profiles::isp_b(), profiles::ISP_B_ASN);
         let mut rng = DetRng::new(3);
         let (o, t) = w.tcp_connect(&p, profiles::isp_b_dns_sinkhole(), &mut rng);
-        assert!(!o.is_established());
+        assert!(!matches!(o, ConnectOutcome::Established { .. }));
         assert_eq!(t, SimDuration::from_secs(21));
     }
 
@@ -1067,7 +1056,7 @@ mod tests {
         let mut rng = DetRng::new(9);
         let ip = w.resolve_true("example.com").unwrap();
         let (o, _) = w.tcp_connect(&p, ip, &mut rng);
-        assert!(o.is_established());
+        assert!(matches!(o, ConnectOutcome::Established { .. }));
         // Now block example.com at the IP layer.
         let pol = profiles::single_mechanism(
             "evt",
@@ -1079,7 +1068,7 @@ mod tests {
         );
         w.install_censor(Asn(42), pol);
         let (o, t) = w.tcp_connect(&p, ip, &mut rng);
-        assert!(!o.is_established());
+        assert!(!matches!(o, ConnectOutcome::Established { .. }));
         assert_eq!(t, SimDuration::from_secs(21));
     }
 

@@ -39,7 +39,11 @@ const NOT_BY_IP: [&str; 4] = ["plain.example", "legacy.example", "www.youtube.co
 fn world(asn: Asn, policy: CensorPolicy, public_dns_intercepted: bool) -> (World, FetchCtx) {
     let provider = Provider::new(asn, "isp");
     let media_url = Url::parse(&format!("http://{MEDIA}/")).unwrap();
-    let cdn_base = Url::parse(&format!("http://{CDN}/")).unwrap();
+    // The last three of its eight resources live on the CDN.
+    let mut media = WebPage::synthetic(media_url, 12_000, 8);
+    for (i, r) in media.resources[5..].iter_mut().enumerate() {
+        r.url = Url::parse(&format!("http://{CDN}/static/r{i}.bin")).unwrap();
+    }
     let mut w = World::builder(AccessNetwork::single(provider.clone()))
         // A same-host page.
         .site(
@@ -51,7 +55,7 @@ fn world(asn: Asn, policy: CensorPolicy, public_dns_intercepted: bool) -> (World
                 .category(csaw_censor::Category::Social)
                 .frontable(true)
                 .serves_by_ip(true)
-                .page(WebPage::synthetic(media_url, 12_000, 8).with_cdn_resources(&cdn_base, 3)),
+                .page(media),
         )
         .site(SiteSpec::new(CDN, Site::in_region(Region::Netherlands)))
         // An HTTPS-less origin.

@@ -564,7 +564,7 @@ mod tests {
         let r = c.request(&w, &url, SimTime::from_secs(1));
         assert_eq!(r.status_after, Status::Blocked);
         // Unblock and request again: the p=1 probe sees the clean path.
-        w.remove_censor(Asn(9));
+        w.install_censor(Asn(9), csaw_censor::clean());
         let r = c.request(&w, &url, SimTime::from_secs(100));
         assert_eq!(
             r.status_after,

@@ -35,8 +35,8 @@ pub use report_queue::WireFault;
 
 use crate::config::{CsawConfig, UserPreference};
 use crate::global::{
-    Batch, ConfidenceFilter, GlobalApi, IngestReceipt, RegistrationError, Report, StoreError,
-    SubmitError, SubmitReceipt, Uuid,
+    Batch, GlobalApi, IngestReceipt, RegistrationError, StoreError, SubmitError, SubmitReceipt,
+    Uuid,
 };
 use crate::local::{LocalDb, Status};
 use crate::multihoming::{MultihomingManager, PerProviderBlocking, ASN_PROBE_INTERVAL};
@@ -188,12 +188,6 @@ impl CsawClient {
     /// vs. "C-Saw with Tor" in Fig. 7c).
     pub fn with_transports(mut self, transports: Vec<Box<dyn Transport + Send>>) -> CsawClient {
         self.fetch.set_transports(&self.cfg, transports);
-        self
-    }
-
-    /// Use a stricter confidence filter when consuming the global DB.
-    pub fn with_confidence(mut self, f: ConfidenceFilter) -> CsawClient {
-        self.view.set_confidence(f);
         self
     }
 
@@ -369,12 +363,6 @@ impl CsawClient {
     /// Reports still waiting for a successful post.
     pub fn pending_reports(&self) -> usize {
         self.reports.pending()
-    }
-
-    /// Reports pulled aside as undeliverable — kept for audit, counted
-    /// in [`ClientStats::reports_quarantined`].
-    pub fn quarantined_reports(&self) -> &[Report] {
-        self.reports.quarantined()
     }
 
     /// The accounting identity, which must hold at every quiescent

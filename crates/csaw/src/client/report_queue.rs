@@ -67,10 +67,6 @@ pub(super) struct ReportQueue {
     /// The mechanism set last queued per (URL, AS): an observation that
     /// repeats it is not queued again.
     reported: HashMap<(String, u32), Vec<BlockingType>>,
-    /// Reports pulled out of the queue because they can never be
-    /// delivered: the server permanently rejected them. Kept for audit
-    /// rather than dropped.
-    quarantined: Vec<Report>,
     /// Consecutive failed post attempts (resets on success).
     post_failstreak: u32,
     /// Earliest time the next post attempt may run (exponential
@@ -93,7 +89,6 @@ impl ReportQueue {
         ReportQueue {
             queue: Vec::new(),
             reported: HashMap::new(),
-            quarantined: Vec::new(),
             post_failstreak: 0,
             next_report_at: None,
             backoff_rng: DetRng::new(seed).fork("report-backoff"),
@@ -106,11 +101,6 @@ impl ReportQueue {
     /// Reports still waiting for a successful post.
     pub(super) fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Reports pulled aside as undeliverable.
-    pub(super) fn quarantined(&self) -> &[Report] {
-        &self.quarantined
     }
 
     /// When the next post attempt may run, if backoff is armed.
@@ -230,11 +220,10 @@ impl ReportQueue {
     }
 
     /// Pull one report out of the queue for good: it can never be
-    /// delivered. Kept for audit rather than dropped.
+    /// delivered. Counted and traced, not kept.
     fn quarantine(&mut self, stats: &mut ClientStats, r: Report) {
         stats.reports_quarantined += 1;
         csaw_obs::event!("report.quarantine", asn = r.asn as u64);
-        self.quarantined.push(r);
     }
 
     /// Split the posted queue according to the server's per-report
@@ -625,7 +614,6 @@ mod tests {
         assert_eq!(c.stats.reports_requeued, 1);
         assert_eq!(c.pending_reports(), 1, "only the deferred report re-queued");
         assert_eq!(c.reports.queue[0].url, "http://c.example/");
-        assert_eq!(c.quarantined_reports()[0].url, "http://b.example/");
         accounting_holds(&c);
     }
 

@@ -32,7 +32,6 @@ thread_local! {
 #[derive(Debug, Default)]
 pub(super) struct SyncView {
     view: HashMap<String, Vec<BlockingType>>,
-    confidence: ConfidenceFilter,
     last_sync: Option<SimTime>,
 }
 
@@ -61,11 +60,6 @@ fn dedup(mut stages: Vec<BlockingType>) -> Vec<BlockingType> {
 }
 
 impl SyncView {
-    /// Use a stricter confidence filter for subsequent pulls.
-    pub(super) fn set_confidence(&mut self, f: ConfidenceFilter) {
-        self.confidence = f;
-    }
-
     /// Blocking stages the view reports for a URL, if any.
     pub(super) fn lookup(&self, url: &Url) -> Option<&Vec<BlockingType>> {
         LOOKUP_KEY.with_borrow_mut(|key| {
@@ -97,7 +91,7 @@ impl SyncView {
     ) -> Result<usize, StoreError> {
         let mut lists = Vec::with_capacity(asns.len());
         for asn in asns {
-            match server.blocked_for_as(*asn, &self.confidence) {
+            match server.blocked_for_as(*asn, &ConfidenceFilter::default()) {
                 Ok(recs) => lists.push(recs),
                 Err(e) => {
                     stats.sync_failures += 1;
@@ -351,10 +345,13 @@ mod tests {
         // Downloads fail between t=100s and t=200s.
         let faulty = Arc::new(FaultyBackend::new(
             inner,
-            FaultProfile::none().with_download_outages(OutageSchedule::from_windows(vec![(
-                SimTime::from_secs(100),
-                SimTime::from_secs(200),
-            )])),
+            FaultProfile {
+                download_outages: Some(OutageSchedule::from_windows(vec![(
+                    SimTime::from_secs(100),
+                    SimTime::from_secs(200),
+                )])),
+                ..FaultProfile::none()
+            },
             23,
         ));
         let server = ServerDb::builder(23)

@@ -105,11 +105,6 @@ impl CollectorSet {
         }
     }
 
-    /// How many collectors are currently reachable?
-    pub fn reachable_count(&self) -> usize {
-        self.collectors.iter().filter(|c| c.reachable).count()
-    }
-
     /// Submit a batch: collectors are tried in a random order (clients
     /// spreading load, and not all hammering the same first entry), with
     /// failover past blocked ones. A blocked attempt costs a timeout
@@ -196,7 +191,6 @@ mod tests {
         let mut set = CollectorSet::default_set();
         set.set_reachable("collector-a.onion", false);
         set.set_reachable("collector-b.onion", false);
-        assert_eq!(set.reachable_count(), 1);
         let mut rng = DetRng::new(2);
         let r = set
             .submit(

@@ -102,37 +102,55 @@ pub fn audit(ledger: &VoteLedger, cfg: &ReputationConfig) -> Vec<Flag> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global::{Batch, Report, ShardedStore, StorageBackend};
+    use csaw_censor::blocking::BlockingType;
+    use csaw_simnet::time::SimTime;
     use csaw_simnet::topology::Asn;
 
     fn uuid(n: u64) -> Uuid {
         Uuid::from_raw(n)
     }
 
-    fn honest_population(ledger: &VoteLedger, n_clients: u64, shared_urls: usize) {
+    /// `client` reports `urls` through the store's ingest path.
+    fn vote(s: &ShardedStore, client: Uuid, urls: impl IntoIterator<Item = (String, Asn)>) {
+        let reports = urls
+            .into_iter()
+            .map(|(url, asn)| Report {
+                url,
+                asn: asn.0,
+                measured_at_us: 1,
+                stages: vec![BlockingType::HttpDrop],
+            })
+            .collect();
+        s.ingest(&Batch::new(client, reports, SimTime::ZERO))
+            .unwrap();
+    }
+
+    fn honest_population(s: &ShardedStore, n_clients: u64, shared_urls: usize) {
         for c in 0..n_clients {
             let urls: Vec<(String, Asn)> = (0..shared_urls)
                 .map(|i| (format!("http://popular-{i}.example/"), Asn(1)))
                 .collect();
-            ledger.add_client_urls(uuid(c), urls);
+            vote(s, uuid(c), urls);
         }
     }
 
     #[test]
     fn honest_population_unflagged() {
-        let l = VoteLedger::new();
-        honest_population(&l, 20, 10);
-        assert!(audit(&l, &ReputationConfig::default()).is_empty());
+        let s = ShardedStore::new(16).unwrap();
+        honest_population(&s, 20, 10);
+        assert!(audit(s.ledger(), &ReputationConfig::default()).is_empty());
     }
 
     #[test]
     fn spammer_flagged_and_evidence_recorded() {
-        let l = VoteLedger::new();
-        honest_population(&l, 20, 10);
+        let s = ShardedStore::new(16).unwrap();
+        honest_population(&s, 20, 10);
         let fakes: Vec<(String, Asn)> = (0..500)
             .map(|i| (format!("http://fake-{i}.example/"), Asn(1)))
             .collect();
-        l.add_client_urls(uuid(999), fakes);
-        let flags = audit(&l, &ReputationConfig::default());
+        vote(&s, uuid(999), fakes);
+        let flags = audit(s.ledger(), &ReputationConfig::default());
         assert_eq!(flags.len(), 1);
         let f = &flags[0];
         assert_eq!(f.client, uuid(999));
@@ -143,8 +161,8 @@ mod tests {
 
     #[test]
     fn eager_but_corroborated_reporter_safe() {
-        let l = VoteLedger::new();
-        honest_population(&l, 20, 10);
+        let s = ShardedStore::new(16).unwrap();
+        honest_population(&s, 20, 10);
         // A power user reports 80 URLs — but they're all popular censored
         // URLs that at least one other client also reports.
         let mut urls: Vec<(String, Asn)> = (0..80)
@@ -152,10 +170,10 @@ mod tests {
             .collect();
         // One witness each from scattered second reporters.
         for (i, (u, a)) in urls.iter().enumerate() {
-            l.add_client_urls(uuid(100 + (i % 5) as u64), [(u.clone(), *a)]);
+            vote(&s, uuid(100 + (i % 5) as u64), [(u.clone(), *a)]);
         }
-        l.add_client_urls(uuid(42), urls.drain(..));
-        let flags = audit(&l, &ReputationConfig::default());
+        vote(&s, uuid(42), urls.drain(..));
+        let flags = audit(s.ledger(), &ReputationConfig::default());
         assert!(
             flags.iter().all(|f| f.client != uuid(42)),
             "corroborated power user must not be flagged: {flags:?}"
@@ -164,8 +182,8 @@ mod tests {
 
     #[test]
     fn colluding_clique_caught_member_by_member() {
-        let l = VoteLedger::new();
-        honest_population(&l, 30, 8);
+        let s = ShardedStore::new(16).unwrap();
+        honest_population(&s, 30, 8);
         // Five colluders each spray the same 400 fakes: they corroborate
         // each other (n = 5 per fake), but every member is volume-
         // anomalous AND... corroborated. The volume test alone flags
@@ -175,24 +193,24 @@ mod tests {
             let fakes: Vec<(String, Asn)> = (0..400)
                 .map(|i| (format!("http://clique-{i}.example/"), Asn(1)))
                 .collect();
-            l.add_client_urls(uuid(500 + c), fakes);
+            vote(&s, uuid(500 + c), fakes);
         }
         let cfg = ReputationConfig {
             min_witnesses: 6, // above the clique size
             ..ReputationConfig::default()
         };
-        let flags = audit(&l, &cfg);
+        let flags = audit(s.ledger(), &cfg);
         assert_eq!(flags.len(), 5, "{flags:?}");
     }
 
     #[test]
     fn tiny_population_is_never_audited() {
-        let l = VoteLedger::new();
-        l.add_client_urls(uuid(1), [("http://x.example/".to_string(), Asn(1))]);
+        let s = ShardedStore::new(16).unwrap();
+        vote(&s, uuid(1), [("http://x.example/".to_string(), Asn(1))]);
         let fakes: Vec<(String, Asn)> = (0..900)
             .map(|i| (format!("http://f{i}.example/"), Asn(1)))
             .collect();
-        l.add_client_urls(uuid(2), fakes);
-        assert!(audit(&l, &ReputationConfig::default()).is_empty());
+        vote(&s, uuid(2), fakes);
+        assert!(audit(s.ledger(), &ReputationConfig::default()).is_empty());
     }
 }

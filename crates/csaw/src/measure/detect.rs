@@ -590,7 +590,7 @@ mod tests {
         // Portal-style block page: phase 1 clears it, size comparison
         // against the circumvention copy does not.
         let portal = &csaw_blockpage::corpus_47()[40]; // a PortalStyle entry
-        assert!(!portal.phase1_catchable());
+        assert_eq!(portal.family, csaw_blockpage::Family::PortalStyle);
         let m = classify_page(
             portal.len() as u64,
             &portal.html.as_str().into(),

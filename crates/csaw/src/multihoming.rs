@@ -80,14 +80,6 @@ impl PerProviderBlocking {
         }
     }
 
-    /// Mechanisms observed for a URL through one provider.
-    pub fn for_provider(&self, url_key: &str, asn: Asn) -> &[BlockingType] {
-        self.stages
-            .get(&(url_key.to_string(), asn))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// The *strict* mechanism set for a URL: the union across providers.
     /// A circumvention approach chosen against the union works no matter
     /// which ISP the flow lands on.
@@ -99,11 +91,6 @@ impl PerProviderBlocking {
             }
         }
         set.into_iter().collect()
-    }
-
-    /// Number of providers with observations for a URL.
-    pub fn provider_count(&self, url_key: &str) -> usize {
-        self.stages.keys().filter(|(u, _)| u == url_key).count()
     }
 }
 
@@ -165,7 +152,7 @@ mod tests {
         p.record("http://y.com/", Asn(1), &[BlockingType::SniDrop]);
         p.record("http://y.com/", Asn(2), &[]);
         assert_eq!(p.strict_union("http://y.com/"), vec![BlockingType::SniDrop]);
-        assert_eq!(p.provider_count("http://y.com/"), 2);
+        assert_eq!(p.stages.len(), 2, "both providers observed");
         // Different URL untouched.
         assert!(p.strict_union("http://z.com/").is_empty());
     }
@@ -191,6 +178,6 @@ mod tests {
         let mut p = PerProviderBlocking::new();
         p.record("k", Asn(1), &[BlockingType::HttpDrop]);
         p.record("k", Asn(1), &[BlockingType::HttpDrop]);
-        assert_eq!(p.for_provider("k", Asn(1)).len(), 1);
+        assert_eq!(p.stages[&("k".to_string(), Asn(1))].len(), 1);
     }
 }

@@ -56,28 +56,20 @@
 //! ## Example
 //!
 //! Spawn a server over a fresh in-memory DB and query it over a real
-//! socket:
+//! socket through the pooled client, `csaw::global::RemoteDb`:
 //!
 //! ```
-//! use csaw::global::ServerDb;
+//! use csaw::global::{GlobalApi, RemoteDb, ServerDb};
 //! use csaw_dbserver::{spawn_dbserver, DbServerConfig};
-//! use csaw_store::net::{DbRequest, DbResponse};
 //! use csaw_store::ConfidenceFilter;
 //! use csaw_simnet::topology::Asn;
-//! use csaw_webproto::bytes::BytesMut;
-//! use csaw_webproto::codec::{read_frame, write_frame};
-//! use std::net::TcpStream;
 //! use std::sync::Arc;
 //!
 //! let server = Arc::new(ServerDb::builder(1).build()?);
 //! let handle = spawn_dbserver(server, DbServerConfig::default())?;
-//! let mut stream = TcpStream::connect(handle.addr())?;
-//! let req = DbRequest::Blocked { asn: Asn(1), filter: ConfidenceFilter::default() };
-//! write_frame(&mut stream, &req.to_frame())?;
-//! let mut buf = BytesMut::new();
-//! let frame = read_frame(&mut stream, &mut buf)?.expect("server must respond");
-//! let resp = DbResponse::from_frame(&frame)?;
-//! assert!(matches!(resp, DbResponse::Records(ref r) if r.is_empty()));
+//! let remote = RemoteDb::new(handle.addr());
+//! let records = remote.blocked_for_as(Asn(1), &ConfidenceFilter::default())?;
+//! assert!(records.is_empty());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -464,7 +456,7 @@ mod tests {
     use csaw_simnet::topology::Asn;
     use csaw_store::net::op;
     use csaw_store::{ConfidenceFilter, Report, Uuid};
-    use csaw_webproto::codec::{read_frame, write_frame};
+    use csaw_webproto::codec::{read_some, write_frame};
     use std::io::Read;
 
     fn permissive_server() -> Arc<ServerDb> {
@@ -481,9 +473,22 @@ mod tests {
         )
     }
 
+    /// The server's next frame: `decode_frame` after each read, `None`
+    /// once it closes the connection.
+    fn next_frame(stream: &mut TcpStream, buf: &mut BytesMut) -> io::Result<Option<Frame>> {
+        loop {
+            if let Some(frame) = decode_frame(buf)? {
+                return Ok(Some(frame));
+            }
+            if read_some(stream, buf)? == 0 {
+                return Ok(None);
+            }
+        }
+    }
+
     fn call(stream: &mut TcpStream, buf: &mut BytesMut, req: &DbRequest) -> DbResponse {
         write_frame(stream, &req.to_frame()).unwrap();
-        let frame = read_frame(stream, buf).unwrap().unwrap();
+        let frame = next_frame(stream, buf).unwrap().unwrap();
         DbResponse::from_frame(&frame).unwrap()
     }
 
@@ -614,14 +619,14 @@ mod tests {
         // A zero length header is invalid at the framing layer.
         stream.write_all(&[0, 0, 0, 0]).unwrap();
         let mut buf = BytesMut::new();
-        let frame = read_frame(&mut stream, &mut buf).unwrap().unwrap();
+        let frame = next_frame(&mut stream, &mut buf).unwrap().unwrap();
         assert_eq!(frame.op, op::ERROR);
         match DbResponse::from_frame(&frame).unwrap() {
             DbResponse::Error { code, .. } => assert_eq!(code, "frame"),
             other => panic!("expected Error, got {other:?}"),
         }
         // And the server closes the connection afterwards.
-        assert_eq!(read_frame(&mut stream, &mut buf).unwrap(), None);
+        assert_eq!(next_frame(&mut stream, &mut buf).unwrap(), None);
     }
 
     #[test]
@@ -653,12 +658,12 @@ mod tests {
         };
         write_frame(&mut stream, &req.to_frame()).unwrap();
         let stats = handle.drain();
-        let frame = read_frame(&mut stream, &mut buf).unwrap().unwrap();
+        let frame = next_frame(&mut stream, &mut buf).unwrap().unwrap();
         match DbResponse::from_frame(&frame).unwrap() {
             DbResponse::Receipt(r) => assert_eq!(r.accepted, 1),
             other => panic!("expected Receipt, got {other:?}"),
         }
-        assert_eq!(read_frame(&mut stream, &mut buf).unwrap(), None);
+        assert_eq!(next_frame(&mut stream, &mut buf).unwrap(), None);
         assert_eq!(stats.reports_accepted, 1);
         assert_eq!(server.store().record_count(), 1);
     }
@@ -681,7 +686,7 @@ mod tests {
             stream.flush().unwrap();
         }
         let mut buf = BytesMut::new();
-        let frame = read_frame(&mut stream, &mut buf).unwrap().unwrap();
+        let frame = next_frame(&mut stream, &mut buf).unwrap().unwrap();
         match DbResponse::from_frame(&frame).unwrap() {
             DbResponse::Receipt(r) => assert_eq!(r.accepted, 1),
             other => panic!("expected Receipt, got {other:?}"),
@@ -863,7 +868,7 @@ mod tests {
         not_utf8.payload[last] = 0xff;
         for bad in [cut, not_utf8] {
             write_frame(&mut stream, &bad).unwrap();
-            let frame = read_frame(&mut stream, &mut buf).unwrap().unwrap();
+            let frame = next_frame(&mut stream, &mut buf).unwrap().unwrap();
             match DbResponse::from_frame(&frame).unwrap() {
                 DbResponse::Error { code, .. } => assert_eq!(code, "wire"),
                 other => panic!("expected Error, got {other:?}"),
@@ -888,7 +893,7 @@ mod tests {
             Err(_) => {}
             Ok(mut s) => {
                 let mut buf = BytesMut::new();
-                assert!(matches!(read_frame(&mut s, &mut buf), Err(_) | Ok(None)));
+                assert!(matches!(next_frame(&mut s, &mut buf), Err(_) | Ok(None)));
             }
         }
     }
@@ -942,7 +947,7 @@ mod tests {
 
         let mut buf = BytesMut::new();
         let mut next = || {
-            let frame = read_frame(&mut stream, &mut buf).unwrap().unwrap();
+            let frame = next_frame(&mut stream, &mut buf).unwrap().unwrap();
             DbResponse::from_frame(&frame).unwrap()
         };
         assert!(matches!(next(), DbResponse::Records(r) if r.is_empty()));

@@ -72,12 +72,6 @@ impl FaultProfile {
         self.ingest_outages = Some(s);
         self
     }
-
-    /// Builder: scheduled download outage windows.
-    pub fn with_download_outages(mut self, s: OutageSchedule) -> FaultProfile {
-        self.download_outages = Some(s);
-        self
-    }
 }
 
 /// Injected-fault counters, read via [`FaultyBackend::snapshot`].
@@ -269,8 +263,7 @@ mod tests {
         let r = b
             .ingest(&batch(1, &["http://a.com/", "http://b.com/"], 5))
             .unwrap();
-        assert_eq!(r.accepted, 2);
-        assert!(r.is_complete());
+        assert_eq!((r.accepted, r.rejected, r.deferred()), (2, 0, 0));
         assert_eq!(b.snapshot(), FaultSnapshot::default());
         assert_eq!(
             b.blocked_for_as(Asn(1), &ConfidenceFilter::default())
@@ -309,7 +302,11 @@ mod tests {
     fn download_outage_window_fails_reads_then_recovers() {
         let sched =
             OutageSchedule::from_windows(vec![(SimTime::from_secs(10), SimTime::from_secs(20))]);
-        let b = faulty(FaultProfile::none().with_download_outages(sched), 4);
+        let profile = FaultProfile {
+            download_outages: Some(sched),
+            ..FaultProfile::none()
+        };
+        let b = faulty(profile, 4);
         b.ingest(&batch(1, &["http://a.com/"], 1_000_000)).unwrap();
         b.set_now(SimTime::from_secs(15));
         assert_eq!(

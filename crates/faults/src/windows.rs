@@ -73,13 +73,6 @@ impl OutageSchedule {
     pub fn windows(&self) -> &[(SimTime, SimTime)] {
         &self.windows
     }
-
-    /// Total scheduled downtime.
-    pub fn downtime(&self) -> SimDuration {
-        self.windows
-            .iter()
-            .fold(SimDuration::ZERO, |acc, (s, e)| acc + e.duration_since(*s))
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +125,6 @@ mod tests {
         assert!(!s.is_down(SimTime::from_secs(20)));
         assert!(s.is_down(SimTime::from_secs(52)));
         assert!(!s.is_down(SimTime::from_secs(100)));
-        assert_eq!(s.downtime(), SimDuration::from_secs(15));
     }
 
     #[test]

@@ -181,11 +181,6 @@ impl Histogram {
         Some(self.max_us.load(Ordering::Relaxed))
     }
 
-    /// Median in seconds; `None` when empty.
-    pub fn median_secs(&self) -> Option<f64> {
-        self.quantile_us(0.5).map(|us| us as f64 / 1e6)
-    }
-
     /// Median (p50) in µs; `None` when empty.
     pub fn p50_us(&self) -> Option<u64> {
         self.quantile_us(0.5)
@@ -479,7 +474,7 @@ mod tests {
         for _ in 0..50 {
             h.observe_secs(21.03);
         }
-        let m = h.median_secs().unwrap();
+        let m = h.p50_us().unwrap() as f64 / 1e6;
         assert!((m - 21.03).abs() / 21.03 < 0.02, "{m}");
     }
 
@@ -498,7 +493,6 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile_us(q), None, "q={q}");
         }
-        assert!(h.median_secs().is_none());
     }
 
     #[test]

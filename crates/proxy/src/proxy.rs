@@ -265,14 +265,17 @@ fn serve_url(state: &ProxyState, host: &str, url: &Url, req: &Request) -> Respon
             clean().unwrap_or_else(|_| Response::error(504, "Circumvention Failed"))
         }
         // Selective redundancy: direct only, but measured in-line, which
-        // catches fresh censorship (Scenario B) and re-fetches clean.
+        // catches fresh censorship (Scenario B) and re-fetches clean. A
+        // clean answer is a verdict too: it measures a host a POST
+        // reached first.
         Status::NotBlocked => match fetch_one(res.direct, req, timeout) {
             Ok(direct) => {
                 let stages = detect(&direct, None);
-                if stages.is_empty() {
+                let blocked = !stages.is_empty();
+                record(state, url, stages);
+                if !blocked {
                     return direct;
                 }
-                record(state, url, stages);
                 clean().unwrap_or(direct)
             }
             Err(kind) => {

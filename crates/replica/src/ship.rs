@@ -195,7 +195,7 @@ mod tests {
     use super::*;
     use csaw_store::{Batch, Report, ShardedStore, StorageBackend, Uuid};
     use csaw_webproto::bytes::BytesMut;
-    use csaw_webproto::codec::{read_frame, write_frame};
+    use csaw_webproto::codec::{decode_frame, read_some, write_frame};
     use std::net::TcpListener;
 
     /// A replica that stops reading must not pin `ship_round` in
@@ -221,9 +221,16 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let replica = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let frame = read_frame(&mut stream, &mut BytesMut::new())
-                .unwrap()
-                .unwrap();
+            let mut buf = BytesMut::new();
+            let frame = loop {
+                if let Some(frame) = decode_frame(&mut buf).unwrap() {
+                    break frame;
+                }
+                assert!(
+                    read_some(&mut stream, &mut buf).unwrap() > 0,
+                    "leader closed"
+                );
+            };
             let Ok(DbRequest::Ship { from_seq, lines }) = DbRequest::from_frame(&frame) else {
                 panic!("expected a SHIP frame");
             };

@@ -135,16 +135,6 @@ impl StoreState {
     pub fn fingerprint(&self) -> String {
         format!("{:016x}", fnv1a(self.canonical().as_bytes()))
     }
-
-    /// Total vote edges (for reporting; not part of the lattice).
-    pub fn vote_edges(&self) -> usize {
-        self.votes.values().map(BTreeSet::len).sum()
-    }
-
-    /// Clients currently voting.
-    pub fn voter_count(&self) -> usize {
-        self.votes.len()
-    }
 }
 
 /// Convenience: capture and fingerprint in one call.
@@ -201,8 +191,8 @@ mod tests {
         assert_eq!(v.reporter, 2);
         assert_eq!(v.posted_at_us, 200);
         // Both voters survive the merge.
-        assert_eq!(merged.voter_count(), 2);
-        assert_eq!(merged.vote_edges(), 2);
+        assert_eq!(merged.votes.len(), 2);
+        assert!(merged.votes.values().all(|set| set.len() == 1));
     }
 
     #[test]
@@ -226,7 +216,7 @@ mod tests {
         s.ingest(&batch(2, "http://y.com/", 100)).unwrap();
         s.revoke(Uuid::from_raw(2));
         let cap = StoreState::capture(&s);
-        assert_eq!(cap.voter_count(), 1);
+        assert_eq!(cap.votes.len(), 1);
         assert!(cap.votes.contains_key(&1));
     }
 }

@@ -28,7 +28,7 @@
 //! let cfg = TcpConfig::default();
 //! match connect(&path, &cfg, &mut rng) {
 //!     ConnectOutcome::Established { elapsed } => {
-//!         let rtt = path.base_rtt();
+//!         let rtt = path.sample_rtt(&mut rng);
 //!         let dl = transfer_time(360_000, rtt, path.bottleneck_bps(), &cfg);
 //!         println!("connected in {elapsed}, page in {dl}");
 //!     }

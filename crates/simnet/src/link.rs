@@ -29,16 +29,6 @@ pub struct Link {
 }
 
 impl Link {
-    /// A clean, fast LAN-ish link: 1 ms, no jitter, no loss, 1 Gbps.
-    pub fn lan() -> Link {
-        Link {
-            latency: SimDuration::from_millis(1),
-            jitter: SimDuration::ZERO,
-            loss: 0.0,
-            bandwidth_bps: 1_000_000_000,
-        }
-    }
-
     /// A wide-area transit segment with the given one-way latency.
     pub fn wan(one_way: SimDuration) -> Link {
         Link {
@@ -47,18 +37,6 @@ impl Link {
             loss: 0.001,
             bandwidth_bps: 100_000_000,
         }
-    }
-
-    /// Builder: set loss rate.
-    pub fn with_loss(mut self, loss: f64) -> Link {
-        self.loss = loss.clamp(0.0, 0.999);
-        self
-    }
-
-    /// Builder: set bandwidth.
-    pub fn with_bandwidth(mut self, bps: u64) -> Link {
-        self.bandwidth_bps = bps.max(1);
-        self
     }
 
     /// Sample the one-way delay for a single traversal.
@@ -111,18 +89,6 @@ impl Path {
         &self.links
     }
 
-    /// Nominal (jitter-free) one-way latency: sum of link latencies.
-    pub fn base_one_way(&self) -> SimDuration {
-        self.links
-            .iter()
-            .fold(SimDuration::ZERO, |acc, l| acc + l.latency)
-    }
-
-    /// Nominal round-trip time.
-    pub fn base_rtt(&self) -> SimDuration {
-        self.base_one_way() * 2
-    }
-
     /// Bottleneck bandwidth: the minimum across links.
     pub fn bottleneck_bps(&self) -> u64 {
         self.links
@@ -167,24 +133,26 @@ mod tests {
 
     #[test]
     fn path_composition_adds_latency_and_mins_bandwidth() {
-        let p = Path::new(vec![
-            Link::wan(SimDuration::from_millis(40)).with_bandwidth(50_000_000),
-            Link::wan(SimDuration::from_millis(60)).with_bandwidth(10_000_000),
-        ]);
-        assert_eq!(p.base_one_way(), SimDuration::from_millis(100));
-        assert_eq!(p.base_rtt(), SimDuration::from_millis(200));
+        let link = |ms, bandwidth_bps| Link {
+            latency: SimDuration::from_millis(ms),
+            jitter: SimDuration::ZERO,
+            loss: 0.0,
+            bandwidth_bps,
+        };
+        let p = Path::new(vec![link(40, 50_000_000), link(60, 10_000_000)]);
+        let mut rng = DetRng::new(1);
+        assert_eq!(p.sample_one_way(&mut rng), SimDuration::from_millis(100));
         assert_eq!(p.bottleneck_bps(), 10_000_000);
     }
 
     #[test]
     fn loss_composes_multiplicatively() {
-        let p = Path::new(vec![Link::lan().with_loss(0.1), Link::lan().with_loss(0.1)]);
+        let lossy = Link {
+            loss: 0.1,
+            ..Link::wan(SimDuration::from_millis(1))
+        };
+        let p = Path::new(vec![lossy, lossy]);
         assert!((p.loss() - 0.19).abs() < 1e-9);
-        assert_eq!(
-            Link::lan().with_loss(1.0).loss,
-            0.999,
-            "clamped below certain loss"
-        );
     }
 
     #[test]
@@ -192,8 +160,7 @@ mod tests {
         let a = Path::single(Link::wan(SimDuration::from_millis(10)));
         let b = Path::single(Link::wan(SimDuration::from_millis(20)));
         let j = a.join(&b);
-        assert_eq!(j.links().len(), 2);
-        assert_eq!(j.base_one_way(), SimDuration::from_millis(30));
+        assert_eq!(j.links(), [a.links(), b.links()].concat());
     }
 
     #[test]
@@ -219,7 +186,7 @@ mod tests {
             .map(|_| p.sample_rtt(&mut rng).as_micros())
             .sum::<u64>()
             / n;
-        let base = p.base_rtt().as_micros();
+        let base = (p.links()[0].latency * 2).as_micros();
         let tol = base / 5;
         assert!(
             avg_us >= base && avg_us <= base + tol,

@@ -100,11 +100,6 @@ impl ConnectOutcome {
             | ConnectOutcome::Reset { elapsed } => elapsed,
         }
     }
-
-    /// True if the connection was established.
-    pub fn is_established(&self) -> bool {
-        matches!(self, ConnectOutcome::Established { .. })
-    }
 }
 
 /// Attempt a TCP handshake over a clean (non-black-holed) path.
@@ -345,13 +340,18 @@ mod tests {
         let p = clean_path(80);
         let out = connect_reset(&p, &mut rng);
         assert_eq!(out.elapsed(), SimDuration::from_millis(80));
-        assert!(!out.is_established());
+        assert!(matches!(out, ConnectOutcome::Reset { .. }));
     }
 
     #[test]
     fn lossy_connect_sometimes_stalls_but_usually_succeeds() {
         let mut rng = DetRng::new(3);
-        let p = Path::single(Link::lan().with_loss(0.05));
+        let p = Path::single(Link {
+            latency: SimDuration::from_millis(1),
+            jitter: SimDuration::ZERO,
+            loss: 0.05,
+            bandwidth_bps: 1_000_000_000,
+        });
         let cfg = TcpConfig::default();
         let mut established = 0;
         let mut stalled = 0;
@@ -430,7 +430,12 @@ mod tests {
     fn huge_transfer_hits_http_timeout() {
         let mut rng = DetRng::new(6);
         // 1 Mbps bottleneck, 100 MB response: serialization alone is 800 s.
-        let p = Path::single(Link::lan().with_bandwidth(1_000_000));
+        let p = Path::single(Link {
+            latency: SimDuration::from_millis(1),
+            jitter: SimDuration::ZERO,
+            loss: 0.0,
+            bandwidth_bps: 1_000_000,
+        });
         let cfg = TcpConfig::default();
         let out = exchange(&p, 100_000_000, &cfg, &mut rng);
         assert!(matches!(out, ExchangeOutcome::GetTimeout { .. }));

@@ -236,11 +236,6 @@ impl AccessNetwork {
         AccessNetwork { providers, weights }
     }
 
-    /// Is this network multihomed?
-    pub fn is_multihomed(&self) -> bool {
-        self.providers.len() > 1
-    }
-
     /// The providers in this network.
     pub fn providers(&self) -> &[Provider] {
         &self.providers
@@ -317,7 +312,7 @@ mod tests {
     fn single_homed_always_same_provider() {
         let mut rng = DetRng::new(1);
         let net = AccessNetwork::single(Provider::new(Asn(100), "ISP-A"));
-        assert!(!net.is_multihomed());
+        assert_eq!(net.providers().len(), 1);
         for _ in 0..10 {
             assert_eq!(net.pick_provider(&mut rng).asn, Asn(100));
         }
@@ -330,7 +325,7 @@ mod tests {
             (Provider::new(Asn(1), "A"), 1.0),
             (Provider::new(Asn(2), "B"), 1.0),
         ]);
-        assert!(net.is_multihomed());
+        assert_eq!(net.providers().len(), 2);
         let mut counts = [0usize; 2];
         for _ in 0..2_000 {
             match net.pick_provider(&mut rng).asn {
@@ -348,9 +343,12 @@ mod tests {
         let net = AccessNetwork::single(Provider::new(Asn(7), "ISP"));
         let p = net.providers()[0].clone();
         let path = net.path_to(&p, Region::Pakistan, Site::in_region(Region::Netherlands));
-        assert_eq!(path.links().len(), 2);
         // 8 ms access + 86 ms WAN one-way
-        assert_eq!(path.base_one_way(), SimDuration::from_millis(8 + 86));
+        let one_way: Vec<SimDuration> = path.links().iter().map(|l| l.latency).collect();
+        assert_eq!(
+            one_way,
+            [SimDuration::from_millis(8), SimDuration::from_millis(86)]
+        );
     }
 
     #[test]

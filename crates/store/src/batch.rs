@@ -86,11 +86,6 @@ impl IngestReceipt {
     pub fn deferred(&self) -> usize {
         self.deferred_indices.len()
     }
-
-    /// True when every report in the batch was stored.
-    pub fn is_complete(&self) -> bool {
-        self.rejected == 0 && self.deferred_indices.is_empty()
-    }
 }
 
 #[cfg(test)]

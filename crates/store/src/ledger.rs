@@ -327,20 +327,6 @@ impl VoteLedger {
         self.bump_epoch();
     }
 
-    /// Add URLs to a client's reported set (incremental reporting),
-    /// re-spreading its vote.
-    pub fn add_client_urls(&self, client: Uuid, urls: impl IntoIterator<Item = (String, Asn)>) {
-        let mut keys: Vec<(u32, Key)> = urls
-            .into_iter()
-            .map(|(u, a)| {
-                let key = self.key(&u, a);
-                (self.stripe(&key) as u32, key)
-            })
-            .collect();
-        keys.sort_by_key(|(s, _)| *s);
-        self.add_client_keys_grouped(client, keys);
-    }
-
     /// Revoke a client entirely (malicious-user eviction, §5).
     pub fn revoke(&self, client: Uuid) {
         let removed = {
@@ -434,20 +420,6 @@ impl VoteLedger {
             .collect()
     }
 
-    /// Total vote mass a client currently spends (1.0 if it reports
-    /// anything, 0.0 otherwise) — the conservation invariant.
-    pub fn client_vote_mass(&self, client: Uuid) -> f64 {
-        match self.report_count(client) {
-            0 => 0.0,
-            d => d as f64 * (1.0 / d as f64),
-        }
-    }
-
-    /// Number of clients currently voting.
-    pub fn voter_count(&self) -> usize {
-        self.client_shards.iter().map(|s| s.read().len()).sum()
-    }
-
     /// Per-client report-set sizes (reputation auditing input). Walks
     /// the stripes one read lock at a time — no global lock.
     pub fn client_report_sizes(&self) -> Vec<(Uuid, usize)> {
@@ -497,15 +469,36 @@ fn sum_votes(voters: &[Uuid], d_of: impl Fn(Uuid) -> usize) -> Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Batch, Report, ShardedStore, StorageBackend};
+    use csaw_censor::blocking::BlockingType;
+    use csaw_simnet::time::SimTime;
 
     fn uuid(n: u64) -> Uuid {
         Uuid::from_raw(n)
     }
 
+    /// `client` reports `urls` through the store's ingest path, the one
+    /// way votes reach the ledger.
+    fn vote(s: &ShardedStore, client: Uuid, urls: impl IntoIterator<Item = (String, Asn)>) {
+        let reports = urls
+            .into_iter()
+            .map(|(url, asn)| Report {
+                url,
+                asn: asn.0,
+                measured_at_us: 1,
+                stages: vec![BlockingType::HttpDrop],
+            })
+            .collect();
+        s.ingest(&Batch::new(client, reports, SimTime::ZERO))
+            .unwrap();
+    }
+
     #[test]
     fn vote_spreads_evenly() {
-        let l = VoteLedger::new();
-        l.add_client_urls(
+        let s = ShardedStore::new(16).unwrap();
+        let l = s.ledger();
+        vote(
+            &s,
             uuid(1),
             [
                 ("http://a.com/".to_string(), Asn(10)),
@@ -519,25 +512,27 @@ mod tests {
 
     #[test]
     fn vote_mass_conserved() {
-        let l = VoteLedger::new();
+        let s = ShardedStore::new(16).unwrap();
+        let l = s.ledger();
         for d in [1usize, 3, 10, 100] {
+            // Each client's own URLs: its tallies sum to its vote alone.
             let urls: Vec<(String, Asn)> = (0..d)
-                .map(|i| (format!("http://site{i}.com/"), Asn(1)))
+                .map(|i| (format!("http://site{i}.d{d}.com/"), Asn(1)))
                 .collect();
-            l.add_client_urls(uuid(d as u64), urls);
-            assert!(
-                (l.client_vote_mass(uuid(d as u64)) - 1.0).abs() < 1e-9,
-                "d={d}"
-            );
+            vote(&s, uuid(d as u64), urls.clone());
+            let mass: f64 = urls.iter().map(|(u, a)| l.tally(u, *a).s).sum();
+            assert!((mass - 1.0).abs() < 1e-9, "d={d}");
         }
     }
 
     #[test]
     fn many_honest_clients_beat_one_spammer() {
-        let l = VoteLedger::new();
+        let s = ShardedStore::new(16).unwrap();
+        let l = s.ledger();
         // 10 honest clients each report the same 2 genuinely blocked URLs.
         for c in 0..10 {
-            l.add_client_urls(
+            vote(
+                &s,
                 uuid(c),
                 [
                     ("http://blocked-1.com/".to_string(), Asn(1)),
@@ -549,7 +544,7 @@ mod tests {
         let fakes: Vec<(String, Asn)> = (0..1000)
             .map(|i| (format!("http://fake{i}.com/"), Asn(1)))
             .collect();
-        l.add_client_urls(uuid(99), fakes);
+        vote(&s, uuid(99), fakes);
 
         let honest = l.tally("http://blocked-1.com/", Asn(1));
         let fake = l.tally("http://fake1.com/", Asn(1));
@@ -567,12 +562,13 @@ mod tests {
     fn vote_dilution_signature() {
         // Colluding clients each spraying many URLs have large n but tiny
         // average vote.
-        let l = VoteLedger::new();
+        let s = ShardedStore::new(16).unwrap();
+        let l = s.ledger();
         for c in 0..20 {
             let urls: Vec<(String, Asn)> = (0..500)
                 .map(|i| (format!("http://fake{i}.com/"), Asn(1)))
                 .collect();
-            l.add_client_urls(uuid(c), urls);
+            vote(&s, uuid(c), urls);
         }
         let t = l.tally("http://fake0.com/", Asn(1));
         assert_eq!(t.n, 20);
@@ -582,40 +578,44 @@ mod tests {
 
     #[test]
     fn revocation_removes_influence() {
-        let l = VoteLedger::new();
-        l.add_client_urls(uuid(1), [("http://x.com/".to_string(), Asn(1))]);
+        let s = ShardedStore::new(16).unwrap();
+        let l = s.ledger();
+        vote(&s, uuid(1), [("http://x.com/".to_string(), Asn(1))]);
         assert_eq!(l.tally("http://x.com/", Asn(1)).n, 1);
         l.revoke(uuid(1));
         assert_eq!(l.tally("http://x.com/", Asn(1)).n, 0);
-        assert_eq!(l.voter_count(), 0);
+        assert!(l.client_report_sizes().is_empty());
     }
 
     #[test]
     fn incremental_reports_respread() {
-        let l = VoteLedger::new();
-        l.add_client_urls(uuid(1), [("http://a.com/".to_string(), Asn(1))]);
+        let s = ShardedStore::new(16).unwrap();
+        let l = s.ledger();
+        vote(&s, uuid(1), [("http://a.com/".to_string(), Asn(1))]);
         assert!((l.tally("http://a.com/", Asn(1)).s - 1.0).abs() < 1e-9);
-        l.add_client_urls(uuid(1), [("http://b.com/".to_string(), Asn(1))]);
+        vote(&s, uuid(1), [("http://b.com/".to_string(), Asn(1))]);
         assert!((l.tally("http://a.com/", Asn(1)).s - 0.5).abs() < 1e-9);
         assert!((l.tally("http://b.com/", Asn(1)).s - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn per_as_tallies_are_separate() {
-        let l = VoteLedger::new();
-        l.add_client_urls(uuid(1), [("http://x.com/".to_string(), Asn(1))]);
+        let s = ShardedStore::new(16).unwrap();
+        let l = s.ledger();
+        vote(&s, uuid(1), [("http://x.com/".to_string(), Asn(1))]);
         assert_eq!(l.tally("http://x.com/", Asn(2)).n, 0);
     }
 
     #[test]
     fn epoch_moves_only_on_spread_changes() {
-        let l = VoteLedger::new();
+        let s = ShardedStore::new(16).unwrap();
+        let l = s.ledger();
         let e0 = l.epoch();
-        l.add_client_urls(uuid(1), [("http://a.com/".to_string(), Asn(1))]);
+        vote(&s, uuid(1), [("http://a.com/".to_string(), Asn(1))]);
         let e1 = l.epoch();
         assert!(e1 > e0);
         // Re-adding the same URL is a no-op: 1/d unchanged, caches stay valid.
-        l.add_client_urls(uuid(1), [("http://a.com/".to_string(), Asn(1))]);
+        vote(&s, uuid(1), [("http://a.com/".to_string(), Asn(1))]);
         assert_eq!(l.epoch(), e1);
         l.revoke(uuid(1));
         assert!(l.epoch() > e1);
@@ -631,7 +631,8 @@ mod tests {
         // that lock and not yet pushed the voter can lose a race with a
         // revoke: the revoke clears the set and finds nobody to remove,
         // then the push lands. Replay that interleaving by hand.
-        let l = VoteLedger::with_shards(4);
+        let s = ShardedStore::new(4).unwrap();
+        let l = s.ledger();
         let url = "http://raced.com/";
         let key = l.key(url, Asn(1));
         l.key_shards[l.stripe(&key)]
@@ -641,8 +642,8 @@ mod tests {
             .push(uuid(1));
         // The client posts the key again: new to its (empty) set, so it
         // is pushed a second time.
-        l.add_client_urls(uuid(1), [(url.to_string(), Asn(1))]);
-        l.add_client_urls(uuid(2), [(url.to_string(), Asn(1))]);
+        vote(&s, uuid(1), [(url.to_string(), Asn(1))]);
+        vote(&s, uuid(2), [(url.to_string(), Asn(1))]);
         let t = l.tally(url, Asn(1));
         assert_eq!(t.n, 2);
         assert_eq!(t.s.to_bits(), 2.0f64.to_bits());
@@ -658,7 +659,8 @@ mod tests {
         use csaw_simnet::rng::DetRng;
         for seed in 1..=8u64 {
             let mut rng = DetRng::new(seed);
-            let l = VoteLedger::with_shards(4);
+            let s = ShardedStore::new(4).unwrap();
+            let l = s.ledger();
             let pool: Vec<(String, Asn)> = (0..40)
                 .map(|i| (format!("http://t{i}.com/"), Asn(i % 2)))
                 .collect();
@@ -670,10 +672,10 @@ mod tests {
                 let urls: Vec<(String, Asn)> = std::iter::once(pool[0].clone())
                     .chain((0..n).map(|_| pool[1 + rng.index(30)].clone()))
                     .collect();
-                l.add_client_urls(uuid(c), urls);
+                vote(&s, uuid(c), urls);
             }
             // A lone voter on two keys nobody else draws.
-            l.add_client_urls(uuid(99), [pool[35].clone(), pool[36].clone()]);
+            vote(&s, uuid(99), [pool[35].clone(), pool[36].clone()]);
             for c in (0..40u64).filter(|c| c % 7 == seed % 7) {
                 l.revoke(uuid(c));
             }
@@ -686,7 +688,7 @@ mod tests {
                 .entry(raced)
                 .or_default()
                 .push(uuid(3));
-            l.add_client_urls(uuid(3), [pool[0].clone()]);
+            vote(&s, uuid(3), [pool[0].clone()]);
             let keys: Vec<Key> = pool.iter().map(|(u, a)| l.key(u, *a)).collect();
             let mut seen = Vec::new();
             for stripe in 0..l.key_stripes() {
@@ -716,39 +718,10 @@ mod tests {
     }
 
     #[test]
-    fn grouped_fast_lane_matches_public_path() {
-        // The ingest fast lane (pre-interned, stripe-grouped keys) must
-        // leave the ledger in the same state as the public URL path.
-        let a = VoteLedger::with_shards(8);
-        let b = VoteLedger::with_shards(8);
-        let urls: Vec<(String, Asn)> = (0..30)
-            .map(|i| (format!("http://g{}.com/", i % 11), Asn(i % 3)))
-            .collect();
-        a.add_client_urls(uuid(5), urls.clone());
-        let mut keys: Vec<(u32, Key)> = urls
-            .iter()
-            .map(|(u, asn)| {
-                let key = b.key(u, *asn);
-                (b.stripe(&key) as u32, key)
-            })
-            .collect();
-        keys.sort_by_key(|(s, _)| *s);
-        b.add_client_keys_grouped(uuid(5), keys);
-        assert_eq!(a.client_urls(uuid(5)), b.client_urls(uuid(5)));
-        for (u, asn) in &urls {
-            let (ta, tb) = (a.tally(u, *asn), b.tally(u, *asn));
-            assert_eq!(ta.n, tb.n);
-            assert!((ta.s - tb.s).abs() < 1e-12);
-        }
-        // Duplicate keys in one grouped call do not double-count.
-        assert_eq!(b.report_count(uuid(5)), a.report_count(uuid(5)));
-    }
-
-    #[test]
     fn single_stripe_ledger_matches_striped() {
         // Same event sequence, shard counts 1 and 16: identical tallies.
-        let a = VoteLedger::with_shards(1);
-        let b = VoteLedger::with_shards(16);
+        let a = ShardedStore::new(1).unwrap();
+        let b = ShardedStore::new(16).unwrap();
         for l in [&a, &b] {
             for c in 0..50u64 {
                 let urls: Vec<(String, Asn)> = (0..(c % 7 + 1))
@@ -759,13 +732,13 @@ mod tests {
                         )
                     })
                     .collect();
-                l.add_client_urls(uuid(c), urls);
+                vote(l, uuid(c), urls);
             }
             for c in (0..50u64).step_by(5) {
                 l.revoke(uuid(c));
             }
         }
-        assert_eq!(a.voter_count(), b.voter_count());
+        let (a, b) = (a.ledger(), b.ledger());
         assert_eq!(a.client_report_sizes(), b.client_report_sizes());
         for i in 0..23 {
             for asn in 0..3u32 {

@@ -497,7 +497,6 @@ mod tests {
                 deferred_indices: vec![],
             }
         );
-        assert!(!r.is_complete());
         assert_eq!(s.record_count(), 2);
         assert_eq!(s.tally("http://a.com/", Asn(1)).n, 1);
     }

@@ -125,11 +125,6 @@ impl BytesMut {
         }
     }
 
-    /// Freeze into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -197,6 +192,5 @@ mod tests {
         assert_eq!(&m[..], b"ef");
         m.extend_from_slice(b"gh");
         assert_eq!(&m[..], b"efgh");
-        assert_eq!(&m.freeze()[..], b"efgh");
     }
 }

@@ -143,10 +143,9 @@ impl FrameClient {
     }
 
     /// Send `frame`, then wait for the peer's answer with
-    /// [`read_looking`]. The outcomes are [`read_frame`]'s: `Ok(None)`
-    /// when the peer closed cleanly on a frame boundary,
-    /// `UnexpectedEof` mid-frame, `InvalidData` on a bad header, and a
-    /// timed-out wait as the socket reports it.
+    /// [`read_looking`]. `Ok(None)` when the peer closed cleanly on a
+    /// frame boundary, `UnexpectedEof` mid-frame, `InvalidData` on a bad
+    /// header, and a timed-out wait as the socket reports it.
     pub fn call(&mut self, frame: &Frame) -> io::Result<Option<Frame>> {
         write_frame(&mut self.stream, frame)?;
         let FrameClient { stream, buf, chunk } = self;
@@ -288,12 +287,6 @@ fn buffered_frame_len(buf: &[u8]) -> io::Result<Option<usize>> {
     Ok(Some(FRAME_HEADER_BYTES + len).filter(|&whole| buf.len() >= whole))
 }
 
-/// Is a whole frame buffered at the front of `buf`? Non-consuming;
-/// `Ok(false)` and errors are as for [`decode_frame`].
-pub fn frame_ready(buf: &[u8]) -> io::Result<bool> {
-    buffered_frame_len(buf).map(|len| len.is_some())
-}
-
 /// Try to decode one frame from the front of `buf`.
 ///
 /// Returns `Ok(Some(frame))` and consumes its bytes when a whole frame
@@ -311,13 +304,6 @@ pub fn decode_frame(buf: &mut BytesMut) -> io::Result<Option<Frame>> {
         op: body[0],
         payload: body[1..].to_vec(),
     }))
-}
-
-/// Read one frame from a blocking stream. `Ok(None)` means the peer
-/// closed cleanly on a frame boundary; closing mid-frame is
-/// `UnexpectedEof`, and a bad header is `InvalidData`.
-pub fn read_frame<R: Read>(stream: &mut R, buf: &mut BytesMut) -> io::Result<Option<Frame>> {
-    next_message(buf, "frame", decode_frame, |buf| read_some(stream, buf))
 }
 
 /// Write one frame.
@@ -369,22 +355,14 @@ mod tests {
     }
 
     #[test]
-    fn frame_ready_reads_only_the_header() {
+    fn a_partial_frame_waits_unconsumed() {
         let wire = Frame::new(3, b"body".to_vec()).encode();
         for cut in 0..wire.len() {
-            assert!(!frame_ready(&wire[..cut]).unwrap(), "cut at {cut}");
+            let mut buf = BytesMut::new();
+            buf.extend_from_slice(&wire[..cut]);
+            assert_eq!(decode_frame(&mut buf).unwrap(), None, "cut at {cut}");
+            assert_eq!(buf.len(), cut, "cut at {cut}");
         }
-        assert!(frame_ready(&wire).unwrap());
-        assert_eq!(
-            frame_ready(&[0, 0, 0, 0, 9]).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-        assert_eq!(
-            frame_ready(&(MAX_FRAME_BYTES as u32 + 1).to_be_bytes())
-                .unwrap_err()
-                .kind(),
-            io::ErrorKind::InvalidData
-        );
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl DnsResponse {
     pub fn first_addr(&self) -> Option<Ipv4Addr> {
         self.answers.first().map(|a| a.addr)
     }
-
-    /// True if the response successfully resolved at least one address.
-    pub fn is_resolution(&self) -> bool {
-        self.rcode == Rcode::NoError && !self.answers.is_empty()
-    }
 }
 
 /// What the client *observes* from a DNS lookup attempt, including the
@@ -123,10 +118,11 @@ mod tests {
     #[test]
     fn answer_and_error_shapes() {
         let ok = DnsResponse::answer("1.2.3.4".parse().unwrap());
-        assert!(ok.is_resolution());
+        assert_eq!(ok.rcode, Rcode::NoError);
         assert_eq!(ok.first_addr(), Some("1.2.3.4".parse().unwrap()));
         let err = DnsResponse::error(Rcode::ServFail);
-        assert!(!err.is_resolution());
+        assert_eq!(err.rcode, Rcode::ServFail);
+        assert!(err.answers.is_empty());
         assert_eq!(err.first_addr(), None);
     }
 

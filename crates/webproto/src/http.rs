@@ -290,11 +290,6 @@ impl Response {
         }
     }
 
-    /// Is this a redirect status?
-    pub fn is_redirect(&self) -> bool {
-        matches!(self.status, 301 | 302 | 303 | 307 | 308)
-    }
-
     /// Serialize to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128 + self.body.len());
@@ -494,9 +489,8 @@ mod tests {
     #[test]
     fn redirect_detection() {
         let r = Response::redirect("http://blockpage.isp.pk/");
-        assert!(r.is_redirect());
+        assert_eq!(r.status, 302);
         assert_eq!(r.headers.get("Location"), Some("http://blockpage.isp.pk/"));
-        assert!(!Response::ok_html("x").is_redirect());
     }
 
     #[test]

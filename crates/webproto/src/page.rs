@@ -34,15 +34,6 @@ pub struct WebPage {
 }
 
 impl WebPage {
-    /// A single-document page with no embedded resources.
-    pub fn simple(url: Url, bytes: u64) -> WebPage {
-        WebPage {
-            url,
-            html_bytes: bytes,
-            resources: Vec::new(),
-        }
-    }
-
     /// A synthetic page of roughly `total_bytes`, split into a base
     /// document and `n_resources` same-host resources. The split is
     /// deterministic: the base document takes ~20% (at least 2 KB), the
@@ -65,24 +56,6 @@ impl WebPage {
         }
     }
 
-    /// Attach CDN-hosted resources (used to reproduce the pilot study's
-    /// CDN-blocking discovery): moves the last `n` resources to the given
-    /// CDN host URL base.
-    pub fn with_cdn_resources(mut self, cdn_base: &Url, n: usize) -> WebPage {
-        let len = self.resources.len();
-        let start = len.saturating_sub(n);
-        for (i, r) in self.resources[start..].iter_mut().enumerate() {
-            r.url = Url::from_parts(
-                cdn_base.scheme(),
-                cdn_base.host().clone(),
-                None,
-                &format!("/static/r{i}.bin"),
-                None,
-            );
-        }
-        self
-    }
-
     /// Total bytes across the document and all resources.
     pub fn total_bytes(&self) -> u64 {
         self.html_bytes + self.resources.iter().map(|r| r.bytes).sum::<u64>()
@@ -91,19 +64,6 @@ impl WebPage {
     /// Number of embedded resources.
     pub fn resource_count(&self) -> usize {
         self.resources.len()
-    }
-
-    /// Hosts referenced by this page (base + resources, deduplicated,
-    /// in first-appearance order).
-    pub fn referenced_hosts(&self) -> Vec<String> {
-        let mut hosts = vec![self.url.host().to_string()];
-        for r in &self.resources {
-            let h = r.url.host().to_string();
-            if !hosts.contains(&h) {
-                hosts.push(h);
-            }
-        }
-        hosts
     }
 }
 
@@ -324,14 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn simple_page() {
-        let p = WebPage::simple(url("http://foo.com/"), 50_000);
-        assert_eq!(p.total_bytes(), 50_000);
-        assert_eq!(p.resource_count(), 0);
-        assert_eq!(p.referenced_hosts(), vec!["foo.com"]);
-    }
-
-    #[test]
     fn synthetic_page_size_approx() {
         let p = WebPage::synthetic(url("http://yt.example/"), 360_000, 20);
         let total = p.total_bytes();
@@ -339,7 +291,7 @@ mod tests {
         assert!((total as i64 - 360_000i64).abs() < 72_000, "total {total}");
         assert_eq!(p.resource_count(), 20);
         // All resources on the same host as the page.
-        assert_eq!(p.referenced_hosts().len(), 1);
+        assert!(p.resources.iter().all(|r| r.url.host() == p.url.host()));
     }
 
     #[test]
@@ -347,23 +299,6 @@ mod tests {
         let p = WebPage::synthetic(url("http://x.com/a"), 10_000, 0);
         assert_eq!(p.total_bytes(), 10_000);
         assert!(p.resources.is_empty());
-    }
-
-    #[test]
-    fn cdn_resources_change_hosts() {
-        let p = WebPage::synthetic(url("http://news.pk/"), 200_000, 10)
-            .with_cdn_resources(&url("http://cdn.example.net/"), 4);
-        let hosts = p.referenced_hosts();
-        assert_eq!(
-            hosts,
-            vec!["news.pk".to_string(), "cdn.example.net".to_string()]
-        );
-        let cdn_count = p
-            .resources
-            .iter()
-            .filter(|r| r.url.host().to_string() == "cdn.example.net")
-            .count();
-        assert_eq!(cdn_count, 4);
     }
 
     #[test]

@@ -398,14 +398,13 @@ impl Url {
     pub fn parse(s: &str) -> Result<Url, UrlParseError> {
         let split = Split::of(s)?;
         let (path, query) = split.path_and_query();
-        Ok(Url {
-            scheme: split.scheme,
-            host: Host::of(split.host, split.ip),
-            // Drop an explicit default port during normalization.
-            port: split.port(),
-            path: normalize_path(path),
-            query: query.filter(|q| !q.is_empty()).map(str::to_string),
-        })
+        Ok(Url::from_parts(
+            split.scheme,
+            Host::of(split.host, split.ip),
+            split.port,
+            path,
+            query,
+        ))
     }
 
     /// Would [`Url::parse`] accept `s`? The same answer and the same
@@ -429,7 +428,9 @@ impl Url {
         Ok(())
     }
 
-    /// Construct from parts (used by generators and tests).
+    /// Construct from parts, normalised as [`Url::parse`] normalises:
+    /// an explicit default port and an empty query are dropped, and the
+    /// path loses empty and `.` segments.
     pub fn from_parts(
         scheme: Scheme,
         host: Host,
@@ -442,7 +443,7 @@ impl Url {
             host,
             port: port.filter(|p| *p != scheme.default_port()),
             path: normalize_path(path),
-            query: query.map(str::to_string).filter(|q| !q.is_empty()),
+            query: query.filter(|q| !q.is_empty()).map(str::to_string),
         }
     }
 

@@ -3,13 +3,15 @@
 //! `FrameClient::call` waits for its answer with `read_looking`: a
 //! non-blocking look for `LOOK_BEFORE_BLOCK`, then a blocking `read`.
 //! Whichever of the two finds the bytes, the caller must see exactly
-//! what `read_frame` would have shown it — a whole frame, `Ok(None)` on
-//! a clean close, `UnexpectedEof` mid-frame, `InvalidData` on a bad
-//! header — and a socket that blocks again, so its timeouts and later
+//! the same outcome — a whole frame, `Ok(None)` on a clean close,
+//! `UnexpectedEof` mid-frame, `InvalidData` on a bad header — and a
+//! socket that blocks again, so its timeouts and later
 //! `write_all` calls behave as if nothing had looked.
 
 use csaw_webproto::bytes::BytesMut;
-use csaw_webproto::codec::{read_frame, write_frame, Frame, FrameClient, LOOK_BEFORE_BLOCK};
+use csaw_webproto::codec::{
+    decode_frame, read_some, write_frame, Frame, FrameClient, LOOK_BEFORE_BLOCK,
+};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread::JoinHandle;
@@ -33,7 +35,13 @@ fn client_of(script: impl FnOnce(TcpStream) + Send + 'static) -> (FrameClient, J
 
 /// Read the request the client sent.
 fn request(stream: &mut TcpStream) -> Frame {
-    read_frame(stream, &mut BytesMut::new()).unwrap().unwrap()
+    let mut buf = BytesMut::new();
+    loop {
+        if let Some(frame) = decode_frame(&mut buf).unwrap() {
+            return frame;
+        }
+        assert!(read_some(stream, &mut buf).unwrap() > 0, "client closed");
+    }
 }
 
 fn answer() -> Frame {

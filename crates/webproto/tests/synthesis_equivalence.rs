@@ -63,7 +63,11 @@ fn spec_ensure_dir(path: &str) -> String {
 /// The original `WebPage::synthetic`.
 fn spec_synthetic(url: Url, total_bytes: u64, n_resources: usize) -> WebPage {
     if n_resources == 0 {
-        return WebPage::simple(url, total_bytes);
+        return WebPage {
+            url,
+            html_bytes: total_bytes,
+            resources: Vec::new(),
+        };
     }
     let html_bytes = (total_bytes / 5).max(2_048).min(total_bytes);
     let remaining = total_bytes - html_bytes;

@@ -2,18 +2,20 @@
 //!
 //! TCP is a byte stream: a message written in one `write_all` can
 //! arrive split at *any* byte boundary, across any number of reads.
-//! These tests drive `read_request` / `read_response` / `read_frame`
-//! through an in-memory reader that serves a wire image in chunks —
-//! every possible 2-way split, plus byte-at-a-time — and assert the
-//! reassembled message is identical to the original. They also pin the
-//! three failure contracts: oversized or malformed messages are
-//! `InvalidData`, closing mid-message is `UnexpectedEof`, and closing
-//! on a message boundary is a clean `Ok(None)` (requests and frames
-//! only; a response must always arrive).
+//! These tests drive `read_request` / `read_response`, and
+//! `decode_frame` over each read, through an in-memory reader that
+//! serves a wire image in chunks — every possible 2-way split, plus
+//! byte-at-a-time — and assert the reassembled message is identical to
+//! the original. They also pin the failure contracts: oversized or
+//! malformed messages are `InvalidData`, closing mid-message is
+//! `UnexpectedEof` (a frame prefix never decodes), and closing on a
+//! message boundary is a clean `Ok(None)` (requests only; a response
+//! must always arrive). `FrameClient::call`'s end-of-stream outcomes are
+//! `look_before_block.rs`'s, over real sockets.
 
 use csaw_webproto::bytes::BytesMut;
 use csaw_webproto::codec::{
-    decode_frame, read_frame, read_request, read_response, Frame, MAX_MESSAGE_BYTES,
+    decode_frame, read_request, read_response, read_some, Frame, MAX_MESSAGE_BYTES,
 };
 use csaw_webproto::http::{Request, Response};
 use csaw_webproto::url::Url;
@@ -72,6 +74,19 @@ fn sample_response() -> Response {
     Response::ok_html("<html><body>a genuine page with some words in it</body></html>".as_bytes())
 }
 
+/// The next frame: `decode_frame` after each read, `None` once the
+/// reader is exhausted (whatever is left stays in `buf`).
+fn next_frame(r: &mut ChunkedReader, buf: &mut BytesMut) -> io::Result<Option<Frame>> {
+    loop {
+        if let Some(frame) = decode_frame(buf)? {
+            return Ok(Some(frame));
+        }
+        if read_some(r, buf)? == 0 {
+            return Ok(None);
+        }
+    }
+}
+
 fn sample_frame() -> Frame {
     Frame::new(0x42, br#"{"client":"00000000deadbeef","n":3}"#.to_vec())
 }
@@ -110,7 +125,7 @@ fn frame_reassembles_across_every_two_way_split() {
     for i in 0..=image.len() {
         let mut r = ChunkedReader::split_at(&image, i);
         let mut buf = BytesMut::new();
-        let got = read_frame(&mut r, &mut buf)
+        let got = next_frame(&mut r, &mut buf)
             .unwrap_or_else(|e| panic!("split at {i}: {e}"))
             .unwrap_or_else(|| panic!("split at {i}: no frame"));
         assert_eq!(got, frame, "split at byte {i}");
@@ -133,7 +148,7 @@ fn messages_reassemble_byte_at_a_time() {
     let frame = sample_frame();
     let mut r = ChunkedReader::byte_at_a_time(&frame.encode());
     let mut buf = BytesMut::new();
-    assert_eq!(read_frame(&mut r, &mut buf).unwrap().unwrap(), frame);
+    assert_eq!(next_frame(&mut r, &mut buf).unwrap().unwrap(), frame);
 }
 
 #[test]
@@ -148,9 +163,10 @@ fn back_to_back_frames_survive_an_arbitrary_tear() {
     for i in [boundary + 1, boundary + 2, boundary + 3] {
         let mut r = ChunkedReader::split_at(&image, i);
         let mut buf = BytesMut::new();
-        assert_eq!(read_frame(&mut r, &mut buf).unwrap().unwrap(), a);
-        assert_eq!(read_frame(&mut r, &mut buf).unwrap().unwrap(), b);
-        assert_eq!(read_frame(&mut r, &mut buf).unwrap(), None, "clean EOF");
+        assert_eq!(next_frame(&mut r, &mut buf).unwrap().unwrap(), a);
+        assert_eq!(next_frame(&mut r, &mut buf).unwrap().unwrap(), b);
+        assert_eq!(next_frame(&mut r, &mut buf).unwrap(), None, "clean EOF");
+        assert!(buf.is_empty());
     }
 }
 
@@ -160,16 +176,13 @@ fn clean_close_on_a_message_boundary_is_none() {
     let mut r = ChunkedReader::new(vec![]);
     let mut buf = BytesMut::new();
     assert!(read_request(&mut r, &mut buf).unwrap().is_none());
-
-    let mut r = ChunkedReader::new(vec![]);
-    let mut buf = BytesMut::new();
-    assert!(read_frame(&mut r, &mut buf).unwrap().is_none());
 }
 
 #[test]
 fn close_mid_message_is_unexpected_eof() {
-    // Every proper prefix of each wire image must yield UnexpectedEof —
-    // never a phantom message, never a clean None.
+    // Every proper prefix of a request or response must yield
+    // UnexpectedEof — never a phantom message, never a clean None — and
+    // no proper prefix of a frame decodes.
     let req_image = sample_request().encode();
     for i in 1..req_image.len() {
         let mut r = ChunkedReader::new(vec![req_image[..i].to_vec()]);
@@ -181,8 +194,8 @@ fn close_mid_message_is_unexpected_eof() {
     for i in 1..frame_image.len() {
         let mut r = ChunkedReader::new(vec![frame_image[..i].to_vec()]);
         let mut buf = BytesMut::new();
-        let err = read_frame(&mut r, &mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "prefix {i}");
+        assert_eq!(next_frame(&mut r, &mut buf).unwrap(), None, "prefix {i}");
+        assert_eq!(buf.len(), i, "prefix {i}");
     }
     let resp_image = sample_response().encode();
     let mut r = ChunkedReader::new(vec![resp_image[..resp_image.len() - 1].to_vec()]);
@@ -224,7 +237,7 @@ fn oversized_frame_header_is_rejected_even_when_torn() {
     let image = ((csaw_webproto::codec::MAX_FRAME_BYTES as u32) + 1).to_be_bytes();
     let mut r = ChunkedReader::byte_at_a_time(&image);
     let mut buf = BytesMut::new();
-    let err = read_frame(&mut r, &mut buf).unwrap_err();
+    let err = next_frame(&mut r, &mut buf).unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 }
 

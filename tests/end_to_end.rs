@@ -90,20 +90,25 @@ fn crowdsourcing_with_spam_resistance() {
         .post(spammer, &fakes, SimTime::from_secs(51))
         .unwrap();
 
-    // A newcomer with a strict confidence filter sees only the real entry.
+    // A strict confidence filter keeps only the real entry.
     let strict = ConfidenceFilter::strict(2, 0.2);
-    let mut newbie = CsawClient::new(CsawConfig::default(), Some("cdn-front.example"), 99)
-        .with_confidence(strict);
+    let listed = server.blocked_for_as(profiles::ISP_A_ASN, &strict).unwrap();
+    assert!(
+        listed.iter().any(|r| r.url == "http://www.youtube.com/"),
+        "real entry visible"
+    );
+    assert!(
+        listed
+            .iter()
+            .all(|r| !r.url.starts_with("http://innocent-")),
+        "spam filtered by vote confidence"
+    );
+    // A newcomer syncs the list.
+    let mut newbie = CsawClient::new(CsawConfig::default(), Some("cdn-front.example"), 99);
     newbie
         .register(&server, profiles::ISP_A_ASN, SimTime::from_secs(60), 0.05)
         .unwrap();
     assert!(newbie.global_lookup(&yt).is_some(), "real entry visible");
-    assert!(
-        newbie
-            .global_lookup(&url("http://innocent-7.example/"))
-            .is_none(),
-        "spam filtered by vote confidence"
-    );
     // And the first visit skips the measurement round entirely.
     let r = newbie.request(&world, &yt, SimTime::from_secs(70));
     assert_eq!(newbie.stats.measurements, 0);
@@ -125,7 +130,7 @@ fn churn_blocked_to_unblocked_via_expiry() {
     assert_eq!(r.status_after, Status::Blocked);
 
     // The censor whitelists YouTube (the January 2016 event).
-    world.remove_censor(profiles::ISP_A_ASN);
+    world.install_censor(profiles::ISP_A_ASN, profiles::clean());
 
     // Before expiry the client still circumvents (stale record).
     let r = c.request(&world, &yt, SimTime::from_secs(100));
@@ -199,10 +204,10 @@ fn multihoming_strategy_converges() {
         served >= 28,
         "steady service expected, got {served} served / {failed} failed"
     );
-    // Per-provider observations exist for both ISPs once both have
-    // carried a blocked flow.
-    let n = c.per_provider.provider_count(&yt.base().to_string());
-    assert!(n >= 1, "providers with observations: {n}");
+    // Per-provider observations exist once a provider has carried a
+    // blocked flow.
+    let seen = c.per_provider.strict_union(&yt.base().to_string());
+    assert!(!seen.is_empty(), "no provider observed a mechanism");
 }
 
 /// The pilot study's CDN discovery (§7.4): a page's CDN-hosted resources
@@ -213,8 +218,11 @@ fn cdn_blocking_surfaces_in_resource_failures() {
     use csaw_webproto::page::WebPage;
 
     let provider = Provider::new(Asn(88), "isp");
-    let page = WebPage::synthetic(url("http://news.pk/"), 200_000, 10)
-        .with_cdn_resources(&url("http://cdn.blocked.example/"), 4);
+    // The last four of the page's ten resources live on the CDN.
+    let mut page = WebPage::synthetic(url("http://news.pk/"), 200_000, 10);
+    for (i, r) in page.resources[6..].iter_mut().enumerate() {
+        r.url = url(&format!("http://cdn.blocked.example/static/r{i}.bin"));
+    }
     let world = World::builder(AccessNetwork::single(provider.clone()))
         .site(
             SiteSpec::new("news.pk", Site::in_region(Region::Pakistan))

@@ -5,7 +5,7 @@
 //! hermetically (and reproducibly: every case derives from a fixed
 //! seed, so a failure message's case index pinpoints the exact input).
 
-use csaw::global::{Uuid, VoteLedger};
+use csaw::global::{Batch, Report, ShardedStore, StorageBackend, Uuid};
 use csaw::local::{LocalDb, Status};
 use csaw_censor::blocking::BlockingType;
 use csaw_simnet::tcp::{transfer_time, TcpConfig};
@@ -116,11 +116,22 @@ fn vote_mass_is_conserved() {
     for case in 0..CASES {
         let n_urls = rng.index(199) + 1;
         let client = rng.range_u64(0, 50);
-        let ledger = VoteLedger::new();
+        let store = ShardedStore::new(16).unwrap();
         let urls: Vec<(String, Asn)> = (0..n_urls)
             .map(|i| (format!("http://u{i}.example/"), Asn(1)))
             .collect();
-        ledger.add_client_urls(Uuid::from_raw(client), urls.clone());
+        let reports = urls
+            .iter()
+            .map(|(url, asn)| Report {
+                url: url.clone(),
+                asn: asn.0,
+                measured_at_us: 1,
+                stages: vec![BlockingType::HttpDrop],
+            })
+            .collect();
+        let batch = Batch::new(Uuid::from_raw(client), reports, SimTime::ZERO);
+        store.ingest(&batch).unwrap();
+        let ledger = store.ledger();
         let total: f64 = urls.iter().map(|(u, a)| ledger.tally(u, *a).s).sum();
         assert!(
             (total - 1.0).abs() < 1e-9,
@@ -272,7 +283,7 @@ fn lpm_matches_naive_scan() {
 fn censor_policy_decisions_are_reproducible() {
     let policy = csaw_censor::isp_b();
     let copy = csaw_censor::isp_b();
-    assert_eq!(copy.rule_count(), policy.rule_count());
+    assert_eq!(copy.rules(), policy.rules());
     assert_eq!(copy.name, policy.name);
     let mut r1 = DetRng::new(5);
     let mut r2 = DetRng::new(5);

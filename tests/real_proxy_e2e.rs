@@ -333,6 +333,32 @@ fn a_post_is_never_sent_down_both_paths() {
 }
 
 #[test]
+fn a_clean_post_measures_its_host() {
+    // A POST to an unmeasured host goes direct with in-line detection; a
+    // clean answer records the host clean, so the next GET does not race
+    // both paths to measure it again.
+    let ctx = Arc::new(csaw_obs::scope::ObsCtx::new());
+    let _g = csaw_obs::scope::install(ctx.clone());
+    let tb = testbed();
+    let mut s = TcpStream::connect(tb.proxy.addr).unwrap();
+    let mut post = Request::get(&Url::parse("http://clean.test/").unwrap());
+    post.method = Method::Post;
+    write_request(&mut s, &post).unwrap();
+    let r = read_response(&mut s, &mut BytesMut::new()).unwrap();
+    assert_eq!(r.status, 200);
+    assert_eq!(
+        record(&tb.proxy, "clean.test").map(|r| r.status),
+        Some(Status::NotBlocked)
+    );
+    assert_eq!(browse(&tb.proxy, "clean.test").status, 200);
+    assert_eq!(
+        ctx.registry.counter("proxy.redundant_requests").get(),
+        0,
+        "the GET raced both paths to a measured host"
+    );
+}
+
+#[test]
 fn proxy_spans_reach_the_spawners_sink() {
     // Regression: handler threads did not inherit the spawner's scope,
     // so each request's span went to the handler thread's null sink.
