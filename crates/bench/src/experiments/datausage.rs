@@ -12,7 +12,7 @@
 use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use csaw::config::RedundancyMode;
-use csaw::measure::{fetch_with_redundancy, measure_direct, DetectConfig};
+use csaw::measure::{fetch_with_redundancy, measure_direct};
 use csaw_circumvent::tor::TorClient;
 use csaw_circumvent::transports::{Direct, FetchCtx, Transport};
 use csaw_circumvent::world::World;
@@ -101,7 +101,6 @@ fn session_bytes(world: &World, mode: RedundancyMode, revalidate_p: f64, seed: u
                 url,
                 mode,
                 &mut tor,
-                &DetectConfig::default(),
                 &LoadModel::default(),
                 &mut rng,
             );
@@ -114,14 +113,7 @@ fn session_bytes(world: &World, mode: RedundancyMode, revalidate_p: f64, seed: u
         } else {
             total += page_bytes;
             if probe_draws[i] < revalidate_p {
-                let m = measure_direct(
-                    world,
-                    &provider,
-                    url,
-                    Some(page_bytes),
-                    &DetectConfig::default(),
-                    &mut rng,
-                );
+                let m = measure_direct(world, &provider, url, Some(page_bytes), &mut rng);
                 total += m.page_bytes.unwrap_or(0);
             }
         }

@@ -7,7 +7,7 @@
 
 use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
-use csaw::measure::{measure_direct, DetectConfig, MeasuredStatus};
+use csaw::measure::{measure_direct, MeasuredStatus};
 use csaw_censor::blocking::BlockingType;
 use csaw_censor::oni::{figure2_mixtures, policy_from_mixture, AsMixture, OniCategory};
 use csaw_circumvent::world::{SiteSpec, World};
@@ -108,14 +108,7 @@ pub fn run(seed: u64, jobs: usize) -> Fig2 {
         let mut classified = 0usize;
         for d in &domains {
             let url = Url::parse(&format!("http://{d}/")).expect("static URL");
-            let m = measure_direct(
-                &world,
-                &provider,
-                &url,
-                Some(120_000),
-                &DetectConfig::default(),
-                &mut rng,
-            );
+            let m = measure_direct(&world, &provider, &url, Some(120_000), &mut rng);
             if m.status == MeasuredStatus::Blocked {
                 if let Some(cat) = classify_oni(&m.stages) {
                     let idx = OniCategory::ALL

@@ -14,7 +14,7 @@ use crate::stats::{reduction_pct, Cdf, Panel, Summary};
 use crate::workload::uniform_arrivals;
 use crate::worlds::{single_isp_world, LARGE_PAGE, SMALL_PAGE};
 use csaw::config::RedundancyMode;
-use csaw::measure::{fetch_with_redundancy, DetectConfig};
+use csaw::measure::fetch_with_redundancy;
 use csaw_censor::blocking::{DnsTamper, HttpAction, IpAction, TlsAction};
 use csaw_circumvent::tor::TorClient;
 use csaw_circumvent::transports::{Direct, FetchCtx, Transport};
@@ -128,7 +128,6 @@ fn run_5a_trial(
             &url,
             mode,
             &mut tor,
-            &DetectConfig::default(),
             &LoadModel::default(),
             &mut rng,
         );

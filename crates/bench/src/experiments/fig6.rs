@@ -14,7 +14,7 @@ use crate::runner::{self, TrialSpec};
 use crate::stats::{Cdf, Panel};
 use crate::workload::alexa15_session;
 use csaw::local::{LocalDb, Status};
-use csaw::measure::{measure_direct, DetectConfig, MeasuredStatus};
+use csaw::measure::{measure_direct, MeasuredStatus};
 use csaw_censor::policy::{CensorPolicy, CensorRule, TargetMatcher};
 use csaw_censor::HttpAction;
 use csaw_circumvent::tor::TorClient;
@@ -148,14 +148,7 @@ pub fn run_6b(seed: u64) -> Fig6b {
     let now = SimTime::from_secs(1);
     for (_, urls) in &session {
         for u in urls {
-            let m = measure_direct(
-                &world,
-                &provider,
-                u,
-                Some(150_000),
-                &DetectConfig::default(),
-                &mut rng,
-            );
+            let m = measure_direct(&world, &provider, u, Some(150_000), &mut rng);
             let (status, stages) = match m.status {
                 MeasuredStatus::Blocked => (Status::Blocked, m.stages.clone()),
                 _ => (Status::NotBlocked, vec![]),

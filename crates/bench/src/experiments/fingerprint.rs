@@ -18,7 +18,7 @@
 use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use csaw::config::RedundancyMode;
-use csaw::measure::{fetch_with_redundancy, DetectConfig, ServedFrom};
+use csaw::measure::{fetch_with_redundancy, ServedFrom};
 use csaw_circumvent::tor::TorClient;
 use csaw_circumvent::transports::{Direct, FetchCtx, Transport};
 use csaw_circumvent::world::World;
@@ -109,7 +109,6 @@ fn simulate_client(
                         url,
                         m,
                         &mut tor,
-                        &DetectConfig::default(),
                         &LoadModel::default(),
                         &mut rng,
                     );

@@ -5,7 +5,7 @@
 use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use crate::worlds::{single_isp_world, PORN_PAGE, YOUTUBE};
-use csaw::measure::{measure_direct, DetectConfig, MeasuredStatus};
+use csaw::measure::{measure_direct, MeasuredStatus};
 use csaw_censor::blocking::{BlockingType, Stage};
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::topology::Asn;
@@ -71,14 +71,7 @@ pub fn run(seed: u64, jobs: usize) -> Table1 {
         let mut rng = DetRng::new(spec.seed);
         for _ in 0..20 {
             let provider = world.access.providers()[0].clone();
-            let m = measure_direct(
-                &world,
-                &provider,
-                &url,
-                Some(360_000),
-                &DetectConfig::default(),
-                &mut rng,
-            );
+            let m = measure_direct(&world, &provider, &url, Some(360_000), &mut rng);
             if m.status == MeasuredStatus::Blocked {
                 for s in m.stages {
                     if !mechanisms.contains(&s) {
@@ -92,14 +85,7 @@ pub fn run(seed: u64, jobs: usize) -> Table1 {
         let https_url = Url::parse(&url_s.replace("http://", "https://")).expect("static");
         for _ in 0..10 {
             let provider = world.access.providers()[0].clone();
-            let m = measure_direct(
-                &world,
-                &provider,
-                &https_url,
-                Some(360_000),
-                &DetectConfig::default(),
-                &mut rng,
-            );
+            let m = measure_direct(&world, &provider, &https_url, Some(360_000), &mut rng);
             if m.status == MeasuredStatus::Blocked {
                 for s in m.stages {
                     if s.stage() == Stage::Tls && !mechanisms.contains(&s) {

@@ -13,7 +13,7 @@
 use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use crate::worlds::YOUTUBE;
-use csaw::measure::{measure_direct, DetectConfig, MeasuredStatus};
+use csaw::measure::{measure_direct, MeasuredStatus};
 use csaw_censor::blocking::{DnsTamper, HttpAction, IpAction, TlsAction};
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::time::SimDuration;
@@ -103,14 +103,7 @@ pub fn run(seed: u64, jobs: usize) -> Table5 {
         let mut total = SimDuration::ZERO;
         let mut detected = 0usize;
         for _ in 0..runs {
-            let m = measure_direct(
-                &world,
-                &provider,
-                &url,
-                Some(360_000),
-                &DetectConfig::default(),
-                &mut rng,
-            );
+            let m = measure_direct(&world, &provider, &url, Some(360_000), &mut rng);
             if m.status == MeasuredStatus::Blocked {
                 total += m.detection_time;
                 detected += 1;

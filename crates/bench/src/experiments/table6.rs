@@ -10,7 +10,7 @@ use crate::experiments::Outcome;
 use crate::runner::{self, TrialSpec};
 use crate::stats::percentile;
 use crate::worlds::{single_isp_world, YOUTUBE};
-use csaw::measure::{measure_direct, DetectConfig};
+use csaw::measure::measure_direct;
 use csaw_censor::blocking::{DnsTamper, HttpAction, IpAction, TlsAction};
 use csaw_circumvent::tor::TorClient;
 use csaw_circumvent::transports::{FetchCtx, Transport};
@@ -69,15 +69,7 @@ fn shared_inputs(seed: u64) -> (Vec<Option<SimDuration>>, SimDuration) {
     // ladder (plus DNS); measure it once.
     let probe_time = {
         let mut rng = DetRng::new(seed ^ 0xbeef);
-        measure_direct(
-            &world,
-            &provider,
-            &url,
-            Some(360_000),
-            &DetectConfig::default(),
-            &mut rng,
-        )
-        .detection_time
+        measure_direct(&world, &provider, &url, Some(360_000), &mut rng).detection_time
     };
     (bases, probe_time)
 }

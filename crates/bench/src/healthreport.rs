@@ -362,7 +362,7 @@ mod tests {
         assert_eq!(input.runs(), vec!["rate=0.6"]);
         assert!(parse_jsonl("not json").is_err());
         // A Chrome trace is one JSON object, but not an event.
-        let chrome = csaw_obs::chrome::render_chrome_trace(&[csaw_obs::Event::point("x", 1)]);
+        let chrome = csaw_obs::chrome::render_chrome_trace(&[]);
         assert_eq!(parse_jsonl(&chrome).unwrap_err(), "line 1: not an event");
     }
 

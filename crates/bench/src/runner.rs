@@ -414,7 +414,7 @@ mod tests {
             ctx.timeline.configure(WindowCfg {
                 window_us: 1_000,
                 retain: 8,
-                slos: Arc::new(SloSet::empty()),
+                slos: Arc::new(SloSet::default()),
             });
             let _guard = scope::install(ctx.clone());
             windowed(jobs);
@@ -440,7 +440,7 @@ mod tests {
         ctx.timeline.configure(WindowCfg {
             window_us: 1_000_000,
             retain: 4,
-            slos: Arc::new(SloSet::empty()),
+            slos: Arc::new(SloSet::default()),
         });
         let _guard = scope::install(ctx.clone());
         let _ = synthetic(4, 5, 4);

@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn chrome_document_is_a_parse_error_on_line_1() {
-        let chrome = csaw_obs::chrome::render_chrome_trace(&[csaw_obs::Event::point("x", 1)]);
+        let chrome = csaw_obs::chrome::render_chrome_trace(&[]);
         let err = parse_jsonl(&chrome).unwrap_err();
         assert_eq!(err, "line 1: not an event");
     }

@@ -168,7 +168,8 @@ mod tests {
         // 360 KB ± wobble.
         let url = csaw_webproto::Url::parse("http://www.youtube.com/").unwrap();
         let page = yt.page_for(&url);
-        assert!((page.total_bytes() as i64 - 360_000).abs() < 80_000);
+        let total = page.html_bytes + page.resources.iter().map(|r| r.bytes).sum::<u64>();
+        assert!((total as i64 - 360_000).abs() < 80_000);
     }
 
     #[test]

@@ -125,7 +125,7 @@ fn bad_command_lines_exit_2_with_usage() {
     // `report` reads JSONL only: a Chrome trace is a parse error for
     // both kinds.
     let chrome = std::env::temp_dir().join(format!("csaw_cli_help_{}.json", std::process::id()));
-    let doc = csaw_obs::chrome::render_chrome_trace(&[csaw_obs::Event::point("fetch", 1)]);
+    let doc = csaw_obs::chrome::render_chrome_trace(&[]);
     std::fs::write(&chrome, doc).expect("write a Chrome trace");
     let file = chrome.to_str().expect("utf-8 temp path");
     let outs = [report(&["trace", file]), report(&["health", file])];

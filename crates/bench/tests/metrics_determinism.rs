@@ -38,7 +38,7 @@ fn snapshot_medians_match_table5() {
     let med = |name: &str| {
         ctx.registry
             .histogram(name)
-            .p50_us()
+            .quantile_us(0.5)
             .unwrap_or_else(|| panic!("no samples in {name}")) as f64
             / 1e6
     };

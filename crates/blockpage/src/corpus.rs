@@ -168,7 +168,8 @@ pub fn corpus_47() -> Vec<BlockPageSample> {
 /// including adversarial cases for the false-positive claim: small pages,
 /// and news articles *about* censorship whose text contains blocking
 /// vocabulary but whose structure is page-like.
-pub fn real_pages(n: usize) -> Vec<String> {
+#[cfg(test)]
+pub(crate) fn real_pages(n: usize) -> Vec<String> {
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
         let html = match i % 4 {

@@ -37,5 +37,5 @@ pub use classifier::{
     detect, phase1, phase1_html, phase1_markup, phase2, Detection, Phase1Config, Phase1Verdict,
     Phase2Config,
 };
-pub use corpus::{corpus_47, real_pages, BlockPageSample, Family};
+pub use corpus::{corpus_47, BlockPageSample, Family};
 pub use features::{extract, HtmlFeatures, BLOCK_KEYWORDS};

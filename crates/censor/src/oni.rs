@@ -67,17 +67,6 @@ pub struct AsMixture {
     pub fractions: [f64; 5],
 }
 
-impl AsMixture {
-    /// The fraction for one category.
-    pub fn fraction(&self, cat: OniCategory) -> f64 {
-        let idx = OniCategory::ALL
-            .iter()
-            .position(|c| *c == cat)
-            .expect("category in ALL");
-        self.fractions[idx]
-    }
-}
-
 /// The eight ASes of Figure 2 with mixtures encoding the figure's
 /// qualitative story: Yemen leans on no-HTTP-response filtering; the
 /// Indonesian AS mixes DNS redirection with block pages; Vietnamese ASes
@@ -209,9 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn fraction_accessor() {
+    fn fractions_are_in_category_order() {
         let m = &figure2_mixtures()[1];
-        assert!((m.fraction(OniCategory::DnsRedir) - 0.45).abs() < 1e-9);
+        let i = OniCategory::ALL
+            .iter()
+            .position(|c| *c == OniCategory::DnsRedir)
+            .unwrap();
+        assert!((m.fractions[i] - 0.45).abs() < 1e-9);
     }
 
     #[test]

@@ -183,21 +183,9 @@ impl CensorRule {
         self
     }
 
-    /// Builder: set the IP engage probability.
-    pub fn ip_p(mut self, p: f64) -> CensorRule {
-        self.ip_p = p.clamp(0.0, 1.0);
-        self
-    }
-
     /// Builder: set the HTTP action.
     pub fn http(mut self, a: HttpAction) -> CensorRule {
         self.http = a;
-        self
-    }
-
-    /// Builder: set the HTTP engage probability.
-    pub fn http_p(mut self, p: f64) -> CensorRule {
-        self.http_p = p.clamp(0.0, 1.0);
         self
     }
 
@@ -207,21 +195,9 @@ impl CensorRule {
         self
     }
 
-    /// Builder: set the TLS engage probability.
-    pub fn tls_p(mut self, p: f64) -> CensorRule {
-        self.tls_p = p.clamp(0.0, 1.0);
-        self
-    }
-
     /// Builder: set the UDP action.
     pub fn udp(mut self, a: UdpAction) -> CensorRule {
         self.udp = a;
-        self
-    }
-
-    /// Builder: set the UDP engage probability.
-    pub fn udp_p(mut self, p: f64) -> CensorRule {
-        self.udp_p = p.clamp(0.0, 1.0);
         self
     }
 }
@@ -487,7 +463,10 @@ mod tests {
                 TargetMatcher::DomainSuffix("other.org".into()),
                 HttpAction::Rst,
             ))
-            .with_rule(rule(TargetMatcher::DomainSuffix("b.c".into()), HttpAction::Rst).http_p(0.0))
+            .with_rule(CensorRule {
+                http_p: 0.0,
+                ..rule(TargetMatcher::DomainSuffix("b.c".into()), HttpAction::Rst)
+            })
             .with_rule(rule(TargetMatcher::Keyword("zzz".into()), HttpAction::Rst))
             .with_rule(rule(
                 TargetMatcher::DomainSuffix("a.b.c".into()),

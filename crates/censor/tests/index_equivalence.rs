@@ -231,9 +231,8 @@ fn rule(rng: &mut DetRng, index: usize) -> CensorRule {
             .dns_p(probability(rng));
     }
     if rng.chance(0.3) {
-        r = r
-            .ip([IpAction::Drop, IpAction::Rst][rng.index(2)])
-            .ip_p(probability(rng));
+        r = r.ip([IpAction::Drop, IpAction::Rst][rng.index(2)]);
+        r.ip_p = probability(rng);
     }
     if rng.chance(0.5) {
         let actions = [
@@ -242,17 +241,16 @@ fn rule(rng: &mut DetRng, index: usize) -> CensorRule {
             HttpAction::BlockPageRedirect,
             HttpAction::BlockPageInline,
         ];
-        r = r.http(actions[rng.index(4)]).http_p(probability(rng));
+        r = r.http(actions[rng.index(4)]);
+        r.http_p = probability(rng);
     }
     if rng.chance(0.5) {
-        r = r
-            .tls([TlsAction::Drop, TlsAction::Rst][rng.index(2)])
-            .tls_p(probability(rng));
+        r = r.tls([TlsAction::Drop, TlsAction::Rst][rng.index(2)]);
+        r.tls_p = probability(rng);
     }
     if rng.chance(0.3) {
-        r = r
-            .udp([UdpAction::Drop, UdpAction::Throttle][rng.index(2)])
-            .udp_p(probability(rng));
+        r = r.udp([UdpAction::Drop, UdpAction::Throttle][rng.index(2)]);
+        r.udp_p = probability(rng);
     }
     r
 }

@@ -96,11 +96,6 @@ impl LanternClient {
         }
     }
 
-    /// The trust network.
-    pub fn proxies(&self) -> &[LanternProxy] {
-        &self.proxies
-    }
-
     /// Select a proxy: lowest trust distance first (that's Lantern's
     /// discovery order), skipping proxies that are down right now;
     /// ties broken deterministically by label. `None` when every proxy

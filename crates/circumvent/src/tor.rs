@@ -126,16 +126,6 @@ impl TorClient {
         }
     }
 
-    /// The relay directory.
-    pub fn directory(&self) -> &[Relay] {
-        &self.directory
-    }
-
-    /// The current circuit, if one is open.
-    pub fn circuit(&self) -> Option<Circuit> {
-        self.circuit
-    }
-
     /// The exit relay's region for the current circuit (Fig. 1b isolates
     /// PLT by exit location).
     pub fn exit_region(&self) -> Option<Region> {
@@ -197,11 +187,6 @@ impl TorClient {
     /// Fig. 6a sends redundant requests over *separate* circuits).
     pub fn drop_circuit(&mut self) {
         self.circuit = None;
-    }
-
-    /// The current circuit's congestion multiplier (1.0 = nominal).
-    pub fn circuit_quality(&self) -> f64 {
-        self.circuit_quality
     }
 }
 
@@ -278,7 +263,7 @@ mod tests {
         assert_ne!(c.entry, c.middle);
         assert_ne!(c.middle, c.exit);
         assert_ne!(c.entry, c.exit);
-        assert!(tor.directory()[c.exit].is_exit);
+        assert!(tor.directory[c.exit].is_exit);
     }
 
     #[test]
@@ -299,7 +284,7 @@ mod tests {
     fn bandwidth_weighting_prefers_heavy_relays() {
         let mut tor = TorClient::new();
         let mut rng = DetRng::new(3);
-        let mut counts = vec![0usize; tor.directory().len()];
+        let mut counts = vec![0usize; tor.directory.len()];
         for _ in 0..2_000 {
             tor.drop_circuit();
             let (c, _) = tor.circuit_for(SimTime::ZERO, &mut rng);

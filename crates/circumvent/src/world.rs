@@ -267,18 +267,6 @@ impl World {
         self.censors.get(&asn)
     }
 
-    /// Block-page markup served by an AS's censor.
-    pub fn block_page_html(&self, asn: Asn) -> &str {
-        self.block_pages
-            .get(&asn)
-            .map_or(DEFAULT_BLOCK_PAGE, |html| html)
-    }
-
-    /// All hostnames in the world (used by tests and workload builders).
-    pub fn hosts(&self) -> impl Iterator<Item = &str> {
-        self.by_host.keys().map(String::as_str)
-    }
-
     /// Opt in to on-path interception of public-resolver queries.
     pub fn set_public_dns_intercepted(&mut self, yes: bool) {
         self.public_dns_intercepted = yes;
@@ -708,24 +696,6 @@ pub struct WorldBuilder {
 }
 
 impl WorldBuilder {
-    /// Set the client's region (default: the paper's vantage point).
-    pub fn client_region(mut self, r: Region) -> Self {
-        self.world.client_region = r;
-        self
-    }
-
-    /// Override TCP timing.
-    pub fn tcp(mut self, cfg: TcpConfig) -> Self {
-        self.world.tcp = cfg;
-        self
-    }
-
-    /// Override DNS timing.
-    pub fn dns(mut self, cfg: DnsTiming) -> Self {
-        self.world.dns = cfg;
-        self
-    }
-
     /// Add a site; address assignment is deterministic in insertion order.
     pub fn site(mut self, spec: SiteSpec) -> Self {
         let ip = Ipv4Addr::new(
@@ -828,12 +798,6 @@ impl SiteSpec {
     /// Builder: category tag.
     pub fn category(mut self, c: Category) -> Self {
         self.category = Some(c);
-        self
-    }
-
-    /// Builder: HTTPS support.
-    pub fn https(mut self, yes: bool) -> Self {
-        self.https = yes;
         self
     }
 
@@ -1044,9 +1008,21 @@ mod tests {
 
     #[test]
     fn block_page_html_is_classifiable() {
-        let (w, _) = test_world(profiles::isp_a(), profiles::ISP_A_ASN);
-        let html = w.block_page_html(profiles::ISP_A_ASN);
-        let verdict = csaw_blockpage::phase1_html(html, &csaw_blockpage::Phase1Config::default());
+        let (w, p) = test_world(profiles::isp_a(), profiles::ISP_A_ASN);
+        let mut rng = DetRng::new(8);
+        let ip = w.resolve_true("www.youtube.com").unwrap();
+        let url = Url::parse("http://www.youtube.com/").unwrap();
+        let (step, _) = w.http_exchange(&p, ip, &url, false, None, None, &mut rng);
+        let HttpStep::Response {
+            html,
+            truth_block_page: true,
+            ..
+        } = step
+        else {
+            panic!("{step:?}")
+        };
+        let verdict =
+            csaw_blockpage::phase1_markup(&html, &csaw_blockpage::Phase1Config::default());
         assert_eq!(verdict, csaw_blockpage::Phase1Verdict::BlockPage);
     }
 

@@ -13,7 +13,7 @@
 //! behaviour change re-blesses exactly the rows it names (the failure
 //! message prints the recomputed table).
 
-use csaw::measure::{measure_direct, DetectConfig, DirectMeasurement};
+use csaw::measure::{measure_direct, DirectMeasurement};
 use csaw_censor::{profiles, CensorPolicy, DnsTamper, HttpAction, IpAction, TlsAction};
 use csaw_circumvent::fetch::FetchReport;
 use csaw_circumvent::transports::{
@@ -59,11 +59,11 @@ fn world(asn: Asn, policy: CensorPolicy, public_dns_intercepted: bool) -> (World
         )
         .site(SiteSpec::new(CDN, Site::in_region(Region::Netherlands)))
         // An HTTPS-less origin.
-        .site(
-            SiteSpec::new("legacy.example", Site::in_region(Region::Pakistan))
-                .https(false)
-                .default_page(20_000, 2),
-        )
+        .site(SiteSpec {
+            https: false,
+            ..SiteSpec::new("legacy.example", Site::in_region(Region::Pakistan))
+                .default_page(20_000, 2)
+        })
         // A frontable origin and its front.
         .site(
             SiteSpec::new("www.youtube.com", Site::at_vantage_rtt(Region::UsEast, 186))
@@ -197,15 +197,7 @@ fn subjects() -> Vec<(&'static str, MakeSubject)> {
                 // Alternate phase 2 off / on (a 100 KB circumvention copy).
                 phase2 = !phase2;
                 let circ_bytes = phase2.then_some(100_000);
-                let cfg = DetectConfig::default();
-                measurement_fields(&measure_direct(
-                    w,
-                    &ctx.provider,
-                    url,
-                    circ_bytes,
-                    &cfg,
-                    rng,
-                ))
+                measurement_fields(&measure_direct(w, &ctx.provider, url, circ_bytes, rng))
             })
         }),
     ]

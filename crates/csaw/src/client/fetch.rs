@@ -1,24 +1,26 @@
 //! The fetch path: Algorithm 1 (§4.3), written once.
 //!
-//! [`FetchPath::request`] decides, per user request, between the four
-//! roads the paper describes — and `copyable` (§4.3.1's footnote: "To
-//! avoid multiple writes, HTTP POST requests are not duplicated")
-//! switches off exactly the two places a request is copied onto a second
-//! path: the first-contact redundant round and the probability-`p`
-//! direct-path revalidation. Everything else — the local and global
-//! lookups, the multihoming strict union, transport selection — is the
-//! same road for a request that may be copied and one that may not.
+//! [`Books::road`] decides, per user request, between the four roads the
+//! paper describes (blocked locally, blocked in the synced global view,
+//! unmeasured, last seen reachable), and [`FetchPath::request`] walks the
+//! road it names; the real-socket proxy reads the same decision through
+//! `CsawClient::road`. `copyable` (§4.3.1's footnote: "To avoid multiple
+//! writes, HTTP POST requests are not duplicated") switches off exactly
+//! the two places a request is copied onto a second path: the
+//! first-contact redundant round and the probability-`p` direct-path
+//! revalidation. Everything else — the local and global lookups, the
+//! multihoming strict union, transport selection — is the same road for
+//! a request that may be copied and one that may not.
 
 use super::report_queue::ReportQueue;
 use super::sync_view::SyncView;
-use super::{ClientStats, RequestOutcome, Telemetry};
+use super::{ClientStats, RequestOutcome, Road, Telemetry};
 use crate::circum::Selector;
 use crate::config::CsawConfig;
 use crate::global::Report;
 use crate::local::{LocalDb, LocalRecord, Status};
 use crate::measure::{
-    fetch_with_redundancy, measure_direct, DetectConfig, DirectMeasurement, MeasuredStatus,
-    ServedFrom,
+    fetch_with_redundancy, measure_direct, DirectMeasurement, MeasuredStatus, ServedFrom,
 };
 use crate::multihoming::{MultihomingManager, PerProviderBlocking};
 use crate::tracing::{emit_fetch_tree, FetchBreakdown};
@@ -48,6 +50,24 @@ pub(super) struct Books<'a> {
 }
 
 impl Books<'_> {
+    /// Algorithm 1's road for a request to `url` at `now`: known blocked
+    /// in the local DB (stages from [`Books::blocked_stages`]) or, for a
+    /// URL never measured here, in the synced global view; otherwise the
+    /// redundant round for a first contact that may be copied, and the
+    /// direct path with in-line detection for the rest.
+    pub(super) fn road(&self, url: &Url, copyable: bool, now: SimTime) -> Road {
+        let lookup = self.local_db.lookup(url, now);
+        match lookup.status {
+            Status::Blocked => Road::Circumvent(self.blocked_stages(url, lookup.record)),
+            Status::NotMeasured => match self.view.lookup(url) {
+                Some(stages) => Road::Circumvent(stages.clone()),
+                None if copyable => Road::Measure,
+                None => Road::Direct(Status::NotMeasured),
+            },
+            Status::NotBlocked => Road::Direct(Status::NotBlocked),
+        }
+    }
+
     /// The mechanism set to circumvent for a URL the local DB holds as
     /// blocked: on a multihomed network the strict union across
     /// providers (blocking differs per ISP, and the flow may land on
@@ -116,7 +136,6 @@ impl Books<'_> {
 pub(super) struct FetchPath {
     selector: Selector,
     redundant: TorClient,
-    detect_cfg: DetectConfig,
     load: LoadModel,
     rng: DetRng,
     /// Ordinal of the next user fetch (trace-id derivation input).
@@ -134,7 +153,6 @@ impl FetchPath {
             // measurement reports) — except for anonymity-only users,
             // where it is also the only serving transport.
             redundant: TorClient::new(),
-            detect_cfg: DetectConfig::default(),
             load: LoadModel::default(),
             rng: DetRng::new(seed),
             fetch_seq: 0,
@@ -189,20 +207,12 @@ impl FetchPath {
         });
         bk.multihoming.probe(now, provider.asn);
         let ctx = FetchCtx { now, provider };
-        let lookup = bk.local_db.lookup(url, now);
-        let status = lookup.status;
-        let known_blocked = match status {
-            Status::Blocked => Some(bk.blocked_stages(url, lookup.record)),
-            // Consult the local copy of the global DB first.
-            Status::NotMeasured => bk.view.lookup(url).cloned(),
-            Status::NotBlocked => None,
-        };
-        match known_blocked {
-            Some(stages) => self.serve_blocked(&mut bk, world, &ctx, url, stages, copyable),
-            None if copyable && status == Status::NotMeasured => {
-                self.measure_and_serve(&mut bk, world, &ctx, url)
+        match bk.road(url, copyable, now) {
+            Road::Circumvent(stages) => {
+                self.serve_blocked(&mut bk, world, &ctx, url, stages, copyable)
             }
-            None => self.direct_with_detection(&mut bk, world, &ctx, url, status),
+            Road::Measure => self.measure_and_serve(&mut bk, world, &ctx, url),
+            Road::Direct(prior) => self.direct_with_detection(&mut bk, world, &ctx, url, prior),
         }
     }
 
@@ -219,14 +229,7 @@ impl FetchPath {
         url: &Url,
         prior: Status,
     ) -> RequestOutcome {
-        let m = measure_direct(
-            world,
-            &ctx.provider,
-            url,
-            None,
-            &self.detect_cfg,
-            &mut self.rng,
-        );
+        let m = measure_direct(world, &ctx.provider, url, None, &mut self.rng);
         let (plt, status_after) = match m.status {
             MeasuredStatus::Blocked => {
                 return self.circumvent_after_detection(bk, world, ctx, url, &m)
@@ -341,14 +344,7 @@ impl FetchPath {
         if measured {
             bk.stats.revalidations += 1;
             let circ_bytes = report.outcome.page().map(|p| p.bytes);
-            let m = measure_direct(
-                world,
-                &ctx.provider,
-                url,
-                circ_bytes,
-                &self.detect_cfg,
-                &mut self.rng,
-            );
+            let m = measure_direct(world, &ctx.provider, url, circ_bytes, &mut self.rng);
             // The concurrent probe taxes the user fetch.
             if let Some(p) = plt {
                 plt = Some(self.load.inflate(p, 2, &mut self.rng));
@@ -405,7 +401,6 @@ impl FetchPath {
             url,
             bk.cfg.redundancy,
             &mut self.redundant,
-            &self.detect_cfg,
             &self.load,
             &mut self.rng,
         );

@@ -33,7 +33,7 @@ mod sync_view;
 
 pub use report_queue::WireFault;
 
-use crate::config::{CsawConfig, UserPreference};
+use crate::config::CsawConfig;
 use crate::global::{
     Batch, GlobalApi, IngestReceipt, RegistrationError, StoreError, SubmitError, SubmitReceipt,
     Uuid,
@@ -102,6 +102,21 @@ pub struct RequestOutcome {
     pub status_after: Status,
     /// Whether this request triggered a fresh measurement.
     pub measured: bool,
+}
+
+/// The road Algorithm 1 (§4.3) takes for one request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Road {
+    /// Known blocked, locally or through the synced global view: serve
+    /// through circumvention alone, evading these stages.
+    Circumvent(Vec<BlockingType>),
+    /// First contact with a request that may be copied: redundant
+    /// requests down the direct and the circumvention path.
+    Measure,
+    /// The direct path with in-line detection: a URL last seen
+    /// reachable, or an unmeasured one whose request must not be copied
+    /// (a POST). Holds the URL's local status going in.
+    Direct(Status),
 }
 
 /// What the client tells the observability layer apart by: the seed its
@@ -191,11 +206,6 @@ impl CsawClient {
         self
     }
 
-    /// This client's UUID, if registered.
-    pub fn uuid(&self) -> Option<Uuid> {
-        self.uuid
-    }
-
     /// Register with the server (initialization; the paper gates this
     /// with "No CAPTCHA reCAPTCHA" — `risk_score` is that engine's
     /// output) and download the blocked list for `asn`.
@@ -262,6 +272,15 @@ impl CsawClient {
         });
         let (books, fetch) = self.books();
         fetch.request(books, world, url, method.safe_to_duplicate(), now)
+    }
+
+    /// The road [`CsawClient::request_method`] takes for `method` to
+    /// `url` at `now`: local DB, synced global view, multihoming strict
+    /// union, and never a copy of a request that is not safe to
+    /// duplicate. The real-socket proxy fetches on its own sockets down
+    /// the road this names.
+    pub fn road(&mut self, url: &Url, method: csaw_webproto::Method, now: SimTime) -> Road {
+        self.books().0.road(url, method.safe_to_duplicate(), now)
     }
 
     /// Record a verdict measured outside [`CsawClient::request`] — the
@@ -352,12 +371,6 @@ impl CsawClient {
         }
         self.post_with(now, |batch, rng| collectors.submit(server, batch, rng))
             .unwrap_or_else(|| Ok(SubmitReceipt::default()))
-    }
-
-    /// Anonymity-preferring clients must never leak through non-anonymous
-    /// transports — surfaced for tests/audits.
-    pub fn preference(&self) -> UserPreference {
-        self.cfg.preference
     }
 
     /// Reports still waiting for a successful post.
@@ -452,7 +465,7 @@ mod tests {
         ctx.timeline.configure(WindowCfg {
             window_us: 3_600_000_000, // 1 h windows
             retain: 8,
-            slos: Arc::new(SloSet::empty()),
+            slos: Arc::new(SloSet::default()),
         });
         let _g = csaw_obs::scope::install(ctx.clone());
         let w = build_world(profiles::isp_a(), profiles::ISP_A_ASN);

@@ -74,8 +74,8 @@ pub use global::{
 };
 pub use local::{LocalDb, LocalRecord, Status};
 pub use measure::{
-    fetch_with_redundancy, measure_direct, DetectConfig, DirectMeasurement, MeasuredStatus,
-    RedundantOutcome, ServedFrom,
+    fetch_with_redundancy, measure_direct, DirectMeasurement, MeasuredStatus, RedundantOutcome,
+    ServedFrom,
 };
 pub use multihoming::{MultihomingManager, PerProviderBlocking};
 pub use tracing::{emit_fetch_tree, FetchBreakdown};
@@ -86,5 +86,5 @@ pub mod prelude {
     pub use crate::config::{CsawConfig, RedundancyMode, UserPreference};
     pub use crate::global::{ConfidenceFilter, Report, ServerDb, Uuid};
     pub use crate::local::{LocalDb, Status};
-    pub use crate::measure::{DetectConfig, MeasuredStatus, ServedFrom};
+    pub use crate::measure::{MeasuredStatus, ServedFrom};
 }

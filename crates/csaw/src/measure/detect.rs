@@ -31,15 +31,6 @@ use csaw_simnet::topology::Provider;
 use csaw_webproto::page::Markup;
 use csaw_webproto::url::Url;
 
-/// Detector configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DetectConfig {
-    /// Phase-1 block-page heuristic thresholds.
-    pub phase1: Phase1Config,
-    /// Phase-2 size-comparison threshold.
-    pub phase2: Phase2Config,
-}
-
 /// The measured status of the direct path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeasuredStatus {
@@ -110,7 +101,6 @@ pub fn measure_direct(
     provider: &Provider,
     url: &Url,
     circ_bytes: Option<u64>,
-    cfg: &DetectConfig,
     rng: &mut DetRng,
 ) -> DirectMeasurement {
     let opts = DirectOpts {
@@ -118,7 +108,7 @@ pub fn measure_direct(
         ..DirectOpts::default()
     };
     let first = direct_like_fetch(world, provider, url, &opts, rng);
-    let m = classify_attempt(world, provider, url, first, circ_bytes, cfg, rng);
+    let m = classify_attempt(world, provider, url, first, circ_bytes, rng);
     observe_measurement(&m);
     m
 }
@@ -156,7 +146,6 @@ fn classify_attempt(
     url: &Url,
     first: FetchReport,
     circ_bytes: Option<u64>,
-    cfg: &DetectConfig,
     rng: &mut DetRng,
 ) -> DirectMeasurement {
     match first.outcome {
@@ -166,7 +155,6 @@ fn classify_attempt(
             page.redirected,
             first.elapsed,
             circ_bytes,
-            cfg,
         ),
         FetchOutcome::Failed(kind) if is_dns_stage(kind) => {
             // DNS anomaly: detection of the DNS stage happened now; fall
@@ -205,14 +193,8 @@ fn classify_attempt(
                     // confirmed censorship... unless the document itself
                     // is a block page (then HTTP blocking is also live).
                     stages.push(failure_to_blocking(kind).expect("dns kinds map"));
-                    let mut m = classify_page(
-                        page.bytes,
-                        &page.html,
-                        page.redirected,
-                        total,
-                        circ_bytes,
-                        cfg,
-                    );
+                    let mut m =
+                        classify_page(page.bytes, &page.html, page.redirected, total, circ_bytes);
                     match m.status {
                         MeasuredStatus::Blocked => {
                             // Multi-stage: DNS + HTTP block page.
@@ -298,14 +280,16 @@ pub fn classify_page(
     redirected: bool,
     elapsed: SimDuration,
     circ_bytes: Option<u64>,
-    cfg: &DetectConfig,
 ) -> DirectMeasurement {
-    let flagged = csaw_blockpage::phase1_markup(html, &cfg.phase1) == Phase1Verdict::BlockPage;
+    let flagged =
+        csaw_blockpage::phase1_markup(html, &Phase1Config::default()) == Phase1Verdict::BlockPage;
     // With a circumvention copy around, phase 2 has the last word: it
     // confirms a phase-1 flag (or corrects the rare false positive) and
     // unmasks a portal-style block page phase 1 cleared. Without one,
     // phase-1 evidence stands (the copy will arrive and correct it).
-    let blocked = circ_bytes.map_or(flagged, |cb| csaw_blockpage::phase2(bytes, cb, &cfg.phase2));
+    let blocked = circ_bytes.map_or(flagged, |cb| {
+        csaw_blockpage::phase2(bytes, cb, &Phase2Config::default())
+    });
     let stage = if flagged && redirected {
         BlockingType::HttpBlockPageRedirect
     } else {
@@ -358,14 +342,7 @@ mod tests {
     fn measure(policy: csaw_censor::CensorPolicy, url: &str, seed: u64) -> DirectMeasurement {
         let (w, p) = world_with(policy, Asn(5));
         let mut rng = DetRng::new(seed);
-        measure_direct(
-            &w,
-            &p,
-            &Url::parse(url).unwrap(),
-            None,
-            &DetectConfig::default(),
-            &mut rng,
-        )
+        measure_direct(&w, &p, &Url::parse(url).unwrap(), None, &mut rng)
     }
 
     #[test]
@@ -597,7 +574,6 @@ mod tests {
             false,
             SimDuration::from_millis(500),
             Some(360_000),
-            &DetectConfig::default(),
         );
         assert_eq!(m.status, MeasuredStatus::Blocked);
         assert_eq!(m.stages, vec![BlockingType::HttpBlockPageInline]);
@@ -613,7 +589,6 @@ mod tests {
             false,
             SimDuration::from_millis(300),
             Some(html.len() as u64),
-            &DetectConfig::default(),
         );
         assert_eq!(m.status, MeasuredStatus::NotBlocked);
         assert!(m.phase1_flagged);

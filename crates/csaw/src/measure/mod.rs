@@ -6,8 +6,7 @@ pub mod nonweb;
 pub mod redundancy;
 
 pub use detect::{
-    classify_page, failure_to_blocking, measure_direct, DetectConfig, DirectMeasurement,
-    MeasuredStatus,
+    classify_page, failure_to_blocking, measure_direct, DirectMeasurement, MeasuredStatus,
 };
 pub use nonweb::{measure_udp_service, UdpMeasurement};
 pub use redundancy::{fetch_with_redundancy, RedundantOutcome, ServedFrom};

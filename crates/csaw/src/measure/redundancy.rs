@@ -20,7 +20,7 @@
 //! blocked.
 
 use crate::config::RedundancyMode;
-use crate::measure::detect::{measure_direct, DetectConfig, DirectMeasurement, MeasuredStatus};
+use crate::measure::detect::{measure_direct, DirectMeasurement, MeasuredStatus};
 use csaw_circumvent::fetch::FetchReport;
 use csaw_circumvent::transports::{FetchCtx, Transport};
 use csaw_circumvent::world::World;
@@ -67,20 +67,18 @@ pub struct RedundantOutcome {
 /// When a trace frame is active (see [`crate::tracing`]), the outcome is
 /// also emitted as the canonical fetch span tree, decomposing the user
 /// PLT into detection, circumvention setup, and transfer.
-#[allow(clippy::too_many_arguments)] // the redundancy engine genuinely spans all these concerns
 pub fn fetch_with_redundancy(
     world: &World,
     ctx: &FetchCtx,
     url: &Url,
     mode: RedundancyMode,
     circ: &mut dyn Transport,
-    detect_cfg: &DetectConfig,
     load: &LoadModel,
     rng: &mut DetRng,
 ) -> RedundantOutcome {
     let out = match mode {
         RedundancyMode::Serial => {
-            let m = measure_direct(world, &ctx.provider, url, None, detect_cfg, rng);
+            let m = measure_direct(world, &ctx.provider, url, None, rng);
             if m.status == MeasuredStatus::NotBlocked {
                 direct_alone(m)
             } else {
@@ -104,13 +102,13 @@ pub fn fetch_with_redundancy(
             // Both copies in flight for the whole fetch.
             let mut c = circ.fetch(world, ctx, url, rng);
             let circ_bytes = c.outcome.page().map(|p| p.bytes);
-            let mut m = measure_direct(world, &ctx.provider, url, circ_bytes, detect_cfg, rng);
+            let mut m = measure_direct(world, &ctx.provider, url, circ_bytes, rng);
             share_the_link(&mut m, &mut c, 1.0, load, rng);
             m.detection_time = m.detection_time.min(m.elapsed);
             combine_parallel(m, c, SimDuration::ZERO)
         }
         RedundancyMode::Staggered(delay) => {
-            let mut m = measure_direct(world, &ctx.provider, url, None, detect_cfg, rng);
+            let mut m = measure_direct(world, &ctx.provider, url, None, rng);
             if m.status == MeasuredStatus::NotBlocked && m.elapsed <= delay {
                 // Direct answered before the stagger fired: single copy,
                 // no load tax — the whole point of the delay.
@@ -350,7 +348,6 @@ mod tests {
             &Url::parse("http://victim.example/").unwrap(),
             mode,
             &mut tor,
-            &DetectConfig::default(),
             &LoadModel::default(),
             &mut rng,
         )
@@ -453,7 +450,6 @@ mod tests {
             &Url::parse("http://victim.example/").unwrap(),
             RedundancyMode::Parallel,
             &mut Dead,
-            &DetectConfig::default(),
             &LoadModel::default(),
             &mut rng,
         );
@@ -497,7 +493,6 @@ mod tests {
             &Url::parse("http://victim.example/").unwrap(),
             RedundancyMode::Parallel,
             &mut Dead,
-            &DetectConfig::default(),
             &LoadModel::default(),
             &mut rng,
         );
@@ -541,7 +536,6 @@ mod tests {
             &Url::parse("http://victim.example/").unwrap(),
             RedundancyMode::Serial,
             &mut Dead,
-            &DetectConfig::default(),
             &LoadModel::default(),
             &mut rng,
         );

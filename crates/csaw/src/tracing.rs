@@ -63,11 +63,6 @@ impl FetchBreakdown {
             ok: false,
         }
     }
-
-    /// Total root duration (what the user waited).
-    pub fn total(&self) -> SimDuration {
-        self.detect + self.circum + self.transfer
-    }
 }
 
 /// True when fetch trees should be emitted: an active trace frame and an
@@ -124,7 +119,7 @@ mod tests {
             SimDuration::from_micros(4_000),
             SimDuration::from_micros(2_500),
         );
-        assert_eq!(b.total(), plt);
+        assert_eq!(b.detect + b.circum + b.transfer, plt);
         assert_eq!(b.transfer, SimDuration::from_micros(3_500));
         assert!(b.ok);
     }
@@ -140,7 +135,7 @@ mod tests {
         assert_eq!(b.detect, plt);
         assert_eq!(b.circum, SimDuration::ZERO);
         assert_eq!(b.transfer, SimDuration::ZERO);
-        assert_eq!(b.total(), plt);
+        assert_eq!(b.detect + b.circum + b.transfer, plt);
     }
 
     #[test]
@@ -148,7 +143,7 @@ mod tests {
         let b = FetchBreakdown::failed(SimDuration::from_secs(21), SimDuration::from_secs(5));
         assert!(!b.ok);
         assert_eq!(b.transfer, SimDuration::ZERO);
-        assert_eq!(b.total(), SimDuration::from_secs(26));
+        assert_eq!(b.detect + b.circum + b.transfer, SimDuration::from_secs(26));
     }
 
     #[test]

@@ -31,17 +31,6 @@ pub struct Event {
 }
 
 impl Event {
-    /// A bare point event (no fields, no trace) — test/bench helper.
-    pub fn point(name: &str, ts_us: u64) -> Event {
-        Event {
-            ts_us,
-            name: name.to_string(),
-            dur_us: None,
-            fields: Vec::new(),
-            trace: None,
-        }
-    }
-
     /// Serialize as a single JSON object (one JSONL line). Trace and
     /// span ids are fixed-width hex strings: a JSON number is an f64
     /// and cannot carry 64 bits exactly.
@@ -220,6 +209,20 @@ macro_rules! span_us {
             &[$((stringify!($k), $crate::json::JsonValue::from($v))),*],
         )
     };
+}
+
+#[cfg(test)]
+impl Event {
+    /// A bare point event (no fields, no trace).
+    pub(crate) fn point(name: &str, ts_us: u64) -> Event {
+        Event {
+            ts_us,
+            name: name.to_string(),
+            dur_us: None,
+            fields: Vec::new(),
+            trace: None,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -181,25 +181,9 @@ impl Histogram {
         Some(self.max_us.load(Ordering::Relaxed))
     }
 
-    /// Median (p50) in µs; `None` when empty.
-    pub fn p50_us(&self) -> Option<u64> {
-        self.quantile_us(0.5)
-    }
-
-    /// 90th percentile in µs; `None` when empty.
-    pub fn p90_us(&self) -> Option<u64> {
-        self.quantile_us(0.9)
-    }
-
     /// 99th percentile in µs; `None` when empty.
     pub fn p99_us(&self) -> Option<u64> {
         self.quantile_us(0.99)
-    }
-
-    /// Mean in µs; `None` when empty.
-    pub fn mean_us(&self) -> Option<f64> {
-        let n = self.count();
-        (n > 0).then(|| self.sum_us() as f64 / n as f64)
     }
 
     /// Summarize and clear the recorded samples: the windowed-series
@@ -474,7 +458,7 @@ mod tests {
         for _ in 0..50 {
             h.observe_secs(21.03);
         }
-        let m = h.p50_us().unwrap() as f64 / 1e6;
+        let m = h.quantile_us(0.5).unwrap() as f64 / 1e6;
         assert!((m - 21.03).abs() / 21.03 < 0.02, "{m}");
     }
 
@@ -587,16 +571,14 @@ mod tests {
     fn quantile_accessors_cover_empty_and_single_bucket_edges() {
         // Empty: every accessor declines.
         let h = Histogram::default();
-        assert_eq!(h.p50_us(), None);
-        assert_eq!(h.p90_us(), None);
+        assert_eq!(h.quantile_us(0.5), None);
+        assert_eq!(h.quantile_us(0.9), None);
         assert_eq!(h.p99_us(), None);
-        assert_eq!(h.mean_us(), None);
         // Single bucket: every quantile is that bucket's representative.
         h.observe_us(42);
-        assert_eq!(h.p50_us(), Some(42));
-        assert_eq!(h.p90_us(), Some(42));
+        assert_eq!(h.quantile_us(0.5), Some(42));
+        assert_eq!(h.quantile_us(0.9), Some(42));
         assert_eq!(h.p99_us(), Some(42));
-        assert_eq!(h.mean_us(), Some(42.0));
         // Many samples in one (sub-cutover, exact) bucket: still exact.
         for _ in 0..99 {
             h.observe_us(42);

@@ -160,11 +160,6 @@ pub struct SloSet {
 }
 
 impl SloSet {
-    /// No rules at all (timelines that only export frames).
-    pub fn empty() -> SloSet {
-        SloSet::default()
-    }
-
     /// The C-Saw pipeline rule set: report delivery (fast + slow burn),
     /// per-AS blocked-list staleness, persistent client queue backlog,
     /// per-AS measurement coverage, and detection-latency p99. The

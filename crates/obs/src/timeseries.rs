@@ -411,9 +411,6 @@ struct Inner {
     series: BTreeMap<String, SeriesCell>,
     /// Closed frames, oldest first, capped at `cfg.retain`.
     recent: VecDeque<Frame>,
-    /// Every SLO violation recorded so far (bounded by rule × window
-    /// count, which the retain cap and rule set keep small).
-    violations: Vec<crate::slo::Violation>,
     run: String,
     /// Windows skipped by the frame cap since the last emitted frame.
     pending_skipped: u64,
@@ -632,25 +629,19 @@ impl Timeline {
         while g.recent.len() > cfg.retain.max(1) {
             g.recent.pop_front();
         }
-        // SLO evaluation over the retained history, newest frame last.
-        let history: Vec<Frame> = g.recent.iter().cloned().collect();
-        let violations = cfg.slos.evaluate(&history);
-        for v in violations {
-            if sink.enabled() {
+        // SLO evaluation over the retained history, newest frame last;
+        // its only product is the violation events.
+        if sink.enabled() {
+            let history: Vec<Frame> = g.recent.iter().cloned().collect();
+            for v in cfg.slos.evaluate(&history) {
                 sink.record(&v.to_event());
             }
-            g.violations.push(v);
         }
     }
 
     /// The retained closed frames, oldest first.
     pub fn recent_frames(&self) -> Vec<Frame> {
         lock_recover(&self.inner).recent.iter().cloned().collect()
-    }
-
-    /// Every SLO violation recorded so far, in emission order.
-    pub fn violations(&self) -> Vec<crate::slo::Violation> {
-        lock_recover(&self.inner).violations.clone()
     }
 
     /// A fresh timeline inheriting this one's configuration (the trial
@@ -673,7 +664,7 @@ mod tests {
         WindowCfg {
             window_us,
             retain: 8,
-            slos: Arc::new(SloSet::empty()),
+            slos: Arc::new(SloSet::default()),
         }
     }
 

@@ -212,7 +212,6 @@ pub fn root(trace: TraceId, start_us: u64) -> RootScope {
             span,
             parent: None,
         },
-        start_us,
         saved_seq,
         saved_cursor,
     }
@@ -227,7 +226,6 @@ pub fn fetch_root(seed: u64, ordinal: u64, start_us: u64) -> RootScope {
 #[derive(Debug)]
 pub struct RootScope {
     ctx: TraceCtx,
-    start_us: u64,
     saved_seq: u64,
     saved_cursor: u64,
 }
@@ -241,11 +239,6 @@ impl RootScope {
     /// The trace id.
     pub fn trace(&self) -> TraceId {
         self.ctx.trace
-    }
-
-    /// Where the trace started (absolute µs).
-    pub fn start_us(&self) -> u64 {
-        self.start_us
     }
 }
 

@@ -9,8 +9,8 @@
 //! - [`proxy`]: the local C-Saw proxy — redundant requests racing both
 //!   paths and the simulated client's 2-phase block-page detection on
 //!   live responses, with every verdict kept in a [`csaw::CsawClient`]:
-//!   its local DB decides each host's road, and its report queue posts
-//!   to any global DB.
+//!   its `road` (local DB, synced global view) decides each request's
+//!   path, and its report queue posts to any global DB.
 //!
 //! Every server here — proxy, origin, middlebox — runs the shared
 //! accept/drain loop [`csaw_webproto::server`]: its connection threads

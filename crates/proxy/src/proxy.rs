@@ -2,11 +2,14 @@
 //!
 //! This is the paper's client-side proxy (§4.3, §6) reduced to its
 //! network essentials and run against the localhost testbed: browsers
-//! connect to it, every host's first visit triggers **redundant
-//! requests** (direct path through the censoring middlebox,
-//! circumvention path straight to the origin; a POST, which must not
-//! reach the origin twice, takes the direct path alone), the direct
-//! response passes through the simulated client's 2-phase detector
+//! connect to it, and each request goes down the road its client's
+//! [`CsawClient::road`] names — Algorithm 1's one decision. A host known
+//! blocked, in the local DB or in the synced global view, is fetched
+//! over the circumvention path (straight to the origin) alone; a first
+//! visit triggers **redundant requests** (that path and the direct path
+//! through the censoring middlebox; a POST, which must not reach the
+//! origin twice, takes the direct path alone); the direct response
+//! passes through the simulated client's 2-phase detector
 //! ([`classify_page`]), and the user is served the best copy.
 //!
 //! The proxy keeps no books of its own. Its verdicts live in the
@@ -19,9 +22,9 @@
 //! own, so an embedder that wants real times drives it with `set_us`.
 
 use crate::testbed::resolver::TestResolver;
-use csaw::client::CsawClient;
+use csaw::client::{CsawClient, Road};
 use csaw::local::Status;
-use csaw::measure::{classify_page, failure_to_blocking, DetectConfig};
+use csaw::measure::{classify_page, failure_to_blocking};
 use csaw_censor::BlockingType;
 use csaw_circumvent::outcome::FailureKind;
 use csaw_simnet::time::{SimDuration, SimTime};
@@ -203,7 +206,6 @@ fn detect(direct: &Response, clean: Option<&Response>) -> Vec<BlockingType> {
         false,
         SimDuration::ZERO,
         clean.map(|c| c.body.len() as u64),
-        &DetectConfig::default(),
     )
     .stages
 }
@@ -245,21 +247,13 @@ fn serve_url(state: &ProxyState, host: &str, url: &Url, req: &Request) -> Respon
     };
     let timeout = state.cfg.get_timeout;
     let clean = || fetch_one(res.clean, req, timeout * 4);
-    let status = state
+    let road = state
         .client
         .lock()
         .unwrap()
-        .local_db
-        .lookup(url, obs_now())
-        .status;
-    // A request that must not reach the origin twice (a POST) is never
-    // raced: an unmeasured host takes the single-path road instead.
-    let status = match status {
-        Status::NotMeasured if !req.method.safe_to_duplicate() => Status::NotBlocked,
-        status => status,
-    };
-    match status {
-        Status::Blocked => {
+        .road(url, req.method, obs_now());
+    match road {
+        Road::Circumvent(_) => {
             // Known blocked: circumvention path only.
             csaw_obs::inc("proxy.circumvention_only");
             clean().unwrap_or_else(|_| Response::error(504, "Circumvention Failed"))
@@ -268,7 +262,7 @@ fn serve_url(state: &ProxyState, host: &str, url: &Url, req: &Request) -> Respon
         // catches fresh censorship (Scenario B) and re-fetches clean. A
         // clean answer is a verdict too: it measures a host a POST
         // reached first.
-        Status::NotBlocked => match fetch_one(res.direct, req, timeout) {
+        Road::Direct(_) => match fetch_one(res.direct, req, timeout) {
             Ok(direct) => {
                 let stages = detect(&direct, None);
                 let blocked = !stages.is_empty();
@@ -283,7 +277,7 @@ fn serve_url(state: &ProxyState, host: &str, url: &Url, req: &Request) -> Respon
                 clean().unwrap_or_else(|_| gateway_error(kind))
             }
         },
-        Status::NotMeasured => {
+        Road::Measure => {
             // Redundant requests: both paths race (parallel mode).
             csaw_obs::inc("proxy.redundant_requests");
             let (direct, clean) = std::thread::scope(|s| {

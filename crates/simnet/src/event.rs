@@ -247,7 +247,7 @@ mod tests {
         ctx.timeline.configure(WindowCfg {
             window_us: 5_000, // 5 ms windows
             retain: 8,
-            slos: Arc::new(SloSet::empty()),
+            slos: Arc::new(SloSet::default()),
         });
         let _g = csaw_obs::install(ctx.clone());
         let mut s: Scheduler<u32> = Scheduler::new();

@@ -52,8 +52,8 @@ pub use link::{Link, Path};
 pub use load::{InFlightTracker, LoadModel};
 pub use rng::DetRng;
 pub use tcp::{
-    connect, connect_blackholed, connect_reset, exchange, exchange_dropped, exchange_reset,
-    transfer_time, ConnectOutcome, ExchangeOutcome, TcpConfig,
+    connect, connect_blackholed, connect_reset, exchange, transfer_time, ConnectOutcome,
+    ExchangeOutcome, TcpConfig,
 };
 pub use time::{SimDuration, SimTime};
 pub use topology::{AccessNetwork, AccessProfile, Asn, Provider, Region, Site};
@@ -65,8 +65,8 @@ pub mod prelude {
     pub use crate::load::{InFlightTracker, LoadModel};
     pub use crate::rng::DetRng;
     pub use crate::tcp::{
-        connect, connect_blackholed, connect_reset, exchange, exchange_dropped, exchange_reset,
-        transfer_time, ConnectOutcome, ExchangeOutcome, TcpConfig,
+        connect, connect_blackholed, connect_reset, exchange, transfer_time, ConnectOutcome,
+        ExchangeOutcome, TcpConfig,
     };
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{AccessNetwork, AccessProfile, Asn, Provider, Region, Site};

@@ -84,11 +84,6 @@ impl Path {
         Path { links }
     }
 
-    /// The links of this path.
-    pub fn links(&self) -> &[Link] {
-        &self.links
-    }
-
     /// Bottleneck bandwidth: the minimum across links.
     pub fn bottleneck_bps(&self) -> u64 {
         self.links
@@ -160,7 +155,7 @@ mod tests {
         let a = Path::single(Link::wan(SimDuration::from_millis(10)));
         let b = Path::single(Link::wan(SimDuration::from_millis(20)));
         let j = a.join(&b);
-        assert_eq!(j.links(), [a.links(), b.links()].concat());
+        assert_eq!(j.links, [a.links, b.links].concat());
     }
 
     #[test]
@@ -186,7 +181,7 @@ mod tests {
             .map(|_| p.sample_rtt(&mut rng).as_micros())
             .sum::<u64>()
             / n;
-        let base = (p.links()[0].latency * 2).as_micros();
+        let base = (p.links[0].latency * 2).as_micros();
         let tol = base / 5;
         assert!(
             avg_us >= base && avg_us <= base + tol,

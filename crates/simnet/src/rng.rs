@@ -197,13 +197,6 @@ impl DetRng {
         f64::EPSILON + (1.0 - f64::EPSILON) * self.f64()
     }
 
-    /// Sample an exponential with the given mean (inverse-CDF method).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        debug_assert!(mean > 0.0);
-        let u = self.f64_nonzero();
-        -mean * u.ln()
-    }
-
     /// Sample a standard normal via Box–Muller (single draw, second value
     /// discarded — simple and adequate for jitter modelling).
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
@@ -395,16 +388,6 @@ mod tests {
             let frac = c as f64 / 30_000.0;
             assert!((frac - 1.0 / 3.0).abs() < 0.02, "frac {frac}");
         }
-    }
-
-    #[test]
-    fn exponential_mean_close() {
-        let mut r = DetRng::new(3);
-        let n = 20_000;
-        let mean = 5.0;
-        let sum: f64 = (0..n).map(|_| r.exponential(mean)).sum();
-        let est = sum / n as f64;
-        assert!((est - mean).abs() < 0.25, "estimated mean {est}");
     }
 
     #[test]

@@ -278,25 +278,6 @@ fn trace_flow(out: &ExchangeOutcome, response_bytes: u64) {
     );
 }
 
-/// An exchange whose request (or response) is silently dropped by a censor:
-/// the client burns the full HTTP timeout.
-pub fn exchange_dropped(cfg: &TcpConfig) -> ExchangeOutcome {
-    let out = ExchangeOutcome::GetTimeout {
-        elapsed: cfg.http_timeout,
-    };
-    trace_flow(&out, 0);
-    out
-}
-
-/// An exchange killed by an injected RST shortly after the request.
-pub fn exchange_reset(path: &Path, rng: &mut DetRng) -> ExchangeOutcome {
-    let out = ExchangeOutcome::ResetMidFlight {
-        elapsed: path.sample_rtt(rng),
-    };
-    trace_flow(&out, 0);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,16 +395,13 @@ mod tests {
     }
 
     #[test]
-    fn exchange_done_and_dropped() {
+    fn exchange_done() {
         let mut rng = DetRng::new(5);
         let p = clean_path(60);
         let cfg = TcpConfig::default();
         let ok = exchange(&p, 50_000, &cfg, &mut rng);
         assert!(ok.is_done());
         assert!(ok.elapsed() > SimDuration::from_millis(60));
-        let dropped = exchange_dropped(&cfg);
-        assert_eq!(dropped.elapsed(), cfg.http_timeout);
-        assert!(!dropped.is_done());
     }
 
     #[test]

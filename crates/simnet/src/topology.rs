@@ -344,11 +344,9 @@ mod tests {
         let p = net.providers()[0].clone();
         let path = net.path_to(&p, Region::Pakistan, Site::in_region(Region::Netherlands));
         // 8 ms access + 86 ms WAN one-way
-        let one_way: Vec<SimDuration> = path.links().iter().map(|l| l.latency).collect();
-        assert_eq!(
-            one_way,
-            [SimDuration::from_millis(8), SimDuration::from_millis(86)]
-        );
+        assert_eq!(p.access.as_link().latency, SimDuration::from_millis(8));
+        let wan = Link::wan(SimDuration::from_millis(86));
+        assert_eq!(path, Path::new(vec![p.access.as_link(), wan]));
     }
 
     #[test]

@@ -720,7 +720,7 @@ mod tests {
         ctx.timeline.configure(WindowCfg {
             window_us: 1_000_000,
             retain: 8,
-            slos: Arc::new(SloSet::empty()),
+            slos: Arc::new(SloSet::default()),
         });
         let _g = scope::install(ctx.clone());
         let s = ShardedStore::new(4).unwrap();

@@ -260,20 +260,6 @@ impl Response {
         }
     }
 
-    /// A redirect (302) to a location — censors use these to bounce
-    /// clients to block-page servers.
-    pub fn redirect(location: &str) -> Response {
-        let mut headers = Headers::new();
-        headers.insert("Location", location);
-        headers.insert("Content-Length", "0");
-        Response {
-            status: 302,
-            reason: "Found".into(),
-            headers,
-            body: Bytes::new(),
-        }
-    }
-
     /// A plain error response.
     pub fn error(status: u16, reason: &str) -> Response {
         let body = Bytes::from(format!(
@@ -484,13 +470,6 @@ mod tests {
         assert_eq!(Response::parse(&wire[..head_end + 3]).unwrap(), None);
         let (parsed, _) = Response::parse(&wire).unwrap().unwrap();
         assert_eq!(parsed.body.len(), 10);
-    }
-
-    #[test]
-    fn redirect_detection() {
-        let r = Response::redirect("http://blockpage.isp.pk/");
-        assert_eq!(r.status, 302);
-        assert_eq!(r.headers.get("Location"), Some("http://blockpage.isp.pk/"));
     }
 
     #[test]

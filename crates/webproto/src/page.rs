@@ -55,16 +55,6 @@ impl WebPage {
             resources,
         }
     }
-
-    /// Total bytes across the document and all resources.
-    pub fn total_bytes(&self) -> u64 {
-        self.html_bytes + self.resources.iter().map(|r| r.bytes).sum::<u64>()
-    }
-
-    /// Number of embedded resources.
-    pub fn resource_count(&self) -> usize {
-        self.resources.len()
-    }
 }
 
 /// The base document's size and each resource's base share for a
@@ -286,10 +276,10 @@ mod tests {
     #[test]
     fn synthetic_page_size_approx() {
         let p = WebPage::synthetic(url("http://yt.example/"), 360_000, 20);
-        let total = p.total_bytes();
+        let total = p.html_bytes + p.resources.iter().map(|r| r.bytes).sum::<u64>();
         // Within 20% of the target (deterministic wobble means not exact).
         assert!((total as i64 - 360_000i64).abs() < 72_000, "total {total}");
-        assert_eq!(p.resource_count(), 20);
+        assert_eq!(p.resources.len(), 20);
         // All resources on the same host as the page.
         assert!(p.resources.iter().all(|r| r.url.host() == p.url.host()));
     }
@@ -297,7 +287,7 @@ mod tests {
     #[test]
     fn synthetic_zero_resources() {
         let p = WebPage::synthetic(url("http://x.com/a"), 10_000, 0);
-        assert_eq!(p.total_bytes(), 10_000);
+        assert_eq!(p.html_bytes, 10_000);
         assert!(p.resources.is_empty());
     }
 

@@ -34,12 +34,19 @@ struct Testbed {
 }
 
 fn testbed() -> Testbed {
+    testbed_on(ServerDb::builder(5).build().unwrap())
+}
+
+/// The testbed with `server` behind its `csaw-dbserver`. Its middlebox
+/// block-pages `video-site.test` from the start.
+fn testbed_on(server: ServerDb) -> Testbed {
     let blocked = spawn_origin(OriginConfig::new("blocked.test", 50_000).page(
         "/small",
         "<html><body>tiny real page with plenty of words in it</body></html>",
     ))
     .unwrap();
     let clean = spawn_origin(OriginConfig::new("clean.test", 30_000)).unwrap();
+    let video = spawn_origin(OriginConfig::new("video-site.test", 60_000)).unwrap();
     let mut policy = MbPolicy {
         block_page_html: "<html><head><title>Blocked</title></head><body><h1>Access Denied</h1>\
              <p>restricted by court order</p></body></html>"
@@ -48,15 +55,16 @@ fn testbed() -> Testbed {
     };
     policy.routes.insert("blocked.test".into(), blocked.addr);
     policy.routes.insert("clean.test".into(), clean.addr);
+    policy.routes.insert("video-site.test".into(), video.addr);
+    policy
+        .actions
+        .insert("video-site.test".into(), MbAction::BlockPage);
     let middlebox = spawn_middlebox(policy).unwrap();
     let resolver = Arc::new(TestResolver::new());
     resolver.insert("blocked.test", middlebox.addr, blocked.addr);
     resolver.insert("clean.test", middlebox.addr, clean.addr);
-    let db = spawn_dbserver(
-        Arc::new(ServerDb::builder(5).build().unwrap()),
-        DbServerConfig::default(),
-    )
-    .unwrap();
+    resolver.insert("video-site.test", middlebox.addr, video.addr);
+    let db = spawn_dbserver(Arc::new(server), DbServerConfig::default()).unwrap();
     let remote = RemoteDb::new(db.addr());
     let mut client = CsawClient::new(CsawConfig::default(), None, 1);
     client.register(&remote, ASN, SimTime::ZERO, 0.0).unwrap();
@@ -75,7 +83,7 @@ fn testbed() -> Testbed {
         resolver,
         remote,
         _db: db,
-        _origins: vec![blocked, clean],
+        _origins: vec![blocked, clean, video],
     }
 }
 
@@ -356,6 +364,42 @@ fn a_clean_post_measures_its_host() {
         0,
         "the GET raced both paths to a measured host"
     );
+}
+
+#[test]
+fn a_synced_verdict_skips_the_race() {
+    // Algorithm 1 consults the synced global view before any
+    // first-contact measurement: a host the DB already lists as blocked
+    // for the proxy's AS is served by circumvention alone on its first
+    // visit, with no copy down the censored path.
+    let ctx = Arc::new(csaw_obs::scope::ObsCtx::new());
+    let _g = csaw_obs::scope::install(ctx.clone());
+    let server = ServerDb::builder(5).build().unwrap();
+    let mut peer = CsawClient::new(CsawConfig::default(), None, 2);
+    peer.register(&server, ASN, SimTime::ZERO, 0.0).unwrap();
+    let url = Url::parse("http://video-site.test/").unwrap();
+    peer.record_verdict(
+        &url,
+        ASN,
+        SimTime::ZERO,
+        vec![BlockingType::HttpBlockPageInline],
+    );
+    assert_eq!(peer.post_reports(&server, SimTime::ZERO), 1);
+    let tb = testbed_on(server);
+    let r = browse(&tb.proxy, "video-site.test");
+    assert_eq!(r.status, 200);
+    assert!(
+        !String::from_utf8_lossy(&r.body).contains("Access Denied"),
+        "user must get the genuine page, got block page"
+    );
+    assert!(r.body.len() > 50_000, "genuine page is large");
+    let counter = |name| ctx.registry.counter(name).get();
+    assert_eq!(
+        counter("proxy.redundant_requests"),
+        0,
+        "raced a listed host"
+    );
+    assert_eq!(counter("proxy.circumvention_only"), 1);
 }
 
 #[test]

@@ -1,12 +1,14 @@
 #!/bin/sh
 # Public items with no non-test user. Every `pub` / `pub(crate)` fn,
 # struct, enum, type, const, static or trait defined under crates/*/src
-# (outside test code) fails unless some line of a tracked *.rs file other
-# than its definition names it (as a whole word), that line is not a
-# comment, and it is not test code: a `tests/` directory (crates/*/tests,
-# benchmark/tests, the root tests/) or a line below its file's first
-# `#[cfg(test)]`. benchmark/, examples and binaries count as users. Items
-# that share a name are judged together.
+# (outside test code) fails unless some line of a tracked *.rs file uses
+# it, that line is not a comment, and it is not test code: a `tests/`
+# directory (crates/*/tests, benchmark/tests, the root tests/) or a line
+# below its file's first `#[cfg(test)]`. A fn is used where a line calls
+# it or names it by path (`name(`, `::name`, `name::<`) other than as the
+# name a `fn` defines; any other item where a line other than its
+# definition names it as a whole word. benchmark/, examples and binaries
+# count as users. Items that share a name are judged together.
 #
 # A name in the allowlist below fails the other way round: when it has a
 # non-test user, or is no longer defined, the entry is stale. Prints one
@@ -31,6 +33,12 @@ default_set        DESIGN.md §5 collector row: no driver posts through collecto
 set_reachable      DESIGN.md §5 collector row: no driver posts through collectors yet
 post_reports_via   DESIGN.md §5 collector row: no driver posts through collectors yet
 as_arr             benchmark/tests/benchmark_json.rs (frozen) reads BENCHMARK.json with it
+run_until          ROADMAP "One transport seam": SimConn delivers on the Scheduler's run loop
+socket             ROADMAP "One transport seam": FrameClient's conn, whose timeouts the Conn trait carries
+rules              ROADMAP "The product, scored against ground truth": the scorer reads the policy's targets
+row                ROADMAP "A paper-claims gate": its predicates read Table 5, Table 6 and data-usage rows
+mode               ROADMAP "A paper-claims gate": its predicates read the fingerprint modes
+detection          ROADMAP "A paper-claims gate": its predicates read the §7.5 detections
 EOF
 )
 
@@ -49,7 +57,10 @@ report=$(git grep -n -e '' -- '*.rs' | awk -v allow="$allow" '
         if (!test && file ~ /^crates\/[^\/]+\/src\// &&
             match(text, /pub(\(crate\))? (const fn|fn|struct|enum|type|const|static|trait) [A-Za-z_][A-Za-z0-9_]*/)) {
             def = substr(text, RSTART, RLENGTH)
+            kind = def
             sub(/.* /, "", def)
+            if (kind ~ / fn [^ ]*$/)
+                isfn[def] = 1
             defs[def] = defs[def] $0 "\n"
         }
         if (test)
@@ -57,21 +68,33 @@ report=$(git grep -n -e '' -- '*.rs' | awk -v allow="$allow" '
         n = split(text, word, /[^A-Za-z0-9_]+/)
         for (i = 1; i <= n; i++)
             if (word[i] != def)
-                used[word[i]] = 1
+                named[word[i]] = 1
+        # A fn is used where it is called or named by path: `name(`,
+        # `::name` or `name::<`, but never as the name a `fn` defines.
+        rest = text
+        gsub(/(^|[^A-Za-z0-9_])fn [A-Za-z_][A-Za-z0-9_]*/, " fn", rest)
+        while (match(rest, /::[A-Za-z_][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*(\(|::<)/)) {
+            hit = substr(rest, RSTART, RLENGTH)
+            rest = substr(rest, RSTART + RLENGTH)
+            gsub(/[^A-Za-z0-9_]/, "", hit)
+            called[hit] = 1
+        }
     }
     END {
+        for (name in defs)
+            used[name] = (name in isfn) ? (name in called) : (name in named)
         n = split(allow, line, "\n")
         for (i = 1; i <= n; i++) {
             name = line[i]
             sub(/[[:space:]].*/, "", name)
             listed[name] = 1
-            if (!(name in defs) || (name in used)) {
+            if (!(name in defs) || used[name]) {
                 print "stale allowlist entry: " name
                 status = 1
             }
         }
         for (name in defs)
-            if (!(name in used) && !(name in listed)) {
+            if (!used[name] && !(name in listed)) {
                 printf "no non-test user: %s", defs[name]
                 status = 1
             }
