@@ -8,10 +8,10 @@
 //! exp extensions [flags]    the §8 future-work extensions
 //! ```
 //!
-//! `cargo run --release -p csaw-bench --bin exp -- all --jobs 0`
-//! regenerates the numbers recorded in EXPERIMENTS.md. Each experiment's
-//! independent trials fan out across `--jobs` workers through
-//! [`csaw_bench::runner`]; stdout is byte-identical for every job count.
+//! `cargo run --release -p csaw-bench --bin exp -- all` regenerates the
+//! numbers recorded in EXPERIMENTS.md. Each experiment runs its
+//! independent trials in order through [`csaw_bench::runner`]; stdout is
+//! a pure function of the seed.
 //!
 //! Besides the stdout report, `exp all` writes three artifacts under
 //! `<out-dir>/<seed>/` (`--out-dir` defaults to `runs`):
@@ -69,7 +69,7 @@ fn main() {
             for e in CATALOGUE {
                 if let Run::Extension(run) = e.run {
                     progress(&format!("running {}", e.name));
-                    println!("{}", run(cli.seed, cli.jobs).render());
+                    println!("{}", run(cli.seed).render());
                 }
             }
             cli.finish();
@@ -86,7 +86,7 @@ fn run_one(entry: &Entry, args: &[String]) {
     let cmd = format!("exp {}", entry.name);
     let (cli, flags) = ExpCli::from_args(&cmd, args, entry.flags);
     let (out, verdict) = match entry.run {
-        Run::Paper(run) | Run::Extension(run) => (run(cli.seed, cli.jobs).render(), Ok(())),
+        Run::Paper(run) | Run::Extension(run) => (run(cli.seed).render(), Ok(())),
         Run::Harness(run) => run(&cli, &flags),
     };
     println!("{out}");
@@ -109,13 +109,7 @@ struct ExpRun {
 /// registry, everything else inherited), so its metrics can be
 /// snapshotted in isolation; the child registry is merged back into the
 /// parent afterwards to keep `--metrics-out` totals whole.
-fn run_scoped(
-    parent: &Arc<ObsCtx>,
-    name: &'static str,
-    run: Sweep,
-    seed: u64,
-    jobs: usize,
-) -> ExpRun {
+fn run_scoped(parent: &Arc<ObsCtx>, name: &'static str, run: Sweep, seed: u64) -> ExpRun {
     progress(&format!("running {name}"));
     let child = Arc::new(
         ObsCtx::new()
@@ -127,7 +121,7 @@ fn run_scoped(
     let t0 = Instant::now();
     let out = {
         let _guard = scope::install(child.clone());
-        run(seed, jobs).render()
+        run(seed).render()
     };
     let wall_s = t0.elapsed().as_secs_f64();
     println!("{out}");
@@ -157,20 +151,20 @@ fn run_all(args: &[String]) {
             "directory for the <seed>/ artifacts (default runs)",
         )],
     );
-    let (seed, jobs) = (cli.seed, cli.jobs);
+    let seed = cli.seed;
     let started = Instant::now();
     let mut runs: Vec<ExpRun> = Vec::new();
 
     println!("=== C-Saw reproduction: full experiment sweep (seed {seed}) ===\n");
     for e in CATALOGUE {
         if let Run::Paper(run) = e.run {
-            runs.push(run_scoped(cli.ctx(), e.name, run, seed, jobs));
+            runs.push(run_scoped(cli.ctx(), e.name, run, seed));
         }
     }
     println!("--- extensions (§8 future-work questions) ---\n");
     for e in CATALOGUE {
         if let Run::Extension(run) = e.run {
-            runs.push(run_scoped(cli.ctx(), e.name, run, seed, jobs));
+            runs.push(run_scoped(cli.ctx(), e.name, run, seed));
         }
     }
     let total_s = started.elapsed().as_secs_f64();
@@ -181,7 +175,6 @@ fn run_all(args: &[String]) {
     // summary.json: the wall timings, in run order.
     let mut summary = JsonValue::obj();
     summary.set("seed", seed);
-    summary.set("jobs", jobs);
     summary.set("total_wall_s", total_s);
     let timings = runs.iter().map(|r| {
         let mut t = JsonValue::obj();
@@ -213,7 +206,7 @@ fn run_all(args: &[String]) {
     let card_path = dir.join(experiments::sweep_card_file(seed));
     or_die(&card_path, card.write(&card_path));
 
-    eprintln!("exp all: per-experiment wall timings (jobs={jobs}):");
+    eprintln!("exp all: per-experiment wall timings:");
     for r in &runs {
         eprintln!("  {:<18}{:>8.2}s", r.name, r.wall_s);
     }

@@ -7,8 +7,8 @@
 //!   unknown flag behave the same everywhere;
 //! - the **exit-code table** ([`exit`]): one meaning per number across
 //!   both binaries, printed by every `--help`;
-//! - the flags every experiment accepts (`--seed`, `--jobs`,
-//!   `--metrics-out`, `--trace-out`, `-v`, …), documented once in
+//! - the flags every experiment accepts (`--seed`, `--metrics-out`,
+//!   `--trace-out`, `-v`, …), documented once in
 //!   [`COMMON_HELP`] — fix wording there, never in a command.
 //!
 //! [`ExpCli::from_args`] installs a process-wide [`csaw_obs`] context — a
@@ -16,9 +16,7 @@
 //! and a sink chosen by the flags (null by default, so the hot paths pay
 //! nothing). [`ExpCli::finish`] writes the Chrome trace, if one was
 //! asked for, and dumps the snapshot. The snapshot is a pure function
-//! of the seed: two runs with the same seed write byte-identical JSON,
-//! *regardless of `--jobs`* — the parallel runner merges per-trial
-//! telemetry in trial order behind a barrier.
+//! of the seed: two runs with the same seed write byte-identical JSON.
 
 use csaw_obs::chrome::render_chrome_trace;
 use csaw_obs::clock::ManualClock;
@@ -73,9 +71,6 @@ pub type Verdict = Result<(), (i32, String)>;
 /// source of truth; `usage()` splices it into every `exp <name> --help`.
 pub const COMMON_HELP: &str =
     "  --seed N            experiment seed (default 1, the EXPERIMENTS.md seed)
-  --jobs N            worker threads for independent trials (default 1;
-                      0 = all available cores); output is byte-identical
-                      for every N
   --metrics-out PATH  write a JSON metrics snapshot on exit
   --trace-out PATH    write the run's events; any extension but `.json`
                       streams JSONL as they happen (what `report trace`
@@ -176,9 +171,6 @@ impl Flags {
 pub struct ExpCli {
     /// The experiment seed (`--seed`, default 1).
     pub seed: u64,
-    /// Worker threads for independent trials (`--jobs`, default 1;
-    /// `--jobs 0` resolves to the number of available cores).
-    pub jobs: usize,
     metrics_out: Option<PathBuf>,
     /// `--trace-out x.json`: the file, and the buffer the run records
     /// into until [`ExpCli::finish`] renders it there.
@@ -216,7 +208,6 @@ impl ExpCli {
     pub fn from_args(cmd: &str, args: &[String], extra_flags: &[(&str, &str)]) -> (ExpCli, Flags) {
         let usage = usage(cmd, extra_flags);
         let mut seed = 1u64;
-        let mut jobs = 1usize;
         let mut perf = PerfMode::Off;
         let mut metrics_out = None;
         let mut trace_out: Option<PathBuf> = None;
@@ -225,14 +216,6 @@ impl ExpCli {
         parse_args(cmd, &usage, args, |a, value| {
             match a {
                 "--seed" => seed = parse_value(cmd, &usage, a, &value()),
-                "--jobs" => {
-                    jobs = parse_value(cmd, &usage, a, &value());
-                    if jobs == 0 {
-                        jobs = std::thread::available_parallelism()
-                            .map(|n| n.get())
-                            .unwrap_or(1);
-                    }
-                }
                 "--perf" => {
                     let v = value();
                     perf = PerfMode::parse(&v).unwrap_or_else(|| {
@@ -262,7 +245,7 @@ impl ExpCli {
             // reads.
             Some(path) if path.extension().and_then(|e| e.to_str()) == Some("json") => {
                 std::fs::File::create(path).unwrap_or_else(|e| open_failed(path, e));
-                let buf = Arc::new(BufferSink::new(true));
+                let buf = Arc::new(BufferSink::new());
                 chrome_out = Some((path.clone(), buf.clone()));
                 buf
             }
@@ -281,7 +264,6 @@ impl ExpCli {
         let guard = scope::install(ctx.clone());
         let cli = ExpCli {
             seed,
-            jobs,
             metrics_out,
             chrome_out,
             ctx,
@@ -353,24 +335,14 @@ mod tests {
     fn defaults() {
         let cli = parse(&[]);
         assert_eq!(cli.seed, 1);
-        assert_eq!(cli.jobs, 1, "serial by default");
         assert!(cli.metrics_out.is_none());
         assert!(!cli.ctx.sink.enabled(), "default sink is null");
-    }
-
-    #[test]
-    fn jobs_parses_and_zero_means_all_cores() {
-        let cli = parse(&["--jobs", "8"]);
-        assert_eq!(cli.jobs, 8);
-        let cli = parse(&["--jobs", "0"]);
-        assert!(cli.jobs >= 1, "0 resolves to available cores");
     }
 
     #[test]
     fn usage_lists_common_and_extra_flags() {
         let u = usage("exp x", &[("--clients", "worker clients")]);
         assert!(u.contains(COMMON_HELP), "common help embedded verbatim");
-        assert!(u.contains("--jobs N"), "jobs documented");
         assert!(u.contains("--clients VALUE"));
         assert!(u.contains("worker clients"));
     }

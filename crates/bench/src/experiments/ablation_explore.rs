@@ -150,13 +150,13 @@ const POLICIES: [(u32, &str); 2] = [(5, "explore n=5"), (u32::MAX, "never explor
 
 /// Run the ablation: one runner trial per policy, both on the same seed
 /// (the serial sweep ran both policies over identical draws).
-pub fn run(seed: u64, jobs: usize) -> ExploreAblation {
+pub fn run(seed: u64) -> ExploreAblation {
     let specs: Vec<TrialSpec> = POLICIES
         .iter()
         .enumerate()
         .map(|(i, (_, label))| TrialSpec::salted(seed, i as u64, *label))
         .collect();
-    let outcomes = runner::map(&specs, jobs, |spec| {
+    let outcomes = runner::map(&specs, |spec| {
         run_policy(POLICIES[spec.ordinal as usize].0, spec.seed)
     });
     ExploreAblation {
@@ -183,7 +183,7 @@ mod tests {
 
     #[test]
     fn exploration_rediscovers_improved_relay() {
-        let a = run(81, 1);
+        let a = run(81);
         assert!(
             a.with.recovered_relay_uses > a.without.recovered_relay_uses,
             "with {} vs without {}",
@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn without_exploration_sticks_to_first_impression() {
-        let a = run(82, 1);
+        let a = run(82);
         // The never-explore client found nearby-relay congested early and
         // should essentially never return to it.
         assert!(

@@ -212,14 +212,14 @@ fn run_rate(seed: u64, cfg: &ChaosConfig, rate: f64) -> ChaosRow {
 /// Run the sweep, one runner trial per fault rate. `run_rate` already
 /// salts every internal stream with the rate, so each trial carries the
 /// raw experiment seed.
-pub fn run(seed: u64, cfg: &ChaosConfig, jobs: usize) -> Chaos {
+pub fn run(seed: u64, cfg: &ChaosConfig) -> Chaos {
     let specs: Vec<TrialSpec> = cfg
         .fault_rates
         .iter()
         .enumerate()
         .map(|(i, rate)| TrialSpec::salted(seed, i as u64, format!("rate={rate}")))
         .collect();
-    let rows = runner::map(&specs, jobs, |spec| {
+    let rows = runner::map(&specs, |spec| {
         run_rate(spec.seed, cfg, cfg.fault_rates[spec.ordinal as usize])
     });
     Chaos { rows }
@@ -275,7 +275,7 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
         Arc::new(SloSet::csaw_default()),
     ));
 
-    let result = run(cli.seed, &cfg, cli.jobs);
+    let result = run(cli.seed, &cfg);
     let verdict = if result.silent_loss() {
         Err((
             exit::CORRECTNESS,
@@ -349,7 +349,7 @@ mod tests {
 
     #[test]
     fn no_silent_loss_at_thirty_percent() {
-        let c = run(1, &quick_cfg(), 1);
+        let c = run(1, &quick_cfg());
         assert!(!c.silent_loss(), "{}", c.render());
         // With enough drain rounds every report lands.
         for row in &c.rows {
@@ -362,23 +362,10 @@ mod tests {
     }
 
     /// The sweep under `exp chaos`'s hour windows and SLO set.
-    fn windowed_run(seed: u64, cfg: &ChaosConfig, jobs: usize) -> (String, Vec<String>) {
+    fn windowed_run(seed: u64, cfg: &ChaosConfig) -> (String, Vec<String>) {
         crate::fleet::tests::windowed_run(SloSet::csaw_default(), || {
-            run(seed, cfg, jobs);
+            run(seed, cfg);
         })
-    }
-
-    #[test]
-    fn frames_and_verdicts_are_jobs_invariant() {
-        // Same seed, serial vs parallel: the health telemetry stream
-        // must be byte-identical and the SLO verdicts identical — the
-        // merge replays trial events in ordinal order regardless of
-        // which worker finished first.
-        let (frames_1, viols_1) = windowed_run(11, &quick_cfg(), 1);
-        let (frames_2, viols_2) = windowed_run(11, &quick_cfg(), 2);
-        assert!(!frames_1.is_empty(), "windowed sweep must emit frames");
-        assert_eq!(frames_1, frames_2, "frames must not depend on --jobs");
-        assert_eq!(viols_1, viols_2, "verdicts must not depend on --jobs");
     }
 
     #[test]
@@ -389,7 +376,8 @@ mod tests {
         };
         // Healthy leg: every report lands within the first window, so
         // no rule may fire — a false alarm here is an alerting bug.
-        let (_, clean) = windowed_run(1, &cfg_at(0.0), 1);
+        let (frames, clean) = windowed_run(1, &cfg_at(0.0));
+        assert!(!frames.is_empty(), "windowed sweep must emit frames");
         assert!(
             clean.is_empty(),
             "no faults must mean no violations: {clean:?}"
@@ -397,7 +385,7 @@ mod tests {
         // Faulted leg: 60 % write failures stretch delivery over many
         // windows, so the fast delivery-ratio rule must alert, tagged
         // with the trial's run label.
-        let (_, viols) = windowed_run(1, &cfg_at(0.6), 1);
+        let (_, viols) = windowed_run(1, &cfg_at(0.6));
         assert!(
             viols.iter().any(|v| v.contains("report.delivery.fast")),
             "60 % faults must fire the delivery SLO: {viols:?}"

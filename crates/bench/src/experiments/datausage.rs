@@ -140,14 +140,14 @@ fn configs() -> [(&'static str, RedundancyMode, f64); 5] {
 /// trial per configuration. Every trial carries the *same* seed —
 /// `session_bytes` derives its URL and probe-schedule streams from fixed
 /// salts of it, which is exactly the paired design the serial sweep used.
-pub fn run(seed: u64, jobs: usize) -> DataUsage {
+pub fn run(seed: u64) -> DataUsage {
     let configs = configs();
     let specs: Vec<TrialSpec> = configs
         .iter()
         .enumerate()
         .map(|(i, (label, ..))| TrialSpec::salted(seed, i as u64, *label))
         .collect();
-    let rows = runner::map(&specs, jobs, |spec| {
+    let rows = runner::map(&specs, |spec| {
         let (label, mode, p) = configs[spec.ordinal as usize];
         let world = crate::worlds::clean_world();
         let (baseline, total) = session_bytes(&world, mode, p, spec.seed);
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn overhead_grows_with_p() {
-        let d = run(71, 1);
+        let d = run(71);
         let p00 = d.row("parallel, p=0.00").overhead_pct();
         let p25 = d.row("parallel, p=0.25").overhead_pct();
         let p75 = d.row("parallel, p=0.75").overhead_pct();
@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn selective_redundancy_keeps_overhead_modest() {
-        let d = run(72, 1);
+        let d = run(72);
         // 6 distinct hosts in 60 requests: only ~10% of requests are
         // first contacts, so even parallel mode with p=0.25 stays well
         // under a blanket-duplication 100%.
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn serial_and_staggered_cheaper_or_equal_to_parallel() {
-        let d = run(73, 1);
+        let d = run(73);
         let par = d.row("parallel, p=0.25").total_bytes;
         let ser = d.row("serial, p=0.25").total_bytes;
         // Serial only fetches the copy when blocking was detected — in a

@@ -57,11 +57,10 @@ fn series(
 fn panel_series(
     name: &str,
     seed: u64,
-    jobs: usize,
     labels: &[&str],
-    world: impl Fn() -> World + Sync,
+    world: impl Fn() -> World,
     url: String,
-    run_series: impl Fn(&World, &Url, u64, &mut DetRng) -> Vec<Cdf> + Sync,
+    run_series: impl Fn(&World, &Url, u64, &mut DetRng) -> Vec<Cdf>,
 ) -> Vec<Cdf> {
     let specs: Vec<TrialSpec> = labels
         .iter()
@@ -69,21 +68,20 @@ fn panel_series(
         .map(|(i, label)| TrialSpec::forked(name, seed, i as u64, *label))
         .collect();
     let url = Url::parse(&url).expect("static URL");
-    let series = runner::map(&specs, jobs, |spec| {
+    let series = runner::map(&specs, |spec| {
         run_series(&world(), &url, spec.ordinal, &mut DetRng::new(spec.seed))
     });
     series.into_iter().flatten().collect()
 }
 
 /// Figure 1a: HTTPS/DF vs static proxies on ISP-B.
-pub fn run_1a(seed: u64, jobs: usize) -> Panel {
+pub fn run_1a(seed: u64) -> Panel {
     let proxies = static_proxies();
     let mut labels = vec!["HTTPS/DF"];
     labels.extend(proxies.iter().map(|p| p.label.as_str()));
     let series = panel_series(
         "fig1a",
         seed,
-        jobs,
         &labels,
         || single_isp_world(csaw_censor::ISP_B_ASN, "ISP-B", csaw_censor::isp_b()),
         format!("https://{YOUTUBE}/"),
@@ -102,11 +100,10 @@ pub fn run_1a(seed: u64, jobs: usize) -> Panel {
 }
 
 /// Figure 1b: direct HTTPS vs Tor, grouped by exit region.
-pub fn run_1b(seed: u64, jobs: usize) -> Panel {
+pub fn run_1b(seed: u64) -> Panel {
     let series = panel_series(
         "fig1b",
         seed,
-        jobs,
         &["HTTPS", "Tor"],
         || single_isp_world(csaw_censor::ISP_A_ASN, "ISP-A", csaw_censor::isp_a()),
         format!("http://{YOUTUBE}/"),
@@ -145,11 +142,10 @@ pub fn run_1b(seed: u64, jobs: usize) -> Panel {
 }
 
 /// Figure 1c: Lantern vs "IP as hostname" on a keyword filter.
-pub fn run_1c(seed: u64, jobs: usize) -> Panel {
+pub fn run_1c(seed: u64) -> Panel {
     let series = panel_series(
         "fig1c",
         seed,
-        jobs,
         &["IP as hostname", "Lantern"],
         || single_isp_world(Asn(6500), "ISP-KW", csaw_censor::keyword_filter(&["adult"])),
         format!("http://{PORN_PAGE}/"),
@@ -177,7 +173,7 @@ mod tests {
 
     #[test]
     fn fig1a_df_beats_every_proxy_median() {
-        let p = run_1a(1, 1);
+        let p = run_1a(1);
         let df = p.series("HTTPS/DF").median();
         for s in &p.series {
             if s.label == "HTTPS/DF" {
@@ -200,7 +196,7 @@ mod tests {
 
     #[test]
     fn fig1b_https_beats_every_tor_exit() {
-        let p = run_1b(2, 1);
+        let p = run_1b(2);
         let https = p.series("HTTPS").median();
         let tor_series: Vec<&Cdf> = p
             .series
@@ -224,7 +220,7 @@ mod tests {
 
     #[test]
     fn fig1c_lantern_about_1_5x_slower() {
-        let p = run_1c(3, 1);
+        let p = run_1c(3);
         let iph = p.series("IP as hostname").median();
         let lantern = p.series("Lantern").median();
         let ratio = lantern / iph;
@@ -236,7 +232,7 @@ mod tests {
 
     #[test]
     fn panels_render() {
-        let p = run_1c(4, 1);
+        let p = run_1c(4);
         let s = p.render();
         assert!(s.contains("Lantern") && s.contains("IP as hostname"));
     }

@@ -83,7 +83,7 @@ fn world_for(mix: &AsMixture, domains: &[String]) -> World {
 
 /// Run the Figure 2 sweep: 100 censored domains per AS, one runner
 /// trial per AS mixture on its historical `seed ^ asn` stream.
-pub fn run(seed: u64, jobs: usize) -> Fig2 {
+pub fn run(seed: u64) -> Fig2 {
     let mixtures = figure2_mixtures();
     let specs: Vec<TrialSpec> = mixtures
         .iter()
@@ -96,7 +96,7 @@ pub fn run(seed: u64, jobs: usize) -> Fig2 {
             )
         })
         .collect();
-    let bars = runner::map(&specs, jobs, |spec| {
+    let bars = runner::map(&specs, |spec| {
         let mix = &mixtures[spec.ordinal as usize];
         let domains: Vec<String> = (0..100)
             .map(|i| format!("censored-{i:03}.{}", mix.country.to_ascii_lowercase()))
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn recovered_matches_configured_within_tolerance() {
-        let f = run(11, 1);
+        let f = run(11);
         assert_eq!(f.bars.len(), 8);
         for b in &f.bars {
             for i in 0..5 {
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn country_stories_hold() {
-        let f = run(12, 1);
+        let f = run(12);
         // Yemen (AS30873): NoHttpResp dominates.
         let yemen = f.bars.iter().find(|b| b.asn == 30873).unwrap();
         let no_http_idx = 2;

@@ -141,7 +141,7 @@ fn run_5a_trial(
 /// Run Fig. 5a: 30 runs per (type, mode), one runner trial per pair —
 /// eight in total. Page sizes per blocking type follow the figure's
 /// annotations.
-pub fn run_5a(seed: u64, jobs: usize) -> Fig5a {
+pub fn run_5a(seed: u64) -> Fig5a {
     let cases = cases_5a();
     let modes = [
         ("serial", 1u64, RedundancyMode::Serial),
@@ -157,7 +157,7 @@ pub fn run_5a(seed: u64, jobs: usize) -> Fig5a {
             ));
         }
     }
-    let means = runner::map(&specs, jobs, |spec| {
+    let means = runner::map(&specs, |spec| {
         let (case_idx, mode_idx) = (spec.ordinal as usize / 2, spec.ordinal as usize % 2);
         run_5a_trial(spec.seed, case_idx, cases[case_idx], modes[mode_idx].2)
     });
@@ -199,7 +199,7 @@ impl Outcome for Fig5a {
 /// on an unblocked page the user always takes the direct copy, so the
 /// redundant copy contributes only *load*: full overlap for "2 copies",
 /// partial overlap (after the 2 s stagger) for "2 copies (with delay)".
-fn run_5bc(page_host: &str, title: &str, seed: u64, jobs: usize) -> Panel {
+fn run_5bc(page_host: &str, title: &str, seed: u64) -> Panel {
     // One trial per redundancy shape, each with its historical
     // per-series RNG stream.
     let shapes = [
@@ -218,7 +218,7 @@ fn run_5bc(page_host: &str, title: &str, seed: u64, jobs: usize) -> Panel {
             )
         })
         .collect();
-    let series = runner::map(&specs, jobs, |spec| {
+    let series = runner::map(&specs, |spec| {
         let (label, copies, staggered) = shapes[spec.ordinal as usize];
         let world = single_isp_world(Asn(5200), "F5BC-ISP", csaw_censor::clean());
         let url = Url::parse(&format!("http://{page_host}/")).expect("static URL");
@@ -279,23 +279,13 @@ fn run_5bc(page_host: &str, title: &str, seed: u64, jobs: usize) -> Panel {
 }
 
 /// Fig. 5b: the small (95 KB) page.
-pub fn run_5b(seed: u64, jobs: usize) -> Panel {
-    run_5bc(
-        SMALL_PAGE,
-        "Figure 5b: small unblocked page (95KB)",
-        seed,
-        jobs,
-    )
+pub fn run_5b(seed: u64) -> Panel {
+    run_5bc(SMALL_PAGE, "Figure 5b: small unblocked page (95KB)", seed)
 }
 
 /// Fig. 5c: the larger (316 KB) page.
-pub fn run_5c(seed: u64, jobs: usize) -> Panel {
-    run_5bc(
-        LARGE_PAGE,
-        "Figure 5c: larger unblocked page (316KB)",
-        seed,
-        jobs,
-    )
+pub fn run_5c(seed: u64) -> Panel {
+    run_5bc(LARGE_PAGE, "Figure 5c: larger unblocked page (316KB)", seed)
 }
 
 #[cfg(test)]
@@ -304,7 +294,7 @@ mod tests {
 
     #[test]
     fn fig5a_parallel_cuts_plt_forty_to_ninety_pct() {
-        let f = run_5a(21, 1);
+        let f = run_5a(21);
         assert_eq!(f.bars.len(), 4);
         for b in &f.bars {
             assert!(
@@ -336,7 +326,7 @@ mod tests {
 
     #[test]
     fn fig5b_staggered_matches_single_copy_median() {
-        let f = run_5b(22, 1);
+        let f = run_5b(22);
         let one = f.series("1 copy").median();
         let two = f.series("2 copies").median();
         let staggered = f.series("2 copies (with delay)").median();
@@ -352,7 +342,7 @@ mod tests {
 
     #[test]
     fn fig5c_staggering_beats_blind_duplication() {
-        let f = run_5c(23, 1);
+        let f = run_5c(23);
         let two = f.series("2 copies").median();
         let staggered = f.series("2 copies (with delay)").median();
         assert!(

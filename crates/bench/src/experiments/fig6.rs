@@ -35,7 +35,7 @@ use csaw_webproto::url::Url;
 ///
 /// One runner trial per redundancy level, each with its historical
 /// `seed ^ (k << 9)` stream.
-pub fn run_6a(seed: u64, jobs: usize) -> Panel {
+pub fn run_6a(seed: u64) -> Panel {
     let specs: Vec<TrialSpec> = (1usize..=3)
         .map(|k| {
             let label = if k == 1 {
@@ -46,7 +46,7 @@ pub fn run_6a(seed: u64, jobs: usize) -> Panel {
             TrialSpec::salted(seed ^ (k as u64) << 9, k as u64 - 1, label)
         })
         .collect();
-    let series = runner::map(&specs, jobs, |spec| {
+    let series = runner::map(&specs, |spec| {
         let k = spec.ordinal as usize + 1;
         let world = crate::worlds::clean_world();
         let url = Url::parse(&format!("http://{}/", crate::worlds::YOUTUBE)).expect("static URL");
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn fig6a_two_copies_help_three_hurt_the_tail() {
-        let f = run_6a(31, 1);
+        let f = run_6a(31);
         let one = f.series("1 RReq.");
         let two = f.series("2 RReqs.");
         let three = f.series("3 RReqs.");

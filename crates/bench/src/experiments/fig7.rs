@@ -65,19 +65,13 @@ fn csaw_plts(world: &World, client: &mut CsawClient, url: &Url) -> Vec<SimDurati
 /// A Fig. 7a/7b comparison panel: one runner trial per tool series
 /// (C-Saw, Lantern, Tor) on a stream forked from `(name, seed, ordinal)`,
 /// each fetching YouTube in its own `world()`.
-fn comparison_panel(
-    name: &str,
-    title: &str,
-    seed: u64,
-    jobs: usize,
-    world: impl Fn() -> World + Sync,
-) -> Panel {
+fn comparison_panel(name: &str, title: &str, seed: u64, world: impl Fn() -> World) -> Panel {
     let specs: Vec<TrialSpec> = ["C-Saw", "Lantern", "Tor"]
         .into_iter()
         .enumerate()
         .map(|(i, label)| TrialSpec::forked(name, seed, i as u64, label))
         .collect();
-    let series = runner::map(&specs, jobs, |spec| {
+    let series = runner::map(&specs, |spec| {
         let world = world();
         let url = Url::parse(&format!("http://{YOUTUBE}/")).expect("static URL");
         let plts = match spec.ordinal {
@@ -103,9 +97,9 @@ fn comparison_panel(
 }
 
 /// Fig. 7a: DNS-blocked page.
-pub fn run_7a(seed: u64, jobs: usize) -> Panel {
+pub fn run_7a(seed: u64) -> Panel {
     let title = "Figure 7a: blocked page (DNS blocking)";
-    comparison_panel("fig7a", title, seed, jobs, || {
+    comparison_panel("fig7a", title, seed, || {
         let policy = csaw_censor::single_mechanism(
             "F7A",
             YOUTUBE,
@@ -119,20 +113,20 @@ pub fn run_7a(seed: u64, jobs: usize) -> Panel {
 }
 
 /// Fig. 7b: unblocked page.
-pub fn run_7b(seed: u64, jobs: usize) -> Panel {
+pub fn run_7b(seed: u64) -> Panel {
     let title = "Figure 7b: unblocked page";
-    comparison_panel("fig7b", title, seed, jobs, crate::worlds::clean_world)
+    comparison_panel("fig7b", title, seed, crate::worlds::clean_world)
 }
 
 /// Fig. 7c: multi-stage blocking; C-Saw's relay restricted to Lantern vs
 /// to Tor — one runner trial per relay restriction, with the historical
 /// `seed ^ 1` / `seed ^ 2` client seeds.
-pub fn run_7c(seed: u64, jobs: usize) -> Panel {
+pub fn run_7c(seed: u64) -> Panel {
     let specs = [
         TrialSpec::salted(seed ^ 1, 0, "C-Saw (w/ Lantern)"),
         TrialSpec::salted(seed ^ 2, 1, "C-Saw (w/ Tor)"),
     ];
-    let series = runner::map(&specs, jobs, |spec| {
+    let series = runner::map(&specs, |spec| {
         let policy = csaw_censor::single_mechanism(
             "F7C",
             YOUTUBE,
@@ -168,7 +162,7 @@ mod tests {
 
     #[test]
     fn fig7a_csaw_beats_lantern_beats_tor() {
-        let p = run_7a(71, 1);
+        let p = run_7a(71);
         let csaw = p.series("C-Saw").median();
         let lantern = p.series("Lantern").median();
         let tor = p.series("Tor").median();
@@ -184,7 +178,7 @@ mod tests {
 
     #[test]
     fn fig7b_direct_wins_unblocked() {
-        let p = run_7b(72, 1);
+        let p = run_7b(72);
         let csaw = p.series("C-Saw").median();
         let lantern = p.series("Lantern").median();
         let tor = p.series("Tor").median();
@@ -193,7 +187,7 @@ mod tests {
 
     #[test]
     fn fig7c_lantern_relay_beats_tor_relay() {
-        let p = run_7c(73, 1);
+        let p = run_7c(73);
         let l = p.series("C-Saw (w/ Lantern)").median();
         let t = p.series("C-Saw (w/ Tor)").median();
         assert!(l < t, "lantern-relay {l:.2} vs tor-relay {t:.2}");

@@ -179,14 +179,14 @@ fn browse_urls(seed: u64) -> Vec<Url> {
 /// One runner trial per mode. Every trial carries the experiment seed —
 /// the browse session and the per-client seeds are fixed salts of it,
 /// preserving the paired population across modes.
-pub fn run(seed: u64, jobs: usize) -> Fingerprint {
+pub fn run(seed: u64) -> Fingerprint {
     let modes = modes();
     let specs: Vec<TrialSpec> = modes
         .iter()
         .enumerate()
         .map(|(i, (label, _))| TrialSpec::salted(seed, i as u64, label.as_str()))
         .collect();
-    let modes = runner::map(&specs, jobs, |spec| {
+    let modes = runner::map(&specs, |spec| {
         let (label, mode) = modes[spec.ordinal as usize].clone();
         let world = crate::worlds::clean_world();
         let urls = browse_urls(seed);
@@ -300,7 +300,7 @@ mod tests {
 
     #[test]
     fn parallel_most_visible_serial_least() {
-        let f = run(55, 1);
+        let f = run(55);
         let par = f.mode("parallel").csaw_mean;
         let stag = f.mode("staggered-2s").csaw_mean;
         let ser = f.mode("serial").csaw_mean;
@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn serial_mode_hides_in_plain_traffic() {
-        let f = run(56, 1);
+        let f = run(56);
         let m = f.mode("serial");
         // Indistinguishable means no threshold separates the groups
         // cleanly: at every zero-FPR threshold the TPR stays low.
@@ -326,7 +326,7 @@ mod tests {
 
     #[test]
     fn roc_is_monotone_in_threshold() {
-        let f = run(57, 1);
+        let f = run(57);
         for m in &f.modes {
             for w in m.roc.windows(2) {
                 assert!(w[1].tpr <= w[0].tpr + 1e-9, "{}: {:?}", m.mode, w);

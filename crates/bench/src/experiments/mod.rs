@@ -9,12 +9,12 @@
 //! identifier: it keys the golden digests and the `runs/<seed>/`
 //! artifacts.
 //!
-//! A module's public seam is `run(seed, jobs) -> <result struct>`, an
+//! A module's public seam is `run(seed) -> <result struct>`, an
 //! [`Outcome`] (the CDF figures share [`crate::stats::Panel`]). Inside,
 //! a sweep is a case list, one [`crate::runner::TrialSpec`] per case
 //! built beside it, and a closure over that list handed to
 //! [`crate::runner::map`]; the result struct is built directly from the
-//! ordinal-ordered values `map` returns. Every
+//! values `map` returns, in case-list order. Every
 //! `TrialSpec::salted` seed expression and `TrialSpec::forked` name
 //! literal is part of the module's output: changing one moves its golden
 //! digest.
@@ -22,7 +22,7 @@
 //! Three sections ([`Run`]): **Paper** entries regenerate a table or
 //! figure of the evaluation, in paper order; **Extension** entries
 //! answer the paper's §8 future-work questions; both are pure
-//! `(seed, jobs) → typed result` sweeps. `exp all` digests each result's
+//! `seed → typed result` sweeps. `exp all` digests each result's
 //! [`Outcome::render`], and anything that wants a number reads the
 //! result's fields through [`get`](Outcome#method.get)
 //! (`outcome.get::<Table5>()?.row("HTTP").measured_s`) instead of parsing
@@ -70,11 +70,9 @@ impl dyn Outcome {
     }
 }
 
-/// A sweep: `(seed, jobs)` to its typed result, whose rendering is
-/// byte-identical for every `jobs`. Sweeps with no parallel
-/// decomposition (`fig6b`, `table7`, `propagation`: state evolves
-/// across their inner loop) ignore `jobs`.
-pub type Sweep = fn(u64, usize) -> Box<dyn Outcome>;
+/// A sweep: a seed to its typed result, whose rendering is a pure
+/// function of the seed.
+pub type Sweep = fn(u64) -> Box<dyn Outcome>;
 
 /// A harness: reads its own flags, runs under the caller's telemetry
 /// scope, and returns the rendered block plus its gate verdict. The
@@ -126,88 +124,84 @@ const fn extension(name: &'static str, summary: &'static str, run: Sweep) -> Ent
 /// Every experiment: the paper's evaluation in paper order, then the
 /// extensions, then the harnesses.
 pub const CATALOGUE: &[Entry] = &[
-    paper("table1", "Table 1: ISP-A vs ISP-B mechanisms", |s, j| {
-        Box::new(table1::run(s, j))
+    paper("table1", "Table 1: ISP-A vs ISP-B mechanisms", |s| {
+        Box::new(table1::run(s))
     }),
-    paper("fig1a", "Fig. 1a: HTTPS/DF vs static proxies", |s, j| {
-        Box::new(fig1::run_1a(s, j))
+    paper("fig1a", "Fig. 1a: HTTPS/DF vs static proxies", |s| {
+        Box::new(fig1::run_1a(s))
     }),
-    paper("fig1b", "Fig. 1b: HTTPS vs Tor by exit location", |s, j| {
-        Box::new(fig1::run_1b(s, j))
+    paper("fig1b", "Fig. 1b: HTTPS vs Tor by exit location", |s| {
+        Box::new(fig1::run_1b(s))
     }),
-    paper("fig1c", "Fig. 1c: Lantern vs IP-as-hostname", |s, j| {
-        Box::new(fig1::run_1c(s, j))
+    paper("fig1c", "Fig. 1c: Lantern vs IP-as-hostname", |s| {
+        Box::new(fig1::run_1c(s))
     }),
-    paper("table2", "Table 2: static-proxy ping latencies", |s, j| {
-        Box::new(table2::run(s, j))
+    paper("table2", "Table 2: static-proxy ping latencies", |s| {
+        Box::new(table2::run(s))
     }),
-    paper("fig2", "Fig. 2: ONI blocking-type mixtures", |s, j| {
-        Box::new(fig2::run(s, j))
+    paper("fig2", "Fig. 2: ONI blocking-type mixtures", |s| {
+        Box::new(fig2::run(s))
     }),
-    paper("table5", "Table 5: detection times", |s, j| {
-        Box::new(table5::run(s, j))
+    paper("table5", "Table 5: detection times", |s| {
+        Box::new(table5::run(s))
     }),
-    paper("fig5a", "Fig. 5a: serial vs parallel redundancy", |s, j| {
-        Box::new(fig5::run_5a(s, j))
+    paper("fig5a", "Fig. 5a: serial vs parallel redundancy", |s| {
+        Box::new(fig5::run_5a(s))
     }),
-    paper("fig5b", "Fig. 5b: redundancy load, small page", |s, j| {
-        Box::new(fig5::run_5b(s, j))
+    paper("fig5b", "Fig. 5b: redundancy load, small page", |s| {
+        Box::new(fig5::run_5b(s))
     }),
-    paper("fig5c", "Fig. 5c: redundancy load, larger page", |s, j| {
-        Box::new(fig5::run_5c(s, j))
+    paper("fig5c", "Fig. 5c: redundancy load, larger page", |s| {
+        Box::new(fig5::run_5c(s))
     }),
-    paper("fig6a", "Fig. 6a: number of redundant copies", |s, j| {
-        Box::new(fig6::run_6a(s, j))
+    paper("fig6a", "Fig. 6a: number of redundant copies", |s| {
+        Box::new(fig6::run_6a(s))
     }),
-    paper("fig6b", "Fig. 6b: URL aggregation", |s, _| {
+    paper("fig6b", "Fig. 6b: URL aggregation", |s| {
         Box::new(fig6::run_6b(s))
     }),
-    paper("table6", "Table 6: revalidation probability p", |s, j| {
-        Box::new(table6::run(s, j))
+    paper("table6", "Table 6: revalidation probability p", |s| {
+        Box::new(table6::run(s))
     }),
-    paper(
-        "fig7a",
-        "Fig. 7a: C-Saw vs Lantern vs Tor, blocked",
-        |s, j| Box::new(fig7::run_7a(s, j)),
-    ),
+    paper("fig7a", "Fig. 7a: C-Saw vs Lantern vs Tor, blocked", |s| {
+        Box::new(fig7::run_7a(s))
+    }),
     paper(
         "fig7b",
         "Fig. 7b: C-Saw vs Lantern vs Tor, unblocked",
-        |s, j| Box::new(fig7::run_7b(s, j)),
+        |s| Box::new(fig7::run_7b(s)),
     ),
-    paper("fig7c", "Fig. 7c: multi-stage blocking", |s, j| {
-        Box::new(fig7::run_7c(s, j))
+    paper("fig7c", "Fig. 7c: multi-stage blocking", |s| {
+        Box::new(fig7::run_7c(s))
     }),
-    paper("table7", "Table 7: pilot deployment study", |s, _| {
+    paper("table7", "Table 7: pilot deployment study", |s| {
         Box::new(table7::run(s, 123))
     }),
-    paper("wild", "§7.5: the Nov 2017 event", |s, j| {
-        Box::new(wild::run(s, j))
+    paper("wild", "§7.5: the Nov 2017 event", |s| {
+        Box::new(wild::run(s))
     }),
-    extension(
-        "datausage",
-        "what redundancy and p cost in bytes",
-        |s, j| Box::new(datausage::run(s, j)),
-    ),
+    extension("datausage", "what redundancy and p cost in bytes", |s| {
+        Box::new(datausage::run(s))
+    }),
     extension(
         "ablation_explore",
         "what n-th-access exploration buys",
-        |s, j| Box::new(ablation_explore::run(s, j)),
+        |s| Box::new(ablation_explore::run(s)),
     ),
     extension(
         "fingerprint",
         "can a censor fingerprint paired flows?",
-        |s, j| Box::new(fingerprint::run(s, j)),
+        |s| Box::new(fingerprint::run(s)),
     ),
     extension(
         "nonweb",
         "non-web (UDP/messaging) filtering detection",
-        |s, j| Box::new(nonweb::run(s, j)),
+        |s| Box::new(nonweb::run(s)),
     ),
     extension(
         "propagation",
         "how fast one discovery benefits the crowd",
-        |s, _| Box::new(propagation::run(s)),
+        |s| Box::new(propagation::run(s)),
     ),
     Entry {
         name: "chaos",
@@ -264,9 +258,9 @@ mod tests {
         let Run::Paper(sweep) = find("table5").expect("in the catalogue").run else {
             panic!("table5 is a paper sweep");
         };
-        let outcome = sweep(1, 1);
+        let outcome = sweep(1);
         let table = outcome.get::<Table5>().expect("table5 returns a Table5");
-        let direct = table5::run(1, 1).row("HTTP").measured_s;
+        let direct = table5::run(1).row("HTTP").measured_s;
         assert_eq!(table.row("HTTP").measured_s.to_bits(), direct.to_bits());
         assert!(outcome.get::<Panel>().is_none());
     }

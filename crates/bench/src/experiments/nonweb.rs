@@ -62,7 +62,7 @@ const CASES: [(Asn, UdpAction, &str); 3] = [
 /// Run the sweep: three ASes — one dropping the app's UDP, one throttling
 /// it, one clean — one runner trial each, with the historical
 /// `seed ^ asn` streams.
-pub fn run(seed: u64, jobs: usize) -> Nonweb {
+pub fn run(seed: u64) -> Nonweb {
     let specs: Vec<TrialSpec> = CASES
         .iter()
         .enumerate()
@@ -74,7 +74,7 @@ pub fn run(seed: u64, jobs: usize) -> Nonweb {
             )
         })
         .collect();
-    let rows = runner::map(&specs, jobs, |spec| {
+    let rows = runner::map(&specs, |spec| {
         let (asn, action, label) = CASES[spec.ordinal as usize];
         let relay = Site::in_region(Region::Germany);
         let world = world_for(asn, action);
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn all_three_mechanisms_classified_correctly() {
-        let n = run(91, 1);
+        let n = run(91);
         assert_eq!(n.rows.len(), 3);
         let by_asn = |a: u32| n.rows.iter().find(|r| r.asn == a).unwrap();
         assert!(

@@ -26,18 +26,16 @@
 
 use crate::cli::{ExpCli, Flags, Verdict};
 use crate::fleet;
-use crate::scorecard::Scorecard;
 use csaw::global::{Batch, ConfidenceFilter, GlobalApi, RemoteDb, Report, ServerDb, Uuid};
 use csaw_censor::blocking::BlockingType;
 use csaw_dbserver::{spawn_dbserver, DbServerConfig};
-use csaw_obs::json::JsonValue;
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
 use std::sync::Arc;
 
 /// Reports per client batch (the paper's clients post small batches).
-const REPORTS_PER_CLIENT: usize = 4;
+pub const REPORTS_PER_CLIENT: usize = 4;
 
 /// Every n-th client includes one garbage report (rejected path).
 const GARBAGE_EVERY: usize = 16;
@@ -365,43 +363,6 @@ impl Scale {
         }
         out
     }
-
-    /// The seed-pure scorecard of this run, whose fingerprint is the
-    /// golden manifest's `exp scale` row: the config echo, the
-    /// in-process pass's accepted/rejected/record counts (as the one
-    /// element of `rows`), and the socketed pass's receipt totals and
-    /// store state. Two same-seed runs of the same build agree
-    /// byte-for-byte.
-    pub fn scorecard(&self, seed: u64) -> Scorecard {
-        let mut card = Scorecard::new("exp_scale", seed);
-        let mut config = JsonValue::obj();
-        config.set("clients", self.cfg.clients);
-        config.set("reports_per_client", REPORTS_PER_CLIENT);
-        config.set("shards", self.cfg.shards);
-        config.set("urls", self.cfg.urls);
-        config.set("asns", self.cfg.asns);
-        config.set("lookups", self.cfg.lookups);
-        let mut row = JsonValue::obj();
-        row.set("threads", self.pass.threads);
-        row.set("accepted", self.pass.accepted);
-        row.set("rejected", self.pass.rejected);
-        row.set("records", self.pass.records);
-        card.deterministic.set("config", config);
-        card.deterministic.set("rows", vec![row]);
-        if let Some(sck) = &self.socket {
-            let mut d = JsonValue::obj();
-            d.set("threads", sck.threads);
-            d.set(
-                "posted_reports",
-                (self.cfg.clients * REPORTS_PER_CLIENT) as u64,
-            );
-            d.set("accepted", sck.accepted);
-            d.set("rejected", sck.rejected);
-            d.set("records", sck.records);
-            card.deterministic.set("socket", d);
-        }
-        card
-    }
 }
 
 #[cfg(test)]
@@ -525,20 +486,11 @@ mod tests {
                 (scale.pass.accepted, scale.pass.rejected, scale.pass.records),
                 "socketed store state must match the in-process store state"
             );
+            let counts = (sck.accepted, sck.rejected, sck.records);
             scale.socket = Some(sck);
             assert!(scale.render().contains("socketed over tcp loopback"));
-            scale.scorecard(13)
+            counts
         };
-        let (a, b) = (run(), run());
-        assert_eq!(
-            a.fingerprint(),
-            b.fingerprint(),
-            "socket deterministic section must be seed-pure"
-        );
-        assert!(a.fingerprint().contains("socket"));
-        assert!(
-            !a.fingerprint().contains("deferral_retries"),
-            "scheduling-dependent retries stay out of the fingerprint"
-        );
+        assert_eq!(run(), run(), "socketed counts must be seed-pure");
     }
 }

@@ -356,15 +356,13 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
 /// Run both scenarios with one runner trial each. Both trials use the
 /// raw experiment seed so they ingest the identical workload — the
 /// partitioned scenario must converge to the baseline's fingerprint.
-pub fn run(seed: u64, cfg: &SplitBrainConfig, jobs: usize) -> SplitBrain {
+pub fn run(seed: u64, cfg: &SplitBrainConfig) -> SplitBrain {
     let specs: Vec<TrialSpec> = ["baseline", "split"]
         .iter()
         .enumerate()
         .map(|(i, s)| TrialSpec::salted(seed, i as u64, format!("scenario={s}")))
         .collect();
-    let rows = runner::map(&specs, jobs, |spec| {
-        run_scenario(seed, cfg, spec.ordinal == 1)
-    });
+    let rows = runner::map(&specs, |spec| run_scenario(seed, cfg, spec.ordinal == 1));
     SplitBrain { rows }
 }
 
@@ -402,7 +400,7 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
         .timeline
         .configure(WindowCfg::from_secs(3_600.0, Arc::new(slo_set())));
 
-    let result = run(cli.seed, &cfg, cli.jobs);
+    let result = run(cli.seed, &cfg);
     let verdict = if result.silent_loss() {
         Err((
             exit::CORRECTNESS,
@@ -476,7 +474,7 @@ mod tests {
 
     #[test]
     fn both_scenarios_converge_to_the_same_fingerprint() {
-        let result = run(1, &quick_cfg(), 1);
+        let result = run(1, &quick_cfg());
         assert!(!result.silent_loss(), "{}", result.render());
         assert!(!result.not_converged(), "{}", result.render());
         let [baseline, split] = &result.rows[..] else {
@@ -492,24 +490,16 @@ mod tests {
     }
 
     /// Both scenarios under `exp splitbrain`'s hour windows and SLO set.
-    fn windowed_run(seed: u64, cfg: &SplitBrainConfig, jobs: usize) -> (String, Vec<String>) {
+    fn windowed_run(seed: u64, cfg: &SplitBrainConfig) -> (String, Vec<String>) {
         crate::fleet::tests::windowed_run(slo_set(), || {
-            run(seed, cfg, jobs);
+            run(seed, cfg);
         })
     }
 
     #[test]
-    fn frames_and_verdicts_are_jobs_invariant() {
-        let (frames_1, viols_1) = windowed_run(11, &quick_cfg(), 1);
-        let (frames_2, viols_2) = windowed_run(11, &quick_cfg(), 2);
-        assert!(!frames_1.is_empty(), "windowed run must emit frames");
-        assert_eq!(frames_1, frames_2, "frames must not depend on --jobs");
-        assert_eq!(viols_1, viols_2, "verdicts must not depend on --jobs");
-    }
-
-    #[test]
     fn the_partition_fires_the_staleness_slo_and_baseline_does_not() {
-        let (_, viols) = windowed_run(1, &quick_cfg(), 1);
+        let (frames, viols) = windowed_run(1, &quick_cfg());
+        assert!(!frames.is_empty(), "windowed run must emit frames");
         let staleness: Vec<&String> = viols
             .iter()
             .filter(|v| v.contains("replica.staleness"))

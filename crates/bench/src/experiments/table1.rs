@@ -50,7 +50,7 @@ fn targets() -> [(&'static str, String); 2] {
 /// of observed mechanisms (ISP-B's DNS stage engages probabilistically,
 /// so one trial may see only part of the multi-stage setup). One runner
 /// trial per cell, each on the historical per-ISP `seed ^ asn` stream.
-pub fn run(seed: u64, jobs: usize) -> Table1 {
+pub fn run(seed: u64) -> Table1 {
     let (configs, targets) = (configs(), targets());
     let mut specs = Vec::new();
     for (i, (isp, asn, _)) in configs.iter().enumerate() {
@@ -62,7 +62,7 @@ pub fn run(seed: u64, jobs: usize) -> Table1 {
             ));
         }
     }
-    let cells = runner::map(&specs, jobs, |spec| {
+    let cells = runner::map(&specs, |spec| {
         let (isp, asn, policy) = &configs[spec.ordinal as usize / 2];
         let (target, url_s) = &targets[spec.ordinal as usize % 2];
         let world = single_isp_world(*asn, isp, policy.clone());
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn recovers_the_paper_matrix() {
-        let t = run(1, 1);
+        let t = run(1);
         // ISP-A, YouTube: HTTP blocking -> block page, no DNS/TLS stages.
         let c = t.cell("ISP-A", "YouTube");
         assert!(c.mechanisms.contains(&BlockingType::HttpBlockPageRedirect));
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn render_mentions_both_isps() {
-        let t = run(2, 1);
+        let t = run(2);
         let s = t.render();
         assert!(s.contains("ISP-A") && s.contains("ISP-B"));
     }

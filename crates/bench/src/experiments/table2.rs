@@ -48,7 +48,7 @@ fn paper_value(label: &str) -> Option<u64> {
 /// access hop jitter by averaging). One runner trial per destination
 /// (the ten proxies plus the YouTube baseline), each drawing its RTT
 /// samples from a runner-forked stream.
-pub fn run(seed: u64, jobs: usize) -> Table2 {
+pub fn run(seed: u64) -> Table2 {
     let proxies = static_proxies();
     let specs: Vec<TrialSpec> = proxies
         .iter()
@@ -57,7 +57,7 @@ pub fn run(seed: u64, jobs: usize) -> Table2 {
         .enumerate()
         .map(|(i, label)| TrialSpec::forked("table2", seed, i as u64, label))
         .collect();
-    let rows = runner::map(&specs, jobs, |spec| {
+    let rows = runner::map(&specs, |spec| {
         let world = clean_world();
         let provider = world.access.providers()[0].clone();
         let mut rng = DetRng::new(spec.seed);
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn measured_rtts_match_paper_within_10pct() {
-        let t = run(7, 1);
+        let t = run(7);
         for r in &t.rows {
             if r.paper_ms == 0 {
                 continue;
@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn includes_youtube_baseline() {
-        let t = run(8, 1);
+        let t = run(8);
         assert!(t
             .rows
             .iter()

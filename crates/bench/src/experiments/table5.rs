@@ -83,7 +83,7 @@ fn cases() -> Vec<(&'static str, f64, DnsTamper, IpAction, HttpAction)> {
 
 /// Run 50 detection trials per mechanism: one runner trial each, on
 /// its historical `seed ^ paper_s.to_bits()` stream.
-pub fn run(seed: u64, jobs: usize) -> Table5 {
+pub fn run(seed: u64) -> Table5 {
     let cases = cases();
     let specs: Vec<TrialSpec> = cases
         .iter()
@@ -92,7 +92,7 @@ pub fn run(seed: u64, jobs: usize) -> Table5 {
             TrialSpec::salted(seed ^ paper_s.to_bits(), i as u64, *label)
         })
         .collect();
-    let rows = runner::map(&specs, jobs, |spec| {
+    let rows = runner::map(&specs, |spec| {
         let (label, paper_s, dns, ip, http) = cases[spec.ordinal as usize];
         let url = Url::parse(&format!("http://{YOUTUBE}/")).expect("static URL");
         let policy = csaw_censor::single_mechanism(label, YOUTUBE, dns, ip, http, TlsAction::None);
@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn detection_times_match_paper_shape() {
-        let t = run(42, 1);
+        let t = run(42);
         // Within 15% of each paper row (generous: jitter + our redirect
         // model), and most importantly the *ordering* holds.
         let tcp = t.row("TCP/IP").measured_s;
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn all_runs_detected() {
-        let t = run(43, 1);
+        let t = run(43);
         for r in &t.rows {
             assert_eq!(r.runs, 50, "{}", r.label);
         }

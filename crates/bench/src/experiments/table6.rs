@@ -81,15 +81,14 @@ fn shared_inputs(seed: u64) -> (Vec<Option<SimDuration>>, SimDuration) {
 /// One runner trial per `p`. Each trial deterministically *recomputes*
 /// the shared Tor base series from `seed` (and the probe cost from
 /// `seed ^ 0xbeef`), so the paired design — every row built on the
-/// identical fetch sequence — survives parallel execution without any
-/// cross-trial state.
-pub fn run(seed: u64, jobs: usize) -> Table6 {
+/// identical fetch sequence — needs no cross-trial state.
+pub fn run(seed: u64) -> Table6 {
     let specs: Vec<TrialSpec> = PROBS
         .iter()
         .enumerate()
         .map(|(i, p)| TrialSpec::salted(seed ^ p.to_bits(), i as u64, format!("p={p}")))
         .collect();
-    let rows = runner::map(&specs, jobs, |spec| {
+    let rows = runner::map(&specs, |spec| {
         let p = PROBS[spec.ordinal as usize];
         let (bases, probe_time) = shared_inputs(seed);
         let load = LoadModel::default();
@@ -142,7 +141,7 @@ mod tests {
 
     #[test]
     fn median_plt_monotone_in_p() {
-        let t = run(61, 1);
+        let t = run(61);
         assert_eq!(t.rows.len(), 4);
         for w in t.rows.windows(2) {
             assert!(
@@ -164,7 +163,7 @@ mod tests {
 
     #[test]
     fn p_quarter_cost_is_moderate() {
-        let t = run(62, 1);
+        let t = run(62);
         let ratio = t.row(0.25).median_s / t.row(0.0).median_s;
         // The paper recommends p ≤ 0.25 as the sweet spot: some cost,
         // far from the p = 0.75 penalty.

@@ -95,14 +95,14 @@ fn event_ases() -> Vec<Asn> {
 /// independent), with the historical `seed ^ asn` client seeds. The
 /// detections are re-sorted by (time, AS), so the merged log matches the
 /// serial one exactly.
-pub fn run(seed: u64, jobs: usize) -> Wild {
+pub fn run(seed: u64) -> Wild {
     let ases = event_ases();
     let specs: Vec<TrialSpec> = ases
         .iter()
         .enumerate()
         .map(|(i, asn)| TrialSpec::salted(seed ^ asn.0 as u64, i as u64, format!("AS{}", asn.0)))
         .collect();
-    let per_as = runner::map(&specs, jobs, |spec| {
+    let per_as = runner::map(&specs, |spec| {
         let asn = ases[spec.ordinal as usize];
         let poll_s: u64 = 600; // users check their feeds every 10 min
         let horizon_s: u64 = 3 * 3_600;
@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn event_matrix_recovered_per_as() {
-        let w = run(99, 1);
+        let w = run(99);
         // Twitter: HTTP GET timeout on AS 38193, block page on AS 17557.
         let d = w.detection(38193, "twitter.com").expect("detected");
         assert_eq!(d.response, "HTTP_GET_TIMEOUT");
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn no_cross_service_false_positives() {
-        let w = run(100, 1);
+        let w = run(100);
         // AS 17557 blocks only Twitter; Instagram must stay clean there.
         assert!(w.detection(17557, "instagram.com").is_none());
         // AS 59257 and 45773 block only Instagram.
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn render_matches_paper_phrasing() {
-        let w = run(101, 1);
+        let w = run(101);
         let s = w.render();
         assert!(s.contains("was found blocked at"));
         assert!(s.contains("Response:"));

@@ -222,7 +222,7 @@ pub(crate) mod tests {
     /// `exp` configuration) and return the frame JSONL and the violation
     /// lines the sink saw.
     pub(crate) fn windowed_run(slos: SloSet, sweep: impl FnOnce()) -> (String, Vec<String>) {
-        let buf = Arc::new(BufferSink::new(true));
+        let buf = Arc::new(BufferSink::new());
         let ctx = Arc::new(
             ObsCtx::new()
                 .with_clock(Arc::new(ManualClock::new()))

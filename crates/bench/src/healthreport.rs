@@ -30,8 +30,8 @@ use std::collections::BTreeSet;
 /// The frames and violations parsed out of a JSONL event stream.
 #[derive(Debug, Clone, Default)]
 pub struct HealthInput {
-    /// Telemetry frames, in file order (trial-ordinal order, thanks to
-    /// the runner's deterministic merge).
+    /// Telemetry frames, in file order (trial order: the runner runs a
+    /// sweep's trials one after another).
     pub frames: Vec<Frame>,
     /// SLO violations, in emission order.
     pub violations: Vec<Violation>,

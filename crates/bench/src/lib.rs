@@ -10,7 +10,7 @@
 //! (`exp <name>`, `exp all` for the full report consumed by
 //! `EXPERIMENTS.md`, `exp list`), and `report trace|health` analyses
 //! and gates on what they write. Both parse flags through [`cli`] and
-//! share its exit-code table. Sweeps fan their independent trials out
+//! share its exit-code table. Sweeps run their independent trials
 //! through [`runner::map`]; the three harnesses (`chaos`, `splitbrain`,
 //! `scale`) drive their client populations through [`fleet`].
 //!

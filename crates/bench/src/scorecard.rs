@@ -5,8 +5,8 @@
 //! cards. `exp all` writes one per sweep (under `runs/<seed>/`: the
 //! stdout digests the golden manifest pins), and the manifest itself is
 //! a card whose rows hold the digests of every other pinned output,
-//! `exp scale`'s [`Scale::scorecard`](crate::experiments::scale::Scale::scorecard)
-//! among them. Timing lives in `benchmark/`, never here.
+//! `exp scale`'s receipt counts among them. Timing lives in
+//! `benchmark/`, never here.
 //!
 //! Older cards also carry top-level `timing` and `health` objects;
 //! nothing reads either, and both still parse.

@@ -142,13 +142,14 @@ fn bad_command_lines_exit_2_with_usage() {
         );
     }
     // The scorecard report and the harnesses' card paths are gone, not
-    // aliased; so are the frames file, the window override and the
-    // trace baseline gate.
+    // aliased; so are the frames file, the window override, the worker
+    // count and the trace baseline gate.
     assert_usage_error(&report(&["perf", "card.json"]), "report perf");
     for args in [
         &["chaos", "--frames-out", "x"][..],
         &["chaos", "--window", "60"],
         &["fig5a", "--window", "60"],
+        &["fig5a", "--jobs", "2"],
     ] {
         assert_usage_error(&exp(args), &format!("exp {}", args.join(" ")));
     }

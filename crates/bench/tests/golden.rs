@@ -25,7 +25,7 @@ use csaw_bench::scorecard::{digest64, Scorecard};
 use csaw_dbserver::DbServerConfig;
 use csaw_obs::chrome::render_chrome_trace;
 use csaw_obs::json::JsonValue;
-use csaw_obs::{BufferSink, Event, ManualClock, ObsCtx, SloSet, WindowCfg};
+use csaw_obs::{BufferSink, Event, ManualClock, NullSink, ObsCtx, Sink, SloSet, WindowCfg};
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
 use std::sync::Arc;
@@ -34,18 +34,23 @@ const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../GOLDEN_seed1.js
 
 /// Run `f` under a fresh scope shaped like the one `exp` installs: a
 /// virtual clock, a sink that keeps every event when `traced` (the
-/// null sink's gate otherwise), and hour windows evaluating `slos` when
-/// given. Returns `f`'s value, the events, and the metrics snapshot.
+/// null sink otherwise), and hour windows evaluating `slos` when given.
+/// Returns `f`'s value, the events, and the metrics snapshot.
 fn observed<T>(
     traced: bool,
     slos: Option<SloSet>,
     f: impl FnOnce() -> T,
 ) -> (T, Vec<Event>, JsonValue) {
-    let sink = Arc::new(BufferSink::new(traced));
+    let buf = Arc::new(BufferSink::new());
+    let sink: Arc<dyn Sink> = if traced {
+        buf.clone()
+    } else {
+        Arc::new(NullSink)
+    };
     let ctx = Arc::new(
         ObsCtx::new()
             .with_clock(Arc::new(ManualClock::new()))
-            .with_sink(sink.clone()),
+            .with_sink(sink),
     );
     if let Some(slos) = slos {
         ctx.timeline
@@ -56,7 +61,7 @@ fn observed<T>(
         f()
     };
     ctx.flush_timeline();
-    (out, sink.take(), ctx.registry.snapshot())
+    (out, buf.take(), ctx.registry.snapshot())
 }
 
 /// The bytes `--trace-out x.jsonl` writes for `events`.
@@ -75,16 +80,50 @@ fn harness_row(render: &str, events: &[Event]) -> JsonValue {
     row
 }
 
+/// The seed-pure scorecard of an `exp scale` run, whose fingerprint is
+/// the manifest's `exp scale` row: the config echo, the in-process
+/// pass's accepted/rejected/record counts (as the one element of
+/// `rows`), and the socketed pass's receipt totals and store state. The
+/// scheduling-dependent deferral retries stay out.
+fn scale_card(scaled: &scale::Scale, seed: u64) -> Scorecard {
+    let mut card = Scorecard::new("exp_scale", seed);
+    let mut config = JsonValue::obj();
+    config.set("clients", scaled.cfg.clients);
+    config.set("reports_per_client", scale::REPORTS_PER_CLIENT);
+    config.set("shards", scaled.cfg.shards);
+    config.set("urls", scaled.cfg.urls);
+    config.set("asns", scaled.cfg.asns);
+    config.set("lookups", scaled.cfg.lookups);
+    let mut row = JsonValue::obj();
+    row.set("threads", scaled.pass.threads);
+    row.set("accepted", scaled.pass.accepted);
+    row.set("rejected", scaled.pass.rejected);
+    row.set("records", scaled.pass.records);
+    card.deterministic.set("config", config);
+    card.deterministic.set("rows", vec![row]);
+    if let Some(sck) = &scaled.socket {
+        let mut d = JsonValue::obj();
+        d.set("threads", sck.threads);
+        d.set(
+            "posted_reports",
+            (scaled.cfg.clients * scale::REPORTS_PER_CLIENT) as u64,
+        );
+        d.set("accepted", sck.accepted);
+        d.set("rejected", sck.rejected);
+        d.set("records", sck.records);
+        card.deterministic.set("socket", d);
+    }
+    card
+}
+
 /// Recompute the whole manifest at seed 1.
 fn recompute() -> String {
-    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-
     // The sweeps, each under its own registry like `exp all` runs them.
     let mut digests: Vec<(&str, String)> = Vec::new();
     let mut per_exp = JsonValue::obj();
     for e in CATALOGUE {
         if let Run::Paper(run) | Run::Extension(run) = e.run {
-            let (text, _, snapshot) = observed(false, None, || run(1, jobs).render());
+            let (text, _, snapshot) = observed(false, None, || run(1).render());
             digests.push((e.name, digest64(&text)));
             per_exp.set(e.name, snapshot);
         }
@@ -96,9 +135,8 @@ fn recompute() -> String {
 
     let mut harnesses = JsonValue::obj();
     let chaos_at = |cfg: chaos::ChaosConfig| {
-        let (result, events, _) = observed(true, Some(SloSet::csaw_default()), || {
-            chaos::run(1, &cfg, jobs)
-        });
+        let (result, events, _) =
+            observed(true, Some(SloSet::csaw_default()), || chaos::run(1, &cfg));
         harness_row(&result.render(), &events)
     };
     harnesses.set("chaos", chaos_at(chaos::ChaosConfig::default()));
@@ -111,7 +149,7 @@ fn recompute() -> String {
         }),
     );
     let (split, events, _) = observed(true, Some(splitbrain::slo_set()), || {
-        splitbrain::run(1, &splitbrain::SplitBrainConfig::default(), jobs)
+        splitbrain::run(1, &splitbrain::SplitBrainConfig::default())
     });
     let mut row = harness_row(&split.render(), &events);
     row.set("fingerprint", split.rows[1].fingerprint.as_str());
@@ -128,14 +166,14 @@ fn recompute() -> String {
         result
     });
     let mut row = JsonValue::obj();
-    row.set("card", digest64(&scaled.scorecard(1).fingerprint()));
+    row.set("card", digest64(&scale_card(&scaled, 1).fingerprint()));
     harnesses.set(
         "scale --clients 10000 --lookups 1000 --threads 4 --transport tcp",
         row,
     );
     card.deterministic.set("harnesses", harnesses);
 
-    let (_, events, _) = observed(true, None, || fig5::run_5a(1, jobs));
+    let (_, events, _) = observed(true, None, || fig5::run_5a(1));
     let mut artifacts = JsonValue::obj();
     artifacts.set(
         "fig5a --trace-out x.json",
@@ -222,7 +260,7 @@ fn exp_all_digests_what_exp_name_prints() {
     let exp = env!("CARGO_BIN_EXE_exp");
     let dir = std::env::temp_dir().join(format!("csaw_golden_{}", std::process::id()));
     let all = Command::new(exp)
-        .args(["all", "--seed", "1", "--jobs", "0", "--out-dir"])
+        .args(["all", "--seed", "1", "--out-dir"])
         .arg(&dir)
         .output()
         .expect("spawn exp all");

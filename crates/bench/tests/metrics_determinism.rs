@@ -10,7 +10,7 @@ use std::sync::Arc;
 fn run_table5_snapshot(seed: u64) -> String {
     let ctx = Arc::new(ObsCtx::new().with_clock(Arc::new(ManualClock::new())));
     let _guard = scope::install(ctx.clone());
-    let _ = csaw_bench::experiments::table5::run(seed, 1);
+    let _ = csaw_bench::experiments::table5::run(seed);
     ctx.registry.snapshot().to_string_pretty()
 }
 
@@ -34,7 +34,7 @@ fn different_seeds_differ() {
 fn snapshot_medians_match_table5() {
     let ctx = Arc::new(ObsCtx::new().with_clock(Arc::new(ManualClock::new())));
     let _guard = scope::install(ctx.clone());
-    let _ = csaw_bench::experiments::table5::run(1, 1);
+    let _ = csaw_bench::experiments::table5::run(1);
     let med = |name: &str| {
         ctx.registry
             .histogram(name)

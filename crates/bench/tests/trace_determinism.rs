@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// Run `body` under a fresh scope recording into a buffer; return the
 /// recorded events.
 fn recorded(body: impl FnOnce()) -> Vec<Event> {
-    let sink = Arc::new(BufferSink::new(true));
+    let sink = Arc::new(BufferSink::new());
     let ctx = Arc::new(
         ObsCtx::new()
             .with_clock(Arc::new(ManualClock::new()))
@@ -112,7 +112,7 @@ fn same_seed_chrome_traces_are_byte_identical() {
 #[test]
 fn fig5a_traced_run_yields_one_tree_per_fetch() {
     let events = recorded(|| {
-        csaw_bench::experiments::fig5::run_5a(1, 1);
+        csaw_bench::experiments::fig5::run_5a(1);
     });
     let recs = records(&events);
     // 4 blocking types x {serial, parallel} x 30 iterations.

@@ -7,7 +7,7 @@
 //!   upgrade), SNI (domain fronting) or host form (IP as hostname). The
 //!   censor sees every stage it would see in reality.
 //! - [`relay_fetch`]: the client tunnels through one or more relays
-//!   (static proxy, VPN, Lantern, Tor); the censor sees only the first
+//!   (static proxy, Lantern, Tor); the censor sees only the first
 //!   hop, and PLT comes from the composed path.
 //!
 //! A direct-style fetch climbs one connection ladder — `resolve` (DNS

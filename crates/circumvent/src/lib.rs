@@ -7,9 +7,9 @@
 //! - direct-style: [`transports::Direct`], [`transports::PublicDns`],
 //!   [`transports::HttpsUpgrade`], [`transports::DomainFronting`],
 //!   [`transports::IpAsHostname`];
-//! - relay-based: [`transports::StaticProxy`], [`transports::Vpn`],
-//!   [`tor::TorClient`] (3-hop bandwidth-weighted circuits with 10-minute
-//!   rotation), [`lantern::LanternClient`] (trust-graph proxy selection).
+//! - relay-based: [`transports::StaticProxy`], [`tor::TorClient`]
+//!   (3-hop bandwidth-weighted circuits with 10-minute rotation),
+//!   [`lantern::LanternClient`] (trust-graph proxy selection).
 //!
 //! The [`fetch`] module implements the browser page-load model (base
 //! document + embedded resources over parallel lanes, cross-host CDN
@@ -57,7 +57,7 @@ pub use outcome::{FailureKind, FetchOutcome, PageResult};
 pub use tor::{default_directory, Circuit, Relay, TorClient, TorConfig};
 pub use transports::{
     Direct, DomainFronting, FetchCtx, HoldOnDns, HttpsUpgrade, IpAsHostname, PublicDns,
-    StaticProxy, Transport, TransportKind, Vpn,
+    StaticProxy, Transport, TransportKind,
 };
 pub use world::{
     DnsServer, DnsTiming, HttpStep, SiteEntry, SiteSpec, TlsStep, UdpStep, World, WorldBuilder,

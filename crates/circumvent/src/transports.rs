@@ -10,7 +10,6 @@
 //! | [`DomainFronting`] | §2.2, Fig. 1a | DNS + SNI + HTTP filtering |
 //! | [`IpAsHostname`] | Fig. 1c | DNS + keyword filtering |
 //! | [`StaticProxy`] | Fig. 1a | everything, at distance cost |
-//! | [`Vpn`] | §2.2 | everything, at tunnel cost |
 //! | `TorClient` (see [`crate::tor`]) | §2.2 | everything + anonymity, slow |
 //! | `LanternClient` (see [`crate::lantern`]) | §2.2 | everything, trust-routed |
 //!
@@ -34,7 +33,7 @@ pub enum TransportKind {
     Direct,
     /// A non-relay fix (public DNS, HTTPS, fronting, IP-as-hostname).
     LocalFix,
-    /// A relay-based approach (proxy, VPN, Lantern, Tor).
+    /// A relay-based approach (static proxy, Lantern, Tor).
     Relay,
 }
 
@@ -326,33 +325,6 @@ impl Transport for StaticProxy {
     }
 }
 
-/// A VPN tunnel to an exit outside the censored region. Like a static
-/// proxy, plus per-packet tunnel overhead.
-#[derive(Debug, Clone)]
-pub struct Vpn {
-    /// Exit location.
-    pub site: Site,
-}
-
-impl Transport for Vpn {
-    fn name(&self) -> &str {
-        "vpn"
-    }
-    fn kind(&self) -> TransportKind {
-        TransportKind::Relay
-    }
-    fn fetch(&mut self, world: &World, ctx: &FetchCtx, url: &Url, rng: &mut DetRng) -> FetchReport {
-        crate::fetch::relay_fetch(
-            world,
-            &ctx.provider,
-            &[self.site],
-            url,
-            SimDuration::from_millis(30), // tunnel setup/crypto overhead
-            rng,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn static_proxy_and_vpn_bypass_everything_slowly() {
+    fn static_proxy_bypasses_everything_slowly() {
         let (w, ctx) = setup(profiles::isp_b(), profiles::ISP_B_ASN);
         let mut rng = DetRng::new(6);
         let url = Url::parse("http://www.youtube.com/").unwrap();
@@ -480,16 +452,10 @@ mod tests {
         );
         let p = proxy.fetch(&w, &ctx, &url, &mut rng);
         assert!(p.outcome.is_genuine_page());
-        let mut vpn = Vpn {
-            site: Site::in_region(Region::Germany),
-        };
-        let v = vpn.fetch(&w, &ctx, &url, &mut rng);
-        assert!(v.outcome.is_genuine_page());
-        // Both slower than an uncensored direct fetch would be.
+        // Slower than an uncensored direct fetch would be.
         let (w_clean, ctx_clean) = setup(profiles::clean(), Asn(99));
         let d = Direct.fetch(&w_clean, &ctx_clean, &url, &mut rng);
         assert!(p.elapsed > d.elapsed);
-        assert!(v.elapsed > d.elapsed);
     }
 
     #[test]
@@ -586,13 +552,6 @@ mod tests {
         assert_eq!(IpAsHostname::default().kind(), TransportKind::LocalFix);
         assert_eq!(
             StaticProxy::at("x", Site::in_region(Region::Japan)).kind(),
-            TransportKind::Relay
-        );
-        assert_eq!(
-            Vpn {
-                site: Site::in_region(Region::Japan)
-            }
-            .kind(),
             TransportKind::Relay
         );
     }

@@ -116,11 +116,6 @@ impl Selector {
             .collect()
     }
 
-    /// The PLT tracker (read access for experiments).
-    pub fn plt_tracker(&self) -> &PltTracker {
-        &self.plt
-    }
-
     /// Which local fixes address the given blocking stages, in preference
     /// order. Transport names refer to the standard registry.
     pub fn local_fix_order(stages: &[BlockingType]) -> Vec<&'static str> {

@@ -476,7 +476,7 @@ mod tests {
 
     #[test]
     fn failed_ingest_keeps_queue_closes_trace_and_arms_backoff() {
-        let sink = Arc::new(csaw_obs::sink::BufferSink::new(true));
+        let sink = Arc::new(csaw_obs::sink::BufferSink::new());
         let _g = csaw_obs::scope::install(Arc::new(
             csaw_obs::scope::ObsCtx::new().with_sink(sink.clone()),
         ));
@@ -761,7 +761,7 @@ mod tests {
 
     #[test]
     fn via_collectors_honours_backoff_and_traces_every_attempt() {
-        let sink = Arc::new(csaw_obs::sink::BufferSink::new(true));
+        let sink = Arc::new(csaw_obs::sink::BufferSink::new());
         let _g = csaw_obs::scope::install(Arc::new(
             csaw_obs::scope::ObsCtx::new().with_sink(sink.clone()),
         ));

@@ -22,7 +22,7 @@
 //!
 //! Everything is derived from a [`DetRng`] forked per probe index, so
 //! a source is a pure function of `(seed, config)` — no state, safe to
-//! re-derive on any thread of a parallel experiment runner.
+//! re-derive anywhere.
 
 use crate::global::remote::GlobalApi;
 use crate::global::server::RegistrationError;

@@ -167,7 +167,7 @@ mod tests {
         use csaw_obs::scope::{install, ObsCtx};
         use csaw_obs::sink::BufferSink;
         use std::sync::Arc;
-        let buf = Arc::new(BufferSink::new(true));
+        let buf = Arc::new(BufferSink::new());
         let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx);
         let _root = csaw_obs::trace::fetch_root(7, 0, 1_000);

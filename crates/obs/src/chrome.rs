@@ -120,7 +120,7 @@ mod tests {
     use std::sync::Arc;
 
     fn traced_events() -> Vec<Event> {
-        let sink = Arc::new(BufferSink::new(true));
+        let sink = Arc::new(BufferSink::new());
         let ctx = Arc::new(ObsCtx::new().with_sink(sink.clone()));
         let _g = install(ctx);
         let root = crate::trace::fetch_root(1, 0, 100);

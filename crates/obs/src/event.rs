@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn events_carry_clock_time_and_fields() {
-        let buf = Arc::new(BufferSink::new(true));
+        let buf = Arc::new(BufferSink::new());
         let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx.clone());
         ctx.clock.set_us(42);
@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn span_guard_measures_on_the_context_clock() {
-        let buf = Arc::new(BufferSink::new(true));
+        let buf = Arc::new(BufferSink::new());
         let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx.clone());
         ctx.clock.set_us(100);
@@ -281,7 +281,7 @@ mod tests {
 
     #[test]
     fn traced_emissions_form_a_tree() {
-        let buf = Arc::new(BufferSink::new(true));
+        let buf = Arc::new(BufferSink::new());
         let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx);
         let root = crate::trace::fetch_root(1, 0, 0);
@@ -317,7 +317,7 @@ mod tests {
 
     #[test]
     fn traced_json_carries_hex_ids() {
-        let buf = Arc::new(BufferSink::new(true));
+        let buf = Arc::new(BufferSink::new());
         let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx);
         let _root = crate::trace::fetch_root(2, 1, 0);

@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn advance_clock_reaches_events() {
-        let buf = Arc::new(BufferSink::new(true));
+        let buf = Arc::new(BufferSink::new());
         let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx);
         advance_clock_us(777);

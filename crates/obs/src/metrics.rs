@@ -218,9 +218,7 @@ impl Histogram {
     /// Fold another histogram's samples into this one. Buckets are
     /// fixed at construction and identical across histograms, so the
     /// merge is exact: counts and sums add, min/max tighten. Addition
-    /// commutes, so a merged snapshot is independent of merge order —
-    /// the property the parallel experiment runner's byte-equality
-    /// gate rests on.
+    /// commutes, so a merged snapshot is independent of merge order.
     pub fn merge_from(&self, other: &Histogram) {
         for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
             let n = theirs.load(Ordering::Relaxed);
@@ -330,13 +328,10 @@ impl Registry {
     /// Fold every metric of `other` into this registry: counters and
     /// gauges add, histograms merge bucket-wise ([`Histogram::merge_from`]).
     ///
-    /// This is how the parallel experiment runner combines per-trial
-    /// metric arenas after the worker barrier. Counter/histogram
-    /// addition commutes, so the merged totals equal a serial run's
-    /// regardless of worker interleaving; gauges are summed as deltas
-    /// (a trial's net queue-depth change), which is likewise
-    /// order-independent. Callers that want a deterministic snapshot
-    /// should still merge in trial-ordinal order — that also pins the
+    /// This is how the trial runner folds each trial's registry into
+    /// its caller's, and `exp all` each experiment's. Gauges are summed
+    /// as deltas (a trial's net queue-depth change). Callers that want
+    /// a deterministic snapshot merge in a fixed order — that pins the
     /// order in which previously-unseen metric *names* are registered.
     pub fn merge_from(&self, other: &Registry) {
         let theirs = other.inner.lock().unwrap();

@@ -57,32 +57,18 @@ impl Sink for NullSink {
 /// Captures every event, unbounded and in emission order — the one
 /// in-memory sink.
 ///
-/// Three things are built on it: the parallel experiment runner's
-/// per-trial event arena (each trial records into its own buffer, and
-/// after the worker barrier the runner replays the buffers into the
-/// real sink in trial-ordinal order, so the merged stream is
-/// byte-identical to a serial run), the Chrome trace `--trace-out
-/// x.json` renders at exit, and every test that inspects what was
-/// emitted.
-///
-/// It never drops (a trace must be complete), and its
-/// [`Sink::enabled`] gate is fixed at construction: a trial passes the
-/// *parent* sink's enabled state so instrumented code inside it skips
-/// event construction exactly when a serial run would have.
-#[derive(Debug)]
+/// Two things are built on it: the Chrome trace `--trace-out x.json`
+/// renders at exit, and every test that inspects what was emitted. It
+/// never drops: a trace must be complete.
+#[derive(Debug, Default)]
 pub struct BufferSink {
-    enabled: bool,
     buf: Mutex<Vec<Event>>,
 }
 
 impl BufferSink {
-    /// A buffer whose emit gate is `enabled` (for a trial arena, the
-    /// parent sink's [`Sink::enabled`] at trial start).
-    pub fn new(enabled: bool) -> BufferSink {
-        BufferSink {
-            enabled,
-            buf: Mutex::new(Vec::new()),
-        }
+    /// An empty buffer.
+    pub fn new() -> BufferSink {
+        BufferSink::default()
     }
 
     /// Take every buffered event, in emission order.
@@ -103,13 +89,7 @@ impl BufferSink {
 
 impl Sink for BufferSink {
     fn record(&self, event: &Event) {
-        if self.enabled {
-            lock_recover(&self.buf).push(event.clone());
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.enabled
+        lock_recover(&self.buf).push(event.clone());
     }
 }
 
@@ -169,7 +149,7 @@ mod tests {
     fn poisoned_buffer_recovers_instead_of_panicking() {
         let ctx = std::sync::Arc::new(crate::scope::ObsCtx::new());
         let _scope = crate::scope::install(ctx.clone());
-        let r = std::sync::Arc::new(BufferSink::new(true));
+        let r = std::sync::Arc::new(BufferSink::new());
         r.record(&ev("before", 1));
         // Poison the internal mutex: panic while holding the guard.
         let r2 = r.clone();
@@ -187,8 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn buffer_sink_mirrors_parent_gate_and_replays_in_order() {
-        let on = BufferSink::new(true);
+    fn buffer_sink_keeps_events_in_order() {
+        let on = BufferSink::new();
         assert!(on.enabled());
         on.record(&ev("a", 1));
         on.record(&ev("b", 2));
@@ -196,11 +176,6 @@ mod tests {
         let names: Vec<String> = on.take().into_iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["a", "b"]);
         assert!(on.is_empty());
-
-        let off = BufferSink::new(false);
-        assert!(!off.enabled());
-        off.record(&ev("dropped", 3));
-        assert!(off.take().is_empty(), "disabled buffer must not retain");
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!
 //! Determinism contract: frames are a pure function of the recorded
 //! samples and the clock — two same-seed runs emit byte-identical frame
-//! streams. The parallel trial runner preserves this by giving each
-//! trial its own `Timeline` (inherited configuration, fresh state) and
-//! replaying trial event buffers in ordinal order.
+//! streams. The trial runner gives each trial its own `Timeline`
+//! (inherited configuration, fresh state), so one trial's windows never
+//! depend on another's samples.
 //!
 //! Hot-path cost matches the registry: handle resolution takes the
 //! timeline mutex once per (name, labels); recording through a resolved
@@ -645,7 +645,7 @@ impl Timeline {
     }
 
     /// A fresh timeline inheriting this one's configuration (the trial
-    /// runner's per-trial arena), or a disabled one if unconfigured.
+    /// runner's per-trial scope), or a disabled one if unconfigured.
     pub fn child(&self) -> Timeline {
         match self.cfg.get() {
             Some(cfg) => Timeline::with_cfg(cfg.clone()),
@@ -684,7 +684,7 @@ mod tests {
         assert!(!t.enabled());
         let c = t.counter("x", &[]);
         c.add(5);
-        let buf = BufferSink::new(true);
+        let buf = BufferSink::new();
         t.advance_to(10_000_000, &buf);
         t.flush(&buf);
         assert!(buf.is_empty());
@@ -697,7 +697,7 @@ mod tests {
         assert!(t.enabled());
         t.set_run("r1");
         let c = t.counter("hits", &[("asn", "7")]);
-        let buf = BufferSink::new(true);
+        let buf = BufferSink::new();
         c.add(3);
         t.advance_to(500, &buf); // still window 0
         assert!(buf.is_empty());
@@ -727,7 +727,7 @@ mod tests {
     fn empty_crossed_windows_emit_zero_frames() {
         let t = Timeline::with_cfg(cfg(1_000));
         let _c = t.counter("hits", &[]);
-        let buf = BufferSink::new(true);
+        let buf = BufferSink::new();
         t.advance_to(3_500, &buf); // crosses windows 0,1,2
         let frames = t.recent_frames();
         assert_eq!(frames.len(), 3);
@@ -741,7 +741,7 @@ mod tests {
     fn gauge_carries_last_forward_and_tracks_min_max() {
         let t = Timeline::with_cfg(cfg(1_000));
         let g = t.gauge("depth", &[]);
-        let buf = BufferSink::new(true);
+        let buf = BufferSink::new();
         g.set(5);
         g.set(2);
         g.set(9);
@@ -773,7 +773,7 @@ mod tests {
         let _h = t.hist("lat", &[]);
         let c = t.counter("hits", &[]);
         c.inc();
-        let buf = BufferSink::new(true);
+        let buf = BufferSink::new();
         t.advance_to(1_500, &buf);
         let f = &t.recent_frames()[0];
         assert_eq!(
@@ -788,7 +788,7 @@ mod tests {
     fn hist_digest_resets_per_window() {
         let t = Timeline::with_cfg(cfg(1_000));
         let h = t.hist("lat", &[]);
-        let buf = BufferSink::new(true);
+        let buf = BufferSink::new();
         for ms in [10u64, 20, 30] {
             h.observe_us(ms * 1_000);
         }
@@ -818,7 +818,7 @@ mod tests {
         let t = Timeline::with_cfg(cfg(1_000_000));
         let c = t.counter("hits", &[]);
         c.add(4);
-        let buf = BufferSink::new(true);
+        let buf = BufferSink::new();
         t.flush(&buf);
         let frames = t.recent_frames();
         assert_eq!(frames.len(), 1);
@@ -833,7 +833,7 @@ mod tests {
         t.counter("c", &[("asn", "1")]).add(7);
         t.gauge("g", &[]).set(-3);
         t.hist("h", &[]).observe_us(123);
-        let buf = BufferSink::new(true);
+        let buf = BufferSink::new();
         t.advance_to(1_500, &buf);
         let f = &t.recent_frames()[0];
         let line = f.to_event().to_json();
@@ -850,7 +850,7 @@ mod tests {
             let v = i.to_string();
             t.counter("c", &[("id", v.as_str())]).inc();
         }
-        let buf = BufferSink::new(true);
+        let buf = BufferSink::new();
         t.advance_to(1_500, &buf);
         let f = &t.recent_frames()[0];
         // The shared overflow series itself sits one past the cap.
@@ -863,7 +863,7 @@ mod tests {
     fn huge_clock_jump_is_capped_and_recorded() {
         let t = Timeline::with_cfg(cfg(1));
         t.counter("c", &[]).inc();
-        let buf = BufferSink::new(true);
+        let buf = BufferSink::new();
         // Jump ~10^7 windows: far past the per-advance cap. The cap
         // closes a bounded number of frames, then skips to the target.
         t.advance_to(10_000_000, &buf);
@@ -885,7 +885,7 @@ mod tests {
         t.counter("hits", &[("asn", "1")]).add(2);
         t.counter("hits", &[("asn", "2")]).add(3);
         t.counter("hitsx", &[]).add(100);
-        let buf = BufferSink::new(true);
+        let buf = BufferSink::new();
         t.advance_to(1_500, &buf);
         assert_eq!(t.recent_frames()[0].family_count("hits"), 5);
     }
@@ -898,7 +898,7 @@ mod tests {
         assert!(child.enabled());
         assert_eq!(child.cfg().unwrap().window_us, 2_000);
         assert!(child.recent_frames().is_empty());
-        let buf = BufferSink::new(true);
+        let buf = BufferSink::new();
         child.advance_to(5_000, &buf);
         assert!(
             child.recent_frames().is_empty(),

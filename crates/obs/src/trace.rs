@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn complete_active_emits_root_span() {
-        let buf = Arc::new(BufferSink::new(true));
+        let buf = Arc::new(BufferSink::new());
         let ctx = Arc::new(ObsCtx::new().with_sink(buf.clone()));
         let _g = install(ctx);
         let r = fetch_root(4, 2, 10);

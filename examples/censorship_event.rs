@@ -10,7 +10,7 @@
 use csaw_bench::experiments::Outcome;
 
 fn main() {
-    let w = csaw_bench::experiments::wild::run(2026, 1);
+    let w = csaw_bench::experiments::wild::run(2026);
     println!("{}", w.render());
     println!("Compare with the paper's snapshot:");
     println!("  * Twitter blocked from AS 38193 (Response: HTTP_GET_TIMEOUT)");

@@ -406,7 +406,7 @@ fn a_synced_verdict_skips_the_race() {
 fn proxy_spans_reach_the_spawners_sink() {
     // Regression: handler threads did not inherit the spawner's scope,
     // so each request's span went to the handler thread's null sink.
-    let sink = Arc::new(csaw_obs::BufferSink::new(true));
+    let sink = Arc::new(csaw_obs::BufferSink::new());
     let ctx = Arc::new(csaw_obs::ObsCtx::new().with_sink(sink.clone()));
     let _g = csaw_obs::install(ctx);
     let tb = testbed();

@@ -7,8 +7,10 @@
 # below its file's first `#[cfg(test)]`. A fn is used where a line calls
 # it or names it by path (`name(`, `::name`, `name::<`) other than as the
 # name a `fn` defines; any other item where a line other than its
-# definition names it as a whole word. benchmark/, examples and binaries
-# count as users. Items that share a name are judged together.
+# definition names it as a whole word. A `use` declaration (all of its
+# lines) and the self type of an `impl` line are not uses. benchmark/,
+# examples and binaries count as users. Items that share a name are
+# judged together.
 #
 # A name in the allowlist below fails the other way round: when it has a
 # non-test user, or is no longer defined, the entry is stale. Prints one
@@ -39,6 +41,7 @@ rules              ROADMAP "The product, scored against ground truth": the score
 row                ROADMAP "A paper-claims gate": its predicates read Table 5, Table 6 and data-usage rows
 mode               ROADMAP "A paper-claims gate": its predicates read the fingerprint modes
 detection          ROADMAP "A paper-claims gate": its predicates read the §7.5 detections
+cell               ROADMAP "A paper-claims gate": "Table 1 / Fig. 2 mixes recovered exactly" reads the cells
 EOF
 )
 
@@ -48,9 +51,12 @@ report=$(git grep -n -e '' -- '*.rs' | awk -v allow="$allow" '
         file = $0; sub(/:.*/, "", file)
         text = substr($0, length(file) + 2); sub(/^[0-9]*:/, "", text)
     }
-    file != last { last = file; cut = 0 }
+    file != last { last = file; cut = 0; inuse = 0 }
     text ~ /^#\[cfg\(test\)\]/ { cut = 1 }
     text ~ /^[[:space:]]*\/\// { next }
+    # A `use` declaration imports a name; it does not use it.
+    text ~ /^[[:space:]]*(pub(\([a-z]+\))? )?use / { inuse = 1 }
+    inuse { if (text ~ /;/) inuse = 0; next }
     {
         test = file ~ /(^|\/)tests\// || cut
         def = ""
@@ -65,9 +71,19 @@ report=$(git grep -n -e '' -- '*.rs' | awk -v allow="$allow" '
         }
         if (test)
             next
+        # Nor does an `impl` line use the type it implements for.
+        self = ""
+        if (text ~ /^[[:space:]]*(unsafe )?impl[<[:space:]]/) {
+            self = text
+            if (!sub(/.* for /, "", self)) {
+                sub(/^[[:space:]]*(unsafe )?impl(<[^>]*>)?[[:space:]]*(dyn )?/, "", self)
+            }
+            sub(/[^A-Za-z0-9_:].*/, "", self)
+            sub(/.*::/, "", self)
+        }
         n = split(text, word, /[^A-Za-z0-9_]+/)
         for (i = 1; i <= n; i++)
-            if (word[i] != def)
+            if (word[i] != def && word[i] != self)
                 named[word[i]] = 1
         # A fn is used where it is called or named by path: `name(`,
         # `::name` or `name::<`, but never as the name a `fn` defines.
