@@ -1,7 +1,7 @@
 //! `report`: analyse the event file a run writes, and gate on it.
 //!
 //! ```text
-//! report trace  TRACE [--waterfall N]
+//! report trace  TRACE
 //! report health TRACE [--gate] [--expect RULES]
 //! ```
 //!
@@ -10,8 +10,8 @@
 //! which is for viewers; a line that is not a JSON event exits 2).
 //!
 //! - `trace` uses the fetch span trees: per-fetch PLT decomposition and
-//!   waterfalls; a fetch whose children do not sum to its root PLT
-//!   within 1 µs makes the trace unusable.
+//!   the first eight fetches' waterfalls; a fetch whose children do not
+//!   sum to its root PLT within 1 µs makes the trace unusable.
 //! - `health` uses the `ts.frame` / `slo.violation` events. `--gate` is
 //!   the CI "run must be healthy" check; `--expect` is the inverse — a
 //!   fault-injection leg that *fails to alert* is an alerting bug, so
@@ -29,11 +29,11 @@ const USAGE: &str = "\
 usage: report <trace | health> FILE [flags]   (report KIND --help)";
 
 const TRACE_USAGE: &str = "\
-usage: report trace TRACE [flags]
+usage: report trace TRACE
 
   TRACE                the JSONL a --trace-out run streams (any extension
-                       but .json; a .json Chrome trace does not parse)
-  --waterfall N        per-fetch waterfalls to print (default 8)";
+                       but .json; a .json Chrome trace does not parse);
+                       the report draws the first 8 fetches' waterfalls";
 
 const HEALTH_USAGE: &str = "\
 usage: report health TRACE [flags]
@@ -44,7 +44,8 @@ usage: report health TRACE [flags]
                     the file holds no frames to judge
   --expect RULES    comma-separated SLO rule names that MUST have
                     fired; exit 7 listing any that did not (for
-                    fault-injection legs that are required to alert)";
+                    fault-injection legs that are required to alert);
+                    a list that names no rule is a usage error";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -83,14 +84,7 @@ fn load<T>(cmd: &str, usage: &str, path: &Path, parse: fn(&str) -> Result<T, Str
 fn trace(args: &[String]) -> i32 {
     let (cmd, usage) = ("report trace", TRACE_USAGE);
     let mut trace: Option<PathBuf> = None;
-    let mut waterfalls = 8usize;
-    cli::parse_args(cmd, usage, args, |a, value| {
-        match a {
-            "--waterfall" => waterfalls = cli::parse_value(cmd, usage, a, &value()),
-            other => return positional(&mut trace, other),
-        }
-        true
-    });
+    cli::parse_args(cmd, usage, args, |a, _| positional(&mut trace, a));
     let trace = trace.unwrap_or_else(|| cli::die(cmd, usage, "no trace file given"));
     let recs = tracereport::fetch_records(&load(cmd, usage, &trace, tracereport::parse_jsonl));
 
@@ -101,7 +95,7 @@ fn trace(args: &[String]) -> i32 {
     }
     println!();
     println!("{}", tracereport::decomposition_table(&recs));
-    println!("{}", tracereport::waterfall(&recs, waterfalls));
+    println!("{}", tracereport::waterfall(&recs));
 
     let violations = tracereport::sum_violations(&recs);
     if !violations.is_empty() {
@@ -129,13 +123,21 @@ fn health(args: &[String]) -> i32 {
     cli::parse_args(cmd, usage, args, |a, value| {
         match a {
             "--gate" => gate = true,
-            "--expect" => expect.extend(
-                value()
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from),
-            ),
+            "--expect" => {
+                let rules = value();
+                let before = expect.len();
+                expect.extend(
+                    rules
+                        .split(',')
+                        .map(str::trim)
+                        .filter(|s| !s.is_empty())
+                        .map(String::from),
+                );
+                // An expectation that names no rule is met by anything.
+                if expect.len() == before {
+                    cli::die(cmd, usage, &format!("--expect {rules:?} names no rule"));
+                }
+            }
             other => return positional(&mut trace, other),
         }
         true

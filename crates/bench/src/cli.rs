@@ -42,7 +42,7 @@ pub mod exit {
     pub const GATE: i32 = 3;
     /// Correctness: silent report loss.
     pub const CORRECTNESS: i32 = 4;
-    /// Delivery ratio fell below `--min-delivery`.
+    /// A delivery ratio under 1.0: a report never landed.
     pub const DELIVERY: i32 = 5;
     /// A replica missed the leader's fingerprint after heal.
     pub const NOT_CONVERGED: i32 = 6;
@@ -58,7 +58,7 @@ exit codes:
   2  usage, I/O or parse error
   3  a gate on measured values failed (SLO violation under --gate)
   4  correctness: silent report loss
-  5  delivery ratio below --min-delivery
+  5  delivery ratio under 1.0
   6  replica not converged after heal
   7  an --expect'ed SLO rule never fired";
 }

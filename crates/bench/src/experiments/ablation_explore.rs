@@ -151,14 +151,8 @@ const POLICIES: [(u32, &str); 2] = [(5, "explore n=5"), (u32::MAX, "never explor
 /// Run the ablation: one runner trial per policy, both on the same seed
 /// (the serial sweep ran both policies over identical draws).
 pub fn run(seed: u64) -> ExploreAblation {
-    let specs: Vec<TrialSpec> = POLICIES
-        .iter()
-        .enumerate()
-        .map(|(i, (_, label))| TrialSpec::salted(seed, i as u64, *label))
-        .collect();
-    let outcomes = runner::map(&specs, |spec| {
-        run_policy(POLICIES[spec.ordinal as usize].0, spec.seed)
-    });
+    let specs = [TrialSpec::salted(seed); POLICIES.len()];
+    let outcomes = runner::map(&specs, |i, spec| run_policy(POLICIES[i].0, spec.seed));
     ExploreAblation {
         with: outcomes[0],
         without: outcomes[1],

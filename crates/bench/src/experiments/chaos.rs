@@ -40,14 +40,16 @@ use csaw_simnet::time::SimDuration;
 use csaw_store::{Decorator, ShardedStore};
 use std::sync::Arc;
 
+/// Clients per fault rate.
+const CLIENTS: usize = 6;
+
+/// Unique blocked URLs each client accesses (== reports queued, absent
+/// drops).
+const URLS_PER_CLIENT: usize = 8;
+
 /// Experiment shape.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
-    /// Clients per fault rate.
-    pub clients: usize,
-    /// Unique blocked URLs each client accesses (== reports queued,
-    /// absent drops).
-    pub urls_per_client: usize,
     /// Store-fault probabilities to sweep (write failure; torn writes
     /// and wire corruption are derived fractions of it).
     pub fault_rates: Vec<f64>,
@@ -58,8 +60,6 @@ pub struct ChaosConfig {
 impl Default for ChaosConfig {
     fn default() -> ChaosConfig {
         ChaosConfig {
-            clients: 6,
-            urls_per_client: 8,
             fault_rates: vec![0.0, 0.1, 0.3, 0.5],
             drain_rounds: 24,
         }
@@ -122,10 +122,12 @@ fn run_rate(seed: u64, cfg: &ChaosConfig, rate: f64) -> ChaosRow {
     );
     let faulty = Arc::new(FaultyBackend::new(
         inner,
-        FaultProfile::none()
-            .with_write_fail_p(rate)
-            .with_torn_write_p(rate / 2.0)
-            .with_ingest_outages(outages),
+        FaultProfile {
+            write_fail_p: rate,
+            torn_write_p: rate / 2.0,
+            ingest_outages: Some(outages),
+            ..FaultProfile::none()
+        },
         seed ^ (rate * 1e4) as u64,
     ));
     let server = ServerDb::builder(seed)
@@ -144,16 +146,15 @@ fn run_rate(seed: u64, cfg: &ChaosConfig, rate: f64) -> ChaosRow {
     let backoff = CsawConfig {
         report_backoff_base: SimDuration::from_secs(60),
         report_backoff_max: SimDuration::from_secs(1_800),
-        report_backoff_jitter: 0.1,
         ..Default::default()
     };
-    let mut fleet = Fleet::register(&server, seed, cfg.clients, backoff);
+    let mut fleet = Fleet::register(&server, seed, CLIENTS, backoff);
     for (idx, c) in fleet.clients.iter_mut().enumerate() {
         c.arm_wire_fault(WireFault::new(rate / 4.0, seed ^ (idx as u64) << 3));
     }
 
     // Phase 2: browse sessions, globally time-sorted.
-    let browse_end = fleet.browse(&world, cfg.urls_per_client, |now, _| faulty.set_now(now));
+    let browse_end = fleet.browse(&world, URLS_PER_CLIENT, |now, _| faulty.set_now(now));
 
     // Phase 3: drain rounds, round-robin — every client still pending
     // gets one post opportunity per round, 2 000 s apart (longer than
@@ -213,60 +214,39 @@ fn run_rate(seed: u64, cfg: &ChaosConfig, rate: f64) -> ChaosRow {
 /// salts every internal stream with the rate, so each trial carries the
 /// raw experiment seed.
 pub fn run(seed: u64, cfg: &ChaosConfig) -> Chaos {
-    let specs: Vec<TrialSpec> = cfg
-        .fault_rates
-        .iter()
-        .enumerate()
-        .map(|(i, rate)| TrialSpec::salted(seed, i as u64, format!("rate={rate}")))
-        .collect();
-    let rows = runner::map(&specs, |spec| {
-        run_rate(spec.seed, cfg, cfg.fault_rates[spec.ordinal as usize])
+    let specs = vec![TrialSpec::salted(seed); cfg.fault_rates.len()];
+    let rows = runner::map(&specs, |i, spec| {
+        run_rate(spec.seed, cfg, cfg.fault_rates[i])
     });
     Chaos { rows }
 }
 
 /// The value flags `exp chaos` reads.
 pub const FLAGS: &[(&str, &str)] = &[
-    ("--clients", "clients per fault rate (default 6)"),
-    ("--urls", "unique blocked URLs per client (default 8)"),
     ("--rounds", "post opportunities per client (default 24)"),
     (
         "--fault-rates",
         "comma list of rates (default 0.0,0.1,0.3,0.5)",
-    ),
-    (
-        "--min-delivery",
-        "fail below this delivery ratio (default 1.0)",
     ),
 ];
 
 /// `exp chaos`: sweep the fault rates and gate on the two invariants —
 /// silent loss (a client's accounting identity broke, a receipt failed
 /// to reconcile, or the store's record count disagrees with the posted
-/// counters) is a correctness failure; a delivery ratio below
-/// `--min-delivery` (default 1.0: with the default drain horizon every
-/// report must land) is a delivery failure.
+/// counters) is a correctness failure; a delivery ratio under 1.0 (a
+/// report still pending when the drain rounds ran out) is a delivery
+/// failure.
 pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
     let defaults = ChaosConfig::default();
     let cfg = ChaosConfig {
-        clients: flags.numeric("--clients", defaults.clients),
-        urls_per_client: flags.numeric("--urls", defaults.urls_per_client),
         fault_rates: flags.list("--fault-rates").unwrap_or(defaults.fault_rates),
         drain_rounds: flags.numeric("--rounds", defaults.drain_rounds),
     };
-    // An empty fleet queues nothing, and every gate passes on nothing.
-    for (flag, value) in [("--clients", cfg.clients), ("--urls", cfg.urls_per_client)] {
-        if value == 0 {
-            flags.die(&format!("{flag} must be at least 1"));
-        }
-    }
     if let Some(bad) = cfg.fault_rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
         flags.die(&format!(
             "--fault-rates are probabilities in [0, 1], got {bad}"
         ));
     }
-    let min_delivery: f64 = flags.numeric("--min-delivery", 1.0);
-
     // Virtual-hour health windows with the full C-Saw SLO set: the
     // chaos sweep advances the shared clock, so delivery-ratio and
     // staleness timelines come out per virtual hour of the run.
@@ -281,16 +261,12 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
             exit::CORRECTNESS,
             "SILENT LOSS detected — accounting identity broken".to_string(),
         ))
-    } else if let Some(row) = result
-        .rows
-        .iter()
-        .find(|r| r.delivery_ratio < min_delivery - 1e-9)
-    {
+    } else if let Some(row) = result.rows.iter().find(|r| r.delivery_ratio < 1.0 - 1e-9) {
         Err((
             exit::DELIVERY,
             format!(
-                "delivery ratio {:.3} at fault rate {:.2} below bound {:.3}",
-                row.delivery_ratio, row.fault_rate, min_delivery
+                "delivery ratio {:.3} at fault rate {:.2} under 1.0",
+                row.delivery_ratio, row.fault_rate
             ),
         ))
     } else {
@@ -340,8 +316,6 @@ mod tests {
 
     fn quick_cfg() -> ChaosConfig {
         ChaosConfig {
-            clients: 3,
-            urls_per_client: 4,
             fault_rates: vec![0.0, 0.3],
             drain_rounds: 20,
         }

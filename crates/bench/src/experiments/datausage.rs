@@ -142,13 +142,9 @@ fn configs() -> [(&'static str, RedundancyMode, f64); 5] {
 /// salts of it, which is exactly the paired design the serial sweep used.
 pub fn run(seed: u64) -> DataUsage {
     let configs = configs();
-    let specs: Vec<TrialSpec> = configs
-        .iter()
-        .enumerate()
-        .map(|(i, (label, ..))| TrialSpec::salted(seed, i as u64, *label))
-        .collect();
-    let rows = runner::map(&specs, |spec| {
-        let (label, mode, p) = configs[spec.ordinal as usize];
+    let specs = vec![TrialSpec::salted(seed); configs.len()];
+    let rows = runner::map(&specs, |i, spec| {
+        let (label, mode, p) = configs[i];
         let world = crate::worlds::clean_world();
         let (baseline, total) = session_bytes(&world, mode, p, spec.seed);
         UsageRow {

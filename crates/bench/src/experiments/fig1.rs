@@ -49,27 +49,25 @@ fn series(
     vec![Cdf::of(label, &plts)]
 }
 
-/// One case-study panel's series: one runner trial per tool/proxy, on
-/// streams forked from `(name, seed, ordinal)`. Each trial builds its own
-/// `world`, and `run_series(world, url, ordinal, rng)` returns a *list*
-/// of CDFs because the Tor series of panel (b) splits by exit region
-/// only after its runs complete.
+/// One case-study panel's series: one runner trial per tool/proxy
+/// (`tools` of them), on streams forked from `(name, seed, ordinal)`.
+/// Each trial builds its own `world`, and `run_series(world, url,
+/// ordinal, rng)` returns a *list* of CDFs because the Tor series of
+/// panel (b) splits by exit region only after its runs complete.
 fn panel_series(
     name: &str,
     seed: u64,
-    labels: &[&str],
+    tools: u64,
     world: impl Fn() -> World,
     url: String,
-    run_series: impl Fn(&World, &Url, u64, &mut DetRng) -> Vec<Cdf>,
+    run_series: impl Fn(&World, &Url, usize, &mut DetRng) -> Vec<Cdf>,
 ) -> Vec<Cdf> {
-    let specs: Vec<TrialSpec> = labels
-        .iter()
-        .enumerate()
-        .map(|(i, label)| TrialSpec::forked(name, seed, i as u64, *label))
+    let specs: Vec<TrialSpec> = (0..tools)
+        .map(|i| TrialSpec::forked(name, seed, i))
         .collect();
     let url = Url::parse(&url).expect("static URL");
-    let series = runner::map(&specs, |spec| {
-        run_series(&world(), &url, spec.ordinal, &mut DetRng::new(spec.seed))
+    let series = runner::map(&specs, |i, spec| {
+        run_series(&world(), &url, i, &mut DetRng::new(spec.seed))
     });
     series.into_iter().flatten().collect()
 }
@@ -77,18 +75,16 @@ fn panel_series(
 /// Figure 1a: HTTPS/DF vs static proxies on ISP-B.
 pub fn run_1a(seed: u64) -> Panel {
     let proxies = static_proxies();
-    let mut labels = vec!["HTTPS/DF"];
-    labels.extend(proxies.iter().map(|p| p.label.as_str()));
     let series = panel_series(
         "fig1a",
         seed,
-        &labels,
+        1 + proxies.len() as u64,
         || single_isp_world(csaw_censor::ISP_B_ASN, "ISP-B", csaw_censor::isp_b()),
         format!("https://{YOUTUBE}/"),
         |world, url, i, rng| match i {
             0 => series("HTTPS/DF", &mut DomainFronting::via(FRONT), world, url, rng),
             i => {
-                let mut proxy = proxies[i as usize - 1].clone();
+                let mut proxy = proxies[i - 1].clone();
                 series(&proxy.label.clone(), &mut proxy, world, url, rng)
             }
         },
@@ -104,7 +100,7 @@ pub fn run_1b(seed: u64) -> Panel {
     let series = panel_series(
         "fig1b",
         seed,
-        &["HTTPS", "Tor"],
+        2,
         || single_isp_world(csaw_censor::ISP_A_ASN, "ISP-A", csaw_censor::isp_a()),
         format!("http://{YOUTUBE}/"),
         |world, url, i, rng| {
@@ -146,7 +142,7 @@ pub fn run_1c(seed: u64) -> Panel {
     let series = panel_series(
         "fig1c",
         seed,
-        &["IP as hostname", "Lantern"],
+        2,
         || single_isp_world(Asn(6500), "ISP-KW", csaw_censor::keyword_filter(&["adult"])),
         format!("http://{PORN_PAGE}/"),
         |world, url, i, rng| match i {

@@ -87,17 +87,10 @@ pub fn run(seed: u64) -> Fig2 {
     let mixtures = figure2_mixtures();
     let specs: Vec<TrialSpec> = mixtures
         .iter()
-        .enumerate()
-        .map(|(i, mix)| {
-            TrialSpec::salted(
-                seed ^ mix.asn.0 as u64,
-                i as u64,
-                format!("{} AS{}", mix.country, mix.asn.0),
-            )
-        })
+        .map(|mix| TrialSpec::salted(seed ^ mix.asn.0 as u64))
         .collect();
-    let bars = runner::map(&specs, |spec| {
-        let mix = &mixtures[spec.ordinal as usize];
+    let bars = runner::map(&specs, |i, spec| {
+        let mix = &mixtures[i];
         let domains: Vec<String> = (0..100)
             .map(|i| format!("censored-{i:03}.{}", mix.country.to_ascii_lowercase()))
             .collect();

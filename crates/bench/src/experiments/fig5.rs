@@ -148,17 +148,13 @@ pub fn run_5a(seed: u64) -> Fig5a {
         ("parallel", 2, RedundancyMode::Parallel),
     ];
     let mut specs = Vec::new();
-    for (case_idx, (label, ..)) in cases.iter().enumerate() {
-        for (mode_idx, (mode, salt, _)) in modes.iter().enumerate() {
-            specs.push(TrialSpec::salted(
-                seed ^ salt,
-                (case_idx * 2 + mode_idx) as u64,
-                format!("{label} × {mode}"),
-            ));
+    for _ in &cases {
+        for (_, salt, _) in &modes {
+            specs.push(TrialSpec::salted(seed ^ salt));
         }
     }
-    let means = runner::map(&specs, |spec| {
-        let (case_idx, mode_idx) = (spec.ordinal as usize / 2, spec.ordinal as usize % 2);
+    let means = runner::map(&specs, |i, spec| {
+        let (case_idx, mode_idx) = (i / 2, i % 2);
         run_5a_trial(spec.seed, case_idx, cases[case_idx], modes[mode_idx].2)
     });
     let bars = cases
@@ -209,17 +205,12 @@ fn run_5bc(page_host: &str, title: &str, seed: u64) -> Panel {
     ];
     let specs: Vec<TrialSpec> = shapes
         .iter()
-        .enumerate()
-        .map(|(i, (label, copies, staggered))| {
-            TrialSpec::salted(
-                seed ^ *copies as u64 ^ (*staggered as u64) << 7,
-                i as u64,
-                *label,
-            )
+        .map(|(_, copies, staggered)| {
+            TrialSpec::salted(seed ^ *copies as u64 ^ (*staggered as u64) << 7)
         })
         .collect();
-    let series = runner::map(&specs, |spec| {
-        let (label, copies, staggered) = shapes[spec.ordinal as usize];
+    let series = runner::map(&specs, |i, spec| {
+        let (label, copies, staggered) = shapes[i];
         let world = single_isp_world(Asn(5200), "F5BC-ISP", csaw_censor::clean());
         let url = Url::parse(&format!("http://{page_host}/")).expect("static URL");
         let provider = world.access.providers()[0].clone();

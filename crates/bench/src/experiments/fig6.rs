@@ -36,18 +36,11 @@ use csaw_webproto::url::Url;
 /// One runner trial per redundancy level, each with its historical
 /// `seed ^ (k << 9)` stream.
 pub fn run_6a(seed: u64) -> Panel {
-    let specs: Vec<TrialSpec> = (1usize..=3)
-        .map(|k| {
-            let label = if k == 1 {
-                "1 RReq.".to_string()
-            } else {
-                format!("{k} RReqs.")
-            };
-            TrialSpec::salted(seed ^ (k as u64) << 9, k as u64 - 1, label)
-        })
+    let specs: Vec<TrialSpec> = (1u64..=3)
+        .map(|k| TrialSpec::salted(seed ^ k << 9))
         .collect();
-    let series = runner::map(&specs, |spec| {
-        let k = spec.ordinal as usize + 1;
+    let series = runner::map(&specs, |i, spec| {
+        let k = i + 1;
         let world = crate::worlds::clean_world();
         let url = Url::parse(&format!("http://{}/", crate::worlds::YOUTUBE)).expect("static URL");
         let provider = world.access.providers()[0].clone();
@@ -80,7 +73,12 @@ pub fn run_6a(seed: u64) -> Panel {
                 plts.push(b.mul_f64(tax));
             }
         }
-        Cdf::of(&spec.label, &plts)
+        let label = if k == 1 {
+            "1 RReq.".to_string()
+        } else {
+            format!("{k} RReqs.")
+        };
+        Cdf::of(&label, &plts)
     });
     Panel {
         title: "Figure 6a: redundant requests over separate Tor circuits".into(),

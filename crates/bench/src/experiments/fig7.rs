@@ -66,15 +66,14 @@ fn csaw_plts(world: &World, client: &mut CsawClient, url: &Url) -> Vec<SimDurati
 /// (C-Saw, Lantern, Tor) on a stream forked from `(name, seed, ordinal)`,
 /// each fetching YouTube in its own `world()`.
 fn comparison_panel(name: &str, title: &str, seed: u64, world: impl Fn() -> World) -> Panel {
-    let specs: Vec<TrialSpec> = ["C-Saw", "Lantern", "Tor"]
-        .into_iter()
-        .enumerate()
-        .map(|(i, label)| TrialSpec::forked(name, seed, i as u64, label))
+    let labels = ["C-Saw", "Lantern", "Tor"];
+    let specs: Vec<TrialSpec> = (0..labels.len() as u64)
+        .map(|i| TrialSpec::forked(name, seed, i))
         .collect();
-    let series = runner::map(&specs, |spec| {
+    let series = runner::map(&specs, |i, spec| {
         let world = world();
         let url = Url::parse(&format!("http://{YOUTUBE}/")).expect("static URL");
-        let plts = match spec.ordinal {
+        let plts = match i {
             0 => {
                 let mut client = CsawClient::new(CsawConfig::default(), None, spec.seed);
                 csaw_plts(&world, &mut client, &url)
@@ -88,7 +87,7 @@ fn comparison_panel(name: &str, title: &str, seed: u64, world: impl Fn() -> Worl
                 transport_plts(&world, &mut TorClient::new(), &url, &mut rng)
             }
         };
-        Cdf::of(&spec.label, &plts)
+        Cdf::of(labels[i], &plts)
     });
     Panel {
         title: title.into(),
@@ -122,11 +121,9 @@ pub fn run_7b(seed: u64) -> Panel {
 /// to Tor — one runner trial per relay restriction, with the historical
 /// `seed ^ 1` / `seed ^ 2` client seeds.
 pub fn run_7c(seed: u64) -> Panel {
-    let specs = [
-        TrialSpec::salted(seed ^ 1, 0, "C-Saw (w/ Lantern)"),
-        TrialSpec::salted(seed ^ 2, 1, "C-Saw (w/ Tor)"),
-    ];
-    let series = runner::map(&specs, |spec| {
+    let labels = ["C-Saw (w/ Lantern)", "C-Saw (w/ Tor)"];
+    let specs = [TrialSpec::salted(seed ^ 1), TrialSpec::salted(seed ^ 2)];
+    let series = runner::map(&specs, |i, spec| {
         let policy = csaw_censor::single_mechanism(
             "F7C",
             YOUTUBE,
@@ -137,7 +134,7 @@ pub fn run_7c(seed: u64) -> Panel {
         );
         let world = single_isp_world(Asn(5600), "F7C-ISP", policy);
         let url = Url::parse(&format!("http://{YOUTUBE}/")).expect("static URL");
-        let relay: Box<dyn Transport + Send> = if spec.ordinal == 0 {
+        let relay: Box<dyn Transport + Send> = if i == 0 {
             Box::new(LanternClient::new())
         } else {
             Box::new(TorClient::new())
@@ -148,7 +145,7 @@ pub fn run_7c(seed: u64) -> Panel {
                 Box::new(csaw_circumvent::transports::HttpsUpgrade { public_dns: true }),
                 relay,
             ]);
-        Cdf::of(&spec.label, &csaw_plts(&world, &mut client, &url))
+        Cdf::of(labels[i], &csaw_plts(&world, &mut client, &url))
     });
     Panel {
         title: "Figure 7c: multi-stage blocking (IP + DNS), relay choice".into(),

@@ -181,13 +181,9 @@ fn browse_urls(seed: u64) -> Vec<Url> {
 /// preserving the paired population across modes.
 pub fn run(seed: u64) -> Fingerprint {
     let modes = modes();
-    let specs: Vec<TrialSpec> = modes
-        .iter()
-        .enumerate()
-        .map(|(i, (label, _))| TrialSpec::salted(seed, i as u64, label.as_str()))
-        .collect();
-    let modes = runner::map(&specs, |spec| {
-        let (label, mode) = modes[spec.ordinal as usize].clone();
+    let specs = vec![TrialSpec::salted(seed); modes.len()];
+    let modes = runner::map(&specs, |i, _| {
+        let (label, mode) = modes[i].clone();
         let world = crate::worlds::clean_world();
         let urls = browse_urls(seed);
         let mut traces = Vec::new();

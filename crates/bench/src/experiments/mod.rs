@@ -13,7 +13,8 @@
 //! [`Outcome`] (the CDF figures share [`crate::stats::Panel`]). Inside,
 //! a sweep is a case list, one [`crate::runner::TrialSpec`] per case
 //! built beside it, and a closure over that list handed to
-//! [`crate::runner::map`]; the result struct is built directly from the
+//! [`crate::runner::map`], which calls it with each case's index; the
+//! result struct is built directly from the
 //! values `map` returns, in case-list order. Every
 //! `TrialSpec::salted` seed expression and `TrialSpec::forked` name
 //! literal is part of the module's output: changing one moves its golden

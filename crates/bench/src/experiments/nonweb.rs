@@ -65,17 +65,10 @@ const CASES: [(Asn, UdpAction, &str); 3] = [
 pub fn run(seed: u64) -> Nonweb {
     let specs: Vec<TrialSpec> = CASES
         .iter()
-        .enumerate()
-        .map(|(i, (asn, _, label))| {
-            TrialSpec::salted(
-                seed ^ asn.0 as u64,
-                i as u64,
-                format!("AS{} ({label})", asn.0),
-            )
-        })
+        .map(|(asn, ..)| TrialSpec::salted(seed ^ asn.0 as u64))
         .collect();
-    let rows = runner::map(&specs, |spec| {
-        let (asn, action, label) = CASES[spec.ordinal as usize];
+    let rows = runner::map(&specs, |i, spec| {
+        let (asn, action, label) = CASES[i];
         let relay = Site::in_region(Region::Germany);
         let world = world_for(asn, action);
         let provider = world.access.providers()[0].clone();

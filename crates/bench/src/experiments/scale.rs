@@ -40,19 +40,22 @@ pub const REPORTS_PER_CLIENT: usize = 4;
 /// Every n-th client includes one garbage report (rejected path).
 const GARBAGE_EVERY: usize = 16;
 
-/// Harness knobs (see [`FLAGS`] for the ones `exp scale` exposes).
+/// Shard count for the store under test.
+pub const SHARDS: usize = 16;
+
+/// URL pool size (keys collide across clients, as in deployment).
+pub const URLS: usize = 10_000;
+
+/// Number of distinct ASes the population reports from.
+pub const ASNS: u32 = 64;
+
+/// Harness knobs (see [`FLAGS`]).
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
     /// Synthetic client population; each posts one batch.
     pub clients: usize,
     /// Concurrent writer threads posting the population.
     pub threads: usize,
-    /// Shard count for the store under test.
-    pub shards: usize,
-    /// URL pool size (keys collide across clients, as in deployment).
-    pub urls: usize,
-    /// Number of distinct ASes the population reports from.
-    pub asns: u32,
     /// `blocked_for_as` calls after the in-process ingest.
     pub lookups: usize,
 }
@@ -62,9 +65,6 @@ impl Default for ScaleConfig {
         ScaleConfig {
             clients: 1_000_000,
             threads: 4,
-            shards: 16,
-            urls: 10_000,
-            asns: 64,
             lookups: 10_000,
         }
     }
@@ -102,7 +102,7 @@ pub struct Scale {
 
 /// The batch client `idx` posts — a pure function of `(seed, idx)`, so
 /// the aggregate workload is independent of thread partitioning.
-pub fn batch_for(seed: u64, idx: usize, uuid: Uuid, cfg: &ScaleConfig) -> Batch {
+pub fn batch_for(seed: u64, idx: usize, uuid: Uuid) -> Batch {
     let mut rng = DetRng::new(seed ^ (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let stages = [
         BlockingType::DnsNxdomain,
@@ -111,14 +111,14 @@ pub fn batch_for(seed: u64, idx: usize, uuid: Uuid, cfg: &ScaleConfig) -> Batch 
         BlockingType::HttpBlockPageRedirect,
     ];
     let mut reports = Vec::with_capacity(REPORTS_PER_CLIENT);
-    let asn = rng.range_u64(0, cfg.asns as u64) as u32;
+    let asn = rng.range_u64(0, ASNS as u64) as u32;
     for r in 0..REPORTS_PER_CLIENT {
         let garbage = idx.is_multiple_of(GARBAGE_EVERY) && r == 0;
         let url = if garbage {
             // Fails `Url::parse` in the store's sanitizer.
             "not a url at all".to_string()
         } else {
-            format!("http://blocked{}.example.net/", rng.index(cfg.urls))
+            format!("http://blocked{}.example.net/", rng.index(URLS))
         };
         reports.push(Report {
             url,
@@ -131,9 +131,9 @@ pub fn batch_for(seed: u64, idx: usize, uuid: Uuid, cfg: &ScaleConfig) -> Batch 
 }
 
 /// A fresh store under test behind an open registrar.
-fn fresh_server(seed: u64, cfg: &ScaleConfig) -> ServerDb {
+fn fresh_server(seed: u64) -> ServerDb {
     ServerDb::builder(seed)
-        .shards(cfg.shards)
+        .shards(SHARDS)
         .registrar(fleet::open_registrar(SimDuration::from_secs(60)))
         .build()
         .expect("scale harness store config is valid")
@@ -161,7 +161,7 @@ fn post_all(api: &impl GlobalApi, seed: u64, cfg: &ScaleConfig, uuids: &[Uuid]) 
     fleet::fan_out(cfg.clients, cfg.threads, |chunk| {
         let (mut acc, mut rej, mut retries) = (0u64, 0u64, 0u64);
         for idx in chunk {
-            let mut batch = batch_for(seed, idx, uuids[idx], cfg);
+            let mut batch = batch_for(seed, idx, uuids[idx]);
             loop {
                 let posted_at = batch.posted_at;
                 let sent = batch.reports().to_vec();
@@ -188,7 +188,7 @@ fn post_all(api: &impl GlobalApi, seed: u64, cfg: &ScaleConfig, uuids: &[Uuid]) 
 /// The in-process pass: a fresh store, `cfg.threads` writers, then the
 /// read workload. `seed` fixes the workload; `cfg` sizes it.
 pub fn run_with(seed: u64, cfg: ScaleConfig) -> Scale {
-    let server = fresh_server(seed, &cfg);
+    let server = fresh_server(seed);
     let uuids = register_all(&server, &cfg);
     csaw_obs::event::progress(&format!(
         "exp_scale: ingesting {} clients on {} thread(s)",
@@ -202,7 +202,7 @@ pub fn run_with(seed: u64, cfg: ScaleConfig) -> Scale {
     let filter = ConfidenceFilter::default();
     let strict = ConfidenceFilter::strict(2, 0.0);
     for i in 0..cfg.lookups {
-        let asn = Asn((i as u32) % cfg.asns);
+        let asn = Asn((i as u32) % ASNS);
         let f = if i % 8 == 0 { &strict } else { &filter };
         // A small population may report from none of the ASes walked,
         // so serving nothing is an answer, not an error.
@@ -233,7 +233,7 @@ pub fn run_with(seed: u64, cfg: ScaleConfig) -> Scale {
 /// cross-check its counters against the client side. Panics on any
 /// silent loss.
 pub fn run_socketed(seed: u64, cfg: &ScaleConfig, server_cfg: DbServerConfig) -> Pass {
-    let server = Arc::new(fresh_server(seed, cfg));
+    let server = Arc::new(fresh_server(seed));
     let handle = spawn_dbserver(Arc::clone(&server), server_cfg).expect("loopback bind");
     let remote = RemoteDb::new(handle.addr());
 
@@ -283,7 +283,6 @@ pub fn run_socketed(seed: u64, cfg: &ScaleConfig, server_cfg: DbServerConfig) ->
 pub const FLAGS: &[(&str, &str)] = &[
     ("--clients", "reporting clients to ingest (default 1000000)"),
     ("--threads", "concurrent writer threads (default 4)"),
-    ("--shards", "store shard count (default 16)"),
     (
         "--lookups",
         "read-path lookups after ingest (default 10000)",
@@ -304,15 +303,12 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
     let cfg = ScaleConfig {
         clients: flags.numeric("--clients", defaults.clients),
         threads: flags.numeric("--threads", defaults.threads),
-        shards: flags.numeric("--shards", defaults.shards),
         lookups: flags.numeric("--lookups", defaults.lookups),
-        ..defaults
     };
     // Zero of any of these leaves a pass with nothing to do, which the
     // library asserts against; reject it as a usage error here.
     for (flag, value) in [
         ("--clients", cfg.clients),
-        ("--shards", cfg.shards),
         ("--lookups", cfg.lookups),
         ("--threads", cfg.threads),
     ] {
@@ -350,12 +346,7 @@ impl Scale {
         let posted = self.cfg.clients * REPORTS_PER_CLIENT;
         let mut out = format!(
             "exp_scale: {} clients x {} reports, {} shards, {} URLs, {} ASes, {} lookups\n",
-            self.cfg.clients,
-            REPORTS_PER_CLIENT,
-            self.cfg.shards,
-            self.cfg.urls,
-            self.cfg.asns,
-            self.cfg.lookups,
+            self.cfg.clients, REPORTS_PER_CLIENT, SHARDS, URLS, ASNS, self.cfg.lookups,
         );
         out.push_str(&self.pass.render("in-process", posted));
         if let Some(sck) = &self.socket {
@@ -374,9 +365,6 @@ mod tests {
         ScaleConfig {
             clients: 400,
             threads: 1,
-            shards: 4,
-            urls: 64,
-            asns: 8,
             lookups: 40,
         }
     }
@@ -438,7 +426,6 @@ mod tests {
                 clients: 10_000,
                 lookups: 1_000,
                 threads,
-                ..ScaleConfig::default()
             };
             run_with(1, cfg);
             [

@@ -14,7 +14,7 @@
 //! - N per-region replicas, each a real `csaw-dbserver` over its own
 //!   `ShardedStore` (deliberately different shard counts),
 //!   receive the leader's WAL over SHIP/ACK frames every
-//!   `ship_every_s` virtual seconds;
+//!   half hour of virtual time;
 //! - in the `split` scenario an [`OutageSchedule`] partitions the
 //!   leader from region `r0` mid-ingest; posts keep landing at the
 //!   leader, `r0`'s lag and staleness gauges climb, and the
@@ -46,42 +46,28 @@ use csaw_store::{Decorator, ShardedStore};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Experiment shape.
-#[derive(Debug, Clone)]
-pub struct SplitBrainConfig {
-    /// Full C-Saw clients browsing the censored world.
-    pub clients: usize,
-    /// Unique blocked URLs each full client accesses.
-    pub urls_per_client: usize,
-    /// Read-replica regions (region `r0` is the partitioned one).
-    pub regions: usize,
-    /// Encore probe identities per full client (the ~10× modality).
-    pub encore_factor: usize,
-    /// Reports each Encore probe posts over the horizon.
-    pub encore_rounds: usize,
-    /// Virtual seconds between WAL shipping rounds.
-    pub ship_every_s: u64,
-    /// Ingest horizon after the browse burst, virtual seconds.
-    pub horizon_s: u64,
-    /// Partition window for the `split` scenario, virtual seconds
-    /// (absolute, leader ↔ region `r0` only).
-    pub partition_s: (u64, u64),
-}
+/// Full C-Saw clients browsing the censored world.
+const CLIENTS: usize = 4;
 
-impl Default for SplitBrainConfig {
-    fn default() -> SplitBrainConfig {
-        SplitBrainConfig {
-            clients: 4,
-            urls_per_client: 5,
-            regions: 2,
-            encore_factor: 10,
-            encore_rounds: 2,
-            ship_every_s: 1_800,
-            horizon_s: 12 * 3_600,
-            partition_s: (3 * 3_600, 9 * 3_600),
-        }
-    }
-}
+/// Unique blocked URLs each full client accesses.
+const URLS_PER_CLIENT: usize = 5;
+
+/// Encore probe identities per full client (the ~10× modality).
+const ENCORE_FACTOR: usize = 10;
+
+/// Reports each Encore probe posts over the horizon.
+const ENCORE_ROUNDS: usize = 2;
+
+/// Virtual seconds between WAL shipping rounds.
+const SHIP_EVERY_S: u64 = 1_800;
+
+/// Shipping steps in the ingest horizon after the browse burst (12
+/// virtual hours).
+const STEPS: u64 = 12 * 3_600 / SHIP_EVERY_S;
+
+/// Partition window for the `split` scenario, virtual seconds
+/// (absolute, leader ↔ region `r0` only).
+const PARTITION_S: (u64, u64) = (3 * 3_600, 9 * 3_600);
 
 /// One scenario's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,7 +136,7 @@ struct RegionHandle {
     server: DbServerHandle,
 }
 
-fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBrainRow {
+fn run_scenario(seed: u64, region_count: usize, partitioned: bool) -> SplitBrainRow {
     let scenario = if partitioned { "split" } else { "baseline" };
     csaw_obs::current()
         .timeline
@@ -174,7 +160,7 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
     // Replicas: one real dbserver per region, each over its own store
     // with a different shard count — convergence must not depend on
     // physical layout. The shipper gates region r0 on the partition.
-    let regions: Vec<RegionHandle> = (0..cfg.regions)
+    let regions: Vec<RegionHandle> = (0..region_count)
         .map(|r| {
             let store = Arc::new(ShardedStore::new(4 + r).expect("shard count"));
             let rdb = ServerDb::builder(seed ^ (r as u64 + 1))
@@ -192,8 +178,8 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
     }
     let partition = OutageSchedule::from_windows(if partitioned {
         vec![(
-            SimTime::from_secs(cfg.partition_s.0),
-            SimTime::from_secs(cfg.partition_s.1),
+            SimTime::from_secs(PARTITION_S.0),
+            SimTime::from_secs(PARTITION_S.1),
         )]
     } else {
         Vec::new()
@@ -206,13 +192,14 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
 
     // Phase 1: registrations — full clients one per virtual second,
     // then the Encore probe population right after.
-    let mut fleet = Fleet::register(&server, seed, cfg.clients, CsawConfig::default());
+    let mut fleet = Fleet::register(&server, seed, CLIENTS, CsawConfig::default());
 
-    // Encore targets overlap the full-client URL space (probe votes
-    // corroborate and overwrite client records) plus probe-only URLs.
+    // Encore targets overlap the full-client URL space — two URLs of
+    // each of the first two clients: probe votes corroborate and
+    // overwrite client records — plus probe-only URLs.
     let mut targets: Vec<String> = Vec::new();
-    for idx in 0..cfg.clients.min(2) {
-        for u in 0..cfg.urls_per_client.min(2) {
+    for idx in 0..2 {
+        for u in 0..2 {
             targets.push(fleet::browse_url(idx, u));
         }
     }
@@ -222,15 +209,15 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
     let encore = EncoreSource::new(
         seed ^ 0xE7C0,
         EncoreConfig {
-            probes: cfg.clients * cfg.encore_factor,
-            probes_per_client: cfg.encore_rounds,
+            probes: CLIENTS * ENCORE_FACTOR,
+            probes_per_client: ENCORE_ROUNDS,
             targets,
             asn: asn.0,
         },
     );
     let probe_uuids: Vec<csaw_store::Uuid> = (0..encore.probe_count())
         .map(|p| {
-            let t = SimTime::from_secs((cfg.clients + p) as u64);
+            let t = SimTime::from_secs((CLIENTS + p) as u64);
             csaw_obs::advance_clock_us(t.as_micros());
             encore.register(&server, p, t).expect("probe registration")
         })
@@ -238,14 +225,13 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
 
     // Phase 2: browse sessions in global virtual-time order. Every URL
     // is censored, so each visit queues one report.
-    let browse_end = fleet.browse(&world, cfg.urls_per_client, |_, url| {
+    let browse_end = fleet.browse(&world, URLS_PER_CLIENT, |_, url| {
         expected.insert((url.to_string(), asn.0));
     });
 
-    // Phase 3: the ingest horizon. Every `ship_every_s` step drains
+    // Phase 3: the ingest horizon. Every `SHIP_EVERY_S` step drains
     // full-client queues, posts the step's slice of Encore probes, and
     // runs a shipping round — with region r0 gated on the partition.
-    let steps = (cfg.horizon_s / cfg.ship_every_s).max(1);
     let mut encore_posted = 0u64;
     let mut peak_lag = 0u64;
     let mut peak_staleness_us = 0u64;
@@ -255,13 +241,13 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
             peak_staleness_us = peak_staleness_us.max(s.staleness_us);
         }
     };
-    for step in 1..=steps {
-        let now = browse_end + SimDuration::from_secs(cfg.ship_every_s * step);
+    for step in 1..=STEPS {
+        let now = browse_end + SimDuration::from_secs(SHIP_EVERY_S * step);
         csaw_obs::advance_clock_us(now.as_micros());
         fleet.post_pending(&server, now);
         for (p, &probe_uuid) in probe_uuids.iter().enumerate() {
-            for round in 0..cfg.encore_rounds {
-                if 1 + ((p + round * encore.probe_count()) as u64) % steps != step {
+            for round in 0..ENCORE_ROUNDS {
+                if 1 + ((p + round * encore.probe_count()) as u64) % STEPS != step {
                     continue;
                 }
                 let batch = encore.probe_batch(p, round, probe_uuid, now);
@@ -281,7 +267,7 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
     // converge within the cap reports `converged: false` below.
     let mut heal_rounds = 0u64;
     for round in 1..=64u64 {
-        let now = browse_end + SimDuration::from_secs(cfg.ship_every_s * (steps + round));
+        let now = browse_end + SimDuration::from_secs(SHIP_EVERY_S * (STEPS + round));
         csaw_obs::advance_clock_us(now.as_micros());
         let statuses = shipper.ship_round(now, |_| true);
         track(&statuses);
@@ -296,7 +282,7 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
     let acct = fleet.accounting();
     let (queued, posted) = (acct.queued, acct.posted);
     accounted &= acct.balanced && acct.pending == 0;
-    accounted &= queued == (cfg.clients * cfg.urls_per_client) as u64;
+    accounted &= queued == (CLIENTS * URLS_PER_CLIENT) as u64;
     accounted &= posted == queued;
     accounted &= encore_posted == encore.total_reports() as u64;
     let store_records = leader.inner().record_count();
@@ -353,44 +339,27 @@ fn run_scenario(seed: u64, cfg: &SplitBrainConfig, partitioned: bool) -> SplitBr
     }
 }
 
-/// Run both scenarios with one runner trial each. Both trials use the
-/// raw experiment seed so they ingest the identical workload — the
-/// partitioned scenario must converge to the baseline's fingerprint.
-pub fn run(seed: u64, cfg: &SplitBrainConfig) -> SplitBrain {
-    let specs: Vec<TrialSpec> = ["baseline", "split"]
-        .iter()
-        .enumerate()
-        .map(|(i, s)| TrialSpec::salted(seed, i as u64, format!("scenario={s}")))
-        .collect();
-    let rows = runner::map(&specs, |spec| run_scenario(seed, cfg, spec.ordinal == 1));
+/// Run both scenarios, `baseline` then `split`, with one runner trial
+/// each over `regions` read replicas (region `r0` is the partitioned
+/// one). Both trials use the raw experiment seed so they ingest the
+/// identical workload — the partitioned scenario must converge to the
+/// baseline's fingerprint.
+pub fn run(seed: u64, regions: usize) -> SplitBrain {
+    let specs = [TrialSpec::salted(seed); 2];
+    let rows = runner::map(&specs, |i, _| run_scenario(seed, regions, i == 1));
     SplitBrain { rows }
 }
 
 /// The value flags `exp splitbrain` reads.
-pub const FLAGS: &[(&str, &str)] = &[
-    ("--regions", "per-region dbserver replicas (default 2)"),
-    ("--clients", "full C-Saw clients (default 4)"),
-    ("--urls", "unique blocked URLs per client (default 5)"),
-];
+pub const FLAGS: &[(&str, &str)] = &[("--regions", "per-region dbserver replicas (default 2)")];
 
 /// `exp splitbrain`: run the baseline and partitioned scenarios and
 /// gate on silent loss (correctness) and on every replica reaching the
 /// leader's fingerprint after the partition heals.
 pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
-    let defaults = SplitBrainConfig::default();
-    let cfg = SplitBrainConfig {
-        clients: flags.numeric("--clients", defaults.clients),
-        urls_per_client: flags.numeric("--urls", defaults.urls_per_client),
-        regions: flags.numeric("--regions", defaults.regions),
-        ..defaults
-    };
-    if cfg.regions == 0 {
+    let regions = flags.numeric("--regions", 2);
+    if regions == 0 {
         flags.die("--regions needs at least one region");
-    }
-    // No clients means no Encore probes either: an empty store converges
-    // trivially. (`--urls 0` still posts the probes.)
-    if cfg.clients == 0 {
-        flags.die("--clients must be at least 1");
     }
 
     // Virtual-hour windows like the chaos sweep's, with the
@@ -400,7 +369,7 @@ pub fn harness(cli: &ExpCli, flags: &Flags) -> (String, Verdict) {
         .timeline
         .configure(WindowCfg::from_secs(3_600.0, Arc::new(slo_set())));
 
-    let result = run(cli.seed, &cfg);
+    let result = run(cli.seed, regions);
     let verdict = if result.silent_loss() {
         Err((
             exit::CORRECTNESS,
@@ -463,18 +432,9 @@ impl SplitBrain {
 mod tests {
     use super::*;
 
-    fn quick_cfg() -> SplitBrainConfig {
-        SplitBrainConfig {
-            clients: 3,
-            urls_per_client: 4,
-            encore_factor: 4,
-            ..SplitBrainConfig::default()
-        }
-    }
-
     #[test]
     fn both_scenarios_converge_to_the_same_fingerprint() {
-        let result = run(1, &quick_cfg());
+        let result = run(1, 2);
         assert!(!result.silent_loss(), "{}", result.render());
         assert!(!result.not_converged(), "{}", result.render());
         let [baseline, split] = &result.rows[..] else {
@@ -490,15 +450,15 @@ mod tests {
     }
 
     /// Both scenarios under `exp splitbrain`'s hour windows and SLO set.
-    fn windowed_run(seed: u64, cfg: &SplitBrainConfig) -> (String, Vec<String>) {
+    fn windowed_run(seed: u64) -> (String, Vec<String>) {
         crate::fleet::tests::windowed_run(slo_set(), || {
-            run(seed, cfg);
+            run(seed, 2);
         })
     }
 
     #[test]
     fn the_partition_fires_the_staleness_slo_and_baseline_does_not() {
-        let (frames, viols) = windowed_run(1, &quick_cfg());
+        let (frames, viols) = windowed_run(1);
         assert!(!frames.is_empty(), "windowed run must emit frames");
         let staleness: Vec<&String> = viols
             .iter()

@@ -53,18 +53,14 @@ fn targets() -> [(&'static str, String); 2] {
 pub fn run(seed: u64) -> Table1 {
     let (configs, targets) = (configs(), targets());
     let mut specs = Vec::new();
-    for (i, (isp, asn, _)) in configs.iter().enumerate() {
-        for (j, (target, _)) in targets.iter().enumerate() {
-            specs.push(TrialSpec::salted(
-                seed ^ asn.0 as u64,
-                (i * 2 + j) as u64,
-                format!("{isp} × {target}"),
-            ));
+    for (_, asn, _) in &configs {
+        for _ in &targets {
+            specs.push(TrialSpec::salted(seed ^ asn.0 as u64));
         }
     }
-    let cells = runner::map(&specs, |spec| {
-        let (isp, asn, policy) = &configs[spec.ordinal as usize / 2];
-        let (target, url_s) = &targets[spec.ordinal as usize % 2];
+    let cells = runner::map(&specs, |i, spec| {
+        let (isp, asn, policy) = &configs[i / 2];
+        let (target, url_s) = &targets[i % 2];
         let world = single_isp_world(*asn, isp, policy.clone());
         let url = Url::parse(url_s).expect("static URL");
         let mut mechanisms: Vec<BlockingType> = Vec::new();

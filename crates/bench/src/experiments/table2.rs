@@ -50,18 +50,15 @@ fn paper_value(label: &str) -> Option<u64> {
 /// samples from a runner-forked stream.
 pub fn run(seed: u64) -> Table2 {
     let proxies = static_proxies();
-    let specs: Vec<TrialSpec> = proxies
-        .iter()
-        .map(|p| p.label.as_str())
-        .chain(["YouTube"])
-        .enumerate()
-        .map(|(i, label)| TrialSpec::forked("table2", seed, i as u64, label))
+    // The proxies, then the YouTube baseline.
+    let specs: Vec<TrialSpec> = (0..=proxies.len() as u64)
+        .map(|i| TrialSpec::forked("table2", seed, i))
         .collect();
-    let rows = runner::map(&specs, |spec| {
+    let rows = runner::map(&specs, |i, spec| {
         let world = clean_world();
         let provider = world.access.providers()[0].clone();
         let mut rng = DetRng::new(spec.seed);
-        let (label, site, paper_ms) = match proxies.get(spec.ordinal as usize) {
+        let (label, site, paper_ms) = match proxies.get(i) {
             Some(p) => (p.label.clone(), p.site, paper_value(&p.label).unwrap_or(0)),
             None => {
                 // YouTube baseline (paper: 186 ms).

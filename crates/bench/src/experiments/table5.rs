@@ -87,13 +87,10 @@ pub fn run(seed: u64) -> Table5 {
     let cases = cases();
     let specs: Vec<TrialSpec> = cases
         .iter()
-        .enumerate()
-        .map(|(i, (label, paper_s, ..))| {
-            TrialSpec::salted(seed ^ paper_s.to_bits(), i as u64, *label)
-        })
+        .map(|(_, paper_s, ..)| TrialSpec::salted(seed ^ paper_s.to_bits()))
         .collect();
-    let rows = runner::map(&specs, |spec| {
-        let (label, paper_s, dns, ip, http) = cases[spec.ordinal as usize];
+    let rows = runner::map(&specs, |i, spec| {
+        let (label, paper_s, dns, ip, http) = cases[i];
         let url = Url::parse(&format!("http://{YOUTUBE}/")).expect("static URL");
         let policy = csaw_censor::single_mechanism(label, YOUTUBE, dns, ip, http, TlsAction::None);
         let world = crate::worlds::single_isp_world(Asn(5000), "T5-ISP", policy);

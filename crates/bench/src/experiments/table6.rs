@@ -85,11 +85,10 @@ fn shared_inputs(seed: u64) -> (Vec<Option<SimDuration>>, SimDuration) {
 pub fn run(seed: u64) -> Table6 {
     let specs: Vec<TrialSpec> = PROBS
         .iter()
-        .enumerate()
-        .map(|(i, p)| TrialSpec::salted(seed ^ p.to_bits(), i as u64, format!("p={p}")))
+        .map(|p| TrialSpec::salted(seed ^ p.to_bits()))
         .collect();
-    let rows = runner::map(&specs, |spec| {
-        let p = PROBS[spec.ordinal as usize];
+    let rows = runner::map(&specs, |i, spec| {
+        let p = PROBS[i];
         let (bases, probe_time) = shared_inputs(seed);
         let load = LoadModel::default();
         let mut rng = DetRng::new(spec.seed);

@@ -99,11 +99,10 @@ pub fn run(seed: u64) -> Wild {
     let ases = event_ases();
     let specs: Vec<TrialSpec> = ases
         .iter()
-        .enumerate()
-        .map(|(i, asn)| TrialSpec::salted(seed ^ asn.0 as u64, i as u64, format!("AS{}", asn.0)))
+        .map(|asn| TrialSpec::salted(seed ^ asn.0 as u64))
         .collect();
-    let per_as = runner::map(&specs, |spec| {
-        let asn = ases[spec.ordinal as usize];
+    let per_as = runner::map(&specs, |i, spec| {
+        let asn = ases[i];
         let poll_s: u64 = 600; // users check their feeds every 10 min
         let horizon_s: u64 = 3 * 3_600;
         let services = ["twitter.com", "instagram.com"];

@@ -1,9 +1,10 @@
 //! The trial loop every `exp` sweep runs on.
 //!
 //! A sweep is a list of **independent trials** (seed × config point),
-//! each a [`TrialSpec`], and a closure that runs one. [`map`] runs them
-//! one after another, in list order, and returns their values in that
-//! order:
+//! each a [`TrialSpec`] at the same position as its case in the sweep's
+//! case list, and a closure that runs one given that position. [`map`]
+//! runs them one after another, in list order, and returns their values
+//! in that order:
 //!
 //! - every trial draws from its own RNG, derived from the trial seed
 //!   alone ([`TrialSpec::rng`]) — never from a shared stream, so adding
@@ -24,9 +25,9 @@
 //! /// Monte-Carlo mean of x² over uniform x — one trial per sample.
 //! fn mean_of_squares(seed: u64) -> f64 {
 //!     let specs: Vec<TrialSpec> = (0..8)
-//!         .map(|i| TrialSpec::forked("mean-of-squares", seed, i, format!("sample-{i}")))
+//!         .map(|i| TrialSpec::forked("mean-of-squares", seed, i))
 //!         .collect();
-//!     let squares = runner::map(&specs, |spec| {
+//!     let squares = runner::map(&specs, |_, spec| {
 //!         let x = spec.rng().f64();
 //!         x * x
 //!     });
@@ -41,15 +42,11 @@ use csaw_obs::scope::{self, ObsCtx};
 use csaw_simnet::rng::{fnv1a, DetRng};
 use std::sync::Arc;
 
-/// One independent unit of experiment work: its position in the sweep
-/// (`ordinal`), a human-readable `label`, and the trial's private RNG
-/// `seed`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One independent unit of experiment work: the trial's private RNG
+/// seed. Its case is the one at the same position in the sweep's case
+/// list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrialSpec {
-    /// The trial's index in its sweep's case list.
-    pub ordinal: u64,
-    /// Human-readable config-point label (`"TCP/IP × parallel"`).
-    pub label: String,
     /// The trial's RNG seed. Trials must draw only from RNGs derived
     /// from this seed; sharing a stream across trials would make one
     /// case's output depend on the cases before it.
@@ -58,17 +55,10 @@ pub struct TrialSpec {
 
 impl TrialSpec {
     /// A spec whose seed is splitmix-forked from
-    /// `(experiment, exp_seed, ordinal)` — the default for new
-    /// decompositions.
-    pub fn forked(
-        experiment: &str,
-        exp_seed: u64,
-        ordinal: u64,
-        label: impl Into<String>,
-    ) -> TrialSpec {
+    /// `(experiment, exp_seed, ordinal)`, `ordinal` being the case's
+    /// position — the default for new decompositions.
+    pub fn forked(experiment: &str, exp_seed: u64, ordinal: u64) -> TrialSpec {
         TrialSpec {
-            ordinal,
-            label: label.into(),
             seed: fork_seed(exp_seed, experiment, ordinal),
         }
     }
@@ -76,12 +66,8 @@ impl TrialSpec {
     /// A spec with an explicit seed — for experiments that predate the
     /// runner and must keep their historical RNG streams (and therefore
     /// their published reference numbers) bit-stable.
-    pub fn salted(seed: u64, ordinal: u64, label: impl Into<String>) -> TrialSpec {
-        TrialSpec {
-            ordinal,
-            label: label.into(),
-            seed,
-        }
+    pub fn salted(seed: u64) -> TrialSpec {
+        TrialSpec { seed }
     }
 
     /// The trial's private generator.
@@ -108,8 +94,9 @@ pub fn fork_seed(exp_seed: u64, experiment: &str, ordinal: u64) -> u64 {
     out
 }
 
-/// Run `run` once per spec, in list order, each trial under its own
-/// observability scope; return the trial values in that order.
+/// Run `run(i, spec)` for each spec in list order, `i` its position,
+/// each trial under its own observability scope; return the trial
+/// values in that order.
 ///
 /// After each trial its registry merges into the caller's, the caller's
 /// clock advances to the trial's end time if that is later, and, when
@@ -121,11 +108,12 @@ pub fn fork_seed(exp_seed: u64, experiment: &str, ordinal: u64) -> u64 {
 /// captured by shared reference, and the trial-scoped observability
 /// context — no state carried from one trial to the next, no draws
 /// from an RNG owned by another trial.
-pub fn map<T>(specs: &[TrialSpec], run: impl Fn(&TrialSpec) -> T) -> Vec<T> {
+pub fn map<T>(specs: &[TrialSpec], run: impl Fn(usize, &TrialSpec) -> T) -> Vec<T> {
     let parent = scope::current();
     specs
         .iter()
-        .map(|spec| {
+        .enumerate()
+        .map(|(i, spec)| {
             let ctx = Arc::new(
                 ObsCtx::new()
                     .with_clock(Arc::new(ManualClock::new()))
@@ -139,7 +127,7 @@ pub fn map<T>(specs: &[TrialSpec], run: impl Fn(&TrialSpec) -> T) -> Vec<T> {
             );
             let value = {
                 let _guard = scope::install(ctx.clone());
-                run(spec)
+                run(i, spec)
             };
             // End-of-run close: the runner owns the final flush so every
             // trial leaves exactly one partial last window. Trial bodies
@@ -164,12 +152,13 @@ mod tests {
     /// counters, histograms, gauges, per-trial clocks.
     fn synthetic(seed: u64, trials: u64) -> Vec<u64> {
         let specs: Vec<TrialSpec> = (0..trials)
-            .map(|i| TrialSpec::forked("synthetic", seed, i, format!("t{i}")))
+            .map(|i| TrialSpec::forked("synthetic", seed, i))
             .collect();
-        map(&specs, |spec| {
+        map(&specs, |i, spec| {
             let draw = spec.rng().range_u64(0, 1_000);
-            csaw_obs::advance_clock_us(1_000 * (spec.ordinal + 1));
-            csaw_obs::event!("synthetic.trial", ordinal = spec.ordinal, draw = draw);
+            let ordinal = i as u64;
+            csaw_obs::advance_clock_us(1_000 * (ordinal + 1));
+            csaw_obs::event!("synthetic.trial", ordinal = ordinal, draw = draw);
             csaw_obs::inc("synthetic.trials");
             csaw_obs::observe_us("synthetic.draw", draw);
             csaw_obs::current().registry.gauge("synthetic.net").add(1);
@@ -211,15 +200,13 @@ mod tests {
     #[test]
     fn a_trial_streams_into_the_callers_sink() {
         let (_ctx, buf, _guard) = buffered();
-        let specs: Vec<TrialSpec> = (0..2u64)
-            .map(|i| TrialSpec::salted(i, i, format!("s{i}")))
-            .collect();
+        let specs: Vec<TrialSpec> = (0..2u64).map(TrialSpec::salted).collect();
         // Each trial records one event and returns what the caller's
         // sink held when it started: the second trial must already see
         // the first trial's event there, not wait for the sweep to end.
-        let seen = map(&specs, |spec| {
+        let seen = map(&specs, |i, _| {
             let before = buf.len();
-            csaw_obs::event!("streamed", ordinal = spec.ordinal);
+            csaw_obs::event!("streamed", ordinal = i as u64);
             before
         });
         assert_eq!(seen, vec![0, 1]);
@@ -271,16 +258,16 @@ mod tests {
         // One windowed counter sample per trial, then a step past a
         // window boundary, so every trial emits frames.
         let specs: Vec<TrialSpec> = (0..6u64)
-            .map(|i| TrialSpec::forked("windowed", 9, i, format!("w{i}")))
+            .map(|i| TrialSpec::forked("windowed", 9, i))
             .collect();
-        map(&specs, |spec| {
+        map(&specs, |i, _| {
             let ctx = scope::current();
             assert!(
                 ctx.timeline.enabled(),
                 "trial timeline must inherit the parent window config"
             );
             ctx.timeline
-                .counter("trial.work", &[("o", &spec.ordinal.to_string())])
+                .counter("trial.work", &[("o", &i.to_string())])
                 .inc();
             // Crosses the 1 ms boundary (closes window 0), leaves a
             // partial window for the runner's end-of-run flush.
@@ -328,7 +315,7 @@ mod tests {
 
     #[test]
     fn empty_trial_list_reduces_empty() {
-        let values: Vec<u64> = map(&[], |_| unreachable!("no trials"));
+        let values: Vec<u64> = map(&[], |_, _| unreachable!("no trials"));
         assert_eq!(values.len(), 0);
     }
 }

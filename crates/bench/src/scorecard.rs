@@ -7,9 +7,6 @@
 //! a card whose rows hold the digests of every other pinned output,
 //! `exp scale`'s receipt counts among them. Timing lives in
 //! `benchmark/`, never here.
-//!
-//! Older cards also carry top-level `timing` and `health` objects;
-//! nothing reads either, and both still parse.
 
 use csaw_obs::json::JsonValue;
 use csaw_simnet::rng::fnv1a;
@@ -53,39 +50,6 @@ impl Scorecard {
         v.to_string_pretty()
     }
 
-    /// Parse a scorecard document.
-    pub fn parse(text: &str) -> Result<Scorecard, String> {
-        let v = JsonValue::parse(text).map_err(|e| format!("not JSON: {e}"))?;
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing schema")?;
-        if schema != SCHEMA {
-            return Err(format!("unsupported schema {schema} (expected {SCHEMA})"));
-        }
-        Ok(Scorecard {
-            experiment: v
-                .get("experiment")
-                .and_then(JsonValue::as_str)
-                .ok_or("missing experiment")?
-                .to_string(),
-            seed: v
-                .get("seed")
-                .and_then(JsonValue::as_u64)
-                .ok_or("missing seed")?,
-            deterministic: v
-                .get("deterministic")
-                .cloned()
-                .unwrap_or_else(JsonValue::obj),
-        })
-    }
-
-    /// Load from a file.
-    pub fn load(path: &Path) -> Result<Scorecard, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Scorecard::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
     /// Write the document (trailing newline) to a file.
     pub fn write(&self, path: &Path) -> io::Result<()> {
         std::fs::write(path, self.fingerprint() + "\n")
@@ -106,42 +70,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_and_fingerprint_stability() {
+    fn fingerprint_is_json_with_identity_and_counts() {
         let mut card = Scorecard::new("exp_scale", 1);
         card.deterministic.set("accepted", 100u64);
-        let back = Scorecard::parse(&card.fingerprint()).expect("roundtrip");
-        assert_eq!(back.experiment, "exp_scale");
-        assert_eq!(back.seed, 1);
-        assert_eq!(back.fingerprint(), card.fingerprint());
-    }
-
-    #[test]
-    fn legacy_health_and_micro_keys_still_parse_and_fingerprint_the_same() {
-        let mut card = Scorecard::new("exp_scale", 1);
-        card.deterministic.set("accepted", 100u64);
-        let mut legacy = JsonValue::parse(&card.fingerprint()).expect("a card is JSON");
-        let mut health = JsonValue::obj();
-        health.set("violations", 2u64);
-        legacy.set("health", health);
-        // A legacy card's timing half: wall-clock rows and micro-benches.
-        let mut micro = JsonValue::obj();
-        micro.set("url_parse", 263u64);
-        let mut timing = JsonValue::obj();
-        timing.set("micro", micro);
-        timing.set("reports_per_sec", 123.5);
-        legacy.set("timing", timing);
-        let back = Scorecard::parse(&legacy.to_string_pretty()).expect("schema 1 still parses");
-        assert_eq!(back.fingerprint(), card.fingerprint());
-    }
-
-    #[test]
-    fn parse_rejects_garbage_and_wrong_schema() {
-        assert!(Scorecard::parse("not json").is_err());
-        assert!(Scorecard::parse("{\"schema\":99}").is_err());
-        assert!(
-            Scorecard::parse("{\"schema\":1}").is_err(),
-            "missing identity"
+        let v = JsonValue::parse(&card.fingerprint()).expect("a card is JSON");
+        assert_eq!(v.get("schema").and_then(JsonValue::as_u64), Some(SCHEMA));
+        assert_eq!(
+            v.get("experiment").and_then(JsonValue::as_str),
+            Some("exp_scale")
         );
+        assert_eq!(v.get("seed").and_then(JsonValue::as_u64), Some(1));
+        assert_eq!(v.get("deterministic"), Some(&card.deterministic));
     }
 
     #[test]

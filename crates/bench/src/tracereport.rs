@@ -293,13 +293,16 @@ pub fn decomposition_table(recs: &[FetchRecord]) -> String {
     out
 }
 
-/// Per-fetch waterfalls for the first `limit` fetches: a fixed-width
-/// bar per fetch split into `d`/`c`/`t` segments (detection,
+/// How many fetches [`waterfall`] draws.
+pub const WATERFALLS: usize = 8;
+
+/// Per-fetch waterfalls for the first [`WATERFALLS`] fetches: a
+/// fixed-width bar per fetch split into `d`/`c`/`t` segments (detection,
 /// circumvention setup, transfer) on the fetch's own scale.
-pub fn waterfall(recs: &[FetchRecord], limit: usize) -> String {
+pub fn waterfall(recs: &[FetchRecord]) -> String {
     const WIDTH: usize = 48;
     let mut out = String::from("Waterfalls (d=detect c=circum-setup t=transfer)\n");
-    for r in recs.iter().take(limit) {
+    for r in recs.iter().take(WATERFALLS) {
         let total = r.total_us.max(1);
         let seg = |us: u64| (us as f64 / total as f64 * WIDTH as f64).round() as usize;
         let (d, c) = (seg(r.detect_us), seg(r.circum_us));
@@ -313,8 +316,8 @@ pub fn waterfall(recs: &[FetchRecord], limit: usize) -> String {
             if r.ok { "ok" } else { "FAILED" },
         ));
     }
-    if recs.len() > limit {
-        out.push_str(&format!("  ... {} more fetches\n", recs.len() - limit));
+    if recs.len() > WATERFALLS {
+        out.push_str(&format!("  ... {} more fetches\n", recs.len() - WATERFALLS));
     }
     out
 }
@@ -404,6 +407,6 @@ mod tests {
     fn tables_render_without_panicking_on_empty_input() {
         let recs: Vec<FetchRecord> = Vec::new();
         assert!(decomposition_table(&recs).contains("0 fetches"));
-        assert!(waterfall(&recs, 5).contains("Waterfalls"));
+        assert!(waterfall(&recs).contains("Waterfalls"));
     }
 }

@@ -143,19 +143,29 @@ fn bad_command_lines_exit_2_with_usage() {
     }
     // The scorecard report and the harnesses' card paths are gone, not
     // aliased; so are the frames file, the window override, the worker
-    // count and the trace baseline gate.
+    // count, the trace baseline gate, the waterfall count, and the
+    // harnesses' fleet sizes, shard count and delivery bound: each had
+    // one value in use, and a fleet of zero passed every gate on
+    // nothing.
     assert_usage_error(&report(&["perf", "card.json"]), "report perf");
     for args in [
         &["chaos", "--frames-out", "x"][..],
         &["chaos", "--window", "60"],
         &["fig5a", "--window", "60"],
         &["fig5a", "--jobs", "2"],
+        &["chaos", "--clients", "0"],
+        &["chaos", "--urls", "0"],
+        &["chaos", "--min-delivery", "1.0"],
+        &["splitbrain", "--clients", "0"],
+        &["splitbrain", "--urls", "0"],
+        &["scale", "--clients", "100", "--shards", "4"],
     ] {
         assert_usage_error(&exp(args), &format!("exp {}", args.join(" ")));
     }
     for args in [
         &["trace", "x.jsonl", "--baseline", "y.jsonl"][..],
         &["trace", "x.jsonl", "--max-regress-pct", "5"],
+        &["trace", "x", "--waterfall", "3"],
     ] {
         assert_usage_error(&report(args), &format!("report {}", args.join(" ")));
     }
@@ -165,22 +175,10 @@ fn bad_command_lines_exit_2_with_usage() {
             &format!("exp {harness} --bench-out"),
         );
     }
-    // `exp scale` rejects sizes it cannot run instead of panicking, and
-    // the fleet harnesses reject a population whose gates would pass on
-    // nothing.
-    for zero in ["--threads", "--clients", "--lookups", "--shards"] {
+    // `exp scale` rejects sizes it cannot run instead of panicking.
+    for zero in ["--threads", "--clients", "--lookups"] {
         let args = ["scale", "--clients", "100", "--lookups", "10", zero, "0"];
         assert_usage_error(&exp(&args), &format!("exp scale {zero} 0"));
-    }
-    for (harness, zero) in [
-        ("chaos", "--clients"),
-        ("chaos", "--urls"),
-        ("splitbrain", "--clients"),
-    ] {
-        assert_usage_error(
-            &exp(&[harness, zero, "0"]),
-            &format!("exp {harness} {zero} 0"),
-        );
     }
     // `--threads` is one writer count; the per-count sweep is gone.
     assert_usage_error(
@@ -193,6 +191,15 @@ fn bad_command_lines_exit_2_with_usage() {
             &exp(&["chaos", "--fault-rates", rate]),
             &format!("exp chaos --fault-rates {rate}"),
         );
+    }
+    // An expectation that names no rule would pass on any file.
+    let path = std::env::temp_dir().join(format!("csaw_cli_expect_{}.jsonl", std::process::id()));
+    std::fs::write(&path, "").expect("write an empty event file");
+    let file = path.to_str().expect("utf-8 temp path");
+    let outs = [",", "", " , "].map(|rules| report(&["health", file, "--expect", rules]));
+    let _ = std::fs::remove_file(&path);
+    for (rules, out) in [",", "", " , "].iter().zip(&outs) {
+        assert_usage_error(out, &format!("report health x.jsonl --expect {rules:?}"));
     }
 }
 

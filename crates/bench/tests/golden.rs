@@ -90,9 +90,9 @@ fn scale_card(scaled: &scale::Scale, seed: u64) -> Scorecard {
     let mut config = JsonValue::obj();
     config.set("clients", scaled.cfg.clients);
     config.set("reports_per_client", scale::REPORTS_PER_CLIENT);
-    config.set("shards", scaled.cfg.shards);
-    config.set("urls", scaled.cfg.urls);
-    config.set("asns", scaled.cfg.asns);
+    config.set("shards", scale::SHARDS);
+    config.set("urls", scale::URLS);
+    config.set("asns", scale::ASNS);
     config.set("lookups", scaled.cfg.lookups);
     let mut row = JsonValue::obj();
     row.set("threads", scaled.pass.threads);
@@ -145,12 +145,9 @@ fn recompute() -> String {
         chaos_at(chaos::ChaosConfig {
             fault_rates: vec![0.6],
             drain_rounds: 40,
-            ..chaos::ChaosConfig::default()
         }),
     );
-    let (split, events, _) = observed(true, Some(splitbrain::slo_set()), || {
-        splitbrain::run(1, &splitbrain::SplitBrainConfig::default())
-    });
+    let (split, events, _) = observed(true, Some(splitbrain::slo_set()), || splitbrain::run(1, 2));
     let mut row = harness_row(&split.render(), &events);
     row.set("fingerprint", split.rows[1].fingerprint.as_str());
     harnesses.set("splitbrain --regions 2", row);
@@ -158,7 +155,6 @@ fn recompute() -> String {
         clients: 10_000,
         lookups: 1_000,
         threads: 4,
-        ..scale::ScaleConfig::default()
     };
     let (scaled, _, _) = observed(false, None, || {
         let mut result = scale::run_with(1, cfg.clone());
@@ -185,6 +181,15 @@ fn recompute() -> String {
     );
     card.deterministic.set("artifacts", artifacts);
     card.fingerprint()
+}
+
+/// A scorecard's `deterministic` section.
+fn deterministic(card: &str) -> JsonValue {
+    JsonValue::parse(card)
+        .expect("a scorecard is JSON")
+        .get("deterministic")
+        .cloned()
+        .expect("a scorecard has a deterministic section")
 }
 
 /// Every leaf of `v` as `path → value`, for naming what moved.
@@ -242,11 +247,9 @@ fn exp_trace_out_json_writes_the_pinned_chrome_trace() {
     let chrome = std::fs::read_to_string(&path).expect("the Chrome trace");
     let _ = std::fs::remove_dir_all(&dir);
     assert!(out.status.success(), "exp fig5a failed: {out:?}");
-    let golden = std::fs::read_to_string(GOLDEN).expect("GOLDEN_seed1.json");
-    let golden = Scorecard::parse(&golden).expect("the manifest parses as a scorecard");
+    let golden = deterministic(&std::fs::read_to_string(GOLDEN).expect("GOLDEN_seed1.json"));
     assert_eq!(
         golden
-            .deterministic
             .get("artifacts")
             .and_then(|a| a.get("fig5a --trace-out x.json"))
             .and_then(JsonValue::as_str),
@@ -265,21 +268,20 @@ fn exp_all_digests_what_exp_name_prints() {
         .output()
         .expect("spawn exp all");
     assert!(all.status.success(), "exp all failed: {all:?}");
-    let card = Scorecard::load(&dir.join("1").join(experiments::sweep_card_file(1)))
+    let card = std::fs::read_to_string(dir.join("1").join(experiments::sweep_card_file(1)))
         .expect("exp all's scorecard");
+    let card = deterministic(&card);
     let metrics = std::fs::read_to_string(dir.join("1/metrics.json")).expect("metrics.json");
     let _ = std::fs::remove_dir_all(&dir);
-    let golden = std::fs::read_to_string(GOLDEN).expect("GOLDEN_seed1.json");
-    let golden = Scorecard::parse(&golden).expect("the manifest parses as a scorecard");
-    let pinned = golden.deterministic.get("stdout_digests");
+    let golden = deterministic(&std::fs::read_to_string(GOLDEN).expect("GOLDEN_seed1.json"));
+    let pinned = golden.get("stdout_digests");
     assert_eq!(
-        card.deterministic.get("stdout_digests"),
+        card.get("stdout_digests"),
         pinned,
         "exp all's stdout digests are the manifest's"
     );
     assert_eq!(
         golden
-            .deterministic
             .get("artifacts")
             .and_then(|a| a.get("all: metrics.json"))
             .and_then(JsonValue::as_str),

@@ -20,7 +20,7 @@
 //! The two tests take one lock for their whole run, so nothing else in
 //! this binary allocates while either counts.
 
-use csaw_bench::experiments::scale::{batch_for, ScaleConfig};
+use csaw_bench::experiments::scale::{batch_for, SHARDS};
 use csaw_perf_alloc::{snapshot, CountingAlloc};
 use csaw_store::{Batch, JsonlStore, ReplicatedStore, ShardedStore, StorageBackend, Uuid};
 use std::sync::{Arc, Mutex};
@@ -50,23 +50,18 @@ const MAX_JOURNALLED_ALLOCS: f64 = 7.6;
 const MAX_JOURNALLED_BYTES: f64 = 1_700.0;
 
 /// `exp scale`'s smoke batches, built before anything is counted.
-fn scale_batches() -> (ScaleConfig, Vec<Batch>) {
-    let cfg = ScaleConfig {
-        clients: CLIENTS,
-        ..ScaleConfig::default()
-    };
-    let batches = (0..CLIENTS)
-        .map(|i| batch_for(SEED, i, Uuid::from_raw(i as u64 + 1), &cfg))
-        .collect();
-    (cfg, batches)
+fn scale_batches() -> Vec<Batch> {
+    (0..CLIENTS)
+        .map(|i| batch_for(SEED, i, Uuid::from_raw(i as u64 + 1)))
+        .collect()
 }
 
 #[test]
 fn an_ingested_report_allocates_within_budget() {
     let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let (cfg, batches) = scale_batches();
+    let batches = scale_batches();
     let reports: usize = batches.iter().map(Batch::len).sum();
-    let store = ShardedStore::new(cfg.shards).expect("16 shards is a valid store");
+    let store = ShardedStore::new(SHARDS).expect("16 shards is a valid store");
 
     let (allocs_before, bytes_before) = snapshot();
     let started = Instant::now();
@@ -106,14 +101,14 @@ fn an_ingested_report_allocates_within_budget() {
 #[test]
 fn a_journalled_report_allocates_within_budget_and_both_logs_agree() {
     let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let (cfg, batches) = scale_batches();
+    let batches = scale_batches();
     let reports: usize = batches.iter().map(Batch::len).sum();
     let path = std::env::temp_dir().join(format!(
         "csaw-ingest-alloc-budget-{}.jsonl",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
-    let disk = JsonlStore::open(&path, cfg.shards).expect("a fresh log opens");
+    let disk = JsonlStore::open(&path, SHARDS).expect("a fresh log opens");
     let leader = ReplicatedStore::new(Arc::new(disk));
 
     let (allocs_before, bytes_before) = snapshot();

@@ -16,8 +16,6 @@ pub struct HtmlFeatures {
     pub tag_count: usize,
     /// Number of anchor (`<a`) tags — block pages rarely link anywhere.
     pub link_count: usize,
-    /// Number of `<img`/`<script`/`<link` resource references.
-    pub resource_count: usize,
     /// Number of distinct block-page keywords found (case-insensitive).
     pub keyword_hits: usize,
     /// Whether an `<iframe` is present (ISP-B serves its block page via
@@ -55,15 +53,11 @@ pub fn extract(html: &str) -> HtmlFeatures {
     let lower = html.to_ascii_lowercase();
     let tag_count = count_tags(&lower);
     let link_count = lower.matches("<a ").count() + lower.matches("<a>").count();
-    let resource_count = lower.matches("<img").count()
-        + lower.matches("<script").count()
-        + lower.matches("<link").count();
     let keyword_hits = BLOCK_KEYWORDS.iter().filter(|k| lower.contains(*k)).count();
     HtmlFeatures {
         length: html.len(),
         tag_count,
         link_count,
-        resource_count,
         keyword_hits,
         has_iframe: lower.contains("<iframe"),
         has_meta_refresh: lower.contains("http-equiv=\"refresh\"")
@@ -100,13 +94,12 @@ mod tests {
     }
 
     #[test]
-    fn links_and_resources() {
+    fn links_count_anchors_not_link_tags() {
         let f = extract(
             r#"<html><head><link rel="x"><script src="a.js"></script></head>
                <body><a href="/1">one</a><a href="/2">two</a><img src="p.jpg"></body></html>"#,
         );
         assert_eq!(f.link_count, 2);
-        assert_eq!(f.resource_count, 3);
     }
 
     #[test]

@@ -233,8 +233,6 @@ pub struct CensorPolicy {
     /// map, the way real censors compile hostname blacklists into router
     /// ACLs.
     ip_blacklist: HashSet<Ipv4Addr>,
-    /// Where HTTP-stage redirects send the client.
-    pub block_page_location: String,
 }
 
 impl CensorPolicy {
@@ -242,7 +240,6 @@ impl CensorPolicy {
     pub fn new(name: impl Into<String>) -> CensorPolicy {
         CensorPolicy {
             name: name.into(),
-            block_page_location: "http://block.invalid/".to_string(),
             ..CensorPolicy::default()
         }
     }

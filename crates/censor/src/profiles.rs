@@ -34,7 +34,7 @@ pub fn isp_b_dns_sinkhole() -> Ipv4Addr {
 /// HTTPS interference — which is why plain HTTPS is a working local-fix
 /// on this ISP.
 pub fn isp_a() -> CensorPolicy {
-    let mut p = CensorPolicy::new("ISP-A")
+    CensorPolicy::new("ISP-A")
         .with_rule(
             CensorRule::target(TargetMatcher::DomainSuffix("youtube.com".into()))
                 .http(HttpAction::BlockPageRedirect),
@@ -54,9 +54,7 @@ pub fn isp_a() -> CensorPolicy {
         .with_rule(
             CensorRule::target(TargetMatcher::Category(Category::Religious))
                 .http(HttpAction::BlockPageRedirect),
-        );
-    p.block_page_location = "http://surfsafely.isp-a.pk/".to_string();
-    p
+        )
 }
 
 /// ISP-B (Table 1): multi-stage blocking for YouTube — DNS answers forged
@@ -65,7 +63,7 @@ pub fn isp_a() -> CensorPolicy {
 /// DNS stage engages for most flows (load balancing across filtering
 /// devices); the rest of the blacklist gets an in-band block page.
 pub fn isp_b() -> CensorPolicy {
-    let mut p = CensorPolicy::new("ISP-B")
+    CensorPolicy::new("ISP-B")
         .with_rule(
             CensorRule::target(TargetMatcher::DomainSuffix("youtube.com".into()))
                 .dns(DnsTamper::HijackTo(isp_b_dns_sinkhole()))
@@ -88,9 +86,7 @@ pub fn isp_b() -> CensorPolicy {
         .with_rule(
             CensorRule::target(TargetMatcher::Category(Category::Religious))
                 .http(HttpAction::BlockPageInline),
-        );
-    p.block_page_location = "http://blocked.isp-b.pk/".to_string();
-    p
+        )
 }
 
 /// A keyword-filtering ISP: blocks plaintext HTTP whose host or path
@@ -104,7 +100,6 @@ pub fn keyword_filter(keywords: &[&str]) -> CensorPolicy {
                 .http(HttpAction::BlockPageRedirect),
         );
     }
-    p.block_page_location = "http://filter.isp-kw.pk/".to_string();
     p
 }
 

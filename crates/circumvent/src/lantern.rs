@@ -76,8 +76,6 @@ pub struct LanternClient {
     proxies: Vec<LanternProxy>,
     /// HTTPS-proxy handshake overhead per fetch.
     pub per_fetch_overhead: SimDuration,
-    /// Label of the last proxy used (telemetry).
-    pub last_proxy: Option<String>,
 }
 
 impl LanternClient {
@@ -92,7 +90,6 @@ impl LanternClient {
         LanternClient {
             proxies,
             per_fetch_overhead: SimDuration::from_millis(60),
-            last_proxy: None,
         }
     }
 
@@ -100,18 +97,14 @@ impl LanternClient {
     /// discovery order), skipping proxies that are down right now;
     /// ties broken deterministically by label. `None` when every proxy
     /// is down this round.
-    pub fn select_proxy(&mut self, rng: &mut DetRng) -> Option<&LanternProxy> {
+    pub fn select_proxy(&self, rng: &mut DetRng) -> Option<&LanternProxy> {
         let mut candidates: Vec<&LanternProxy> = self.proxies.iter().collect();
         candidates.sort_by(|a, b| {
             a.trust_distance
                 .cmp(&b.trust_distance)
                 .then_with(|| a.label.cmp(&b.label))
         });
-        let chosen = candidates
-            .into_iter()
-            .find(|p| rng.chance(p.availability))?;
-        self.last_proxy = Some(chosen.label.clone());
-        Some(chosen)
+        candidates.into_iter().find(|p| rng.chance(p.availability))
     }
 }
 
@@ -174,7 +167,7 @@ mod tests {
 
     #[test]
     fn selection_prefers_trusted_over_near() {
-        let mut l = LanternClient::new();
+        let l = LanternClient::new();
         let mut rng = DetRng::new(1);
         let mut first_choice_counts = std::collections::HashMap::new();
         for _ in 0..200 {
@@ -212,7 +205,6 @@ mod tests {
             r.elapsed,
             d.elapsed
         );
-        assert!(l.last_proxy.is_some());
     }
 
     #[test]
@@ -242,7 +234,7 @@ mod tests {
             trust_distance: 1,
             availability: 0.5,
         }];
-        let mut l = LanternClient::with_proxies(proxies);
+        let l = LanternClient::with_proxies(proxies);
         let mut rng = DetRng::new(3);
         let up = (0..100)
             .filter(|_| l.select_proxy(&mut rng).is_some())
@@ -250,7 +242,6 @@ mod tests {
         // A proxy that is up half the time serves about half the rounds;
         // an earlier success must not stand in for a round it is down.
         assert!((30..=70).contains(&up), "up {up} of 100");
-        assert!(l.last_proxy.is_some());
     }
 
     #[test]

@@ -18,8 +18,6 @@ use csaw_webproto::url::Url;
 /// One relay in the directory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Relay {
-    /// Nickname, for reporting.
-    pub nickname: String,
     /// Where it runs.
     pub site: Site,
     /// Consensus bandwidth weight (relative).
@@ -45,23 +43,23 @@ pub struct Circuit {
 /// and North-American relays, mirroring the real consensus at the paper's
 /// timeframe. Exits are a subset.
 pub fn default_directory() -> Vec<Relay> {
-    let spec: [(&str, Region, f64, bool); 12] = [
-        ("guard-de1", Region::Germany, 9.0, false),
-        ("guard-fr1", Region::France, 7.0, false),
-        ("relay-nl1", Region::Netherlands, 8.0, true),
-        ("relay-de2", Region::Germany, 6.0, true),
-        ("relay-us1", Region::UsEast, 5.0, true),
-        ("relay-us2", Region::UsWest, 3.0, true),
-        ("relay-uk1", Region::UnitedKingdom, 4.0, false),
-        ("relay-ch1", Region::Switzerland, 3.0, true),
-        ("relay-cz1", Region::CzechRepublic, 2.0, true),
-        ("relay-ca1", Region::Canada, 2.0, true),
-        ("relay-fr2", Region::France, 5.0, true),
-        ("relay-jp1", Region::Japan, 1.0, true),
+    // (region, bandwidth weight, exit?)
+    let spec: [(Region, f64, bool); 12] = [
+        (Region::Germany, 9.0, false),
+        (Region::France, 7.0, false),
+        (Region::Netherlands, 8.0, true),
+        (Region::Germany, 6.0, true),
+        (Region::UsEast, 5.0, true),
+        (Region::UsWest, 3.0, true),
+        (Region::UnitedKingdom, 4.0, false),
+        (Region::Switzerland, 3.0, true),
+        (Region::CzechRepublic, 2.0, true),
+        (Region::Canada, 2.0, true),
+        (Region::France, 5.0, true),
+        (Region::Japan, 1.0, true),
     ];
     spec.iter()
-        .map(|(n, r, w, e)| Relay {
-            nickname: n.to_string(),
+        .map(|(r, w, e)| Relay {
             site: Site::in_region(*r),
             bandwidth_weight: *w,
             is_exit: *e,

@@ -17,7 +17,7 @@
 //! that provide anonymity (Tor), per §4.4.
 
 use crate::circum::plt_tracker::PltTracker;
-use crate::config::UserPreference;
+use crate::config::{UserPreference, EXPLORE_EVERY};
 use crate::measure::detect::failure_to_blocking;
 use csaw_censor::blocking::{BlockingType, Stage};
 use csaw_circumvent::fetch::FetchReport;
@@ -87,11 +87,8 @@ impl Selector {
 
     /// The standard registry the paper's implementation ships: all local
     /// fixes (fronting through `front` if given) plus Lantern and Tor.
-    pub fn standard(
-        front: Option<&str>,
-        explore_every: u32,
-        preference: UserPreference,
-    ) -> Selector {
+    /// Exploration runs every [`EXPLORE_EVERY`]-th access.
+    pub fn standard(front: Option<&str>, preference: UserPreference) -> Selector {
         let mut t: Vec<Box<dyn Transport + Send>> = vec![
             Box::new(csaw_circumvent::transports::PublicDns),
             Box::new(csaw_circumvent::transports::HoldOnDns),
@@ -105,7 +102,7 @@ impl Selector {
         }
         t.push(Box::new(csaw_circumvent::lantern::LanternClient::new()));
         t.push(Box::new(csaw_circumvent::tor::TorClient::new()));
-        Selector::new(t, explore_every, preference)
+        Selector::new(t, EXPLORE_EVERY, preference)
     }
 
     /// Registered transport names, in registry order.
@@ -345,7 +342,7 @@ mod tests {
     }
 
     fn selector() -> Selector {
-        Selector::standard(Some("cdn-front.example"), 5, UserPreference::Performance)
+        Selector::standard(Some("cdn-front.example"), UserPreference::Performance)
     }
 
     #[test]
@@ -518,7 +515,7 @@ mod tests {
     #[test]
     fn anonymity_preference_restricts_to_tor() {
         let (w, ctx) = setup(profiles::isp_a(), profiles::ISP_A_ASN);
-        let mut s = Selector::standard(Some("cdn-front.example"), 5, UserPreference::Anonymity);
+        let mut s = Selector::standard(Some("cdn-front.example"), UserPreference::Anonymity);
         let mut rng = DetRng::new(4);
         let url = Url::parse("http://www.youtube.com/").unwrap();
         let BlockedFetch {

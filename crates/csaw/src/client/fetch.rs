@@ -16,7 +16,7 @@ use super::report_queue::ReportQueue;
 use super::sync_view::SyncView;
 use super::{ClientStats, RequestOutcome, Road, Telemetry};
 use crate::circum::Selector;
-use crate::config::CsawConfig;
+use crate::config::{CsawConfig, EXPLORE_EVERY};
 use crate::global::Report;
 use crate::local::{LocalDb, LocalRecord, Status};
 use crate::measure::{
@@ -99,7 +99,6 @@ impl Books<'_> {
         self.per_provider
             .record(&url.base_string(url.scheme()), asn, &stages);
         self.reports.enqueue(
-            self.cfg,
             self.stats,
             self.ts,
             Report {
@@ -148,7 +147,7 @@ impl FetchPath {
     /// redundant copy, and the request RNG seeded with `seed`.
     pub(super) fn new(cfg: &CsawConfig, front: Option<&str>, seed: u64) -> FetchPath {
         FetchPath {
-            selector: Selector::standard(front, cfg.explore_every, cfg.preference),
+            selector: Selector::standard(front, cfg.preference),
             // Tor carries the redundant copy for unmeasured URLs (and the
             // measurement reports) — except for anonymity-only users,
             // where it is also the only serving transport.
@@ -165,7 +164,7 @@ impl FetchPath {
         cfg: &CsawConfig,
         transports: Vec<Box<dyn Transport + Send>>,
     ) {
-        self.selector = Selector::new(transports, cfg.explore_every, cfg.preference);
+        self.selector = Selector::new(transports, EXPLORE_EVERY, cfg.preference);
     }
 
     /// The request RNG, for the one draw outside a fetch that shares its
@@ -443,12 +442,12 @@ impl FetchPath {
 mod tests {
     use crate::client::testkit::{build_world, client};
     use crate::client::CsawClient;
-    use crate::config::{CsawConfig, UserPreference};
+    use crate::config::{CsawConfig, UserPreference, RECORD_TTL};
     use crate::global::ServerDb;
     use crate::local::Status;
     use csaw_censor::blocking::BlockingType;
     use csaw_censor::profiles;
-    use csaw_simnet::time::{SimDuration, SimTime};
+    use csaw_simnet::time::SimTime;
     use csaw_simnet::topology::Asn;
     use csaw_webproto::url::Url;
     use csaw_webproto::Method;
@@ -575,17 +574,14 @@ mod tests {
     #[test]
     fn expiry_retriggers_measurement() {
         let w = build_world(profiles::clean(), Asn(1));
-        let cfg = CsawConfig {
-            record_ttl: SimDuration::from_secs(100),
-            ..Default::default()
-        };
-        let mut c = CsawClient::new(cfg, None, 8);
+        let mut c = CsawClient::new(CsawConfig::default(), None, 8);
         let url = Url::parse("http://news.example/").unwrap();
-        c.request(&w, &url, SimTime::from_secs(1));
+        let first = SimTime::from_secs(1);
+        c.request(&w, &url, first);
         assert_eq!(c.stats.measurements, 1);
-        c.request(&w, &url, SimTime::from_secs(50));
+        c.request(&w, &url, first + RECORD_TTL / 2);
         assert_eq!(c.stats.measurements, 1, "fresh record, no remeasure");
-        c.request(&w, &url, SimTime::from_secs(200));
+        c.request(&w, &url, first + RECORD_TTL * 2);
         assert_eq!(c.stats.measurements, 2, "expired record remeasured");
     }
 

@@ -33,7 +33,7 @@ mod sync_view;
 
 pub use report_queue::WireFault;
 
-use crate::config::CsawConfig;
+use crate::config::{CsawConfig, RECORD_TTL};
 use crate::global::{
     Batch, GlobalApi, IngestReceipt, RegistrationError, StoreError, SubmitError, SubmitReceipt,
     Uuid,
@@ -182,7 +182,7 @@ impl CsawClient {
     /// domain-fronting front domain available in the deployment, if any.
     pub fn new(cfg: CsawConfig, front: Option<&str>, seed: u64) -> CsawClient {
         CsawClient {
-            local_db: LocalDb::new(cfg.record_ttl),
+            local_db: LocalDb::new(RECORD_TTL),
             per_provider: PerProviderBlocking::new(),
             multihoming: MultihomingManager::new(ASN_PROBE_INTERVAL * 3),
             stats: ClientStats::default(),

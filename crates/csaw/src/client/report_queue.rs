@@ -7,7 +7,7 @@
 //! [`ReportQueue::balanced`] is that identity's only spelling.
 
 use super::{elapsed, ClientStats, Telemetry};
-use crate::config::CsawConfig;
+use crate::config::{CsawConfig, REPORT_BACKOFF_JITTER, REPORT_QUEUE_CAP};
 use crate::global::{Batch, IngestReceipt, Report, StoreError, Uuid, WireError};
 use csaw_censor::blocking::BlockingType;
 use csaw_simnet::rng::DetRng;
@@ -127,29 +127,21 @@ impl ReportQueue {
     /// mechanism set is already queued or posted for its (URL, AS); a
     /// changed set re-queues, so multi-stage discovery flows to the
     /// crowd. At the bound the *oldest* report is evicted and counted.
-    pub(super) fn enqueue(
-        &mut self,
-        cfg: &CsawConfig,
-        stats: &mut ClientStats,
-        ts: &Telemetry,
-        mut report: Report,
-    ) {
+    pub(super) fn enqueue(&mut self, stats: &mut ClientStats, ts: &Telemetry, mut report: Report) {
         report.stages.sort();
         report.stages.dedup();
         let key = (report.url.clone(), report.asn);
         if self.reported.get(&key) == Some(&report.stages) {
             return;
         }
-        // A cap below 1 could never hold the report that triggers the drop.
-        let cap = cfg.report_queue_cap.max(1);
-        if self.queue.len() >= cap {
+        if self.queue.len() >= REPORT_QUEUE_CAP {
             // Bounded queue: evict oldest-first and *account* for it.
             // Forgetting its `reported` entry lets the observation
             // re-queue the next time the URL is seen blocked.
             let victim = self.queue.remove(0);
             self.reported.remove(&(victim.url, victim.asn));
             stats.reports_dropped += 1;
-            csaw_obs::event!("report.drop_oldest", queue_cap = cap as u64);
+            csaw_obs::event!("report.drop_oldest", queue_cap = REPORT_QUEUE_CAP as u64);
         }
         self.reported.insert(key, report.stages.clone());
         self.queue.push(report);
@@ -182,8 +174,9 @@ impl ReportQueue {
     }
 
     /// Register a failed post attempt: deterministic exponential backoff
-    /// with ±jitter. Delay doubles per consecutive failure from
-    /// `report_backoff_base` up to `report_backoff_max`; the jitter draw
+    /// with ±[`REPORT_BACKOFF_JITTER`]. Delay doubles per consecutive
+    /// failure from `report_backoff_base` up to `report_backoff_max`; the
+    /// jitter draw
     /// comes from the dedicated backoff fork, so same-seed runs schedule
     /// identical retries while distinct clients decorrelate.
     fn bump_backoff(&mut self, cx: &mut PostCtx<'_>) {
@@ -194,7 +187,7 @@ impl ReportQueue {
         let max = cx.cfg.report_backoff_max.as_micros().max(base);
         let raw = base.saturating_mul(1u64 << exp).min(max);
         let swing = 2.0 * self.backoff_rng.f64() - 1.0;
-        let factor = 1.0 + cx.cfg.report_backoff_jitter.clamp(0.0, 1.0) * swing;
+        let factor = 1.0 + REPORT_BACKOFF_JITTER * swing;
         let delay = ((raw as f64 * factor) as u64).max(1);
         self.next_report_at = Some(cx.now + SimDuration::from_micros(delay));
         cx.ts.emit(|t, client| {
@@ -334,7 +327,7 @@ mod tests {
     use super::*;
     use crate::client::testkit::client;
     use crate::client::{CsawClient, Telemetry};
-    use crate::config::CsawConfig;
+    use crate::config::{CsawConfig, REPORT_QUEUE_CAP};
     use crate::global::{ConfidenceFilter, ServerDb, SubmitError, SubmitReceipt};
     use csaw_censor::profiles;
     use csaw_faults::{FaultProfile, FaultyBackend, OutageSchedule};
@@ -346,7 +339,10 @@ mod tests {
         let inner = Arc::new(ShardedStore::new(8).unwrap());
         let faulty = Arc::new(FaultyBackend::new(
             inner,
-            FaultProfile::none().with_write_fail_p(1.0),
+            FaultProfile {
+                write_fail_p: 1.0,
+                ..FaultProfile::none()
+            },
             salt,
         ));
         let server = ServerDb::builder(salt)
@@ -376,7 +372,7 @@ mod tests {
     }
 
     fn enqueue(c: &mut CsawClient, report: Report) {
-        c.reports.enqueue(&c.cfg, &mut c.stats, &c.ts, report);
+        c.reports.enqueue(&mut c.stats, &c.ts, report);
     }
 
     /// Seed the queue directly: no world, no fetch.
@@ -405,12 +401,14 @@ mod tests {
         }
     }
 
+    /// The `i`-th of a run of distinct blocked URLs.
+    fn nth_url(i: usize) -> String {
+        format!("http://x{i}.example/")
+    }
+
     #[test]
     fn the_identity_holds_through_every_verdict_with_no_world_and_no_server() {
-        let cfg = CsawConfig {
-            report_queue_cap: 3,
-            ..Default::default()
-        };
+        let cfg = CsawConfig::default();
         let mut stats = ClientStats::default();
         let ts = Telemetry {
             trace_seed: 52,
@@ -430,12 +428,11 @@ mod tests {
                 }
             };
         }
-        // Four observations against a bound of three: the oldest drops.
-        for u in ["/a", "/b", "/c", "/d"] {
-            let r = report(&format!("http://x.example{u}"));
-            q.enqueue(&cfg, &mut stats, &ts, r);
+        // One observation more than the bound: the oldest drops.
+        for i in 0..=REPORT_QUEUE_CAP {
+            q.enqueue(&mut stats, &ts, report(&nth_url(i)));
         }
-        assert_eq!((q.pending(), stats.reports_dropped), (3, 1));
+        assert_eq!((q.pending(), stats.reports_dropped), (REPORT_QUEUE_CAP, 1));
         assert!(q.balanced(&stats));
         // The send fails: everything stays queued, backoff arms, and an
         // attempt inside the backoff is not an attempt.
@@ -447,13 +444,15 @@ mod tests {
         assert!(q
             .post_once(cx!(t), |_| Ok::<_, StoreError>(receipt(3, &[], &[])))
             .is_none());
-        assert_eq!((q.pending(), stats.post_failures), (3, 1));
+        assert_eq!((q.pending(), stats.post_failures), (REPORT_QUEUE_CAP, 1));
         assert!(q.balanced(&stats));
-        // Past it, a mixed receipt: /b posted, /c rejected, /d deferred.
+        // Past it, a mixed receipt: queue index 1 rejected, 2 deferred,
+        // the rest posted.
         let t = q.next_report_at().expect("backoff armed");
+        let posted = REPORT_QUEUE_CAP as u64 - 2;
         let sent = q.post_once(cx!(t), |batch| {
-            assert_eq!(batch.len(), 3);
-            Ok::<_, StoreError>(receipt(1, &[1], &[2]))
+            assert_eq!(batch.len(), REPORT_QUEUE_CAP);
+            Ok::<_, StoreError>(receipt(posted as usize, &[1], &[2]))
         });
         assert!(matches!(sent, Some(Ok(_))));
         assert_eq!(
@@ -462,16 +461,20 @@ mod tests {
                 stats.reports_quarantined,
                 stats.reports_requeued
             ),
-            (1, 1, 1)
+            (posted, 1, 1)
         );
-        assert_eq!(q.queue[0].url, "http://x.example/d");
+        // Queue index 2 is the fourth URL: the first was evicted.
+        assert_eq!(q.queue[0].url, nth_url(3));
         assert!(q.balanced(&stats));
         // The deferred report lands on the next attempt.
         let sent = q.post_once(cx!(t), |_| Ok::<_, StoreError>(receipt(1, &[], &[])));
         assert!(matches!(sent, Some(Ok(_))));
-        assert_eq!((q.pending(), stats.reports_posted, q.report_seq), (0, 2, 3));
+        assert_eq!(
+            (q.pending(), stats.reports_posted, q.report_seq),
+            (0, posted + 1, 3)
+        );
         assert!(q.balanced(&stats));
-        assert_eq!(stats.reports_queued, 4);
+        assert_eq!(stats.reports_queued, REPORT_QUEUE_CAP as u64 + 1);
     }
 
     #[test]
@@ -516,10 +519,13 @@ mod tests {
         // Ingest is down for the first 1000 simulated seconds.
         let faulty = Arc::new(FaultyBackend::new(
             inner,
-            FaultProfile::none().with_ingest_outages(OutageSchedule::from_windows(vec![(
-                SimTime::ZERO,
-                SimTime::from_secs(1_000),
-            )])),
+            FaultProfile {
+                ingest_outages: Some(OutageSchedule::from_windows(vec![(
+                    SimTime::ZERO,
+                    SimTime::from_secs(1_000),
+                )])),
+                ..FaultProfile::none()
+            },
             5,
         ));
         let server = ServerDb::builder(5)
@@ -644,68 +650,37 @@ mod tests {
 
     #[test]
     fn queue_cap_drops_oldest_and_accounts() {
-        let cfg = CsawConfig {
-            report_queue_cap: 2,
-            ..Default::default()
-        };
-        let mut c = CsawClient::new(cfg, None, 45);
-        for u in [
-            "http://a.example/",
-            "http://b.example/",
-            "http://c.example/",
-        ] {
-            seed(&mut c, u);
+        let mut c = CsawClient::new(CsawConfig::default(), None, 45);
+        for i in 0..=REPORT_QUEUE_CAP {
+            seed(&mut c, &nth_url(i));
         }
-        assert_eq!(c.pending_reports(), 2, "bounded at the cap");
-        assert_eq!(c.stats.reports_queued, 3);
+        let queued = REPORT_QUEUE_CAP as u64 + 1;
+        assert_eq!(c.pending_reports(), REPORT_QUEUE_CAP, "bounded at the cap");
+        assert_eq!(c.stats.reports_queued, queued);
         assert_eq!(c.stats.reports_dropped, 1);
-        assert_eq!(
-            c.reports.queue[0].url, "http://b.example/",
-            "oldest evicted"
-        );
+        assert_eq!(c.reports.queue[0].url, nth_url(1), "oldest evicted");
         accounting_holds(&c);
         // The dropped observation may re-queue: its `reported` entry is
         // forgotten along with the report.
-        seed(&mut c, "http://a.example/");
-        assert_eq!(c.stats.reports_queued, 4, "dropped report re-queued");
+        seed(&mut c, &nth_url(0));
+        assert_eq!(
+            c.stats.reports_queued,
+            queued + 1,
+            "dropped report re-queued"
+        );
         accounting_holds(&c);
         // A repeat of a queued observation does not.
-        seed(&mut c, "http://a.example/");
-        assert_eq!(c.stats.reports_queued, 4);
+        seed(&mut c, &nth_url(0));
+        assert_eq!(c.stats.reports_queued, queued + 1);
     }
 
     #[test]
-    fn a_zero_queue_cap_holds_one_report() {
-        // The cap is a public field: a 0 reads as 1 where it is used,
-        // instead of evicting from an empty queue.
-        let cfg = CsawConfig {
-            report_queue_cap: 0,
-            ..Default::default()
-        };
-        let mut c = CsawClient::new(cfg, None, 46);
-        for u in ["http://a.example/", "http://b.example/"] {
-            let url = csaw_webproto::url::Url::parse(u).unwrap();
-            c.record_verdict(
-                &url,
-                profiles::ISP_A_ASN,
-                SimTime::from_secs(1),
-                vec![BlockingType::HttpDrop],
-            );
-        }
-        assert_eq!(c.pending_reports(), 1);
-        assert_eq!(c.stats.reports_dropped, 1);
-        assert_eq!(c.reports.queue[0].url, "http://b.example/");
-        accounting_holds(&c);
-    }
-
-    #[test]
-    fn out_of_range_backoff_settings_are_tamed_where_read() {
-        // A ceiling below the base reads as the base and a jitter of 3 as
-        // 1, so every first retry waits at most twice the base.
+    fn a_backoff_ceiling_below_its_base_reads_as_the_base() {
+        // Every first retry waits the base, give or take the ±10 %
+        // jitter, however low the ceiling.
         let cfg = CsawConfig {
             report_backoff_base: SimDuration::from_secs(60),
             report_backoff_max: SimDuration::from_secs(10),
-            report_backoff_jitter: 3.0,
             ..Default::default()
         };
         let (server, _faulty) = broken_server(8);
@@ -720,7 +695,10 @@ mod tests {
                 .next_report_at()
                 .expect("backoff armed")
                 .duration_since(now);
-            assert!(wait <= SimDuration::from_secs(120), "seed {s}: {wait}");
+            assert!(
+                (54_000_000..=66_000_000).contains(&wait.as_micros()),
+                "seed {s}: {wait}"
+            );
         }
     }
 

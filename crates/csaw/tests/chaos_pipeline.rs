@@ -52,9 +52,11 @@ fn chaotic_backend_never_loses_or_duplicates_reports() {
     let inner = Arc::new(ShardedStore::new(8).unwrap());
     let faulty = Arc::new(FaultyBackend::new(
         inner,
-        FaultProfile::none()
-            .with_write_fail_p(0.30)
-            .with_torn_write_p(0.20),
+        FaultProfile {
+            write_fail_p: 0.30,
+            torn_write_p: 0.20,
+            ..FaultProfile::none()
+        },
         0xC5A0,
     ));
     let server = Arc::new(
@@ -75,7 +77,6 @@ fn chaotic_backend_never_loses_or_duplicates_reports() {
                         CsawConfig {
                             report_backoff_base: SimDuration::from_secs(30),
                             report_backoff_max: SimDuration::from_secs(600),
-                            report_backoff_jitter: 0.1,
                             ..Default::default()
                         },
                         Some("cdn-front.example"),
@@ -160,7 +161,6 @@ fn collector_outage_defers_but_never_drops() {
         CsawConfig {
             report_backoff_base: SimDuration::from_secs(30),
             report_backoff_max: SimDuration::from_secs(300),
-            report_backoff_jitter: 0.1,
             ..Default::default()
         },
         Some("cdn-front.example"),

@@ -46,9 +46,11 @@ impl Decorator for RejectMarked {
 /// bottom of it.
 pub fn rig() -> (Arc<ServerDb>, Arc<ShardedStore>) {
     let store = Arc::new(ShardedStore::new(4).unwrap());
-    let profile = FaultProfile::none()
-        .with_write_fail_p(0.3)
-        .with_torn_write_p(0.5);
+    let profile = FaultProfile {
+        write_fail_p: 0.3,
+        torn_write_p: 0.5,
+        ..FaultProfile::none()
+    };
     let faulty = FaultyBackend::new(store.clone(), profile, 0x51AC);
     let server = ServerDb::builder(0x51AC)
         .backend(Arc::new(RejectMarked(faulty)))
@@ -103,7 +105,6 @@ pub fn run<G: GlobalApi + ?Sized>(
     let cfg = CsawConfig {
         report_backoff_base: SimDuration::from_secs(30),
         report_backoff_max: SimDuration::from_secs(600),
-        report_backoff_jitter: 0.1,
         ..Default::default()
     };
     let mut c = CsawClient::new(cfg, Some("cdn-front.example"), 77);

@@ -400,7 +400,6 @@ fn csaw_client_runs_end_to_end_over_sockets() {
         CsawConfig {
             report_backoff_base: SimDuration::from_secs(30),
             report_backoff_max: SimDuration::from_secs(600),
-            report_backoff_jitter: 0.1,
             ..Default::default()
         },
         Some("cdn-front.example"),

@@ -10,8 +10,9 @@
 //!   backend; the rest comes back in the receipt's `deferred_indices`
 //!   (stored *nowhere*, so a client that does not resubmit them has
 //!   lost data);
-//! - **download failures** — `blocked_for_as` errors, modelling a
-//!   blocked or overloaded snapshot endpoint.
+//! - **download failures** — `blocked_for_as` errors inside scheduled
+//!   download outages, modelling a blocked or overloaded snapshot
+//!   endpoint.
 //!
 //! Ingest-side decisions use the batch's own `posted_at` as "now";
 //! download-side decisions use the virtual clock advanced through
@@ -30,7 +31,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Which faults to arm, and how hard.
+/// Which faults to arm, and how hard. Set with struct-update syntax
+/// (`FaultProfile { write_fail_p: 0.3, ..FaultProfile::none() }`); a
+/// probability at or below 0 never fires, one at or above 1 always does.
 #[derive(Debug, Clone, Default)]
 pub struct FaultProfile {
     /// Per-batch probability of a whole-batch write failure.
@@ -39,8 +42,6 @@ pub struct FaultProfile {
     /// of a torn write: a random proper prefix lands, the suffix is
     /// deferred.
     pub torn_write_p: f64,
-    /// Per-call probability of a blocked-list download failure.
-    pub download_fail_p: f64,
     /// Scheduled ingest unavailability windows (checked against the
     /// batch's `posted_at`).
     pub ingest_outages: Option<OutageSchedule>,
@@ -53,24 +54,6 @@ impl FaultProfile {
     /// A profile that injects nothing (the identity decorator).
     pub fn none() -> FaultProfile {
         FaultProfile::default()
-    }
-
-    /// Builder: whole-batch write-failure probability.
-    pub fn with_write_fail_p(mut self, p: f64) -> FaultProfile {
-        self.write_fail_p = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Builder: torn-write probability.
-    pub fn with_torn_write_p(mut self, p: f64) -> FaultProfile {
-        self.torn_write_p = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Builder: scheduled ingest outage windows.
-    pub fn with_ingest_outages(mut self, s: OutageSchedule) -> FaultProfile {
-        self.ingest_outages = Some(s);
-        self
     }
 }
 
@@ -212,13 +195,7 @@ impl Decorator for FaultyBackend {
             .download_outages
             .as_ref()
             .is_some_and(|s| s.is_down(self.now()));
-        let fail = in_outage
-            || self
-                .rng
-                .lock()
-                .unwrap()
-                .chance(self.profile.download_fail_p);
-        if fail {
+        if in_outage {
             self.download_failures.fetch_add(1, Ordering::Relaxed);
             csaw_obs::event!("fault.download.unavailable", asn = asn.0 as u64);
             return Err(StoreError::Unavailable("injected download fault"));
@@ -275,7 +252,13 @@ mod tests {
 
     #[test]
     fn write_failures_store_nothing_and_are_counted() {
-        let b = faulty(FaultProfile::none().with_write_fail_p(1.0), 2);
+        let b = faulty(
+            FaultProfile {
+                write_fail_p: 1.0,
+                ..FaultProfile::none()
+            },
+            2,
+        );
         let err = b.ingest(&batch(1, &["http://a.com/"], 5)).unwrap_err();
         assert_eq!(err, StoreError::Unavailable("injected ingest fault"));
         assert_eq!(b.record_count(), 0);
@@ -284,7 +267,13 @@ mod tests {
 
     #[test]
     fn torn_writes_defer_a_suffix_exactly() {
-        let b = faulty(FaultProfile::none().with_torn_write_p(1.0), 3);
+        let b = faulty(
+            FaultProfile {
+                torn_write_p: 1.0,
+                ..FaultProfile::none()
+            },
+            3,
+        );
         let urls = ["http://a.com/", "http://b.com/", "http://c.com/"];
         let r = b.ingest(&batch(1, &urls, 5)).unwrap();
         let cut = r.accepted;
@@ -328,9 +317,11 @@ mod tests {
     fn same_seed_same_fault_sequence() {
         let run = || {
             let b = faulty(
-                FaultProfile::none()
-                    .with_write_fail_p(0.3)
-                    .with_torn_write_p(0.3),
+                FaultProfile {
+                    write_fail_p: 0.3,
+                    torn_write_p: 0.3,
+                    ..FaultProfile::none()
+                },
                 42,
             );
             let mut outcomes = Vec::new();

@@ -13,7 +13,7 @@
 //! - [`FaultyBackend`] wraps any [`StorageBackend`](csaw_store::StorageBackend)
 //!   and injects whole-batch write failures, torn writes (a prefix of
 //!   the batch lands, the rest is deferred in the receipt), and
-//!   blocked-list download failures — covering `ServerDb::ingest` and
+//!   blocked-list download outages — covering `ServerDb::ingest` and
 //!   `blocked_for_as` unavailability when installed via the server
 //!   builder.
 //! - [`OutageSchedule`] turns a seed into alternating up/down windows

@@ -17,9 +17,10 @@
 //! report queue, written by [`CsawClient::record_verdict`] — and leave
 //! through that client's [`CsawClient::post_reports`]. A verdict is per
 //! host, recorded at `scheme://host/` with the scheme the browser used,
-//! and stamped on the observability clock. Records expire after the
-//! client's `record_ttl` on that same clock; nothing advances it on its
-//! own, so an embedder that wants real times drives it with `set_us`.
+//! and stamped on the observability clock. Records expire after
+//! [`csaw::config::RECORD_TTL`] on that same clock; nothing advances it
+//! on its own, so an embedder that wants real times drives it with
+//! `set_us`.
 
 use crate::testbed::resolver::TestResolver;
 use csaw::client::{CsawClient, Road};

@@ -111,7 +111,10 @@ fn both_journals_hold_the_wal_encoding_and_replay_to_the_leader() {
 fn a_mutation_the_leader_refused_is_never_shipped() {
     let refusing = |p: f64, seed: u64| {
         let store: Arc<dyn StorageBackend> = Arc::new(ShardedStore::new(4).unwrap());
-        let profile = FaultProfile::none().with_write_fail_p(p);
+        let profile = FaultProfile {
+            write_fail_p: p,
+            ..FaultProfile::none()
+        };
         ReplicatedStore::new(Arc::new(FaultyBackend::new(store, profile, seed)))
     };
 

@@ -120,7 +120,6 @@ fn crowdsourcing_with_spam_resistance() {
 fn churn_blocked_to_unblocked_via_expiry() {
     let mut world = youtube_world(profiles::isp_a(), profiles::ISP_A_ASN);
     let cfg = CsawConfig {
-        record_ttl: SimDuration::from_secs(600),
         revalidate_p: 0.0, // isolate the expiry path
         ..Default::default()
     };
@@ -138,10 +137,11 @@ fn churn_blocked_to_unblocked_via_expiry() {
 
     // After expiry the record reads not-measured; redundant requests
     // re-measure and discover the whitelisting.
-    let r = c.request(&world, &yt, SimTime::from_secs(1_000));
+    let ttl = csaw::config::RECORD_TTL;
+    let r = c.request(&world, &yt, SimTime::from_secs(1_000) + ttl);
     assert!(r.measured);
     assert_eq!(r.status_after, Status::NotBlocked);
-    let r = c.request(&world, &yt, SimTime::from_secs(1_100));
+    let r = c.request(&world, &yt, SimTime::from_secs(1_100) + ttl);
     assert_eq!(r.transport, "direct");
 }
 

@@ -315,8 +315,7 @@ fn measurements_are_stamped_on_the_obs_clock() {
     assert_eq!(rec.map(|r| r.measured_at), Some(now));
     // Past the record TTL the host reads unmeasured, so the next visit
     // races both paths again.
-    let ttl = tb.proxy.client().cfg.record_ttl;
-    clock.set_us((now + ttl).as_micros());
+    clock.set_us((now + csaw::config::RECORD_TTL).as_micros());
     browse(&tb.proxy, "blocked.test");
     assert_eq!(ctx.registry.counter("proxy.redundant_requests").get(), 2);
 }
