@@ -6,6 +6,7 @@
 //! exp all [flags]           every paper + extension experiment, plus the
 //!                           runs/<seed>/ artifacts
 //! exp extensions [flags]    the §8 future-work extensions
+//! exp claims                the paper's claims judged over seeds 1..=16
 //! ```
 //!
 //! `cargo run --release -p csaw-bench --bin exp -- all` regenerates the
@@ -29,7 +30,7 @@
 //! Exit codes are [`csaw_bench::cli::exit`], shared with `report`.
 
 use csaw_bench::cli::{self, exit, ExpCli};
-use csaw_bench::experiments::{self, Entry, Run, Sweep, CATALOGUE};
+use csaw_bench::experiments::{self, claims, Entry, Run, Sweep, CATALOGUE};
 use csaw_bench::scorecard;
 use csaw_obs::event::progress;
 use csaw_obs::json::JsonValue;
@@ -39,13 +40,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const USAGE: &str = "\
-usage: exp <list | all | extensions | NAME> [flags]
+usage: exp <list | all | extensions | claims | NAME> [flags]
 
   exp list               every experiment NAME, in paper order
   exp NAME [flags]       run one; `exp NAME --help` lists its flags
   exp all [flags]        every paper + extension experiment, writing
                          <out-dir>/<seed>/{summary,metrics,BENCH_seed<seed>}.json
-  exp extensions [flags] the §8 future-work extensions";
+  exp extensions [flags] the §8 future-work extensions
+  exp claims             judge the paper's claims over seeds 1..=16; exits 3
+                         when one breaks (takes no flags)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,6 +63,7 @@ fn main() {
             }
         }
         "all" => run_all(rest),
+        "claims" => run_claims(rest),
         "extensions" => {
             let (cli, _) = ExpCli::from_args("exp extensions", rest, &[]);
             println!(
@@ -93,6 +97,24 @@ fn run_one(entry: &Entry, args: &[String]) {
     cli.finish();
     if let Err((code, why)) = verdict {
         eprintln!("{cmd}: {why}");
+        std::process::exit(code);
+    }
+}
+
+/// `exp claims`: the judged claims table; exit 3 when a claim breaks.
+fn run_claims(args: &[String]) {
+    match args.first().map(String::as_str) {
+        None => {}
+        Some("-h" | "--help") => {
+            println!("{USAGE}\n\n{}", exit::HELP);
+            return;
+        }
+        Some(flag) => cli::die("exp claims", USAGE, &format!("unknown flag {flag:?}")),
+    }
+    let rows = claims::judge(claims::CLAIMS, claims::SEEDS);
+    print!("{}", claims::render(&rows));
+    if let Err((code, why)) = claims::verdict(&rows) {
+        eprintln!("exp claims: {why}");
         std::process::exit(code);
     }
 }

@@ -38,7 +38,7 @@ pub mod exit {
     /// Usage, I/O or parse error.
     pub const USAGE: i32 = 2;
     /// A gate on measured values failed: an SLO violation under
-    /// `--gate`.
+    /// `--gate`, a paper claim that breaks under `exp claims`.
     pub const GATE: i32 = 3;
     /// Correctness: silent report loss.
     pub const CORRECTNESS: i32 = 4;
@@ -56,7 +56,8 @@ exit codes:
   1  input is not usable evidence (trace trees do not sum, no fetch
      trees, no frames under --gate)
   2  usage, I/O or parse error
-  3  a gate on measured values failed (SLO violation under --gate)
+  3  a gate on measured values failed (SLO violation under --gate, a
+     paper claim that breaks under exp claims)
   4  correctness: silent report loss
   5  delivery ratio under 1.0
   6  replica not converged after heal

@@ -285,7 +285,7 @@ impl Chaos {
     /// Text rendering.
     pub fn render(&self) -> String {
         let mut out = String::from(
-            "exp_chaos: report delivery under injected store faults\n\
+            "exp chaos: report delivery under injected store faults\n\
              (write-fail p = rate, torn-write p = rate/2, wire-corrupt p = rate/4,\n\
              plus seeded ingest outages; clients retry with exponential backoff)\n\n\
              rate   queued  posted  requeued  dropped  quar  pending  failures  delivery  staleness(s)  accounted\n",

@@ -168,65 +168,6 @@ mod tests {
     use crate::experiments::Outcome;
 
     #[test]
-    fn fig1a_df_beats_every_proxy_median() {
-        let p = run_1a(1);
-        let df = p.series("HTTPS/DF").median();
-        for s in &p.series {
-            if s.label == "HTTPS/DF" {
-                continue;
-            }
-            assert!(
-                df < s.median(),
-                "DF median {df:.2}s not better than {} ({:.2}s)",
-                s.label,
-                s.median()
-            );
-        }
-        // Flaky proxies show wide spread: p95 ≫ median for Germany-1.
-        let g1 = p.series("Germany-1");
-        assert!(
-            g1.pct(95.0) > g1.median() * 1.6,
-            "Germany-1 spread too tight"
-        );
-    }
-
-    #[test]
-    fn fig1b_https_beats_every_tor_exit() {
-        let p = run_1b(2);
-        let https = p.series("HTTPS").median();
-        let tor_series: Vec<&Cdf> = p
-            .series
-            .iter()
-            .filter(|s| s.label.starts_with("Tor exit"))
-            .collect();
-        assert!(
-            tor_series.len() >= 3,
-            "want several exit groups, got {}",
-            tor_series.len()
-        );
-        for s in tor_series {
-            assert!(
-                https < s.median() * 0.8,
-                "HTTPS {https:.2}s vs {} {:.2}s",
-                s.label,
-                s.median()
-            );
-        }
-    }
-
-    #[test]
-    fn fig1c_lantern_about_1_5x_slower() {
-        let p = run_1c(3);
-        let iph = p.series("IP as hostname").median();
-        let lantern = p.series("Lantern").median();
-        let ratio = lantern / iph;
-        assert!(
-            (1.3..=3.5).contains(&ratio),
-            "Lantern/IPH ratio {ratio:.2} (iph {iph:.2}s, lantern {lantern:.2}s)"
-        );
-    }
-
-    #[test]
     fn panels_render() {
         let p = run_1c(4);
         let s = p.render();

@@ -153,46 +153,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recovered_matches_configured_within_tolerance() {
-        let f = run(11);
-        assert_eq!(f.bars.len(), 8);
-        for b in &f.bars {
-            for i in 0..5 {
-                let err = (b.recovered[i] - b.configured[i]).abs();
-                assert!(
-                    err < 0.10,
-                    "{} AS{} cat {}: recovered {:.2} configured {:.2}",
-                    b.country,
-                    b.asn,
-                    i,
-                    b.recovered[i],
-                    b.configured[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn country_stories_hold() {
-        let f = run(12);
-        // Yemen (AS30873): NoHttpResp dominates.
-        let yemen = f.bars.iter().find(|b| b.asn == 30873).unwrap();
-        let no_http_idx = 2;
-        assert!(yemen.recovered[no_http_idx] > 0.45);
-        // Vietnam ASes: DNS-dominated (NoDns largest).
-        for b in f.bars.iter().filter(|b| b.country == "Vietnam") {
-            let max_idx = (0..5)
-                .max_by(|a, c| b.recovered[*a].partial_cmp(&b.recovered[*c]).unwrap())
-                .unwrap();
-            assert!(max_idx == 0 || max_idx == 2, "{}: max at {max_idx}", b.asn);
-        }
-        // Kyrgyz ASes lean on RST + block pages.
-        for b in f.bars.iter().filter(|b| b.country == "Kyrgyzstan") {
-            assert!(b.recovered[3] + b.recovered[4] > 0.5, "AS{}", b.asn);
-        }
-    }
-
-    #[test]
     fn oni_classification_priorities() {
         use BlockingType::*;
         assert_eq!(classify_oni(&[DnsServfail]), Some(OniCategory::NoDns));

@@ -278,67 +278,3 @@ pub fn run_5b(seed: u64) -> Panel {
 pub fn run_5c(seed: u64) -> Panel {
     run_5bc(LARGE_PAGE, "Figure 5c: larger unblocked page (316KB)", seed)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig5a_parallel_cuts_plt_forty_to_ninety_pct() {
-        let f = run_5a(21);
-        assert_eq!(f.bars.len(), 4);
-        for b in &f.bars {
-            assert!(
-                b.parallel_s < b.serial_s,
-                "{}: parallel {} >= serial {}",
-                b.label,
-                b.parallel_s,
-                b.serial_s
-            );
-            // Detection-dominated mechanisms reduce massively; the
-            // block-page bar is capped by its fast (1.8 s) detection —
-            // structurally detect/(detect+relay), so only ~10% here.
-            let floor = if b.label == "BlockPage" { 8.0 } else { 30.0 };
-            assert!(
-                (floor..=95.0).contains(&b.reduction_pct),
-                "{}: reduction {:.1}%",
-                b.label,
-                b.reduction_pct
-            );
-        }
-        // The paper's 45.8–64.1% average band should cover the mean.
-        let avg: f64 = f.bars.iter().map(|b| b.reduction_pct).sum::<f64>() / f.bars.len() as f64;
-        assert!((40.0..=90.0).contains(&avg), "avg reduction {avg:.1}%");
-        // Detection dominated cases (TCP/IP) reduce the most.
-        let tcp = f.bars.iter().find(|b| b.label == "TCP/IP").unwrap();
-        let bp = f.bars.iter().find(|b| b.label == "BlockPage").unwrap();
-        assert!(tcp.reduction_pct > bp.reduction_pct);
-    }
-
-    #[test]
-    fn fig5b_staggered_matches_single_copy_median() {
-        let f = run_5b(22);
-        let one = f.series("1 copy").median();
-        let two = f.series("2 copies").median();
-        let staggered = f.series("2 copies (with delay)").median();
-        // Small page: the stagger rarely fires, so the median is close to
-        // 1 copy and better than blind duplication.
-        assert!(
-            (staggered - one).abs() / one < 0.25,
-            "staggered {staggered:.2} vs one {one:.2}"
-        );
-        assert!(two > one, "two {two:.2} <= one {one:.2}");
-        assert!(staggered <= two, "staggered {staggered:.2} > two {two:.2}");
-    }
-
-    #[test]
-    fn fig5c_staggering_beats_blind_duplication() {
-        let f = run_5c(23);
-        let two = f.series("2 copies").median();
-        let staggered = f.series("2 copies (with delay)").median();
-        assert!(
-            staggered < two,
-            "staggered {staggered:.2} not better than two {two:.2}"
-        );
-    }
-}

@@ -160,51 +160,3 @@ pub fn run_6b(seed: u64) -> Fig6b {
         with: agg.record_count(),
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig6a_two_copies_help_three_hurt_the_tail() {
-        let f = run_6a(31);
-        let one = f.series("1 RReq.");
-        let two = f.series("2 RReqs.");
-        let three = f.series("3 RReqs.");
-        // Median: 2 copies ~30% better than 1 (loose band 10–50%).
-        let med_gain = crate::stats::reduction_pct(one.median(), two.median());
-        assert!(
-            (10.0..=50.0).contains(&med_gain),
-            "median gain {med_gain:.1}% (1: {:.2}s, 2: {:.2}s)",
-            one.median(),
-            two.median()
-        );
-        // Median: 3 copies no better than 2 (within 15%).
-        assert!(
-            three.median() >= two.median() * 0.85,
-            "3 copies median {:.2} much better than 2 {:.2}",
-            three.median(),
-            two.median()
-        );
-        // Tail: p95(3) worse than p95(2).
-        assert!(
-            three.pct(95.0) > two.pct(95.0),
-            "p95(3) {:.2} <= p95(2) {:.2}",
-            three.pct(95.0),
-            two.pct(95.0)
-        );
-    }
-
-    #[test]
-    fn fig6b_aggregation_saves_about_half() {
-        let f = run_6b(32);
-        assert_eq!(f.without, 300, "15 sites x 20 URLs");
-        let red = f.reduction_pct();
-        assert!(
-            (45.0..=65.0).contains(&red),
-            "reduction {red:.1}% ({} -> {})",
-            f.without,
-            f.with
-        );
-    }
-}

@@ -152,41 +152,3 @@ pub fn run_7c(seed: u64) -> Panel {
         series,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig7a_csaw_beats_lantern_beats_tor() {
-        let p = run_7a(71);
-        let csaw = p.series("C-Saw").median();
-        let lantern = p.series("Lantern").median();
-        let tor = p.series("Tor").median();
-        assert!(csaw < lantern, "csaw {csaw:.2} vs lantern {lantern:.2}");
-        assert!(lantern < tor, "lantern {lantern:.2} vs tor {tor:.2}");
-        // Headline: C-Saw improves average PLT by up to 48% over Lantern
-        // and 63% over Tor — check we're in that ballpark or better.
-        let vs_lantern = crate::stats::reduction_pct(lantern, csaw);
-        let vs_tor = crate::stats::reduction_pct(tor, csaw);
-        assert!(vs_lantern >= 30.0, "vs lantern {vs_lantern:.1}%");
-        assert!(vs_tor >= 40.0, "vs tor {vs_tor:.1}%");
-    }
-
-    #[test]
-    fn fig7b_direct_wins_unblocked() {
-        let p = run_7b(72);
-        let csaw = p.series("C-Saw").median();
-        let lantern = p.series("Lantern").median();
-        let tor = p.series("Tor").median();
-        assert!(csaw < lantern && csaw < tor);
-    }
-
-    #[test]
-    fn fig7c_lantern_relay_beats_tor_relay() {
-        let p = run_7c(73);
-        let l = p.series("C-Saw (w/ Lantern)").median();
-        let t = p.series("C-Saw (w/ Tor)").median();
-        assert!(l < t, "lantern-relay {l:.2} vs tor-relay {t:.2}");
-    }
-}

@@ -5,7 +5,9 @@
 //! and how each is run. `exp <name>`, `exp all`, `exp extensions` and
 //! `exp list`, the CLI help gate and the golden-manifest test
 //! (`GOLDEN_seed1.json`) are all loops over it, so adding an experiment
-//! is one entry here plus its module. An entry's `name` is a stable
+//! is one entry here plus its module. What the paper claims about the
+//! paper entries is the one table of [`claims`], which `exp claims`
+//! judges over sixteen seeds. An entry's `name` is a stable
 //! identifier: it keys the golden digests and the `runs/<seed>/`
 //! artifacts.
 //!
@@ -39,6 +41,7 @@ use std::any::Any;
 
 pub mod ablation_explore;
 pub mod chaos;
+pub mod claims;
 pub mod datausage;
 pub mod fig1;
 pub mod fig2;

@@ -401,7 +401,7 @@ impl SplitBrain {
     /// Text rendering.
     pub fn render(&self) -> String {
         let mut out = String::from(
-            "exp_chaos --split-brain: replica convergence through a partition\n\
+            "exp splitbrain: replica convergence through a partition\n\
              (leader WAL shipped to per-region dbservers over SHIP/ACK; the split\n\
              scenario cuts region r0 mid-ingest, then heals and must converge)\n\n\
              scenario  queued  posted  encore  wal  records  lag^  stale^(s)  heal  served  converged  accounted  fingerprint\n",

@@ -137,42 +137,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recovers_the_paper_matrix() {
-        let t = run(1);
-        // ISP-A, YouTube: HTTP blocking -> block page, no DNS/TLS stages.
-        let c = t.cell("ISP-A", "YouTube");
-        assert!(c.mechanisms.contains(&BlockingType::HttpBlockPageRedirect));
-        assert!(c.mechanisms.iter().all(|m| m.stage() == Stage::Http));
-        // ISP-B, YouTube: multi-stage — DNS hijack + HTTP drop + SNI drop.
-        let c = t.cell("ISP-B", "YouTube");
-        assert!(
-            c.mechanisms.contains(&BlockingType::DnsHijack),
-            "{:?}",
-            c.mechanisms
-        );
-        assert!(
-            c.mechanisms.contains(&BlockingType::HttpDrop),
-            "{:?}",
-            c.mechanisms
-        );
-        assert!(
-            c.mechanisms.contains(&BlockingType::SniDrop),
-            "{:?}",
-            c.mechanisms
-        );
-        // ISP-A rest: block page via redirect; ISP-B rest: inline page.
-        let c = t.cell("ISP-A", "Rest");
-        assert_eq!(c.mechanisms, vec![BlockingType::HttpBlockPageRedirect]);
-        let c = t.cell("ISP-B", "Rest");
-        assert!(
-            c.mechanisms.contains(&BlockingType::HttpBlockPageInline),
-            "{:?}",
-            c.mechanisms
-        );
-        assert!(!c.mechanisms.iter().any(|m| m.stage() == Stage::Dns));
-    }
-
-    #[test]
     fn render_mentions_both_isps() {
         let t = run(2);
         let s = t.render();

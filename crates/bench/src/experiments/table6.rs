@@ -133,39 +133,3 @@ impl Outcome for Table6 {
         out
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn median_plt_monotone_in_p() {
-        let t = run(61);
-        assert_eq!(t.rows.len(), 4);
-        for w in t.rows.windows(2) {
-            assert!(
-                w[1].median_s >= w[0].median_s,
-                "p={} median {:.2} < p={} median {:.2}",
-                w[1].p,
-                w[1].median_s,
-                w[0].p,
-                w[0].median_s
-            );
-        }
-        // Meaningful growth end-to-end (paper: 5.6 → 8.1, ~45%).
-        let growth = t.row(0.75).median_s / t.row(0.0).median_s;
-        assert!(
-            (1.15..=2.5).contains(&growth),
-            "p=0.75 vs p=0 growth {growth:.2}x"
-        );
-    }
-
-    #[test]
-    fn p_quarter_cost_is_moderate() {
-        let t = run(62);
-        let ratio = t.row(0.25).median_s / t.row(0.0).median_s;
-        // The paper recommends p ≤ 0.25 as the sweet spot: some cost,
-        // far from the p = 0.75 penalty.
-        assert!((1.0..=1.6).contains(&ratio), "ratio {ratio:.2}");
-    }
-}

@@ -188,39 +188,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn event_matrix_recovered_per_as() {
-        let w = run(99);
-        // Twitter: HTTP GET timeout on AS 38193, block page on AS 17557.
-        let d = w.detection(38193, "twitter.com").expect("detected");
-        assert_eq!(d.response, "HTTP_GET_TIMEOUT");
-        let d = w.detection(17557, "twitter.com").expect("detected");
-        assert_eq!(d.response, "HTTP_GET_BLOCKPAGE");
-        // Instagram: DNS blocking on AS 38193, 59257, 45773.
-        for asn in [38193, 59257, 45773] {
-            let d = w.detection(asn, "instagram.com").expect("detected");
-            assert_eq!(d.response, "DNS blocking", "AS{asn}: {:?}", d.stages);
-        }
-        // Nobody detects blocking before the event.
-        for d in &w.detections {
-            assert!(d.at_s >= w.event_at_s, "{d:?}");
-        }
-        // And detection is prompt: within two poll rounds of the event.
-        for d in &w.detections {
-            assert!(d.at_s <= w.event_at_s + 1_800, "{d:?}");
-        }
-    }
-
-    #[test]
-    fn no_cross_service_false_positives() {
-        let w = run(100);
-        // AS 17557 blocks only Twitter; Instagram must stay clean there.
-        assert!(w.detection(17557, "instagram.com").is_none());
-        // AS 59257 and 45773 block only Instagram.
-        assert!(w.detection(59257, "twitter.com").is_none());
-        assert!(w.detection(45773, "twitter.com").is_none());
-    }
-
-    #[test]
     fn render_matches_paper_phrasing() {
         let w = run(101);
         let s = w.render();

@@ -8,7 +8,8 @@
 //!
 //! Two binaries: `exp` runs the entries of [`experiments::CATALOGUE`]
 //! (`exp <name>`, `exp all` for the full report consumed by
-//! `EXPERIMENTS.md`, `exp list`), and `report trace|health` analyses
+//! `EXPERIMENTS.md`, `exp list`) and judges the paper's claims
+//! ([`experiments::claims`], `exp claims`), and `report trace|health` analyses
 //! and gates on what they write. Both parse flags through [`cli`] and
 //! share its exit-code table. Sweeps run their independent trials
 //! through [`runner::map`]; the three harnesses (`chaos`, `splitbrain`,

@@ -102,6 +102,7 @@ fn report_kinds_answer_help_with_the_shared_exit_table() {
         assert!(out.status.success(), "exp {args:?}: {out:?}");
         assert!(stdout(&out).contains(exit::HELP), "exp {args:?}");
     }
+    assert!(stdout(&exp(&["--help"])).contains("exp claims"));
 }
 
 #[test]
@@ -111,6 +112,8 @@ fn bad_command_lines_exit_2_with_usage() {
     assert_usage_error(&exp(&["fig5a", "--no-such-flag"]), "unknown flag");
     assert_usage_error(&exp(&["fig5a", "--seed"]), "missing value");
     assert_usage_error(&exp(&["fig5a", "--seed", "x"]), "bad value");
+    // `exp claims` judges a fixed seed set and takes no flag.
+    assert_usage_error(&exp(&["claims", "--seed", "2"]), "exp claims --seed 2");
     // A harness accepts exactly the flags it reads: the chaos sweep's
     // rates mean nothing to the split-brain run, and vice versa.
     assert_usage_error(

@@ -84,27 +84,25 @@ impl LanternClient {
         LanternClient::with_proxies(default_trust_network())
     }
 
-    /// A client over a custom trust network.
-    pub fn with_proxies(proxies: Vec<LanternProxy>) -> LanternClient {
+    /// A client over a custom trust network, kept in Lantern's discovery
+    /// order: lowest trust distance first, ties broken by label.
+    pub fn with_proxies(mut proxies: Vec<LanternProxy>) -> LanternClient {
         assert!(!proxies.is_empty(), "lantern needs at least one proxy");
+        proxies.sort_by(|a, b| {
+            a.trust_distance
+                .cmp(&b.trust_distance)
+                .then_with(|| a.label.cmp(&b.label))
+        });
         LanternClient {
             proxies,
             per_fetch_overhead: SimDuration::from_millis(60),
         }
     }
 
-    /// Select a proxy: lowest trust distance first (that's Lantern's
-    /// discovery order), skipping proxies that are down right now;
-    /// ties broken deterministically by label. `None` when every proxy
-    /// is down this round.
+    /// Select a proxy: the first in discovery order that is up right
+    /// now. `None` when every proxy is down this round.
     pub fn select_proxy(&self, rng: &mut DetRng) -> Option<&LanternProxy> {
-        let mut candidates: Vec<&LanternProxy> = self.proxies.iter().collect();
-        candidates.sort_by(|a, b| {
-            a.trust_distance
-                .cmp(&b.trust_distance)
-                .then_with(|| a.label.cmp(&b.label))
-        });
-        candidates.into_iter().find(|p| rng.chance(p.availability))
+        self.proxies.iter().find(|p| rng.chance(p.availability))
     }
 }
 

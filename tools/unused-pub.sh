@@ -38,10 +38,7 @@ as_arr             benchmark/tests/benchmark_json.rs (frozen) reads BENCHMARK.js
 run_until          ROADMAP "One transport seam": SimConn delivers on the Scheduler's run loop
 socket             ROADMAP "One transport seam": FrameClient's conn, whose timeouts the Conn trait carries
 rules              ROADMAP "The product, scored against ground truth": the scorer reads the policy's targets
-row                ROADMAP "A paper-claims gate": its predicates read Table 5, Table 6 and data-usage rows
-mode               ROADMAP "A paper-claims gate": its predicates read the fingerprint modes
-detection          ROADMAP "A paper-claims gate": its predicates read the §7.5 detections
-cell               ROADMAP "A paper-claims gate": "Table 1 / Fig. 2 mixes recovered exactly" reads the cells
+mode               ROADMAP "A paper-claims gate": the extension rows read the fingerprint modes
 EOF
 )
 
